@@ -58,6 +58,8 @@ golden:
 	  --trace-out _build/recovery_trace.jsonl
 	dune exec bin/abc_trace.exe -- summary _build/recovery_trace.jsonl \
 	  > test/golden/recovery_summary.txt
+	dune exec bin/abc_run.exe -- consensus -n 4 -f 1 --seed 8 --dup 0.2 \
+	  --trace-out test/golden/dup_trace.jsonl
 	dune runtest
 
 examples:

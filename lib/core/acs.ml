@@ -55,7 +55,7 @@ module Make (V : Value.PAYLOAD) = struct
   (* Events of the BA for proposer [index], scoped under "ba<index>". *)
   let ba_sink (sink : Event.sink) index =
     if sink.Event.enabled then
-      Event.scoped sink ~instance:(Printf.sprintf "ba%d" index)
+      Event.scoped sink ~instance:(lazy (Printf.sprintf "ba%d" index))
     else sink
 
   (* Start [BA_index] with [input], folding any immediate events back
@@ -176,7 +176,7 @@ module Make (V : Value.PAYLOAD) = struct
       let inst = prop_instance state origin in
       let prop_sink =
         if sink.Event.enabled then
-          Event.scoped sink ~instance:(Fmt.str "prop@%a" Node_id.pp origin)
+          Event.scoped sink ~instance:(lazy (Fmt.str "prop@%a" Node_id.pp origin))
         else sink
       in
       let inst, events, delivered = Prbc.handle ~sink:prop_sink inst ~src event in

@@ -52,7 +52,7 @@ let wrap_prop origin actions =
 (* Events of the BA for proposer [index], scoped under "ba<index>". *)
 let ba_sink (sink : Event.sink) index =
   if sink.Event.enabled then
-    Event.scoped sink ~instance:(Printf.sprintf "ba%d" index)
+    Event.scoped sink ~instance:(lazy (Printf.sprintf "ba%d" index))
   else sink
 
 (* The dissemination instance for [origin]'s batch runs with the outer
@@ -63,7 +63,7 @@ let prop_ctx (ctx : Protocol.Context.t) origin =
     {
       ctx with
       Protocol.Context.sink =
-        Event.scoped sink ~instance:(Fmt.str "prop@%a" Node_id.pp origin);
+        Event.scoped sink ~instance:(lazy (Fmt.str "prop@%a" Node_id.pp origin));
     }
   else ctx
 

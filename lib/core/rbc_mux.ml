@@ -15,11 +15,12 @@ let instance t (key : Consensus_msg.Key.t) =
 
 let handle ?(sink = Abc_sim.Event.null_sink) t ~src wire =
   (* Scope emitted events by the instance key; the label is only built
-     when a consumer is attached. *)
+     when a consumer is attached and an event is actually emitted —
+     most wires emit nothing. *)
   let sink =
     if sink.Abc_sim.Event.enabled then
       Abc_sim.Event.scoped sink
-        ~instance:(Fmt.str "%a" Consensus_msg.Key.pp wire.key)
+        ~instance:(lazy (Fmt.str "%a" Consensus_msg.Key.pp wire.key))
     else sink
   in
   let inst = instance t wire.key in

@@ -60,7 +60,7 @@ module Make (V : Value.PAYLOAD) = struct
   (* Events of the embedded binary-agreement stage, scoped under
      "ba". *)
   let ba_sink (sink : Event.sink) =
-    if sink.Event.enabled then Event.scoped sink ~instance:"ba" else sink
+    if sink.Event.enabled then Event.scoped sink ~instance:(lazy "ba") else sink
 
   (* Fire the step transitions and the output rule that have become
      enabled. *)

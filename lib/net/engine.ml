@@ -348,11 +348,37 @@ module Make (P : Protocol.S) = struct
       | None -> true
       | Some g -> Node_id.equal src dst || Topology.has_edge g src dst
     in
-    let enqueue src action =
-      let dispatch dst payload =
-        if not (can_reach src dst) then
-          Abc_sim.Metrics.incr_handle m_dropped_topology
-        else begin
+    (* The trace's deliver detail of every in-flight message, indexed by
+       sequence number.  A payload is rendered once per send action:
+       all n envelopes of a broadcast share the string, a duplicated
+       copy inherits its original's, and the slot is cleared when the
+       envelope leaves the pool.  Only traced runs touch any of it. *)
+    let details = ref [||] in
+    let render payload =
+      match cfg.trace with
+      | Some _ -> Fmt.str "%a" P.pp_msg payload
+      | None -> ""
+    in
+    let set_detail seq detail =
+      let a = !details in
+      if seq >= Array.length a then begin
+        let grown = Array.make (max 1024 (2 * seq)) "" in
+        Array.blit a 0 grown 0 (Array.length a);
+        details := grown
+      end;
+      !details.(seq) <- detail
+    in
+    let take_detail seq =
+      let detail = !details.(seq) in
+      !details.(seq) <- "";
+      detail
+    in
+    (* Defined once per run, not per action, so sending allocates no
+       closure. *)
+    let dispatch src detail dst payload =
+      if not (can_reach src dst) then
+        Abc_sim.Metrics.incr_handle m_dropped_topology
+      else begin
         let seq = !next_seq in
         next_seq := seq + 1;
         let now = Abc_sim.Clock.now clock in
@@ -373,8 +399,9 @@ module Make (P : Protocol.S) = struct
           Abc_sim.Metrics.incr_handle h_sent;
           Abc_sim.Metrics.add_handle h_bytes_sent nbytes
         end;
-        (match cfg.trace with
+        match cfg.trace with
         | Some tr ->
+          set_detail seq detail;
           Abc_sim.Trace.record tr ~time:now ~node:src_i
             (Abc_sim.Event.make
                (Abc_sim.Event.Send
@@ -384,13 +411,17 @@ module Make (P : Protocol.S) = struct
                     detail = "";
                     bytes = nbytes;
                   }))
-        | None -> ())
-        end
-      in
+        | None -> ()
+      end
+    in
+    let enqueue src action =
       match action with
       | Protocol.Broadcast payload ->
-        List.iter (fun dst -> dispatch dst payload) (Node_id.all ~n:cfg.n)
-      | Protocol.Send (dst, payload) -> dispatch dst payload
+        let detail = render payload in
+        for dst = 0 to cfg.n - 1 do
+          dispatch src detail (Node_id.of_int dst) payload
+        done
+      | Protocol.Send (dst, payload) -> dispatch src (render payload) dst payload
       | Protocol.Set_timer { id; after } ->
         let now = Abc_sim.Clock.now clock in
         let due = now + max 1 after in
@@ -565,15 +596,13 @@ module Make (P : Protocol.S) = struct
       end;
       (match cfg.trace with
       | Some tr ->
-        (* The payload rendering is only built when tracing is on —
-           the disabled path allocates nothing here. *)
         Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int node.id)
           (Abc_sim.Event.make
              (Abc_sim.Event.Deliver
                 {
                   src = Node_id.to_int meta.Adversary.src;
                   label = P.msg_label payload;
-                  detail = Fmt.str "%a" P.pp_msg payload;
+                  detail = take_detail meta.Adversary.seq;
                   bytes = nbytes;
                 }))
       | None -> ());
@@ -601,6 +630,7 @@ module Make (P : Protocol.S) = struct
       Abc_sim.Metrics.incr_handle m_duplicated_link;
       match cfg.trace with
       | Some tr ->
+        set_detail seq !details.(orig.Adversary.seq);
         Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int src)
           (Abc_sim.Event.make
              (Abc_sim.Event.Link_dup
@@ -618,6 +648,7 @@ module Make (P : Protocol.S) = struct
       Abc_sim.Metrics.incr_handle m_dropped_crashed;
       match cfg.trace with
       | Some tr ->
+        ignore (take_detail meta.Adversary.seq);
         Abc_sim.Trace.record tr ~time:now
           ~node:(Node_id.to_int meta.Adversary.dst)
           (Abc_sim.Event.make
@@ -635,6 +666,7 @@ module Make (P : Protocol.S) = struct
       Abc_sim.Metrics.incr_handle (reason_handle reason);
       match cfg.trace with
       | Some tr ->
+        ignore (take_detail meta.Adversary.seq);
         Abc_sim.Trace.record tr
           ~time:now
           ~node:(Node_id.to_int meta.Adversary.dst)

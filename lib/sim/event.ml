@@ -206,6 +206,7 @@ let scoped sink ~instance =
       sink with
       emit =
         (fun e ->
+          let instance = Lazy.force instance in
           let instance =
             if String.length e.instance = 0 then instance
             else instance ^ "/" ^ e.instance

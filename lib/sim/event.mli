@@ -131,8 +131,9 @@ val null_sink : sink
 val sink_to : (t -> unit) -> sink
 (** [sink_to f] is an enabled sink forwarding to [f]. *)
 
-val scoped : sink -> instance:string -> sink
+val scoped : sink -> instance:string Lazy.t -> sink
 (** [scoped sink ~instance] prefixes [instance] onto the instance path
-    of every event emitted (["outer/inner"] when nested).  Returns
-    [sink] unchanged when disabled, so scoping costs nothing on the
-    disabled path. *)
+    of every event emitted (["outer/inner"] when nested).  [instance]
+    is forced on the first emit, so a scope that emits nothing never
+    renders its name.  Returns [sink] unchanged when disabled, so
+    scoping costs nothing on the disabled path. *)

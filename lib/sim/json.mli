@@ -22,9 +22,42 @@ val to_string : t -> string
     [v].  Object fields keep their list order, so equal values render
     to equal strings — the property the golden-trace tests rely on. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends [s] to [b] as a JSON string literal,
+    quotes included — the rendering {!to_string} gives [String s]. *)
+
 val of_string : string -> (t, string) result
 (** [of_string s] parses one JSON document occupying the whole string.
     [Error msg] carries a byte-offset diagnostic. *)
+
+(** {1 Scanning in place}
+
+    The primitives {!of_string} is built on, for decoders that read a
+    document straight into their own types instead of through a [t]
+    tree.  Every primitive raises {!Parse_error} with the same
+    byte-offset diagnostic {!of_string} returns, and never reads
+    outside the cursor's window. *)
+
+type cursor
+(** A position in a window of a string. *)
+
+exception Parse_error of string
+
+val cursor : string -> start:int -> stop:int -> cursor
+(** [cursor text ~start ~stop] scans [text] from [start] up to, not
+    including, [stop].  Offsets in messages are relative to [start]. *)
+
+val fields : cursor -> (string -> unit) -> unit
+(** [fields c f] scans one object.  For each field it calls [f name]
+    with [c] at the start of the field's value; [f] must consume
+    exactly that value. *)
+
+val value : cursor -> t
+(** Scans one value of any type; a number is [Int] when it is an
+    integer, else [Float]. *)
+
+val finish : cursor -> unit
+(** Skips trailing whitespace; fails unless that ends the window. *)
 
 val member : string -> t -> t option
 (** [member name v] is field [name] of object [v]; [None] when [v] is

@@ -4,7 +4,7 @@ type t = {
   capacity : int;
   sample : int;
   counts : int array;  (* exact per-kind totals, indexed by Event.kind_ord *)
-  buffer : entry option array;
+  buffer : entry array;  (* ring; slots never written hold [vacant] *)
   mutable start : int;
   mutable size : int;
   mutable recorded : int;
@@ -18,6 +18,8 @@ type t = {
    version bump. *)
 let schema_version = 5
 
+let vacant = { time = 0; node = 0; event = Event.make Event.Round_advance }
+
 let create ?(capacity = 4096) ?(sample = 1) () =
   assert (capacity > 0);
   assert (sample > 0);
@@ -25,7 +27,7 @@ let create ?(capacity = 4096) ?(sample = 1) () =
     capacity;
     sample;
     counts = Array.make Event.kind_count 0;
-    buffer = Array.make capacity None;
+    buffer = Array.make capacity vacant;
     start = 0;
     size = 0;
     recorded = 0;
@@ -45,11 +47,11 @@ let record t ~time ~node event =
     let entry = { time; node; event } in
     if t.size = t.capacity then begin
       (* Overwrite the oldest slot. *)
-      t.buffer.(t.start) <- Some entry;
+      t.buffer.(t.start) <- entry;
       t.start <- (t.start + 1) mod t.capacity
     end
     else begin
-      t.buffer.((t.start + t.size) mod t.capacity) <- Some entry;
+      t.buffer.((t.start + t.size) mod t.capacity) <- entry;
       t.size <- t.size + 1
     end
   end
@@ -80,9 +82,7 @@ let to_list t =
   let rec collect i acc =
     if i < 0 then acc
     else
-      match t.buffer.((t.start + i) mod t.capacity) with
-      | Some e -> collect (i - 1) (e :: acc)
-      | None -> assert false
+      collect (i - 1) (t.buffer.((t.start + i) mod t.capacity) :: acc)
   in
   collect (t.size - 1) []
 
@@ -100,220 +100,6 @@ let dump ppf t =
 (* ----------------------------------------------------------------- *)
 (* JSONL (schema in OBSERVABILITY.md)                                *)
 (* ----------------------------------------------------------------- *)
-
-let entry_to_json e =
-  let base = [ ("t", Json.Int e.time); ("node", Json.Int e.node) ] in
-  let kind label = ("kind", Json.String label) in
-  let common =
-    (if String.length e.event.Event.instance > 0 then
-       [ ("instance", Json.String e.event.Event.instance) ]
-     else [])
-    @ if e.event.Event.round >= 0 then [ ("round", Json.Int e.event.Event.round) ] else []
-  in
-  let specific =
-    match e.event.Event.kind with
-    | Event.Send { dst; label; detail; bytes } ->
-      [
-        kind "send";
-        ("dst", Json.Int dst);
-        ("label", Json.String label);
-        ("bytes", Json.Int bytes);
-      ]
-      @ if String.length detail > 0 then [ ("detail", Json.String detail) ] else []
-    | Event.Deliver { src; label; detail; bytes } ->
-      [
-        kind "deliver";
-        ("src", Json.Int src);
-        ("label", Json.String label);
-        ("bytes", Json.Int bytes);
-      ]
-      @ if String.length detail > 0 then [ ("detail", Json.String detail) ] else []
-    | Event.Quorum { quorum; count; threshold } ->
-      [
-        kind "quorum";
-        ("quorum", Json.String quorum);
-        ("count", Json.Int count);
-        ("threshold", Json.Int threshold);
-      ]
-    | Event.Coin_flip { value } -> [ kind "coin"; ("value", Json.Int value) ]
-    | Event.Round_advance -> [ kind "round" ]
-    | Event.Decide { value } -> [ kind "decide"; ("value", Json.String value) ]
-    | Event.Output { label } -> [ kind "output"; ("label", Json.String label) ]
-    | Event.Note { tag; detail } ->
-      [ kind "note"; ("tag", Json.String tag); ("detail", Json.String detail) ]
-    | Event.Link_drop { src; dst; label; reason } ->
-      [
-        kind "link-drop";
-        ("src", Json.Int src);
-        ("dst", Json.Int dst);
-        ("label", Json.String label);
-        ("reason", Json.String reason);
-      ]
-    | Event.Link_dup { src; dst; label } ->
-      [
-        kind "link-dup";
-        ("src", Json.Int src);
-        ("dst", Json.Int dst);
-        ("label", Json.String label);
-      ]
-    | Event.Timer_set { id; due } ->
-      [ kind "timer-set"; ("id", Json.Int id); ("due", Json.Int due) ]
-    | Event.Timer_fire { id } -> [ kind "timeout"; ("id", Json.Int id) ]
-    | Event.Retransmit { dst; seq } ->
-      [ kind "retransmit"; ("dst", Json.Int dst); ("seq", Json.Int seq) ]
-    | Event.Epoch_start { epoch } ->
-      [ kind "epoch-start"; ("epoch", Json.Int epoch) ]
-    | Event.Batch_proposed { epoch; txs; bytes } ->
-      [
-        kind "batch-proposed";
-        ("epoch", Json.Int epoch);
-        ("txs", Json.Int txs);
-        ("bytes", Json.Int bytes);
-      ]
-    | Event.Batch_committed { epoch; proposer; txs } ->
-      [
-        kind "batch-committed";
-        ("epoch", Json.Int epoch);
-        ("proposer", Json.Int proposer);
-        ("txs", Json.Int txs);
-      ]
-    | Event.Tx_committed { epoch; id } ->
-      [ kind "tx-committed"; ("epoch", Json.Int epoch); ("id", Json.String id) ]
-    | Event.Node_crash -> [ kind "node-crashed" ]
-    | Event.Node_recover -> [ kind "node-recovered" ]
-    | Event.Checkpoint_stable { epoch; len } ->
-      [
-        kind "checkpoint-stable";
-        ("epoch", Json.Int epoch);
-        ("len", Json.Int len);
-      ]
-    | Event.Transfer_start { have } ->
-      [ kind "state-transfer-start"; ("have", Json.Int have) ]
-    | Event.Transfer_done { epoch; len } ->
-      [
-        kind "state-transfer-done";
-        ("epoch", Json.Int epoch);
-        ("len", Json.Int len);
-      ]
-  in
-  Json.Obj (base @ specific @ common)
-
-let entry_of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let require name to_v =
-    match Option.bind (Json.member name json) to_v with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace entry: missing or bad %S field" name)
-  in
-  let str_field name ~default =
-    match Json.string_member ~default name json with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "trace entry: bad %S field" name)
-  in
-  (* [bytes] is absent from schema-v2 traces; default it so old files
-     keep loading (see the migration note in OBSERVABILITY.md). *)
-  let int_field name ~default =
-    match Json.int_member ~default name json with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "trace entry: bad %S field" name)
-  in
-  let* time = require "t" Json.to_int in
-  let* node = require "node" Json.to_int in
-  let* kind_name = require "kind" Json.to_str in
-  let* instance = str_field "instance" ~default:"" in
-  let* round =
-    match Json.int_member ~default:(-1) "round" json with
-    | Some r -> Ok r
-    | None -> Error "trace entry: bad \"round\" field"
-  in
-  let* kind =
-    match kind_name with
-    | "send" ->
-      let* dst = require "dst" Json.to_int in
-      let* label = require "label" Json.to_str in
-      let* detail = str_field "detail" ~default:"" in
-      let* bytes = int_field "bytes" ~default:0 in
-      Ok (Event.Send { dst; label; detail; bytes })
-    | "deliver" ->
-      let* src = require "src" Json.to_int in
-      let* label = require "label" Json.to_str in
-      let* detail = str_field "detail" ~default:"" in
-      let* bytes = int_field "bytes" ~default:0 in
-      Ok (Event.Deliver { src; label; detail; bytes })
-    | "quorum" ->
-      let* quorum = require "quorum" Json.to_str in
-      let* count = require "count" Json.to_int in
-      let* threshold = require "threshold" Json.to_int in
-      Ok (Event.Quorum { quorum; count; threshold })
-    | "coin" ->
-      let* value = require "value" Json.to_int in
-      Ok (Event.Coin_flip { value })
-    | "round" -> Ok Event.Round_advance
-    | "decide" ->
-      let* value = require "value" Json.to_str in
-      Ok (Event.Decide { value })
-    | "output" ->
-      let* label = require "label" Json.to_str in
-      Ok (Event.Output { label })
-    | "note" ->
-      let* tag = require "tag" Json.to_str in
-      let* detail = require "detail" Json.to_str in
-      Ok (Event.Note { tag; detail })
-    | "link-drop" ->
-      let* src = require "src" Json.to_int in
-      let* dst = require "dst" Json.to_int in
-      let* label = require "label" Json.to_str in
-      let* reason = require "reason" Json.to_str in
-      Ok (Event.Link_drop { src; dst; label; reason })
-    | "link-dup" ->
-      let* src = require "src" Json.to_int in
-      let* dst = require "dst" Json.to_int in
-      let* label = require "label" Json.to_str in
-      Ok (Event.Link_dup { src; dst; label })
-    | "timer-set" ->
-      let* id = require "id" Json.to_int in
-      let* due = require "due" Json.to_int in
-      Ok (Event.Timer_set { id; due })
-    | "timeout" ->
-      let* id = require "id" Json.to_int in
-      Ok (Event.Timer_fire { id })
-    | "retransmit" ->
-      let* dst = require "dst" Json.to_int in
-      let* seq = require "seq" Json.to_int in
-      Ok (Event.Retransmit { dst; seq })
-    | "epoch-start" ->
-      let* epoch = require "epoch" Json.to_int in
-      Ok (Event.Epoch_start { epoch })
-    | "batch-proposed" ->
-      let* epoch = require "epoch" Json.to_int in
-      let* txs = require "txs" Json.to_int in
-      let* bytes = int_field "bytes" ~default:0 in
-      Ok (Event.Batch_proposed { epoch; txs; bytes })
-    | "batch-committed" ->
-      let* epoch = require "epoch" Json.to_int in
-      let* proposer = require "proposer" Json.to_int in
-      let* txs = require "txs" Json.to_int in
-      Ok (Event.Batch_committed { epoch; proposer; txs })
-    | "tx-committed" ->
-      let* epoch = require "epoch" Json.to_int in
-      let* id = require "id" Json.to_str in
-      Ok (Event.Tx_committed { epoch; id })
-    | "node-crashed" -> Ok Event.Node_crash
-    | "node-recovered" -> Ok Event.Node_recover
-    | "checkpoint-stable" ->
-      let* epoch = require "epoch" Json.to_int in
-      let* len = require "len" Json.to_int in
-      Ok (Event.Checkpoint_stable { epoch; len })
-    | "state-transfer-start" ->
-      let* have = require "have" Json.to_int in
-      Ok (Event.Transfer_start { have })
-    | "state-transfer-done" ->
-      let* epoch = require "epoch" Json.to_int in
-      let* len = require "len" Json.to_int in
-      Ok (Event.Transfer_done { epoch; len })
-    | other -> Error (Printf.sprintf "trace entry: unknown kind %S" other)
-  in
-  Ok { time; node; event = { Event.kind; instance; round } }
 
 let header_json ?(meta = []) t =
   (* The sampling fields are additive and only present when sampling
@@ -340,18 +126,107 @@ let header_json ?(meta = []) t =
     @ sampling
     @ [ ("meta", Json.Obj meta) ])
 
-let add_jsonl ?meta buffer t =
+(* Decimal digits of [i], written without an intermediate string. *)
+let rec add_int buffer i =
+  if i < 0 then
+    if i = min_int then Buffer.add_string buffer (string_of_int i)
+    else begin
+      Buffer.add_char buffer '-';
+      add_int buffer (-i)
+    end
+  else begin
+    if i >= 10 then add_int buffer (i / 10);
+    Buffer.add_char buffer (Char.chr (48 + (i mod 10)))
+  end
+
+(* [name] is the field's separator, quoted key and colon, e.g.
+   [,"dst":]. *)
+let int_field buffer name i =
+  Buffer.add_string buffer name;
+  add_int buffer i
+
+let string_field buffer name s =
+  Buffer.add_string buffer name;
+  Json.add_escaped buffer s
+
+(* One entry as one line of the schema, fields in schema order.  Kind
+   labels never need escaping. *)
+let add_entry b e =
+  int_field b "{\"t\":" e.time;
+  int_field b ",\"node\":" e.node;
+  Buffer.add_string b ",\"kind\":\"";
+  Buffer.add_string b (Event.kind_label e.event.Event.kind);
+  Buffer.add_char b '"';
+  (match e.event.Event.kind with
+  | Event.Send { dst; label; detail; bytes } ->
+    int_field b ",\"dst\":" dst;
+    string_field b ",\"label\":" label;
+    int_field b ",\"bytes\":" bytes;
+    if String.length detail > 0 then string_field b ",\"detail\":" detail
+  | Event.Deliver { src; label; detail; bytes } ->
+    int_field b ",\"src\":" src;
+    string_field b ",\"label\":" label;
+    int_field b ",\"bytes\":" bytes;
+    if String.length detail > 0 then string_field b ",\"detail\":" detail
+  | Event.Quorum { quorum; count; threshold } ->
+    string_field b ",\"quorum\":" quorum;
+    int_field b ",\"count\":" count;
+    int_field b ",\"threshold\":" threshold
+  | Event.Coin_flip { value } -> int_field b ",\"value\":" value
+  | Event.Round_advance | Event.Node_crash | Event.Node_recover -> ()
+  | Event.Decide { value } -> string_field b ",\"value\":" value
+  | Event.Output { label } -> string_field b ",\"label\":" label
+  | Event.Note { tag; detail } ->
+    string_field b ",\"tag\":" tag;
+    string_field b ",\"detail\":" detail
+  | Event.Link_drop { src; dst; label; reason } ->
+    int_field b ",\"src\":" src;
+    int_field b ",\"dst\":" dst;
+    string_field b ",\"label\":" label;
+    string_field b ",\"reason\":" reason
+  | Event.Link_dup { src; dst; label } ->
+    int_field b ",\"src\":" src;
+    int_field b ",\"dst\":" dst;
+    string_field b ",\"label\":" label
+  | Event.Timer_set { id; due } ->
+    int_field b ",\"id\":" id;
+    int_field b ",\"due\":" due
+  | Event.Timer_fire { id } -> int_field b ",\"id\":" id
+  | Event.Retransmit { dst; seq } ->
+    int_field b ",\"dst\":" dst;
+    int_field b ",\"seq\":" seq
+  | Event.Epoch_start { epoch } -> int_field b ",\"epoch\":" epoch
+  | Event.Batch_proposed { epoch; txs; bytes } ->
+    int_field b ",\"epoch\":" epoch;
+    int_field b ",\"txs\":" txs;
+    int_field b ",\"bytes\":" bytes
+  | Event.Batch_committed { epoch; proposer; txs } ->
+    int_field b ",\"epoch\":" epoch;
+    int_field b ",\"proposer\":" proposer;
+    int_field b ",\"txs\":" txs
+  | Event.Tx_committed { epoch; id } ->
+    int_field b ",\"epoch\":" epoch;
+    string_field b ",\"id\":" id
+  | Event.Checkpoint_stable { epoch; len } | Event.Transfer_done { epoch; len } ->
+    int_field b ",\"epoch\":" epoch;
+    int_field b ",\"len\":" len
+  | Event.Transfer_start { have } -> int_field b ",\"have\":" have);
+  if String.length e.event.Event.instance > 0 then
+    string_field b ",\"instance\":" e.event.Event.instance;
+  if e.event.Event.round >= 0 then int_field b ",\"round\":" e.event.Event.round;
+  Buffer.add_string b "}\n"
+
+(* Presized for a typical entry line (~85 bytes), so a full export
+   rarely grows the buffer. *)
+let to_buffer ?meta t =
+  let buffer = Buffer.create (256 + (96 * t.size)) in
   Buffer.add_string buffer (Json.to_string (header_json ?meta t));
   Buffer.add_char buffer '\n';
-  List.iter
-    (fun e ->
-      Buffer.add_string buffer (Json.to_string (entry_to_json e));
-      Buffer.add_char buffer '\n')
-    (to_list t)
+  for i = 0 to t.size - 1 do
+    add_entry buffer t.buffer.((t.start + i) mod t.capacity)
+  done;
+  buffer
 
-let to_jsonl_string ?meta t =
-  let buffer = Buffer.create 4096 in
-  add_jsonl ?meta buffer t;
-  Buffer.contents buffer
+let to_jsonl_string ?meta t = Buffer.contents (to_buffer ?meta t)
 
-let write_jsonl ?meta oc t = output_string oc (to_jsonl_string ?meta t)
+let write_jsonl ?meta oc t = Buffer.output_buffer oc (to_buffer ?meta t)

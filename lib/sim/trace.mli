@@ -89,14 +89,9 @@ val dump : Format.formatter -> t -> unit
     The wire format is one JSON object per line: a header
     [{"schema":"abc.trace","version":1,...}] followed by the retained
     entries, oldest first.  Field-by-field documentation lives in
-    [OBSERVABILITY.md]. *)
-
-val entry_to_json : entry -> Json.t
-(** [entry_to_json e] is the schema object for one entry. *)
-
-val entry_of_json : Json.t -> (entry, string) result
-(** [entry_of_json j] parses an entry object; inverse of
-    {!entry_to_json} (unknown extra fields are ignored). *)
+    [OBSERVABILITY.md].  Entry lines are written straight into one
+    buffer, without building {!Json.t} values; {!Trace_file} is the
+    inverse. *)
 
 val header_json : ?meta:(string * Json.t) list -> t -> Json.t
 (** [header_json ~meta t] is the header object: schema name, schema
@@ -107,4 +102,4 @@ val to_jsonl_string : ?meta:(string * Json.t) list -> t -> string
 (** Render header plus all retained entries as JSON Lines. *)
 
 val write_jsonl : ?meta:(string * Json.t) list -> out_channel -> t -> unit
-(** [write_jsonl oc t] writes {!to_jsonl_string} to [oc]. *)
+(** [write_jsonl oc t] writes the bytes of {!to_jsonl_string} to [oc]. *)

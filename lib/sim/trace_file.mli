@@ -15,17 +15,18 @@ type t = {
 }
 
 val read : string -> (t, string) result
-(** [read path] loads and parses the trace file at [path].  Errors
-    (unreadable file, malformed JSON, unknown schema, version newer
-    than {!Trace.schema_version}) are returned as human-readable
-    messages prefixed with the offending line number. *)
+(** [read path] loads the trace file at [path] and parses it with
+    {!of_string}; an unreadable file is an [Error] too. *)
 
 val of_string : string -> (t, string) result
-(** [of_string text] parses an in-memory JSONL document. *)
-
-val of_lines : string list -> (t, string) result
-(** [of_lines lines] parses a list of lines — the first is the header,
-    the rest are entries; blank lines are ignored. *)
+(** [of_string text] parses an in-memory JSONL document: the first
+    line is the header, every other non-blank line one entry.  Entry
+    lines are decoded in place, straight into {!Trace.entry} values;
+    unknown fields of any JSON type are skipped.  Total: malformed
+    input is an [Error], never an exception.  The message starts with
+    [header: ] for a bad header (malformed JSON, unknown schema,
+    version newer than {!Trace.schema_version}) and with [line N: ]
+    for a bad entry. *)
 
 val meta_int : t -> string -> int option
 (** [meta_int t name] reads an integer run-metadata field (["n"],

@@ -196,7 +196,7 @@ let epoch_ctx (ctx : Protocol.Context.t) epoch =
       ctx with
       Protocol.Context.sink =
         Event.scoped ctx.Protocol.Context.sink
-          ~instance:(Printf.sprintf "epoch%d" epoch);
+          ~instance:(lazy (Printf.sprintf "epoch%d" epoch));
     }
   else ctx
 

@@ -53,7 +53,7 @@ let slot_ctx (ctx : Protocol.Context.t) slot =
       ctx with
       Protocol.Context.sink =
         Event.scoped ctx.Protocol.Context.sink
-          ~instance:(Printf.sprintf "slot%d" slot);
+          ~instance:(lazy (Printf.sprintf "slot%d" slot));
     }
   else ctx
 

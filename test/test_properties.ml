@@ -774,6 +774,141 @@ end
 
 module Atomic_battery = Battery (Atomic_subject)
 
+(* ---- trace decoder totality ---- *)
+
+(* Mutations of test/golden/dup_trace.jsonl.  [Trace_file.of_string]
+   must never raise on any of them, and every [Error] must say where:
+   [header: ...] or [line N: ...].  Unknown fields alone must not change
+   what decodes. *)
+module Json = Abc_sim.Json
+module Trace = Abc_sim.Trace
+module Trace_file = Abc_sim.Trace_file
+
+let golden_trace =
+  lazy
+    (In_channel.with_open_bin "golden/dup_trace.jsonl" In_channel.input_all)
+
+type mutation =
+  | Truncate of int  (** keep the first [k] bytes *)
+  | Flip of int * int  (** set byte [k] to [v] *)
+  | Drop_field of int * int  (** line, field index *)
+  | Add_field of int * int * int  (** line, position, extra-value index *)
+  | Retype of int * int * int  (** line, field index, extra-value index *)
+
+let extra_values =
+  [|
+    Json.Obj [ ("a", Json.Int 1); ("b", Json.List [ Json.Null ]) ];
+    Json.List [ Json.Int 1; Json.String "x,\"y\"}"; Json.Obj [] ];
+    Json.Float 2.5;
+    Json.Float (-1e-7);
+    Json.Bool true;
+    Json.Bool false;
+    Json.Null;
+    Json.List [];
+  |]
+
+let mutation_gen =
+  let size = String.length (Lazy.force golden_trace) in
+  QCheck.Gen.(
+    let line = int_range 0 1200 in
+    list_size (int_range 1 3)
+      (oneof
+         [
+           map (fun k -> Truncate k) (int_range 0 size);
+           map2 (fun k v -> Flip (k, v)) (int_range 0 (size - 1)) (int_range 0 255);
+           map2 (fun l j -> Drop_field (l, j)) line (int_range 0 12);
+           map3
+             (fun l j v -> Add_field (l, j, v))
+             line (int_range 0 12)
+             (int_range 0 (Array.length extra_values - 1));
+           map3
+             (fun l j v -> Retype (l, j, v))
+             line (int_range 0 12)
+             (int_range 0 (Array.length extra_values - 1));
+         ]))
+
+let print_mutation = function
+  | Truncate k -> Printf.sprintf "truncate %d" k
+  | Flip (k, v) -> Printf.sprintf "flip %d=%d" k v
+  | Drop_field (l, j) -> Printf.sprintf "drop %d.%d" l j
+  | Add_field (l, j, v) -> Printf.sprintf "add %d.%d=%d" l j v
+  | Retype (l, j, v) -> Printf.sprintf "retype %d.%d=%d" l j v
+
+let print_mutations ms = "[" ^ String.concat "; " (List.map print_mutation ms) ^ "]"
+
+(* Rewrites one line's object through [Json]; a line that is not an
+   object (already mangled) is left alone. *)
+let edit_line text l f =
+  let lines = String.split_on_char '\n' text in
+  String.concat "\n"
+    (List.mapi
+       (fun i line ->
+         if i <> l mod List.length lines then line
+         else
+           match Json.of_string line with
+           | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
+           | Ok _ | Error _ -> line)
+       lines)
+
+let apply text = function
+  | Truncate k -> String.sub text 0 (min k (String.length text))
+  | Flip (k, v) ->
+    if String.length text = 0 then text
+    else
+      String.mapi
+        (fun i c -> if i = k mod String.length text then Char.chr v else c)
+        text
+  | Drop_field (l, j) ->
+    edit_line text l (fun fields ->
+        let j = j mod max 1 (List.length fields) in
+        List.filteri (fun i _ -> i <> j) fields)
+  | Add_field (l, j, v) ->
+    edit_line text l (fun fields ->
+        let j = j mod (List.length fields + 1) in
+        let extra = (Printf.sprintf "extra%d" v, extra_values.(v)) in
+        List.filteri (fun i _ -> i < j) fields
+        @ (extra :: List.filteri (fun i _ -> i >= j) fields))
+  | Retype (l, j, v) ->
+    edit_line text l (fun fields ->
+        let j = j mod max 1 (List.length fields) in
+        List.mapi (fun i (name, value) -> (name, if i = j then extra_values.(v) else value)) fields)
+
+let positioned msg =
+  String.starts_with ~prefix:"header: " msg
+  || String.starts_with ~prefix:"line " msg
+     &&
+     match String.index_opt msg ':' with
+     | Some i ->
+       i > 5 && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub msg 5 (i - 5))
+     | None -> false
+
+let same_entries (a : Trace_file.t) (b : Trace_file.t) =
+  List.equal
+    (fun (x : Trace.entry) (y : Trace.entry) ->
+      x.Trace.time = y.Trace.time && x.Trace.node = y.Trace.node
+      && Abc_sim.Event.equal x.Trace.event y.Trace.event)
+    a.Trace_file.entries b.Trace_file.entries
+
+let decoder_total mutations =
+  let golden = Lazy.force golden_trace in
+  let text = List.fold_left apply golden mutations in
+  let only_additions =
+    List.for_all (function Add_field _ -> true | _ -> false) mutations
+  in
+  match Trace_file.of_string text with
+  | exception _ -> false
+  | Error msg -> positioned msg && not only_additions
+  | Ok file -> (
+    (not only_additions)
+    ||
+    match Trace_file.of_string golden with
+    | Ok reference -> same_entries reference file
+    | Error _ -> false)
+
+let trace_decoder_test =
+  campaign ~name:"trace decoder: total on mutated JSONL" ~count:400 mutation_gen
+    print_mutations decoder_total
+
 (* ---- engine scale smoke ---- *)
 
 (* One deterministic large-n run through the arena-based engine: the
@@ -809,6 +944,7 @@ let () =
         [ Turpin_battery.test; Acs_battery.test ] );
       ( "smr",
         [ Atomic_battery.test ] );
+      ("decoders", [ trace_decoder_test ]);
       ( "scale",
         [
           Alcotest.test_case "bracha rbc n=128 delivers" `Quick

@@ -1,7 +1,8 @@
 (* Tests for the structured observability layer: JSONL round-trips of
    typed events, exact trace eviction accounting, detailed metrics
-   checked against a hand-computed Bracha RBC run, and a golden-output
-   test for the abc-trace summary report. *)
+   checked against a hand-computed Bracha RBC run, golden-output tests
+   for the abc-trace summary report, and a byte-for-byte golden of one
+   whole JSONL export. *)
 
 module Event = Abc_sim.Event
 module Trace = Abc_sim.Trace
@@ -58,19 +59,21 @@ let entry_equal (a : Trace.entry) (b : Trace.entry) =
   && a.Trace.node = b.Trace.node
   && Event.equal a.Trace.event b.Trace.event
 
+(* Each entry alone: exported as a one-entry file, its line must decode
+   back to the same entry. *)
 let test_entry_round_trip () =
   List.iter
     (fun entry ->
-      let text = Json.to_string (Trace.entry_to_json entry) in
-      match Json.of_string text with
-      | Error msg -> Alcotest.fail ("reparse failed: " ^ msg)
-      | Ok json -> (
-        match Trace.entry_of_json json with
-        | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
-        | Ok entry' ->
-          Alcotest.(check bool)
-            (Printf.sprintf "round-trip %s" text)
-            true (entry_equal entry entry')))
+      let t = Trace.create ~capacity:1 () in
+      Trace.record t ~time:entry.Trace.time ~node:entry.Trace.node entry.Trace.event;
+      let text = Trace.to_jsonl_string t in
+      match Trace_file.of_string text with
+      | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+      | Ok { Trace_file.entries = [ entry' ]; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round-trip %s" text)
+          true (entry_equal entry entry')
+      | Ok _ -> Alcotest.fail ("not one entry: " ^ text))
     sample_entries
 
 let test_file_round_trip () =
@@ -138,17 +141,16 @@ let test_v3_file_still_loads () =
     (* and a v4-era entry missing an optional field defaults instead of
        erroring — batch-proposed without "bytes" reads back as 0 *)
     let bare =
-      "{\"t\":5,\"node\":2,\"kind\":\"batch-proposed\",\"epoch\":1,\"txs\":4}"
+      "{\"schema\":\"abc.trace\",\"version\":4}\n\
+       {\"t\":5,\"node\":2,\"kind\":\"batch-proposed\",\"epoch\":1,\"txs\":4}"
     in
-    (match Json.of_string bare with
-    | Error msg -> Alcotest.fail msg
-    | Ok json -> (
-      match Trace.entry_of_json json with
-      | Error msg -> Alcotest.fail ("bare batch-proposed rejected: " ^ msg)
-      | Ok entry ->
-        Alcotest.(check bool) "bytes defaults to 0" true
-          (Event.equal entry.Trace.event
-             (Event.make (Event.Batch_proposed { epoch = 1; txs = 4; bytes = 0 })))))
+    match Trace_file.of_string bare with
+    | Error msg -> Alcotest.fail ("bare batch-proposed rejected: " ^ msg)
+    | Ok { Trace_file.entries = [ entry ]; _ } ->
+      Alcotest.(check bool) "bytes defaults to 0" true
+        (Event.equal entry.Trace.event
+           (Event.make (Event.Batch_proposed { epoch = 1; txs = 4; bytes = 0 })))
+    | Ok _ -> Alcotest.fail "bare batch-proposed: not one entry"
 
 (* A literal schema-v4 file (the last version before the crash-recovery
    vocabulary landed) must load under the v5 reader the same way: only
@@ -363,18 +365,15 @@ let test_rbc_trace_quorums () =
 
 (* ---- golden summary ---- *)
 
-(* The same run the CI trace-smoke job performs through the abc-run and
-   abc-trace binaries: Bracha consensus, n=7 f=2 seed=42, uniform
-   adversary, split inputs, default options.  The rendered summary must
-   match test/golden/smoke_summary.txt byte for byte. *)
-let consensus_summary () =
+(* What [abc-run consensus -n N -f F --seed S --trace-out FILE] writes:
+   Bracha consensus, uniform adversary, split inputs, default options. *)
+let consensus_jsonl ?link_faults ~n ~f ~seed () =
   let module B = Abc.Bracha_consensus in
   let module H = Abc.Harness.Make (struct
     include B
 
     let value_of_input = B.value_of_input
   end) in
-  let n = 7 and f = 2 and seed = 42 in
   let values =
     Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
   in
@@ -382,7 +381,7 @@ let consensus_summary () =
   let config =
     H.E.config ~n ~f
       ~inputs:(B.inputs ~n ~options:B.Options.default values)
-      ~adversary:Adversary.uniform ~seed ~trace ()
+      ~adversary:Adversary.uniform ~seed ?link_faults ~trace ()
   in
   let _ = H.run config in
   let meta =
@@ -393,7 +392,13 @@ let consensus_summary () =
       ("seed", Json.Int seed);
     ]
   in
-  match Trace_file.of_string (Trace.to_jsonl_string ~meta trace) with
+  Trace.to_jsonl_string ~meta trace
+
+(* The same run the CI trace-smoke job performs through the abc-run and
+   abc-trace binaries, n=7 f=2 seed=42.  The rendered summary must
+   match test/golden/smoke_summary.txt byte for byte. *)
+let consensus_summary () =
+  match Trace_file.of_string (consensus_jsonl ~n:7 ~f:2 ~seed:42 ()) with
   | Error msg -> Alcotest.fail msg
   | Ok file -> Trace_report.summary file
 
@@ -503,6 +508,28 @@ let test_recovery_golden_summary () =
   Alcotest.(check string) "recovery summary matches golden" golden
     (recovery_summary ())
 
+(* The run behind test/golden/dup_trace.jsonl, which the CI trace-smoke
+   job also makes through the binary:
+   abc-run consensus -n 4 -f 1 --seed 8 --dup 0.2 --trace-out FILE.
+   Summaries omit deliver details; this pins every exported byte,
+   including the details of link-duplicated copies. *)
+let test_golden_jsonl () =
+  let golden = read_file "golden/dup_trace.jsonl" in
+  let link_faults = Abc_net.Link_faults.make ~dup:0.2 () in
+  Alcotest.(check string) "jsonl matches golden" golden
+    (consensus_jsonl ~link_faults ~n:4 ~f:1 ~seed:8 ());
+  (* Reload then re-export is the identity. *)
+  match Trace_file.of_string golden with
+  | Error msg -> Alcotest.fail msg
+  | Ok file ->
+    let entries = file.Trace_file.entries in
+    let t = Trace.create ~capacity:(List.length entries) () in
+    List.iter
+      (fun e -> Trace.record t ~time:e.Trace.time ~node:e.Trace.node e.Trace.event)
+      entries;
+    Alcotest.(check string) "reload, re-export" golden
+      (Trace.to_jsonl_string ~meta:file.Trace_file.meta t)
+
 (* ---- suite ---- *)
 
 let () =
@@ -540,6 +567,7 @@ let () =
             test_atomic_golden_summary;
           Alcotest.test_case "recovery summary matches golden" `Quick
             test_recovery_golden_summary;
+          Alcotest.test_case "jsonl matches golden" `Quick test_golden_jsonl;
           Alcotest.test_case "summary deterministic" `Quick
             test_summary_deterministic;
         ] );
