@@ -36,9 +36,12 @@ chaos:
 	QCHECK_SEED=$(QCHECK_SEED) dune exec test/test_chaos.exe
 
 # Regenerate the checked-in golden analyzer summaries from the same
-# seeded runs CI replays, then re-run the test suite: if the goldens
-# and the code disagree after regeneration, something nondeterministic
-# crept in.  Golden drift is this one command instead of hand-editing.
+# seeded runs CI replays, refresh the abc-run transcript in test/cli.t
+# (which replays those runs through the binaries; dune exits 1 when it
+# promotes a change, hence the leading -), then re-run the test suite:
+# if the goldens and the code disagree after regeneration,
+# something nondeterministic crept in.  Golden drift is this one
+# command instead of hand-editing.
 golden:
 	dune build bin/abc_run.exe bin/abc_trace.exe
 	dune exec bin/abc_run.exe -- consensus -n 7 -f 2 --seed 42 \
@@ -60,6 +63,7 @@ golden:
 	  > test/golden/recovery_summary.txt
 	dune exec bin/abc_run.exe -- consensus -n 4 -f 1 --seed 8 --dup 0.2 \
 	  --trace-out test/golden/dup_trace.jsonl
+	-dune runtest test/cli.t --auto-promote
 	dune runtest
 
 examples:

@@ -757,14 +757,6 @@ let experiment_e13 pool =
 (* E14: lossy links — raw Bracha vs the reliable-channel transport    *)
 (* ----------------------------------------------------------------- *)
 
-module BRL = Abc_net.Reliable_link.Make (B)
-
-module BRLH = Abc.Harness.Make (struct
-  include BRL
-
-  let value_of_input = B.value_of_input
-end)
-
 (* The paper's network is reliable by assumption; this experiment
    measures what that assumption is worth.  Raw Bracha over a lossy
    network goes quiescent once a quorum message is dropped (no node
@@ -1251,56 +1243,31 @@ let experiment_e19 _pool =
         [ "protocol"; "n"; "f"; "msgs/run"; "ticks/run"; "wall s"; "events/sec" ]
       ()
   in
-  let row protocol n f run =
+  (* Every run goes through the registry, the matrix cells' own path:
+     bracha-rbc broadcasts 16 bytes, mmr decides on split inputs. *)
+  let row protocol (n, f) =
+    let sc = { (Abc_matrix.Registry.scenario ~protocol ~n ~f) with payload = 16 } in
     let t0 = Unix.gettimeofday () in
     let events = ref 0 and msgs = ref 0 and ticks = ref 0 in
     for seed = 1 to seeds do
-      let delivered, sent, duration = run ~seed in
-      events := !events + delivered;
-      msgs := !msgs + sent;
-      ticks := !ticks + duration
+      match Abc_matrix.Registry.run sc ~seed with
+      | Error msg -> failwith msg
+      | Ok r ->
+        if protocol = "mmr" && not r.outcome.decided then
+          failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n seed);
+        events := !events + Abc_sim.Metrics.counter r.metrics "delivered";
+        msgs := !msgs + r.outcome.messages;
+        ticks := !ticks + r.outcome.ticks
     done;
     let dt = Unix.gettimeofday () -. t0 in
     Table.add_row table
-      [
-        protocol;
-        Table.cell_int n;
-        Table.cell_int f;
-        Table.cell_int (!msgs / seeds);
-        Table.cell_int (!ticks / seeds);
-        Table.cell_float ~decimals:3 dt;
-        Table.cell_float ~decimals:0 (float_of_int !events /. dt);
-      ]
-  in
-  let bracha ~n ~f ~seed =
-    let payload = e16_payload ~bytes:16 ~seed in
-    let config =
-      BrsE.config ~n ~f
-        ~inputs:(Bracha_str.inputs ~n ~sender:(node 0) payload)
-        ~adversary:Adversary.uniform ~seed ()
-    in
-    let r = BrsE.run config in
-    ( Abc_sim.Metrics.counter r.BrsE.metrics "delivered",
-      Abc_sim.Metrics.counter r.BrsE.metrics "sent",
-      r.BrsE.duration )
-  in
-  let mmr ~n ~f ~seed =
-    let inputs =
-      Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) (split_inputs n)
-    in
-    let config =
-      MmrH.E.config ~n ~f ~inputs ~adversary:Adversary.uniform ~seed ()
-    in
-    let result, verdict = MmrH.run config in
-    if not verdict.Abc.Harness.terminated then
-      failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n seed);
-    ( Abc_sim.Metrics.counter result.MmrH.E.metrics "delivered",
-      Abc_sim.Metrics.counter result.MmrH.E.metrics "sent",
-      result.MmrH.E.duration )
+      [ protocol; Table.cell_int n; Table.cell_int f; Table.cell_int (!msgs / seeds);
+        Table.cell_int (!ticks / seeds); Table.cell_float ~decimals:3 dt;
+        Table.cell_float ~decimals:0 (float_of_int !events /. dt) ]
   in
   let arms = [ (16, 5); (64, 21); (128, 42); (256, 85) ] in
-  List.iter (fun (n, f) -> row "bracha-rbc" n f (bracha ~n ~f)) arms;
-  List.iter (fun (n, f) -> row "mmr" n f (mmr ~n ~f)) arms;
+  List.iter (row "bracha-rbc") arms;
+  List.iter (row "mmr") arms;
   Table.print table;
   print_newline ()
 

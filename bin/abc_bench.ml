@@ -22,8 +22,10 @@ module Json = Abc_sim.Json
 module Pool = Abc_exec.Pool
 open Cmdliner
 
+(* A spec that does not elaborate, or whose cells the registry rejects,
+   is a positioned error before any cell runs. *)
 let load_spec path =
-  match Spec.load path with
+  match Result.bind (Spec.load path) (fun spec -> Result.map (fun () -> spec) (Runner.check spec)) with
   | Ok spec -> spec
   | Error e ->
     Fmt.epr "abc-bench: %s@." (Sexp.error_to_string e);
@@ -46,8 +48,7 @@ let run_run specs jobs seeds_scale out no_wall tier =
   let clock = if no_wall then None else Some Unix.gettimeofday in
   let all_ok =
     List.fold_left
-      (fun all_ok path ->
-        let spec = load_spec path in
+      (fun all_ok spec ->
         let spec_tier = Spec.tier_label (Spec.tier spec) in
         match tier with
         | Some t when t <> spec_tier ->
@@ -75,7 +76,7 @@ let run_run specs jobs seeds_scale out no_wall tier =
                  (List.map (fun (k, v) -> k ^ "=" ^ v) (Spec.cell_key c.cell))))
           (Runner.failures result);
         all_ok && Runner.passed result)
-      true specs
+      true (List.map load_spec specs)
   in
   if not all_ok then exit 1
 

@@ -9,15 +9,15 @@
      abc-run acs        --n 4 --f 1
      abc-run smr        --n 4 --f 1 --slots 3 --fault silent
 
-   Every run is deterministic in --seed. *)
+   rbc, consensus, benor, mmr and smr --atomic translate their flags into
+   an Abc_matrix.Registry scenario; tracing and reports stay here.  Every
+   run is deterministic in --seed; bad input is one line and exit 2. *)
 
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
-module Adversary = Abc_net.Adversary
-module Link_faults = Abc_net.Link_faults
+module Registry = Abc_matrix.Registry
 module B = Abc.Bracha_consensus
 module BO = Abc.Ben_or
-module Rbc = Abc.Bracha_rbc.Binary
 open Cmdliner
 
 (* ---- shared argument vocabulary ---- *)
@@ -56,43 +56,25 @@ let trace_out_arg =
 
 let adversary_arg =
   let choices =
-    [
-      ("fifo", `Fifo);
-      ("uniform", `Uniform);
-      ("latency", `Latency);
-      ("targeted", `Targeted);
-      ("split", `Split);
-    ]
+    [ ("fifo", Registry.Fifo); ("uniform", Registry.Uniform); ("latency", Registry.Latency 8.);
+      ("targeted", Registry.Target 0); ("split", Registry.Split) ]
   in
   Arg.(
     value
-    & opt (enum choices) `Uniform
+    & opt (enum choices) Registry.Uniform
     & info [ "adversary" ] ~docv:"POLICY"
         ~doc:"Message scheduler: $(b,fifo), $(b,uniform), $(b,latency), \
               $(b,targeted) or $(b,split).")
 
-let adversary_of ~n = function
-  | `Fifo -> Adversary.fifo
-  | `Uniform -> Adversary.uniform
-  | `Latency -> Adversary.latency ~mean:8.
-  | `Targeted -> Adversary.targeted_delay ~victims:[ Node_id.of_int 0 ]
-  | `Split -> Adversary.split ~n
-
 let fault_kind_arg =
   let choices =
-    [
-      ("none", `None);
-      ("silent", `Silent);
-      ("crash", `Crash);
-      ("flip", `Flip);
-      ("equivocate", `Equivocate);
-      ("force-decide", `Force_decide);
-      ("replay", `Replay);
-    ]
+    [ ("none", None); ("silent", Some Registry.Silent); ("crash", Some Registry.Crash);
+      ("flip", Some Registry.Flip); ("equivocate", Some Registry.Equivocate);
+      ("force-decide", Some Registry.Force_decide); ("replay", Some Registry.Replay) ]
   in
   Arg.(
     value
-    & opt (enum choices) `None
+    & opt (enum choices) None
     & info [ "fault" ] ~docv:"KIND"
         ~doc:"Behaviour of the faulty nodes: $(b,none), $(b,silent), $(b,crash), \
               $(b,flip), $(b,equivocate), $(b,force-decide) or $(b,replay).")
@@ -106,47 +88,22 @@ let faulty_count_arg =
 
 let inputs_arg =
   let choices =
-    [ ("zero", `Zero); ("one", `One); ("split", `Split); ("alternate", `Alternate) ]
+    [ ("zero", Registry.Unanimous Abc.Value.Zero); ("one", Registry.Unanimous Abc.Value.One);
+      ("split", Registry.Halves); ("alternate", Registry.Alternating) ]
   in
   Arg.(
     value
-    & opt (enum choices) `Split
+    & opt (enum choices) Registry.Halves
     & info [ "inputs" ] ~docv:"PATTERN"
         ~doc:"Input pattern: $(b,zero), $(b,one), $(b,split) (low half 0, high \
               half 1) or $(b,alternate).")
 
-let values_of ~n = function
-  | `Zero -> Array.make n Abc.Value.Zero
-  | `One -> Array.make n Abc.Value.One
-  | `Split ->
-    Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
-  | `Alternate ->
-    Array.init n (fun i -> if i mod 2 = 0 then Abc.Value.Zero else Abc.Value.One)
-
 let coin_arg =
-  let choices = [ ("local", `Local); ("common", `Common) ] in
+  let choices = [ ("local", Abc.Coin.local); ("common", Abc.Coin.common ~seed:7) ] in
   Arg.(
     value
-    & opt (enum choices) `Local
+    & opt (enum choices) Abc.Coin.local
     & info [ "coin" ] ~docv:"COIN" ~doc:"Round coin: $(b,local) or $(b,common).")
-
-let coin_of = function `Local -> Abc.Coin.local | `Common -> Abc.Coin.common ~seed:7
-
-let faulty_nodes ~n ~count kind mutators =
-  let flip, equivocate, force = mutators in
-  let behaviour =
-    match kind with
-    | `None -> None
-    | `Silent -> Some Behaviour.Silent
-    | `Crash -> Some (Behaviour.Crash_after 5)
-    | `Flip -> Some (Behaviour.Mutate flip)
-    | `Equivocate -> Some (Behaviour.Equivocate equivocate)
-    | `Force_decide -> Some (Behaviour.Mutate force)
-    | `Replay -> Some (Behaviour.Replay 2)
-  in
-  match behaviour with
-  | None -> []
-  | Some b -> List.init count (fun k -> (Node_id.of_int (n - 1 - k), b))
 
 (* ---- link faults and the reliable transport ---- *)
 
@@ -181,55 +138,36 @@ let reliable_arg =
         ~doc:
           "Wrap the protocol in the reliable-channel transport          (sequencing, acks, timer-driven retransmission with backoff).          Restricts --fault to message-agnostic kinds: none, silent,          crash, replay.")
 
-let parse_partition ~n spec =
-  let fail () =
-    Fmt.epr "abc-run: bad --partition %S (want FROM:UNTIL:id,id,...)@." spec;
-    exit 2
-  in
-  match String.split_on_char ':' spec with
-  | [ from_s; until_s; ids_s ] -> (
-    match (int_of_string_opt from_s, int_of_string_opt until_s) with
-    | Some from_tick, Some until_tick when 0 <= from_tick && from_tick <= until_tick
-      ->
-      let ids =
-        String.split_on_char ',' ids_s
-        |> List.map (fun s ->
-               match int_of_string_opt (String.trim s) with
-               | Some i when 0 <= i && i < n -> Node_id.of_int i
-               | Some _ | None -> fail ())
-      in
-      Link_faults.cut ~from_tick ~until_tick ids
-    | _ -> fail ())
-  | _ -> fail ()
+(* ---- flags to registry scenarios ---- *)
 
-let link_faults_of ~n ~loss ~dup ~partition =
-  if loss < 0.0 || loss > 1.0 || dup < 0.0 || dup > 1.0 then begin
-    Fmt.epr "abc-run: --loss and --dup must lie in [0,1]@.";
-    exit 2
-  end;
-  let cuts =
-    match partition with None -> [] | Some spec -> [ parse_partition ~n spec ]
-  in
-  let plan = Link_faults.make ~drop:loss ~dup ~cuts () in
-  if Link_faults.active plan then Some plan else None
+(* Bad input: one "abc-run: ..." line, exit 2. *)
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "abc-run: %s@." msg;
+      exit 2)
+    fmt
 
-(* Under --reliable the wrapped message type is opaque to the CLI, so
-   only behaviours that never inspect payloads are available. *)
-let msg_agnostic_faulty ~n ~count fault =
-  let behaviour =
-    match fault with
-    | `None -> None
-    | `Silent -> Some Behaviour.Silent
-    | `Crash -> Some (Behaviour.Crash_after 5)
-    | `Replay -> Some (Behaviour.Replay 2)
-    | `Flip | `Equivocate | `Force_decide ->
-      Fmt.epr
-        "abc-run: --reliable supports only message-agnostic faults (none, silent, crash, replay)@.";
-      exit 2
-  in
-  match behaviour with
-  | None -> []
-  | Some b -> List.init count (fun k -> (Node_id.of_int (n - 1 - k), b))
+let or_exit = function Ok x -> x | Error msg -> fail "%s" msg
+
+let partition_of ~n =
+  Option.map (fun spec ->
+      match Registry.partition spec with
+      | Ok p when List.for_all (fun i -> i < n) p.Registry.island -> p
+      | Ok _ | Error _ -> fail "bad --partition %S (want FROM:UNTIL:id,id,...)" spec)
+
+let scenario protocol ~n ~f ~adversary ~fault ~faulty_count =
+  let fault = match fault with None -> Registry.No_fault | Some k -> Registry.Faulty (k, faulty_count) in
+  { (Registry.scenario ~protocol ~n ~f) with Registry.adversary; fault }
+
+let with_links sc ~loss ~dup ~partition ~reliable =
+  if loss < 0.0 || loss > 1.0 || dup < 0.0 || dup > 1.0 then
+    fail "--loss and --dup must lie in [0,1]";
+  { sc with Registry.loss; dup; partition = partition_of ~n:sc.Registry.n partition; reliable }
+
+let pp_verdict ppf (o : Registry.outcome) =
+  Fmt.pf ppf "terminated=%b agreement=%b validity=%b max_round=%d messages=%d duration=%d"
+    o.decided o.agreement o.validity o.rounds o.messages o.ticks
 
 let print_link_stats metrics =
   let c = Abc_sim.Metrics.counter metrics in
@@ -301,18 +239,6 @@ let payload_bytes_arg =
            byte-level bandwidth counters.  0 (the default) keeps the \
            classic single-bit payload for $(b,bracha).")
 
-let synthetic_payload ~bytes ~seed =
-  String.init bytes (fun i -> Char.chr ((seed + (131 * i)) land 0xFF))
-
-(* A tiny FNV-1a digest so delivered payloads can be compared at a
-   glance without printing kilobytes. *)
-let payload_digest s =
-  let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
-
 (* Engine throughput for the closing report: deliveries are the
    hot-path unit of work (one arena removal, one protocol step), so
    deliveries over host wall-clock is the same events/sec measure the
@@ -332,427 +258,130 @@ let print_byte_counters ~n metrics =
     (c "bytes.sent" / n);
   let prefix = "bytes.sent." in
   let pl = String.length prefix in
-  let labelled =
-    Abc_sim.Metrics.counters metrics
-    |> List.filter_map (fun (name, v) ->
-           if String.length name > pl && String.sub name 0 pl = prefix then
-             Some (String.sub name pl (String.length name - pl), v)
-           else None)
-  in
-  if labelled <> [] then begin
-    Fmt.pr "  bytes by label:";
-    List.iter (fun (l, v) -> Fmt.pr " %s=%d" l v) labelled;
-    Fmt.pr "@."
-  end
+  match
+    List.filter
+      (fun (name, _) -> String.length name > pl && String.starts_with ~prefix name)
+      (Abc_sim.Metrics.counters metrics)
+  with
+  | [] -> ()
+  | labelled ->
+    Fmt.pr "  bytes by label:%a@."
+      Fmt.(list ~sep:nop (fun ppf (l, v) -> pf ppf " %s=%d" (String.sub l pl (String.length l - pl)) v))
+      labelled
 
-module Rbc_runner
-    (P : Abc_net.Protocol.S
-           with type input = Rbc.input
-            and type output = Rbc.output) =
-struct
-  let go ~label ~n ~f ~seed ~adversary ~faulty ~link_faults ~trace ~trace_out =
-    let module E = Abc_net.Engine.Make (P) in
-    let tr = make_trace ~trace ~trace_out in
-    let config =
-      E.config ~n ~f
-        ~inputs:(Rbc.inputs ~n ~sender:(Node_id.of_int 0) Abc.Value.One)
-        ~faulty
-        ~adversary:(adversary_of ~n adversary)
-        ~seed ?link_faults ?trace:tr ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let result = E.run config in
-    Fmt.pr "%s n=%d f=%d seed=%d stop=%a messages=%d time=%d@." label n f seed
-      Abc_net.Engine.pp_stop_reason result.E.stop
-      (Abc_sim.Metrics.counter result.E.metrics "sent")
-      result.E.duration;
-    print_events_rate ~deliveries:result.E.deliveries t0;
-    if link_faults <> None then print_link_stats result.E.metrics;
-    Array.iteri
-      (fun i outputs ->
-        match outputs with
-        | [ (time, Rbc.Delivered v) ] ->
-          Fmt.pr "  node %d: delivered %a at t=%d@." i Abc.Value.pp v time
-        | [] -> Fmt.pr "  node %d: no delivery@." i
-        | _ -> ())
-      result.E.outputs;
-    write_trace_out ~protocol:label ~n ~f ~seed trace_out tr;
-    if trace then Option.iter (print_trace ~n) tr
-end
-
-(* One runner for every string-payload broadcast (bracha over strings,
-   the coded dispersal, imbs-raynal).  [B] fixes the protocol's input
-   and output shapes; [P] is either the protocol itself or its
-   reliable-link wrapping. *)
-module Payload_rbc_runner
-    (B : sig
-      type input
-      type output
-
-      val inputs : n:int -> sender:Node_id.t -> string -> input array
-      val delivered : output -> string
-    end)
-    (P : Abc_net.Protocol.S with type input = B.input and type output = B.output) =
-struct
-  let go ~label ~n ~f ~seed ~adversary ~faulty ~link_faults ~payload ~trace
-      ~trace_out =
-    let module E = Abc_net.Engine.Make (P) in
-    let tr = make_trace ~trace ~trace_out in
-    let config =
-      E.config ~n ~f
-        ~inputs:(B.inputs ~n ~sender:(Node_id.of_int 0) payload)
-        ~faulty
-        ~adversary:(adversary_of ~n adversary)
-        ~seed ?link_faults ?trace:tr ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let result = E.run config in
-    Fmt.pr "%s n=%d f=%d payload=%dB seed=%d stop=%a messages=%d time=%d@."
-      label n f (String.length payload) seed Abc_net.Engine.pp_stop_reason
-      result.E.stop
-      (Abc_sim.Metrics.counter result.E.metrics "sent")
-      result.E.duration;
-    print_events_rate ~deliveries:result.E.deliveries t0;
-    print_byte_counters ~n result.E.metrics;
-    if link_faults <> None then print_link_stats result.E.metrics;
-    Array.iteri
-      (fun i outputs ->
-        match outputs with
-        | [ (time, out) ] ->
-          let p = B.delivered out in
-          Fmt.pr "  node %d: delivered %dB (fnv %08x) at t=%d@." i
-            (String.length p) (payload_digest p) time
-        | [] -> Fmt.pr "  node %d: no delivery@." i
-        | _ -> ())
-      result.E.outputs;
-    write_trace_out ~protocol:label ~n ~f ~seed trace_out tr;
-    if trace then Option.iter (print_trace ~n) tr
-end
-
-module Bracha_str = Abc.Bracha_rbc.Make (Abc.Payloads.String_payload)
-module Ir_str = Abc.Ir_rbc.Make (Abc.Payloads.String_payload)
-
-module Bracha_str_base = struct
-  type input = Bracha_str.input
-  type output = Bracha_str.output
-
-  let inputs = Bracha_str.inputs
-  let delivered (Bracha_str.Delivered p) = p
-end
-
-module Coded_base = struct
-  type input = Abc.Coded_rbc.input
-  type output = Abc.Coded_rbc.output
-
-  let inputs = Abc.Coded_rbc.inputs
-  let delivered (Abc.Coded_rbc.Delivered p) = p
-end
-
-module Ir_base = struct
-  type input = Ir_str.input
-  type output = Ir_str.output
-
-  let inputs = Ir_str.inputs
-  let delivered (Ir_str.Delivered p) = p
-end
-
-let garble s = String.map (fun c -> Char.chr (Char.code c lxor 0x5A)) s
-
-let run_payload_rbc ~protocol ~n ~f ~seed ~adversary ~fault ~faulty_count
-    ~link_faults ~reliable ~payload ~trace ~trace_out =
-  let sender_first faults =
-    match faults with
-    | [] -> []
-    | faults -> (Node_id.of_int 0, snd (List.hd faults)) :: List.tl faults
-  in
-  let two_faced_str _rng ~dst s =
-    if Node_id.to_int dst < n / 2 then s else garble s
-  in
-  match protocol with
-  | `Bracha ->
-    if reliable then begin
-      let module RL = Abc_net.Reliable_link.Make (Bracha_str) in
-      let module R = Payload_rbc_runner (Bracha_str_base) (RL) in
-      let faulty = sender_first (msg_agnostic_faulty ~n ~count:faulty_count fault) in
-      R.go ~label:"bracha-rbc+rl" ~n ~f ~seed ~adversary ~faulty ~link_faults
-        ~payload ~trace ~trace_out
-    end
-    else begin
-      let module R = Payload_rbc_runner (Bracha_str_base) (Bracha_str) in
-      let mutators =
-        ( Bracha_str.Fault.substitute (fun _ s -> garble s),
-          Bracha_str.Fault.equivocate two_faced_str,
-          Bracha_str.Fault.substitute (fun _ s -> s) )
-      in
-      let faulty = sender_first (faulty_nodes ~n ~count:faulty_count fault mutators) in
-      R.go ~label:"bracha-rbc" ~n ~f ~seed ~adversary ~faulty ~link_faults
-        ~payload ~trace ~trace_out
-    end
-  | `Coded ->
-    if reliable then begin
-      let module RL = Abc_net.Reliable_link.Make (Abc.Coded_rbc) in
-      let module R = Payload_rbc_runner (Coded_base) (RL) in
-      let faulty = sender_first (msg_agnostic_faulty ~n ~count:faulty_count fault) in
-      R.go ~label:"coded-rbc+rl" ~n ~f ~seed ~adversary ~faulty ~link_faults
-        ~payload ~trace ~trace_out
-    end
-    else begin
-      let module R = Payload_rbc_runner (Coded_base) (Abc.Coded_rbc) in
-      let mutators =
-        ( Abc.Coded_rbc.Fault.tamper,
-          Abc.Coded_rbc.Fault.equivocate,
-          Abc.Coded_rbc.Fault.tamper )
-      in
-      let faulty = sender_first (faulty_nodes ~n ~count:faulty_count fault mutators) in
-      R.go ~label:"coded-rbc" ~n ~f ~seed ~adversary ~faulty ~link_faults
-        ~payload ~trace ~trace_out
-    end
-  | `Ir ->
-    if reliable then begin
-      let module RL = Abc_net.Reliable_link.Make (Ir_str) in
-      let module R = Payload_rbc_runner (Ir_base) (RL) in
-      let faulty = sender_first (msg_agnostic_faulty ~n ~count:faulty_count fault) in
-      R.go ~label:"ir-rbc+rl" ~n ~f ~seed ~adversary ~faulty ~link_faults
-        ~payload ~trace ~trace_out
-    end
-    else begin
-      let module R = Payload_rbc_runner (Ir_base) (Ir_str) in
-      let mutators =
-        ( Ir_str.Fault.substitute (fun _ s -> garble s),
-          Ir_str.Fault.equivocate two_faced_str,
-          Ir_str.Fault.substitute (fun _ s -> s) )
-      in
-      let faulty = sender_first (faulty_nodes ~n ~count:faulty_count fault mutators) in
-      R.go ~label:"ir-rbc" ~n ~f ~seed ~adversary ~faulty ~link_faults ~payload
-        ~trace ~trace_out
-    end
+(* One registry run and, given a [header], its closing report: the
+   header, events/sec, byte counters, link statistics and the
+   registry's per-node lines.  The trace is exported either way. *)
+let report_run (sc : Registry.scenario) ~label ~seed ~trace ~trace_out ?(traced = true)
+    ?header ?(bytes = false) ?(lines = true) ?diagram () =
+  let tr = if traced then make_trace ~trace ~trace_out else None in
+  let t0 = Unix.gettimeofday () in
+  let r = or_exit (Registry.run ?trace:tr sc ~seed) in
+  Option.iter
+    (fun header ->
+      header r;
+      print_events_rate ~deliveries:r.deliveries t0;
+      if bytes then print_byte_counters ~n:sc.n r.metrics;
+      if Option.is_some (Registry.link_faults sc) then print_link_stats r.metrics;
+      if lines then List.iter (Fmt.pr "%s@.") (Lazy.force r.lines))
+    header;
+  write_trace_out ~protocol:label ~n:sc.n ~f:sc.f ~seed trace_out tr;
+  if trace then Option.iter (print_trace ?n:diagram) tr;
+  r.outcome
 
 let run_rbc n f seed adversary fault faulty_count loss dup partition reliable
     protocol payload_bytes trace trace_out =
-  let link_faults = link_faults_of ~n ~loss ~dup ~partition in
-  if protocol <> `Bracha || payload_bytes > 0 then begin
-    (* String-payload path: synthetic payload, byte-counter report. *)
-    let bytes = if payload_bytes > 0 then payload_bytes else 32 in
-    let payload = synthetic_payload ~bytes ~seed in
-    run_payload_rbc ~protocol ~n ~f ~seed ~adversary ~fault ~faulty_count
-      ~link_faults ~reliable ~payload ~trace ~trace_out
-  end
-  else if reliable then begin
-    let module RL = Abc_net.Reliable_link.Make (Rbc) in
-    let module R = Rbc_runner (RL) in
-    let faulty =
-      match msg_agnostic_faulty ~n ~count:faulty_count fault with
-      | [] -> []
-      | faults -> (Node_id.of_int 0, snd (List.hd faults)) :: List.tl faults
-    in
-    R.go ~label:"bracha-rbc+rl" ~n ~f ~seed ~adversary ~faulty ~link_faults
-      ~trace ~trace_out
-  end
-  else begin
-    let module R = Rbc_runner (Rbc) in
-    let two_faced _rng ~dst v =
-      if Node_id.to_int dst < n / 2 then v else Abc.Value.negate v
-    in
-    let mutators =
-      ( Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v),
-        Rbc.Fault.equivocate two_faced,
-        Rbc.Fault.substitute (fun _ v -> v) )
-    in
-    (* The designated sender is node 0; faults apply there first when
-       requested so the interesting case (faulty sender) is default. *)
-    let faulty =
-      match faulty_nodes ~n ~count:faulty_count fault mutators with
-      | [] -> []
-      | faults -> (Node_id.of_int 0, snd (List.hd faults)) :: List.tl faults
-    in
-    R.go ~label:"bracha-rbc" ~n ~f ~seed ~adversary ~faulty ~link_faults ~trace
-      ~trace_out
-  end
+  (* Without --payload-bytes, bracha broadcasts the classic single bit;
+     every other broadcast carries a synthetic string payload. *)
+  let bit = protocol = `Bracha && payload_bytes = 0 in
+  let name = match protocol with `Bracha -> "bracha-rbc" | `Coded -> "coded-rbc" | `Ir -> "ir-rbc" in
+  let label = if reliable then name ^ "+rl" else name in
+  let sc =
+    with_links ~loss ~dup ~partition ~reliable
+      (scenario (if bit then "bracha-rbc-bit" else name) ~n ~f ~adversary ~fault ~faulty_count)
+  in
+  let sc = { sc with payload = (if payload_bytes > 0 then payload_bytes else 32) } in
+  let header (r : Registry.run) =
+    Fmt.pr "%s n=%d f=%d%s seed=%d stop=%a messages=%d time=%d@." label n f
+      (if bit then "" else Printf.sprintf " payload=%dB" sc.payload)
+      seed Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages r.outcome.ticks
+  in
+  ignore (report_run sc ~label ~seed ~trace ~trace_out ~header ~bytes:(not bit) ~diagram:n ())
 
-(* ---- consensus (bracha) ---- *)
+(* ---- consensus, benor and mmr ---- *)
 
-module Consensus_runner (P : Abc.Harness.CONSENSUS with type input = B.input) =
-struct
-  let go ~label ~n ~f ~seed ~seeds ~adversary ~faulty ~link_faults ~options
-      ~values ~trace ~trace_out =
-    let module H = Abc.Harness.Make (P) in
-    let rounds = ref [] in
-    let failures = ref 0 in
-    for k = 0 to seeds - 1 do
-      let tr = if k = 0 then make_trace ~trace ~trace_out else None in
-      let config =
-        H.E.config ~n ~f
-          ~inputs:(B.inputs ~n ~options values)
-          ~faulty
-          ~adversary:(adversary_of ~n adversary)
-          ~seed:(seed + k) ?link_faults ?trace:tr ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let result, verdict = H.run config in
-      if Abc.Harness.ok verdict then
-        rounds := verdict.Abc.Harness.max_round :: !rounds
-      else incr failures;
-      if seeds = 1 then begin
-        Fmt.pr "%s n=%d f=%d seed=%d (%a)@." label n f (seed + k) B.Options.pp
-          options;
-        Fmt.pr "  %a@." Abc.Harness.pp_verdict verdict;
-        print_events_rate ~deliveries:verdict.Abc.Harness.deliveries t0;
-        if link_faults <> None then print_link_stats result.H.E.metrics;
-        List.iter
-          (fun (id, time, d) ->
-            Fmt.pr "  %a: %a at t=%d@." Node_id.pp id Abc.Decision.pp d time)
-          verdict.Abc.Harness.decisions
-      end;
-      write_trace_out ~protocol:label ~n ~f ~seed:(seed + k) trace_out tr;
-      if trace then Option.iter print_trace tr
-    done;
-    if seeds > 1 then begin
-      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%a)@." label n f seed
-        (seed + seeds - 1) B.Options.pp options;
-      Fmt.pr "  ok %d/%d, failures %d@." (List.length !rounds) seeds !failures;
-      summarize_rounds "  " !rounds
-    end
-end
+(* Seeds seed, seed+1, ...: one seed gets [header] and the closing
+   report, several get [summary] of how many decided and the rounds
+   those took.  Only the first seed is traced. *)
+let run_seeds sc ~label ~seed ~seeds ~trace ~trace_out ?lines ~header summary =
+  let rounds, failures =
+    List.fold_left
+      (fun (rounds, failures) k ->
+        let header = if seeds = 1 then Some (header ~seed:(seed + k)) else None in
+        let o =
+          report_run sc ~label ~seed:(seed + k) ~trace ~trace_out ~traced:(k = 0) ?header ?lines ()
+        in
+        if Registry.decides o then (o.rounds :: rounds, failures) else (rounds, failures + 1))
+      ([], 0) (List.init (max seeds 0) Fun.id)
+  in
+  if seeds > 1 then begin
+    summary ~last:(seed + seeds - 1) ~ok:(List.length rounds) ~failures;
+    summarize_rounds "  " rounds
+  end
 
 let run_consensus n f seed seeds adversary fault faulty_count inputs coin
     no_validation plain loss dup partition reliable trace trace_out =
-  let options =
-    {
-      B.Options.coin = coin_of coin;
-      validation = not no_validation;
-      transport = (if plain then B.Options.Plain else B.Options.Reliable);
-    }
+  let transport = if plain then B.Options.Plain else B.Options.Reliable in
+  let options = { B.Options.coin; validation = not no_validation; transport } in
+  let sc =
+    with_links ~loss ~dup ~partition ~reliable
+      (scenario "bracha" ~n ~f ~adversary ~fault ~faulty_count)
   in
-  let values = values_of ~n inputs in
-  let link_faults = link_faults_of ~n ~loss ~dup ~partition in
-  if reliable then begin
-    let module RL = Abc_net.Reliable_link.Make (B) in
-    let module R = Consensus_runner (struct
-      include RL
+  let sc = { sc with inputs; coin = Some coin; validation = options.validation; plain } in
+  let label = if reliable then "bracha-consensus+rl" else "bracha-consensus" in
+  run_seeds sc ~label ~seed ~seeds ~trace ~trace_out
+    ~header:(fun ~seed (r : Registry.run) ->
+      Fmt.pr "%s n=%d f=%d seed=%d (%a)@.  %a@." label n f seed B.Options.pp options pp_verdict
+        r.outcome)
+    (fun ~last ~ok ~failures ->
+      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%a)@.  ok %d/%d, failures %d@." label n f seed last
+        B.Options.pp options ok seeds failures)
 
-      let value_of_input = B.value_of_input
-    end) in
-    R.go ~label:"bracha-consensus+rl" ~n ~f ~seed ~seeds ~adversary
-      ~faulty:(msg_agnostic_faulty ~n ~count:faulty_count fault)
-      ~link_faults ~options ~values ~trace ~trace_out
-  end
-  else begin
-    let module R = Consensus_runner (struct
-      include B
-
-      let value_of_input = B.value_of_input
-    end) in
-    let mutators =
-      (B.Fault.flip_value, B.Fault.equivocate_by_half ~n, B.Fault.force_decide)
-    in
-    R.go ~label:"bracha-consensus" ~n ~f ~seed ~seeds ~adversary
-      ~faulty:(faulty_nodes ~n ~count:faulty_count fault mutators)
-      ~link_faults ~options ~values ~trace ~trace_out
-  end
-
-(* ---- benor ---- *)
+(* Ben-Or and MMR report one line per run. *)
+let run_binary sc ~label ~seed ~seeds =
+  let n = sc.Registry.n and f = sc.Registry.f in
+  run_seeds sc ~label ~seed ~seeds ~trace:false ~trace_out:None ~lines:false
+    ~header:(fun ~seed (r : Registry.run) ->
+      Fmt.pr "%s n=%d f=%d seed=%d: %a@." label n f seed pp_verdict r.outcome)
+    (fun ~last ~ok ~failures ->
+      Fmt.pr "%s n=%d f=%d seeds=%d..%d: ok %d/%d failures %d@." label n f seed last ok seeds
+        failures)
 
 let run_benor n f seed seeds adversary fault faulty_count inputs coin mode =
-  let module H = Abc.Harness.Make (struct
-    include BO
+  let sc = scenario "ben-or" ~n ~f ~adversary ~fault ~faulty_count in
+  run_binary
+    { sc with inputs; coin = Some coin; crash_mode = mode = BO.Mode.Crash }
+    ~label:(Fmt.str "ben-or(%a)" BO.Mode.pp mode) ~seed ~seeds
 
-    let value_of_input = BO.value_of_input
-  end) in
-  let mode = match mode with `Byzantine -> BO.Mode.Byzantine | `Crash -> BO.Mode.Crash in
-  let mutators =
-    (BO.Fault.flip_value, BO.Fault.equivocate_by_half ~n, BO.Fault.flip_value)
-  in
-  let faulty = faulty_nodes ~n ~count:faulty_count fault mutators in
-  let values = values_of ~n inputs in
-  let rounds = ref [] in
-  let failures = ref 0 in
-  for k = 0 to seeds - 1 do
-    let config =
-      H.E.config ~n ~f
-        ~inputs:(BO.inputs ~n ~mode ~coin:(coin_of coin) values)
-        ~faulty
-        ~adversary:(adversary_of ~n adversary)
-        ~seed:(seed + k) ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let _, verdict = H.run config in
-    if Abc.Harness.ok verdict then rounds := verdict.Abc.Harness.max_round :: !rounds
-    else incr failures;
-    if seeds = 1 then begin
-      Fmt.pr "ben-or(%a) n=%d f=%d seed=%d: %a@." BO.Mode.pp mode n f (seed + k)
-        Abc.Harness.pp_verdict verdict;
-      print_events_rate ~deliveries:verdict.Abc.Harness.deliveries t0
-    end
-  done;
-  if seeds > 1 then begin
-    Fmt.pr "ben-or(%a) n=%d f=%d seeds=%d..%d: ok %d/%d failures %d@." BO.Mode.pp
-      mode n f seed (seed + seeds - 1) (List.length !rounds) seeds !failures;
-    summarize_rounds "  " !rounds
-  end
-
-(* ---- mmr ---- *)
-
+(* MMR's safety needs the common coin; local is for the ablation. *)
 let run_mmr n f seed seeds adversary fault faulty_count inputs coin =
-  let module M = Abc.Mmr_consensus in
-  let module H = Abc.Harness.Make (struct
-    include M
-
-    let value_of_input = M.value_of_input
-  end) in
-  let coin =
-    (* MMR's safety needs the common coin; local is for the ablation. *)
-    match coin with `Local -> Abc.Coin.local | `Common -> Abc.Coin.common ~seed:7
-  in
-  let mutators =
-    (M.Fault.flip_value, M.Fault.equivocate_by_half ~n, M.Fault.flip_value)
-  in
-  let faulty = faulty_nodes ~n ~count:faulty_count fault mutators in
-  let values = values_of ~n inputs in
-  let rounds = ref [] in
-  let failures = ref 0 in
-  for k = 0 to seeds - 1 do
-    let config =
-      H.E.config ~n ~f
-        ~inputs:(M.inputs ~n ~coin values)
-        ~faulty
-        ~adversary:(adversary_of ~n adversary)
-        ~seed:(seed + k) ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let _, verdict = H.run config in
-    if Abc.Harness.ok verdict then rounds := verdict.Abc.Harness.max_round :: !rounds
-    else incr failures;
-    if seeds = 1 then begin
-      Fmt.pr "mmr-consensus n=%d f=%d seed=%d: %a@." n f (seed + k)
-        Abc.Harness.pp_verdict verdict;
-      print_events_rate ~deliveries:verdict.Abc.Harness.deliveries t0
-    end
-  done;
-  if seeds > 1 then begin
-    Fmt.pr "mmr-consensus n=%d f=%d seeds=%d..%d: ok %d/%d failures %d@." n f seed
-      (seed + seeds - 1) (List.length !rounds) seeds !failures;
-    summarize_rounds "  " !rounds
-  end
+  let sc = scenario "mmr" ~n ~f ~adversary ~fault ~faulty_count in
+  run_binary { sc with inputs; coin = Some coin } ~label:"mmr-consensus" ~seed ~seeds
 
 (* ---- acs ---- *)
 
 let run_acs n f seed adversary fault faulty_count =
   let module Acs = Abc.Acs.Make (Abc.Payloads.Int_payload) in
   let module E = Abc_net.Engine.Make (Acs) in
-  let mutators =
-    ( (fun _rng (m : Acs.msg) -> m),
-      (fun _rng ~dst:_ (m : Acs.msg) -> m),
-      fun _rng (m : Acs.msg) -> m )
-  in
-  let faulty = faulty_nodes ~n ~count:faulty_count fault mutators in
+  let sc = scenario "acs" ~n ~f ~adversary ~fault ~faulty_count in
   let config =
     E.config ~n ~f
       ~inputs:(Acs.inputs ~n ~coin:Abc.Coin.local (Array.init n (fun i -> 100 + i)))
-      ~faulty
-      ~adversary:(adversary_of ~n adversary)
+      ~faulty:(or_exit (Registry.faulty ~n ~reliable:false sc.fault))
+      ~adversary:(Registry.policy ~n adversary)
       ~seed ()
   in
-  let result = E.run config in
+  let result = or_exit (Registry.guard (fun () -> E.run config)) in
   Fmt.pr "acs n=%d f=%d seed=%d stop=%a messages=%d@." n f seed
     Abc_net.Engine.pp_stop_reason result.E.stop
     (Abc_sim.Metrics.counter result.E.metrics "sent");
@@ -783,17 +412,17 @@ struct
           (Log.inputs ~n ~slots ~coin:Abc.Coin.local (fun i k ->
                Printf.sprintf "cmd-%d.%d" i k))
         ~faulty
-        ~adversary:(adversary_of ~n adversary)
+        ~adversary:(Registry.policy ~n adversary)
         ~seed ?link_faults ?trace:tr ()
     in
     let t0 = Unix.gettimeofday () in
-    let result = E.run config in
+    let result = or_exit (Registry.guard (fun () -> E.run config)) in
     Fmt.pr "%s n=%d f=%d slots=%d seed=%d stop=%a messages=%d time=%d@." label n
       f slots seed Abc_net.Engine.pp_stop_reason result.E.stop
       (Abc_sim.Metrics.counter result.E.metrics "sent")
       result.E.duration;
     print_events_rate ~deliveries:result.E.deliveries t0;
-    if link_faults <> None then print_link_stats result.E.metrics;
+    if Option.is_some link_faults then print_link_stats result.E.metrics;
     Array.iteri
       (fun i outputs ->
         match Log.log_of_outputs outputs with
@@ -807,181 +436,53 @@ end
 
 (* ---- smr --atomic: batched, pipelined atomic broadcast ---- *)
 
-module Atomic_runner
-    (P : Abc_net.Protocol.S
-           with type input = Abc_smr.Atomic_broadcast.input
-            and type output = Abc_smr.Atomic_broadcast.output) =
-struct
-  module Ab = Abc_smr.Atomic_broadcast
-  module Workload = Abc_smr.Workload
-
-  let go ~label ~n ~f ~seed ~adversary ~faulty ~link_faults ~batch_size ~tx_rate
-      ~epochs ~window ~tx_bytes ~checkpoint_interval ~recovery ~trace ~trace_out
-      =
-    let module E = Abc_net.Engine.Make (P) in
-    let tr = make_trace ~trace ~trace_out in
-    (* Open-loop workload: each node's mempool holds exactly the
-       pipeline's capacity, arriving Poisson-style at --tx-rate. *)
-    let workloads =
-      Array.init n (fun i ->
-          Workload.generate ~seed ~node:(Node_id.of_int i)
-            ~count:(batch_size * epochs) ~rate:tx_rate ~tx_bytes)
-    in
-    let inputs =
-      Ab.inputs ~n ~window ~checkpoint_interval ~batch_size ~epochs
-        ~coin_seed:(seed + 7919)
-        (Array.map Workload.txs workloads)
-    in
-    let recovery =
-      Option.map
-        (fun (snapshot, restore) -> { E.snapshot; restore })
-        recovery
-    in
-    let config =
-      E.config ~n ~f ~inputs ~faulty
-        ~adversary:(adversary_of ~n adversary)
-        ~seed ?link_faults ?recovery ?trace:tr ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let result = E.run config in
-    Fmt.pr
-      "%s n=%d f=%d epochs=%d batch=%d window=%d seed=%d stop=%a messages=%d time=%d@."
-      label n f epochs batch_size window seed Abc_net.Engine.pp_stop_reason
-      result.E.stop
-      (Abc_sim.Metrics.counter result.E.metrics "sent")
-      result.E.duration;
-    print_events_rate ~deliveries:result.E.deliveries t0;
-    if link_faults <> None then print_link_stats result.E.metrics;
-    let offered =
-      Array.fold_left (fun acc w -> acc + Workload.count w) 0 workloads
-    in
-    (match Ab.log_of_outputs result.E.outputs.(0) with
-    | Some log ->
-      let committed = List.length log in
-      let duration = max 1 result.E.duration in
-      let bytes_sent = Abc_sim.Metrics.counter result.E.metrics "bytes.sent" in
-      let per_tx = if committed = 0 then 0 else bytes_sent / (n * committed) in
-      Fmt.pr
-        "  committed %d/%d txs in %d epochs (%.1f ticks/epoch, %.2f tx/ktick, %d B/tx per node)@."
-        committed offered epochs
-        (float_of_int duration /. float_of_int epochs)
-        (1000. *. float_of_int committed /. float_of_int duration)
-        per_tx
-    | None -> ());
-    Array.iteri
-      (fun i outputs ->
-        match Ab.log_of_outputs outputs with
-        | Some log ->
-          Fmt.pr "  replica %d: txs=%d digest=%08x@." i (List.length log)
-            (payload_digest (String.concat ";" log))
-        | None -> Fmt.pr "  replica %d: incomplete@." i)
-      result.E.outputs;
-    if checkpoint_interval > 0 then begin
-      let c = Abc_sim.Metrics.counter result.E.metrics in
-      Fmt.pr
-        "  recovery: crashes=%d recoveries=%d dropped-while-down=%d \
-         stale-timers=%d@."
-        (c "node.crashed") (c "node.recovered") (c "dropped.crashed")
-        (c "timer.stale");
-      Array.iteri
-        (fun i outputs ->
-          match Ab.stats_of_outputs outputs with
-          | Some (max_live, checkpoints, transfers) ->
-            Fmt.pr "  replica %d gc: max-live=%d checkpoints=%d transfers=%d@."
-              i max_live checkpoints transfers
-          | None -> ())
-        result.E.outputs
-    end;
-    write_trace_out ~protocol:label ~n ~f ~seed trace_out tr;
-    if trace then Option.iter print_trace tr
-end
-
-let run_smr_atomic ~n ~f ~seed ~adversary ~fault ~faulty_count ~link_faults
-    ~batch_size ~tx_rate ~epochs ~window ~tx_bytes ~checkpoint_interval ~crash
-    ~reliable ~trace ~trace_out =
-  let module Ab = Abc_smr.Atomic_broadcast in
+let run_smr_atomic (sc : Registry.scenario) ~seed ~trace ~trace_out =
   (* Crash-recovery needs the raw protocol: under --reliable the
      transport's pre-crash acks would falsely cover sequence numbers a
      restarted node never saw, and without checkpoints a recovered
      node has no catch-up path (epoch agreements are never
      retransmitted). *)
-  if crash <> [] && reliable then begin
-    Fmt.epr "abc-run: --crash is incompatible with --reliable@.";
-    exit 2
-  end;
-  if crash <> [] && checkpoint_interval <= 0 then begin
-    Fmt.epr
-      "abc-run: --crash needs --checkpoint-interval > 0 (a recovered node \
-       catches up via stable checkpoints)@.";
-    exit 2
-  end;
-  List.iter
-    (fun (node, _) ->
-      if node < 0 || node >= n then begin
-        Fmt.epr "abc-run: --crash node %d out of range [0, %d)@." node n;
-        exit 2
-      end)
-    crash;
-  let crash_faulty =
-    List.map
-      (fun (node, schedule) ->
-        (Node_id.of_int node, Behaviour.Crash_recover schedule))
-      crash
+  if sc.crash <> [] && sc.reliable then fail "--crash is incompatible with --reliable";
+  if sc.crash <> [] && sc.checkpoint <= 0 then
+    fail
+      "--crash needs --checkpoint-interval > 0 (a recovered node catches up via stable \
+       checkpoints)";
+  let label = if sc.reliable then "smr-atomic+rl" else "smr-atomic" in
+  let header (r : Registry.run) =
+    Fmt.pr "%s n=%d f=%d epochs=%d batch=%d window=%d seed=%d stop=%a messages=%d time=%d@."
+      label sc.n sc.f sc.epochs sc.batch sc.window seed Abc_net.Engine.pp_stop_reason r.stop
+      r.outcome.messages r.outcome.ticks
   in
-  if reliable then begin
-    let module RL = Abc_net.Reliable_link.Make (Ab) in
-    let module R = Atomic_runner (RL) in
-    R.go ~label:"smr-atomic+rl" ~n ~f ~seed ~adversary
-      ~faulty:(msg_agnostic_faulty ~n ~count:faulty_count fault)
-      ~link_faults ~batch_size ~tx_rate ~epochs ~window ~tx_bytes
-      ~checkpoint_interval ~recovery:None ~trace ~trace_out
-  end
-  else begin
-    let module R = Atomic_runner (Ab) in
-    let mutators =
-      ( (fun _rng (m : Ab.msg) -> m),
-        (fun _rng ~dst:_ (m : Ab.msg) -> m),
-        fun _rng (m : Ab.msg) -> m )
-    in
-    let recovery =
-      if crash = [] then None else Some (Ab.snapshot, Ab.restore)
-    in
-    R.go ~label:"smr-atomic" ~n ~f ~seed ~adversary
-      ~faulty:(faulty_nodes ~n ~count:faulty_count fault mutators @ crash_faulty)
-      ~link_faults ~batch_size ~tx_rate ~epochs ~window ~tx_bytes
-      ~checkpoint_interval ~recovery ~trace ~trace_out
-  end
+  ignore (report_run sc ~label ~seed ~trace ~trace_out ~header ())
 
 let run_smr n f seed adversary fault faulty_count slots atomic batch_size
     tx_rate epochs window tx_bytes checkpoint_interval crash loss dup partition
     reliable trace trace_out =
   let module Log = Abc_smr.Replicated_log in
-  let link_faults = link_faults_of ~n ~loss ~dup ~partition in
-  if (crash <> [] || checkpoint_interval > 0) && not atomic then begin
-    Fmt.epr "abc-run: --crash / --checkpoint-interval need --atomic@.";
-    exit 2
-  end;
+  let crash = List.concat crash in
+  let sc =
+    with_links ~loss ~dup ~partition ~reliable
+      (scenario "atomic" ~n ~f ~adversary ~fault ~faulty_count)
+  in
+  if (crash <> [] || checkpoint_interval > 0) && not atomic then
+    fail "--crash / --checkpoint-interval need --atomic";
+  let faulty () = or_exit (Registry.faulty ~n ~reliable sc.fault) in
+  let link_faults = Registry.link_faults sc in
   if atomic then
-    run_smr_atomic ~n ~f ~seed ~adversary ~fault ~faulty_count ~link_faults
-      ~batch_size ~tx_rate ~epochs ~window ~tx_bytes ~checkpoint_interval
-      ~crash ~reliable ~trace ~trace_out
+    run_smr_atomic
+      { sc with batch = batch_size; tx_rate; epochs; window; payload = tx_bytes;
+                checkpoint = checkpoint_interval; crash }
+      ~seed ~trace ~trace_out
   else if reliable then begin
     let module RL = Abc_net.Reliable_link.Make (Log) in
     let module R = Smr_runner (RL) in
-    R.go ~label:"smr+rl" ~n ~f ~seed ~adversary
-      ~faulty:(msg_agnostic_faulty ~n ~count:faulty_count fault)
-      ~link_faults ~slots ~trace ~trace_out
+    R.go ~label:"smr+rl" ~n ~f ~seed ~adversary ~faulty:(faulty ()) ~link_faults ~slots
+      ~trace ~trace_out
   end
   else begin
     let module R = Smr_runner (Log) in
-    let mutators =
-      ( (fun _rng (m : Log.msg) -> m),
-        (fun _rng ~dst:_ (m : Log.msg) -> m),
-        fun _rng (m : Log.msg) -> m )
-    in
-    R.go ~label:"smr" ~n ~f ~seed ~adversary
-      ~faulty:(faulty_nodes ~n ~count:faulty_count fault mutators)
-      ~link_faults ~slots ~trace ~trace_out
+    R.go ~label:"smr" ~n ~f ~seed ~adversary ~faulty:(faulty ()) ~link_faults ~slots
+      ~trace ~trace_out
   end
 
 (* ---- check (bounded model checking) ---- *)
@@ -995,12 +496,12 @@ let run_check n f seed depth max_states fault jobs =
   in
   let faulty =
     match fault with
-    | `None -> []
-    | `Silent -> [ (Node_id.of_int 0, Behaviour.Silent) ]
-    | `Crash -> [ (Node_id.of_int 0, Behaviour.Crash_after 2) ]
-    | `Equivocate ->
+    | None -> []
+    | Some Registry.Silent -> [ (Node_id.of_int 0, Behaviour.Silent) ]
+    | Some Registry.Crash -> [ (Node_id.of_int 0, Behaviour.Crash_after 2) ]
+    | Some Registry.Equivocate ->
       [ (Node_id.of_int 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
-    | `Flip | `Force_decide | `Replay ->
+    | Some (Registry.Flip | Registry.Balanced_flip | Registry.Force_decide | Registry.Replay) ->
       [ (Node_id.of_int 1,
          Behaviour.Mutate (Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v))) ]
   in
@@ -1029,13 +530,15 @@ let run_check n f seed depth max_states fault jobs =
      explored/deadlock counts); anything else fans the top-level
      branches out over a domain pool. *)
   let outcome =
-    match jobs with
-    | Some 1 -> X.run cfg
-    | Some j -> X.run_parallel ~pool:(Abc_exec.Pool.create ~jobs:j ()) cfg
-    | None -> X.run cfg
+    or_exit
+      (Registry.guard (fun () ->
+           match jobs with
+           | Some 1 | None -> X.run cfg
+           | Some j -> X.run_parallel ~pool:(Abc_exec.Pool.create ~jobs:j ()) cfg))
   in
   Fmt.pr
-    "model-check rbc n=%d f=%d depth<=%s: explored=%d exhausted=%b deadlocks=%d      depth_reached=%d@."
+    "model-check rbc n=%d f=%d depth<=%s: explored=%d exhausted=%b deadlocks=%d \
+     depth_reached=%d@."
     n f
     (if depth = 0 then "inf" else string_of_int depth)
     outcome.X.explored outcome.X.exhausted outcome.X.deadlocks
@@ -1048,6 +551,8 @@ let run_check n f seed depth max_states fault jobs =
       (fun (src, dst, m) ->
         Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m)
       v.X.schedule
+
+(* ---- command wiring ---- *)
 
 (* ---- command wiring ---- *)
 
@@ -1087,7 +592,7 @@ let benor_cmd =
   let mode =
     Arg.(
       value
-      & opt (enum [ ("byzantine", `Byzantine); ("crash", `Crash) ]) `Byzantine
+      & opt (enum [ ("byzantine", BO.Mode.Byzantine); ("crash", BO.Mode.Crash) ]) BO.Mode.Byzantine
       & info [ "mode" ] ~docv:"MODE" ~doc:"Fault mode: $(b,byzantine) or $(b,crash).")
   in
   let term =
@@ -1101,7 +606,8 @@ let mmr_cmd =
   let coin_common =
     Arg.(
       value
-      & opt (enum [ ("local", `Local); ("common", `Common) ]) `Common
+      & opt (enum [ ("local", Abc.Coin.local); ("common", Abc.Coin.common ~seed:7) ])
+          (Abc.Coin.common ~seed:7)
       & info [ "coin" ] ~docv:"COIN"
           ~doc:
             "Round coin: $(b,common) (default; required for safety) or $(b,local) \
@@ -1217,37 +723,12 @@ let smr_cmd =
              state-transfer catch-up.  0 (default) disables checkpoints.")
   in
   let crash_plan_conv =
-    let parse s =
-      match List.map int_of_string_opt (String.split_on_char ':' s) with
-      | Some node :: (_ :: _ as rest) -> (
-        let rec pairs acc = function
-          | [] -> Some (List.rev acc)
-          | Some crash :: Some rejoin :: tl -> pairs ((crash, rejoin) :: acc) tl
-          | _ -> None
-        in
-        match pairs [] rest with
-        | Some schedule when Behaviour.validate_schedule schedule ->
-          Ok (node, schedule)
-        | Some _ | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "crash plan %S: want NODE:CRASH:REJOIN[:CRASH:REJOIN...] \
-                   with crash < rejoin and strictly increasing ticks"
-                  s)))
-      | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "crash plan %S: want NODE:CRASH:REJOIN[:CRASH:REJOIN...]" s))
+    let print ppf plans =
+      Fmt.(list ~sep:(any ",") (fun ppf (node, schedule) ->
+               pf ppf "%d%a" node (list ~sep:nop (fun ppf (c, r) -> pf ppf ":%d:%d" c r)) schedule))
+        ppf plans
     in
-    let print ppf (node, schedule) =
-      Fmt.pf ppf "%d%a" node
-        Fmt.(
-          list ~sep:nop (fun ppf (c, r) -> pf ppf ":%d:%d" c r))
-        schedule
-    in
-    Arg.conv (parse, print)
+    Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (Registry.crash s)), print)
   in
   let crash =
     Arg.(

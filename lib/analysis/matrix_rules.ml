@@ -1,5 +1,7 @@
 module Sexp = Abc_matrix.Sexp
 module Spec = Abc_matrix.Spec
+module Registry = Abc_matrix.Registry
+module Runner = Abc_matrix.Runner
 
 let span_of (s : Sexp.span) : Finding.span =
   {
@@ -42,16 +44,10 @@ let check_cells ~path spec =
   List.iter
     (fun (cell : Spec.cell) ->
       match (binding cell "protocol", int_binding cell "n", int_binding cell "f") with
-      | Some ({ Spec.value = Spec.Str proto; _ } as pb), Some (_, n), Some (fb, f)
+      | Some { Spec.value = Spec.Str proto; _ }, Some (_, n), Some (fb, f)
         -> (
-        match Spec.resilience proto with
-        | None ->
-          emit ~rule:"matrix-resilience" ~span:pb.Spec.vspan ~snippet:proto
-            (Printf.sprintf
-               "unknown protocol token %S: not in the resilience registry, \
-                so its n/f cells cannot be checked (and abc-bench will \
-                reject it)"
-               proto)
+        match Registry.resilience proto with
+        | None -> ()
         | Some (cls, max_f) ->
           if f > max_f n && cell.Spec.oracle <> Spec.Expect_fail then
             emit ~rule:"matrix-resilience" ~span:fb.Spec.vspan
@@ -64,12 +60,20 @@ let check_cells ~path spec =
     (Spec.expand spec);
   List.rev !out
 
+(* A token the registry cannot decode, or a combination it rejects
+   (a node id beyond n, a fault the protocol lacks), is the same
+   positioned error [abc-bench run] stops on. *)
 let check ~path source =
-  match Spec.of_string ~file:path source with
-  | Error e ->
+  let parse_error e =
     [
       Finding.v ~rule:"matrix-parse" ~file:path ~span:(point_span e.Sexp.pos)
         ~snippet:(Filename.basename path)
         e.Sexp.msg;
     ]
-  | Ok spec -> check_cells ~path spec
+  in
+  match Spec.of_string ~file:path source with
+  | Error e -> parse_error e
+  | Ok spec -> (
+    match Runner.check spec with
+    | Error e -> parse_error e
+    | Ok () -> check_cells ~path spec)

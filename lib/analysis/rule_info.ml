@@ -120,8 +120,8 @@ let all =
         "A committed scenario spec that fails to parse or elaborate \
          breaks abc-bench run and the bench-gate CI job only at run \
          time; the linter loads every .matrix file through the same \
-         Abc_matrix.Spec reader and reports the elaboration error at \
-         the offending token, review-time.";
+         Abc_matrix.Spec reader and registry check and reports the \
+         error at the offending token, review-time.";
       example = "(axes (n 4) (n 7))  ; duplicate axis";
     };
     {
@@ -131,8 +131,8 @@ let all =
       rationale =
         "The spec-level twin of the resilience rule: every expanded \
          cell's n/f literals are checked against the protocol's \
-         declared resilience class (n > 3f for the Bracha family, \
-         n > 5f for Ben-Or and Imbs-Raynal, n > 4f for Turpin-Coan). \
+         resilience class in the protocol registry (n > 3f for the \
+         Bracha family, n > 5f for Ben-Or and Imbs-Raynal). \
          A beyond-bound cell must carry an expect-fail oracle — \
          otherwise the protocol's own init-time rejection would be \
          scored as a verdict miss, or worse, quietly measured.";

@@ -39,6 +39,21 @@ val ok : verdict -> bool
 
 val pp_verdict : verdict Fmt.t
 
+val judge :
+  value_of_input:('input -> Value.t) ->
+  inputs:'input array ->
+  honest:Node_id.t list ->
+  stop:Engine.stop_reason ->
+  outputs:(int * Decision.t) list array ->
+  messages:int ->
+  deliveries:int ->
+  duration:int ->
+  verdict
+(** The verdict on a finished run given its parts: the inputs, the
+    honest nodes, the stop reason and every node's outputs.  For
+    callers that run the engine themselves (the scenario registry);
+    {!Make} judges its own runs with it. *)
+
 module Make (P : CONSENSUS) : sig
   module E : module type of Engine.Make (P)
 

@@ -1,588 +1,71 @@
-module Node_id = Abc_net.Node_id
-module Behaviour = Abc_net.Behaviour
-module Adversary = Abc_net.Adversary
-module Topology = Abc_net.Topology
-module Link_faults = Abc_net.Link_faults
 module Pool = Abc_exec.Pool
 module Table = Abc_sim.Table
 module Json = Abc_sim.Json
-module Metrics = Abc_sim.Metrics
 
-module B = Abc.Bracha_consensus
-module BO = Abc.Ben_or
-module Mmr = Abc.Mmr_consensus
-module BRL = Abc_net.Reliable_link.Make (B)
-module Bracha_str = Abc.Bracha_rbc.Make (Abc.Payloads.String_payload)
-module Ir_str = Abc.Ir_rbc.Make (Abc.Payloads.String_payload)
-module Atomic = Abc_smr.Atomic_broadcast
-
-module BH = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-module BOH = Abc.Harness.Make (struct
-  include BO
-
-  let value_of_input = BO.value_of_input
-end)
-
-module MmrH = Abc.Harness.Make (struct
-  include Mmr
-
-  let value_of_input = Mmr.value_of_input
-end)
-
-module BRLH = Abc.Harness.Make (struct
-  include BRL
-
-  let value_of_input = B.value_of_input
-end)
-
-module BrsE = Abc_net.Engine.Make (Bracha_str)
-module CodE = Abc_net.Engine.Make (Abc.Coded_rbc)
-module IrsE = Abc_net.Engine.Make (Ir_str)
-module AtomE = Abc_net.Engine.Make (Atomic)
+let ( let* ) = Result.bind
 
 (* ----------------------------------------------------------------- *)
-(* Cell configuration                                                *)
+(* Cells to scenarios                                                *)
 (* ----------------------------------------------------------------- *)
 
-let node = Node_id.of_int
+(* The one translation from a cell to a registry scenario.  Token
+   errors name the axis they came from, so {!check} can point at the
+   binding. *)
+let scenario_of_cell cell =
+  let str axis default = Spec.find_str cell axis ~default in
+  let int axis default = Spec.find_int cell axis ~default in
+  let tok axis decode default = Result.map_error (fun m -> (axis, m)) (decode (str axis default)) in
+  let* adversary = tok "adversary" Registry.adversary "uniform" in
+  let* fault = tok "fault" Registry.fault "none" in
+  let* topology = tok "topology" Registry.topology "complete" in
+  let* inputs = tok "inputs" Registry.inputs "split" in
+  let* crash = tok "crash" Registry.crash "none" in
+  let base = Registry.scenario ~protocol:(str "protocol" "") ~n:(int "n" 0) ~f:(int "f" 0) in
+  let num axis = Spec.find_num cell axis ~default:0. in
+  Ok
+    { base with Registry.adversary; fault; topology; inputs; crash; loss = num "loss";
+      dup = num "dup"; payload = int "payload" 64;
+      budget = (match int "budget" 0 with 0 -> None | b -> Some b); batch = int "batch" 16;
+      epochs = int "epochs" 2; window = int "window" 2; checkpoint = int "checkpoint" 0 }
 
-let cell_label cell =
-  String.concat " "
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) (Spec.cell_key cell))
-
-let bad cell fmt =
-  Printf.ksprintf
-    (fun msg -> invalid_arg (Printf.sprintf "matrix cell [%s]: %s" (cell_label cell) msg))
-    fmt
-
-(* Token splitting for parameterized axis values like [latency:8] or
-   [circulant:1,2]. *)
-let token_parts s = String.split_on_char ':' s
-
-let adversary cell ~n token =
-  match token_parts token with
-  | [ "fifo" ] -> Adversary.fifo
-  | [ "uniform" ] -> Adversary.uniform
-  | [ "split" ] -> Adversary.split ~n
-  | [ "latency"; mean ] -> (
-    match float_of_string_opt mean with
-    | Some m when m > 0. -> Adversary.latency ~mean:m
-    | _ -> bad cell "latency wants a positive mean, got %S" mean)
-  | [ "target"; id ] -> (
-    match int_of_string_opt id with
-    | Some i when i >= 0 && i < n -> Adversary.targeted_delay ~victims:[ node i ]
-    | _ -> bad cell "target wants a node id below n, got %S" id)
-  | [ "source"; id ] -> (
-    match int_of_string_opt id with
-    | Some i when i >= 0 && i < n -> Adversary.source_starve ~victims:[ node i ]
-    | _ -> bad cell "source wants a node id below n, got %S" id)
-  | [ "eclipse"; period ] -> (
-    match int_of_string_opt period with
-    | Some p when p > 0 -> Adversary.rotating_eclipse ~n ~period:p
-    | _ -> bad cell "eclipse wants a positive period, got %S" period)
-  | _ -> bad cell "unknown adversary %S" token
-
-let topology cell ~n token =
-  match token_parts token with
-  | [ "complete" ] -> None
-  | [ "ring" ] -> Some (Topology.ring ~n)
-  | [ "star" ] -> Some (Topology.star ~n)
-  | [ "circulant"; offsets ] -> (
-    let parts = String.split_on_char ',' offsets in
-    match List.map int_of_string_opt parts with
-    | offs when List.for_all (fun o -> o <> None) offs ->
-      Some (Topology.circulant ~n ~offsets:(List.filter_map Fun.id offs))
-    | _ -> bad cell "circulant wants comma-separated offsets, got %S" offsets)
-  | _ -> bad cell "unknown topology %S" token
-
-let link_faults ~loss ~dup =
-  if loss = 0. && dup = 0. then None
-  else Some (Link_faults.make ~name:"matrix" ~drop:loss ~dup ())
-
-let counted cell token =
-  match token_parts token with
-  | [ kind ] -> (kind, 1)
-  | [ kind; k ] -> (
-    match int_of_string_opt k with
-    | Some count when count >= 0 -> (kind, count)
-    | _ -> bad cell "fault count must be a non-negative integer, got %S" k)
-  | _ -> bad cell "unknown fault %S" token
-
-let tail_faults ~n ~count behaviour =
-  List.init count (fun k -> (node (n - 1 - k), behaviour))
-
-let balanced_ids ~n ~count =
-  List.init count (fun k -> if k mod 2 = 0 then k / 2 else n - 1 - (k / 2))
-
-(* Consensus fault battery, shared shape with bench/helpers.ml: the
-   highest-numbered [count] nodes misbehave, except [balanced-flip]
-   which splits the liars across the two input halves. *)
-let consensus_faults (type msg) cell ~n ~token
-    ~(flip : Abc_prng.Stream.t -> msg -> msg)
-    ~(equivocate : Abc_prng.Stream.t -> dst:Node_id.t -> msg -> msg)
-    ~(force : (Abc_prng.Stream.t -> msg -> msg) option) :
-    (Node_id.t * msg Behaviour.t) list =
-  match counted cell token with
-  | "none", _ -> []
-  | "silent", count -> tail_faults ~n ~count Behaviour.Silent
-  | "crash", count -> tail_faults ~n ~count (Behaviour.Crash_after 5)
-  | "flip", count -> tail_faults ~n ~count (Behaviour.Mutate flip)
-  | "balanced-flip", count ->
-    List.map (fun i -> (node i, Behaviour.Mutate flip)) (balanced_ids ~n ~count)
-  | "equivocate", count -> tail_faults ~n ~count (Behaviour.Equivocate equivocate)
-  | "force-decide", count -> (
-    match force with
-    | Some force -> tail_faults ~n ~count (Behaviour.Mutate force)
-    | None -> bad cell "force-decide is only defined for bracha")
-  | kind, _ -> bad cell "unknown consensus fault %S" kind
-
-let flip_payload _rng s = "!" ^ s
-
-let two_faced ~n _rng ~dst s =
-  if Node_id.to_int dst < n / 2 then s else "!" ^ s
-
-(* RBC fault battery, mirroring E1's placements: the designated sender
-   is node 0; [flip-relay] keeps the sender honest and corrupts a
-   relay instead. *)
-let rbc_faults cell ~n ~protocol ~token :
-    (Node_id.t * Bracha_str.msg Behaviour.t) list option =
-  ignore n;
-  match token with
-  | "none" -> Some []
-  | "silent-sender" -> Some [ (node 0, Behaviour.Silent) ]
-  | "crash-sender" -> Some [ (node 0, Behaviour.Crash_after 2) ]
-  | "flip-relay" when protocol = "bracha-rbc" ->
-    Some
-      [ (node 1, Behaviour.Mutate (Bracha_str.Fault.substitute flip_payload)) ]
-  | "equivocate-sender" when protocol = "bracha-rbc" ->
-    Some
-      [ (node 0, Behaviour.Equivocate (Bracha_str.Fault.equivocate (two_faced ~n))) ]
-  | "flip-relay" | "equivocate-sender" ->
-    bad cell "fault %S is only wired up for bracha-rbc" token
-  | _ -> None
-
-let crash_schedules cell token =
-  if token = "none" then []
-  else
-    List.map
-      (fun part ->
-        match token_parts part with
-        | [ i; down; up ] -> (
-          match
-            (int_of_string_opt i, int_of_string_opt down, int_of_string_opt up)
-          with
-          | Some i, Some down, Some up when i >= 0 && 0 <= down && down < up ->
-            (i, [ (down, up) ])
-          | _ -> bad cell "crash wants id:down:up with down < up, got %S" part)
-        | _ -> bad cell "crash wants id:down:up, got %S" part)
-      (String.split_on_char ',' token)
-
-let inputs_pattern cell ~n token =
-  match token with
-  | "split" ->
-    Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
-  | "unanimous0" -> Array.make n Abc.Value.Zero
-  | "unanimous1" -> Array.make n Abc.Value.One
-  | _ -> bad cell "unknown inputs pattern %S" token
-
-let payload_bytes ~bytes ~seed =
-  String.init bytes (fun i -> Char.chr ((seed + (131 * i)) land 0xFF))
-
-(* ----------------------------------------------------------------- *)
-(* One seed of one cell                                              *)
-(* ----------------------------------------------------------------- *)
-
-type outcome = {
-  decided : bool;
-  agreement : bool;
-  validity : bool;
-  totality : bool;
-  o_rounds : int;
-  o_messages : int;
-  o_bytes : int;
-  o_ticks : int;
-  o_committed : int;
-}
-
-let of_verdict (v : Abc.Harness.verdict) bytes =
-  {
-    decided = v.Abc.Harness.terminated;
-    agreement = v.Abc.Harness.agreement;
-    validity = v.Abc.Harness.validity;
-    totality = true;
-    o_rounds = v.Abc.Harness.max_round;
-    o_messages = v.Abc.Harness.messages;
-    o_bytes = bytes;
-    o_ticks = v.Abc.Harness.duration;
-    o_committed = 0;
-  }
-
-type cfg = {
-  protocol : string;
-  n : int;
-  f : int;
-  seeds : int;
-  adversary_tok : string;
-  fault_tok : string;
-  topology_tok : string;
-  inputs_tok : string;
-  loss : float;
-  dup : float;
-  payload : int;
-  budget : int option;
-  batch : int;
-  epochs : int;
-  window : int;
-  checkpoint : int;
-  crash_tok : string;
-}
-
-let cfg_of_cell cell =
-  {
-    protocol = Spec.find_str cell "protocol" ~default:"";
-    n = Spec.find_int cell "n" ~default:0;
-    f = Spec.find_int cell "f" ~default:0;
-    seeds = max 1 (Spec.find_int cell "seeds" ~default:10);
-    adversary_tok = Spec.find_str cell "adversary" ~default:"uniform";
-    fault_tok = Spec.find_str cell "fault" ~default:"none";
-    topology_tok = Spec.find_str cell "topology" ~default:"complete";
-    inputs_tok = Spec.find_str cell "inputs" ~default:"split";
-    loss = Spec.find_num cell "loss" ~default:0.;
-    dup = Spec.find_num cell "dup" ~default:0.;
-    payload = Spec.find_int cell "payload" ~default:64;
-    budget =
-      (match Spec.find_int cell "budget" ~default:0 with
-      | 0 -> None
-      | b -> Some b);
-    batch = Spec.find_int cell "batch" ~default:16;
-    epochs = Spec.find_int cell "epochs" ~default:2;
-    window = Spec.find_int cell "window" ~default:2;
-    checkpoint = Spec.find_int cell "checkpoint" ~default:0;
-    crash_tok = Spec.find_str cell "crash" ~default:"none";
-  }
-
-let run_bracha cell cfg ~options ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:B.Fault.flip_value
-      ~equivocate:(B.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:(Some B.Fault.force_decide)
+(* Every cell, checked against the registry before any of them runs; an
+   error sits at the offending axis binding (else at the protocol). *)
+let scenarios spec =
+  let positioned cell (axis, msg) =
+    let at axis = List.find_opt (fun b -> String.equal b.Spec.axis axis) cell.Spec.bindings in
+    let b = match at axis with Some b -> Some b | None -> at "protocol" in
+    let pos = Option.fold b ~none:{ Sexp.line = 1; col = 0 } ~some:(fun b -> b.Spec.vspan.Sexp.s) in
+    Error { Sexp.file = Spec.file spec; pos; msg }
   in
-  let config =
-    BH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(B.inputs ~n:cfg.n ~options values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BH.run config in
-  of_verdict verdict (Metrics.counter result.BH.E.metrics "bytes.sent")
+  List.fold_right
+    (fun cell acc ->
+      match
+        let* sc = scenario_of_cell cell in
+        let* () = Registry.check sc in
+        Ok sc
+      with
+      | Ok sc -> Result.map (List.cons (cell, sc)) acc
+      | Error e -> positioned cell e)
+    (Spec.expand spec) (Ok [])
 
-let run_bracha_rl cell cfg ~seed =
-  if cfg.fault_tok <> "none" then
-    bad cell "bracha-rl cells only support fault none";
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let config =
-    BRLH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(B.inputs ~n:cfg.n ~options:B.Options.default values)
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BRLH.run config in
-  of_verdict verdict (Metrics.counter result.BRLH.E.metrics "bytes.sent")
-
-let run_benor cell cfg ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:BO.Fault.flip_value
-      ~equivocate:(BO.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:None
-  in
-  let config =
-    BOH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(BO.inputs ~n:cfg.n ~mode:BO.Mode.Byzantine ~coin:Abc.Coin.local values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BOH.run config in
-  of_verdict verdict (Metrics.counter result.BOH.E.metrics "bytes.sent")
-
-let run_mmr cell cfg ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:Mmr.Fault.flip_value
-      ~equivocate:(Mmr.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:None
-  in
-  let config =
-    MmrH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Mmr.inputs ~n:cfg.n ~coin:(Abc.Coin.common ~seed:7) values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = MmrH.run config in
-  of_verdict verdict (Metrics.counter result.MmrH.E.metrics "bytes.sent")
-
-(* RBC outcome: fold the honest nodes' [Delivered] outputs into the
-   validity/agreement/totality triple the way E1 does. *)
-let rbc_outcome ~honest ~payload ~sender_honest ~delivered ~messages ~bytes
-    ~ticks =
-  let count = List.length delivered in
-  let all = count = List.length honest in
-  let agreement =
-    match delivered with
-    | v :: rest -> List.for_all (String.equal v) rest
-    | [] -> true
-  in
-  let validity =
-    (not sender_honest)
-    || List.for_all (String.equal payload) delivered
-  in
-  {
-    decided = all;
-    agreement;
-    validity;
-    totality = count = 0 || all;
-    o_rounds = 0;
-    o_messages = messages;
-    o_bytes = bytes;
-    o_ticks = ticks;
-    o_committed = 0;
-  }
-
-let honest_of_faulty ~n faulty =
-  let ids = List.map fst faulty in
-  List.filter
-    (fun id -> not (List.exists (Node_id.equal id) ids))
-    (Node_id.all ~n)
-
-let run_bracha_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty =
-    match rbc_faults cell ~n:cfg.n ~protocol:"bracha-rbc" ~token:cfg.fault_tok with
-    | Some fs -> fs
-    | None -> bad cell "unknown rbc fault %S" cfg.fault_tok
-  in
-  let config =
-    BrsE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Bracha_str.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = BrsE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.BrsE.outputs.(Node_id.to_int id) with
-        | [ (_, Bracha_str.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload
-    ~sender_honest:(cfg.fault_tok = "none" || cfg.fault_tok = "flip-relay")
-    ~delivered
-    ~messages:(Metrics.counter result.BrsE.metrics "sent")
-    ~bytes:(Metrics.counter result.BrsE.metrics "bytes.sent")
-    ~ticks:result.BrsE.duration
-
-let generic_rbc_faults cell ~token :
-    (Node_id.t * 'msg Behaviour.t) list =
-  match token with
-  | "none" -> []
-  | "silent-sender" -> [ (node 0, Behaviour.Silent) ]
-  | "crash-sender" -> [ (node 0, Behaviour.Crash_after 2) ]
-  | _ -> bad cell "fault %S is only wired up for bracha-rbc" token
-
-let run_coded_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty = generic_rbc_faults cell ~token:cfg.fault_tok in
-  let config =
-    CodE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Abc.Coded_rbc.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = CodE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.CodE.outputs.(Node_id.to_int id) with
-        | [ (_, Abc.Coded_rbc.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload ~sender_honest:(cfg.fault_tok = "none")
-    ~delivered
-    ~messages:(Metrics.counter result.CodE.metrics "sent")
-    ~bytes:(Metrics.counter result.CodE.metrics "bytes.sent")
-    ~ticks:result.CodE.duration
-
-let run_ir_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty = generic_rbc_faults cell ~token:cfg.fault_tok in
-  let config =
-    IrsE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Ir_str.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = IrsE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.IrsE.outputs.(Node_id.to_int id) with
-        | [ (_, Ir_str.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload ~sender_honest:(cfg.fault_tok = "none")
-    ~delivered
-    ~messages:(Metrics.counter result.IrsE.metrics "sent")
-    ~bytes:(Metrics.counter result.IrsE.metrics "bytes.sent")
-    ~ticks:result.IrsE.duration
-
-let run_atomic cell cfg ~seed =
-  let mempools =
-    Array.init cfg.n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed ~node:(node i)
-             ~count:(cfg.batch * cfg.epochs) ~rate:1.0 ~tx_bytes:cfg.payload))
-  in
-  let crash = crash_schedules cell cfg.crash_tok in
-  let faulty =
-    (match counted cell cfg.fault_tok with
-    | "none", _ -> []
-    | "silent", count -> tail_faults ~n:cfg.n ~count Behaviour.Silent
-    | kind, _ -> bad cell "unknown atomic fault %S" kind)
-    @ List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) crash
-  in
-  let recovery =
-    { AtomE.snapshot = Atomic.snapshot; restore = Atomic.restore }
-  in
-  let config =
-    AtomE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:
-        (Atomic.inputs ~n:cfg.n ~window:cfg.window
-           ~checkpoint_interval:cfg.checkpoint ~batch_size:cfg.batch
-           ~epochs:cfg.epochs ~coin_seed:(seed + 7919) mempools)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~recovery ~seed ()
-  in
-  let result = AtomE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let crash_ids = List.map (fun (i, _) -> node i) crash in
-  let correct =
-    honest @ List.filter (fun id -> not (List.mem id honest)) crash_ids
-  in
-  let logs =
-    List.map (fun id -> Atomic.log_of_outputs result.AtomE.outputs.(Node_id.to_int id)) correct
-  in
-  let decided =
-    result.AtomE.stop = Abc_net.Engine.All_terminal
-    && List.for_all (fun l -> l <> None) logs
-  in
-  let agreement =
-    match logs with
-    | first :: rest -> List.for_all (fun l -> l = None || l = first || first = None) rest
-    | [] -> true
-  in
-  let committed =
-    match logs with Some l :: _ -> List.length l | _ -> 0
-  in
-  {
-    decided;
-    agreement;
-    validity = true;
-    totality = true;
-    o_rounds = 0;
-    o_messages = Metrics.counter result.AtomE.metrics "sent";
-    o_bytes = Metrics.counter result.AtomE.metrics "bytes.sent";
-    o_ticks = result.AtomE.duration;
-    o_committed = committed;
-  }
-
-let failed_outcome =
-  {
-    decided = false;
-    agreement = false;
-    validity = false;
-    totality = false;
-    o_rounds = 0;
-    o_messages = 0;
-    o_bytes = 0;
-    o_ticks = 0;
-    o_committed = 0;
-  }
-
-let dispatch cell cfg ~seed =
-  match cfg.protocol with
-  | "bracha" -> run_bracha cell cfg ~options:B.Options.default ~seed
-  | "bracha-cc" ->
-    run_bracha cell cfg ~options:(B.Options.with_common_coin ~seed:7) ~seed
-  | "bracha-rl" -> run_bracha_rl cell cfg ~seed
-  | "ben-or" -> run_benor cell cfg ~seed
-  | "mmr" -> run_mmr cell cfg ~seed
-  | "bracha-rbc" -> run_bracha_rbc cell cfg ~seed
-  | "coded-rbc" -> run_coded_rbc cell cfg ~seed
-  | "ir-rbc" -> run_ir_rbc cell cfg ~seed
-  | "atomic" -> run_atomic cell cfg ~seed
-  | p -> bad cell "unknown protocol %S" p
+let check spec = Result.map ignore (scenarios spec)
 
 (* A beyond-resilience (n, f) is rejected by the protocol's own quorum
-   assertion at init.  For the matrix that IS the run's failure mode —
-   an [expect-fail] cell passes on it, a [decide] cell fails — so only
-   that specific rejection becomes a failed outcome; every other
-   [Invalid_argument] (unknown token, bad axis combination) stays an
-   error. *)
-let run_seed cell cfg ~seed =
-  match dispatch cell cfg ~seed with
-  | outcome -> outcome
-  | exception Invalid_argument msg
-    when String.length msg >= 7 && String.sub msg 0 7 = "Quorum." ->
-    failed_outcome
+   assertion at init.  For the matrix that IS the run's failure mode:
+   an [expect-fail] cell passes on it, a [decide] cell fails. *)
+let run_seed sc ~seed =
+  match Registry.run sc ~seed with Ok r -> r.Registry.outcome | Error _ -> Registry.failed
 
 (* ----------------------------------------------------------------- *)
 (* Oracles                                                           *)
 (* ----------------------------------------------------------------- *)
 
-let decides o = o.decided && o.agreement && o.validity
-
-let satisfies oracle o =
+let satisfies oracle (o : Registry.outcome) =
   match oracle with
-  | Spec.Decide | Spec.Expect_fail -> decides o
+  | Spec.Decide | Spec.Expect_fail -> Registry.decides o
   | Spec.Agree -> o.agreement && o.validity
   | Spec.Deliver_all -> o.decided && o.agreement && o.totality
-  | Spec.Live_within b -> decides o && o.o_ticks <= b
+  | Spec.Live_within b -> Registry.decides o && o.ticks <= b
   | Spec.Any -> true
 
 let cell_pass oracle ~ok ~total =
@@ -618,35 +101,32 @@ let scaled_seeds ~seeds_scale s =
   max 1 (int_of_float (float_of_int s *. seeds_scale))
 
 let run ?clock ?(seeds_scale = 1.) ~pool spec =
-  let cells = Spec.expand spec in
+  let cells =
+    match scenarios spec with Ok cells -> cells | Error e -> invalid_arg (Sexp.error_to_string e)
+  in
+  let seeds cell = scaled_seeds ~seeds_scale (max 1 (Spec.find_int cell "seeds" ~default:10)) in
   let jobs =
     (* One job per (cell, seed), flattened in cell order: the merge is
        index-ordered, so regrouping below is deterministic at any
        worker count. *)
-    List.concat_map
-      (fun cell ->
-        let cfg = cfg_of_cell cell in
-        let seeds = scaled_seeds ~seeds_scale cfg.seeds in
-        List.init seeds (fun seed -> (cell, cfg, seed)))
-      cells
+    List.concat_map (fun (cell, sc) -> List.init (seeds cell) (fun seed -> (sc, seed))) cells
   in
   let job_array = Array.of_list jobs in
   let outcomes =
     Pool.map pool (Array.length job_array) (fun i ->
-        let cell, cfg, seed = job_array.(i) in
+        let sc, seed = job_array.(i) in
         match clock with
-        | None -> (run_seed cell cfg ~seed, 0.)
+        | None -> (run_seed sc ~seed, 0.)
         | Some now ->
           let t0 = now () in
-          let o = run_seed cell cfg ~seed in
+          let o = run_seed sc ~seed in
           (o, now () -. t0))
   in
   let cursor = ref 0 in
   let results =
     List.map
-      (fun cell ->
-        let cfg = cfg_of_cell cell in
-        let seeds = scaled_seeds ~seeds_scale cfg.seeds in
+      (fun (cell, _) ->
+        let seeds = seeds cell in
         let mine = Array.sub outcomes !cursor seeds in
         cursor := !cursor + seeds;
         let total = Array.length mine in
@@ -657,11 +137,13 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
         in
         let decide_ok =
           Array.fold_left
-            (fun acc (o, _) -> if decides o then acc + 1 else acc)
+            (fun acc (o, _) -> if Registry.decides o then acc + 1 else acc)
             0 mine
         in
         let meanf field =
-          Array.fold_left (fun acc (o, _) -> acc +. float_of_int (field o)) 0. mine
+          Array.fold_left
+            (fun acc ((o : Registry.outcome), _) -> acc +. float_of_int (field o))
+            0. mine
           /. float_of_int total
         in
         let wall =
@@ -673,11 +155,11 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
           metrics =
             {
               ok_rate = float_of_int decide_ok /. float_of_int total;
-              rounds = meanf (fun o -> o.o_rounds);
-              messages = meanf (fun o -> o.o_messages);
-              bytes = meanf (fun o -> o.o_bytes);
-              ticks = meanf (fun o -> o.o_ticks);
-              committed = meanf (fun o -> o.o_committed);
+              rounds = meanf (fun o -> o.rounds);
+              messages = meanf (fun o -> o.messages);
+              bytes = meanf (fun o -> o.bytes);
+              ticks = meanf (fun o -> o.ticks);
+              committed = meanf (fun o -> o.committed);
               wall_s = wall;
             };
         })

@@ -8,15 +8,9 @@
     supplied; with [clock] absent every wall field is exactly [0.]
     (what the CI determinism diff runs with).
 
-    Protocol dispatch lives here (not in [bench/]) so the bench
-    harness and [abc-bench] share one implementation.  Supported
-    protocol tokens: [bracha], [bracha-cc] (common coin), [bracha-rl]
-    (reliable-link transport), [ben-or], [mmr] for binary consensus;
-    [bracha-rbc], [coded-rbc], [ir-rbc] for reliable broadcast over a
-    [payload]-byte message; [atomic] for the batched atomic broadcast
-    ([batch] / [epochs] / [window] / [checkpoint] / [crash] axes).  An
-    unsupported token or axis combination raises
-    [Invalid_argument] with the offending cell's key. *)
+    Every cell becomes a {!Registry.scenario}, and the registry is the
+    only code that turns a scenario into a run: this module translates
+    cells ({!check}ed before any runs), fans seeds out and aggregates. *)
 
 type cell_metrics = {
   ok_rate : float;  (** fraction of seeds satisfying {!Spec.Decide} *)
@@ -36,6 +30,10 @@ type cell_result = {
 
 type t = { spec : Spec.t; cells : cell_result list }
 
+val check : Spec.t -> (unit, Sexp.error) result
+(** Every cell checked against the registry ({!Registry.check}), the
+    error at the offending binding's span. *)
+
 val run :
   ?clock:(unit -> float) ->
   ?seeds_scale:float ->
@@ -44,7 +42,8 @@ val run :
   t
 (** Expand the spec and run every cell's seed sweep on the pool.
     [seeds_scale] multiplies each cell's [seeds] axis (floored at 1);
-    the quick tier in CI uses the spec's own counts, scale [1.]. *)
+    the quick tier in CI uses the spec's own counts, scale [1.].
+    Raises [Invalid_argument] when {!check} fails. *)
 
 val passed : t -> bool
 (** Every cell's expected verdict held. *)

@@ -129,7 +129,7 @@ let atom = function
   | Sexp.List (_, span) ->
     raise (Fail (span.Sexp.s, "expected an atom, found a list"))
 
-let axis_value ty form =
+let axis_value ?axis ty form =
   let s, span = atom form in
   let v = classify_atom s in
   let v =
@@ -143,6 +143,9 @@ let axis_value ty form =
       fail span (Printf.sprintf "expected a number, found %S" s)
     | Tstr, _ -> Str s
   in
+  (* The registry decodes each token value once, here: a typo is an
+     error at its span, not at run time. *)
+  Option.iter (fun axis -> Result.iter_error (fail span) (Registry.check_token ~axis s)) axis;
   (v, span)
 
 let axis_ty name span =
@@ -158,7 +161,7 @@ let parse_axis = function
   | Sexp.List (Sexp.Atom (name, nspan) :: values, span) ->
     if values = [] then fail span (Printf.sprintf "axis %S has no values" name);
     let ty = axis_ty name nspan in
-    { name; values = List.map (axis_value ty) values }
+    { name; values = List.map (axis_value ~axis:name ty) values }
   | form -> fail (Sexp.span form) "expected an axis: (name value ...)"
 
 let parse_group = function
@@ -388,16 +391,3 @@ let expand t =
       let cell = { bindings; oracle = Any } in
       { cell with oracle = oracle_for t cell })
     (go t.groups)
-
-(* ----------------------------------------------------------------- *)
-(* Resilience registry                                               *)
-(* ----------------------------------------------------------------- *)
-
-let resilience protocol =
-  match protocol with
-  | "bracha" | "bracha-cc" | "bracha-rl" | "mmr" | "bracha-rbc" | "coded-rbc"
-  | "atomic" ->
-    Some ("n>3f", fun n -> (n - 1) / 3)
-  | "ben-or" | "ir-rbc" -> Some ("n>5f", fun n -> (n - 1) / 5)
-  | "turpin-coan" -> Some ("n>4f", fun n -> (n - 1) / 4)
-  | _ -> None

@@ -76,7 +76,9 @@ val axes : t -> string list
 
 val of_string : file:string -> string -> (t, Sexp.error) result
 (** Parse and elaborate one spec.  Errors carry the span of the
-    offending token. *)
+    offending token; the values of the token axes ([protocol],
+    [adversary], [fault], [topology], [inputs], [crash]) must decode in
+    the {!Registry}. *)
 
 val load : string -> (t, Sexp.error) result
 (** [of_string] over a file's contents. *)
@@ -88,10 +90,3 @@ val expand : t -> cell list
     default).  Deterministic and order-stable. *)
 
 val cell_count : t -> int
-
-val resilience : string -> (string * (int -> int)) option
-(** [resilience protocol] is the declared resilience class of a
-    protocol token — the class label (["n>3f"]) and the maximal
-    tolerated [f] as a function of [n] — mirroring the
-    [\[@@@abc.resilience\]] declarations the linter checks in protocol
-    modules.  [None] for unknown protocols. *)

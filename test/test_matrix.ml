@@ -16,6 +16,7 @@
 module Sexp = Abc_matrix.Sexp
 module Spec = Abc_matrix.Spec
 module Runner = Abc_matrix.Runner
+module Registry = Abc_matrix.Registry
 module Pool = Abc_exec.Pool
 module Json = Abc_sim.Json
 
@@ -42,8 +43,7 @@ let base_spec ~axes ~expect =
 
 (* ---- parse errors, with span assertions ---- *)
 
-let check_error name text ~line ~col ~msg_has =
-  let e = spec_error text in
+let check_at name (e : Sexp.error) ~line ~col ~msg_has =
   Alcotest.(check int) (name ^ ": line") line e.Sexp.pos.Sexp.line;
   Alcotest.(check int) (name ^ ": col") col e.Sexp.pos.Sexp.col;
   let rendered = Sexp.error_to_string e in
@@ -52,6 +52,8 @@ let check_error name text ~line ~col ~msg_has =
     Alcotest.failf "%s: %S does not start with %S" name rendered prefix;
   if not (Astring.String.is_infix ~affix:msg_has rendered) then
     Alcotest.failf "%s: %S does not mention %S" name rendered msg_has
+
+let check_error name text = check_at name (spec_error text)
 
 let test_parse_errors () =
   check_error "unterminated string" "(matrix (title \"oops)\n" ~line:1 ~col:15
@@ -90,6 +92,50 @@ let test_elaboration_errors () =
     (base_spec ~axes:"    (protocol bracha)\n    (n four)\n    (f 1)\n"
        ~expect:"    (default decide)\n")
     ~line:7 ~col:7 ~msg_has:"expected an integer"
+
+(* Every token axis is decoded by the registry at elaboration: a typo
+   is an error at the offending value, not a crash when the cell runs. *)
+let test_token_errors () =
+  let axes extra = "    (protocol bracha)\n    (n 4)\n    (f 1)\n" ^ extra in
+  let expect = "    (default decide)\n" in
+  check_error "unknown protocol"
+    (base_spec ~axes:"    (protocol turpin-coan)\n    (n 4)\n    (f 1)\n" ~expect)
+    ~line:6 ~col:14 ~msg_has:"unknown protocol \"turpin-coan\"";
+  check_error "unknown adversary"
+    (base_spec ~axes:(axes "    (adversary fifo latncy:8)\n") ~expect)
+    ~line:9 ~col:20 ~msg_has:"adversary \"latncy:8\"";
+  check_error "unknown fault"
+    (base_spec ~axes:(axes "    (fault none flip-realy)\n") ~expect)
+    ~line:9 ~col:16 ~msg_has:"fault \"flip-realy\"";
+  check_error "unknown topology"
+    (base_spec ~axes:(axes "    (topology ring torus)\n") ~expect)
+    ~line:9 ~col:19 ~msg_has:"topology \"torus\"";
+  check_error "unknown inputs"
+    (base_spec ~axes:(axes "    (inputs split unanimous2)\n") ~expect)
+    ~line:9 ~col:18 ~msg_has:"inputs \"unanimous2\"";
+  check_error "crash rejoins before it crashes"
+    (base_spec ~axes:(axes "    (crash none 3:400:200)\n") ~expect)
+    ~line:9 ~col:16 ~msg_has:"crash \"3:400:200\""
+
+(* Combinations are checked per cell, before any cell runs, and the
+   error sits at the binding that cannot hold at that cell. *)
+let check_cell_error name text =
+  match Runner.check (spec_of_string text) with
+  | Ok () -> Alcotest.failf "%s: spec unexpectedly passed the registry" name
+  | Error e -> check_at name e
+
+let test_cross_axis_errors () =
+  check_cell_error "target beyond n"
+    (base_spec
+       ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n    (adversary uniform target:9)\n"
+       ~expect:"    (default decide)\n")
+    ~line:9 ~col:23 ~msg_has:"node 9, but n=4";
+  check_cell_error "flip-relay on coded-rbc"
+    (base_spec
+       ~axes:
+         "    (protocol bracha-rbc coded-rbc)\n    (n 4)\n    (f 1)\n    (fault none flip-relay)\n"
+       ~expect:"    (default deliver-all)\n")
+    ~line:9 ~col:16 ~msg_has:"\"flip-relay\" is not defined for coded-rbc"
 
 (* ---- expansion: counts and order ---- *)
 
@@ -165,13 +211,13 @@ let test_boundary_oracles () =
   Alcotest.(check (list string))
     "first matching clause wins" [ "decide"; "agree" ] labels;
   (* n = 3f + 1 is within bound; f one beyond is not. *)
-  (match Spec.resilience "bracha" with
+  (match Registry.resilience "bracha" with
   | None -> Alcotest.fail "bracha not in the resilience registry"
   | Some (cls, max_f) ->
     Alcotest.(check string) "class label" "n>3f" cls;
     Alcotest.(check int) "n=4 tolerates f=1" 1 (max_f 4);
     Alcotest.(check int) "n=7 tolerates f=2" 2 (max_f 7));
-  match Spec.resilience "ben-or" with
+  match Registry.resilience "ben-or" with
   | Some (cls, max_f) ->
     Alcotest.(check string) "ben-or class" "n>5f" cls;
     Alcotest.(check int) "n=6 tolerates f=1" 1 (max_f 6)
@@ -271,7 +317,9 @@ let test_committed_specs () =
       match Spec.load path with
       | Error e -> Alcotest.failf "%s: %s" file (Sexp.error_to_string e)
       | Ok spec ->
-        Alcotest.(check int) (file ^ ": cell count") cells (Spec.cell_count spec))
+        Alcotest.(check int) (file ^ ": cell count") cells (Spec.cell_count spec);
+        Alcotest.(check bool) (file ^ ": registry accepts every cell") true
+          (Runner.check spec = Ok ()))
     [
       ("e1.matrix", 80);
       ("e14.matrix", 8);
@@ -289,6 +337,9 @@ let () =
             test_parse_errors;
           Alcotest.test_case "elaboration errors carry spans" `Quick
             test_elaboration_errors;
+          Alcotest.test_case "token errors carry spans" `Quick test_token_errors;
+          Alcotest.test_case "cross-axis errors carry spans" `Quick
+            test_cross_axis_errors;
         ] );
       ( "expand",
         [

@@ -909,6 +909,65 @@ let trace_decoder_test =
   campaign ~name:"trace decoder: total on mutated JSONL" ~count:400 mutation_gen
     print_mutations decoder_total
 
+(* ---- registry token decoders ---- *)
+
+(* The scenario registry's decoders read spec files and CLI flags:
+   random strings and mutations of valid tokens must never raise, and
+   every [Error] must quote the offending token. *)
+module Registry = Abc_matrix.Registry
+
+let token_decoders =
+  let total decode s = Result.map ignore (decode s) in
+  [|
+    ( "adversary",
+      total Registry.adversary,
+      [ "fifo"; "uniform"; "split"; "latency:8"; "target:3"; "source:1"; "eclipse:32" ] );
+    ( "fault",
+      total Registry.fault,
+      [ "none"; "silent:2"; "crash"; "balanced-flip:3"; "force-decide"; "replay:2"; "flip-relay";
+        "equivocate-sender" ] );
+    ("topology", total Registry.topology, [ "complete"; "ring"; "star"; "circulant:1,2" ]);
+    ("inputs", total Registry.inputs, [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
+    ("crash", total Registry.crash, [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
+    ("partition", total Registry.partition, [ "10:80:0,1"; "0:0:3"; "5:9: 2 , 4" ]);
+  |]
+
+let token_chars = "abcdefilnoprstuvxz0123456789:,-_. +\"\\\000\255"
+
+let token_gen =
+  QCheck.Gen.(
+    int_bound (Array.length token_decoders - 1) >>= fun d ->
+    let _, _, valid = token_decoders.(d) in
+    let char = map (String.get token_chars) (int_bound (String.length token_chars - 1)) in
+    let random = string_size ~gen:char (int_bound 12) in
+    let mutate s =
+      let at = if s = "" then return 0 else int_bound (String.length s) in
+      oneof
+        [
+          map2 (fun i c -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i)) at char;
+          map (fun i -> String.sub s 0 i) at;
+          map (fun i -> if i < String.length s then String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1) else s) at;
+          map (fun t -> s ^ ":" ^ t) (oneofl valid);
+          map (fun t -> s ^ "," ^ t) (oneofl valid);
+        ]
+    in
+    map (fun s -> (d, s)) (oneof [ random; oneofl valid >>= mutate; oneofl valid >>= mutate >>= mutate ]))
+
+let print_token (d, s) =
+  let name, _, _ = token_decoders.(d) in
+  Printf.sprintf "%s %S" name s
+
+let token_total (d, s) =
+  let _, decode, _ = token_decoders.(d) in
+  match decode s with
+  | exception _ -> false
+  | Ok () -> true
+  | Error msg -> Astring.String.is_infix ~affix:(Printf.sprintf "%S" s) msg
+
+let token_decoder_test =
+  campaign ~name:"registry decoders: total, errors quote the token" ~count:2000 token_gen
+    print_token token_total
+
 (* ---- engine scale smoke ---- *)
 
 (* One deterministic large-n run through the arena-based engine: the
@@ -944,7 +1003,7 @@ let () =
         [ Turpin_battery.test; Acs_battery.test ] );
       ( "smr",
         [ Atomic_battery.test ] );
-      ("decoders", [ trace_decoder_test ]);
+      ("decoders", [ trace_decoder_test; token_decoder_test ]);
       ( "scale",
         [
           Alcotest.test_case "bracha rbc n=128 delivers" `Quick

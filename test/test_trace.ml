@@ -1,8 +1,8 @@
 (* Tests for the structured observability layer: JSONL round-trips of
    typed events, exact trace eviction accounting, detailed metrics
-   checked against a hand-computed Bracha RBC run, golden-output tests
-   for the abc-trace summary report, and a byte-for-byte golden of one
-   whole JSONL export. *)
+   checked against a hand-computed Bracha RBC run, and the reload of
+   one golden JSONL export byte for byte.  The golden summaries are
+   replayed through the binaries themselves, by test/cli.t. *)
 
 module Event = Abc_sim.Event
 module Trace = Abc_sim.Trace
@@ -363,126 +363,7 @@ let test_rbc_trace_quorums () =
   Alcotest.(check int) "output events" 4
     (List.length (Trace.find_kind trace ~label:"output"))
 
-(* ---- golden summary ---- *)
-
-(* What [abc-run consensus -n N -f F --seed S --trace-out FILE] writes:
-   Bracha consensus, uniform adversary, split inputs, default options. *)
-let consensus_jsonl ?link_faults ~n ~f ~seed () =
-  let module B = Abc.Bracha_consensus in
-  let module H = Abc.Harness.Make (struct
-    include B
-
-    let value_of_input = B.value_of_input
-  end) in
-  let values =
-    Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
-  in
-  let trace = Trace.create ~capacity:1_000_000 () in
-  let config =
-    H.E.config ~n ~f
-      ~inputs:(B.inputs ~n ~options:B.Options.default values)
-      ~adversary:Adversary.uniform ~seed ?link_faults ~trace ()
-  in
-  let _ = H.run config in
-  let meta =
-    [
-      ("protocol", Json.String "bracha-consensus");
-      ("n", Json.Int n);
-      ("f", Json.Int f);
-      ("seed", Json.Int seed);
-    ]
-  in
-  Trace.to_jsonl_string ~meta trace
-
-(* The same run the CI trace-smoke job performs through the abc-run and
-   abc-trace binaries, n=7 f=2 seed=42.  The rendered summary must
-   match test/golden/smoke_summary.txt byte for byte. *)
-let consensus_summary () =
-  match Trace_file.of_string (consensus_jsonl ~n:7 ~f:2 ~seed:42 ()) with
-  | Error msg -> Alcotest.fail msg
-  | Ok file -> Trace_report.summary file
-
-(* The same run the CI atomic-smoke job performs through the binaries:
-   abc-run smr --atomic -n 4 -f 1 --epochs 3 --batch-size 8 --seed 11
-   (defaults: window 2, tx-rate 0.5, tx-bytes 32, uniform adversary).
-   The rendered summary must match test/golden/atomic_summary.txt byte
-   for byte — this is the schema-v4 epoch vocabulary under glass. *)
-let atomic_summary () =
-  let module Atomic = Abc_smr.Atomic_broadcast in
-  let module Workload = Abc_smr.Workload in
-  let module E = Abc_net.Engine.Make (Atomic) in
-  let n = 4 and f = 1 and seed = 11 in
-  let batch_size = 8 and epochs = 3 in
-  let mempools =
-    Array.init n (fun i ->
-        Workload.txs
-          (Workload.generate ~seed ~node:(Node_id.of_int i)
-             ~count:(batch_size * epochs) ~rate:0.5 ~tx_bytes:32))
-  in
-  let trace = Trace.create ~capacity:1_000_000 () in
-  let config =
-    E.config ~n ~f
-      ~inputs:
-        (Atomic.inputs ~n ~window:2 ~batch_size ~epochs
-           ~coin_seed:(seed + 7919) mempools)
-      ~adversary:Adversary.uniform ~seed ~trace ()
-  in
-  let _ = E.run config in
-  let meta =
-    [
-      ("protocol", Json.String "smr-atomic");
-      ("n", Json.Int n);
-      ("f", Json.Int f);
-      ("seed", Json.Int seed);
-    ]
-  in
-  match Trace_file.of_string (Trace.to_jsonl_string ~meta trace) with
-  | Error msg -> Alcotest.fail msg
-  | Ok file -> Trace_report.summary file
-
-(* The same run the CI recovery-smoke job performs through the
-   binaries: abc-run smr --atomic -n 4 -f 1 --epochs 4 --batch-size 4
-   --seed 21 --checkpoint-interval 2 --crash 2:300:2500 (defaults:
-   window 2, tx-rate 0.5, tx-bytes 32, uniform adversary).  The
-   rendered summary must match test/golden/recovery_summary.txt byte
-   for byte — this pins the schema-v5 recovery vocabulary
-   (node-crashed, node-recovered, checkpoint-stable and the
-   state-transfer pair) under glass. *)
-let recovery_summary () =
-  let module Atomic = Abc_smr.Atomic_broadcast in
-  let module Workload = Abc_smr.Workload in
-  let module E = Abc_net.Engine.Make (Atomic) in
-  let n = 4 and f = 1 and seed = 21 in
-  let batch_size = 4 and epochs = 4 in
-  let mempools =
-    Array.init n (fun i ->
-        Workload.txs
-          (Workload.generate ~seed ~node:(Node_id.of_int i)
-             ~count:(batch_size * epochs) ~rate:0.5 ~tx_bytes:32))
-  in
-  let trace = Trace.create ~capacity:1_000_000 () in
-  let config =
-    E.config ~n ~f
-      ~inputs:
-        (Atomic.inputs ~n ~window:2 ~checkpoint_interval:2 ~batch_size ~epochs
-           ~coin_seed:(seed + 7919) mempools)
-      ~faulty:
-        [ (Node_id.of_int 2, Abc_net.Behaviour.Crash_recover [ (300, 2500) ]) ]
-      ~recovery:{ E.snapshot = Atomic.snapshot; restore = Atomic.restore }
-      ~adversary:Adversary.uniform ~seed ~trace ()
-  in
-  let _ = E.run config in
-  let meta =
-    [
-      ("protocol", Json.String "smr-atomic");
-      ("n", Json.Int n);
-      ("f", Json.Int f);
-      ("seed", Json.Int seed);
-    ]
-  in
-  match Trace_file.of_string (Trace.to_jsonl_string ~meta trace) with
-  | Error msg -> Alcotest.fail msg
-  | Ok file -> Trace_report.summary file
+(* ---- golden trace ---- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -490,35 +371,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_golden_summary () =
-  let golden = read_file "golden/smoke_summary.txt" in
-  Alcotest.(check string) "summary matches golden" golden (consensus_summary ())
-
-let test_summary_deterministic () =
-  Alcotest.(check string) "same seed, same summary" (consensus_summary ())
-    (consensus_summary ())
-
-let test_atomic_golden_summary () =
-  let golden = read_file "golden/atomic_summary.txt" in
-  Alcotest.(check string) "atomic summary matches golden" golden
-    (atomic_summary ())
-
-let test_recovery_golden_summary () =
-  let golden = read_file "golden/recovery_summary.txt" in
-  Alcotest.(check string) "recovery summary matches golden" golden
-    (recovery_summary ())
-
-(* The run behind test/golden/dup_trace.jsonl, which the CI trace-smoke
-   job also makes through the binary:
-   abc-run consensus -n 4 -f 1 --seed 8 --dup 0.2 --trace-out FILE.
-   Summaries omit deliver details; this pins every exported byte,
-   including the details of link-duplicated copies. *)
+(* test/golden/dup_trace.jsonl is the trace of
+   abc-run consensus -n 4 -f 1 --seed 8 --dup 0.2 --trace-out FILE,
+   pinned byte for byte by test/cli.t.  Here: reloading it and exporting
+   it again is the identity, details of link-duplicated copies
+   included. *)
 let test_golden_jsonl () =
   let golden = read_file "golden/dup_trace.jsonl" in
-  let link_faults = Abc_net.Link_faults.make ~dup:0.2 () in
-  Alcotest.(check string) "jsonl matches golden" golden
-    (consensus_jsonl ~link_faults ~n:4 ~f:1 ~seed:8 ());
-  (* Reload then re-export is the identity. *)
   match Trace_file.of_string golden with
   | Error msg -> Alcotest.fail msg
   | Ok file ->
@@ -561,14 +420,5 @@ let () =
           Alcotest.test_case "rbc quorum events" `Quick test_rbc_trace_quorums;
         ] );
       ( "golden",
-        [
-          Alcotest.test_case "summary matches golden" `Quick test_golden_summary;
-          Alcotest.test_case "atomic summary matches golden" `Quick
-            test_atomic_golden_summary;
-          Alcotest.test_case "recovery summary matches golden" `Quick
-            test_recovery_golden_summary;
-          Alcotest.test_case "jsonl matches golden" `Quick test_golden_jsonl;
-          Alcotest.test_case "summary deterministic" `Quick
-            test_summary_deterministic;
-        ] );
+        [ Alcotest.test_case "jsonl matches golden" `Quick test_golden_jsonl ] );
     ]
