@@ -1,26 +1,11 @@
-(* Shared machinery for the experiment harness: protocol runners and
-   samplers used by every table in main.ml. *)
+(* Shared machinery for the experiment harness: registry scenarios run
+   over seeds, and the samplers and fits every table in main.ml uses. *)
 
 module Node_id = Abc_net.Node_id
-module Behaviour = Abc_net.Behaviour
-module Adversary = Abc_net.Adversary
 module Summary = Abc_sim.Summary
 module Table = Abc_sim.Table
 module Pool = Abc_exec.Pool
-module B = Abc.Bracha_consensus
-module BO = Abc.Ben_or
-
-module BH = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-module BOH = Abc.Harness.Make (struct
-  include BO
-
-  let value_of_input = BO.value_of_input
-end)
+module Registry = Abc_matrix.Registry
 
 let node = Node_id.of_int
 
@@ -28,113 +13,32 @@ let bracha_max_f n = (n - 1) / 3
 
 let benor_max_f n = (n - 1) / 5
 
-(* Input patterns *)
-
-let unanimous n v = Array.make n v
-
-let split_inputs n =
-  Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
-
-(* Fault batteries: the highest-numbered [count] nodes misbehave. *)
-
-let tail_faults ~n ~count behaviour =
-  List.init count (fun k -> (node (n - 1 - k), behaviour))
-
-type fault_kind = No_fault | Silent | Crash | Flip | Equivocate | Force_decide
-
-let fault_label = function
-  | No_fault -> "none"
-  | Silent -> "silent"
-  | Crash -> "crash"
-  | Flip -> "flip"
-  | Equivocate -> "equivocate"
-  | Force_decide -> "force-d"
-
-let bracha_faults ~n ~count kind =
-  match kind with
-  | No_fault -> []
-  | Silent -> tail_faults ~n ~count Behaviour.Silent
-  | Crash -> tail_faults ~n ~count (Behaviour.Crash_after 5)
-  | Flip -> tail_faults ~n ~count (Behaviour.Mutate B.Fault.flip_value)
-  | Equivocate ->
-    tail_faults ~n ~count (Behaviour.Equivocate (B.Fault.equivocate_by_half ~n))
-  | Force_decide -> tail_faults ~n ~count (Behaviour.Mutate B.Fault.force_decide)
-
-(* The hardest fault placement we found empirically: bit-flipping liars
-   split across the two input halves, so each half hears amplified
-   support for the other half's value and the honest nodes stay in
-   disagreement until coins align. *)
-let balanced_flip_liars ~n ~count =
-  List.init count (fun k ->
-      let id = if k mod 2 = 0 then k / 2 else n - 1 - (k / 2) in
-      (node id, Behaviour.Mutate B.Fault.flip_value))
-
-let benor_faults ~n ~count kind =
-  match kind with
-  | No_fault -> []
-  | Silent -> tail_faults ~n ~count Behaviour.Silent
-  | Crash -> tail_faults ~n ~count (Behaviour.Crash_after 5)
-  | Flip | Force_decide -> tail_faults ~n ~count (Behaviour.Mutate BO.Fault.flip_value)
-  | Equivocate ->
-    tail_faults ~n ~count (Behaviour.Equivocate (BO.Fault.equivocate_by_half ~n))
-
-(* Runners.  All runs are capped so that liveness failures (expected
-   when sweeping past resilience bounds) terminate quickly. *)
-
-let run_bracha ?(options = B.Options.default) ?(adversary = Adversary.uniform)
-    ?(faulty = []) ?max_deliveries ~n ~f ~seed values =
-  let inputs = B.inputs ~n ~options values in
-  let config =
-    BH.E.config ~n ~f ~inputs ~faulty ~adversary ~seed ?max_deliveries ()
-  in
-  snd (BH.run config)
-
-let run_benor ?(mode = BO.Mode.Byzantine) ?(coin = Abc.Coin.local)
-    ?(adversary = Adversary.uniform) ?(faulty = []) ?max_deliveries ~n ~f ~seed
-    values =
-  let inputs = BO.inputs ~n ~mode ~coin values in
-  let config =
-    BOH.E.config ~n ~f ~inputs ~faulty ~adversary ~seed ?max_deliveries ()
-  in
-  snd (BOH.run config)
-
-(* Sampling helpers *)
-
 (* Run one job per seed on the pool and return the per-seed results in
    seed order.  The job closure must build all engine/PRNG/trace state
-   itself (the runners above do: Engine.run allocates everything per
-   call from the seed), so nothing is shared across domains and the
-   merged list is byte-identical at any worker count. *)
+   itself (Registry.run and Engine.run allocate everything per call
+   from the seed), so nothing is shared across domains and the merged
+   list is byte-identical at any worker count. *)
 let sweep_seeds pool ~seeds f = Array.to_list (Pool.map pool seeds f)
+
+let outcomes pool ~seeds sc =
+  sweep_seeds pool ~seeds (fun seed -> Abc_matrix.Runner.run_seed sc ~seed)
 
 type sample = {
   ok_rate : float;
   rounds : Summary.t option; (* over successful runs *)
   messages : Summary.t option;
-  durations : Summary.t option;
 }
 
-let collect verdicts =
-  let oks = List.filter Abc.Harness.ok verdicts in
-  let pick f = Summary.of_list (List.map f oks) in
+let collect outcomes =
+  let oks = List.filter Registry.decides outcomes in
+  let pick f = Summary.of_list (List.map (fun o -> float_of_int (f o)) oks) in
   {
-    ok_rate = float_of_int (List.length oks) /. float_of_int (List.length verdicts);
-    rounds = pick (fun v -> float_of_int v.Abc.Harness.max_round);
-    messages = pick (fun v -> float_of_int v.Abc.Harness.messages);
-    durations = pick (fun v -> float_of_int v.Abc.Harness.duration);
+    ok_rate = float_of_int (List.length oks) /. float_of_int (List.length outcomes);
+    rounds = pick (fun (o : Registry.outcome) -> o.rounds);
+    messages = pick (fun o -> o.messages);
   }
 
-let sample_bracha ?options ?adversary ?faulty ?max_deliveries ~pool ~n ~f ~seeds
-    values =
-  collect
-    (sweep_seeds pool ~seeds (fun seed ->
-         run_bracha ?options ?adversary ?faulty ?max_deliveries ~n ~f ~seed values))
-
-let sample_benor ?mode ?coin ?adversary ?faulty ?max_deliveries ~pool ~n ~f ~seeds
-    values =
-  collect
-    (sweep_seeds pool ~seeds (fun seed ->
-         run_benor ?mode ?coin ?adversary ?faulty ?max_deliveries ~n ~f ~seed values))
+let sample pool ~seeds sc = collect (outcomes pool ~seeds sc)
 
 let mean_or summary default =
   match summary with Some s -> Summary.mean s | None -> default

@@ -8,9 +8,16 @@
 
    The 1984 paper proves theorems rather than reporting measurements;
    each experiment operationalizes one theorem-level claim (see
-   DESIGN.md for the mapping). *)
+   DESIGN.md for the mapping).
+
+   Every run is an Abc_matrix.Registry scenario, the same path as
+   `abc-bench` and `abc-run`; the tables aggregate the outcomes.  E12,
+   E13 and E18 keep their own engines: they measure what no registry
+   outcome carries (see each one's comment). *)
 
 open Helpers
+module Adversary = Abc_net.Adversary
+module Behaviour = Abc_net.Behaviour
 
 let seeds_scale = ref 1.
 
@@ -20,8 +27,6 @@ let scaled k = max 2 (int_of_float (float_of_int k *. !seeds_scale))
 (* E1: reliable broadcast correctness (validity/agreement/totality)  *)
 (* ----------------------------------------------------------------- *)
 
-module Rbc = Abc.Bracha_rbc.Binary
-module RbcE = Abc_net.Engine.Make (Rbc)
 module Matrix_spec = Abc_matrix.Spec
 module Matrix_runner = Abc_matrix.Runner
 
@@ -68,26 +73,16 @@ let experiment_e2 pool =
       ()
   in
   (* Cap deliveries so liveness failures beyond the bound return fast. *)
-  let cap = 400_000 in
   List.iter
     (fun f ->
-      let values = split_inputs n in
-      let bracha =
-        sample_bracha
-          ~faulty:(bracha_faults ~n ~count:f Flip)
-          ~max_deliveries:cap ~pool ~n ~f ~seeds values
-      in
-      let benor =
-        sample_benor
-          ~faulty:(benor_faults ~n ~count:f Flip)
-          ~max_deliveries:cap ~pool ~n ~f ~seeds values
+      let ok protocol =
+        (sample pool ~seeds
+           { (Registry.scenario ~protocol ~n ~f) with
+             fault = Faulty [ (Flip, f) ]; budget = Some 400_000 })
+          .ok_rate
       in
       Table.add_row table
-        [
-          Table.cell_int f;
-          Table.cell_percent bracha.ok_rate;
-          Table.cell_percent benor.ok_rate;
-        ])
+        [ Table.cell_int f; Table.cell_percent (ok "bracha"); Table.cell_percent (ok "ben-or") ])
     [ 0; 1; 2; 3; 4; 5 ];
   Table.print table;
   print_newline ()
@@ -95,6 +90,14 @@ let experiment_e2 pool =
 (* ----------------------------------------------------------------- *)
 (* E3: rounds to decide vs n at maximum resilience (local coin)      *)
 (* ----------------------------------------------------------------- *)
+
+(* E3, E4, E6 and E10's adversary: the split scheduler with bit-flipping
+   liars split across the two input halves, so each half hears
+   amplified support for the other half's value and the honest nodes
+   stay in disagreement until coins align.  The hardest placement we
+   found empirically. *)
+let liars protocol ~n ~f =
+  { (Registry.scenario ~protocol ~n ~f) with adversary = Split; fault = Faulty [ (Balanced_flip, f) ] }
 
 let experiment_e3 pool =
   let seeds = scaled 30 in
@@ -111,12 +114,7 @@ let experiment_e3 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let s =
-        sample_bracha
-          ~adversary:(Adversary.split ~n)
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
+      let s = sample pool ~seeds (liars "bracha" ~n ~f) in
       Table.add_row table
         [
           Table.cell_int n;
@@ -150,12 +148,7 @@ let experiment_e4 pool =
     (fun n ->
       let f = int_of_float (sqrt (float_of_int n)) in
       assert (n > 3 * f);
-      let s =
-        sample_bracha
-          ~adversary:(Adversary.split ~n)
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
+      let s = sample pool ~seeds (liars "bracha" ~n ~f) in
       Table.add_row table
         [
           Table.cell_int n;
@@ -187,20 +180,14 @@ let experiment_e5 _pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
+      let fifo protocol =
+        { (Registry.scenario ~protocol ~n ~f) with adversary = Fifo; inputs = Unanimous Abc.Value.One }
+      in
       (* one RBC *)
-      let config =
-        RbcE.config ~n ~f
-          ~inputs:(Rbc.inputs ~n ~sender:(node 0) Abc.Value.One)
-          ~adversary:Adversary.fifo ~seed:0 ()
-      in
-      let rbc_result = RbcE.run config in
-      let rbc_msgs = Abc_sim.Metrics.counter rbc_result.RbcE.metrics "sent" in
+      let rbc_msgs = (Matrix_runner.run_seed (fifo "bracha-rbc-bit") ~seed:0).messages in
       (* one consensus, unanimous so it ends in one round *)
-      let v = run_bracha ~adversary:Adversary.fifo ~n ~f ~seed:0 (unanimous n Abc.Value.One) in
-      let per_round =
-        float_of_int v.Abc.Harness.messages
-        /. float_of_int (max 1 v.Abc.Harness.max_round + 1)
-      in
+      let v = Matrix_runner.run_seed (fifo "bracha") ~seed:0 in
+      let per_round = float_of_int v.messages /. float_of_int (max 1 v.rounds + 1) in
       rbc_points := (n, float_of_int rbc_msgs) :: !rbc_points;
       cons_points := (n, per_round) :: !cons_points;
       Table.add_row table
@@ -238,16 +225,8 @@ let experiment_e6 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let faulty = balanced_flip_liars ~n ~count:f in
-      let adversary = Adversary.split ~n in
-      let local =
-        sample_bracha ~adversary ~faulty ~pool ~n ~f ~seeds (split_inputs n)
-      in
-      let common =
-        sample_bracha
-          ~options:(B.Options.with_common_coin ~seed:7)
-          ~adversary ~faulty ~pool ~n ~f ~seeds (split_inputs n)
-      in
+      let local = sample pool ~seeds (liars "bracha" ~n ~f) in
+      let common = sample pool ~seeds (liars "bracha-cc" ~n ~f) in
       Table.add_row table
         [
           Table.cell_int n;
@@ -262,24 +241,18 @@ let experiment_e6 pool =
     [ 4; 8; 13; 16 ];
   Table.print table;
   (* Full distributions at n=16: the tail is the story. *)
-  let n = 16 in
-  let f = bracha_max_f n in
-  let faulty = balanced_flip_liars ~n ~count:f in
-  let adversary = Adversary.split ~n in
-  let rounds options =
+  let rounds protocol =
     (* Runs fan out over the pool; the histogram is filled from the
        merged seed-ordered list so buckets never depend on scheduling. *)
     let h = Abc_sim.Histogram.create () in
-    sweep_seeds pool ~seeds (fun seed ->
-        run_bracha ~options ~adversary ~faulty ~n ~f ~seed (split_inputs n))
-    |> List.iter (fun v ->
-           if Abc.Harness.ok v then Abc_sim.Histogram.add h v.Abc.Harness.max_round);
+    outcomes pool ~seeds (liars protocol ~n:16 ~f:(bracha_max_f 16))
+    |> List.iter (fun o -> if Registry.decides o then Abc_sim.Histogram.add h o.rounds);
     h
   in
   Printf.printf "rounds-to-decide distribution at n=16 (local coin):\n%s"
-    (Abc_sim.Histogram.render (rounds B.Options.default));
+    (Abc_sim.Histogram.render (rounds "bracha"));
   Printf.printf "rounds-to-decide distribution at n=16 (common coin):\n%s\n"
-    (Abc_sim.Histogram.render (rounds (B.Options.with_common_coin ~seed:7)));
+    (Abc_sim.Histogram.render (rounds "bracha-cc"));
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -299,21 +272,15 @@ let experiment_e7 pool =
       ~columns:[ "transport"; "validation"; "ok"; "mean rounds (ok runs)" ]
       ()
   in
-  let faulty =
-    [
-      (node (n - 1), Behaviour.Mutate B.Fault.force_decide);
-      (node (n - 2), Behaviour.Mutate B.Fault.flip_value);
-    ]
-  in
-  let cap = 300_000 in
   List.iter
-    (fun (transport, transport_label) ->
+    (fun (plain, transport_label) ->
       List.iter
         (fun validation ->
-          let options = { B.Options.default with B.Options.transport; validation } in
           let s =
-            sample_bracha ~options ~faulty ~max_deliveries:cap ~pool ~n ~f ~seeds
-              (unanimous n Abc.Value.Zero)
+            sample pool ~seeds
+              { (Registry.scenario ~protocol:"bracha" ~n ~f) with
+                inputs = Unanimous Abc.Value.Zero; fault = Faulty [ (Force_decide, 1); (Flip, 1) ];
+                budget = Some 300_000; validation; plain }
           in
           Table.add_row table
             [
@@ -323,16 +290,13 @@ let experiment_e7 pool =
               Table.cell_float (mean_or s.rounds 0.);
             ])
         [ true; false ])
-    [ (B.Options.Reliable, "rbc"); (B.Options.Plain, "plain") ];
+    [ (false, "rbc"); (true, "plain") ];
   Table.print table;
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
 (* E9: replicated-log throughput                                     *)
 (* ----------------------------------------------------------------- *)
-
-module Log = Abc_smr.Replicated_log
-module LogE = Abc_net.Engine.Make (Log)
 
 let experiment_e9 pool =
   let seeds = scaled 5 in
@@ -351,38 +315,23 @@ let experiment_e9 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let commands = ref 0 and msgs = ref 0 and time = ref 0 in
-      sweep_seeds pool ~seeds (fun seed ->
-          let config =
-            LogE.config ~n ~f
-              ~inputs:
-                (Log.inputs ~n ~slots ~coin:Abc.Coin.local (fun i k ->
-                     Printf.sprintf "cmd-%d.%d" i k))
-              ~faulty:[ (node (n - 1), Behaviour.Silent) ]
-              ~adversary:Adversary.uniform ~seed ()
-          in
-          let result = LogE.run config in
-          let cmds =
-            match Log.log_of_outputs result.LogE.outputs.(0) with
-            | Some log -> List.length log
-            | None -> 0
-          in
-          (cmds, Abc_sim.Metrics.counter result.LogE.metrics "sent",
-           result.LogE.duration))
-      |> List.iter (fun (cmds, sent, duration) ->
-             commands := !commands + cmds;
-             msgs := !msgs + sent;
-             time := !time + duration);
-      let per_cmd v = float_of_int v /. float_of_int (max 1 !commands) in
+      let runs =
+        outcomes pool ~seeds
+          { (Registry.scenario ~protocol:"log" ~n ~f) with epochs = slots; fault = Faulty [ (Silent, 1) ] }
+      in
+      let total field = List.fold_left (fun a o -> a + field o) 0 runs in
+      let commands = total (fun o -> o.committed) in
+      let msgs = total (fun o -> o.messages) and time = total (fun o -> o.ticks) in
+      let per_cmd v = float_of_int v /. float_of_int (max 1 commands) in
       Table.add_row table
         [
           Table.cell_int n;
           Table.cell_int f;
-          Table.cell_int !commands;
-          Table.cell_int !msgs;
-          Table.cell_int !time;
-          Table.cell_float (per_cmd !msgs);
-          Table.cell_float (per_cmd !time);
+          Table.cell_int commands;
+          Table.cell_int msgs;
+          Table.cell_int time;
+          Table.cell_float (per_cmd msgs);
+          Table.cell_float (per_cmd time);
         ])
     [ 4; 7 ];
   Table.print table;
@@ -394,6 +343,7 @@ let experiment_e9 pool =
 
 let bechamel_tests () =
   let open Bechamel in
+  let module Rbc = Abc.Bracha_rbc.Binary in
   let rbc_handle =
     (* cost of processing one echo in a warm instance *)
     let state = ref (Rbc.Core.create ~n:7 ~f:2 ~sender:(node 0)) in
@@ -417,25 +367,18 @@ let bechamel_tests () =
                   decide = false;
                 })))
   in
+  let full_run name sc =
+    Test.make ~name (Staged.stage (fun () -> ignore (Registry.run sc ~seed:1)))
+  in
   let full_rbc_run =
-    Test.make ~name:"full rbc run (n=7, f=2)"
-      (Staged.stage (fun () ->
-           let config =
-             RbcE.config ~n:7 ~f:2
-               ~inputs:(Rbc.inputs ~n:7 ~sender:(node 0) Abc.Value.One)
-               ~seed:1 ()
-           in
-           ignore (RbcE.run config)))
+    full_run "full rbc run (n=7, f=2)"
+      { (Registry.scenario ~protocol:"bracha-rbc-bit" ~n:7 ~f:2) with adversary = Fifo }
   in
   let full_consensus_run =
-    Test.make ~name:"full consensus run (n=4, f=1)"
-      (Staged.stage (fun () ->
-           ignore (run_bracha ~n:4 ~f:1 ~seed:1 (split_inputs 4))))
+    full_run "full consensus run (n=4, f=1)" (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1)
   in
   let full_benor_run =
-    Test.make ~name:"full ben-or run (n=6, f=1)"
-      (Staged.stage (fun () ->
-           ignore (run_benor ~n:6 ~f:1 ~seed:1 (split_inputs 6))))
+    full_run "full ben-or run (n=6, f=1)" (Registry.scenario ~protocol:"ben-or" ~n:6 ~f:1)
   in
   Test.make_grouped ~name:"abc"
     [ rbc_handle; validation_submit; full_rbc_run; full_consensus_run; full_benor_run ]
@@ -467,19 +410,6 @@ let experiment_e8 _pool =
 (* E10: 1984 vs 2014 — Bracha vs MMR, and what the common coin buys   *)
 (* ----------------------------------------------------------------- *)
 
-module Mmr = Abc.Mmr_consensus
-
-module MmrH = Abc.Harness.Make (struct
-  include Mmr
-
-  let value_of_input = Mmr.value_of_input
-end)
-
-let run_mmr ?(coin = Abc.Coin.common ~seed:7) ?(adversary = Adversary.uniform)
-    ?(faulty = []) ~n ~f ~seed values =
-  let inputs = Mmr.inputs ~n ~coin values in
-  snd (MmrH.run (MmrH.E.config ~n ~f ~inputs ~faulty ~adversary ~seed ()))
-
 let experiment_e10 pool =
   let seeds = scaled 25 in
   let table =
@@ -497,22 +427,8 @@ let experiment_e10 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let adversary = Adversary.split ~n in
-      let bracha =
-        sample_bracha ~adversary
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
-      let mmr_faulty =
-        List.init f (fun k ->
-            let id = if k mod 2 = 0 then k / 2 else n - 1 - (k / 2) in
-            (node id, Behaviour.Mutate Mmr.Fault.flip_value))
-      in
-      let mmr =
-        collect
-          (sweep_seeds pool ~seeds (fun seed ->
-               run_mmr ~adversary ~faulty:mmr_faulty ~n ~f ~seed (split_inputs n)))
-      in
+      let bracha = sample pool ~seeds (liars "bracha" ~n ~f) in
+      let mmr = sample pool ~seeds (liars "mmr" ~n ~f) in
       let ratio = mean_or bracha.messages 0. /. mean_or mmr.messages 1. in
       Table.add_row table
         [
@@ -529,10 +445,8 @@ let experiment_e10 pool =
   (* The safety ablation: MMR with a local coin loses agreement. *)
   let seeds = scaled 40 in
   let violations coin =
-    sweep_seeds pool ~seeds (fun seed ->
-        let v = run_mmr ~coin ~n:7 ~f:2 ~seed (split_inputs 7) in
-        not (v.Abc.Harness.agreement && v.Abc.Harness.validity))
-    |> List.filter (fun violated -> violated)
+    outcomes pool ~seeds { (Registry.scenario ~protocol:"mmr" ~n:7 ~f:2) with coin = Some coin }
+    |> List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity))
     |> List.length
   in
   Printf.printf
@@ -565,35 +479,19 @@ let experiment_e11 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let faulty =
-        if f = 0 then []
-        else if f = 1 then [ (node (n - 1), Behaviour.Silent) ]
-        else [ (node (n - 1), Behaviour.Silent); (node (n - 2), Behaviour.Silent) ]
-      in
-      let sample inputs =
+      let sample protocol =
+        let sc = { (Registry.scenario ~protocol ~n ~f) with fault = Faulty [ (Silent, min f 2) ] } in
         let runs =
           sweep_seeds pool ~seeds (fun seed ->
-              let cfg =
-                MmrH.E.config ~n ~f ~inputs ~faulty ~adversary:Adversary.uniform
-                  ~seed ()
-              in
-              MmrH.run cfg)
+              match Registry.run sc ~seed with
+              | Ok r -> (r.outcome, Abc_sim.Metrics.counter r.metrics "sent.share")
+              | Error _ -> (Registry.failed, 0))
         in
-        let verdicts = List.map snd runs in
-        let share_msgs =
-          List.fold_left
-            (fun acc (result, _) ->
-              acc + Abc_sim.Metrics.counter result.MmrH.E.metrics "sent.share")
-            0 runs
-        in
-        (collect verdicts, float_of_int share_msgs /. float_of_int seeds)
+        let share_msgs = List.fold_left (fun acc (_, share) -> acc + share) 0 runs in
+        (collect (List.map fst runs), float_of_int share_msgs /. float_of_int seeds)
       in
-      let ideal, _ =
-        sample (Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) (split_inputs n))
-      in
-      let rabin, share_msgs =
-        sample (Mmr.inputs_with_shared_coin ~n ~f ~seed:7 (split_inputs n))
-      in
+      let ideal, _ = sample "mmr" in
+      let rabin, share_msgs = sample "mmr-rabin" in
       Table.add_row table
         [
           Table.cell_int n;
@@ -613,7 +511,10 @@ let experiment_e11 pool =
 (* E12: connectivity threshold for agreement over flooding            *)
 (* ----------------------------------------------------------------- *)
 
+(* Kept on its own engine: a flood relay over a partial graph with a
+   placed crash cut, which no registry scenario expresses. *)
 module Topology = Abc_net.Topology
+module Mmr = Abc.Mmr_consensus
 module Relayed_mmr = Abc_net.Relay.Make (Mmr)
 
 module RMH = Abc.Harness.Make (struct
@@ -654,7 +555,7 @@ let experiment_e12 pool =
       in
       let verdicts =
         sweep_seeds pool ~seeds (fun seed ->
-            let values = split_inputs n in
+            let values = Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One) in
             let inputs = Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) values in
             let cfg =
               RMH.E.config ~n ~f ~inputs ~faulty ~topology:g
@@ -662,7 +563,14 @@ let experiment_e12 pool =
             in
             snd (RMH.run cfg))
       in
-      let s = collect verdicts in
+      let s =
+        collect
+          (List.map
+             (fun (v : Abc.Harness.verdict) ->
+               { Registry.failed with decided = v.terminated; agreement = v.agreement;
+                 validity = v.validity; rounds = v.max_round; messages = v.messages })
+             verdicts)
+      in
       Table.add_row table
         [
           label;
@@ -681,6 +589,8 @@ let experiment_e12 pool =
 (* E13: two roads to multivalued consensus — Turpin-Coan vs ACS       *)
 (* ----------------------------------------------------------------- *)
 
+(* Kept on its own engines: int-valued Turpin-Coan against multivalued
+   ACS on 9/5 proposals, neither a registry entry. *)
 module Tc = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
 module TcE = Abc_net.Engine.Make (Tc)
 module Mv = Abc.Multivalued.Make (Abc.Payloads.Int_payload)
@@ -838,39 +748,6 @@ let experiment_e15 _pool =
    maximal f).  Acceptance claim asserted here: coded per-node bytes
    strictly below Bracha at every payload >= 16 KiB for every n. *)
 
-module Bracha_str = Abc.Bracha_rbc.Make (Abc.Payloads.String_payload)
-module Ir_str = Abc.Ir_rbc.Make (Abc.Payloads.String_payload)
-module BrsE = Abc_net.Engine.Make (Bracha_str)
-module CodE = Abc_net.Engine.Make (Abc.Coded_rbc)
-module IrsE = Abc_net.Engine.Make (Ir_str)
-
-let e16_payload ~bytes ~seed =
-  String.init bytes (fun i -> Char.chr ((seed + (131 * i)) land 0xFF))
-
-let e16_bracha ~n ~f ~seed payload =
-  let config =
-    BrsE.config ~n ~f
-      ~inputs:(Bracha_str.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (BrsE.run config).BrsE.metrics "bytes.sent"
-
-let e16_coded ~n ~f ~seed payload =
-  let config =
-    CodE.config ~n ~f
-      ~inputs:(Abc.Coded_rbc.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (CodE.run config).CodE.metrics "bytes.sent"
-
-let e16_ir ~n ~f ~seed payload =
-  let config =
-    IrsE.config ~n ~f
-      ~inputs:(Ir_str.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (IrsE.run config).IrsE.metrics "bytes.sent"
-
 let experiment_e16 pool =
   let seeds = scaled 5 in
   let table =
@@ -892,10 +769,11 @@ let experiment_e16 pool =
           let f_ir = benor_max_f n in
           let runs =
             sweep_seeds pool ~seeds (fun seed ->
-                let payload = e16_payload ~bytes ~seed in
-                ( e16_bracha ~n ~f ~seed payload,
-                  e16_coded ~n ~f ~seed payload,
-                  e16_ir ~n ~f:f_ir ~seed payload ))
+                let sent protocol f =
+                  let sc = { (Registry.scenario ~protocol ~n ~f) with payload = bytes } in
+                  (Matrix_runner.run_seed sc ~seed).bytes
+                in
+                (sent "bracha-rbc" f, sent "coded-rbc" f, sent "ir-rbc" f_ir))
           in
           let per_node total = float_of_int total /. float_of_int (n * seeds) in
           let bracha_b = per_node (List.fold_left (fun a (b, _, _) -> a + b) 0 runs) in
@@ -946,37 +824,7 @@ let experiment_e16 pool =
    plateau instead of falling — measured in the E17 notes in
    EXPERIMENTS.md. *)
 
-module Atomic = Abc_smr.Atomic_broadcast
-module AtomE = Abc_net.Engine.Make (Atomic)
-
 let e17_epochs = 2
-
-let e17_run ~n ~f ~batch ~seed =
-  let mempools =
-    Array.init n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed ~node:(node i)
-             ~count:(batch * e17_epochs) ~rate:1.0 ~tx_bytes:64))
-  in
-  let config =
-    AtomE.config ~n ~f
-      ~inputs:
-        (Atomic.inputs ~n ~window:2 ~batch_size:batch ~epochs:e17_epochs
-           ~coin_seed:(seed + 7919) mempools)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  let result = AtomE.run config in
-  let committed =
-    match Atomic.log_of_outputs result.AtomE.outputs.(0) with
-    | Some log -> List.length log
-    | None -> 0
-  in
-  let duration = max 1 result.AtomE.duration in
-  let bytes = Abc_sim.Metrics.counter result.AtomE.metrics "bytes.sent" in
-  ( 1000. *. float_of_int committed /. float_of_int duration,
-    float_of_int bytes /. float_of_int (n * max 1 committed),
-    committed,
-    duration )
 
 let experiment_e17 pool =
   let seeds = scaled 3 in
@@ -1000,21 +848,26 @@ let experiment_e17 pool =
     (fun n ->
       (* fixed fault budget — see the header comment *)
       let f = 1 in
+      (* The registry's atomic defaults are E17's: window 2, 64-byte
+         transactions at rate 1.0, no checkpoints. *)
       let cells =
         List.map
           (fun batch ->
-            (batch, sweep_seeds pool ~seeds (fun seed -> e17_run ~n ~f ~batch ~seed)))
+            ( batch,
+              outcomes pool ~seeds
+                { (Registry.scenario ~protocol:"atomic" ~n ~f) with batch; epochs = e17_epochs } ))
           batches
       in
       let runs_of batch = List.assoc batch cells in
+      let duration (o : Registry.outcome) = max 1 o.ticks in
+      let txktick (o : Registry.outcome) = 1000. *. float_of_int o.committed /. float_of_int (duration o) in
+      let per_tx (o : Registry.outcome) = float_of_int o.bytes /. float_of_int (n * max 1 o.committed) in
       List.iter
         (fun (batch, runs) ->
           let mean field =
             List.fold_left (fun a r -> a +. field r) 0. runs
             /. float_of_int seeds
           in
-          let txktick (t, _, _, _) = t in
-          let per_tx (_, b, _, _) = b in
           (* guard 1: strict per-seed amortization, not just on means *)
           let amortizes =
             List.for_all2
@@ -1034,10 +887,9 @@ let experiment_e17 pool =
               Table.cell_int f;
               Table.cell_int batch;
               Table.cell_int
-                (List.fold_left (fun a (_, _, c, _) -> a + c) 0 runs / seeds);
+                (List.fold_left (fun a (o : Registry.outcome) -> a + o.committed) 0 runs / seeds);
               Table.cell_float ~decimals:0
-                (mean (fun (_, _, _, d) ->
-                     float_of_int d /. float_of_int e17_epochs));
+                (mean (fun o -> float_of_int (duration o) /. float_of_int e17_epochs));
               Table.cell_float (mean txktick);
               Table.cell_float ~decimals:0 (mean per_tx);
               (if amortizes then "yes" else "NO");
@@ -1073,6 +925,11 @@ let experiment_e17 pool =
    boundary below the final epoch is ever crossed early enough to
    prune, but Gc_stats is still emitted, so both arms are measured
    identically. *)
+
+(* Kept on its own engine: per-replica GC stats and the victim's first
+   commit after it rejoins are measures no registry outcome carries. *)
+module Atomic = Abc_smr.Atomic_broadcast
+module AtomE = Abc_net.Engine.Make (Atomic)
 
 let e18_epochs = 12
 let e18_batch = 4
@@ -1326,13 +1183,14 @@ let () =
   in
   let pool = Abc_exec.Pool.create ?jobs () in
   (* Every mode emits the machine-readable BENCH_*.json run summaries
-     (see OBSERVABILITY.md); CSVs remain opt-in via the csv arg. *)
+     (see OBSERVABILITY.md); CSVs remain opt-in via the csv arg.  The
+     worker count stays out of the meta: the tables are byte-identical
+     at any --jobs, and recording it would break exactly that. *)
   Abc_sim.Table.set_json_directory (Some "bench_results");
   Abc_sim.Table.set_run_meta
     [
       ("harness", Abc_sim.Json.String "abc-bench");
       ("seeds_scale", Abc_sim.Json.Float !seeds_scale);
-      ("jobs", Abc_sim.Json.Int (Abc_exec.Pool.jobs pool));
     ];
   let selected =
     match args with

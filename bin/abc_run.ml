@@ -9,8 +9,8 @@
      abc-run acs        --n 4 --f 1
      abc-run smr        --n 4 --f 1 --slots 3 --fault silent
 
-   rbc, consensus, benor, mmr and smr --atomic translate their flags into
-   an Abc_matrix.Registry scenario; tracing and reports stay here.  Every
+   Every subcommand but check translates its flags into an
+   Abc_matrix.Registry scenario; tracing and reports stay here.  Every
    run is deterministic in --seed; bad input is one line and exit 2. *)
 
 module Node_id = Abc_net.Node_id
@@ -157,7 +157,7 @@ let partition_of ~n =
       | Ok _ | Error _ -> fail "bad --partition %S (want FROM:UNTIL:id,id,...)" spec)
 
 let scenario protocol ~n ~f ~adversary ~fault ~faulty_count =
-  let fault = match fault with None -> Registry.No_fault | Some k -> Registry.Faulty (k, faulty_count) in
+  let fault = match fault with None -> Registry.No_fault | Some k -> Registry.Faulty [ (k, faulty_count) ] in
   { (Registry.scenario ~protocol ~n ~f) with Registry.adversary; fault }
 
 let with_links sc ~loss ~dup ~partition ~reliable =
@@ -293,6 +293,7 @@ let run_rbc n f seed adversary fault faulty_count loss dup partition reliable
     protocol payload_bytes trace trace_out =
   (* Without --payload-bytes, bracha broadcasts the classic single bit;
      every other broadcast carries a synthetic string payload. *)
+  if payload_bytes < 0 then fail "--payload-bytes must be >= 0, got %d" payload_bytes;
   let bit = protocol = `Bracha && payload_bytes = 0 in
   let name = match protocol with `Bracha -> "bracha-rbc" | `Coded -> "coded-rbc" | `Ir -> "ir-rbc" in
   let label = if reliable then name ^ "+rl" else name in
@@ -314,6 +315,7 @@ let run_rbc n f seed adversary fault faulty_count loss dup partition reliable
    report, several get [summary] of how many decided and the rounds
    those took.  Only the first seed is traced. *)
 let run_seeds sc ~label ~seed ~seeds ~trace ~trace_out ?lines ~header summary =
+  if seeds < 1 then fail "--seeds must be >= 1, got %d" seeds;
   let rounds, failures =
     List.fold_left
       (fun (rounds, failures) k ->
@@ -322,7 +324,7 @@ let run_seeds sc ~label ~seed ~seeds ~trace ~trace_out ?lines ~header summary =
           report_run sc ~label ~seed:(seed + k) ~trace ~trace_out ~traced:(k = 0) ?header ?lines ()
         in
         if Registry.decides o then (o.rounds :: rounds, failures) else (rounds, failures + 1))
-      ([], 0) (List.init (max seeds 0) Fun.id)
+      ([], 0) (List.init seeds Fun.id)
   in
   if seeds > 1 then begin
     summary ~last:(seed + seeds - 1) ~ok:(List.length rounds) ~failures;
@@ -371,68 +373,13 @@ let run_mmr n f seed seeds adversary fault faulty_count inputs coin =
 (* ---- acs ---- *)
 
 let run_acs n f seed adversary fault faulty_count =
-  let module Acs = Abc.Acs.Make (Abc.Payloads.Int_payload) in
-  let module E = Abc_net.Engine.Make (Acs) in
-  let sc = scenario "acs" ~n ~f ~adversary ~fault ~faulty_count in
-  let config =
-    E.config ~n ~f
-      ~inputs:(Acs.inputs ~n ~coin:Abc.Coin.local (Array.init n (fun i -> 100 + i)))
-      ~faulty:(or_exit (Registry.faulty ~n ~reliable:false sc.fault))
-      ~adversary:(Registry.policy ~n adversary)
-      ~seed ()
+  let header (r : Registry.run) =
+    Fmt.pr "acs n=%d f=%d seed=%d stop=%a messages=%d@." n f seed Abc_net.Engine.pp_stop_reason
+      r.stop r.outcome.messages
   in
-  let result = or_exit (Registry.guard (fun () -> E.run config)) in
-  Fmt.pr "acs n=%d f=%d seed=%d stop=%a messages=%d@." n f seed
-    Abc_net.Engine.pp_stop_reason result.E.stop
-    (Abc_sim.Metrics.counter result.E.metrics "sent");
-  Array.iteri
-    (fun i outputs ->
-      match outputs with
-      | [ (_, output) ] -> Fmt.pr "  node %d: %a@." i Acs.pp_output output
-      | [] -> Fmt.pr "  node %d: no output@." i
-      | _ -> ())
-    result.E.outputs
-
-(* ---- smr ---- *)
-
-module Smr_runner
-    (P : Abc_net.Protocol.S
-           with type input = Abc_smr.Replicated_log.input
-            and type output = Abc_smr.Replicated_log.output) =
-struct
-  module Log = Abc_smr.Replicated_log
-
-  let go ~label ~n ~f ~seed ~adversary ~faulty ~link_faults ~slots ~trace
-      ~trace_out =
-    let module E = Abc_net.Engine.Make (P) in
-    let tr = make_trace ~trace ~trace_out in
-    let config =
-      E.config ~n ~f
-        ~inputs:
-          (Log.inputs ~n ~slots ~coin:Abc.Coin.local (fun i k ->
-               Printf.sprintf "cmd-%d.%d" i k))
-        ~faulty
-        ~adversary:(Registry.policy ~n adversary)
-        ~seed ?link_faults ?trace:tr ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let result = or_exit (Registry.guard (fun () -> E.run config)) in
-    Fmt.pr "%s n=%d f=%d slots=%d seed=%d stop=%a messages=%d time=%d@." label n
-      f slots seed Abc_net.Engine.pp_stop_reason result.E.stop
-      (Abc_sim.Metrics.counter result.E.metrics "sent")
-      result.E.duration;
-    print_events_rate ~deliveries:result.E.deliveries t0;
-    if Option.is_some link_faults then print_link_stats result.E.metrics;
-    Array.iteri
-      (fun i outputs ->
-        match Log.log_of_outputs outputs with
-        | Some log ->
-          Fmt.pr "  replica %d: %a@." i Fmt.(list ~sep:(any " -> ") string) log
-        | None -> Fmt.pr "  replica %d: incomplete@." i)
-      result.E.outputs;
-    write_trace_out ~protocol:label ~n ~f ~seed trace_out tr;
-    if trace then Option.iter print_trace tr
-end
+  ignore
+    (report_run (scenario "acs" ~n ~f ~adversary ~fault ~faulty_count) ~label:"acs" ~seed
+       ~trace:false ~trace_out:None ~header ())
 
 (* ---- smr --atomic: batched, pipelined atomic broadcast ---- *)
 
@@ -458,37 +405,35 @@ let run_smr_atomic (sc : Registry.scenario) ~seed ~trace ~trace_out =
 let run_smr n f seed adversary fault faulty_count slots atomic batch_size
     tx_rate epochs window tx_bytes checkpoint_interval crash loss dup partition
     reliable trace trace_out =
-  let module Log = Abc_smr.Replicated_log in
   let crash = List.concat crash in
   let sc =
     with_links ~loss ~dup ~partition ~reliable
-      (scenario "atomic" ~n ~f ~adversary ~fault ~faulty_count)
+      (scenario (if atomic then "atomic" else "log") ~n ~f ~adversary ~fault ~faulty_count)
   in
   if (crash <> [] || checkpoint_interval > 0) && not atomic then
     fail "--crash / --checkpoint-interval need --atomic";
-  let faulty () = or_exit (Registry.faulty ~n ~reliable sc.fault) in
-  let link_faults = Registry.link_faults sc in
   if atomic then
     run_smr_atomic
       { sc with batch = batch_size; tx_rate; epochs; window; payload = tx_bytes;
                 checkpoint = checkpoint_interval; crash }
       ~seed ~trace ~trace_out
-  else if reliable then begin
-    let module RL = Abc_net.Reliable_link.Make (Log) in
-    let module R = Smr_runner (RL) in
-    R.go ~label:"smr+rl" ~n ~f ~seed ~adversary ~faulty:(faulty ()) ~link_faults ~slots
-      ~trace ~trace_out
-  end
   else begin
-    let module R = Smr_runner (Log) in
-    R.go ~label:"smr" ~n ~f ~seed ~adversary ~faulty:(faulty ()) ~link_faults ~slots
-      ~trace ~trace_out
+    if slots < 1 then fail "--slots must be >= 1, got %d" slots;
+    let label = if reliable then "smr+rl" else "smr" in
+    let header (r : Registry.run) =
+      Fmt.pr "%s n=%d f=%d slots=%d seed=%d stop=%a messages=%d time=%d@." label n f slots seed
+        Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages r.outcome.ticks
+    in
+    (* The replicated log runs one ACS per slot, as the atomic broadcast
+       runs one per epoch. *)
+    ignore (report_run { sc with epochs = slots } ~label ~seed ~trace ~trace_out ~header ())
   end
 
 (* ---- check (bounded model checking) ---- *)
 
 let run_check n f seed depth max_states fault jobs =
   ignore seed;
+  if n < 1 || f < 0 then fail "need n >= 1 and f >= 0, got n=%d f=%d" n f;
   let module Rbc = Abc.Bracha_rbc.Binary in
   let module X = Abc_check.Explore.Make (Rbc) in
   let two_faced _rng ~dst v =
@@ -551,8 +496,6 @@ let run_check n f seed depth max_states fault jobs =
       (fun (src, dst, m) ->
         Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m)
       v.X.schedule
-
-(* ---- command wiring ---- *)
 
 (* ---- command wiring ---- *)
 

@@ -19,7 +19,9 @@ type inputs = Halves | Unanimous of Value.t | Alternating
 type fault_kind = Silent | Crash | Replay | Flip | Balanced_flip | Equivocate | Force_decide
 
 type fault =
-  | No_fault | Faulty of fault_kind * int | Silent_sender | Crash_sender | Flip_relay | Equivocate_sender
+  | No_fault
+  | Faulty of (fault_kind * int) list
+  | Silent_sender | Crash_sender | Flip_relay | Equivocate_sender
 
 type partition = { from_tick : int; until_tick : int; island : int list }
 
@@ -75,7 +77,7 @@ let named =
   [ ("silent-sender", Silent_sender); ("crash-sender", Crash_sender); ("flip-relay", Flip_relay);
     ("equivocate-sender", Equivocate_sender) ]
 
-let fault tok =
+let counted tok =
   let kind, count =
     match String.split_on_char ':' tok with
     | [ kind ] -> (List.assoc_opt kind kinds, Some 1)
@@ -85,11 +87,25 @@ let fault tok =
   match (List.assoc_opt tok named, kind, count) with
   | Some f, _, _ -> Ok f
   | None, Some None, Some _ -> Ok No_fault
-  | None, Some (Some kind), Some k -> Ok (Faulty (kind, k))
+  | None, Some (Some kind), Some k -> Ok (Faulty [ (kind, k) ])
   | None, Some _, None -> bad "fault" tok "the count must be a non-negative integer"
   | None, None, _ ->
-    bad "fault" tok "unknown fault (KIND[:COUNT] for KIND in %s; or %s)"
+    bad "fault" tok "unknown fault (KIND[:COUNT] for KIND in %s, or several joined with +; or %s)"
       (String.concat ", " (List.map fst kinds)) (String.concat ", " (List.map fst named))
+
+(* A [+] battery joins counted kinds; [balanced-flip] and the named
+   faults place themselves, so they stand alone. *)
+let fault tok =
+  match String.split_on_char '+' tok with
+  | [ _ ] -> counted tok
+  | parts ->
+    let join part acc =
+      match counted part with
+      | Ok (Faulty [ (kind, k) ]) when kind <> Balanced_flip -> Result.map (List.cons (kind, k)) acc
+      | Ok _ -> bad "fault" tok "%S cannot join a + battery (none, balanced-flip and the named faults stand alone)" part
+      | Error msg -> bad "fault" tok "%s" msg
+    in
+    Result.map (fun kinds -> Faulty kinds) (List.fold_right join parts (Ok []))
 
 let crash tok =
   let rec pairs = function
@@ -194,49 +210,56 @@ let guard run =
 
 (* ---- Fault batteries ---- *)
 
-(* Counted faults take the highest-numbered nodes ([balanced-flip]
-   alternates between both ends); a broadcast moves its first liar onto
-   the designated sender, node 0.  All the nodes of one fault share one
-   behaviour.  [lie] tells the protocol's lies, named by their fault
-   tokens ("flip", "equivocate", "force-decide", and E1's "flip-relay"
-   and "equivocate-sender", the ["!" ^ payload] corruptions of a relay
-   and of the sender); [refuse] explains a lie it cannot tell. *)
+(* Counted faults take the highest-numbered nodes, kind after kind in
+   battery order ([balanced-flip] alternates between both ends); a
+   broadcast moves its first liar onto the designated sender, node 0.
+   All the nodes of one kind share one behaviour.  [lie] tells the
+   protocol's lies, named by their fault tokens ("flip", "equivocate",
+   "force-decide", and E1's "flip-relay" and "equivocate-sender", the
+   ["!" ^ payload] corruptions of a relay and of the sender); [refuse]
+   explains a lie it cannot tell. *)
 let battery ~n ~broadcast ~lie ~refuse fault =
-  let placed ids how =
-    let* b =
-      match how with
-      | `Mute -> Ok Behaviour.Silent
-      | `Stop k -> Ok (Behaviour.Crash_after k)
-      | `Spam -> Ok (Behaviour.Replay 2)
-      | `Lie l -> Option.fold (lie l) ~some:(fun b -> Ok (b ~n)) ~none:(Error (refuse l))
-    in
-    Ok (List.map (fun i -> (node i, b)) ids)
+  let behaviour = function
+    | `Mute -> Ok Behaviour.Silent
+    | `Stop k -> Ok (Behaviour.Crash_after k)
+    | `Spam -> Ok (Behaviour.Replay 2)
+    | `Lie l -> Option.fold (lie l) ~some:(fun b -> Ok (b ~n)) ~none:(Error (refuse l))
   in
-  let sender ids how =
-    if broadcast then placed ids how else Error "sender and relay faults are for the broadcasts"
+  let sender i how =
+    if broadcast then Result.map (fun b -> [ (node i, b) ]) (behaviour how)
+    else Error "sender and relay faults are for the broadcasts"
+  in
+  let how = function
+    | Silent -> `Mute
+    | Crash -> `Stop 5
+    | Replay -> `Spam
+    | Flip | Balanced_flip -> `Lie "flip"
+    | Equivocate -> `Lie "equivocate"
+    | Force_decide -> `Lie "force-decide"
   in
   match fault with
   | No_fault -> Ok []
-  | Silent_sender -> sender [ 0 ] `Mute
-  | Crash_sender -> sender [ 0 ] (`Stop 2)
-  | Flip_relay -> sender [ 1 ] (`Lie "flip-relay")
-  | Equivocate_sender -> sender [ 0 ] (`Lie "equivocate-sender")
-  | Faulty (_, count) when count < 0 || count > n ->
-    Error (Printf.sprintf "%d faulty nodes, but n=%d" count n)
-  | Faulty (kind, count) ->
-    let how =
-      match kind with
-      | Silent -> `Mute
-      | Crash -> `Stop 5
-      | Replay -> `Spam
-      | Flip | Balanced_flip -> `Lie "flip"
-      | Equivocate -> `Lie "equivocate"
-      | Force_decide -> `Lie "force-decide"
-    in
-    let id k =
-      if kind <> Balanced_flip then n - 1 - k else if k mod 2 = 0 then k / 2 else n - 1 - (k / 2)
-    in
-    placed (match List.init count id with _ :: rest when broadcast -> 0 :: rest | ids -> ids) how
+  | Silent_sender -> sender 0 `Mute
+  | Crash_sender -> sender 0 (`Stop 2)
+  | Flip_relay -> sender 1 (`Lie "flip-relay")
+  | Equivocate_sender -> sender 0 (`Lie "equivocate-sender")
+  | Faulty kinds ->
+    let count = List.fold_left (fun acc (_, k) -> acc + k) 0 kinds in
+    if List.exists (fun (_, k) -> k < 0) kinds || count > n then
+      Error (Printf.sprintf "%d faulty nodes, but n=%d" count n)
+    else
+      let place (kind, k) acc =
+        let* b = behaviour (how kind) in
+        Result.map (( @ ) (List.init k (fun _ -> (kind, b)))) acc
+      in
+      let id j kind =
+        if j = 0 && broadcast then 0
+        else if kind <> Balanced_flip then n - 1 - j
+        else if j mod 2 = 0 then j / 2
+        else n - 1 - (j / 2)
+      in
+      Result.map (List.mapi (fun j (kind, b) -> (node (id j kind), b)))
+        (List.fold_right place kinds (Ok []))
 
 let agnostic _ = None
 
@@ -252,10 +275,6 @@ let identity_lie = function
   | "flip" | "force-decide" -> Some (fun ~n:_ -> Behaviour.Mutate (fun _ m -> m))
   | "equivocate" -> Some (fun ~n:_ -> Behaviour.Equivocate (fun _ ~dst:_ m -> m))
   | _ -> None
-
-let faulty ~n ~reliable fault =
-  battery ~n ~broadcast:false ~lie:(if reliable then agnostic else identity_lie) ~refuse:agnostic_only
-    fault
 
 let consensus_lie ~flip ~equivocate ~force = function
   | "flip" -> Some (fun ~n:_ -> Behaviour.Mutate flip)
@@ -383,6 +402,39 @@ module Mmr = struct
     inputs ~n:sc.n ~coin:(Option.value sc.coin ~default:(Abc.Coin.common ~seed:7)) (values sc)
 end
 
+(* The wire-level Rabin coin that E11 prices against the ideal one. *)
+module Mmr_rabin = struct
+  include Mmr
+  let inputs sc ~seed:_ = inputs_with_shared_coin ~n:sc.n ~f:sc.f ~seed:7 (values sc)
+end
+
+(* The asynchronous common subset over node i's proposal 100+i, local
+   coin: every honest node accepts one common subset of at least n-f
+   proposals, each honest proposer's unchanged. *)
+module Acs = struct
+  include Abc.Acs.Make (Abc.Payloads.Int_payload)
+  let broadcast = false and recovery = None and lie = identity_lie
+  let inputs sc ~seed:_ = inputs ~n:sc.n ~coin:Abc.Coin.local (Array.init sc.n (( + ) 100))
+  let judge sc inputs v =
+    let subset id = match v.outputs.(Node_id.to_int id) with [ (_, Accepted s) ] -> Some s | _ -> None in
+    let subsets = List.filter_map subset v.honest in
+    let kept (id, p) =
+      (not (List.exists (Node_id.equal id) v.honest)) || p = inputs.(Node_id.to_int id).proposal
+    in
+    let line i = function
+      | [ (_, out) ] -> [ Fmt.str "  node %d: %a" i pp_output out ]
+      | [] -> [ Printf.sprintf "  node %d: no output" i ]
+      | _ -> []
+    in
+    ( { (counts v) with decided = List.length subsets = List.length v.honest; totality = true;
+        agreement = (match subsets with s :: rest -> List.for_all (( = ) s) rest | [] -> true);
+        validity =
+          List.for_all
+            (fun s -> List.length s >= Abc.Quorum.completeness ~n:sc.n ~f:sc.f && List.for_all kept s)
+            subsets },
+      lazy (List.concat (List.mapi line (Array.to_list v.outputs))) )
+end
+
 module Bit_rbc = struct
   include Abc.Bracha_rbc.Binary
   let broadcast = true and recovery = None
@@ -427,6 +479,22 @@ module Coded_rbc = struct
     | _ -> None
 end
 
+(* A replicated ledger's verdict: every correct replica (honest, or
+   crashed and recovered) completes one agreeing log; [committed] is the
+   first one's length. *)
+let ledger sc v log_of_outputs =
+  let crashed = List.map (fun (i, _) -> node i) sc.crash in
+  let correct = v.honest @ List.filter (fun id -> not (List.exists (Node_id.equal id) v.honest)) crashed in
+  let logs = List.map (fun id -> log_of_outputs v.outputs.(Node_id.to_int id)) correct in
+  { (counts v) with
+    decided = v.stop = Abc_net.Engine.All_terminal && List.for_all Option.is_some logs;
+    agreement =
+      (match logs with
+      | first :: rest -> List.for_all (fun l -> l = None || l = first || first = None) rest
+      | [] -> true);
+    validity = true; totality = true;
+    committed = (match logs with Some l :: _ -> List.length l | _ -> 0) }
+
 (* The batched atomic broadcast: [batch * epochs] transactions of
    [payload] bytes per node arriving at [tx_rate]; crashed replicas
    come back from their durable store. *)
@@ -461,11 +529,6 @@ module Atomic = struct
     in
     Option.map line (stats_of_outputs outputs)
   let judge sc _ v =
-    let crashed = List.map (fun (i, _) -> node i) sc.crash in
-    let correct =
-      v.honest @ List.filter (fun id -> not (List.exists (Node_id.equal id) v.honest)) crashed
-    in
-    let logs = List.map (fun id -> log_of_outputs v.outputs.(Node_id.to_int id)) correct in
     let all = Array.to_list v.outputs in
     let recovery () =
       Printf.sprintf "  recovery: crashes=%d recoveries=%d dropped-while-down=%d stale-timers=%d"
@@ -473,18 +536,25 @@ module Atomic = struct
         (v.counter "timer.stale")
       :: List.filter_map Fun.id (List.mapi gc all)
     in
-    ( { (counts v) with
-        decided = v.stop = Abc_net.Engine.All_terminal && List.for_all Option.is_some logs;
-        agreement =
-          (match logs with
-          | first :: rest -> List.for_all (fun l -> l = None || l = first || first = None) rest
-          | [] -> true);
-        validity = true; totality = true;
-        committed = (match logs with Some l :: _ -> List.length l | _ -> 0) },
+    ( ledger sc v log_of_outputs,
       lazy
         (Option.to_list (Option.map (commit_line sc v) (log_of_outputs v.outputs.(0)))
         @ List.mapi replica all
         @ if sc.checkpoint > 0 then recovery () else []) )
+end
+
+(* The slot-per-command replicated log, local coin: [epochs] slots, one
+   ACS each, replica i proposing "cmd-I.K" for slot k. *)
+module Log = struct
+  include Abc_smr.Replicated_log
+  let broadcast = false and recovery = None and lie = identity_lie
+  let inputs sc ~seed:_ =
+    inputs ~n:sc.n ~slots:sc.epochs ~coin:Abc.Coin.local (Printf.sprintf "cmd-%d.%d")
+  let replica i outputs =
+    match log_of_outputs outputs with
+    | Some log -> Printf.sprintf "  replica %d: %s" i (String.concat " -> " log)
+    | None -> Printf.sprintf "  replica %d: incomplete" i
+  let judge sc _ v = (ledger sc v log_of_outputs, lazy (List.mapi replica (Array.to_list v.outputs)))
 end
 
 (* ---- The generic run ---- *)
@@ -550,10 +620,13 @@ let entries =
     entry "bracha-rl" "n>3f" (module Bracha) ~preset:(fun sc -> { sc with reliable = true });
     entry "ben-or" "n>5f" (module Ben_or);
     entry "mmr" "n>3f" (module Mmr);
+    entry "mmr-rabin" "n>3f" (module Mmr_rabin);
     entry "bracha-rbc" "n>3f" (module Bracha_rbc);
     entry "bracha-rbc-bit" "n>3f" (module Bit_rbc);
     entry "coded-rbc" "n>3f" (module Coded_rbc);
     entry "ir-rbc" "n>5f" (module Ir_rbc);
+    entry "acs" "n>3f" (module Acs);
+    entry "log" "n>3f" (module Log);
     entry "atomic" "n>3f" (module Atomic) ]
 
 let find protocol = List.find_opt (fun e -> String.equal e.name protocol) entries
@@ -575,10 +648,14 @@ let check_token ~axis tok =
   | "crash" -> known (crash tok)
   | _ -> Ok ()
 
-(* The checks across axes: node ids below n, graphs that exist at n,
-   probabilities, and the protocol's fault battery. *)
+(* The checks across axes: numbers in range, node ids below n, graphs
+   that exist at n, probabilities, and the protocol's fault battery. *)
 let prepare sc =
   let fail axis fmt = Printf.ksprintf (fun msg -> Error (axis, msg)) fmt in
+  let at_least acc (axis, v, least) =
+    let* () = acc in
+    if v >= least then Ok () else fail axis "need %s >= %d, got %s=%d" axis least axis v
+  in
   let below axis ids =
     match List.find_opt (fun i -> i >= sc.n) ids with
     | Some i -> fail axis "%s names node %d, but n=%d" axis i sc.n
@@ -586,6 +663,15 @@ let prepare sc =
   in
   let prob axis p = if p >= 0. && p <= 1. then Ok () else fail axis "%s %g is not in [0,1]" axis p in
   let* e = Option.to_result ~none:("protocol", unknown_protocol sc.protocol) (find sc.protocol) in
+  let* () =
+    List.fold_left at_least (Ok ())
+      [ ("n", sc.n, 1); ("f", sc.f, 0); ("payload", sc.payload, 0);
+        ("budget", Option.value sc.budget ~default:1, 1); ("batch", sc.batch, 1);
+        ("epochs", sc.epochs, 1); ("window", sc.window, 1); ("checkpoint", sc.checkpoint, 0) ]
+  in
+  let* () =
+    if sc.tx_rate > 0. then Ok () else fail "tx-rate" "need tx-rate > 0, got tx-rate=%g" sc.tx_rate
+  in
   let* () =
     match sc.adversary with Target i | Source i -> below "adversary" [ i ] | _ -> Ok ()
   in

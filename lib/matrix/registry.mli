@@ -1,14 +1,17 @@
 (** The protocol registry: the only code that turns a scenario into an
-    engine run, for {!Runner}'s matrix cells and for [abc-run]'s flags.
+    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags and the
+    bench tables.
 
     One entry per protocol: [bracha], [bracha-cc] (common coin),
-    [bracha-rl] (reliable links), [ben-or], [mmr]; [bracha-rbc],
-    [coded-rbc], [ir-rbc] broadcasting [payload] bytes, [bracha-rbc-bit]
-    one bit; [atomic].  Each carries its resilience class, its engine
-    (raw and {!Abc_net.Reliable_link}-wrapped), inputs, fault battery,
-    verdict and per-node report lines; one generic run applies the
-    adversary, topology, link faults, delivery budget, crash-recovery
-    and trace. *)
+    [bracha-rl] (reliable links), [ben-or], [mmr], [mmr-rabin] (the
+    wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc]
+    broadcasting [payload] bytes, [bracha-rbc-bit] one bit; [acs] over
+    proposals [100+i]; [log] (one ACS per slot, [epochs] slots) and
+    [atomic].  Each carries its resilience class, its engine (raw and
+    {!Abc_net.Reliable_link}-wrapped), inputs, fault battery, verdict
+    and per-node report lines; one generic run applies the adversary,
+    topology, link faults, delivery budget, crash-recovery and
+    trace. *)
 
 (** {1 Tokens}: total decoders, whose errors quote the token. *)
 
@@ -26,10 +29,12 @@ type fault_kind = Silent | Crash | Replay | Flip | Balanced_flip | Equivocate | 
 
 type fault =
   | No_fault
-  | Faulty of fault_kind * int
-      (** [KIND[:COUNT]] over the highest-numbered nodes ([balanced-flip]:
-          both ends); a crash after 5 activations; a broadcast's first
-          liar is its sender, node 0, and garbles with XOR 0x5A *)
+  | Faulty of (fault_kind * int) list
+      (** [KIND[:COUNT]], or kinds joined with [+]
+          ([force-decide:1+flip:1]), over the highest-numbered nodes in
+          order ([balanced-flip], alone: both ends); a crash after 5
+          activations; a broadcast's first liar is its sender, node 0,
+          and garbles with XOR 0x5A *)
   | Silent_sender  (** E1's faults: a silent sender, ... *)
   | Crash_sender  (** ... one that crashes after 2 activations, ... *)
   | Flip_relay  (** ... node 1 relaying ["!" ^ payload] ([bracha-rbc]), ... *)
@@ -75,7 +80,8 @@ val scenario : protocol:string -> n:int -> f:int -> scenario
     of 2, no checkpoints, tx-rate 1.0. *)
 
 (** [rounds] is the slowest honest decision round, [committed] the
-    atomic broadcast's committed transactions. *)
+    first correct replica's log length ([log]: commands, [atomic]:
+    transactions). *)
 type outcome = {
   decided : bool; agreement : bool; validity : bool; totality : bool;
   rounds : int; messages : int; bytes : int; ticks : int; committed : int;
@@ -103,8 +109,10 @@ val check_token : axis:string -> string -> (unit, string) result
     [topology], [inputs], [crash]); other axes are [Ok]. *)
 
 val check : scenario -> (unit, string * string) result
-(** Checks across axes (node ids below [n], graphs that exist at [n],
-    probabilities, the fault battery): the offending axis, a message. *)
+(** Checks across axes (n >= 1, f >= 0, payload >= 0, budget >= 1,
+    batch, epochs and window >= 1, checkpoint >= 0, tx-rate > 0; node
+    ids below [n], graphs that exist at [n], probabilities, the fault
+    battery): the offending axis, a message. *)
 
 val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 (** {!check}, then one seed; also [Error] when the protocol rejects
@@ -112,14 +120,7 @@ val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 
 (** {1 For protocols outside the registry} *)
 
-val policy : n:int -> adversary -> Abc_net.Adversary.t
-
 val link_faults : scenario -> Abc_net.Link_faults.t option
-
-val faulty :
-  n:int -> reliable:bool -> fault -> ((Abc_net.Node_id.t * 'msg Abc_net.Behaviour.t) list, string) result
-(** A counted fault whose lies leave messages unchanged; under
-    [reliable], the message-agnostic kinds only. *)
 
 val guard : (unit -> 'a) -> ('a, string) result
 (** [Error] when the protocol rejects [(n, f)] at init. *)

@@ -9,8 +9,8 @@ let ( let* ) = Result.bind
 (* ----------------------------------------------------------------- *)
 
 (* The one translation from a cell to a registry scenario.  Token
-   errors name the axis they came from, so {!check} can point at the
-   binding. *)
+   errors (and a seed count below 1) name the axis they came from, so
+   {!check} can point at the binding. *)
 let scenario_of_cell cell =
   let str axis default = Spec.find_str cell axis ~default in
   let int axis default = Spec.find_int cell axis ~default in
@@ -20,6 +20,10 @@ let scenario_of_cell cell =
   let* topology = tok "topology" Registry.topology "complete" in
   let* inputs = tok "inputs" Registry.inputs "split" in
   let* crash = tok "crash" Registry.crash "none" in
+  let* () =
+    let seeds = int "seeds" 10 in
+    if seeds >= 1 then Ok () else Error ("seeds", Printf.sprintf "need seeds >= 1, got seeds=%d" seeds)
+  in
   let base = Registry.scenario ~protocol:(str "protocol" "") ~n:(int "n" 0) ~f:(int "f" 0) in
   let num axis = Spec.find_num cell axis ~default:0. in
   Ok
@@ -104,7 +108,7 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
   let cells =
     match scenarios spec with Ok cells -> cells | Error e -> invalid_arg (Sexp.error_to_string e)
   in
-  let seeds cell = scaled_seeds ~seeds_scale (max 1 (Spec.find_int cell "seeds" ~default:10)) in
+  let seeds cell = scaled_seeds ~seeds_scale (Spec.find_int cell "seeds" ~default:10) in
   let jobs =
     (* One job per (cell, seed), flattened in cell order: the merge is
        index-ordered, so regrouping below is deterministic at any

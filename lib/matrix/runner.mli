@@ -31,8 +31,14 @@ type cell_result = {
 type t = { spec : Spec.t; cells : cell_result list }
 
 val check : Spec.t -> (unit, Sexp.error) result
-(** Every cell checked against the registry ({!Registry.check}), the
-    error at the offending binding's span. *)
+(** Every cell checked against the registry ({!Registry.check}), and
+    its [seeds] for at least 1, the error at the offending binding's
+    span. *)
+
+val run_seed : Registry.scenario -> seed:int -> Registry.outcome
+(** One seed of a checked scenario; a run the registry or the protocol
+    rejects is {!Registry.failed}, which an [expect-fail] cell counts
+    as its miss. *)
 
 val run :
   ?clock:(unit -> float) ->

@@ -137,6 +137,95 @@ let test_cross_axis_errors () =
        ~expect:"    (default deliver-all)\n")
     ~line:9 ~col:16 ~msg_has:"\"flip-relay\" is not defined for coded-rbc"
 
+(* Numbers out of range are positioned errors too, never a crash or a
+   silent run: each axis at its own binding. *)
+let test_range_errors () =
+  let spec ?(protocol = "bracha") ?(n = "4") ?(f = "1") extra =
+    base_spec
+      ~axes:(Printf.sprintf "    (protocol %s)\n    (n %s)\n    (f %s)\n%s" protocol n f extra)
+      ~expect:"    (default decide)\n"
+  in
+  check_cell_error "n 0" (spec ~n:"0" ~f:"0" "") ~line:7 ~col:7 ~msg_has:"need n >= 1, got n=0";
+  check_cell_error "n -4" (spec ~n:"-4" "") ~line:7 ~col:7 ~msg_has:"need n >= 1, got n=-4";
+  check_cell_error "f -1" (spec ~f:"-1" "") ~line:8 ~col:7 ~msg_has:"need f >= 0, got f=-1";
+  check_cell_error "payload -5"
+    (spec ~protocol:"coded-rbc" "    (payload -5)\n")
+    ~line:9 ~col:13 ~msg_has:"need payload >= 0, got payload=-5";
+  check_cell_error "budget -1" (spec "    (budget -1)\n") ~line:9 ~col:12
+    ~msg_has:"need budget >= 1, got budget=-1";
+  let atomic = spec ~protocol:"atomic" in
+  check_cell_error "batch 0" (atomic "    (batch 0)\n") ~line:9 ~col:11
+    ~msg_has:"need batch >= 1, got batch=0";
+  check_cell_error "epochs 0" (atomic "    (epochs 0)\n") ~line:9 ~col:12
+    ~msg_has:"need epochs >= 1, got epochs=0";
+  check_cell_error "window 0" (atomic "    (window 0)\n") ~line:9 ~col:12
+    ~msg_has:"need window >= 1, got window=0";
+  check_cell_error "checkpoint -1" (atomic "    (checkpoint -1)\n") ~line:9 ~col:16
+    ~msg_has:"need checkpoint >= 0, got checkpoint=-1";
+  check_cell_error "seeds 0" (spec "    (seeds 0)\n") ~line:9 ~col:11
+    ~msg_has:"need seeds >= 1, got seeds=0";
+  check_cell_error "seeds -3" (spec "    (seeds -3)\n") ~line:9 ~col:11
+    ~msg_has:"need seeds >= 1, got seeds=-3";
+  (* tx-rate is no spec axis; abc-run's --tx-rate reaches the check. *)
+  match Registry.check { (Registry.scenario ~protocol:"atomic" ~n:4 ~f:1) with tx_rate = -1. } with
+  | Error (axis, msg) ->
+    Alcotest.(check string) "tx-rate axis" "tx-rate" axis;
+    Alcotest.(check string) "tx-rate message" "need tx-rate > 0, got tx-rate=-1" msg
+  | Ok () -> Alcotest.fail "tx-rate -1 passed the registry"
+
+(* A [+] battery places its kinds on the highest-numbered nodes in
+   order, as E7 did by hand: the force-decide liar at node n-1, the
+   flip liar at node n-2.  The registry run must match the hand-placed
+   engine run exactly; the same kinds swapped must not. *)
+let test_battery_placement () =
+  let module B = Abc.Bracha_consensus in
+  let module H = Abc.Harness.Make (B) in
+  let n = 7 and f = 2 in
+  Alcotest.(check bool) "force-decide:1+flip:1 decodes in order" true
+    (Registry.fault "force-decide:1+flip:1" = Ok (Registry.Faulty [ (Force_decide, 1); (Flip, 1) ]));
+  let node = Abc_net.Node_id.of_int in
+  let by_hand ~seed =
+    let faulty =
+      [ (node 6, Abc_net.Behaviour.Mutate B.Fault.force_decide);
+        (node 5, Abc_net.Behaviour.Mutate B.Fault.flip_value) ]
+    in
+    let inputs = B.inputs ~n ~options:B.Options.default (Array.make n Abc.Value.Zero) in
+    let _, v = H.run (H.E.config ~n ~f ~inputs ~faulty ~adversary:Abc_net.Adversary.uniform ~seed ()) in
+    (v.terminated, v.agreement, v.max_round, v.messages, v.duration)
+  in
+  let registry kinds ~seed =
+    let sc =
+      { (Registry.scenario ~protocol:"bracha" ~n ~f) with
+        inputs = Unanimous Abc.Value.Zero; fault = Faulty kinds }
+    in
+    match Registry.run sc ~seed with
+    | Ok { outcome = o; _ } -> (o.decided, o.agreement, o.rounds, o.messages, o.ticks)
+    | Error msg -> Alcotest.fail msg
+  in
+  let seeds = List.init 4 Fun.id in
+  let e7 = [ (Registry.Force_decide, 1); (Registry.Flip, 1) ] in
+  List.iter
+    (fun seed ->
+      if registry e7 ~seed <> by_hand ~seed then Alcotest.failf "seed %d: not E7's placement" seed)
+    seeds;
+  Alcotest.(check bool) "swapped kinds run differently" true
+    (List.exists (fun seed -> registry (List.rev e7) ~seed <> by_hand ~seed) seeds)
+
+(* balanced-flip and the named faults place themselves and cannot join
+   a battery; a bad part is an error at the whole token. *)
+let test_battery_errors () =
+  let axes fault = Printf.sprintf "    (protocol bracha)\n    (n 7)\n    (f 2)\n    (fault none %s)\n" fault in
+  let expect = "    (default decide)\n" in
+  check_error "balanced-flip in a battery"
+    (base_spec ~axes:(axes "flip:1+balanced-flip:1") ~expect)
+    ~line:9 ~col:16 ~msg_has:"fault \"flip:1+balanced-flip:1\": \"balanced-flip:1\" cannot join";
+  check_error "named fault in a battery"
+    (base_spec ~axes:(axes "silent-sender+flip") ~expect)
+    ~line:9 ~col:16 ~msg_has:"fault \"silent-sender+flip\": \"silent-sender\" cannot join";
+  check_error "bad count in a battery"
+    (base_spec ~axes:(axes "flip:1+silent:x") ~expect)
+    ~line:9 ~col:16 ~msg_has:"fault \"flip:1+silent:x\""
+
 (* ---- expansion: counts and order ---- *)
 
 let test_cross_count () =
@@ -300,6 +389,25 @@ let test_expect_fail_semantics () =
       beyond.Runner.metrics.Runner.ok_rate
   | cells -> Alcotest.failf "expected 2 cells, got %d" (List.length cells)
 
+(* The entries bench tables and abc-run reach: the replicated log, the
+   common subset and MMR over the wire-level Rabin coin each decide. *)
+let test_new_entries_decide () =
+  let spec =
+    spec_of_string
+      (base_spec ~axes:"    (protocol log acs mmr-rabin)\n    (n 4)\n    (f 1)\n    (seeds 2)\n"
+         ~expect:"    (default decide)\n")
+  in
+  let r = Runner.run ~pool:(Pool.create ~jobs:2 ()) spec in
+  List.iter
+    (fun (c : Runner.cell_result) ->
+      let p = Spec.find_str c.cell "protocol" ~default:"?" in
+      Alcotest.(check bool) (p ^ " decides at n=4 f=1") true c.pass)
+    r.cells;
+  Alcotest.(check int) "three cells" 3 (List.length r.cells);
+  match r.cells with
+  | log :: _ -> Alcotest.(check bool) "log commits its slots" true (log.metrics.committed >= 6.)
+  | [] -> ()
+
 let test_no_clock_zero_wall () =
   let r, _ = run_with_jobs 1 in
   List.iter
@@ -340,6 +448,8 @@ let () =
           Alcotest.test_case "token errors carry spans" `Quick test_token_errors;
           Alcotest.test_case "cross-axis errors carry spans" `Quick
             test_cross_axis_errors;
+          Alcotest.test_case "range errors carry spans" `Quick test_range_errors;
+          Alcotest.test_case "battery errors carry spans" `Quick test_battery_errors;
         ] );
       ( "expand",
         [
@@ -360,6 +470,8 @@ let () =
             test_expect_fail_semantics;
           Alcotest.test_case "wall-clock zero without a clock" `Quick
             test_no_clock_zero_wall;
+          Alcotest.test_case "log, acs and mmr-rabin decide" `Quick test_new_entries_decide;
+          Alcotest.test_case "a + battery places kinds in order" `Quick test_battery_placement;
         ] );
       ( "specs",
         [

@@ -925,7 +925,7 @@ let token_decoders =
     ( "fault",
       total Registry.fault,
       [ "none"; "silent:2"; "crash"; "balanced-flip:3"; "force-decide"; "replay:2"; "flip-relay";
-        "equivocate-sender" ] );
+        "equivocate-sender"; "force-decide:1+flip:1"; "silent:2+crash+replay:1" ] );
     ("topology", total Registry.topology, [ "complete"; "ring"; "star"; "circulant:1,2" ]);
     ("inputs", total Registry.inputs, [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
     ("crash", total Registry.crash, [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
