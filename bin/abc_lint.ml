@@ -7,9 +7,9 @@
      abc_lint --prune-allow --allow FILE [ROOT ...]
 
    Scans the given roots (default: lib bin bench examples test) with
-   the parsetree rules in Abc_analysis.Ast_rules (token fallback for
-   unparseable files) and prints every finding not covered by the
-   allowlist.  Exit status: 0 when no error-severity findings remain
+   the parsetree rules in Abc_analysis.Ast_rules (a file that does not
+   parse is one `parse` finding) and prints every finding not covered
+   by the allowlist.  Exit status: 0 when no error-severity findings remain
    (warnings never fail the build), 1 otherwise, 2 on usage error. *)
 
 module A = Abc_analysis

@@ -4,15 +4,6 @@ open Parsetree
 (* Locations, snippets, longidents                                   *)
 (* ----------------------------------------------------------------- *)
 
-let span_of_loc (loc : Location.t) : Finding.span =
-  let s = loc.Location.loc_start and e = loc.Location.loc_end in
-  {
-    start_line = s.Lexing.pos_lnum;
-    start_col = s.Lexing.pos_cnum - s.Lexing.pos_bol;
-    end_line = e.Lexing.pos_lnum;
-    end_col = e.Lexing.pos_cnum - e.Lexing.pos_bol;
-  }
-
 let snippet_cap = 72
 
 (* Whitespace-collapsed source text of [loc], capped: the snippet is
@@ -58,7 +49,7 @@ let flag ctx ~rule ~loc ?snippet message =
     match snippet with Some s -> s | None -> snippet_at ~source:ctx.source loc
   in
   ctx.findings :=
-    Finding.v ~rule ~file:ctx.file ~span:(span_of_loc loc) ~snippet message
+    Finding.v ~rule ~file:ctx.file ~span:(Finding.span_of_loc loc) ~snippet message
     :: !(ctx.findings)
 
 (* ----------------------------------------------------------------- *)
@@ -196,9 +187,9 @@ let mutable_rhs_head e =
 
 (* Top-level [let x = ref ...] / [Hashtbl.create ...] bindings of the
    unit.  Deliberately top structure items only: nested-module state is
-   out of scope for the heuristic, exactly like the token rule's
-   column-0 test, and [Array.make]/[Bytes.create] stay excluded
-   (top-level arrays here are precomputed constant tables). *)
+   out of scope for the heuristic, and [Array.make]/[Bytes.create]
+   stay excluded (top-level arrays here are precomputed constant
+   tables). *)
 let module_level_mutables (str : structure) =
   List.concat_map
     (fun item ->

@@ -2,11 +2,10 @@
 
     These rules run on the compiler parsetree produced by {!Frontend}
     and can therefore see scopes, closures, attributes and expression
-    structure that the lexical layer in {!Rules} cannot:
+    structure:
 
     - {b determinism}, {b poly-compare}, {b quorum},
-      {b mutable-global} — parsetree reimplementations of the original
-      token rules, with span-accurate findings and no line-shape
+      {b mutable-global} — span-accurate, with no line-shape
       heuristics (string literals and comments are invisible, record
       punning and binder contexts are structural).
     - {b resilience} — protocol modules in [lib/core] declare their
@@ -38,7 +37,7 @@
       [examples/] are flagged; library observability flows through
       [Event]/[Trace]/[Metrics].
 
-    Path scoping matches {!Rules}; each rule supports reviewed
+    Each rule is path-scoped ({!Rule_info.all}) and supports reviewed
     exceptions via [lint.allow] (see {!Allow}). *)
 
 val check : path:string -> source:string -> Parsetree.structure -> Finding.t list

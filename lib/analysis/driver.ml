@@ -2,7 +2,6 @@ type report = {
   findings : Finding.t list;
   allowed : int;
   files : int;
-  parse_fallbacks : int;
   unused_allow : Allow.entry list;
 }
 
@@ -38,28 +37,47 @@ let read_file path =
   close_in ic;
   text
 
-(* Parsetree rules when the unit parses, token rules as the fallback.
-   The boolean is true when the fallback was taken. *)
-let check_source_either ~path source =
-  if Filename.check_suffix path ".matrix" then
-    (Matrix_rules.check ~path source, false)
+(* The parsetree rules when the unit parses, one [parse] finding at
+   the error when it does not. *)
+let findings_of ~path source =
+  if Filename.check_suffix path ".matrix" then Matrix_rules.check ~path source
   else if Filename.check_suffix path ".ml" then begin
     match Frontend.parse_impl ~path source with
-    | Ok str -> (Ast_rules.check ~path ~source str, false)
-    | Error _ -> (Rules.check_source ~path source, true)
+    | Ok str -> Ast_rules.check ~path ~source str
+    | Error (loc, message) ->
+      [
+        Finding.v ~rule:"parse" ~file:path ~span:(Finding.span_of_loc loc)
+          ~snippet:(Filename.basename path) message;
+      ]
   end
-  else ([], false)
+  else []
 
-let check_source ~path source =
-  let findings, _ = check_source_either ~path source in
-  List.map Rule_info.stamp findings
+let check_source ~path source = List.map Rule_info.stamp (findings_of ~path source)
+
+let interface_coverage ~files =
+  let files = List.map Scope.normalize files in
+  let mli_present = List.filter (fun f -> Filename.check_suffix f ".mli") files in
+  List.filter_map
+    (fun file ->
+      if Filename.check_suffix file ".ml" && Scope.in_dir file "lib/" then begin
+        let want = file ^ "i" in
+        if List.exists (String.equal want) mli_present then None
+        else
+          Some
+            (Finding.v ~rule:"interface" ~file ~span:Finding.file_span
+               ~snippet:(Filename.basename want)
+               "every module under lib/ needs an interface: add the .mli so the \
+                public surface (and its threshold docs) stays explicit")
+      end
+      else None)
+    files
+  |> Finding.dedup
 
 let rule_enabled ~only ~skip rule =
   (match only with None -> true | Some ids -> List.mem rule ids)
   && not (List.mem rule skip)
 
-let make_report ?(only = None) ?(skip = []) ?(parse_fallbacks = 0) ~allow ~files
-    findings =
+let make_report ?(only = None) ?(skip = []) ~allow ~files findings =
   let all =
     findings
     |> List.filter (fun f -> rule_enabled ~only ~skip f.Finding.rule)
@@ -71,24 +89,16 @@ let make_report ?(only = None) ?(skip = []) ?(parse_fallbacks = 0) ~allow ~files
     findings;
     allowed = List.length allowed;
     files;
-    parse_fallbacks;
     unused_allow = Allow.unused allow all;
   }
 
 let run ?(only = None) ?(skip = []) ~allow ~roots () =
   let files = scan_files ~roots in
-  let fallbacks = ref 0 in
   let per_file =
-    List.concat_map
-      (fun path ->
-        let findings, fell_back = check_source_either ~path (read_file path) in
-        if fell_back then incr fallbacks;
-        findings)
-      files
+    List.concat_map (fun path -> findings_of ~path (read_file path)) files
   in
-  let iface = Rules.interface_coverage ~files in
-  make_report ~only ~skip ~parse_fallbacks:!fallbacks ~allow
-    ~files:(List.length files) (per_file @ iface)
+  make_report ~only ~skip ~allow ~files:(List.length files)
+    (per_file @ interface_coverage ~files)
 
 (* ----------------------------------------------------------------- *)
 (* JSON report (SARIF-lite)                                          *)
@@ -134,8 +144,6 @@ let json_of_report r =
   Buffer.add_string buf "  \"schema\": \"abc-lint/1\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"files\": %d,\n" r.files);
   Buffer.add_string buf (Printf.sprintf "  \"allowed\": %d,\n" r.allowed);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parse_fallbacks\": %d,\n" r.parse_fallbacks);
   Buffer.add_string buf
     (Printf.sprintf "  \"errors\": %d,\n" (count Finding.Error r.findings));
   Buffer.add_string buf

@@ -1,12 +1,11 @@
 (** Walk source roots, apply every rule in scope, filter through the
-    allowlist: parsetree rules ({!Ast_rules}) when the unit parses,
-    token rules ({!Rules}) as the fallback. *)
+    allowlist: parsetree rules ({!Ast_rules}) on every [.ml] that
+    parses, one [parse] finding on one that does not. *)
 
 type report = {
   findings : Finding.t list;  (** unallowlisted findings, sorted *)
   allowed : int;  (** findings suppressed by the allowlist *)
   files : int;  (** source files scanned *)
-  parse_fallbacks : int;  (** files that fell back to the token layer *)
   unused_allow : Allow.entry list;  (** entries matching no finding *)
 }
 
@@ -15,13 +14,17 @@ val scan_files : roots:string list -> string list
     [_build], [.git] and other dot-directories. *)
 
 val check_source : path:string -> string -> Finding.t list
-(** Analyze one unit: parsetree rules when it parses, token rules
-    otherwise; severities stamped from {!Rule_info}. *)
+(** Analyze one unit: parsetree rules when it parses, one [parse]
+    finding at the syntax or lexer error otherwise; severities stamped
+    from {!Rule_info}. *)
+
+val interface_coverage : files:string list -> Finding.t list
+(** [interface_coverage ~files] checks every [lib/**.ml] in [files]
+    for a matching [.mli] in [files]. *)
 
 val make_report :
   ?only:string list option ->
   ?skip:string list ->
-  ?parse_fallbacks:int ->
   allow:Allow.entry list ->
   files:int ->
   Finding.t list ->

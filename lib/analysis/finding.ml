@@ -28,6 +28,15 @@ let line_span line =
 
 let file_span = line_span 0
 
+let span_of_loc (loc : Location.t) =
+  let s = loc.Location.loc_start and e = loc.Location.loc_end in
+  {
+    start_line = s.Lexing.pos_lnum;
+    start_col = s.Lexing.pos_cnum - s.Lexing.pos_bol;
+    end_line = e.Lexing.pos_lnum;
+    end_col = e.Lexing.pos_cnum - e.Lexing.pos_bol;
+  }
+
 let v ?(severity = Error) ~rule ~file ~span ~snippet message =
   { rule; severity; file; span; snippet; message }
 

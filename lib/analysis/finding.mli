@@ -13,8 +13,7 @@ type t = {
   rule : string;  (** rule id (see {!Rule_info.all}) *)
   severity : severity;
   file : string;  (** path as scanned, ['/']-separated *)
-  span : span;  (** parsetree rules report exact spans; the token
-                    fallback reports degenerate line-only spans *)
+  span : span;  (** exact for parsetree rules and parse errors *)
   snippet : string;  (** offending source text, whitespace-normalized *)
   message : string;  (** what is wrong and what to use instead *)
 }
@@ -25,10 +24,13 @@ val severity_label : severity -> string
 val severity_of_label : string -> severity option
 
 val line_span : int -> span
-(** Degenerate line-only span (token-fallback findings). *)
+(** Degenerate line-only span: column 0, empty. *)
 
 val file_span : span
 (** The file-level span (line 0; interface-coverage findings). *)
+
+val span_of_loc : Location.t -> span
+(** The span of a compiler location. *)
 
 val v :
   ?severity:severity ->

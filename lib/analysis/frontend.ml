@@ -1,23 +1,15 @@
-type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
-
-let with_lexbuf ~path source f =
+let parse_impl ~path source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf path;
   (* The compiler lexer keeps global comment/docstring state; reset it
      per unit so parses are independent. *)
   Lexer.init ();
-  match f lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ -> Error "syntax error"
-  | exception Lexer.Error (_, _) -> Error "lexer error"
-  | exception _ -> Error "parse failure"
-
-let parse ~path source =
-  if Filename.check_suffix path ".mli" then
-    Result.map (fun s -> Intf s) (with_lexbuf ~path source Parse.interface)
-  else Result.map (fun s -> Impl s) (with_lexbuf ~path source Parse.implementation)
-
-let parse_impl ~path source =
-  match with_lexbuf ~path source Parse.implementation with
-  | Ok s -> Ok s
-  | Error _ as e -> e
+  match Parse.implementation lexbuf with
+  | str -> Ok str
+  | exception exn -> (
+    match Location.error_of_exn exn with
+    | Some (`Ok report) ->
+      let main = report.Location.main in
+      Error (main.Location.loc, Format.asprintf "%t" main.Location.txt)
+    | Some `Already_displayed | None ->
+      Error (Location.curr lexbuf, Printexc.to_string exn))

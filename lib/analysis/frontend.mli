@@ -1,19 +1,13 @@
 (** Parsetree front end for the analyzer.
 
     Sources are parsed with the compiler's own parser
-    ([compiler-libs.common]: [Parse.implementation] /
-    [Parse.interface]), so the semantic rules in {!Ast_rules} operate
-    on real scopes, captures and expressions with span-accurate
-    locations.  A unit that fails to parse falls back to the lexical
-    rules in {!Rules} over {!Token_stream} — the two-layer
-    architecture documented in DESIGN.md. *)
+    ([compiler-libs.common]: [Parse.implementation]), so the rules in
+    {!Ast_rules} operate on real scopes, captures and expressions with
+    span-accurate locations.  A unit that does not parse is checked by
+    no rule; {!Driver} reports it as one [parse] finding at the error
+    instead. *)
 
-type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
-
-val parse : path:string -> string -> (ast, string) result
-(** Parse one compilation unit ([.mli] paths as interfaces, everything
-    else as implementations).  [Error reason] means the caller should
-    fall back to the token layer. *)
-
-val parse_impl : path:string -> string -> (Parsetree.structure, string) result
-(** Parse an implementation only. *)
+val parse_impl :
+  path:string -> string -> (Parsetree.structure, Location.t * string) result
+(** Parse an implementation.  [Error (loc, message)] is the syntax or
+    lexer error's location and the compiler's description of it. *)

@@ -113,6 +113,18 @@ let all =
       example = "let debug x = Printf.printf \"x=%d\\n\" x";
     };
     {
+      id = "parse";
+      severity = Finding.Error;
+      scope = "*.ml files under the scan roots";
+      rationale =
+        "Every rule runs on the compiler parsetree, so a unit that does \
+         not parse is checked by none of them. The linter reports the \
+         syntax or lexer error at its location, in the compiler's words, \
+         instead of passing the file silently; a tree that builds never \
+         has one.";
+      example = "let now () = Unix.gettimeofday (";
+    };
+    {
       id = "matrix-parse";
       severity = Finding.Error;
       scope = "*.matrix files under the scan roots";

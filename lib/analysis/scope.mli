@@ -1,4 +1,4 @@
-(** Path scoping shared by the parsetree and token rule layers.
+(** Path scoping shared by the rules and the driver.
 
     Rules are scoped by repository layout ("applies under [lib/core/]",
     "exempt under [lib/prng/]", ...); these helpers make that scoping

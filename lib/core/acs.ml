@@ -4,29 +4,42 @@ open Import
 
 module Int_map = Map.Make (Int)
 
-module Make (V : Value.PAYLOAD) = struct
-  module Prbc = Rbc_core.Make (V)
+module type BROADCAST = sig
+  type payload
 
-  type input = { proposal : V.t; coin : Coin.t }
+  type output = Delivered of payload
 
-  type output = Accepted of (Node_id.t * V.t) list
+  include Protocol.S with type output := output
+
+  val input : sender:Node_id.t -> payload option -> input
+
+  val pp_payload : payload Fmt.t
+end
+
+module Over (B : BROADCAST) (Id : sig
+  val name : string
+end) =
+struct
+  type input = { proposal : B.payload; coin : Coin.t }
+
+  type output = Accepted of (Node_id.t * B.payload) list
 
   type msg =
-    | Prop of { origin : Node_id.t; event : Prbc.event }
+    | Prop of { origin : Node_id.t; inner : B.msg }
     | Ba of { index : int; wire : Rbc_mux.wire }
 
   type state = {
     n : int;
     f : int;
     me : Node_id.t;
-    prop_instances : Prbc.t Node_id.Map.t;
-    proposals : V.t Node_id.Map.t; (* reliably delivered proposals *)
+    prop_instances : B.state Node_id.Map.t; (* one per proposer, opened at init *)
+    proposals : B.payload Node_id.Map.t; (* reliably delivered proposals *)
     bas : Ba_instance.t Int_map.t; (* one BA per proposer index *)
     decisions : Value.t Int_map.t; (* BA results *)
     emitted : bool;
   }
 
-  let name = "acs"
+  let name = Id.name
 
   let ba_validation = true
 
@@ -37,8 +50,19 @@ module Make (V : Value.PAYLOAD) = struct
   let wrap_ba index wires =
     List.map (fun wire -> Protocol.Broadcast (Ba { index; wire })) wires
 
-  let wrap_prop origin events =
-    List.map (fun event -> Protocol.Broadcast (Prop { origin; event })) events
+  (* The broadcast may point-send (the coded dispersal sends each node
+     its own fragment), so its actions are rewrapped target-preservingly. *)
+  let wrap_prop origin actions =
+    List.map (Protocol.map_action (fun inner -> Prop { origin; inner })) actions
+
+  (* The broadcast of [origin]'s proposal runs with the outer context,
+     its events scoped under "prop@n<origin>"; the BA for proposer
+     [index] under "ba<index>". *)
+  let prop_ctx ctx origin =
+    Protocol.Context.scoped ctx ~prefix:"prop@n" (Node_id.to_int origin)
+
+  let ba_sink ctx index =
+    (Protocol.Context.scoped ctx ~prefix:"ba" index).Protocol.Context.sink
 
   let ones_decided state =
     Int_map.fold
@@ -52,20 +76,15 @@ module Make (V : Value.PAYLOAD) = struct
         else { state with decisions = Int_map.add index d.Decision.value state.decisions })
       state events
 
-  (* Events of the BA for proposer [index], scoped under "ba<index>". *)
-  let ba_sink (sink : Event.sink) index =
-    if sink.Event.enabled then
-      Event.scoped sink ~instance:(lazy (Printf.sprintf "ba%d" index))
-    else sink
-
   (* Start [BA_index] with [input], folding any immediate events back
      into the state.  No-op when already started. *)
-  let start_ba state ~rng ~sink index input =
+  let start_ba ctx state index input =
     let instance = ba state index in
     if Ba_instance.started instance then (state, [])
     else begin
       let instance, wires, events =
-        Ba_instance.start ~sink:(ba_sink sink index) instance ~rng ~input
+        Ba_instance.start ~sink:(ba_sink ctx index) instance
+          ~rng:ctx.Protocol.Context.rng ~input
       in
       let state = { state with bas = Int_map.add index instance state.bas } in
       let state = record_events state index events in
@@ -74,8 +93,10 @@ module Make (V : Value.PAYLOAD) = struct
 
   (* Apply the ACS rules to fixpoint: vote 1 for delivered proposals,
      vote 0 everywhere once n-f instances accepted, emit when all
-     instances are decided and the accepted payloads have arrived. *)
-  let rec settle state ~rng ~sink actions =
+     instances are decided and the accepted payloads have arrived.
+     The agreement logic is independent of how proposals are
+     disseminated. *)
+  let rec settle ctx state actions =
     (* Rule 1: proposals that arrived but whose BA has no input yet. *)
     let pending_one =
       Node_id.Map.fold
@@ -86,8 +107,8 @@ module Make (V : Value.PAYLOAD) = struct
     in
     match pending_one with
     | index :: _ ->
-      let state, new_actions = start_ba state ~rng ~sink index Value.One in
-      settle state ~rng ~sink (actions @ new_actions)
+      let state, new_actions = start_ba ctx state index Value.One in
+      settle ctx state (actions @ new_actions)
     | [] ->
       (* Rule 2: enough instances accepted — refuse the rest. *)
       let unstarted =
@@ -97,16 +118,16 @@ module Make (V : Value.PAYLOAD) = struct
       in
       if
         ones_decided state >= Quorum.completeness ~n:state.n ~f:state.f
-        && unstarted <> []
+        && (match unstarted with [] -> false | _ :: _ -> true)
       then begin
         let state, new_actions =
           List.fold_left
             (fun (state, acc) index ->
-              let state, actions = start_ba state ~rng ~sink index Value.Zero in
+              let state, actions = start_ba ctx state index Value.Zero in
               (state, acc @ actions))
             (state, []) unstarted
         in
-        settle state ~rng ~sink (actions @ new_actions)
+        settle ctx state (actions @ new_actions)
       end
       else begin
         (* Rule 3: emit once everything is decided and every accepted
@@ -149,88 +170,108 @@ module Make (V : Value.PAYLOAD) = struct
         Int_map.empty
         (List.init n (fun i -> i))
     in
+    (* One proposal broadcast per proposer, all opened up front: mine
+       sends my proposal, the others sit ready to receive. *)
+    let prop_instances, actions =
+      List.fold_left
+        (fun (instances, acc) i ->
+          let origin = Node_id.of_int i in
+          let payload = if Node_id.equal origin me then Some input.proposal else None in
+          let inst, inst_actions =
+            B.initial (prop_ctx ctx origin) (B.input ~sender:origin payload)
+          in
+          (Node_id.Map.add origin inst instances, acc @ wrap_prop origin inst_actions))
+        (Node_id.Map.empty, [])
+        (List.init n (fun i -> i))
+    in
     let state =
       {
         n;
         f;
         me;
-        prop_instances = Node_id.Map.empty;
+        prop_instances;
         proposals = Node_id.Map.empty;
         bas;
         decisions = Int_map.empty;
         emitted = false;
       }
     in
-    (state, [ Protocol.Broadcast (Prop { origin = me; event = Prbc.Initial input.proposal }) ])
-
-  let prop_instance state origin =
-    match Node_id.Map.find_opt origin state.prop_instances with
-    | Some inst -> inst
-    | None -> Prbc.create ~n:state.n ~f:state.f ~sender:origin
+    (state, actions)
 
   let on_message ctx state ~src msg =
-    let rng = ctx.Protocol.Context.rng in
-    let sink = ctx.Protocol.Context.sink in
     match msg with
-    | Prop { origin; event } ->
-      let inst = prop_instance state origin in
-      let prop_sink =
-        if sink.Event.enabled then
-          Event.scoped sink ~instance:(lazy (Fmt.str "prop@%a" Node_id.pp origin))
-        else sink
-      in
-      let inst, events, delivered = Prbc.handle ~sink:prop_sink inst ~src event in
-      let state =
-        { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
-      in
-      let state =
-        match delivered with
-        | Some payload when not (Node_id.Map.mem origin state.proposals) ->
-          { state with proposals = Node_id.Map.add origin payload state.proposals }
-        | Some _ | None -> state
-      in
-      let state, actions, outputs =
-        settle state ~rng ~sink (wrap_prop origin events)
-      in
-      (state, actions, outputs)
+    | Prop { origin; inner } -> (
+      match Node_id.Map.find_opt origin state.prop_instances with
+      | None -> (state, [], []) (* origin out of range: forged wrapper *)
+      | Some inst ->
+        let inst, inst_actions, delivered =
+          B.on_message (prop_ctx ctx origin) inst ~src inner
+        in
+        let state =
+          { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
+        in
+        let state =
+          List.fold_left
+            (fun state (B.Delivered payload) ->
+              if Node_id.Map.mem origin state.proposals then state
+              else { state with proposals = Node_id.Map.add origin payload state.proposals })
+            state delivered
+        in
+        settle ctx state (wrap_prop origin inst_actions))
     | Ba { index; wire } ->
       if index < 0 || index >= state.n then (state, [], [])
       else begin
         let instance, wires, events =
-          Ba_instance.on_wire ~sink:(ba_sink sink index) (ba state index) ~rng
-            ~src wire
+          Ba_instance.on_wire ~sink:(ba_sink ctx index) (ba state index)
+            ~rng:ctx.Protocol.Context.rng ~src wire
         in
         let state = { state with bas = Int_map.add index instance state.bas } in
         let state = record_events state index events in
-        let state, actions, outputs =
-          settle state ~rng ~sink (wrap_ba index wires)
-        in
-        (state, actions, outputs)
+        settle ctx state (wrap_ba index wires)
       end
 
   let is_terminal (Accepted _) = true
   let on_timeout = Protocol.no_timeout
 
   let msg_label = function
-    | Prop { event; _ } -> "prop." ^ Prbc.event_label event
+    | Prop { inner; _ } -> "prop." ^ B.msg_label inner
     | Ba { wire; _ } -> "ba." ^ Rbc_mux.wire_label wire
 
   let msg_bytes =
     let open Protocol.Wire_size in
     function
-    | Prop { origin = _; event } -> tag + node_id + Prbc.event_bytes event
+    | Prop { origin = _; inner } -> tag + node_id + B.msg_bytes inner
     | Ba { index = _; wire } -> tag + int + Rbc_mux.wire_bytes wire
 
   let pp_msg ppf = function
-    | Prop { origin; event } ->
-      Fmt.pf ppf "prop[%a]:%a" Node_id.pp origin Prbc.pp_event event
+    | Prop { origin; inner } ->
+      Fmt.pf ppf "prop[%a]:%a" Node_id.pp origin B.pp_msg inner
     | Ba { index; wire } -> Fmt.pf ppf "ba[%d]:%a" index Rbc_mux.pp_wire wire
 
   let pp_output ppf (Accepted subset) =
     Fmt.pf ppf "accepted{%a}"
       (Fmt.list ~sep:Fmt.comma (fun ppf (id, p) ->
-           Fmt.pf ppf "%a=%a" Node_id.pp id V.pp p))
+           Fmt.pf ppf "%a=%a" Node_id.pp id B.pp_payload p))
       subset
+end
+
+module Make (V : Value.PAYLOAD) = struct
+  module Rbc = Bracha_rbc.Make (V)
+
+  module Proposals = struct
+    type payload = V.t
+
+    include Rbc
+
+    let input ~sender payload = { Rbc.sender; payload }
+    let pp_payload = V.pp
+  end
+
+  module Id = struct
+    let name = "acs"
+  end
+
+  include Over (Proposals) (Id)
 
   let inputs ~n ~coin proposals =
     if Array.length proposals <> n then

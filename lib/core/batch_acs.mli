@@ -18,12 +18,13 @@ open Import
     it disseminates for; [Ba] wraps a binary-agreement wire message
     tagged with the proposer index it votes on.
 
-    The agreement rules are identical to {!Acs} (vote 1 on delivery,
-    vote 0 everywhere once [n - f] accepted, emit when all [n] BAs are
-    decided and the accepted batches have arrived); only the proposal
-    transport differs.  Payloads are opaque strings — the atomic
-    broadcast layer encodes transaction batches into them
-    ({!Abc_smr.Atomic_broadcast}). *)
+    It is {!Acs.Over} applied to {!Coded_rbc}: the agreement rules are
+    {!Acs}'s (vote 1 on delivery, vote 0 everywhere once [n - f]
+    accepted, emit when all [n] BAs are decided and the accepted
+    batches have arrived); only the proposal transport differs.
+    Payloads are opaque strings — the atomic broadcast layer encodes
+    transaction batches into them ({!Abc_smr.Atomic_broadcast}) — and
+    [pp_output] prints each accepted batch as its size. *)
 
 type input = { proposal : string; coin : Coin.t }
 

@@ -24,12 +24,8 @@ let rec apply b ~rng ~n ~activation actions =
   | Silent -> []
   | Crash_after k -> if activation < k then actions else []
   | Mutate corrupt ->
-    let corrupt_action = function
-      | Protocol.Broadcast msg -> Protocol.Broadcast (corrupt rng msg)
-      | Protocol.Send (dst, msg) -> Protocol.Send (dst, corrupt rng msg)
-      | Protocol.Set_timer _ as a -> a (* timers are node-local, not wire *)
-    in
-    List.map corrupt_action actions
+    (* Timers are node-local, not wire: map_action passes them through. *)
+    List.map (Protocol.map_action (fun msg -> corrupt rng msg)) actions
   | Equivocate corrupt ->
     let corrupt_action = function
       | Protocol.Broadcast msg ->

@@ -23,9 +23,7 @@ module Make (P : Protocol.S) = struct
     adversary : Adversary.t;
     seed : int;
     max_deliveries : int;
-    fairness_age : int;
     trace : Abc_sim.Trace.t option;
-    detail : bool;
     topology : Topology.t option;
     link_faults : Link_faults.t option;
     recovery : recovery option;
@@ -40,8 +38,7 @@ module Make (P : Protocol.S) = struct
   }
 
   let config ?(faulty = []) ?(adversary = Adversary.fifo) ?(seed = 0)
-      ?max_deliveries ?fairness_age ?trace ?(detail = false) ?topology
-      ?link_faults ?recovery ~n ~f ~inputs () =
+      ?max_deliveries ?trace ?topology ?link_faults ?recovery ~n ~f ~inputs () =
     if Array.length inputs <> n then
       invalid_arg "Engine.config: inputs length must equal n";
     (match topology with
@@ -62,9 +59,6 @@ module Make (P : Protocol.S) = struct
     let max_deliveries =
       match max_deliveries with Some m -> m | None -> 200_000 * n
     in
-    let fairness_age =
-      match fairness_age with Some a -> a | None -> 32 * n * n
-    in
     {
       n;
       f;
@@ -73,9 +67,7 @@ module Make (P : Protocol.S) = struct
       adversary;
       seed;
       max_deliveries;
-      fairness_age;
       trace;
-      detail;
       topology;
       link_faults;
       recovery;
@@ -178,19 +170,6 @@ module Make (P : Protocol.S) = struct
         Str_tbl.add reason_cache reason h;
         h
     in
-    (* Detail mode keeps per-node counters; intern the five handles per
-       node up front instead of sprintf-ing a label per message. *)
-    let node_handles =
-      if not cfg.detail then [||]
-      else
-        Array.init cfg.n (fun i ->
-            let h suffix =
-              Abc_sim.Metrics.handle metrics
-                (Printf.sprintf "node%d.%s" i suffix)
-            in
-            (h "sent", h "bytes.sent", h "delivered", h "bytes.delivered",
-             h "outputs"))
-    in
     let clock = Abc_sim.Clock.create () in
     let pending : P.msg Envelope_arena.t = Envelope_arena.create () in
     (* Virtual timers: (node, timer id, incarnation) payloads ordered
@@ -246,39 +225,16 @@ module Make (P : Protocol.S) = struct
       | Some b -> b
       | None -> Behaviour.Honest
     in
-    (* Detailed per-protocol metrics, derived from the event stream:
-       round lengths, quorum waits and decision latencies in virtual
-       time.  Only maintained when [cfg.detail] is set. *)
-    let round_started_at = Array.make cfg.n 0 in
-    let observe_detail i (ev : Abc_sim.Event.t) =
-      let now = Abc_sim.Clock.now clock in
-      match ev.Abc_sim.Event.kind with
-      | Abc_sim.Event.Round_advance ->
-        Abc_sim.Metrics.incr metrics "rounds";
-        round_started_at.(i) <- now
-      | Abc_sim.Event.Quorum { quorum; _ } ->
-        Abc_sim.Metrics.hist metrics ("quorum_wait." ^ quorum)
-          (now - round_started_at.(i))
-      | Abc_sim.Event.Coin_flip _ -> Abc_sim.Metrics.incr metrics "coin_flips"
-      | Abc_sim.Event.Decide _ ->
-        if ev.Abc_sim.Event.round >= 0 then
-          Abc_sim.Metrics.hist metrics "rounds_to_decide" ev.Abc_sim.Event.round
-      | _ -> ()
-    in
     (* One sink per node: stamps events with the node id and the
-       current virtual time.  [Event.null_sink] when observability is
-       completely off, so emission sites guarded by [sink.enabled]
-       allocate nothing on the disabled path. *)
+       current virtual time.  [Event.null_sink] when tracing is off, so
+       emission sites guarded by [sink.enabled] allocate nothing on the
+       untraced path. *)
     let sink_for i =
-      match (cfg.trace, cfg.detail) with
-      | None, false -> Abc_sim.Event.null_sink
-      | trace, detail ->
+      match cfg.trace with
+      | None -> Abc_sim.Event.null_sink
+      | Some tr ->
         Abc_sim.Event.sink_to (fun ev ->
-            (match trace with
-            | Some tr ->
-              Abc_sim.Trace.record tr ~time:(Abc_sim.Clock.now clock) ~node:i ev
-            | None -> ());
-            if detail then observe_detail i ev)
+            Abc_sim.Trace.record tr ~time:(Abc_sim.Clock.now clock) ~node:i ev)
     in
     let sinks = Array.init cfg.n sink_for in
     let engine_note ~tag detail =
@@ -393,16 +349,10 @@ module Make (P : Protocol.S) = struct
         Abc_sim.Metrics.incr_handle sent_h;
         Abc_sim.Metrics.add_handle m_bytes_sent nbytes;
         Abc_sim.Metrics.add_handle bytes_sent_h nbytes;
-        let src_i = Node_id.to_int src in
-        if cfg.detail then begin
-          let h_sent, h_bytes_sent, _, _, _ = node_handles.(src_i) in
-          Abc_sim.Metrics.incr_handle h_sent;
-          Abc_sim.Metrics.add_handle h_bytes_sent nbytes
-        end;
         match cfg.trace with
         | Some tr ->
           set_detail seq detail;
-          Abc_sim.Trace.record tr ~time:now ~node:src_i
+          Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int src)
             (Abc_sim.Event.make
                (Abc_sim.Event.Send
                   {
@@ -462,10 +412,6 @@ module Make (P : Protocol.S) = struct
             (Abc_sim.Event.make
                (Abc_sim.Event.Output { label = Fmt.str "%a" P.pp_output o }))
         | None -> ());
-        if cfg.detail then begin
-          let _, _, _, _, h_outputs = node_handles.(node_i) in
-          Abc_sim.Metrics.incr_handle h_outputs
-        end;
         if P.is_terminal o then set_terminal node
       in
       List.iter note outputs
@@ -489,12 +435,16 @@ module Make (P : Protocol.S) = struct
           | -1 -> None
           | slot -> Some slot)
     in
+    (* The eventual-delivery bound: a message older than [fairness_age]
+       ticks is delivered next, overriding the adversary — long enough
+       that starvation policies bite, short enough that runs finish. *)
+    let fairness_age = 32 * cfg.n * cfg.n in
     let choose_slot now =
       let oldest = Envelope_arena.oldest_slot pending in
       let oldest_age =
         now - (Envelope_arena.meta pending oldest).Adversary.sent_at
       in
-      if oldest_age >= cfg.fairness_age then oldest
+      if oldest_age >= fairness_age then oldest
       else policy.Adversary.choose ~rng:adversary_rng ~now view
     in
     let deliveries = ref 0 in
@@ -587,13 +537,6 @@ module Make (P : Protocol.S) = struct
       Abc_sim.Metrics.incr_handle m_delivered;
       Abc_sim.Metrics.add_handle m_bytes_delivered nbytes;
       Abc_sim.Metrics.add_handle bytes_delivered_h nbytes;
-      if cfg.detail then begin
-        let _, _, h_delivered, h_bytes_delivered, _ =
-          node_handles.(Node_id.to_int node.id)
-        in
-        Abc_sim.Metrics.incr_handle h_delivered;
-        Abc_sim.Metrics.add_handle h_bytes_delivered nbytes
-      end;
       (match cfg.trace with
       | Some tr ->
         Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int node.id)

@@ -55,23 +55,11 @@ module Make (P : Protocol.S) : sig
     max_deliveries : int;
         (** hard stop for non-terminating setups; counts engine steps
             (deliveries, link-fault drops and timer firings) *)
-    fairness_age : int;
-        (** a message older than this many ticks is delivered next,
-            overriding the adversary — the "eventual delivery" bound *)
     trace : Abc_sim.Trace.t option;
         (** optional execution trace; when set, every send, delivery,
             output and protocol event (quorums, coin flips, round
             advances, decisions) is recorded as a typed
             {!Abc_sim.Event.t} stamped with node and virtual time *)
-    detail : bool;
-        (** when [true], maintain detailed per-protocol metrics derived
-            from the event stream: ["rounds"], ["coin_flips"] and
-            per-node ["node<i>.sent"/"node<i>.delivered"/
-            "node<i>.outputs"] counters plus ["rounds_to_decide"] and
-            ["quorum_wait.<name>"] histograms (virtual ticks from the
-            node's last round advance to the quorum).  Costs one
-            closure call per event; [false] (the default) keeps the
-            disabled path allocation-free *)
     topology : Topology.t option;
         (** communication graph; [None] means complete.  Messages along
             non-edges are dropped (counted as ["dropped.topology"]);
@@ -118,9 +106,7 @@ module Make (P : Protocol.S) : sig
     ?adversary:Adversary.t ->
     ?seed:int ->
     ?max_deliveries:int ->
-    ?fairness_age:int ->
     ?trace:Abc_sim.Trace.t ->
-    ?detail:bool ->
     ?topology:Topology.t ->
     ?link_faults:Link_faults.t ->
     ?recovery:recovery ->
@@ -130,12 +116,13 @@ module Make (P : Protocol.S) : sig
     unit ->
     config
   (** Build a configuration with sensible defaults: no faults, fifo
-      adversary, seed 0, delivery budget [200_000 * n], fairness age
-      [32 * n * n] (long enough that starvation policies bite, short
-      enough that runs finish). *)
+      adversary, seed 0, delivery budget [200_000 * n]. *)
 
   val run : config -> result
-  (** Execute the configured run to completion. *)
+  (** Execute the configured run to completion.  A message older than
+      [32 * n * n] ticks is delivered next, overriding the adversary:
+      the eventual-delivery bound, long enough that starvation
+      policies bite, short enough that runs finish. *)
 
   val honest : config -> Node_id.t list
   (** The nodes of the run that are not in the faulty list. *)

@@ -2,10 +2,9 @@
    (meta / payload / duplicate flag) plus a flat seq -> slot table, so
    the engine's enqueue / schedule / swap-remove hot path allocates
    nothing beyond the one meta record the adversary interface needs.
-   Removal replicates Vec.swap_remove exactly — the last slot moves
-   into the hole — which is what keeps adversary index choices, and
-   therefore whole traces, byte-identical to the pre-arena engine
-   (see PERFORMANCE.md). *)
+   Removal moves the last slot into the hole, so the slot order the
+   adversary indexes into evolves as it always has: adversary choices,
+   and therefore whole traces, stay as before (see PERFORMANCE.md). *)
 
 type 'a t = {
   mutable metas : Adversary.meta array;

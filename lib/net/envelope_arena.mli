@@ -2,11 +2,11 @@
 
     The engine's pending-message store: struct-of-arrays slots (meta /
     payload / duplicate flag) plus a flat seq → slot table replacing a
-    per-message hashtable.  Removal moves the last slot into the hole —
-    exactly {!Abc_sim.Vec.swap_remove}'s layout — so adversary index
-    choices, and therefore traces, are byte-identical to the pre-arena
-    engine.  Slots at or past [length] may hold stale entries; they are
-    overwritten by later pushes (see PERFORMANCE.md). *)
+    per-message hashtable.  Removal moves the last slot into the hole,
+    so the slot order the adversary indexes into evolves as it always
+    has, and adversary choices and traces stay as before.  Slots at or
+    past [length] may hold stale entries; they are overwritten by later
+    pushes (see PERFORMANCE.md). *)
 
 type 'a t
 (** An arena of in-flight messages with payloads of type ['a]. *)

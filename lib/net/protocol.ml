@@ -13,7 +13,22 @@ module Context = struct
   }
 
   let quorum ctx = ctx.n - ctx.f
+
+  let scoped ctx ~prefix i =
+    if ctx.sink.Abc_sim.Event.enabled then
+      {
+        ctx with
+        sink =
+          Abc_sim.Event.scoped ctx.sink
+            ~instance:(lazy (prefix ^ string_of_int i));
+      }
+    else ctx
 end
+
+let map_action wrap = function
+  | Broadcast msg -> Broadcast (wrap msg)
+  | Send (dst, msg) -> Send (dst, wrap msg)
+  | Set_timer { id; after } -> Set_timer { id; after }
 
 module type S = sig
   type input

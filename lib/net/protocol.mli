@@ -45,7 +45,22 @@ module Context : sig
   val quorum : t -> int
   (** [quorum ctx] is [n - f], the number of messages a node may safely
       wait for in an asynchronous system. *)
+
+  val scoped : t -> prefix:string -> int -> t
+  (** [scoped ctx ~prefix i] is [ctx] with its events scoped under the
+      instance [prefix ^ string_of_int i] (["slot3"], ["prop@n2"]), for
+      a sub-instance of a composite protocol.  The name is built only
+      when the sink is enabled and an event is emitted; a disabled
+      context is returned as is, so the untraced path allocates
+      nothing. *)
 end
+
+val map_action : ('a -> 'b) -> 'a action -> 'b action
+(** [map_action wrap a] rewraps the message of [a] with [wrap], keeping
+    its target: how a composite protocol lifts a sub-instance's actions
+    into its own message type.  [Set_timer] passes through with its id
+    unchanged, so a composite whose sub-instances arm timers must
+    demultiplex the ids itself. *)
 
 module type S = sig
   type input

@@ -1,41 +1,26 @@
-type t = {
-  enabled : bool;
-  counters : (string, int ref) Hashtbl.t;
-  series : (string, float list ref) Hashtbl.t;
-  hists : (string, Histogram.t) Hashtbl.t;
-}
+type t = (string, int ref) Hashtbl.t
 
-let create ?(enabled = true) () =
-  {
-    enabled;
-    counters = Hashtbl.create 16;
-    series = Hashtbl.create 16;
-    hists = Hashtbl.create 8;
-  }
-
-let enabled t = t.enabled
+let create () : t = Hashtbl.create 16
 
 let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
+  match Hashtbl.find_opt t name with
   | Some r -> r
   | None ->
     let r = ref 0 in
-    Hashtbl.add t.counters name r;
+    Hashtbl.add t name r;
     r
 
-let incr t name = if t.enabled then Stdlib.incr (counter_ref t name)
+let incr t name = Stdlib.incr (counter_ref t name)
 
 let add t name k =
-  if t.enabled then begin
-    let r = counter_ref t name in
-    r := !r + k
-  end
+  let r = counter_ref t name in
+  r := !r + k
 
 (* Pre-interned counter handles: the hot path pays one string hash at
    [handle] time and none afterwards.  The registry entry is attached
-   lazily on the first enabled update so an interned-but-never-touched
-   counter stays invisible to [counter]/[counters] — exactly the
-   semantics of the string API, where [incr] creates the entry. *)
+   lazily on the first update so an interned-but-never-touched counter
+   stays invisible to [counter]/[counters] — exactly the semantics of
+   the string API, where [incr] creates the entry. *)
 
 type handle = {
   h_metrics : t;
@@ -52,76 +37,16 @@ let attach h =
   h.h_attached <- true
 
 let incr_handle h =
-  if h.h_metrics.enabled then begin
-    if not h.h_attached then attach h;
-    Stdlib.incr h.h_ref
-  end
+  if not h.h_attached then attach h;
+  Stdlib.incr h.h_ref
 
 let add_handle h k =
-  if h.h_metrics.enabled then begin
-    if not h.h_attached then attach h;
-    h.h_ref := !(h.h_ref) + k
-  end
+  if not h.h_attached then attach h;
+  h.h_ref := !(h.h_ref) + k
 
 let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let series_ref t name =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add t.series name r;
-    r
-
-let observe t name v =
-  if t.enabled then begin
-    let r = series_ref t name in
-    r := v :: !r
-  end
-
-let series t name =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> List.rev !r
-  | None -> []
-
-let summarize t name = Summary.of_list (series t name)
-
-let hist t name v =
-  if t.enabled then begin
-    let h =
-      match Hashtbl.find_opt t.hists name with
-      | Some h -> h
-      | None ->
-        let h = Histogram.create () in
-        Hashtbl.add t.hists name h;
-        h
-    in
-    Histogram.add h v
-  end
-
-let histogram t name = Hashtbl.find_opt t.hists name
-
-let histograms t =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
 let counters t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Fmt.pf ppf "%-32s %d@." name v) (counters t);
-  let series_names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) t.series []
-    |> List.sort String.compare
-  in
-  let pp_series name =
-    match summarize t name with
-    | Some s -> Fmt.pf ppf "%-32s %a@." name Summary.pp s
-    | None -> ()
-  in
-  List.iter pp_series series_names;
-  List.iter
-    (fun (name, h) -> Fmt.pf ppf "%s (histogram):@.%s" name (Histogram.render h))
-    (histograms t)

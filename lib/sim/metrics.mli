@@ -1,24 +1,14 @@
-(** Named counters, value series and histograms for instrumenting
-    simulations.
+(** Named counters for instrumenting simulations.
 
     A [Metrics.t] is attached to each engine run.  Protocol code and
-    the engine bump counters ([incr]) and append observations
-    ([observe], [hist]); experiment harnesses read them back as totals,
-    {!Summary.t} aggregates or {!Histogram.t} distributions.
-
-    A registry created with [~enabled:false] turns every mutator into a
-    single-branch no-op — the zero-cost-when-disabled contract the
-    engine's detailed instrumentation relies on. *)
+    the engine bump counters ([incr], or a pre-interned {!handle} on
+    hot paths); experiment harnesses read them back as totals. *)
 
 type t
 (** A mutable metrics registry. *)
 
-val create : ?enabled:bool -> unit -> t
-(** [create ()] is an empty registry; [~enabled:false] (default
-    [true]) makes every mutator a no-op while reads keep working. *)
-
-val enabled : t -> bool
-(** Whether mutators record anything. *)
+val create : unit -> t
+(** [create ()] is an empty registry. *)
 
 val incr : t -> string -> unit
 (** [incr t name] adds 1 to counter [name], creating it at 0. *)
@@ -36,9 +26,9 @@ type handle
 
 val handle : t -> string -> handle
 (** [handle t name] interns counter [name].  Interning alone does not
-    create the counter: until the first {!incr_handle}/{!add_handle}
-    on an enabled registry, [name] stays absent from {!counters} —
-    identical to the string API, where {!incr} creates the entry. *)
+    create the counter: until the first {!incr_handle}/{!add_handle},
+    [name] stays absent from {!counters} — identical to the string
+    API, where {!incr} creates the entry. *)
 
 val incr_handle : handle -> unit
 (** [incr_handle h] adds 1 to the interned counter without hashing its
@@ -48,29 +38,6 @@ val add_handle : handle -> int -> unit
 (** [add_handle h k] adds [k] to the interned counter without hashing
     its label.  Equivalent to [add t name k]. *)
 
-val observe : t -> string -> float -> unit
-(** [observe t name v] appends observation [v] to series [name]. *)
-
-val series : t -> string -> float list
-(** [series t name] is the observations of series [name], in insertion
-    order ([[]] when the series was never touched). *)
-
-val summarize : t -> string -> Summary.t option
-(** [summarize t name] is the summary of series [name]. *)
-
-val hist : t -> string -> int -> unit
-(** [hist t name v] records integer observation [v] into histogram
-    [name], creating it empty.  Used for distributions the experiment
-    harness renders directly (rounds-to-decide, quorum waits). *)
-
-val histogram : t -> string -> Histogram.t option
-(** [histogram t name] is histogram [name], if ever touched. *)
-
-val histograms : t -> (string * Histogram.t) list
-(** All histograms, sorted by name. *)
-
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val pp : t Fmt.t
-(** Render all counters, series summaries and histograms. *)

@@ -2,7 +2,6 @@ type entry = { time : int; node : int; event : Event.t }
 
 type t = {
   capacity : int;
-  sample : int;
   counts : int array;  (* exact per-kind totals, indexed by Event.kind_ord *)
   buffer : entry array;  (* ring; slots never written hold [vacant] *)
   mutable start : int;
@@ -13,19 +12,15 @@ type t = {
 (* v5 added the crash-recovery event kinds (node-crashed,
    node-recovered, checkpoint-stable, state-transfer-start/done); the
    reader accepts any version <= this one (see OBSERVABILITY.md
-   migration notes).  The sampling fields ("sample", "counts") added
-   after v5 are additive and only emitted when sampling is on, so no
-   version bump. *)
+   migration notes). *)
 let schema_version = 5
 
 let vacant = { time = 0; node = 0; event = Event.make Event.Round_advance }
 
-let create ?(capacity = 4096) ?(sample = 1) () =
+let create ?(capacity = 4096) () =
   assert (capacity > 0);
-  assert (sample > 0);
   {
     capacity;
-    sample;
     counts = Array.make Event.kind_count 0;
     buffer = Array.make capacity vacant;
     start = 0;
@@ -33,27 +28,19 @@ let create ?(capacity = 4096) ?(sample = 1) () =
     recorded = 0;
   }
 
-let sample t = t.sample
-
 let record t ~time ~node event =
   let ord = Event.kind_ord event.Event.kind in
   t.counts.(ord) <- t.counts.(ord) + 1;
   t.recorded <- t.recorded + 1;
-  (* With [sample = k], retain events #1, #k+1, #2k+1, ... — a
-     deterministic counter stride, never a RNG draw, so sampled traces
-     stay byte-reproducible.  The per-kind counts above are exact
-     regardless. *)
-  if (t.recorded - 1) mod t.sample = 0 then begin
-    let entry = { time; node; event } in
-    if t.size = t.capacity then begin
-      (* Overwrite the oldest slot. *)
-      t.buffer.(t.start) <- entry;
-      t.start <- (t.start + 1) mod t.capacity
-    end
-    else begin
-      t.buffer.((t.start + t.size) mod t.capacity) <- entry;
-      t.size <- t.size + 1
-    end
+  let entry = { time; node; event } in
+  if t.size = t.capacity then begin
+    (* Overwrite the oldest slot. *)
+    t.buffer.(t.start) <- entry;
+    t.start <- (t.start + 1) mod t.capacity
+  end
+  else begin
+    t.buffer.((t.start + t.size) mod t.capacity) <- entry;
+    t.size <- t.size + 1
   end
 
 let note t ~time ~node ~tag detail =
@@ -65,18 +52,12 @@ let recorded t = t.recorded
 
 let dropped t = t.recorded - t.size
 
-let counts t =
-  let acc = ref [] in
-  for ord = Array.length t.counts - 1 downto 0 do
-    if t.counts.(ord) > 0 then
-      acc := (Event.ord_label ord, t.counts.(ord)) :: !acc
-  done;
-  !acc
-
 let count_kind t ~label =
-  List.fold_left
-    (fun acc (l, c) -> if String.equal l label then acc + c else acc)
-    0 (counts t)
+  let total = ref 0 in
+  Array.iteri
+    (fun ord c -> if String.equal (Event.ord_label ord) label then total := !total + c)
+    t.counts;
+  !total
 
 let to_list t =
   let rec collect i acc =
@@ -102,29 +83,15 @@ let dump ppf t =
 (* ----------------------------------------------------------------- *)
 
 let header_json ?(meta = []) t =
-  (* The sampling fields are additive and only present when sampling
-     is on, so a sample=1 trace is byte-identical to pre-sampling
-     output and old readers (which ignore unknown header fields) keep
-     working. *)
-  let sampling =
-    if t.sample = 1 then []
-    else
-      [
-        ("sample", Json.Int t.sample);
-        ( "counts",
-          Json.Obj (List.map (fun (l, c) -> (l, Json.Int c)) (counts t)) );
-      ]
-  in
   Json.Obj
-    ([
-       ("schema", Json.String "abc.trace");
-       ("version", Json.Int schema_version);
-       ("recorded", Json.Int t.recorded);
-       ("retained", Json.Int t.size);
-       ("dropped", Json.Int (dropped t));
-     ]
-    @ sampling
-    @ [ ("meta", Json.Obj meta) ])
+    [
+      ("schema", Json.String "abc.trace");
+      ("version", Json.Int schema_version);
+      ("recorded", Json.Int t.recorded);
+      ("retained", Json.Int t.size);
+      ("dropped", Json.Int (dropped t));
+      ("meta", Json.Obj meta);
+    ]
 
 (* Decimal digits of [i], written without an intermediate string. *)
 let rec add_int buffer i =

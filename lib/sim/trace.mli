@@ -25,21 +25,13 @@ val schema_version : int
     incompatible schema change (stability promise in
     [OBSERVABILITY.md]). *)
 
-val create : ?capacity:int -> ?sample:int -> unit -> t
-(** [create ~capacity ~sample ()] is an empty trace retaining at most
-    [capacity] entries (default 4096).  [sample] (default 1) turns on
-    the sampling sink: only every [sample]-th recorded event is
-    retained (a deterministic counter stride — events #1, #sample+1,
-    ... — never a RNG draw), while {!recorded} and the per-kind
-    {!counts} stay exact.  See PERFORMANCE.md for when to sample. *)
-
-val sample : t -> int
-(** The sampling stride (1 = retain everything). *)
+val create : ?capacity:int -> unit -> t
+(** [create ~capacity ()] is an empty trace retaining at most
+    [capacity] entries (default 4096). *)
 
 val record : t -> time:int -> node:int -> Event.t -> unit
-(** [record t ~time ~node event] counts the event (always, exactly)
-    and appends an entry unless sampled out, evicting the oldest
-    entry if the buffer is full.  Callers on a hot path should guard
+(** [record t ~time ~node event] counts the event and appends an
+    entry, evicting the oldest entry if the buffer is full.  Callers on a hot path should guard
     with their {!Event.sink}'s [enabled] flag so the event value is
     never built when tracing is off. *)
 
@@ -56,19 +48,12 @@ val recorded : t -> int
     not. *)
 
 val dropped : t -> int
-(** [dropped t] is the number of recorded entries not retained —
-    evicted by the ring or sampled out; exactly
-    [recorded t - length t]. *)
-
-val counts : t -> (string * int) list
-(** [counts t] is the exact number of events recorded per kind label
-    (kinds never recorded are omitted), in {!Event.kind_ord} order.
-    Exact even when sampling: counting happens before the sampling
-    decision. *)
+(** [dropped t] is the number of recorded entries evicted by the ring;
+    exactly [recorded t - length t]. *)
 
 val count_kind : t -> label:string -> int
 (** [count_kind t ~label] is the exact number of recorded events of
-    that kind (0 when never recorded), sampled out or not — unlike
+    that kind (0 when never recorded), evicted or not — unlike
     {!find_kind}, which only sees retained entries. *)
 
 val to_list : t -> entry list

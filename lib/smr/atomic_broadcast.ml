@@ -175,30 +175,14 @@ let list_take k l =
 (* Epoch plumbing                                                    *)
 (* ----------------------------------------------------------------- *)
 
+(* The catch-up timer is armed outside [wrap]: epoch agreements arm
+   none. *)
 let wrap epoch actions =
-  List.map
-    (fun action ->
-      match action with
-      | Protocol.Broadcast inner -> Protocol.Broadcast (Epoch { epoch; inner })
-      | Protocol.Send (dst, inner) -> Protocol.Send (dst, Epoch { epoch; inner })
-      | Protocol.Set_timer { id; after } ->
-        (* Epoch agreements never arm timers today; if one ever does,
-           the id must be epoch-demultiplexed rather than forwarded.
-           (The catch-up timer is armed outside [wrap].) *)
-        Protocol.Set_timer { id; after })
-    actions
+  List.map (Protocol.map_action (fun inner -> Epoch { epoch; inner })) actions
 
 (* Scope an epoch's observability under "epoch<e>" so overlapping
    epoch agreements stay distinguishable in traces. *)
-let epoch_ctx (ctx : Protocol.Context.t) epoch =
-  if ctx.Protocol.Context.sink.Event.enabled then
-    {
-      ctx with
-      Protocol.Context.sink =
-        Event.scoped ctx.Protocol.Context.sink
-          ~instance:(lazy (Printf.sprintf "epoch%d" epoch));
-    }
-  else ctx
+let epoch_ctx ctx epoch = Protocol.Context.scoped ctx ~prefix:"epoch" epoch
 
 let emit (ctx : Protocol.Context.t) kind =
   let sink = ctx.Protocol.Context.sink in

@@ -1,6 +1,5 @@
 module Node_id = Abc_net.Node_id
 module Protocol = Abc_net.Protocol
-module Event = Abc_sim.Event
 module Int_map = Map.Make (Int)
 
 (* Each slot runs one ACS over string proposals. *)
@@ -34,28 +33,11 @@ let proposal state slot =
   if slot < Array.length state.commands then state.commands.(slot) else "<noop>"
 
 let wrap slot actions =
-  List.map
-    (fun action ->
-      match action with
-      | Protocol.Broadcast inner -> Protocol.Broadcast (Slot { slot; inner })
-      | Protocol.Send (dst, inner) -> Protocol.Send (dst, Slot { slot; inner })
-      | Protocol.Set_timer { id; after } ->
-        (* Slot agreements never arm timers today; if one ever does,
-           the id must be slot-demultiplexed rather than forwarded. *)
-        Protocol.Set_timer { id; after })
-    actions
+  List.map (Protocol.map_action (fun inner -> Slot { slot; inner })) actions
 
 (* Scope a slot's observability under "slot<k>" so concurrent slot
    agreements stay distinguishable in traces (see OBSERVABILITY.md). *)
-let slot_ctx (ctx : Protocol.Context.t) slot =
-  if ctx.Protocol.Context.sink.Event.enabled then
-    {
-      ctx with
-      Protocol.Context.sink =
-        Event.scoped ctx.Protocol.Context.sink
-          ~instance:(lazy (Printf.sprintf "slot%d" slot));
-    }
-  else ctx
+let slot_ctx ctx slot = Protocol.Context.scoped ctx ~prefix:"slot" slot
 
 (* Open slot [slot]'s agreement (idempotent): instantiates the inner
    ACS with this replica's proposal, which broadcasts it. *)

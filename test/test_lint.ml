@@ -4,20 +4,18 @@
    analyzer as inline sources with a synthetic path (the rules are
    path-scoped).  Fixtures route through Driver.check_source, i.e. the
    parsetree layer (Frontend + Ast_rules) with severities stamped —
-   exactly what a real scan does per file; one fixture deliberately
-   fails to parse to pin the token-layer fallback.  The JSON report is
-   checked byte-for-byte against test/golden/lint_report.json.
+   exactly what a real scan does per file; two fixtures deliberately
+   fail to parse to pin the parse finding.  The JSON report is checked
+   byte-for-byte against test/golden/lint_report.json.
 
    The Quorum tests check every named threshold against an independent
    reference — including the inline arithmetic the protocol modules
    used before centralization — over representative (n, f) pairs
    including the n = 3f + 1 resilience boundary. *)
 
-module Rules = Abc_analysis.Rules
 module Finding = Abc_analysis.Finding
 module Allow = Abc_analysis.Allow
 module Driver = Abc_analysis.Driver
-module Frontend = Abc_analysis.Frontend
 module Rule_info = Abc_analysis.Rule_info
 module Quorum = Abc.Quorum
 
@@ -336,21 +334,27 @@ let test_matrix_registry () =
   Alcotest.(check (list string)) "valid spec" []
     (rules_of (Driver.check_source ~path:"bench/specs/t.matrix" (spec "    (adversary target:3)")))
 
-(* ---- parse-failure fallback ---- *)
+(* ---- units that do not parse ---- *)
 
-let test_token_fallback () =
-  let broken = "let now () = Unix.gettimeofday (\n" in
-  (match Frontend.parse_impl ~path:"lib/sim/clock.ml" broken with
-  | Ok _ -> Alcotest.fail "fixture unexpectedly parses"
-  | Error _ -> ());
-  (* The token layer still catches the banned call in the unparseable
-     unit (with a line-only span). *)
-  let findings = Driver.check_source ~path:"lib/sim/clock.ml" broken in
-  Alcotest.(check (list string)) "token fallback" [ "determinism" ]
-    (rules_of findings);
-  List.iter
-    (fun f -> Alcotest.(check int) "degenerate span" 0 f.Finding.span.Finding.start_col)
-    findings
+(* A syntax or lexer error is one parse finding at the error, and no
+   other rule runs on the unit: the banned call next to it goes
+   unreported. *)
+let test_parse_finding () =
+  let finding name source ~line ~col =
+    match Driver.check_source ~path:"lib/sim/clock.ml" source with
+    | [ f ] ->
+      Alcotest.(check string) (name ^ ": rule") "parse" f.Finding.rule;
+      Alcotest.(check bool) (name ^ ": error") true (f.Finding.severity = Finding.Error);
+      Alcotest.(check (pair int int))
+        (name ^ ": span") (line, col)
+        (f.Finding.span.Finding.start_line, f.Finding.span.Finding.start_col)
+    | fs -> Alcotest.failf "%s: expected one finding, got %d" name (List.length fs)
+  in
+  finding "syntax error" "let ok = 1\nlet now () = Unix.gettimeofday ( in\nlet later = 2\n"
+    ~line:2 ~col:33;
+  finding "lexer error" "let ok = 1\nlet s = \"unterminated\n" ~line:2 ~col:8;
+  Alcotest.(check (list string)) "an interface is not parsed" []
+    (rules_of (Driver.check_source ~path:"lib/sim/clock.mli" "val now : unit ->\n"))
 
 (* ---- rule metadata ---- *)
 
@@ -363,7 +367,7 @@ let test_rule_info () =
         (List.mem id Rule_info.ids))
     [
       "determinism"; "poly-compare"; "quorum"; "resilience"; "mutable-global";
-      "pool-capture"; "silent-drop"; "stray-output"; "interface";
+      "pool-capture"; "silent-drop"; "stray-output"; "interface"; "parse";
     ];
   Alcotest.(check bool) "stray-output is the one warn-severity rule" true
     (List.for_all
@@ -376,13 +380,13 @@ let test_rule_info () =
 let test_interface_coverage () =
   Alcotest.(check (list string))
     "missing mli flagged" [ "interface" ]
-    (rules_of (Rules.interface_coverage ~files:[ "lib/core/foo.ml" ]));
+    (rules_of (Driver.interface_coverage ~files:[ "lib/core/foo.ml" ]));
   Alcotest.(check (list string))
     "present mli passes" []
-    (rules_of (Rules.interface_coverage ~files:[ "lib/core/foo.ml"; "lib/core/foo.mli" ]));
+    (rules_of (Driver.interface_coverage ~files:[ "lib/core/foo.ml"; "lib/core/foo.mli" ]));
   Alcotest.(check (list string))
     "bin/ not required" []
-    (rules_of (Rules.interface_coverage ~files:[ "bin/main.ml" ]))
+    (rules_of (Driver.interface_coverage ~files:[ "bin/main.ml" ]))
 
 (* ---- allowlist ---- *)
 
@@ -654,7 +658,7 @@ let () =
           Alcotest.test_case "silent-drop: passing" `Quick test_silent_drop_passing;
           Alcotest.test_case "stray-output" `Quick test_stray_output;
           Alcotest.test_case "matrix: registry tokens" `Quick test_matrix_registry;
-          Alcotest.test_case "token fallback" `Quick test_token_fallback;
+          Alcotest.test_case "parse finding" `Quick test_parse_finding;
           Alcotest.test_case "rule metadata" `Quick test_rule_info;
           Alcotest.test_case "interface coverage" `Quick test_interface_coverage;
         ] );

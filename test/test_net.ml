@@ -359,9 +359,9 @@ let arena_push a ~seq =
   Arena.push a ~meta:(meta ~seq ~src:0 ~dst:1 ()) ~payload:(seq * 10)
     ~copy:false
 
-(* Removal must replicate Vec.swap_remove: the last slot fills the
-   hole, and the seq table follows both the moved and the removed
-   entry.  The engine's trace byte-identity rests on this layout. *)
+(* Removal moves the last slot into the hole, and the seq table
+   follows both the moved and the removed entry.  Adversary choices,
+   and so the engine's traces, stay as before only under this layout. *)
 let test_arena_swap_remove_layout () =
   let a = Arena.create () in
   for seq = 0 to 4 do

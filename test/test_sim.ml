@@ -1,7 +1,6 @@
 (* Unit and property tests for the abc_sim simulation kernel. *)
 
 module Heap = Abc_sim.Heap
-module Vec = Abc_sim.Vec
 module Clock = Abc_sim.Clock
 module Trace = Abc_sim.Trace
 module Summary = Abc_sim.Summary
@@ -101,53 +100,6 @@ let prop_heap_sorts =
         match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
       in
       drain [] = List.sort Int.compare priorities)
-
-(* Vec *)
-
-let test_vec_push_get () =
-  let v = Vec.create () in
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get 42" 42 (Vec.get v 42)
-
-let test_vec_swap_remove () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 10; 20; 30; 40 ];
-  let removed = Vec.swap_remove v 1 in
-  Alcotest.(check int) "removed" 20 removed;
-  Alcotest.(check int) "length" 3 (Vec.length v);
-  let remaining = List.sort Int.compare (Vec.to_list v) in
-  Alcotest.(check (list int)) "rest intact" [ 10; 30; 40 ] remaining
-
-let test_vec_swap_remove_last () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2 ];
-  let removed = Vec.swap_remove v 1 in
-  Alcotest.(check int) "removed last" 2 removed;
-  Alcotest.(check (list int)) "rest" [ 1 ] (Vec.to_list v)
-
-let test_vec_out_of_bounds () =
-  let v = Vec.create () in
-  Vec.push v 1;
-  Alcotest.check_raises "get out of bounds"
-    (Invalid_argument "Vec.get: index out of bounds") (fun () ->
-      ignore (Vec.get v 1))
-
-let prop_vec_multiset_preserved =
-  QCheck.Test.make ~name:"swap_remove preserves the multiset" ~count:200
-    QCheck.(pair (list small_int) small_int)
-    (fun (xs, k) ->
-      let v = Vec.create () in
-      List.iter (Vec.push v) xs;
-      let removed = ref [] in
-      let steps = min k (List.length xs) in
-      for _ = 1 to steps do
-        let i = Vec.length v / 2 in
-        removed := Vec.swap_remove v i :: !removed
-      done;
-      List.sort Int.compare (!removed @ Vec.to_list v) = List.sort Int.compare xs)
 
 (* Clock *)
 
@@ -302,15 +254,6 @@ let test_metrics_counters () =
     [ ("a", 2); ("b", 5) ]
     (Metrics.counters m)
 
-let test_metrics_series () =
-  let m = Metrics.create () in
-  Metrics.observe m "lat" 1.;
-  Metrics.observe m "lat" 3.;
-  Alcotest.(check (list (float 1e-9))) "series order" [ 1.; 3. ] (Metrics.series m "lat");
-  match Metrics.summarize m "lat" with
-  | Some s -> Alcotest.(check (float 1e-9)) "mean" 2. (Summary.mean s)
-  | None -> Alcotest.fail "expected summary"
-
 (* Table *)
 
 let test_table_render () =
@@ -356,14 +299,6 @@ let () =
           Alcotest.test_case "payload pairing" `Quick test_heap_payload_pairing;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
         ] );
-      ( "vec",
-        [
-          Alcotest.test_case "push/get" `Quick test_vec_push_get;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
-          Alcotest.test_case "swap_remove last" `Quick test_vec_swap_remove_last;
-          Alcotest.test_case "out of bounds" `Quick test_vec_out_of_bounds;
-          QCheck_alcotest.to_alcotest prop_vec_multiset_preserved;
-        ] );
       ("clock", [ Alcotest.test_case "basics" `Quick test_clock ]);
       ( "trace",
         [
@@ -391,7 +326,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;
-          Alcotest.test_case "series" `Quick test_metrics_series;
         ] );
       ( "table",
         [

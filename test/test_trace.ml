@@ -256,51 +256,7 @@ let test_eviction_exact () =
     Alcotest.(check int) "file entries" capacity
       (List.length file.Trace_file.entries)
 
-(* ---- sampling sink: exact counts, 1-in-k retention ---- *)
-
-let test_sampling_exact_counts () =
-  let sample = 7 in
-  let t = Trace.create ~capacity:10_000 ~sample () in
-  let sends = 100 and notes = 23 in
-  for i = 1 to sends do
-    Trace.record t ~time:i ~node:0
-      (Abc_sim.Event.make
-         (Abc_sim.Event.Send { dst = 1; label = "m"; detail = ""; bytes = 4 }))
-  done;
-  for i = 1 to notes do
-    Trace.note t ~time:i ~node:0 ~tag:"tick" (string_of_int i)
-  done;
-  let total = sends + notes in
-  (* Counting is exact even though only every 7th entry is stored. *)
-  Alcotest.(check int) "recorded exact" total (Trace.recorded t);
-  Alcotest.(check int) "send count exact" sends
-    (Trace.count_kind t ~label:"send");
-  Alcotest.(check int) "note count exact" notes
-    (Trace.count_kind t ~label:"note");
-  Alcotest.(check (list (pair string int)))
-    "counts lists every kind seen" [ ("send", sends); ("note", notes) ]
-    (Trace.counts t);
-  (* Retention is the deterministic stride: events #1, #8, #15, ... *)
-  let expected_retained = ((total - 1) / sample) + 1 in
-  Alcotest.(check int) "1-in-k retained" expected_retained (Trace.length t);
-  (* The header advertises the stride and the exact per-kind counts. *)
-  let header = Trace.header_json t in
-  Alcotest.(check (option int)) "header sample" (Some sample)
-    (Json.int_member "sample" header);
-  (match Json.member "counts" header with
-  | Some counts ->
-    Alcotest.(check (option int)) "header send count" (Some sends)
-      (Json.int_member "send" counts)
-  | None -> Alcotest.fail "sampling header has no counts object");
-  (* An unsampled trace keeps the v5 header shape: no extra fields. *)
-  let plain = Trace.create ~capacity:8 () in
-  Trace.note plain ~time:1 ~node:0 ~tag:"t" "x";
-  Alcotest.(check bool) "no sample field when sample=1" true
-    (Json.member "sample" (Trace.header_json plain) = None);
-  Alcotest.(check bool) "no counts field when sample=1" true
-    (Json.member "counts" (Trace.header_json plain) = None)
-
-(* ---- detailed metrics vs a hand-computed RBC run ---- *)
+(* ---- metrics vs a hand-computed RBC run ---- *)
 
 (* n=4, f=1, fifo schedule, all honest, sender node 0.  Every node
    receives the Initial (4 point-to-point sends from node 0), echoes
@@ -315,7 +271,7 @@ let rbc_run () =
   let config =
     Rbc_run.config ~n:4 ~f:1
       ~inputs:(Rbc.inputs ~n:4 ~sender:(Node_id.of_int 0) Abc.Value.One)
-      ~adversary:Adversary.fifo ~seed:0 ~trace ~detail:true ()
+      ~adversary:Adversary.fifo ~seed:0 ~trace ()
   in
   (Rbc_run.run config, trace)
 
@@ -329,17 +285,7 @@ let test_rbc_metrics_hand_computed () =
   (* Each node delivers on its 3rd Ready and the run stops when all
      are terminal, so the 4th Ready to every node is never consumed:
      36 sends - 4 undelivered = 32. *)
-  Alcotest.(check int) "delivered" 32 (Metrics.counter m "delivered");
-  (* Node 0 sends its Initial broadcast on top of echo + ready. *)
-  Alcotest.(check int) "node0.sent" 12 (Metrics.counter m "node0.sent");
-  Alcotest.(check int) "node1.sent" 8 (Metrics.counter m "node1.sent");
-  Array.iteri
-    (fun i _ ->
-      Alcotest.(check int)
-        (Printf.sprintf "node%d.outputs" i)
-        1
-        (Metrics.counter m (Printf.sprintf "node%d.outputs" i)))
-    result.Rbc_run.outputs
+  Alcotest.(check int) "delivered" 32 (Metrics.counter m "delivered")
 
 let test_rbc_trace_quorums () =
   let _, trace = rbc_run () in
@@ -408,11 +354,6 @@ let () =
         ] );
       ( "eviction",
         [ Alcotest.test_case "exact accounting" `Quick test_eviction_exact ] );
-      ( "sampling",
-        [
-          Alcotest.test_case "exact counts, 1-in-k retention" `Quick
-            test_sampling_exact_counts;
-        ] );
       ( "metrics",
         [
           Alcotest.test_case "hand-computed rbc" `Quick
