@@ -5,7 +5,8 @@
    promises — totality for the reliable broadcasts (Bracha, erasure-
    coded, Imbs-Raynal) but not for consistent broadcast, full
    consensus for Bracha/Ben-Or/MMR, agreement-or-joint-fallback for
-   Turpin–Coan, identical common subsets for ACS.
+   Turpin–Coan, identical common subsets for ACS over either proposal
+   broadcast (Bracha's and the erasure-coded one).
 
    The battery runs on the Exec.Pool at jobs > 1 on purpose: scenarios
    are generated up front on the main domain from a pinned seed
@@ -614,17 +615,35 @@ end
 
 module Turpin_battery = Battery (Turpin_subject)
 
-(* ---- 7. ACS ---- *)
+(* ---- 7. ACS, over Bracha's and over the coded broadcast ---- *)
 
-module Acs = Abc.Acs.Make (Abc.Payloads.Int_payload)
-module AcsE = Abc_net.Engine.Make (Acs)
-module AcsRL = Abc_net.Reliable_link.Make (Acs)
-module AcsRLE = Abc_net.Engine.Make (AcsRL)
+(* An ACS instance under test and node i's proposal.  The judge is the
+   same for either proposal broadcast: every honest node outputs the
+   same subset, with at least n-f entries, each proposal unchanged. *)
+module type ACS = sig
+  type payload
 
-module Acs_subject = struct
-  let name = "acs: identical common subset of proposed values"
+  type output = Accepted of (Node_id.t * payload) list
 
-  let count = 30
+  include Abc_net.Protocol.S with type output := output
+
+  val inputs : n:int -> coin:Abc.Coin.t -> payload array -> input array
+end
+
+module Acs_subject
+    (A : ACS) (P : sig
+      val name : string
+      val count : int
+      val proposal : int -> A.payload
+    end) =
+struct
+  module E = Abc_net.Engine.Make (A)
+  module RL = Abc_net.Reliable_link.Make (A)
+  module RLE = Abc_net.Engine.Make (RL)
+
+  let name = P.name
+
+  let count = P.count
 
   let max_n = 6
 
@@ -634,7 +653,7 @@ module Acs_subject = struct
 
   let check s =
     let inputs =
-      Acs.inputs ~n:s.n ~coin:Abc.Coin.local (Array.init s.n (fun i -> 100 + i))
+      A.inputs ~n:s.n ~coin:Abc.Coin.local (Array.init s.n P.proposal)
     in
     let judge outputs stop =
       stop = Abc_net.Engine.All_terminal
@@ -643,7 +662,7 @@ module Acs_subject = struct
         List.filter_map
           (fun i ->
             match outputs.(i) with
-            | [ (_, Acs.Accepted subset) ] -> Some subset
+            | [ (_, A.Accepted subset) ] -> Some subset
             | _ -> None)
           (honest_indices s)
       in
@@ -655,28 +674,50 @@ module Acs_subject = struct
         List.for_all (( = ) first) rest
         && List.length first >= s.n - s.f
         && List.for_all
-             (fun (j, v) -> v = 100 + Node_id.to_int j)
+             (fun (j, v) -> v = P.proposal (Node_id.to_int j))
              first
     in
     match s.loss with
     | None ->
       let r =
-        AcsE.run
-          (AcsE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
+        E.run
+          (E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
              ~adversary:(adversary_of s) ~seed:s.seed ())
       in
-      judge r.AcsE.outputs r.AcsE.stop
+      judge r.E.outputs r.E.stop
     | Some l ->
       let r =
-        AcsRLE.run
-          (AcsRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
+        RLE.run
+          (RLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
              ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
              ?max_deliveries:(budget s.loss) ())
       in
-      judge r.AcsRLE.outputs r.AcsRLE.stop
+      judge r.RLE.outputs r.RLE.stop
 end
 
-module Acs_battery = Battery (Acs_subject)
+module Acs = struct
+  type payload = int
+
+  include Abc.Acs.Make (Abc.Payloads.Int_payload)
+end
+
+module Acs_battery = Battery (Acs_subject (Acs) (struct
+  let name = "acs: identical common subset of proposed values"
+  let count = 30
+  let proposal i = 100 + i
+end))
+
+module Batch_acs = struct
+  type payload = string
+
+  include Abc.Batch_acs
+end
+
+module Batch_acs_battery = Battery (Acs_subject (Batch_acs) (struct
+  let name = "batch acs: identical common subset of proposed batches"
+  let count = 24
+  let proposal i = Printf.sprintf "batch-%d:%s" i (String.make (8 * i) 'x')
+end))
 
 (* ---- 10. atomic broadcast (batched, pipelined SMR) ---- *)
 
@@ -1000,7 +1041,7 @@ let () =
       ( "consensus",
         [ Bracha_battery.test; Benor_battery.test; Mmr_battery.test ] );
       ( "multivalued",
-        [ Turpin_battery.test; Acs_battery.test ] );
+        [ Turpin_battery.test; Acs_battery.test; Batch_acs_battery.test ] );
       ( "smr",
         [ Atomic_battery.test ] );
       ("decoders", [ trace_decoder_test; token_decoder_test ]);
