@@ -53,7 +53,7 @@ struct
   (* The broadcast may point-send (the coded dispersal sends each node
      its own fragment), so its actions are rewrapped target-preservingly. *)
   let wrap_prop origin actions =
-    List.map (Protocol.map_action (fun inner -> Prop { origin; inner })) actions
+    Protocol.map_actions (fun inner -> Prop { origin; inner }) actions
 
   (* The broadcast of [origin]'s proposal runs with the outer context,
      its events scoped under "prop@n<origin>"; the BA for proposer
@@ -118,7 +118,7 @@ struct
       in
       if
         ones_decided state >= Quorum.completeness ~n:state.n ~f:state.f
-        && (match unstarted with [] -> false | _ :: _ -> true)
+        && unstarted <> []
       then begin
         let state, new_actions =
           List.fold_left

@@ -24,8 +24,8 @@ let rec apply b ~rng ~n ~activation actions =
   | Silent -> []
   | Crash_after k -> if activation < k then actions else []
   | Mutate corrupt ->
-    (* Timers are node-local, not wire: map_action passes them through. *)
-    List.map (Protocol.map_action (fun msg -> corrupt rng msg)) actions
+    (* Timers are node-local, not wire: map_actions passes them through. *)
+    Protocol.map_actions (fun msg -> corrupt rng msg) actions
   | Equivocate corrupt ->
     let corrupt_action = function
       | Protocol.Broadcast msg ->

@@ -30,6 +30,15 @@ let map_action wrap = function
   | Send (dst, msg) -> Send (dst, wrap msg)
   | Set_timer { id; after } -> Set_timer { id; after }
 
+(* A direct recursion rather than [List.map (map_action wrap)]: the
+   partial application would allocate a closure per call on the
+   composites' per-message path. *)
+let[@tail_mod_cons] rec map_actions wrap = function
+  | [] -> []
+  | action :: rest ->
+    let action = map_action wrap action in
+    action :: map_actions wrap rest
+
 module type S = sig
   type input
   type msg

@@ -55,12 +55,12 @@ module Context : sig
       nothing. *)
 end
 
-val map_action : ('a -> 'b) -> 'a action -> 'b action
-(** [map_action wrap a] rewraps the message of [a] with [wrap], keeping
-    its target: how a composite protocol lifts a sub-instance's actions
-    into its own message type.  [Set_timer] passes through with its id
-    unchanged, so a composite whose sub-instances arm timers must
-    demultiplex the ids itself. *)
+val map_actions : ('a -> 'b) -> 'a action list -> 'b action list
+(** [map_actions wrap actions] rewraps the message of every action with
+    [wrap], in order, keeping each target: how a composite protocol
+    lifts a sub-instance's actions into its own message type.
+    [Set_timer] passes through with its id unchanged, so a composite
+    whose sub-instances arm timers must demultiplex the ids itself. *)
 
 module type S = sig
   type input

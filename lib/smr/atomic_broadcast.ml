@@ -178,7 +178,7 @@ let list_take k l =
 (* The catch-up timer is armed outside [wrap]: epoch agreements arm
    none. *)
 let wrap epoch actions =
-  List.map (Protocol.map_action (fun inner -> Epoch { epoch; inner })) actions
+  Protocol.map_actions (fun inner -> Epoch { epoch; inner }) actions
 
 (* Scope an epoch's observability under "epoch<e>" so overlapping
    epoch agreements stay distinguishable in traces. *)

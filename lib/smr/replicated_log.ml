@@ -33,7 +33,7 @@ let proposal state slot =
   if slot < Array.length state.commands then state.commands.(slot) else "<noop>"
 
 let wrap slot actions =
-  List.map (Protocol.map_action (fun inner -> Slot { slot; inner })) actions
+  Protocol.map_actions (fun inner -> Slot { slot; inner }) actions
 
 (* Scope a slot's observability under "slot<k>" so concurrent slot
    agreements stay distinguishable in traces (see OBSERVABILITY.md). *)

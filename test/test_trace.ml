@@ -239,6 +239,9 @@ let test_eviction_exact () =
   Alcotest.(check int) "recorded" 11 (Trace.recorded t);
   Alcotest.(check int) "length" capacity (Trace.length t);
   Alcotest.(check int) "dropped" 7 (Trace.dropped t);
+  (* Per-kind counts include the evicted entries. *)
+  Alcotest.(check int) "count_kind exact" 11 (Trace.count_kind t ~label:"note");
+  Alcotest.(check int) "count_kind unseen" 0 (Trace.count_kind t ~label:"send");
   (* The header advertises the same accounting. *)
   let header = Trace.header_json t in
   Alcotest.(check (option int)) "header recorded" (Some 11)
