@@ -45,8 +45,6 @@ struct
 
   let make_ba ~n ~f ~me ~coin = Ba_instance.create ~n ~f ~me ~coin ~validation:ba_validation
 
-  let ba state index = Int_map.find index state.bas
-
   let wrap_ba index wires =
     List.map (fun wire -> Protocol.Broadcast (Ba { index; wire })) wires
 
@@ -79,7 +77,7 @@ struct
   (* Start [BA_index] with [input], folding any immediate events back
      into the state.  No-op when already started. *)
   let start_ba ctx state index input =
-    let instance = ba state index in
+    let instance = Int_map.find index state.bas in
     if Ba_instance.started instance then (state, [])
     else begin
       let instance, wires, events =
@@ -95,14 +93,17 @@ struct
      vote 0 everywhere once n-f instances accepted, emit when all
      instances are decided and the accepted payloads have arrived.
      The agreement logic is independent of how proposals are
-     disseminated. *)
+     disseminated.  The closures read [state.bas] directly: one that
+     called a helper of this functor would capture it, a word more per
+     message. *)
   let rec settle ctx state actions =
     (* Rule 1: proposals that arrived but whose BA has no input yet. *)
     let pending_one =
       Node_id.Map.fold
         (fun origin _ acc ->
           let index = Node_id.to_int origin in
-          if Ba_instance.started (ba state index) then acc else index :: acc)
+          if Ba_instance.started (Int_map.find index state.bas) then acc
+          else index :: acc)
         state.proposals []
     in
     match pending_one with
@@ -113,7 +114,7 @@ struct
       (* Rule 2: enough instances accepted — refuse the rest. *)
       let unstarted =
         List.filter
-          (fun i -> not (Ba_instance.started (ba state i)))
+          (fun i -> not (Ba_instance.started (Int_map.find i state.bas)))
           (List.init state.n (fun i -> i))
       in
       if
@@ -222,7 +223,8 @@ struct
       if index < 0 || index >= state.n then (state, [], [])
       else begin
         let instance, wires, events =
-          Ba_instance.on_wire ~sink:(ba_sink ctx index) (ba state index)
+          Ba_instance.on_wire ~sink:(ba_sink ctx index)
+            (Int_map.find index state.bas)
             ~rng:ctx.Protocol.Context.rng ~src wire
         in
         let state = { state with bas = Int_map.add index instance state.bas } in
