@@ -11,13 +11,9 @@
    DESIGN.md for the mapping).
 
    Every run is an Abc_matrix.Registry scenario, the same path as
-   `abc-bench` and `abc-run`; the tables aggregate the outcomes.  E12,
-   E13 and E18 keep their own engines: they measure what no registry
-   outcome carries (see each one's comment). *)
+   `abc-bench` and `abc-run`; the tables aggregate the outcomes. *)
 
 open Helpers
-module Adversary = Abc_net.Adversary
-module Behaviour = Abc_net.Behaviour
 
 let seeds_scale = ref 1.
 
@@ -511,17 +507,10 @@ let experiment_e11 pool =
 (* E12: connectivity threshold for agreement over flooding            *)
 (* ----------------------------------------------------------------- *)
 
-(* Kept on its own engine: a flood relay over a partial graph with a
-   placed crash cut, which no registry scenario expresses. *)
+(* MMR flooded over circulant graphs (offsets 1-4 make K8), with the
+   cut's nodes silent from the start.  The κ and survivor columns read
+   the graph itself. *)
 module Topology = Abc_net.Topology
-module Mmr = Abc.Mmr_consensus
-module Relayed_mmr = Abc_net.Relay.Make (Mmr)
-
-module RMH = Abc.Harness.Make (struct
-  include Relayed_mmr
-
-  let value_of_input = Mmr.value_of_input
-end)
 
 let experiment_e12 pool =
   let n = 8 in
@@ -540,36 +529,13 @@ let experiment_e12 pool =
       ()
   in
   let cut = [ 1; 5 ] in
-  let graphs =
-    [
-      ("ring C8(1)", Topology.circulant ~n ~offsets:[ 1 ]);
-      ("C8(1,2)", Topology.circulant ~n ~offsets:[ 1; 2 ]);
-      ("C8(1,2,3)", Topology.circulant ~n ~offsets:[ 1; 2; 3 ]);
-      ("complete K8", Topology.complete ~n);
-    ]
-  in
   List.iter
-    (fun (label, g) ->
-      let faulty =
-        List.map (fun i -> (node i, Behaviour.Crash_after 0)) cut
-      in
-      let verdicts =
-        sweep_seeds pool ~seeds (fun seed ->
-            let values = Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One) in
-            let inputs = Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) values in
-            let cfg =
-              RMH.E.config ~n ~f ~inputs ~faulty ~topology:g
-                ~adversary:Adversary.uniform ~seed ~max_deliveries:400_000 ()
-            in
-            snd (RMH.run cfg))
-      in
+    (fun (label, offsets) ->
+      let g = Topology.circulant ~n ~offsets in
       let s =
-        collect
-          (List.map
-             (fun (v : Abc.Harness.verdict) ->
-               { Registry.failed with decided = v.terminated; agreement = v.agreement;
-                 validity = v.validity; rounds = v.max_round; messages = v.messages })
-             verdicts)
+        sample pool ~seeds
+          { (Registry.scenario ~protocol:"mmr" ~n ~f) with
+            topology = Circulant offsets; fault = Placed (Silent, cut); budget = Some 400_000 }
       in
       Table.add_row table
         [
@@ -581,7 +547,8 @@ let experiment_e12 pool =
           Table.cell_percent s.ok_rate;
           Table.cell_float ~decimals:0 (mean_or s.messages 0.);
         ])
-    graphs;
+    [ ("ring C8(1)", [ 1 ]); ("C8(1,2)", [ 1; 2 ]); ("C8(1,2,3)", [ 1; 2; 3 ]);
+      ("complete K8", [ 1; 2; 3; 4 ]) ];
   Table.print table;
   print_newline ()
 
@@ -589,13 +556,8 @@ let experiment_e12 pool =
 (* E13: two roads to multivalued consensus — Turpin-Coan vs ACS       *)
 (* ----------------------------------------------------------------- *)
 
-(* Kept on its own engines: int-valued Turpin-Coan against multivalued
-   ACS on 9/5 proposals, neither a registry entry. *)
-module Tc = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
-module TcE = Abc_net.Engine.Make (Tc)
-module Mv = Abc.Multivalued.Make (Abc.Payloads.Int_payload)
-module MvE = Abc_net.Engine.Make (Mv)
-
+(* Both over near-unanimous proposals with the highest node silent;
+   message counts are means over every seed, decided or not. *)
 let experiment_e13 pool =
   let seeds = scaled 10 in
   let table =
@@ -614,50 +576,27 @@ let experiment_e13 pool =
     (fun n ->
       let tc_f = (n - 1) / 4 in
       let acs_f = bracha_max_f n in
-      let proposals = Array.init n (fun i -> if i = 0 then 9 else 5) in
-      let tc_faulty = [ (node (n - 1), Behaviour.Silent) ] in
-      let acs_faulty = [ (node (n - 1), Behaviour.Silent) ] in
-      let tc_msgs = ref 0 and tc_agreed = ref 0 in
-      let acs_msgs = ref 0 and acs_agreed = ref 0 in
-      sweep_seeds pool ~seeds (fun seed ->
-          let tc_result =
-            TcE.run
-              (TcE.config ~n ~f:tc_f
-                 ~inputs:(Tc.inputs ~n ~coin:Abc.Coin.local proposals)
-                 ~faulty:tc_faulty ~adversary:Adversary.uniform ~seed ())
-          in
-          let tc_ok =
-            match tc_result.TcE.outputs.(0) with
-            | [ (_, Tc.Agreed _) ] -> true
-            | _ -> false
-          in
-          let acs_result =
-            MvE.run
-              (MvE.config ~n ~f:acs_f
-                 ~inputs:(Mv.inputs ~n ~coin:Abc.Coin.local proposals)
-                 ~faulty:acs_faulty ~adversary:Adversary.uniform ~seed ())
-          in
-          let acs_ok =
-            match acs_result.MvE.outputs.(0) with [ (_, _) ] -> true | _ -> false
-          in
-          ( Abc_sim.Metrics.counter tc_result.TcE.metrics "sent", tc_ok,
-            Abc_sim.Metrics.counter acs_result.MvE.metrics "sent", acs_ok ))
-      |> List.iter (fun (tc_sent, tc_ok, acs_sent, acs_ok) ->
-             tc_msgs := !tc_msgs + tc_sent;
-             if tc_ok then incr tc_agreed;
-             acs_msgs := !acs_msgs + acs_sent;
-             if acs_ok then incr acs_agreed);
+      let totals protocol f =
+        outcomes pool ~seeds
+          { (Registry.scenario ~protocol ~n ~f) with fault = Faulty [ (Silent, 1) ] }
+        |> List.fold_left
+             (fun (msgs, agreed) o ->
+               (msgs + o.Registry.messages, if Registry.decides o then agreed + 1 else agreed))
+             (0, 0)
+      in
+      let tc_msgs, tc_agreed = totals "turpin-coan" tc_f in
+      let acs_msgs, acs_agreed = totals "acs" acs_f in
       let per_seed v = float_of_int v /. float_of_int seeds in
       Table.add_row table
         [
           Table.cell_int n;
           Table.cell_int tc_f;
           Table.cell_int acs_f;
-          Table.cell_float ~decimals:0 (per_seed !tc_msgs);
-          Table.cell_float ~decimals:0 (per_seed !acs_msgs);
-          Table.cell_ratio (float_of_int !acs_msgs /. float_of_int (max 1 !tc_msgs));
-          Table.cell_percent (per_seed !tc_agreed);
-          Table.cell_percent (per_seed !acs_agreed);
+          Table.cell_float ~decimals:0 (per_seed tc_msgs);
+          Table.cell_float ~decimals:0 (per_seed acs_msgs);
+          Table.cell_ratio (float_of_int acs_msgs /. float_of_int (max 1 tc_msgs));
+          Table.cell_percent (per_seed tc_agreed);
+          Table.cell_percent (per_seed acs_agreed);
         ])
     [ 5; 9; 13 ];
   Table.print table;
@@ -926,48 +865,25 @@ let experiment_e17 pool =
    prune, but Gc_stats is still emitted, so both arms are measured
    identically. *)
 
-(* Kept on its own engine: per-replica GC stats and the victim's first
-   commit after it rejoins are measures no registry outcome carries. *)
-module Atomic = Abc_smr.Atomic_broadcast
-module AtomE = Abc_net.Engine.Make (Atomic)
-
 let e18_epochs = 12
 let e18_batch = 4
-
-let e18_run ~n ~f ~interval ~crash ~seed =
-  let mempools =
-    Array.init n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed ~node:(node i)
-             ~count:(e18_batch * e18_epochs) ~rate:0.5 ~tx_bytes:32))
-  in
-  let inputs =
-    Atomic.inputs ~n ~window:2 ~checkpoint_interval:interval
-      ~batch_size:e18_batch ~epochs:e18_epochs ~coin_seed:(seed + 7919)
-      mempools
-  in
-  let faulty =
-    List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) crash
-  in
-  let recovery = { AtomE.snapshot = Atomic.snapshot; restore = Atomic.restore } in
-  let result =
-    AtomE.run
-      (AtomE.config ~n ~f ~inputs ~faulty ~adversary:Adversary.uniform ~seed
-         ~recovery ())
-  in
-  if result.AtomE.stop <> Abc_net.Engine.All_terminal then
-    failwith "E18: run did not reach all-terminal";
-  result
-
-let e18_stats result i =
-  match Atomic.stats_of_outputs result.AtomE.outputs.(i) with
-  | Some s -> s
-  | None -> failwith "E18: Gc_stats missing from outputs"
 
 let experiment_e18 pool =
   let seeds = scaled 3 in
   let n = 4 and f = 1 in
   let off = e18_epochs + 1 in
+  (* Every run must commit one agreeing log at every replica, a
+     recovered one included: that also puts a Gc_stats in every
+     replica's outputs. *)
+  let atomic ~checkpoint ~crash =
+    outcomes pool ~seeds
+      { (Registry.scenario ~protocol:"atomic" ~n ~f) with
+        batch = e18_batch; epochs = e18_epochs; window = 2; payload = 32; tx_rate = 0.5;
+        checkpoint; crash }
+    |> List.map (fun o ->
+           if Registry.decides o then o
+           else failwith "E18: run did not commit one agreeing log at every replica")
+  in
   let meani field runs =
     List.fold_left (fun a r -> a +. float_of_int (field r)) 0. runs
     /. float_of_int seeds
@@ -976,29 +892,30 @@ let experiment_e18 pool =
     "E18. Crash recovery: GC bound and catch-up latency, n=%d f=%d, %d \
      epochs, batch %d, window 2, uniform scheduler, %d seeds per cell\n"
     n f e18_epochs e18_batch seeds;
-  (* part A: fault-free, live-instance high-water mark vs interval *)
+  (* part A: fault-free, node 0's live-instance high-water mark vs interval *)
   let gc_table =
     Table.create ~id:"e18-gc" ~title:"E18 checkpoint GC bound"
       ~columns:[ "C"; "max live"; "checkpoints"; "transfers"; "bounded" ]
       ()
   in
-  let gc_runs interval =
-    sweep_seeds pool ~seeds (fun seed ->
-        e18_stats (e18_run ~n ~f ~interval ~crash:[] ~seed) 0)
+  let gc_runs checkpoint =
+    List.map
+      (fun o -> o.Registry.replicas.(0))
+      (atomic ~checkpoint ~crash:[])
   in
   let off_runs = gc_runs off in
   List.iter
-    (fun (ml, _, _) ->
-      if ml <> e18_epochs then
+    (fun r ->
+      if r.Registry.max_live <> e18_epochs then
         failwith "E18: GC-off high-water mark should equal the epoch count")
     off_runs;
   let add_gc_row label runs bounded =
     Table.add_row gc_table
       [
         label;
-        Table.cell_float ~decimals:1 (meani (fun (ml, _, _) -> ml) runs);
-        Table.cell_float ~decimals:1 (meani (fun (_, cp, _) -> cp) runs);
-        Table.cell_float ~decimals:1 (meani (fun (_, _, tr) -> tr) runs);
+        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs);
+        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.checkpoints) runs);
+        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs);
         bounded;
       ]
   in
@@ -1007,7 +924,7 @@ let experiment_e18 pool =
       let runs = gc_runs interval in
       let bounded =
         List.for_all2
-          (fun (on, _, _) (off, _, _) -> on < off)
+          (fun on off -> on.Registry.max_live < off.Registry.max_live)
           runs off_runs
       in
       if not bounded then
@@ -1021,53 +938,27 @@ let experiment_e18 pool =
   print_newline ();
   (* part B: crash one replica mid-run, measure rejoin-to-first-commit *)
   let victim = n - 1 in
-  let rejoin = 2500 in
   let latency_table =
     Table.create ~id:"e18-latency" ~title:"E18 recovery latency"
       ~columns:[ "C"; "latency ticks"; "transfers"; "max live" ]
       ()
   in
   List.iter
-    (fun interval ->
+    (fun checkpoint ->
       let runs =
-        sweep_seeds pool ~seeds (fun seed ->
-            let result =
-              e18_run ~n ~f ~interval
-                ~crash:[ (victim, [ (400, rejoin) ]) ]
-                ~seed
-            in
-            let log i = Atomic.log_of_outputs result.AtomE.outputs.(i) in
-            (match (log 0, log victim) with
-            | Some a, Some b when a = b -> ()
-            | _ -> failwith "E18: recovered replica's log diverged");
-            (* first commit progress at the victim after its rejoin:
-               Epoch_committed for live epochs, or Log_complete when the
-               tail arrived wholesale via state transfer *)
-            let first =
-              List.fold_left
-                (fun acc (t, out) ->
-                  match out with
-                  | (Atomic.Epoch_committed _ | Atomic.Log_complete _)
-                    when t >= rejoin ->
-                    Some (match acc with None -> t | Some x -> min x t)
-                  | _ -> acc)
-                None
-                result.AtomE.outputs.(victim)
-            in
-            let latency =
-              match first with
-              | Some t -> t - rejoin
-              | None -> failwith "E18: no commit after rejoin"
-            in
-            let ml, _, transfers = e18_stats result victim in
-            (latency, transfers, ml))
+        List.map
+          (fun o ->
+            let r = o.Registry.replicas.(victim) in
+            if r.Registry.catch_up <= 0 then failwith "E18: no commit after rejoin";
+            r)
+          (atomic ~checkpoint ~crash:[ (victim, [ (400, 2500) ]) ])
       in
       Table.add_row latency_table
         [
-          Table.cell_int interval;
-          Table.cell_float ~decimals:0 (meani (fun (l, _, _) -> l) runs);
-          Table.cell_float ~decimals:1 (meani (fun (_, tr, _) -> tr) runs);
-          Table.cell_float ~decimals:1 (meani (fun (_, _, ml) -> ml) runs);
+          Table.cell_int checkpoint;
+          Table.cell_float ~decimals:0 (meani (fun r -> r.Registry.catch_up) runs);
+          Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs);
+          Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs);
         ])
     [ 1; 2; 3; 6 ];
   Table.print latency_table;

@@ -122,8 +122,13 @@ let run_explain rule =
       exit 2)
 
 let load_allow = function
-  | Some file -> A.Allow.load ~file
   | None -> []
+  | Some file -> (
+    match A.Allow.load ~file with
+    | Ok entries -> entries
+    | Error msg ->
+      Printf.eprintf "abc_lint: %s\n" msg;
+      exit 2)
 
 let run_prune opts =
   let allow = load_allow opts.allow in

@@ -2,52 +2,58 @@ type key = Any | Snippet of string | Fingerprint of string
 
 type entry = { rule : string; path : string; key : key; raw : string }
 
-let parse_line line =
+let ( let* ) = Result.bind
+
+let is_fingerprint fp =
+  String.length fp = 12 && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) fp
+
+(* [s] split at its first space, the rest trimmed. *)
+let cut s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some i -> (String.sub s 0 i, String.trim (String.sub s i (String.length s - i)))
+
+(* [None] for a blank or comment line. *)
+let parse_line number line =
+  let error fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" number m)) fmt in
   let raw = String.trim line in
-  if String.length raw = 0 || raw.[0] = '#' then None
-  else begin
-    match String.index_opt raw ' ' with
-    | None -> None (* a rule with no path allows nothing; ignore *)
-    | Some i ->
-      let rule = String.sub raw 0 i in
-      let rest = String.trim (String.sub raw i (String.length raw - i)) in
-      let path, tail =
-        match String.index_opt rest ' ' with
-        | None -> (rest, "")
-        | Some j ->
-          ( String.sub rest 0 j,
-            String.trim (String.sub rest j (String.length rest - j)) )
+  if String.length raw = 0 || raw.[0] = '#' then Ok None
+  else
+    let rule, rest = cut raw in
+    if rest = "" then error "rule %S names no path" rule
+    else if not (List.mem rule Rule_info.ids) then
+      error "unknown rule id %S (see --explain all)" rule
+    else
+      let path, tail = cut rest in
+      let* key =
+        if tail = "" then Ok Any
+        else if String.starts_with ~prefix:"fp:" tail then
+          (* fp:<hex> [trailing comment ignored] *)
+          let token = fst (cut tail) in
+          let fp = String.sub token 3 (String.length token - 3) in
+          if is_fingerprint fp then Ok (Fingerprint fp)
+          else error "malformed fingerprint %S (want fp: and 12 lowercase hex digits)" token
+        else Ok (Snippet tail)
       in
-      if String.length path = 0 then None
-      else begin
-        let key =
-          if tail = "" then Any
-          else if String.length tail >= 3 && String.sub tail 0 3 = "fp:" then begin
-            (* fp:<hex> [trailing comment ignored] *)
-            let fp =
-              match String.index_opt tail ' ' with
-              | None -> String.sub tail 3 (String.length tail - 3)
-              | Some k -> String.sub tail 3 (k - 3)
-            in
-            Fingerprint fp
-          end
-          else Snippet tail
-        in
-        Some { rule; path; key; raw }
-      end
-  end
+      Ok (Some { rule; path; key; raw })
 
 let of_string text =
-  String.split_on_char '\n' text |> List.filter_map parse_line
+  let rec go number acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest ->
+      let* entry = parse_line number line in
+      go (number + 1) (Option.fold entry ~none:acc ~some:(fun e -> e :: acc)) rest
+  in
+  go 1 [] (String.split_on_char '\n' text)
 
 let load ~file =
-  if not (Sys.file_exists file) then []
+  if not (Sys.file_exists file) then Ok []
   else begin
     let ic = open_in_bin file in
     let len = in_channel_length ic in
     let text = really_input_string ic len in
     close_in ic;
-    of_string text
+    Result.map_error (fun msg -> Printf.sprintf "%s: %s" file msg) (of_string text)
   end
 
 let path_matches ~entry_path ~file =

@@ -38,12 +38,14 @@ type entry = {
   raw : string;  (** the line as written, for [--prune-allow] output *)
 }
 
-val of_string : string -> entry list
-(** Parse allowlist text; blank lines and [#] comments are skipped. *)
+val of_string : string -> (entry list, string) result
+(** Parse allowlist text; blank lines and [#] comments are skipped.  A
+    rule with no path, an unknown rule id or a malformed [fp:] (not 12
+    lowercase hex digits) is an error ["line N: ..."]. *)
 
-val load : file:string -> entry list
-(** [of_string] over the file's contents; a missing file is an empty
-    allowlist. *)
+val load : file:string -> (entry list, string) result
+(** [of_string] over the file's contents, an error prefixed with the
+    file name; a missing file is an empty allowlist. *)
 
 val permits : entry list -> Finding.t -> bool
 

@@ -144,7 +144,8 @@ let all =
         "The spec-level twin of the resilience rule: every expanded \
          cell's n/f literals are checked against the protocol's \
          resilience class in the protocol registry (n > 3f for the \
-         Bracha family, n > 5f for Ben-Or and Imbs-Raynal). \
+         Bracha family, n > 4f for Turpin-Coan, n > 5f for Ben-Or and \
+         Imbs-Raynal). \
          A beyond-bound cell must carry an expect-fail oracle — \
          otherwise the protocol's own init-time rejection would be \
          scored as a verdict miss, or worse, quietly measured.";

@@ -23,9 +23,9 @@ open Import
 
     Guarantees ([n > 4f]): all honest nodes output the same outcome; if
     all honest inputs are equal, that value is agreed; any agreed value
-    was some node's input.  Compare with {!Multivalued} (ACS-based,
-    [n > 3f], never falls back, but [n] binary agreements instead of
-    one) — experiment E13. *)
+    was some node's input.  Compare with {!Acs} plus
+    {!Acs.Make.decide_value} ([n > 3f], never falls back, but [n] binary
+    agreements instead of one) — experiment E13. *)
 
 module Make (V : Value.PAYLOAD) : sig
   type input = { value : V.t; coin : Coin.t }

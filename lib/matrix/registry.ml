@@ -21,6 +21,7 @@ type fault_kind = Silent | Crash | Replay | Flip | Balanced_flip | Equivocate | 
 type fault =
   | No_fault
   | Faulty of (fault_kind * int) list
+  | Placed of fault_kind * int list
   | Silent_sender | Crash_sender | Flip_relay | Equivocate_sender
 
 type partition = { from_tick : int; until_tick : int; island : int list }
@@ -77,6 +78,12 @@ let named =
   [ ("silent-sender", Silent_sender); ("crash-sender", Crash_sender); ("flip-relay", Flip_relay);
     ("equivocate-sender", Equivocate_sender) ]
 
+let unknown_fault tok =
+  bad "fault" tok
+    "unknown fault (KIND[:COUNT] or KIND@ID,ID,... for KIND in %s, or counted kinds joined with +; \
+     or %s)"
+    (String.concat ", " (List.map fst kinds)) (String.concat ", " (List.map fst named))
+
 let counted tok =
   let kind, count =
     match String.split_on_char ':' tok with
@@ -89,20 +96,35 @@ let counted tok =
   | None, Some None, Some _ -> Ok No_fault
   | None, Some (Some kind), Some k -> Ok (Faulty [ (kind, k) ])
   | None, Some _, None -> bad "fault" tok "the count must be a non-negative integer"
-  | None, None, _ ->
-    bad "fault" tok "unknown fault (KIND[:COUNT] for KIND in %s, or several joined with +; or %s)"
-      (String.concat ", " (List.map fst kinds)) (String.concat ", " (List.map fst named))
+  | None, None, _ -> unknown_fault tok
 
-(* A [+] battery joins counted kinds; [balanced-flip] and the named
-   faults place themselves, so they stand alone. *)
+let placed tok =
+  match String.split_on_char '@' tok with
+  | [ kind; ids ] -> (
+    let ids = List.map nat (String.split_on_char ',' ids) in
+    match List.assoc_opt kind kinds with
+    | Some (Some Balanced_flip) -> bad "fault" tok "balanced-flip places itself"
+    | Some (Some kind) when List.for_all Option.is_some ids -> Ok (Placed (kind, List.filter_map Fun.id ids))
+    | Some (Some _) -> bad "fault" tok "want KIND@ID,ID,... with non-negative ids"
+    | Some None | None -> unknown_fault tok)
+  | _ -> unknown_fault tok
+
+let single tok = if String.contains tok '@' then placed tok else counted tok
+
+(* A [+] battery joins counted kinds; [balanced-flip], placed kinds and
+   the named faults place themselves, so they stand alone. *)
 let fault tok =
   match String.split_on_char '+' tok with
-  | [ _ ] -> counted tok
+  | [ _ ] -> single tok
   | parts ->
     let join part acc =
-      match counted part with
+      match single part with
       | Ok (Faulty [ (kind, k) ]) when kind <> Balanced_flip -> Result.map (List.cons (kind, k)) acc
-      | Ok _ -> bad "fault" tok "%S cannot join a + battery (none, balanced-flip and the named faults stand alone)" part
+      | Ok _ ->
+        bad "fault" tok
+          "%S cannot join a + battery (none, balanced-flip, KIND@ID,... and the named faults stand \
+           alone)"
+          part
       | Error msg -> bad "fault" tok "%s" msg
     in
     Result.map (fun kinds -> Faulty kinds) (List.fold_right join parts (Ok []))
@@ -154,16 +176,18 @@ let scenario ~protocol ~n ~f =
     batch = 16; epochs = 2; window = 2; checkpoint = 0; tx_rate = 1.0; crash = []; coin = None;
     validation = true; plain = false; crash_mode = false }
 
+type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : int }
+
 type outcome = {
   decided : bool; agreement : bool; validity : bool; totality : bool;
-  rounds : int; messages : int; bytes : int; ticks : int; committed : int;
+  rounds : int; messages : int; bytes : int; ticks : int; committed : int; replicas : replica array;
 }
 
 let decides o = o.decided && o.agreement && o.validity
 
 let failed =
   { decided = false; agreement = false; validity = false; totality = false; rounds = 0;
-    messages = 0; bytes = 0; ticks = 0; committed = 0 }
+    messages = 0; bytes = 0; ticks = 0; committed = 0; replicas = [||] }
 
 type run = {
   outcome : outcome; stop : Abc_net.Engine.stop_reason; deliveries : int; metrics : Metrics.t;
@@ -260,14 +284,18 @@ let battery ~n ~broadcast ~lie ~refuse fault =
       in
       Result.map (List.mapi (fun j (kind, b) -> (node (id j kind), b)))
         (List.fold_right place kinds (Ok []))
+  | Placed (kind, ids) -> (
+    match List.find_opt (fun i -> i >= n) ids with
+    | Some i -> Error (Printf.sprintf "fault names node %d, but n=%d" i n)
+    | None when List.length (List.sort_uniq Int.compare ids) < List.length ids ->
+      Error "fault names a node twice"
+    | None -> Result.map (fun b -> List.map (fun i -> (node i, b)) ids) (behaviour (how kind)))
 
 let agnostic _ = None
 
-let agnostic_only l =
-  Printf.sprintf
-    "the reliable transport supports only message-agnostic faults (none, silent, crash, \
-     replay), not %S"
-    l
+let agnostic_only transport l =
+  Printf.sprintf "the %s supports only message-agnostic faults (none, silent, crash, replay), not %S"
+    transport l
 
 (* Where a protocol's messages cannot be forged, a liar sends them
    unchanged: [Mutate] and [Equivocate] with the identity. *)
@@ -361,6 +389,15 @@ let broadcast_judge ~value ~equal ~sent ~show v =
         (not (List.exists (Node_id.equal (node 0)) v.honest)) || List.for_all (equal sent) delivered },
     lazy (List.concat (List.mapi report (Array.to_list v.outputs))) )
 
+(* One line per node: its single output, or none. *)
+let output_lines pp outputs =
+  let line i = function
+    | [ (_, out) ] -> [ Fmt.str "  node %d: %a" i pp out ]
+    | [] -> [ Printf.sprintf "  node %d: no output" i ]
+    | _ -> []
+  in
+  lazy (List.concat (List.mapi line (Array.to_list outputs)))
+
 (* A tiny FNV-1a digest, so payloads and logs compare at a glance. *)
 let fnv s =
   let h = ref 0x811C9DC5 in
@@ -421,18 +458,37 @@ module Acs = struct
     let kept (id, p) =
       (not (List.exists (Node_id.equal id) v.honest)) || p = inputs.(Node_id.to_int id).proposal
     in
-    let line i = function
-      | [ (_, out) ] -> [ Fmt.str "  node %d: %a" i pp_output out ]
-      | [] -> [ Printf.sprintf "  node %d: no output" i ]
-      | _ -> []
-    in
     ( { (counts v) with decided = List.length subsets = List.length v.honest; totality = true;
         agreement = (match subsets with s :: rest -> List.for_all (( = ) s) rest | [] -> true);
         validity =
           List.for_all
             (fun s -> List.length s >= Abc.Quorum.completeness ~n:sc.n ~f:sc.f && List.for_all kept s)
             subsets },
-      lazy (List.concat (List.mapi line (Array.to_list v.outputs))) )
+      output_lines pp_output v.outputs )
+end
+
+(* Turpin-Coan's one-BA reduction over E13's near-unanimous proposals
+   (node 0 9, every other node 5), local coin: every honest node agrees
+   on one proposed value. *)
+module Turpin_coan = struct
+  include Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
+  let broadcast = false and recovery = None and lie = identity_lie
+  let inputs sc ~seed:_ =
+    inputs ~n:sc.n ~coin:Abc.Coin.local (Array.init sc.n (fun i -> if i = 0 then 9 else 5))
+  let judge _ inputs v =
+    let outcome id = match v.outputs.(Node_id.to_int id) with [ (_, o) ] -> Some o | _ -> None in
+    let outcomes = List.filter_map outcome v.honest in
+    let proposed = function
+      | Agreed x -> Array.exists (fun (i : input) -> i.value = x) inputs
+      | Fallback -> true
+    in
+    ( { (counts v) with
+        decided =
+          List.length outcomes = List.length v.honest
+          && List.for_all (function Agreed _ -> true | Fallback -> false) outcomes;
+        agreement = (match outcomes with o :: rest -> List.for_all (( = ) o) rest | [] -> true);
+        validity = List.for_all proposed outcomes; totality = true },
+      output_lines pp_output v.outputs )
 end
 
 module Bit_rbc = struct
@@ -523,20 +579,45 @@ module Atomic = struct
     | Some log ->
       Printf.sprintf "  replica %d: txs=%d digest=%08x" i (List.length log) (fnv (String.concat ";" log))
     | None -> Printf.sprintf "  replica %d: incomplete" i
-  let gc i outputs =
-    let line (live, cps, transfers) =
-      Printf.sprintf "  replica %d gc: max-live=%d checkpoints=%d transfers=%d" i live cps transfers
+  (* Node [i]'s recovery measures; [catch_up] runs from its last rejoin
+     to its first commit (an epoch, or the whole log by state transfer)
+     at or after that rejoin. *)
+  let measures sc i outputs =
+    let max_live, checkpoints, transfers =
+      Option.value (stats_of_outputs outputs) ~default:(0, 0, 0)
     in
-    Option.map line (stats_of_outputs outputs)
+    let catch_up =
+      match List.assoc_opt i sc.crash with
+      | None -> 0
+      | Some plan ->
+        let rejoin = List.fold_left (fun _ (_, up) -> up) 0 plan in
+        let commit (t, out) =
+          match out with
+          | (Epoch_committed _ | Log_complete _) when t >= rejoin -> Some (t - rejoin)
+          | _ -> None
+        in
+        Option.value (List.find_map commit outputs) ~default:0
+    in
+    { max_live; checkpoints; transfers; catch_up }
   let judge sc _ v =
     let all = Array.to_list v.outputs in
+    let replicas = Array.mapi (measures sc) v.outputs in
+    (* A node that emitted no Gc_stats gets no line. *)
+    let gc i outputs =
+      let r = replicas.(i) in
+      Option.map
+        (fun _ ->
+          Printf.sprintf "  replica %d gc: max-live=%d checkpoints=%d transfers=%d" i r.max_live
+            r.checkpoints r.transfers)
+        (stats_of_outputs outputs)
+    in
     let recovery () =
       Printf.sprintf "  recovery: crashes=%d recoveries=%d dropped-while-down=%d stale-timers=%d"
         (v.counter "node.crashed") (v.counter "node.recovered") (v.counter "dropped.crashed")
         (v.counter "timer.stale")
       :: List.filter_map Fun.id (List.mapi gc all)
     in
-    ( ledger sc v log_of_outputs,
+    ( { (ledger sc v log_of_outputs) with replicas },
       lazy
         (Option.to_list (Option.map (commit_line sc v) (log_of_outputs v.outputs.(0)))
         @ List.mapi replica all
@@ -585,17 +666,29 @@ module Make (S : SUBJECT) = struct
   module Rl = Go (Abc_net.Reliable_link.Make (S))
 
   (* Faults are placed and checked before anything runs; the closure
-     runs one seed. *)
+     runs one seed.  An explicit graph floods every message over its
+     edges: the relay, like the reliable link, forwards what any node
+     sends, so only message-agnostic faults keep their meaning. *)
   let prepare ~name sc =
-    let battery ~lie ~refuse = battery ~n:sc.n ~broadcast:S.broadcast ~lie ~refuse sc.fault in
+    let battery ~lie ~refuse =
+      Result.map_error (fun msg -> ("fault", msg))
+        (battery ~n:sc.n ~broadcast:S.broadcast ~lie ~refuse sc.fault)
+    in
     let crashes () =
       if Option.is_none S.recovery then []
       else List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) sc.crash
     in
-    if sc.reliable then
-      let* faulty = battery ~lie:agnostic ~refuse:agnostic_only in
+    match sc.topology with
+    | Complete when sc.reliable ->
+      let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "reliable transport") in
       Ok (Rl.run sc ~faulty:(faulty @ crashes ()))
-    else
+    | Ring | Star | Circulant _ when sc.reliable ->
+      Error ("topology", "reliable links do not run over an explicit topology")
+    | Ring | Star | Circulant _ ->
+      let module Relayed = Go (Abc_net.Relay.Make (S)) in
+      let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "flood relay") in
+      Ok (Relayed.run sc ~faulty:(faulty @ crashes ()))
+    | Complete ->
       let refuse l = Printf.sprintf "fault %S is not defined for %s" l name in
       let* faulty = battery ~lie:S.lie ~refuse in
       let recovery = Option.map (fun (snapshot, restore) -> { Raw.E.snapshot; restore }) S.recovery in
@@ -606,7 +699,8 @@ type entry = {
   name : string;
   cls : string;
   prepare :
-    scenario -> (seed:int -> trace:Abc_sim.Trace.t option -> (run, string) result, string) result;
+    scenario ->
+    (seed:int -> trace:Abc_sim.Trace.t option -> (run, string) result, string * string) result;
 }
 
 let entry ?(preset = Fun.id) name cls (module S : SUBJECT) =
@@ -626,13 +720,14 @@ let entries =
     entry "coded-rbc" "n>3f" (module Coded_rbc);
     entry "ir-rbc" "n>5f" (module Ir_rbc);
     entry "acs" "n>3f" (module Acs);
+    entry "turpin-coan" "n>4f" (module Turpin_coan);
     entry "log" "n>3f" (module Log);
     entry "atomic" "n>3f" (module Atomic) ]
 
 let find protocol = List.find_opt (fun e -> String.equal e.name protocol) entries
 
 let resilience protocol =
-  Option.map (fun e -> (e.cls, fun n -> (n - 1) / if e.cls = "n>5f" then 5 else 3)) (find protocol)
+  Option.map (fun e -> (e.cls, fun n -> (n - 1) / Scanf.sscanf e.cls "n>%df" Fun.id)) (find protocol)
 
 let unknown_protocol p =
   Printf.sprintf "unknown protocol %S (%s)" p (String.concat " | " (List.map (fun e -> e.name) entries))
@@ -662,7 +757,9 @@ let prepare sc =
     | None -> Ok ()
   in
   let prob axis p = if p >= 0. && p <= 1. then Ok () else fail axis "%s %g is not in [0,1]" axis p in
-  let* e = Option.to_result ~none:("protocol", unknown_protocol sc.protocol) (find sc.protocol) in
+  let* e =
+    match find sc.protocol with Some e -> Ok e | None -> Error ("protocol", unknown_protocol sc.protocol)
+  in
   let* () =
     List.fold_left at_least (Ok ())
       [ ("n", sc.n, 1); ("f", sc.f, 0); ("payload", sc.payload, 0);
@@ -687,7 +784,7 @@ let prepare sc =
   let* () = prob "dup" sc.dup in
   let* () = below "crash" (List.map fst sc.crash) in
   let* () = below "partition" (Option.fold sc.partition ~none:[] ~some:(fun p -> p.island)) in
-  Result.map_error (fun msg -> ("fault", msg)) (e.prepare sc)
+  e.prepare sc
 
 let check sc = Result.map ignore (prepare sc)
 

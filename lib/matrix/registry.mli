@@ -1,17 +1,18 @@
 (** The protocol registry: the only code that turns a scenario into an
-    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags and the
-    bench tables.
+    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags and
+    every bench table.
 
     One entry per protocol: [bracha], [bracha-cc] (common coin),
     [bracha-rl] (reliable links), [ben-or], [mmr], [mmr-rabin] (the
     wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc]
     broadcasting [payload] bytes, [bracha-rbc-bit] one bit; [acs] over
-    proposals [100+i]; [log] (one ACS per slot, [epochs] slots) and
-    [atomic].  Each carries its resilience class, its engine (raw and
-    {!Abc_net.Reliable_link}-wrapped), inputs, fault battery, verdict
-    and per-node report lines; one generic run applies the adversary,
-    topology, link faults, delivery budget, crash-recovery and
-    trace. *)
+    proposals [100+i]; [turpin-coan] over node 0's 9 and everyone
+    else's 5; [log] (one ACS per slot, [epochs] slots) and [atomic].
+    Each carries its resilience class, its engine (raw,
+    {!Abc_net.Reliable_link}-wrapped, or {!Abc_net.Relay}-flooded over
+    an explicit topology), inputs, fault battery, verdict and per-node
+    report lines; one generic run applies the adversary, topology, link
+    faults, delivery budget, crash-recovery and trace. *)
 
 (** {1 Tokens}: total decoders, whose errors quote the token. *)
 
@@ -35,6 +36,10 @@ type fault =
           order ([balanced-flip], alone: both ends); a crash after 5
           activations; a broadcast's first liar is its sender, node 0,
           and garbles with XOR 0x5A *)
+  | Placed of fault_kind * int list
+      (** [KIND@ID,ID,...] ([silent@1,5]), alone: the kind on exactly
+          those nodes, each below [n] and named once; not
+          [balanced-flip] *)
   | Silent_sender  (** E1's faults: a silent sender, ... *)
   | Crash_sender  (** ... one that crashes after 2 activations, ... *)
   | Flip_relay  (** ... node 1 relaying ["!" ^ payload] ([bracha-rbc]), ... *)
@@ -58,7 +63,10 @@ val partition : string -> (partition, string) result
 
 (** {1 Scenarios} *)
 
-(** [reliable] wraps the protocol in the reliable-link transport;
+(** [topology] other than [Complete] floods every message over the
+    graph ({!Abc_net.Relay}), which takes only message-agnostic faults
+    and no [reliable] links; [reliable] wraps the protocol in the
+    reliable-link transport;
     [budget] caps deliveries ([None]: the engine's cap); [payload] is a
     broadcast's message or an atomic transaction, in bytes; [batch],
     [epochs], [window], [checkpoint], [tx_rate] (transactions per tick
@@ -79,12 +87,20 @@ val scenario : protocol:string -> n:int -> f:int -> scenario
     reliable links, 64-byte payloads, batch 16 over 2 epochs in a window
     of 2, no checkpoints, tx-rate 1.0. *)
 
+(** One [atomic] replica's recovery measures: [max_live],
+    [checkpoints] and [transfers] from its [Gc_stats] (zeros without
+    one), and [catch_up], the ticks from its last rejoin to its first
+    commit at or after it (0 for a node that never crashed, or never
+    committed again). *)
+type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : int }
+
 (** [rounds] is the slowest honest decision round, [committed] the
     first correct replica's log length ([log]: commands, [atomic]:
-    transactions). *)
+    transactions), [replicas] one record per node ([atomic] only, else
+    empty). *)
 type outcome = {
   decided : bool; agreement : bool; validity : bool; totality : bool;
-  rounds : int; messages : int; bytes : int; ticks : int; committed : int;
+  rounds : int; messages : int; bytes : int; ticks : int; committed : int; replicas : replica array;
 }
 
 val decides : outcome -> bool
@@ -101,8 +117,9 @@ type run = {
 (** {1 The registry} *)
 
 val resilience : string -> (string * (int -> int)) option
-(** The class (["n>3f"]) and the largest tolerated [f] at [n], as the
-    protocol modules declare in [[@@@abc.resilience]]. *)
+(** The class (["n>3f"], ["n>4f"], ["n>5f"]) and the largest tolerated
+    [f] at [n], as the protocol modules declare in
+    [[@@@abc.resilience]]. *)
 
 val check_token : axis:string -> string -> (unit, string) result
 (** Decode one value of a token axis ([protocol], [adversary], [fault],
@@ -111,8 +128,9 @@ val check_token : axis:string -> string -> (unit, string) result
 val check : scenario -> (unit, string * string) result
 (** Checks across axes (n >= 1, f >= 0, payload >= 0, budget >= 1,
     batch, epochs and window >= 1, checkpoint >= 0, tx-rate > 0; node
-    ids below [n], graphs that exist at [n], probabilities, the fault
-    battery): the offending axis, a message. *)
+    ids below [n], graphs that exist at [n] and carry no reliable
+    links, probabilities, the fault battery with its placed ids below
+    [n] and distinct): the offending axis, a message. *)
 
 val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 (** {!check}, then one seed; also [Error] when the protocol rejects

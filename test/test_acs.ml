@@ -96,66 +96,23 @@ let test_decide_value_is_min () =
 
 let test_multivalued_consensus () =
   (* decide_value over the common subset = multivalued consensus: all
-     honest decide the same proposal value. *)
-  let result = run ~n:4 ~f:1 ~seed:4 [| 42; 17; 99; 3 |] in
-  check_terminal result;
-  let decided =
-    List.map
-      (fun s -> Acs.decide_value (Acs.Accepted s))
-      (subsets result (Node_id.all ~n:4))
-  in
-  match decided with
-  | first :: rest ->
-    List.iter (fun v -> Alcotest.(check int) "same decision" first v) rest;
-    Alcotest.(check bool) "decided value was proposed" true
-      (List.mem first [ 42; 17; 99; 3 ])
-  | [] -> Alcotest.fail "no decisions"
-
-module Mv = Abc.Multivalued.Make (Abc.Payloads.Int_payload)
-module MvE = Abc_net.Engine.Make (Mv)
-
-let test_multivalued_wrapper () =
-  (* The packaged protocol: one terminal Decided per honest node, all
-     equal, value proposed by someone. *)
-  let inputs = Mv.inputs ~n:4 ~coin:Abc.Coin.local [| 31; 41; 59; 26 |] in
-  let result =
-    MvE.run (MvE.config ~n:4 ~f:1 ~inputs ~adversary:Adversary.uniform ~seed:5 ())
-  in
-  Alcotest.(check string) "terminal" "all-terminal"
-    (Fmt.str "%a" Abc_net.Engine.pp_stop_reason result.MvE.stop);
-  let decided =
-    Array.to_list result.MvE.outputs
-    |> List.map (fun outputs ->
-           match outputs with
-           | [ (_, output) ] -> Mv.decided_value output
-           | _ -> Alcotest.fail "expected one decision")
-  in
-  match decided with
-  | first :: rest ->
-    List.iter (fun v -> Alcotest.(check int) "same value" first v) rest;
-    Alcotest.(check bool) "proposed value" true (List.mem first [ 31; 41; 59; 26 ])
-  | [] -> Alcotest.fail "no decisions"
-
-let test_multivalued_with_fault () =
-  let inputs = Mv.inputs ~n:4 ~coin:Abc.Coin.local [| 9; 8; 7; 6 |] in
-  let faulty = [ (node 0, Behaviour.Silent) ] in
-  let result =
-    MvE.run (MvE.config ~n:4 ~f:1 ~inputs ~faulty ~adversary:Adversary.uniform ~seed:6 ())
-  in
-  Alcotest.(check string) "terminal" "all-terminal"
-    (Fmt.str "%a" Abc_net.Engine.pp_stop_reason result.MvE.stop);
-  let decided =
-    List.filter_map
-      (fun i ->
-        match result.MvE.outputs.(i) with
-        | [ (_, output) ] -> Some (Mv.decided_value output)
-        | _ -> None)
-      [ 1; 2; 3 ]
-  in
-  match decided with
-  | first :: rest ->
-    List.iter (fun v -> Alcotest.(check int) "same value" first v) rest
-  | [] -> Alcotest.fail "no decisions"
+     honest decide the same proposal value, with every node honest or
+     with a silent node 0. *)
+  List.iter
+    (fun (faulty, honest, seed, proposals) ->
+      let result = run ?faulty ~n:4 ~f:1 ~seed proposals in
+      check_terminal result;
+      let decided =
+        List.map (fun s -> Acs.decide_value (Acs.Accepted s)) (subsets result honest)
+      in
+      match decided with
+      | first :: rest ->
+        List.iter (fun v -> Alcotest.(check int) "same decision" first v) rest;
+        Alcotest.(check bool) "decided value was proposed" true
+          (Array.mem first proposals)
+      | [] -> Alcotest.fail "no decisions")
+    [ (None, Node_id.all ~n:4, 4, [| 42; 17; 99; 3 |]);
+      (Some [ (node 0, Behaviour.Silent) ], [ node 1; node 2; node 3 ], 6, [| 9; 8; 7; 6 |]) ]
 
 let test_inputs_arity () =
   Alcotest.check_raises "inputs arity"
@@ -204,8 +161,6 @@ let () =
         [
           Alcotest.test_case "decide_value min" `Quick test_decide_value_is_min;
           Alcotest.test_case "multivalued consensus" `Quick test_multivalued_consensus;
-          Alcotest.test_case "multivalued wrapper" `Quick test_multivalued_wrapper;
-          Alcotest.test_case "multivalued with fault" `Quick test_multivalued_with_fault;
           Alcotest.test_case "inputs arity" `Quick test_inputs_arity;
         ] );
       ( "properties",

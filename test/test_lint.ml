@@ -393,9 +393,12 @@ let test_interface_coverage () =
 let finding ~rule ~file ~snippet =
   Finding.v ~rule ~file ~span:(Finding.line_span 7) ~snippet "msg"
 
+let allow_of_string text =
+  match Allow.of_string text with Ok entries -> entries | Error msg -> Alcotest.fail msg
+
 let test_allowlist () =
   let entries =
-    Allow.of_string
+    allow_of_string
       "# comment\n\nquorum ben_or.ml n / 2\npoly-compare adversary.ml\n"
   in
   Alcotest.(check int) "entries parsed" 2 (List.length entries);
@@ -419,7 +422,7 @@ let test_allowlist_fingerprints () =
   let f = finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2" in
   let fp = Finding.fingerprint f in
   let entries =
-    Allow.of_string
+    allow_of_string
       (Printf.sprintf
          "quorum ben_or.ml fp:%s  n / 2 -- equivocate_by_half attack shape\n"
          fp)
@@ -445,7 +448,7 @@ let test_allowlist_fingerprints () =
 let test_allowlist_unused () =
   let live = finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2" in
   let entries =
-    Allow.of_string
+    allow_of_string
       "quorum ben_or.ml n / 2\ndeterminism clock.ml Unix.gettimeofday\n"
   in
   match Allow.unused entries [ live ] with
@@ -454,6 +457,26 @@ let test_allowlist_unused () =
       "determinism clock.ml Unix.gettimeofday" stale.Allow.raw
   | other ->
     Alcotest.failf "expected exactly one stale entry, got %d" (List.length other)
+
+(* The allowlist is outside input: each line that cannot be an entry is
+   an error at its line number, never a silently dropped or dead entry. *)
+let allowlist_error text ~msg () =
+  match Allow.of_string text with
+  | Ok _ -> Alcotest.fail "accepted"
+  | Error e -> Alcotest.(check string) "error" msg e
+
+(* Every entry of the committed allowlist loads. *)
+let test_committed_allowlist () =
+  let file = "../lint.allow" in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  let lines =
+    List.filter
+      (fun l -> let l = String.trim l in l <> "" && l.[0] <> '#')
+      (String.split_on_char '\n' text)
+  in
+  match Allow.load ~file with
+  | Ok entries -> Alcotest.(check int) "one entry per line" (List.length lines) (List.length entries)
+  | Error msg -> Alcotest.fail msg
 
 (* ---- end-to-end: a seeded violation makes the driver report (and the
    CLI exit non-zero); the allowlist silences exactly it ---- *)
@@ -494,7 +517,7 @@ let test_driver_seeded_violation () =
     report.Driver.findings;
   (* Findings collapse to one per (rule, line); a snippet-free entry for
      the file silences it. *)
-  let allow = Allow.of_string "quorum seeded.ml\n" in
+  let allow = allow_of_string "quorum seeded.ml\n" in
   let silenced = Driver.run ~allow ~roots:[ fixture_root ] () in
   Alcotest.(check int) "allowlisted run is clean" 0
     (List.length silenced.Driver.findings);
@@ -668,6 +691,15 @@ let () =
           Alcotest.test_case "allowlist fingerprints" `Quick
             test_allowlist_fingerprints;
           Alcotest.test_case "allowlist pruning" `Quick test_allowlist_unused;
+          Alcotest.test_case "allowlist: rule without a path" `Quick
+            (allowlist_error "# header\nquorum\n" ~msg:"line 2: rule \"quorum\" names no path");
+          Alcotest.test_case "allowlist: unknown rule id" `Quick
+            (allowlist_error "\n\nquorm ben_or.ml n / 2\n"
+               ~msg:"line 3: unknown rule id \"quorm\" (see --explain all)");
+          Alcotest.test_case "allowlist: malformed fingerprint" `Quick
+            (allowlist_error "quorum ben_or.ml fp:xyz  n / 2\n"
+               ~msg:"line 1: malformed fingerprint \"fp:xyz\" (want fp: and 12 lowercase hex digits)");
+          Alcotest.test_case "committed allowlist loads" `Quick test_committed_allowlist;
           Alcotest.test_case "seeded violation" `Quick test_driver_seeded_violation;
           Alcotest.test_case "json golden" `Quick test_json_golden;
         ] );

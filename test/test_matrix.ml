@@ -99,8 +99,8 @@ let test_token_errors () =
   let axes extra = "    (protocol bracha)\n    (n 4)\n    (f 1)\n" ^ extra in
   let expect = "    (default decide)\n" in
   check_error "unknown protocol"
-    (base_spec ~axes:"    (protocol turpin-coan)\n    (n 4)\n    (f 1)\n" ~expect)
-    ~line:6 ~col:14 ~msg_has:"unknown protocol \"turpin-coan\"";
+    (base_spec ~axes:"    (protocol vaba)\n    (n 4)\n    (f 1)\n" ~expect)
+    ~line:6 ~col:14 ~msg_has:"unknown protocol \"vaba\"";
   check_error "unknown adversary"
     (base_spec ~axes:(axes "    (adversary fifo latncy:8)\n") ~expect)
     ~line:9 ~col:20 ~msg_has:"adversary \"latncy:8\"";
@@ -225,6 +225,94 @@ let test_battery_errors () =
   check_error "bad count in a battery"
     (base_spec ~axes:(axes "flip:1+silent:x") ~expect)
     ~line:9 ~col:16 ~msg_has:"fault \"flip:1+silent:x\""
+
+(* ---- the registry's scenario vocabulary ---- *)
+
+let run_ok sc ~seed = match Registry.run sc ~seed with Ok r -> r | Error msg -> Alcotest.fail msg
+
+let mmr_cut topology =
+  { (Registry.scenario ~protocol:"mmr" ~n:8 ~f:2) with
+    topology; fault = Placed (Silent, [ 1; 5 ]); budget = Some 400_000 }
+
+(* [KIND@ID,...] puts KIND on exactly the named nodes: every node but 1
+   and 5 decides.  Ids beyond n or named twice, [balanced-flip] and a
+   placed kind in a [+] battery are errors at the fault binding. *)
+let test_placed_faults () =
+  Alcotest.(check bool) "silent@1,5 decodes" true
+    (Registry.fault "silent@1,5" = Ok (Registry.Placed (Silent, [ 1; 5 ])));
+  let r = run_ok (mmr_cut Complete) ~seed:0 in
+  Alcotest.(check bool) "decides" true (Registry.decides r.outcome);
+  Alcotest.(check (list int)) "deciders" [ 0; 2; 3; 4; 6; 7 ]
+    (List.map (fun l -> Scanf.sscanf l "  n%d:" Fun.id) (Lazy.force r.lines));
+  let spec fault =
+    base_spec
+      ~axes:(Printf.sprintf "    (protocol mmr)\n    (n 8)\n    (f 2)\n    (fault none %s)\n" fault)
+      ~expect:"    (default decide)\n"
+  in
+  check_cell_error "id beyond n" (spec "silent@1,9") ~line:9 ~col:16
+    ~msg_has:"fault names node 9, but n=8";
+  check_cell_error "id twice" (spec "silent@1,1") ~line:9 ~col:16 ~msg_has:"fault names a node twice";
+  check_error "balanced-flip placed" (spec "balanced-flip@1") ~line:9 ~col:16
+    ~msg_has:"fault \"balanced-flip@1\": balanced-flip places itself";
+  check_error "placed in a battery" (spec "silent@1+flip") ~line:9 ~col:16
+    ~msg_has:"fault \"silent@1+flip\": \"silent@1\" cannot join"
+
+(* An explicit graph floods MMR over its edges: two silent nodes leave
+   circulant:1,2 connected and cut the ring.  The relay takes only
+   message-agnostic faults, and no reliable links. *)
+let test_flood_relay () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) "decides over circulant:1,2" true
+        (Registry.decides (run_ok (mmr_cut (Circulant [ 1; 2 ])) ~seed).outcome);
+      Alcotest.(check bool) "no decision over the ring" false
+        (Registry.decides (run_ok (mmr_cut Ring) ~seed).outcome))
+    [ 0; 1 ];
+  let refused name sc ~axis ~msg_has =
+    match Registry.check sc with
+    | Ok () -> Alcotest.failf "%s: accepted" name
+    | Error (a, msg) ->
+      Alcotest.(check string) (name ^ ": axis") axis a;
+      if not (Astring.String.is_infix ~affix:msg_has msg) then
+        Alcotest.failf "%s: %S does not mention %S" name msg msg_has
+  in
+  let ring = { (Registry.scenario ~protocol:"bracha" ~n:7 ~f:2) with topology = Ring } in
+  refused "flip over a ring" { ring with fault = Faulty [ (Flip, 1) ] } ~axis:"fault"
+    ~msg_has:"flood relay supports only message-agnostic faults";
+  refused "reliable links over a ring" { ring with reliable = true } ~axis:"topology"
+    ~msg_has:"reliable links do not run over an explicit topology"
+
+(* turpin-coan decides within n > 4f; beyond it a cell needs
+   expect-fail, which matrix-resilience checks. *)
+let test_turpin_coan () =
+  let sc = { (Registry.scenario ~protocol:"turpin-coan" ~n:9 ~f:2) with fault = Faulty [ (Silent, 1) ] } in
+  Alcotest.(check bool) "decides at n=9 f=2" true (Registry.decides (run_ok sc ~seed:0).outcome);
+  let findings n f =
+    Abc_analysis.Matrix_rules.check ~path:"test.matrix"
+      (base_spec
+         ~axes:(Printf.sprintf "    (protocol turpin-coan)\n    (n %d)\n    (f %d)\n" n f)
+         ~expect:"    (default decide)\n")
+    |> List.map (fun (f : Abc_analysis.Finding.t) -> f.rule)
+  in
+  Alcotest.(check (list string)) "n=9 f=2 within n>4f" [] (findings 9 2);
+  Alcotest.(check (list string)) "n=8 f=2 beyond n>4f" [ "matrix-resilience" ] (findings 8 2)
+
+(* atomic reports each replica's recovery measures: E18's victim fetches
+   one state transfer and catches up after its rejoin; without a crash
+   no replica has anything to catch up. *)
+let test_replica_measures () =
+  let e18 crash =
+    { (Registry.scenario ~protocol:"atomic" ~n:4 ~f:1) with
+      batch = 4; epochs = 12; window = 2; payload = 32; tx_rate = 0.5; checkpoint = 2; crash }
+  in
+  let victim = (run_ok (e18 [ (3, [ (400, 2500) ]) ]) ~seed:0).outcome.replicas.(3) in
+  Alcotest.(check int) "victim transfers" 1 victim.transfers;
+  Alcotest.(check bool) "victim catches up" true (victim.catch_up > 0);
+  let calm = (run_ok (e18 []) ~seed:0).outcome.replicas in
+  Alcotest.(check (list int)) "no catch-up without a crash" [ 0; 0; 0; 0 ]
+    (Array.to_list (Array.map (fun (r : Registry.replica) -> r.catch_up) calm));
+  Alcotest.(check int) "no records outside atomic" 0
+    (Array.length (run_ok (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1) ~seed:0).outcome.replicas)
 
 (* ---- expansion: counts and order ---- *)
 
@@ -472,6 +560,13 @@ let () =
             test_no_clock_zero_wall;
           Alcotest.test_case "log, acs and mmr-rabin decide" `Quick test_new_entries_decide;
           Alcotest.test_case "a + battery places kinds in order" `Quick test_battery_placement;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "placed faults" `Quick test_placed_faults;
+          Alcotest.test_case "flood relay over explicit graphs" `Quick test_flood_relay;
+          Alcotest.test_case "turpin-coan within n>4f" `Quick test_turpin_coan;
+          Alcotest.test_case "atomic replica measures" `Quick test_replica_measures;
         ] );
       ( "specs",
         [

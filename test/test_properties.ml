@@ -966,14 +966,15 @@ let token_decoders =
     ( "fault",
       total Registry.fault,
       [ "none"; "silent:2"; "crash"; "balanced-flip:3"; "force-decide"; "replay:2"; "flip-relay";
-        "equivocate-sender"; "force-decide:1+flip:1"; "silent:2+crash+replay:1" ] );
+        "equivocate-sender"; "force-decide:1+flip:1"; "silent:2+crash+replay:1"; "silent@1,5";
+        "crash@0" ] );
     ("topology", total Registry.topology, [ "complete"; "ring"; "star"; "circulant:1,2" ]);
     ("inputs", total Registry.inputs, [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
     ("crash", total Registry.crash, [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
     ("partition", total Registry.partition, [ "10:80:0,1"; "0:0:3"; "5:9: 2 , 4" ]);
   |]
 
-let token_chars = "abcdefilnoprstuvxz0123456789:,-_. +\"\\\000\255"
+let token_chars = "abcdefilnoprstuvxz0123456789:,-_. +@\"\\\000\255"
 
 let token_gen =
   QCheck.Gen.(
@@ -1008,6 +1009,86 @@ let token_total (d, s) =
 let token_decoder_test =
   campaign ~name:"registry decoders: total, errors quote the token" ~count:2000 token_gen
     print_token token_total
+
+(* ---- spec and result-set decoders ---- *)
+
+(* Mutations of every committed bench/specs/*.matrix and
+   bench_results/BENCH_MATRIX_*.json: truncate, set a byte, insert or
+   delete one.  Nothing may raise through [Spec.of_string] then
+   [Runner.check], or through [Json.of_string] then [Diff.load_json],
+   and every spec error points at a line >= 1. *)
+module Spec = Abc_matrix.Spec
+
+let committed dir ~prefix ~suffix =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix f && String.ends_with ~suffix f)
+  |> List.sort String.compare
+  |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  |> Array.of_list
+
+let specs = lazy (committed "../bench/specs" ~prefix:"" ~suffix:".matrix")
+
+let result_sets = lazy (committed "../bench_results" ~prefix:"BENCH_MATRIX_" ~suffix:".json")
+
+type edit = Cut of int | Set of int * char | Insert of int * char | Delete of int
+
+let edit_gen =
+  QCheck.Gen.(
+    let at = int_bound 1_000_000 and char = map Char.chr (int_bound 255) in
+    oneof
+      [ map (fun k -> Cut k) at; map2 (fun k c -> Set (k, c)) at char;
+        map2 (fun k c -> Insert (k, c)) at char; map (fun k -> Delete k) at ])
+
+(* Edits are placed modulo the text's length as it stands. *)
+let apply_edit text e =
+  let len = String.length text in
+  let at k = if len = 0 then 0 else k mod len in
+  match e with
+  | Cut k -> String.sub text 0 (at k)
+  | Set (k, c) -> if len = 0 then text else String.mapi (fun i x -> if i = at k then c else x) text
+  | Insert (k, c) -> String.sub text 0 (at k) ^ String.make 1 c ^ String.sub text (at k) (len - at k)
+  | Delete k -> if len = 0 then text else String.sub text 0 (at k) ^ String.sub text (at k + 1) (len - at k - 1)
+
+(* Files are read and mutated while scenarios are generated, on the
+   main domain; the pool only decodes. *)
+let document_gen =
+  QCheck.Gen.(
+    map
+      (fun ((is_spec, i), edits) ->
+        let files = Lazy.force (if is_spec then specs else result_sets) in
+        let name, text = files.(i mod Array.length files) in
+        (is_spec, name, edits, List.fold_left apply_edit text edits))
+      (pair (pair bool (int_bound 1_000)) (list_size (int_range 1 3) edit_gen)))
+
+let print_document (_, name, edits, _) =
+  let show = function
+    | Cut k -> Printf.sprintf "cut %d" k
+    | Set (k, c) -> Printf.sprintf "set %d=%d" k (Char.code c)
+    | Insert (k, c) -> Printf.sprintf "insert %d=%d" k (Char.code c)
+    | Delete k -> Printf.sprintf "delete %d" k
+  in
+  Printf.sprintf "%s [%s]" name (String.concat "; " (List.map show edits))
+
+let document_total (is_spec, name, _, text) =
+  let positioned (e : Abc_matrix.Sexp.error) = e.pos.line >= 1 in
+  match
+    if is_spec then
+      match Spec.of_string ~file:name text with
+      | Error e -> positioned e
+      | Ok spec -> Result.fold (Abc_matrix.Runner.check spec) ~ok:(fun () -> true) ~error:positioned
+    else
+      match Json.of_string text with
+      | Error _ -> true
+      | Ok json ->
+        ignore (Abc_matrix.Diff.load_json json);
+        true
+  with
+  | ok -> ok
+  | exception _ -> false
+
+let document_decoder_test =
+  campaign ~name:"spec and result-set decoders: total on mutated files" ~count:4000 document_gen
+    print_document document_total
 
 (* ---- engine scale smoke ---- *)
 
@@ -1044,7 +1125,7 @@ let () =
         [ Turpin_battery.test; Acs_battery.test; Batch_acs_battery.test ] );
       ( "smr",
         [ Atomic_battery.test ] );
-      ("decoders", [ trace_decoder_test; token_decoder_test ]);
+      ("decoders", [ trace_decoder_test; token_decoder_test; document_decoder_test ]);
       ( "scale",
         [
           Alcotest.test_case "bracha rbc n=128 delivers" `Quick

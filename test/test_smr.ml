@@ -456,63 +456,6 @@ let test_workload_deterministic () =
         (List.mem id (ids other)))
     (ids a)
 
-(* ---- client sessions (exactly-once) ---- *)
-
-module Session = Abc_smr.Session
-
-let test_session_tag_roundtrip () =
-  let r = { Session.client = "alice"; request_id = 7; body = "PUT k v" } in
-  Alcotest.(check string) "wire form" "alice:7:PUT k v" (Session.tag r);
-  (match Session.parse (Session.tag r) with
-  | Some r' ->
-    Alcotest.(check string) "client" "alice" r'.Session.client;
-    Alcotest.(check int) "request" 7 r'.Session.request_id;
-    Alcotest.(check string) "body" "PUT k v" r'.Session.body
-  | None -> Alcotest.fail "parse failed");
-  Alcotest.(check bool) "untagged" true (Session.parse "PUT k v" = None);
-  Alcotest.check_raises "client with colon"
-    (Invalid_argument "Session.tag: client id must not contain ':'") (fun () ->
-      ignore (Session.tag { Session.client = "a:b"; request_id = 1; body = "x" }))
-
-let test_session_exactly_once () =
-  (* The same request committed twice (client retried through another
-     replica): it must execute once. *)
-  let log =
-    [
-      "alice:1:PUT counter 1";
-      "bob:1:PUT other 5";
-      "alice:1:PUT counter 999"; (* retry duplicate: must be skipped *)
-      "alice:2:PUT counter 2";
-    ]
-  in
-  let store, dedup, stats = Session.apply_log Kv.empty Session.empty log in
-  Alcotest.(check int) "applied" 3 stats.Session.applied;
-  Alcotest.(check int) "skipped" 1 stats.Session.skipped;
-  Alcotest.(check (option string)) "final value" (Some "2") (Kv.find store "counter");
-  Alcotest.(check bool) "dedup remembers" true
-    (Session.seen dedup ~client:"alice" ~request_id:1)
-
-let test_session_anonymous_passthrough () =
-  let log = [ "PUT a 1"; "PUT a 1" ] in
-  let store, _, stats = Session.apply_log Kv.empty Session.empty log in
-  Alcotest.(check int) "anonymous both applied" 2 stats.Session.anonymous;
-  Alcotest.(check (option string)) "value" (Some "1") (Kv.find store "a")
-
-let test_session_replicas_converge_with_duplicates () =
-  (* All replicas apply the same log (with a duplicate) through the
-     session layer: identical digests. *)
-  let log =
-    [ "c1:1:PUT x 1"; "c1:2:PUT y 2"; "c1:1:PUT x HACKED"; "c2:1:DEL y" ]
-  in
-  let apply () =
-    let store, _, _ = Session.apply_log Kv.empty Session.empty log in
-    Kv.digest store
-  in
-  Alcotest.(check string) "deterministic" (apply ()) (apply ());
-  let store, _, _ = Session.apply_log Kv.empty Session.empty log in
-  Alcotest.(check (option string)) "retry did not re-execute" (Some "1")
-    (Kv.find store "x")
-
 let prop_kv_deterministic =
   QCheck.Test.make ~name:"apply_log is deterministic" ~count:100
     QCheck.(list (pair small_string small_string))
@@ -573,15 +516,6 @@ let () =
           Alcotest.test_case "batch codec roundtrip" `Quick test_batch_codec_roundtrip;
           Alcotest.test_case "workload deterministic" `Quick
             test_workload_deterministic;
-        ] );
-      ( "sessions",
-        [
-          Alcotest.test_case "tag roundtrip" `Quick test_session_tag_roundtrip;
-          Alcotest.test_case "exactly once" `Quick test_session_exactly_once;
-          Alcotest.test_case "anonymous passthrough" `Quick
-            test_session_anonymous_passthrough;
-          Alcotest.test_case "replicas converge with duplicates" `Quick
-            test_session_replicas_converge_with_duplicates;
         ] );
       ( "kv store",
         [
