@@ -94,25 +94,28 @@ let test_decide_value_is_min () =
     (Invalid_argument "Acs.decide_value: empty common subset") (fun () ->
       ignore (Acs.decide_value (Acs.Accepted [])))
 
+(* decide_value over the common subset = multivalued consensus: all
+   honest decide the same proposal value. *)
+let check_multivalued ?faulty ~honest ~seed proposals =
+  let result = run ?faulty ~n:4 ~f:1 ~seed proposals in
+  check_terminal result;
+  let decided =
+    List.map (fun s -> Acs.decide_value (Acs.Accepted s)) (subsets result honest)
+  in
+  match decided with
+  | first :: rest ->
+    List.iter (fun v -> Alcotest.(check int) "same decision" first v) rest;
+    Alcotest.(check bool) "decided value was proposed" true
+      (Array.mem first proposals)
+  | [] -> Alcotest.fail "no decisions"
+
 let test_multivalued_consensus () =
-  (* decide_value over the common subset = multivalued consensus: all
-     honest decide the same proposal value, with every node honest or
-     with a silent node 0. *)
-  List.iter
-    (fun (faulty, honest, seed, proposals) ->
-      let result = run ?faulty ~n:4 ~f:1 ~seed proposals in
-      check_terminal result;
-      let decided =
-        List.map (fun s -> Acs.decide_value (Acs.Accepted s)) (subsets result honest)
-      in
-      match decided with
-      | first :: rest ->
-        List.iter (fun v -> Alcotest.(check int) "same decision" first v) rest;
-        Alcotest.(check bool) "decided value was proposed" true
-          (Array.mem first proposals)
-      | [] -> Alcotest.fail "no decisions")
-    [ (None, Node_id.all ~n:4, 4, [| 42; 17; 99; 3 |]);
-      (Some [ (node 0, Behaviour.Silent) ], [ node 1; node 2; node 3 ], 6, [| 9; 8; 7; 6 |]) ]
+  check_multivalued ~honest:(Node_id.all ~n:4) ~seed:4 [| 42; 17; 99; 3 |]
+
+let test_multivalued_with_fault () =
+  check_multivalued
+    ~faulty:[ (node 0, Behaviour.Silent) ]
+    ~honest:[ node 1; node 2; node 3 ] ~seed:6 [| 9; 8; 7; 6 |]
 
 let test_inputs_arity () =
   Alcotest.check_raises "inputs arity"
@@ -161,6 +164,7 @@ let () =
         [
           Alcotest.test_case "decide_value min" `Quick test_decide_value_is_min;
           Alcotest.test_case "multivalued consensus" `Quick test_multivalued_consensus;
+          Alcotest.test_case "multivalued with fault" `Quick test_multivalued_with_fault;
           Alcotest.test_case "inputs arity" `Quick test_inputs_arity;
         ] );
       ( "properties",
