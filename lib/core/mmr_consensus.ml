@@ -13,18 +13,17 @@ type msg =
 
 type output = Decision.t
 
-(* Per-round bookkeeping.  [bval_from] / [aux_from] track the distinct
-   senders per value ([aux_from] keyed by the sender's single vote);
-   [bval_echoed] latches the f+1 re-broadcast rule per value.  The
-   [*_counts] fields mirror the cardinalities of the sets/maps so the
-   quorum rules never walk a set per message (see PERFORMANCE.md); the
-   sets remain the source of truth for deduplication. *)
+(* Per-round bookkeeping.  [bval_from] tracks the distinct senders per
+   value, [aux_from] the senders of the single AUX vote each may cast;
+   [bval_echoed] latches the f+1 re-broadcast rule per value.  Quorum
+   rules read [Node_id.Set.cardinal], which is O(1); [aux_counts] and
+   [share_count] mirror counts no set can give in O(1) (see
+   PERFORMANCE.md). *)
 type round_state = {
   bval_from : Node_id.Set.t array; (* indexed by Value.to_int *)
-  bval_counts : int array; (* cardinal of bval_from, per value *)
   bval_echoed : bool array;
   bin_values : bool array;
-  aux_from : Value.t Node_id.Map.t;
+  aux_from : Node_id.Set.t;
   aux_counts : int array; (* AUX votes per value *)
   aux_sent : bool;
   share_sent : bool;
@@ -36,10 +35,9 @@ type round_state = {
 let fresh_round () =
   {
     bval_from = [| Node_id.Set.empty; Node_id.Set.empty |];
-    bval_counts = [| 0; 0 |];
     bval_echoed = [| false; false |];
     bin_values = [| false; false |];
-    aux_from = Node_id.Map.empty;
+    aux_from = Node_id.Set.empty;
     aux_counts = [| 0; 0 |];
     aux_sent = false;
     share_sent = false;
@@ -81,23 +79,16 @@ let with_set arr i v =
 
 let add_bval rs ~src value =
   let i = Value.to_int value in
-  if Node_id.Set.mem src rs.bval_from.(i) then rs
-  else
-    {
-      rs with
-      bval_from = with_set rs.bval_from i (Node_id.Set.add src rs.bval_from.(i));
-      bval_counts = with_set rs.bval_counts i (rs.bval_counts.(i) + 1);
-    }
+  let senders = Node_id.Set.add src rs.bval_from.(i) in
+  if senders == rs.bval_from.(i) then rs
+  else { rs with bval_from = with_set rs.bval_from i senders }
 
 let add_aux rs ~src value =
-  if Node_id.Map.mem src rs.aux_from then rs
+  let aux_from = Node_id.Set.add src rs.aux_from in
+  if aux_from == rs.aux_from then rs
   else
     let i = Value.to_int value in
-    {
-      rs with
-      aux_from = Node_id.Map.add src value rs.aux_from;
-      aux_counts = with_set rs.aux_counts i (rs.aux_counts.(i) + 1);
-    }
+    { rs with aux_from; aux_counts = with_set rs.aux_counts i (rs.aux_counts.(i) + 1) }
 
 let add_share rs ~src share =
   if Node_id.Map.mem src rs.shares then rs
@@ -109,15 +100,16 @@ let add_share rs ~src share =
     }
 
 (* The BV-broadcast rules plus the AUX trigger for round [r]; returns
-   the messages this node must broadcast now. *)
+   the messages this node must broadcast now, and [state] itself when
+   no rule fired. *)
 let bv_progress state ~(sink : Event.sink) r =
-  let rs = round_state state r in
+  let unchanged = round_state state r in
   let sends = ref [] in
-  let rs = ref rs in
+  let rs = ref unchanged in
   List.iter
     (fun value ->
       let i = Value.to_int value in
-      let support = !rs.bval_counts.(i) in
+      let support = Node_id.Set.cardinal !rs.bval_from.(i) in
       if support >= Quorum.ready_amplify ~f:state.f && not !rs.bval_echoed.(i)
       then begin
         if sink.Event.enabled then
@@ -155,7 +147,7 @@ let bv_progress state ~(sink : Event.sink) r =
     end
     else (rs, !sends)
   in
-  (set_round state r rs, List.rev sends)
+  if rs == unchanged then (state, []) else (set_round state r rs, List.rev sends)
 
 (* Obtain the round coin.  The [Flip] sources answer immediately; the
    share-based source reveals this node's share (once) and waits for

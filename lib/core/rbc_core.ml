@@ -15,8 +15,8 @@ module Make (V : Value.PAYLOAD) = struct
     echoed : bool;
     readied : bool;
     delivered : V.t option;
-    echoes : (int * Node_id.Set.t) Value_map.t;
-    readies : (int * Node_id.Set.t) Value_map.t;
+    echoes : Node_id.Set.t Value_map.t;
+    readies : Node_id.Set.t Value_map.t;
   }
 
   let create ~n ~f ~sender =
@@ -47,20 +47,19 @@ module Make (V : Value.PAYLOAD) = struct
 
   let deliver_threshold ~f = Quorum.ready_deliver ~f
 
-  (* Each per-value entry carries its cardinality so quorum checks are
-     a map lookup plus an int read — never a set walk (the set itself
-     is kept only for sender deduplication). *)
+  (* A quorum check is a map lookup plus [Node_id.Set.cardinal], which
+     is O(1). *)
   let support map v =
     match Value_map.find_opt v map with
-    | Some (count, _) -> count
+    | Some nodes -> Node_id.Set.cardinal nodes
     | None -> 0
 
   let note map v src =
     match Value_map.find_opt v map with
-    | Some (count, nodes) ->
-      if Node_id.Set.mem src nodes then map
-      else Value_map.add v (count + 1, Node_id.Set.add src nodes) map
-    | None -> Value_map.add v (1, Node_id.Set.singleton src) map
+    | Some nodes ->
+      let added = Node_id.Set.add src nodes in
+      if added == nodes then map else Value_map.add v added map
+    | None -> Value_map.add v (Node_id.Set.singleton src) map
 
   (* After any counter moves, fire whichever of the two send rules and
      the delivery rule have newly become enabled.  Each rule fires at

@@ -25,5 +25,37 @@ val pp : t Fmt.t
 val all : n:int -> t list
 (** [all ~n] is [[0; ...; n-1]] as identifiers, in order. *)
 
-module Set : Set.S with type elt = t
+(** Sets of identifiers, for counting distinct senders against a
+    quorum.
+
+    A set is a persistent bitset that carries its own cardinal: [mem]
+    is one load, [cardinal] is O(1), and [add] copies
+    [2 + max_id / 63] words.  A built set is never mutated, so states
+    that hold one stay values.  Equal sets have equal bytes whatever
+    order their ids were added in, which is what lets the model
+    checker fingerprint states with [Marshal].  The size grows with
+    the largest id, so keep ids small: every id that reaches a set in
+    this codebase is a channel [src] (below [n]) or an origin already
+    checked against one. *)
+module Set : sig
+  type id := t
+
+  type t
+
+  val empty : t
+
+  val singleton : id -> t
+
+  val add : id -> t -> t
+  (** [add id s] is [s] itself, physically, when [id] is already in
+      [s]. *)
+
+  val mem : id -> t -> bool
+
+  val cardinal : t -> int
+  (** O(1). *)
+
+  val of_list : id list -> t
+end
+
 module Map : Map.S with type key = t
