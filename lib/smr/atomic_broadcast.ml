@@ -737,6 +737,17 @@ let snapshot state =
     @ [ encode_batch (List.rev state.log); encode_batch state.requeue; proposed ]
     )
 
+(* A number in the durable store: plain decimal digits, as [snapshot]
+   writes them.  [int_of_string_opt] would also take "-1", "+1", "0x1f"
+   and "1_0", and a negative cursor or epoch makes [restore] index out
+   of bounds.  Eighteen digits always fit an int; a checkpoint digest
+   has at most ten. *)
+let decimal s =
+  let len = String.length s in
+  if len = 0 || len > 18 || not (String.for_all (fun c -> c >= '0' && c <= '9') s)
+  then None
+  else Some (int_of_string s)
+
 let decode_proposed s =
   match decode_batch s with
   | None -> None
@@ -744,7 +755,7 @@ let decode_proposed s =
     let rec pairs acc = function
       | [] -> Some (List.rev acc)
       | epoch :: batch :: rest -> (
-        match (int_of_string_opt epoch, decode_batch batch) with
+        match (decimal epoch, decode_batch batch) with
         | Some epoch, Some txs -> pairs ((epoch, txs) :: acc) rest
         | _, _ -> None)
       | _ :: [] -> None
@@ -759,11 +770,11 @@ let restore ctx (input : input) ~durable =
         [ "1"; next_commit; cursor; stable_e; stable_len; stable_digest;
           log_s; requeue_s; proposed_s ] -> (
       match
-        ( int_of_string_opt next_commit,
-          int_of_string_opt cursor,
-          int_of_string_opt stable_e,
-          int_of_string_opt stable_len,
-          int_of_string_opt stable_digest,
+        ( decimal next_commit,
+          decimal cursor,
+          decimal stable_e,
+          decimal stable_len,
+          decimal stable_digest,
           decode_batch log_s,
           decode_batch requeue_s,
           decode_proposed proposed_s )

@@ -113,7 +113,9 @@ val restore :
     transactions whose pre-crash fate is unknown, and starts a state
     transfer (when [checkpoint_interval > 0]) to fetch the commits it
     slept through.  If the durable log was already complete, re-emits
-    the terminal output immediately. *)
+    the terminal output immediately.  A store that does not parse,
+    numbers that are not plain decimal digits included, is read as
+    [""]: it never raises. *)
 
 val inputs :
   n:int ->

@@ -430,6 +430,39 @@ let test_batch_codec_roundtrip () =
       Alcotest.(check (option (list string))) junk None (Atomic.decode_batch junk))
     [ ""; "x"; "2:1:a"; "1:5:ab"; "1:1:ab"; "-1"; "1:9999999999:a" ]
 
+(* The durable store is outside input.  A cursor of -1 used to index
+   the mempool out of bounds inside [restore]; a number that is not
+   plain decimal digits now makes the store unreadable, which restores
+   exactly like an empty store: cold restart plus catch-up. *)
+let test_restore_rejects_non_decimal_fields () =
+  let n = 4 in
+  let inputs =
+    Atomic.inputs ~n ~batch_size:2 ~epochs:3 ~coin_seed:17 (mempools ~n ~count:3 ~seed:1)
+  in
+  let restore durable =
+    let ctx =
+      {
+        Abc_net.Protocol.Context.me = node 0;
+        n;
+        f = 1;
+        rng = Abc_prng.Stream.root ~seed:1;
+        sink = Abc_sim.Event.null_sink;
+      }
+    in
+    Marshal.to_string (Atomic.restore ctx inputs.(0) ~durable) []
+  in
+  let cold = restore "" in
+  let with_cursor cursor =
+    Atomic.encode_batch [ "1"; "0"; cursor; "0"; "0"; "0"; "0"; "0"; "0" ]
+  in
+  Alcotest.(check string) "the blob" "9:1:1:1:0:2:-1:1:0:1:0:1:0:1:0:1:0:1:0" (with_cursor "-1");
+  List.iter
+    (fun cursor ->
+      Alcotest.(check bool) (Fmt.str "cursor %S restores cold" cursor) true
+        (String.equal cold (restore (with_cursor cursor))))
+    [ "-1"; "+1"; "0x1"; "1_0"; " 1"; "" ];
+  Alcotest.(check bool) "cursor 1 is read" false (String.equal cold (restore (with_cursor "1")))
+
 let test_workload_deterministic () =
   let gen () =
     Workload.generate ~seed:42 ~node:(node 1) ~count:50 ~rate:0.1 ~tx_bytes:48
@@ -514,6 +547,8 @@ let () =
           Alcotest.test_case "recovery: deterministic" `Quick
             test_atomic_recovery_deterministic;
           Alcotest.test_case "batch codec roundtrip" `Quick test_batch_codec_roundtrip;
+          Alcotest.test_case "restore rejects non-decimal fields" `Quick
+            test_restore_rejects_non_decimal_fields;
           Alcotest.test_case "workload deterministic" `Quick
             test_workload_deterministic;
         ] );
