@@ -81,6 +81,36 @@ let test_budget_respected () =
   Alcotest.(check bool) "stopped at budget" true (outcome.X.explored <= 50);
   Alcotest.(check bool) "not exhausted" false outcome.X.exhausted
 
+(* The explorer fingerprints node states with [Marshal], so a state
+   must marshal the same however its tallies filled.  Echoes from
+   0, 1, 2, 3 and from 3, 2, 1, 0 leave one logical state; as balanced
+   trees the two sender sets had different shapes and bytes. *)
+let test_fingerprint_ignores_echo_order () =
+  let ctx =
+    {
+      Protocol.Context.me = node 1;
+      n = 4;
+      f = 1;
+      rng = Abc_prng.Stream.root ~seed:1;
+      sink = Abc_sim.Event.null_sink;
+    }
+  in
+  let input = (Rbc.inputs ~n:4 ~sender:(node 0) Abc.Value.One).(1) in
+  let fed order =
+    let state, _ = Rbc.initial ctx input in
+    let state =
+      List.fold_left
+        (fun state i ->
+          let state, _, _ =
+            Rbc.on_message ctx state ~src:(node i) (Rbc.Core.Echo Abc.Value.One)
+          in
+          state)
+        state order
+    in
+    Marshal.to_string state []
+  in
+  Alcotest.(check string) "same bytes" (fed [ 0; 1; 2; 3 ]) (fed [ 3; 2; 1; 0 ])
+
 (* A deliberately unsafe protocol: decide on the first value heard.
    With different inputs, some schedule produces disagreement — the
    checker must find it and produce a schedule. *)
@@ -375,6 +405,8 @@ let () =
           Alcotest.test_case "silent sender exhausts" `Quick
             test_silent_sender_exhausts_immediately;
           Alcotest.test_case "budget respected" `Quick test_budget_respected;
+          Alcotest.test_case "fingerprint ignores echo order" `Quick
+            test_fingerprint_ignores_echo_order;
         ] );
       ( "broadcast variants",
         [

@@ -851,6 +851,68 @@ let prop_engine_deterministic =
       let r2 = run ~n:4 ~f:1 ~adversary:Adversary.uniform ~seed () in
       r1.Run.deliveries = r2.Run.deliveries && r1.Run.duration = r2.Run.duration)
 
+(* ---- Node_id.Set: a counted bitset against Set.Make (Int) ---- *)
+
+module Int_set = Set.Make (Int)
+
+(* Ids in [0, 1024); the ends and both sides of the first two word
+   boundaries (bit 62 is a word's last, 63 the next word's first) are
+   drawn often. *)
+let ids_arb =
+  QCheck.(
+    make
+      ~print:Print.(list int)
+      Gen.(list_size (int_bound 150) (oneof [ int_bound 1023; oneofl [ 0; 62; 63; 125; 126; 1023 ] ])))
+
+let prop_node_set_model =
+  QCheck.Test.make ~name:"mem and cardinal agree with Set.Make (Int)" ~count:300 ids_arb
+    (fun ids ->
+      let set, model =
+        List.fold_left
+          (fun (set, model) i ->
+            let set = Node_id.Set.add (Node_id.of_int i) set and model = Int_set.add i model in
+            if Node_id.Set.cardinal set <> Int_set.cardinal model then
+              QCheck.Test.fail_reportf "cardinal %d, model %d after adding %d"
+                (Node_id.Set.cardinal set) (Int_set.cardinal model) i;
+            (set, model))
+          (Node_id.Set.empty, Int_set.empty) ids
+      in
+      List.for_all
+        (fun i -> Bool.equal (Node_id.Set.mem (Node_id.of_int i) set) (Int_set.mem i model))
+        (List.init 1100 Fun.id))
+
+let prop_node_set_order_free =
+  QCheck.Test.make ~name:"insertion order does not change the bytes" ~count:300 ids_arb
+    (fun ids ->
+      let bytes ids = Marshal.to_string (Node_id.Set.of_list (List.map Node_id.of_int ids)) [] in
+      String.equal (bytes ids) (bytes (List.rev ids))
+      && String.equal (bytes ids) (bytes (List.sort_uniq Int.compare ids)))
+
+let prop_node_set_add_present =
+  QCheck.Test.make ~name:"adding a member returns the set itself" ~count:300 ids_arb
+    (fun ids ->
+      let set = Node_id.Set.of_list (List.map Node_id.of_int ids) in
+      List.for_all (fun i -> Node_id.Set.add (Node_id.of_int i) set == set) ids)
+
+let test_node_set_word_boundaries () =
+  let boundaries = [ 0; 62; 63; 125; 126; 1023 ] in
+  List.iter
+    (fun i ->
+      let set = Node_id.Set.singleton (Node_id.of_int i) in
+      Alcotest.(check int) (Fmt.str "cardinal {%d}" i) 1 (Node_id.Set.cardinal set);
+      List.iter
+        (fun j ->
+          Alcotest.(check bool)
+            (Fmt.str "%d in {%d}" j i)
+            (j = i)
+            (Node_id.Set.mem (Node_id.of_int j) set))
+        (boundaries @ [ 1; 61; 64; 124; 127; 1022; 1024; 5000 ]))
+    boundaries;
+  let all = Node_id.Set.of_list (List.map Node_id.of_int boundaries) in
+  Alcotest.(check int) "cardinal of all" 6 (Node_id.Set.cardinal all);
+  Alcotest.(check int) "empty" 0 (Node_id.Set.cardinal Node_id.Set.empty);
+  Alcotest.(check bool) "empty has no 0" false (Node_id.Set.mem (Node_id.of_int 0) Node_id.Set.empty)
+
 let () =
   Alcotest.run "abc_net"
     [
@@ -868,6 +930,13 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "honest listing" `Quick test_honest_listing;
           QCheck_alcotest.to_alcotest prop_engine_deterministic;
+        ] );
+      ( "node set",
+        [
+          Alcotest.test_case "word boundaries" `Quick test_node_set_word_boundaries;
+          QCheck_alcotest.to_alcotest prop_node_set_model;
+          QCheck_alcotest.to_alcotest prop_node_set_order_free;
+          QCheck_alcotest.to_alcotest prop_node_set_add_present;
         ] );
       ( "envelope arena",
         [

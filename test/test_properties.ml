@@ -1090,6 +1090,94 @@ let document_decoder_test =
   campaign ~name:"spec and result-set decoders: total on mutated files" ~count:4000 document_gen
     print_document document_total
 
+(* ---- durable-store decoder ---- *)
+
+(* [Atomic_broadcast.restore] reads a replica's durable store, which is
+   outside input.  The campaign takes real snapshots, one per crash of
+   a replica that crashes six times across a checkpointed run, and
+   mutates them: the edits above, or one field of the store set to
+   "-1".  Three transactions per mempool run dry by epoch 2, so the
+   restored window draws from the mempool at the stored cursor.
+   [restore] must never raise; whatever it cannot read is a cold
+   restart. *)
+let durable_n = 4
+
+let durable_inputs =
+  lazy
+    (Atomic.inputs ~n:durable_n ~checkpoint_interval:2 ~batch_size:2 ~epochs:8 ~coin_seed:17
+       (Array.init durable_n (fun i ->
+            Abc_smr.Workload.txs
+              (Abc_smr.Workload.generate ~seed:5 ~node:(node i) ~count:3 ~rate:0.05
+                 ~tx_bytes:16))))
+
+let durable_snapshots =
+  lazy
+    (let taken = ref [] in
+     let snapshot state =
+       let blob = Atomic.snapshot state in
+       taken := blob :: !taken;
+       blob
+     in
+     let crashes = List.map (fun t -> (t, t + 100)) [ 300; 2500; 3600; 4800; 6000; 7200 ] in
+     ignore
+       (AtomicE.run
+          (AtomicE.config ~n:durable_n ~f:1 ~inputs:(Lazy.force durable_inputs) ~seed:3
+             ~faulty:[ (node 2, Behaviour.Crash_recover crashes) ]
+             ~recovery:{ AtomicE.snapshot; restore = Atomic.restore }
+             ()));
+     Array.of_list (List.rev !taken))
+
+type durable_edit = Edit of edit | Negative of int
+
+let set_negative blob k =
+  match Atomic.decode_batch blob with
+  | Some fields ->
+    let k = k mod List.length fields in
+    Atomic.encode_batch (List.mapi (fun i field -> if i = k then "-1" else field) fields)
+  | None -> blob
+
+(* Snapshots are taken and mutated while scenarios are generated, on
+   the main domain; the pool only restores. *)
+let durable_gen =
+  QCheck.Gen.(
+    map
+      (fun (i, edits) ->
+        let blobs = Lazy.force durable_snapshots in
+        let blob = blobs.(i mod Array.length blobs) in
+        let apply blob = function Edit e -> apply_edit blob e | Negative k -> set_negative blob k in
+        (i mod Array.length blobs, edits, List.fold_left apply blob edits))
+      (pair (int_bound 1_000)
+         (list_size (int_range 1 2)
+            (oneof [ map (fun e -> Edit e) edit_gen; map (fun k -> Negative k) (int_bound 100) ]))))
+
+let print_durable (i, edits, blob) =
+  let show = function
+    | Edit (Cut k) -> Printf.sprintf "cut %d" k
+    | Edit (Set (k, c)) -> Printf.sprintf "set %d=%d" k (Char.code c)
+    | Edit (Insert (k, c)) -> Printf.sprintf "insert %d=%d" k (Char.code c)
+    | Edit (Delete k) -> Printf.sprintf "delete %d" k
+    | Negative k -> Printf.sprintf "field %d=-1" k
+  in
+  Printf.sprintf "snapshot %d [%s] %S" i (String.concat "; " (List.map show edits)) blob
+
+let durable_total (_, _, blob) =
+  let ctx =
+    {
+      Abc_net.Protocol.Context.me = node 2;
+      n = durable_n;
+      f = 1;
+      rng = Abc_prng.Stream.root ~seed:1;
+      sink = Abc_sim.Event.null_sink;
+    }
+  in
+  match Atomic.restore ctx (Lazy.force durable_inputs).(2) ~durable:blob with
+  | _ -> true
+  | exception _ -> false
+
+let durable_decoder_test =
+  campaign ~name:"durable-store decoder: restore total on mutated snapshots" ~count:1500
+    durable_gen print_durable durable_total
+
 (* ---- engine scale smoke ---- *)
 
 (* One deterministic large-n run through the arena-based engine: the
@@ -1114,6 +1202,20 @@ let test_scale_bracha_rbc_n128 () =
       | _ -> Alcotest.failf "node %d did not deliver exactly once" i)
     r.RbcE.outputs
 
+(* MMR at the same scale: the consensus battery stops at n = 10, so
+   this is the only tier-1 run of MMR's per-round sender sets at a
+   committee size E19 measures. *)
+let test_scale_mmr_n128 () =
+  let n = 128 and f = 42 in
+  let values = Array.init n (fun i -> if i < n / 2 then Value.Zero else Value.One) in
+  let inputs = M.inputs ~n ~coin:(Abc.Coin.common ~seed:7) values in
+  let _, verdict =
+    MH.run (MH.E.config ~n ~f ~inputs ~adversary:Abc_net.Adversary.uniform ~seed:1 ())
+  in
+  Alcotest.(check bool) "terminated" true verdict.Abc.Harness.terminated;
+  Alcotest.(check bool) "agreement" true verdict.Abc.Harness.agreement;
+  Alcotest.(check bool) "validity" true verdict.Abc.Harness.validity
+
 let () =
   Alcotest.run "properties"
     [
@@ -1125,10 +1227,12 @@ let () =
         [ Turpin_battery.test; Acs_battery.test; Batch_acs_battery.test ] );
       ( "smr",
         [ Atomic_battery.test ] );
-      ("decoders", [ trace_decoder_test; token_decoder_test; document_decoder_test ]);
+      ( "decoders",
+        [ trace_decoder_test; token_decoder_test; document_decoder_test; durable_decoder_test ] );
       ( "scale",
         [
           Alcotest.test_case "bracha rbc n=128 delivers" `Quick
             test_scale_bracha_rbc_n128;
+          Alcotest.test_case "mmr n=128 decides" `Quick test_scale_mmr_n128;
         ] );
     ]
