@@ -1060,14 +1060,14 @@ let document_gen =
         (is_spec, name, edits, List.fold_left apply_edit text edits))
       (pair (pair bool (int_bound 1_000)) (list_size (int_range 1 3) edit_gen)))
 
+let show_edit = function
+  | Cut k -> Printf.sprintf "cut %d" k
+  | Set (k, c) -> Printf.sprintf "set %d=%d" k (Char.code c)
+  | Insert (k, c) -> Printf.sprintf "insert %d=%d" k (Char.code c)
+  | Delete k -> Printf.sprintf "delete %d" k
+
 let print_document (_, name, edits, _) =
-  let show = function
-    | Cut k -> Printf.sprintf "cut %d" k
-    | Set (k, c) -> Printf.sprintf "set %d=%d" k (Char.code c)
-    | Insert (k, c) -> Printf.sprintf "insert %d=%d" k (Char.code c)
-    | Delete k -> Printf.sprintf "delete %d" k
-  in
-  Printf.sprintf "%s [%s]" name (String.concat "; " (List.map show edits))
+  Printf.sprintf "%s [%s]" name (String.concat "; " (List.map show_edit edits))
 
 let document_total (is_spec, name, _, text) =
   let positioned (e : Abc_matrix.Sexp.error) = e.pos.line >= 1 in
@@ -1143,21 +1143,15 @@ let durable_gen =
     map
       (fun (i, edits) ->
         let blobs = Lazy.force durable_snapshots in
-        let blob = blobs.(i mod Array.length blobs) in
+        let i = i mod Array.length blobs in
         let apply blob = function Edit e -> apply_edit blob e | Negative k -> set_negative blob k in
-        (i mod Array.length blobs, edits, List.fold_left apply blob edits))
+        (i, edits, List.fold_left apply blobs.(i) edits))
       (pair (int_bound 1_000)
          (list_size (int_range 1 2)
             (oneof [ map (fun e -> Edit e) edit_gen; map (fun k -> Negative k) (int_bound 100) ]))))
 
 let print_durable (i, edits, blob) =
-  let show = function
-    | Edit (Cut k) -> Printf.sprintf "cut %d" k
-    | Edit (Set (k, c)) -> Printf.sprintf "set %d=%d" k (Char.code c)
-    | Edit (Insert (k, c)) -> Printf.sprintf "insert %d=%d" k (Char.code c)
-    | Edit (Delete k) -> Printf.sprintf "delete %d" k
-    | Negative k -> Printf.sprintf "field %d=-1" k
-  in
+  let show = function Edit e -> show_edit e | Negative k -> Printf.sprintf "field %d=-1" k in
   Printf.sprintf "snapshot %d [%s] %S" i (String.concat "; " (List.map show edits)) blob
 
 let durable_total (_, _, blob) =
