@@ -83,8 +83,8 @@ let test_budget_respected () =
 
 (* The explorer fingerprints node states with [Marshal], so a state
    must marshal the same however its tallies filled.  Echoes from
-   0, 1, 2, 3 and from 3, 2, 1, 0 leave one logical state; as balanced
-   trees the two sender sets had different shapes and bytes. *)
+   0, 1, 2, 3 and from 3, 2, 1, 0 leave one logical state; a balanced
+   tree would hold the two sender sets in different shapes. *)
 let test_fingerprint_ignores_echo_order () =
   let ctx =
     {

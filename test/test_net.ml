@@ -894,25 +894,6 @@ let prop_node_set_add_present =
       let set = Node_id.Set.of_list (List.map Node_id.of_int ids) in
       List.for_all (fun i -> Node_id.Set.add (Node_id.of_int i) set == set) ids)
 
-let test_node_set_word_boundaries () =
-  let boundaries = [ 0; 62; 63; 125; 126; 1023 ] in
-  List.iter
-    (fun i ->
-      let set = Node_id.Set.singleton (Node_id.of_int i) in
-      Alcotest.(check int) (Fmt.str "cardinal {%d}" i) 1 (Node_id.Set.cardinal set);
-      List.iter
-        (fun j ->
-          Alcotest.(check bool)
-            (Fmt.str "%d in {%d}" j i)
-            (j = i)
-            (Node_id.Set.mem (Node_id.of_int j) set))
-        (boundaries @ [ 1; 61; 64; 124; 127; 1022; 1024; 5000 ]))
-    boundaries;
-  let all = Node_id.Set.of_list (List.map Node_id.of_int boundaries) in
-  Alcotest.(check int) "cardinal of all" 6 (Node_id.Set.cardinal all);
-  Alcotest.(check int) "empty" 0 (Node_id.Set.cardinal Node_id.Set.empty);
-  Alcotest.(check bool) "empty has no 0" false (Node_id.Set.mem (Node_id.of_int 0) Node_id.Set.empty)
-
 let () =
   Alcotest.run "abc_net"
     [
@@ -933,7 +914,6 @@ let () =
         ] );
       ( "node set",
         [
-          Alcotest.test_case "word boundaries" `Quick test_node_set_word_boundaries;
           QCheck_alcotest.to_alcotest prop_node_set_model;
           QCheck_alcotest.to_alcotest prop_node_set_order_free;
           QCheck_alcotest.to_alcotest prop_node_set_add_present;

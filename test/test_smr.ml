@@ -430,9 +430,9 @@ let test_batch_codec_roundtrip () =
       Alcotest.(check (option (list string))) junk None (Atomic.decode_batch junk))
     [ ""; "x"; "2:1:a"; "1:5:ab"; "1:1:ab"; "-1"; "1:9999999999:a" ]
 
-(* The durable store is outside input.  A cursor of -1 used to index
-   the mempool out of bounds inside [restore]; a number that is not
-   plain decimal digits now makes the store unreadable, which restores
+(* The durable store is outside input, and a cursor of -1 would index
+   the mempool out of bounds inside [restore].  A number that is not
+   plain decimal digits makes the store unreadable, which restores
    exactly like an empty store: cold restart plus catch-up. *)
 let test_restore_rejects_non_decimal_fields () =
   let n = 4 in
