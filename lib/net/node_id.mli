@@ -35,8 +35,8 @@ val all : n:int -> t list
     order their ids were added in, which is what lets the model
     checker fingerprint states with [Marshal].  The size grows with
     the largest id, so keep ids small: every id that reaches a set in
-    this codebase is a channel [src] (below [n]) or an origin already
-    checked against one. *)
+    this codebase is below [n], a channel [src] or an origin, victim
+    or island id already checked against [n]. *)
 module Set : sig
   type id := t
 
