@@ -28,12 +28,15 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Randomized chaos campaigns (fault injection + lossy links) with a
-# pinned generator seed, so a red run is replayable byte-for-byte.
-# Override the pin to widen the net: make chaos QCHECK_SEED=12345
+# The randomized campaign suite (every protocol under fault injection,
+# adversarial schedulers and lossy links) with a pinned generator seed,
+# so a red run is replayable byte-for-byte.  It reads its golden files
+# relative to test/.  Override the pin to widen the net:
+# make chaos QCHECK_SEED=12345
 QCHECK_SEED ?= 421984
 chaos:
-	QCHECK_SEED=$(QCHECK_SEED) dune exec test/test_chaos.exe
+	dune build test/test_properties.exe
+	cd test && QCHECK_SEED=$(QCHECK_SEED) ../_build/default/test/test_properties.exe
 
 # Regenerate the checked-in golden analyzer summaries from the same
 # seeded runs CI replays, refresh the abc-run transcript in test/cli.t

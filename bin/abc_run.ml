@@ -431,8 +431,7 @@ let run_smr n f seed adversary fault faulty_count slots atomic batch_size
 
 (* ---- check (bounded model checking) ---- *)
 
-let run_check n f seed depth max_states fault jobs =
-  ignore seed;
+let run_check n f depth max_states fault =
   if n < 1 || f < 0 then fail "need n >= 1 and f >= 0, got n=%d f=%d" n f;
   let module Rbc = Abc.Bracha_rbc.Binary in
   let module X = Abc_check.Explore.Make (Rbc) in
@@ -471,16 +470,7 @@ let run_check n f seed depth max_states fault jobs =
       drop_plan = None;
     }
   in
-  (* jobs = 1 keeps the historical sequential search (and its exact
-     explored/deadlock counts); anything else fans the top-level
-     branches out over a domain pool. *)
-  let outcome =
-    or_exit
-      (Registry.guard (fun () ->
-           match jobs with
-           | Some 1 | None -> X.run cfg
-           | Some j -> X.run_parallel ~pool:(Abc_exec.Pool.create ~jobs:j ()) cfg))
-  in
+  let outcome = or_exit (Registry.guard (fun () -> X.run cfg)) in
   Fmt.pr
     "model-check rbc n=%d f=%d depth<=%s: explored=%d exhausted=%b deadlocks=%d \
      depth_reached=%d@."
@@ -586,20 +576,9 @@ let check_cmd =
       & opt int 500_000
       & info [ "states" ] ~docv:"K" ~doc:"Exploration budget in states.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Worker domains for the branch fan-out (default 1: the exact \
-             sequential search).  Parallel runs explore the same space but \
-             report per-branch state counts.")
-  in
   let term =
     Term.(
-      const run_check $ n_arg $ f_arg $ seed_arg $ depth $ max_states
-      $ fault_kind_arg $ jobs)
+      const run_check $ n_arg $ f_arg $ depth $ max_states $ fault_kind_arg)
   in
   Cmd.v
     (Cmd.info "check"

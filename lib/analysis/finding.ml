@@ -18,11 +18,6 @@ type t = {
 
 let severity_label = function Error -> "error" | Warn -> "warn"
 
-let severity_of_label = function
-  | "error" -> Some Error
-  | "warn" -> Some Warn
-  | _ -> None
-
 let line_span line =
   { start_line = line; start_col = 0; end_line = line; end_col = 0 }
 

@@ -21,8 +21,6 @@ type t = {
 val severity_label : severity -> string
 (** ["error"] / ["warn"] — the JSON encoding. *)
 
-val severity_of_label : string -> severity option
-
 val line_span : int -> span
 (** Degenerate line-only span: column 0, empty. *)
 

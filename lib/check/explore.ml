@@ -237,12 +237,9 @@ module Make (P : Abc_net.Protocol.S) = struct
     let hash = String.hash
   end)
 
-  (* The BFS core, shared by the sequential and parallel entry points:
-     explore from [start] (at schedule depth [depth0], reached by the
-     steps in [prefix], newest last) until the frontier empties or the
-     state budget runs out.  [prefix] only decorates counterexamples —
-     the search itself is oblivious to how [start] was reached. *)
-  let bfs ?(depth0 = 0) ?(prefix = []) cfg start =
+  (* Breadth-first from [start] until the frontier empties, a
+     violation turns up or the state budget runs out. *)
+  let bfs cfg start =
     let visited : unit Fp_tbl.t = Fp_tbl.create 4096 in
     (* parent edge per fingerprint, for counterexample reconstruction *)
     let parents : (string * (Node_id.t * Node_id.t * string)) Fp_tbl.t =
@@ -254,19 +251,19 @@ module Make (P : Abc_net.Protocol.S) = struct
     let violation = ref None in
     let start_fp = fingerprint start in
     Fp_tbl.add visited start_fp ();
-    Queue.add (start, start_fp, depth0) queue;
-    let depth_reached = ref depth0 in
+    Queue.add (start, start_fp, 0) queue;
+    let depth_reached = ref 0 in
     let truncated = ref false in
     let rebuild_schedule fp =
       let rec walk fp acc =
         match Fp_tbl.find_opt parents fp with
         | Some (parent_fp, step) -> walk parent_fp (step :: acc)
-        | None -> prefix @ acc
+        | None -> acc
       in
       walk fp []
     in
     if not (cfg.invariant start.outputs) then
-      violation := Some { schedule = prefix; outputs = start.outputs };
+      violation := Some { schedule = []; outputs = start.outputs };
     while (not (Queue.is_empty queue)) && !violation = None && !explored < cfg.max_states do
       let state, fp, depth = Queue.pop queue in
       incr explored;
@@ -316,86 +313,4 @@ module Make (P : Abc_net.Protocol.S) = struct
     }
 
   let run cfg = bfs cfg (initial_state cfg)
-
-  (* Deterministic enumeration of the successors of [state], one per
-     distinct in-flight message then one per pending timer — the same
-     order the BFS visits them in. *)
-  let branches cfg state =
-    let deliveries =
-      Pending_map.fold
-        (fun key e acc ->
-          ( (e.src, e.dst, Fmt.str "%a" P.pp_msg e.msg),
-            deliver cfg state key )
-          :: acc)
-        state.pending []
-    in
-    let timers =
-      Timer_map.fold
-        (fun ((node_i, id) as tkey) _count acc ->
-          let actor = Node_id.of_int node_i in
-          ((actor, actor, Printf.sprintf "timeout#%d" id), fire cfg state tkey)
-          :: acc)
-        state.timers []
-    in
-    List.rev_append deliveries (List.rev timers)
-
-  let run_parallel ?(pool = Abc_exec.Pool.sequential) cfg =
-    let start = initial_state cfg in
-    if not (cfg.invariant start.outputs) then
-      {
-        explored = 1;
-        exhausted = false;
-        deadlocks = 0;
-        depth_reached = 0;
-        violation = Some { schedule = []; outputs = start.outputs };
-      }
-    else
-      match branches cfg start with
-      | [] ->
-        (* Quiescent initial state: nothing in flight, nothing to fan
-           out — the whole space is that one (deadlocked) state. *)
-        {
-          explored = 1;
-          exhausted = true;
-          deadlocks = 1;
-          depth_reached = 0;
-          violation = None;
-        }
-      | branch_list ->
-        let branch_arr = Array.of_list branch_list in
-        let nbranches = Array.length branch_arr in
-        (* Split the state budget across branches (rounding up, so the
-           total never shrinks below [max_states]). *)
-        let per_branch =
-          max 1 ((cfg.max_states - 1 + nbranches - 1) / nbranches)
-        in
-        let branch_cfg = { cfg with max_states = per_branch } in
-        let outcomes =
-          Abc_exec.Pool.map pool nbranches (fun i ->
-              let step, successor = branch_arr.(i) in
-              bfs ~depth0:1 ~prefix:[ step ] branch_cfg successor)
-        in
-        (* Deterministic merge: counts accumulate in branch order and
-           the reported counterexample is the lowest-indexed branch's,
-           whatever the worker count.  Branches dedup states only
-           locally, so [explored] counts shared states once per branch
-           that reaches them (the sequential [run] counts them once). *)
-        Array.fold_left
-          (fun acc o ->
-            {
-              explored = acc.explored + o.explored;
-              exhausted = acc.exhausted && o.exhausted;
-              deadlocks = acc.deadlocks + o.deadlocks;
-              depth_reached = max acc.depth_reached o.depth_reached;
-              violation =
-                (match acc.violation with Some _ -> acc.violation | None -> o.violation);
-            })
-          {
-            explored = 1;
-            exhausted = true;
-            deadlocks = 0;
-            depth_reached = 0;
-            violation = None;
-          }
-          outcomes
 end

@@ -70,17 +70,4 @@ module Make (P : Abc_net.Protocol.S) : sig
   }
 
   val run : config -> outcome
-
-  val run_parallel : ?pool:Abc_exec.Pool.t -> config -> outcome
-  (** [run_parallel ~pool cfg] explores the same reachable space as
-      {!run}, fanning the initial state's successor branches out over
-      the worker pool (default {!Abc_exec.Pool.sequential}).  The state
-      budget is split evenly across branches and the merge is
-      deterministic — identical outcome for any worker count — but the
-      numbers differ from {!run}: states reachable from several
-      branches are deduplicated only within each branch, so [explored]
-      (and [deadlocks]) count them once per reaching branch, and a
-      reported counterexample is the lowest-indexed branch's rather
-      than the globally shortest.  [exhausted = true] still certifies
-      that the invariant holds on every reachable state. *)
 end

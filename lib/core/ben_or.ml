@@ -100,18 +100,9 @@ let rec progress state ~rng ~(sink : Event.sink) acc_actions acc_outputs =
   let tl = tally state ~round:state.round ~phase:state.phase in
   if total tl < quorum state then (state, List.rev acc_actions, List.rev acc_outputs)
   else begin
-    if sink.Event.enabled then
-      sink.Event.emit
-        (Event.make ~round:state.round
-           (Event.Quorum
-              {
-                quorum =
-                  (match state.phase with
-                  | Reporting -> "report"
-                  | Proposing -> "proposal");
-                count = total tl;
-                threshold = quorum state;
-              }));
+    Event.quorum sink ~round:state.round
+      (match state.phase with Reporting -> "report" | Proposing -> "proposal")
+      ~count:(total tl) ~threshold:(quorum state);
     match state.phase with
     | Reporting ->
       let state = { state with phase = Proposing } in

@@ -91,10 +91,6 @@ let echo_support state root =
   | Some tally -> fragment_count tally
   | None -> 0
 
-let emit_quorum (sink : Event.sink) quorum count threshold =
-  if sink.Event.enabled then
-    sink.Event.emit (Event.make (Event.Quorum { quorum; count; threshold }))
-
 (* Fire whichever rules newly became enabled for [root]: the two
    Ready-send rules (echo quorum with a validated decode, or ready
    amplification) and the delivery rule. *)
@@ -110,12 +106,13 @@ let progress (ctx : Protocol.Context.t) state root =
         else (state, None)
       in
       if validated <> None then begin
-        emit_quorum sink "echo" echoes (Quorum.completeness ~n:state.n ~f:state.f);
+        Event.quorum sink ~round:(-1) "echo" ~count:echoes
+          ~threshold:(Quorum.completeness ~n:state.n ~f:state.f);
         ({ state with readied = true }, [ Protocol.Broadcast (Ready { root }) ])
       end
       else if ready_support state root >= Quorum.ready_amplify ~f:state.f then begin
-        emit_quorum sink "ready-amplify" (ready_support state root)
-          (Quorum.ready_amplify ~f:state.f);
+        Event.quorum sink ~round:(-1) "ready-amplify" ~count:(ready_support state root)
+          ~threshold:(Quorum.ready_amplify ~f:state.f);
         ({ state with readied = true }, [ Protocol.Broadcast (Ready { root }) ])
       end
       else (state, [])
@@ -130,8 +127,8 @@ let progress (ctx : Protocol.Context.t) state root =
       let state, validated = validate state root in
       match validated with
       | Some payload ->
-        emit_quorum sink "ready" (ready_support state root)
-          (Quorum.ready_deliver ~f:state.f);
+        Event.quorum sink ~round:(-1) "ready" ~count:(ready_support state root)
+          ~threshold:(Quorum.ready_deliver ~f:state.f);
         ({ state with delivered = true }, [ Delivered payload ])
       | None -> (state, [])
     end

@@ -78,15 +78,9 @@ let rec progress t ~rng ~(sink : Event.sink) acc =
   let tl = tally t ~round:t.round ~step:t.step in
   if quiesced t || total tl < quorum t then (t, List.rev acc)
   else begin
-    if sink.Event.enabled then
-      sink.Event.emit
-        (Event.make ~round:t.round
-           (Event.Quorum
-              {
-                quorum = Printf.sprintf "step%d" (Step.to_int t.step);
-                count = total tl;
-                threshold = quorum t;
-              }));
+    Event.quorum sink ~round:t.round
+      (match t.step with Step.S1 -> "step1" | Step.S2 -> "step2" | Step.S3 -> "step3")
+      ~count:(total tl) ~threshold:(quorum t);
     match t.step with
     | Step.S1 ->
       let value = majority tl ~current:t.value in

@@ -63,15 +63,8 @@ module Make (V : Value.PAYLOAD) = struct
            >= Core.echo_threshold ~n:state.n ~f:state.f
       then begin
         let sink = ctx.Protocol.Context.sink in
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make
-               (Event.Quorum
-                  {
-                    quorum = "echo";
-                    count = Node_id.Set.cardinal supporters;
-                    threshold = Core.echo_threshold ~n:state.n ~f:state.f;
-                  }));
+        Event.quorum sink ~round:(-1) "echo" ~count:(Node_id.Set.cardinal supporters)
+          ~threshold:(Core.echo_threshold ~n:state.n ~f:state.f);
         ({ state with delivered = true }, [], [ Delivered v ])
       end
       else (state, [], [])

@@ -46,15 +46,9 @@ module Make (V : Value.PAYLOAD) = struct
     let state, sends =
       if count >= Quorum.honest_support ~n:state.n ~f:state.f then begin
         let state, sends = witness state v in
-        if sends <> [] && sink.Event.enabled then
-          sink.Event.emit
-            (Event.make
-               (Event.Quorum
-                  {
-                    quorum = "witness-amplify";
-                    count;
-                    threshold = Quorum.honest_support ~n:state.n ~f:state.f;
-                  }));
+        if sends <> [] then
+          Event.quorum sink ~round:(-1) "witness-amplify" ~count
+            ~threshold:(Quorum.honest_support ~n:state.n ~f:state.f);
         (state, sends)
       end
       else (state, [])
@@ -63,15 +57,8 @@ module Make (V : Value.PAYLOAD) = struct
       (not state.delivered)
       && count >= Quorum.completeness ~n:state.n ~f:state.f
     then begin
-      if sink.Event.enabled then
-        sink.Event.emit
-          (Event.make
-             (Event.Quorum
-                {
-                  quorum = "witness";
-                  count;
-                  threshold = Quorum.completeness ~n:state.n ~f:state.f;
-                }));
+      Event.quorum sink ~round:(-1) "witness" ~count
+        ~threshold:(Quorum.completeness ~n:state.n ~f:state.f);
       ({ state with delivered = true }, sends, [ Delivered v ])
     end
     else (state, sends, [])

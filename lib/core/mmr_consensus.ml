@@ -112,29 +112,15 @@ let bv_progress state ~(sink : Event.sink) r =
       let support = Node_id.Set.cardinal !rs.bval_from.(i) in
       if support >= Quorum.ready_amplify ~f:state.f && not !rs.bval_echoed.(i)
       then begin
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make ~round:r
-               (Event.Quorum
-                  {
-                    quorum = "bval-echo";
-                    count = support;
-                    threshold = Quorum.ready_amplify ~f:state.f;
-                  }));
+        Event.quorum sink ~round:r "bval-echo" ~count:support
+          ~threshold:(Quorum.ready_amplify ~f:state.f);
         sends := Bval { round = r; value } :: !sends;
         rs := { !rs with bval_echoed = with_set !rs.bval_echoed i true }
       end;
       if support >= Quorum.ready_deliver ~f:state.f && not !rs.bin_values.(i)
       then begin
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make ~round:r
-               (Event.Quorum
-                  {
-                    quorum = "bval-deliver";
-                    count = support;
-                    threshold = Quorum.ready_deliver ~f:state.f;
-                  }));
+        Event.quorum sink ~round:r "bval-deliver" ~count:support
+          ~threshold:(Quorum.ready_deliver ~f:state.f);
         rs := { !rs with bin_values = with_set !rs.bin_values i true }
       end)
     [ Value.Zero; Value.One ];
@@ -187,15 +173,7 @@ let try_complete_round state ~rng ~(sink : Event.sink) =
     let supported = counted 0 + counted 1 in
     if supported < quorum state then (state, [], [])
     else begin
-      if sink.Event.enabled then
-        sink.Event.emit
-          (Event.make ~round:r
-             (Event.Quorum
-                {
-                  quorum = "aux";
-                  count = supported;
-                  threshold = quorum state;
-                }));
+      Event.quorum sink ~round:r "aux" ~count:supported ~threshold:(quorum state);
       let has v = counted (Value.to_int v) > 0 in
       let rs, coin_sends, coin = obtain_coin state ~rng rs r in
       let state = set_round state r rs in

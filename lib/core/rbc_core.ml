@@ -67,53 +67,38 @@ module Make (V : Value.PAYLOAD) = struct
      [delivered] latches. *)
   let progress ~(sink : Event.sink) t v =
     let sends = ref [] in
+    (* Each count is looked up once, by the rule that needs it, and the
+       quorum event reuses it: an untraced run looks up nothing more. *)
     let t =
-      if
-        (not t.readied)
-        && (support t.echoes v >= echo_threshold ~n:t.n ~f:t.f
-            || support t.readies v >= ready_amplify_threshold ~f:t.f)
-      then begin
-        if sink.Event.enabled then begin
-          let echoes = support t.echoes v in
-          if echoes >= echo_threshold ~n:t.n ~f:t.f then
-            sink.Event.emit
-              (Event.make
-                 (Event.Quorum
-                    {
-                      quorum = "echo";
-                      count = echoes;
-                      threshold = echo_threshold ~n:t.n ~f:t.f;
-                    }))
-          else
-            sink.Event.emit
-              (Event.make
-                 (Event.Quorum
-                    {
-                      quorum = "ready-amplify";
-                      count = support t.readies v;
-                      threshold = ready_amplify_threshold ~f:t.f;
-                    }))
-        end;
-        sends := Ready v :: !sends;
-        { t with readied = true }
-      end
-      else t
+      if t.readied then t
+      else
+        let echoes = support t.echoes v in
+        if echoes >= echo_threshold ~n:t.n ~f:t.f then begin
+          Event.quorum sink ~round:(-1) "echo" ~count:echoes
+            ~threshold:(echo_threshold ~n:t.n ~f:t.f);
+          sends := Ready v :: !sends;
+          { t with readied = true }
+        end
+        else
+          let readies = support t.readies v in
+          if readies >= ready_amplify_threshold ~f:t.f then begin
+            Event.quorum sink ~round:(-1) "ready-amplify" ~count:readies
+              ~threshold:(ready_amplify_threshold ~f:t.f);
+            sends := Ready v :: !sends;
+            { t with readied = true }
+          end
+          else t
     in
     let t, delivery =
-      if t.delivered = None && support t.readies v >= deliver_threshold ~f:t.f
-      then begin
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make
-               (Event.Quorum
-                  {
-                    quorum = "ready";
-                    count = support t.readies v;
-                    threshold = deliver_threshold ~f:t.f;
-                  }));
-        ({ t with delivered = Some v }, Some v)
-      end
-      else (t, None)
+      if t.delivered <> None then (t, None)
+      else
+        let readies = support t.readies v in
+        if readies < deliver_threshold ~f:t.f then (t, None)
+        else begin
+          Event.quorum sink ~round:(-1) "ready" ~count:readies
+            ~threshold:(deliver_threshold ~f:t.f);
+          ({ t with delivered = Some v }, Some v)
+        end
     in
     (t, List.rev !sends, delivery)
 

@@ -69,15 +69,8 @@ module Make (V : Value.PAYLOAD) = struct
     let state =
       if (not state.step1_done) && Node_id.Map.cardinal state.step1 >= quorum state
       then begin
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make
-               (Event.Quorum
-                  {
-                    quorum = "tc-step1";
-                    count = Node_id.Map.cardinal state.step1;
-                    threshold = quorum state;
-                  }));
+        Event.quorum sink ~round:(-1) "tc-step1" ~count:(Node_id.Map.cardinal state.step1)
+          ~threshold:(quorum state);
         let candidate =
           supported ~need:(Quorum.honest_support ~n:state.n ~f:state.f)
             (candidates state)
@@ -90,15 +83,8 @@ module Make (V : Value.PAYLOAD) = struct
     let state =
       if (not state.step2_done) && Node_id.Map.cardinal state.step2 >= quorum state
       then begin
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make
-               (Event.Quorum
-                  {
-                    quorum = "tc-step2";
-                    count = Node_id.Map.cardinal state.step2;
-                    threshold = quorum state;
-                  }));
+        Event.quorum sink ~round:(-1) "tc-step2" ~count:(Node_id.Map.cardinal state.step2)
+          ~threshold:(quorum state);
         let winner =
           supported ~need:(Quorum.honest_support ~n:state.n ~f:state.f)
             (votes state)

@@ -22,23 +22,6 @@ module View = struct
 
   let find_seq t seq = t.find_seq seq
 
-  let min_by t score =
-    let len = length t in
-    assert (len > 0);
-    let best = ref 0 in
-    let best_score = ref (score (get t 0)) in
-    let best_seq = ref (get t 0).seq in
-    for i = 1 to len - 1 do
-      let m = get t i in
-      let s = score m in
-      if s < !best_score || (s = !best_score && m.seq < !best_seq) then begin
-        best := i;
-        best_score := s;
-        best_seq := m.seq
-      end
-    done;
-    !best
-
   let oldest t = t.oldest ()
 end
 

@@ -48,11 +48,6 @@ module View : sig
   val find_seq : t -> int -> int option
   (** Current index of a live sequence number.  Constant time. *)
 
-  val min_by : t -> (meta -> int) -> int
-  (** [min_by view score] is the index of the entry with the smallest
-      score, ties broken by smallest [seq].  Linear scan — for tests
-      and custom one-off policies; the built-in policies avoid it. *)
-
   val oldest : t -> int
   (** Index of the entry with the smallest [seq] (the message that has
       been in flight the longest).  Constant time. *)

@@ -199,6 +199,10 @@ let null_sink = { enabled = false; emit = ignore }
 
 let sink_to emit = { enabled = true; emit }
 
+let quorum sink ~round quorum ~count ~threshold =
+  if sink.enabled then
+    sink.emit { kind = Quorum { quorum; count; threshold }; instance = ""; round }
+
 let scoped sink ~instance =
   if not sink.enabled then sink
   else

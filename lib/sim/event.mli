@@ -131,6 +131,13 @@ val null_sink : sink
 val sink_to : (t -> unit) -> sink
 (** [sink_to f] is an enabled sink forwarding to [f]. *)
 
+val quorum : sink -> round:int -> string -> count:int -> threshold:int -> unit
+(** [quorum sink ~round name ~count ~threshold] emits a {!Quorum} event
+    (top-level instance; [round] is [-1] where there is none) and
+    returns at once when [sink] is disabled.  Its arguments are
+    evaluated either way, so [name] should be a literal and [count] and
+    [threshold] cheap. *)
+
 val scoped : sink -> instance:string Lazy.t -> sink
 (** [scoped sink ~instance] prefixes [instance] onto the instance path
     of every event emitted (["outer/inner"] when nested).  [instance]

@@ -27,8 +27,6 @@ let add_row t cells =
          (List.length cells) (List.length t.columns) t.title);
   t.rows <- cells :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

@@ -17,9 +17,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row.  Raises [Invalid_argument] if the
     number of cells differs from the number of columns. *)
 
-val add_rows : t -> string list list -> unit
-(** [add_rows t rows] appends each row in order. *)
-
 val render : t -> string
 (** [render t] is the complete table as a string, ending with a
     newline. *)

@@ -184,10 +184,6 @@ let wrap epoch actions =
    epoch agreements stay distinguishable in traces. *)
 let epoch_ctx ctx epoch = Protocol.Context.scoped ctx ~prefix:"epoch" epoch
 
-let emit (ctx : Protocol.Context.t) kind =
-  let sink = ctx.Protocol.Context.sink in
-  if sink.Event.enabled then sink.Event.emit (Event.make kind)
-
 (* Draw this node's next batch: requeued (previously excluded) txs
    first, then fresh mempool arrivals.  The cursor only ever moves
    forward — an excluded batch re-enters via [requeue], not by
@@ -220,10 +216,14 @@ let open_epoch ctx state epoch =
   else begin
     let batch, cursor, requeue = draw_batch state in
     let proposal = encode_batch batch in
-    emit ctx (Event.Epoch_start { epoch });
-    emit ctx
-      (Event.Batch_proposed
-         { epoch; txs = List.length batch; bytes = String.length proposal });
+    let sink = ctx.Protocol.Context.sink in
+    if sink.Event.enabled then begin
+      sink.Event.emit (Event.make (Event.Epoch_start { epoch }));
+      sink.Event.emit
+        (Event.make
+           (Event.Batch_proposed
+              { epoch; txs = List.length batch; bytes = String.length proposal }))
+    end;
     let inner_input =
       {
         Abc.Batch_acs.proposal;
@@ -298,7 +298,8 @@ let start_transfer ctx state =
     else begin
       let nodes = ctx.Protocol.Context.n in
       let have = state.log_len in
-      emit ctx (Event.Transfer_start { have });
+      let sink = ctx.Protocol.Context.sink in
+      if sink.Event.enabled then sink.Event.emit (Event.make (Event.Transfer_start { have }));
       let rto = initial_rto nodes in
       ( { state with transfer = Some { req_base = have; rto; resps = [] } },
         [
@@ -334,8 +335,10 @@ let record_checkpoint ctx state ~voter ((epoch, len, _digest) as key) =
       let count = Node_id.Set.cardinal votes in
       if count < threshold then (state, [])
       else begin
-        emit ctx (Event.Quorum { quorum = "checkpoint"; count; threshold });
-        emit ctx (Event.Checkpoint_stable { epoch; len });
+        let sink = ctx.Protocol.Context.sink in
+        Event.quorum sink ~round:(-1) "checkpoint" ~count ~threshold;
+        if sink.Event.enabled then
+          sink.Event.emit (Event.make (Event.Checkpoint_stable { epoch; len }));
         let state =
           {
             state with
@@ -378,17 +381,18 @@ let drain_commits ctx state =
                   (fun tx -> not (String_set.mem tx state.committed))
                   txs
               in
-              emit ctx
-                (Event.Batch_committed
-                   {
-                     epoch;
-                     proposer = Node_id.to_int proposer;
-                     txs = List.length fresh;
-                   });
-              List.iter
-                (fun tx ->
-                  emit ctx (Event.Tx_committed { epoch; id = Workload.tx_id tx }))
-                fresh;
+              let sink = ctx.Protocol.Context.sink in
+              if sink.Event.enabled then begin
+                sink.Event.emit
+                  (Event.make
+                     (Event.Batch_committed
+                        { epoch; proposer = Node_id.to_int proposer; txs = List.length fresh }));
+                List.iter
+                  (fun tx ->
+                    sink.Event.emit
+                      (Event.make (Event.Tx_committed { epoch; id = Workload.tx_id tx })))
+                  fresh
+              end;
               let state =
                 {
                   state with
@@ -509,7 +513,8 @@ let install_snapshot ctx state ~cp:(epoch, len, digest) ~suffix =
   | Some txs ->
     if state.log_len + List.length txs <> len then (state, [], [])
     else begin
-      emit ctx (Event.Transfer_done { epoch; len });
+      let sink = ctx.Protocol.Context.sink in
+      if sink.Event.enabled then sink.Event.emit (Event.make (Event.Transfer_done { epoch; len }));
       let committed =
         List.fold_left (fun set tx -> String_set.add tx set) state.committed txs
       in

@@ -1,22 +1,27 @@
-(* Cross-protocol property battery: one scenario vocabulary (size,
-   resilience, fault placement, adversary, inputs, optional lossy
-   links), one campaign runner, instantiated over all nine protocols
-   in the library.  Each protocol asserts the properties it actually
-   promises — totality for the reliable broadcasts (Bracha, erasure-
-   coded, Imbs-Raynal) but not for consistent broadcast, full
-   consensus for Bracha/Ben-Or/MMR, agreement-or-joint-fallback for
-   Turpin–Coan, identical common subsets for ACS over either proposal
-   broadcast (Bracha's and the erasure-coded one).
+(* The randomized campaign suite: one scenario vocabulary (size,
+   resilience, fault placement and kind, scheduler, inputs, optional
+   lossy links), one campaign runner, one subject functor applied once
+   per protocol in the library, and one judge per promise.  A row is a
+   subject, a scenario generator and a count.  Each protocol is held to
+   what it actually promises: totality for the reliable broadcasts
+   (Bracha, erasure-coded, Imbs-Raynal) but not for consistent
+   broadcast, full consensus for Bracha/Ben-Or/MMR,
+   agreement-or-joint-fallback for Turpin–Coan, identical common
+   subsets for ACS over either proposal broadcast (Bracha's and the
+   erasure-coded one), one ledger for the atomic broadcast.
 
-   The battery runs on the Exec.Pool at jobs > 1 on purpose: scenarios
-   are generated up front on the main domain from a pinned seed
+   Rows run on the Exec.Pool at jobs > 1 on purpose: scenarios are
+   generated up front on the main domain from a pinned seed
    (QCHECK_SEED, default 421984) and evaluated concurrently, so the
    suite doubles as a standing check that concurrent engine runs do not
-   interfere with each other. *)
+   interfere with each other.  Each job builds its own engine from its
+   scenario, so the worker count never changes which scenarios run or
+   how they behave. *)
 
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
 module Adversary = Abc_net.Adversary
+module Engine = Abc_net.Engine
 module Link_faults = Abc_net.Link_faults
 module Value = Abc.Value
 module Pool = Abc_exec.Pool
@@ -32,108 +37,11 @@ let battery_seed =
   | Some seed -> seed
   | None -> 421984
 
-(* ---- scenario vocabulary ---- *)
-
-type loss = {
-  loss_pct : int; (* 0..15 *)
-  dup_pct : int; (* 0..10 *)
-  cut : (int * int * int) option; (* from, length, island node *)
-}
-
-type scenario = {
-  n : int;
-  f : int;
-  faults : int; (* actual faulty nodes, highest ids *)
-  silent : bool; (* silent vs crash behaviour *)
-  adversary_kind : int; (* 0..5 *)
-  input_pattern : int; (* 0..2 *)
-  loss : loss option; (* lossy links => reliable-channel transport *)
-  seed : int;
-}
-
-let scenario_gen ~max_n ~max_loss ~max_f_of =
-  QCheck.Gen.(
-    int_range 4 max_n >>= fun n ->
-    let fmax = max 0 (max_f_of n) in
-    int_range 0 fmax >>= fun f ->
-    int_range 0 f >>= fun faults ->
-    bool >>= fun silent ->
-    int_range 0 5 >>= fun adversary_kind ->
-    int_range 0 2 >>= fun input_pattern ->
-    bool >>= fun lossy ->
-    int_range 0 max_loss >>= fun loss_pct ->
-    int_range 0 ((max_loss * 2) / 3) >>= fun dup_pct ->
-    bool >>= fun with_cut ->
-    int_range 0 40 >>= fun cut_from ->
-    int_range 1 150 >>= fun cut_len ->
-    int_range 0 (n - 1) >>= fun cut_node ->
-    int_range 0 1000 >>= fun seed ->
-    let loss =
-      if lossy then
-        Some
-          {
-            loss_pct;
-            dup_pct;
-            cut = (if with_cut then Some (cut_from, cut_len, cut_node) else None);
-          }
-      else None
-    in
-    return { n; f; faults; silent; adversary_kind; input_pattern; loss; seed })
-
-let print_scenario s =
-  Printf.sprintf "{n=%d f=%d faults=%d silent=%b adv=%d inputs=%d loss=%s seed=%d}"
-    s.n s.f s.faults s.silent s.adversary_kind s.input_pattern
-    (match s.loss with
-    | None -> "none"
-    | Some l ->
-      Printf.sprintf "%d%%/%d%%%s" l.loss_pct l.dup_pct
-        (match l.cut with
-        | None -> ""
-        | Some (a, len, v) -> Printf.sprintf "+cut[%d,%d)@%d" a (a + len) v))
-    s.seed
-
-let adversary_of s =
-  match s.adversary_kind with
-  | 0 -> Adversary.fifo
-  | 1 -> Adversary.uniform
-  | 2 -> Adversary.latency ~mean:6.
-  | 3 -> Adversary.targeted_delay ~victims:[ node 0 ]
-  | 4 -> Adversary.split ~n:s.n
-  | _ -> Adversary.rotating_eclipse ~n:s.n ~period:5
-
-(* Cuts always heal: permanent partitions defeat any transport and
-   belong to the targeted lossy tests, not a liveness battery. *)
-let plan_of l =
-  let cuts =
-    match l.cut with
-    | None -> []
-    | Some (from_tick, len, v) ->
-      [ Link_faults.cut ~from_tick ~until_tick:(from_tick + len) [ node v ] ]
-  in
-  Link_faults.make
-    ~drop:(float_of_int l.loss_pct /. 100.)
-    ~dup:(float_of_int l.dup_pct /. 100.)
-    ~cuts ()
-
-(* Faults stay message-agnostic (silence and crashes): mutator faults
-   are protocol-specific and exercised by the chaos campaigns; this
-   battery keeps one behaviour vocabulary across all seven subjects. *)
-let faulty_of s =
-  let behaviour =
-    if s.silent then Behaviour.Silent else Behaviour.Crash_after (s.seed mod 7)
-  in
-  List.init s.faults (fun k -> (node (s.n - 1 - k), behaviour))
-
-let binary_values s =
-  match s.input_pattern with
-  | 0 -> Array.make s.n Value.Zero
-  | 1 -> Array.make s.n Value.One
-  | _ -> Array.init s.n (fun i -> if i < s.n / 2 then Value.Zero else Value.One)
-
-let honest_indices s = List.init (s.n - s.faults) (fun i -> i)
-
 (* ---- campaign runner ---- *)
 
+(* Generate [count] scenarios sequentially (Random.State is not domain
+   safe), evaluate them on the pool, and report every failing scenario
+   so a red run is replayable without shrinking. *)
 let campaign ~name ~count gen print prop =
   Alcotest.test_case name `Slow (fun () ->
       let rand = Random.State.make [| battery_seed |] in
@@ -149,672 +57,610 @@ let campaign ~name ~count gen print prop =
           (List.length failures) count battery_seed
           (String.concat " " failures))
 
-(* One battery subject = a resilience bound plus a property checker.
-   The checker sees scenarios already inside the bound and decides
-   whether the protocol kept its promises on that run.  [max_n] and
-   [max_loss] bound the scenario space per subject: ACS multiplies n
-   broadcasts by n binary agreements, so its lossy runs must stay
-   small enough for the retransmission traffic to fit the delivery
-   budget (correctness is the point, not a race against the cap). *)
+(* ---- scenario vocabulary ---- *)
+
+(* How the faulty nodes misbehave.  The lies are forged by the
+   protocol under test; Recover nodes crash and rejoin from their
+   durable store, and count as correct. *)
+type fault =
+  | Silent
+  | Crash of int  (** fail-stop after [seed mod k] activations *)
+  | Flip  (** the same lie to every recipient *)
+  | Equivocate  (** a different lie per recipient *)
+  | Corrupt  (** honest for 3 activations, then Flip *)
+  | Recover of (int * int) list list  (** a crash/rejoin schedule per victim *)
+
+(* An atomic-broadcast workload: [txs] client transactions of
+   [tx_bytes] each per mempool, [epochs] batches of [batch], a
+   checkpoint every [checkpoint] epochs (0: none). *)
+type log = { batch : int; epochs : int; txs : int; tx_bytes : int; checkpoint : int }
+
+(* What the nodes start from.  Binary subjects read the patterns as
+   all-Zero, all-One and split at n/2; the others map them onto their
+   own domain. *)
+type inputs = Zeros | Ones | Split | Bytes of int  (** payload length *) | Log of log
+
+(* Bounded loss and duplication plus an optional partition.  Cuts
+   always heal: a link that stays dead defeats any transport, so
+   permanent cuts belong to the targeted tests, not a liveness
+   campaign. *)
+type links = {
+  loss_pct : int;
+  dup_pct : int;
+  cut : (int * int * int) option; (* from, length, island node *)
+  raw : bool; (* no Reliable_link under the plan: only safety is owed *)
+}
+
+type scenario = {
+  n : int;
+  f : int;
+  faults : int; (* faulty nodes, the highest ids *)
+  fault : fault;
+  adversary : string; (* a [schedulers] name *)
+  inputs : inputs;
+  links : links option; (* carried by Reliable_link unless [raw] *)
+  budget : int option; (* delivery budget; [None] is the engine's default *)
+  seed : int;
+}
+
+(* Every row that draws a scheduler draws from this table, so a new
+   one is one line here.  fifo, uniform and latency starve no proposer,
+   which the ledger's inclusion check relies on. *)
+let schedulers =
+  [
+    ("fifo", fun _ -> Adversary.fifo);
+    ("uniform", fun _ -> Adversary.uniform);
+    ("latency", fun _ -> Adversary.latency ~mean:6.);
+    ("targeted", fun _ -> Adversary.targeted_delay ~victims:[ node 0 ]);
+    ("split", fun n -> Adversary.split ~n);
+    ("eclipse", fun n -> Adversary.rotating_eclipse ~n ~period:5);
+  ]
+
+let plan_of l =
+  let cuts =
+    match l.cut with
+    | None -> []
+    | Some (from_tick, len, v) ->
+      [ Link_faults.cut ~from_tick ~until_tick:(from_tick + len) [ node v ] ]
+  in
+  Link_faults.make
+    ~drop:(float_of_int l.loss_pct /. 100.)
+    ~dup:(float_of_int l.dup_pct /. 100.)
+    ~cuts ()
+
+let print_scenario s =
+  let pairs plan = List.map (fun (c, r) -> Printf.sprintf "%d-%d" c r) plan in
+  let fault =
+    match s.fault with
+    | Silent -> "silent"
+    | Crash k -> Printf.sprintf "crash@%d" (s.seed mod k)
+    | Flip -> "flip"
+    | Equivocate -> "equivocate"
+    | Corrupt -> "corrupt@3"
+    | Recover plans ->
+      "recover:" ^ String.concat ";" (List.map (fun p -> String.concat "," (pairs p)) plans)
+  in
+  let inputs =
+    match s.inputs with
+    | Zeros -> "zeros"
+    | Ones -> "ones"
+    | Split -> "split"
+    | Bytes k -> Printf.sprintf "%dB" k
+    | Log l ->
+      Printf.sprintf "log:%dx%d,%dx%dB,ckpt%d" l.epochs l.batch l.txs l.tx_bytes l.checkpoint
+  in
+  let links =
+    match s.links with
+    | None -> "clean"
+    | Some l ->
+      Printf.sprintf "%s%d%%/%d%%%s" (if l.raw then "raw:" else "") l.loss_pct l.dup_pct
+        (match l.cut with
+        | None -> ""
+        | Some (a, len, v) -> Printf.sprintf "+cut[%d,%d)@%d" a (a + len) v)
+  in
+  Printf.sprintf "{n=%d f=%d faults=%d %s adv=%s inputs=%s links=%s budget=%s seed=%d}" s.n s.f
+    s.faults fault s.adversary inputs links
+    (Option.fold ~none:"default" ~some:string_of_int s.budget)
+    s.seed
+
+(* ---- generators ---- *)
+
+(* Each generator keeps the draw order, combinators and ranges of the
+   campaign it came from, so a row samples the same scenarios at a
+   given QCHECK_SEED whichever suite it once lived in. *)
+
+let scheduler =
+  QCheck.Gen.(map (fun i -> fst (List.nth schedulers i)) (int_range 0 (List.length schedulers - 1)))
+
+let pattern = QCheck.Gen.(map (fun i -> [| Zeros; Ones; Split |].(i)) (int_range 0 2))
+
+let crash_or_silent silent = if silent then Silent else Crash 7
+
+(* Silent or crashing faults under any scheduler; half the scenarios
+   get lossy links, carried by Reliable_link under [budget]. *)
+let battery_gen ?(budget = 4_000_000) ~max_n ~max_loss ~max_f () =
+  QCheck.Gen.(
+    int_range 4 max_n >>= fun n ->
+    int_range 0 (max 0 (max_f ~n)) >>= fun f ->
+    int_range 0 f >>= fun faults ->
+    bool >>= fun silent ->
+    scheduler >>= fun adversary ->
+    pattern >>= fun inputs ->
+    bool >>= fun lossy ->
+    int_range 0 max_loss >>= fun loss_pct ->
+    int_range 0 ((max_loss * 2) / 3) >>= fun dup_pct ->
+    bool >>= fun with_cut ->
+    int_range 0 40 >>= fun cut_from ->
+    int_range 1 150 >>= fun cut_len ->
+    int_range 0 (n - 1) >>= fun cut_node ->
+    int_range 0 1000 >>= fun seed ->
+    let cut = if with_cut then Some (cut_from, cut_len, cut_node) else None in
+    return
+      {
+        n;
+        f;
+        faults;
+        fault = crash_or_silent silent;
+        adversary;
+        inputs;
+        links = (if lossy then Some { loss_pct; dup_pct; cut; raw = false } else None);
+        budget = (if lossy then Some budget else None);
+        seed;
+      })
+
+(* Any of [kinds] under any scheduler on clean links. *)
+let chaos_gen ~max_f ~kinds =
+  QCheck.Gen.(
+    int_range 4 10 >>= fun n ->
+    int_range 0 (max 0 (max_f ~n)) >>= fun f ->
+    int_range 0 f >>= fun faults ->
+    int_range 0 (Array.length kinds - 1) >>= fun kind ->
+    scheduler >>= fun adversary ->
+    pattern >>= fun inputs ->
+    int_range 0 1000 >>= fun seed ->
+    return
+      { n; f; faults; fault = kinds.(kind); adversary; inputs; links = None; budget = None; seed })
+
+let lying = [| Silent; Crash 7; Flip; Equivocate; Corrupt |]
+
+(* ACS's message type is abstract, so its faults stay message-agnostic:
+   lie-free kinds in the same five slots. *)
+let benign = [| Silent; Crash 5; Silent; Crash 5; Silent |]
+
+(* Silent or crashing faults under the uniform scheduler on lossy links
+   with split inputs.  [over] is the Reliable_link delivery budget, or
+   [None] for the raw transport under the engine's default budget. *)
+let lossy_gen ~max_n ~max_pct ~over =
+  QCheck.Gen.(
+    int_range 4 max_n >>= fun n ->
+    int_range 0 ((n - 1) / 3) >>= fun f ->
+    int_range 0 f >>= fun faults ->
+    bool >>= fun silent ->
+    int_range 0 max_pct >>= fun loss_pct ->
+    int_range 0 max_pct >>= fun dup_pct ->
+    bool >>= fun with_cut ->
+    int_range 0 50 >>= fun cut_from ->
+    int_range 1 200 >>= fun cut_len ->
+    int_range 0 (n - 1) >>= fun cut_node ->
+    int_range 0 1000 >>= fun seed ->
+    let cut = if with_cut then Some (cut_from, cut_len, cut_node) else None in
+    return
+      {
+        n;
+        f;
+        faults;
+        fault = crash_or_silent silent;
+        adversary = "uniform";
+        inputs = Split;
+        links = Some { loss_pct; dup_pct; cut; raw = Option.is_none over };
+        budget = over;
+        seed;
+      })
+
+(* Random crash/rejoin schedules for the checkpointed atomic broadcast
+   under the uniform scheduler on clean links. *)
+let crash_gen =
+  QCheck.Gen.(
+    int_range 4 7 >>= fun n ->
+    let f = (n - 1) / 3 in
+    int_range 1 f >>= fun victims ->
+    int_range 1 3 >>= fun checkpoint ->
+    int_range 3 4 >>= fun epochs ->
+    int_range 0 1000 >>= fun seed ->
+    (* Schedules may outlive the run: a crash scheduled after the last
+       commit still executes (the engine keeps a run alive while
+       transitions are pending), and the rejoined replica must finish
+       from its durable log or via transfer from terminal peers. *)
+    let pair lo span =
+      int_range lo (lo + span) >>= fun crash ->
+      int_range (crash + 100) (crash + 5000) >>= fun rejoin ->
+      return (crash, rejoin)
+    in
+    list_repeat victims
+      ( int_range 1 2 >>= fun pairs ->
+        pair 20 3000 >>= fun (c1, r1) ->
+        if pairs = 1 then return [ (c1, r1) ]
+        else pair (r1 + 50) 2000 >>= fun p2 -> return [ (c1, r1); p2 ] )
+    >>= fun plans ->
+    return
+      {
+        n;
+        f;
+        faults = victims;
+        fault = Recover plans;
+        adversary = "uniform";
+        inputs = Log { batch = 2; epochs; txs = 2 * epochs; tx_bytes = 16; checkpoint };
+        links = None;
+        budget = Some 12_000_000;
+        seed;
+      })
+
+(* Pins a row's inputs without drawing anything. *)
+let pin inputs gen = QCheck.Gen.map (fun s -> { s with inputs = inputs s }) gen
+
+(* ---- subjects ---- *)
+
+(* A protocol's forgeries behind Flip, Equivocate and Corrupt. *)
+type 'msg lies = {
+  flip : Abc_prng.Stream.t -> 'msg -> 'msg;
+  equivocate : Abc_prng.Stream.t -> dst:Node_id.t -> 'msg -> 'msg;
+}
+
+let faulty_of s lies =
+  let lie () = match lies with Some l -> l | None -> invalid_arg "fault needs a protocol lie" in
+  List.init s.faults (fun k ->
+      ( node (s.n - 1 - k),
+        match s.fault with
+        | Silent -> Behaviour.Silent
+        | Crash m -> Behaviour.Crash_after (s.seed mod m)
+        | Flip -> Behaviour.Mutate (lie ()).flip
+        | Equivocate -> Behaviour.Equivocate (lie ()).equivocate
+        | Corrupt -> Behaviour.Corrupt_after (3, Behaviour.Mutate (lie ()).flip)
+        | Recover plans -> Behaviour.Crash_recover (List.nth plans k) ))
+
+(* The nodes a judge holds to the promise. *)
+let correct s =
+  List.init (match s.fault with Recover _ -> s.n | _ -> s.n - s.faults) Fun.id
+
 module type SUBJECT = sig
-  val name : string
+  include Abc_net.Protocol.S
 
-  val count : int
+  val inputs : scenario -> input array
 
-  val max_n : int
+  val lies : scenario -> msg lies option
 
-  val max_loss : int
+  (* How a Recover node comes back: snapshot and restore. *)
+  val recovery :
+    ((state -> string)
+    * (Abc_net.Protocol.Context.t ->
+      input ->
+      durable:string ->
+      state * msg Abc_net.Protocol.action list * output list))
+    option
 
-  val max_f : n:int -> int
-
-  val check : scenario -> bool
+  val judge : scenario -> input array -> (int * output) list array -> Engine.stop_reason -> bool
 end
 
-module Battery (S : SUBJECT) = struct
-  let test =
-    campaign ~name:S.name ~count:S.count
-      (scenario_gen ~max_n:S.max_n ~max_loss:S.max_loss
-         ~max_f_of:(fun n -> S.max_f ~n))
-      print_scenario S.check
-end
-
-(* Engines: each subject needs the raw protocol and its reliable-link
-   wrapping (used whenever the scenario draws a lossy plan). *)
-
-let budget l = match l with Some _ -> Some 4_000_000 | None -> None
-
-(* ---- 1. Bracha reliable broadcast ---- *)
-
-module Rbc = Abc.Bracha_rbc.Binary
-module RbcE = Abc_net.Engine.Make (Rbc)
-module RbcRL = Abc_net.Reliable_link.Make (Rbc)
-module RbcRLE = Abc_net.Engine.Make (RbcRL)
-
-module Rbc_subject = struct
-  let name = "bracha rbc: validity, agreement, totality"
-
-  let count = 60
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 3
-
-  (* Honest designated sender (node 0; faults sit at the tail), so the
-     full promise applies: every honest node delivers exactly the
-     broadcast value. *)
-  let check s =
-    let v = if s.input_pattern = 1 then Value.One else Value.Zero in
-    let inputs = Rbc.inputs ~n:s.n ~sender:(node 0) v in
-    let delivered_ok outputs stop =
-      stop = Abc_net.Engine.All_terminal
-      && List.for_all
-           (fun i ->
-             match outputs.(i) with
-             | [ (_, Rbc.Delivered d) ] -> d = v
-             | _ -> false)
-           (honest_indices s)
-    in
-    match s.loss with
-    | None ->
-      let r =
-        RbcE.run
-          (RbcE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      delivered_ok r.RbcE.outputs r.RbcE.stop
-    | Some l ->
-      let r =
-        RbcRLE.run
-          (RbcRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
-      in
-      delivered_ok r.RbcRLE.outputs r.RbcRLE.stop
-end
-
-module Rbc_battery = Battery (Rbc_subject)
-
-(* ---- 2. Consistent (echo-only) broadcast ---- *)
-
-module Cb = Abc.Consistent_broadcast.Binary
-module CbE = Abc_net.Engine.Make (Cb)
-module CbRL = Abc_net.Reliable_link.Make (Cb)
-module CbRLE = Abc_net.Engine.Make (CbRL)
-
-module Cb_subject = struct
-  let name = "consistent broadcast: validity and consistency (no totality)"
-
-  let count = 60
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 3
-
-  (* The weaker primitive promises only that delivered values agree —
-     so the property checks every honest delivery carries the broadcast
-     value and stays silent about who delivered. *)
-  let check s =
-    let v = if s.input_pattern = 1 then Value.One else Value.Zero in
-    let inputs = Cb.inputs ~n:s.n ~sender:(node 0) v in
-    let consistent outputs =
-      List.for_all
-        (fun i ->
-          List.for_all (fun (_, Cb.Delivered d) -> d = v) outputs.(i))
-        (honest_indices s)
-    in
-    match s.loss with
-    | None ->
-      let r =
-        CbE.run
-          (CbE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      consistent r.CbE.outputs
-    | Some l ->
-      let r =
-        CbRLE.run
-          (CbRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
-      in
-      consistent r.CbRLE.outputs
-end
-
-module Cb_battery = Battery (Cb_subject)
-
-(* ---- 2b. Erasure-coded reliable broadcast ---- *)
-
-module Coded = Abc.Coded_rbc
-module CodedE = Abc_net.Engine.Make (Coded)
-module CodedRL = Abc_net.Reliable_link.Make (Coded)
-module CodedRLE = Abc_net.Engine.Make (CodedRL)
-
-module Coded_subject = struct
-  let name = "coded rbc: validity, agreement, totality"
-
-  let count = 50
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 3
-
-  (* Same promise as Bracha's RBC, different wire format: the payload
-     is a byte string dispersed as Reed-Solomon fragments, so the
-     checker also asserts it survives reconstruction bit-for-bit. *)
-  let check s =
-    let payload =
-      String.init
-        (match s.input_pattern with 0 -> 1 | 1 -> 64 | _ -> 777)
-        (fun i -> Char.chr ((s.seed + (13 * i)) land 0xFF))
-    in
-    let inputs = Coded.inputs ~n:s.n ~sender:(node 0) payload in
-    let delivered_ok outputs stop =
-      stop = Abc_net.Engine.All_terminal
-      && List.for_all
-           (fun i ->
-             match outputs.(i) with
-             | [ (_, Coded.Delivered d) ] -> String.equal d payload
-             | _ -> false)
-           (honest_indices s)
-    in
-    match s.loss with
-    | None ->
-      let r =
-        CodedE.run
-          (CodedE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      delivered_ok r.CodedE.outputs r.CodedE.stop
-    | Some l ->
-      let r =
-        CodedRLE.run
-          (CodedRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
-      in
-      delivered_ok r.CodedRLE.outputs r.CodedRLE.stop
-end
-
-module Coded_battery = Battery (Coded_subject)
-
-(* ---- 2c. Imbs-Raynal two-phase reliable broadcast ---- *)
-
-module Ir = Abc.Ir_rbc.Binary
-module IrE = Abc_net.Engine.Make (Ir)
-module IrRL = Abc_net.Reliable_link.Make (Ir)
-module IrRLE = Abc_net.Engine.Make (IrRL)
-
-module Ir_subject = struct
-  let name = "imbs-raynal rbc: validity, agreement, totality at n>5f"
-
-  let count = 50
-
-  let max_n = 12
-
-  let max_loss = 15
-
-  (* The efficiency trade: only f < n/5 tolerated. *)
-  let max_f ~n = (n - 1) / 5
+(* Builds the protocol's raw and Reliable_link engines once; [check]
+   places a scenario's faults, runs it and judges the outcome.  Lies
+   need the protocol's own message type, so they go on the raw
+   transport only. *)
+module Subject (P : SUBJECT) = struct
+  module Raw = Engine.Make (P)
+  module Rl = Engine.Make (Abc_net.Reliable_link.Make (P))
 
   let check s =
-    let v = if s.input_pattern = 1 then Value.One else Value.Zero in
-    let inputs = Ir.inputs ~n:s.n ~sender:(node 0) v in
-    let delivered_ok outputs stop =
-      stop = Abc_net.Engine.All_terminal
-      && List.for_all
-           (fun i ->
-             match outputs.(i) with
-             | [ (_, Ir.Delivered d) ] -> d = v
-             | _ -> false)
-           (honest_indices s)
-    in
-    match s.loss with
-    | None ->
+    let inputs = P.inputs s in
+    let adversary = List.assoc s.adversary schedulers s.n in
+    let link_faults = Option.map plan_of s.links in
+    match s.links with
+    | Some { raw = false; _ } ->
       let r =
-        IrE.run
-          (IrE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
+        Rl.run
+          (Rl.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s None) ~adversary ~seed:s.seed
+             ?link_faults ?max_deliveries:s.budget ())
       in
-      delivered_ok r.IrE.outputs r.IrE.stop
-    | Some l ->
+      P.judge s inputs r.Rl.outputs r.Rl.stop
+    | None | Some { raw = true; _ } ->
+      let recovery =
+        Option.map (fun (snapshot, restore) -> { Raw.snapshot; restore }) P.recovery
+      in
       let r =
-        IrRLE.run
-          (IrRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
+        Raw.run
+          (Raw.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s (P.lies s)) ~adversary
+             ~seed:s.seed ?link_faults ?max_deliveries:s.budget ?recovery ())
       in
-      delivered_ok r.IrRLE.outputs r.IrRLE.stop
+      P.judge s inputs r.Raw.outputs r.Raw.stop
 end
 
-module Ir_battery = Battery (Ir_subject)
+(* No lies (an abstract message type) and no durable store. *)
+module Plain = struct
+  let lies _ = None
 
-(* ---- consensus subjects share the harness verdict ---- *)
-
-module B = Abc.Bracha_consensus
-
-module BH = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-module BRL = Abc_net.Reliable_link.Make (B)
-
-module BRLH = Abc.Harness.Make (struct
-  include BRL
-
-  let value_of_input = B.value_of_input
-end)
-
-(* ---- 3. Bracha consensus ---- *)
-
-module Bracha_subject = struct
-  let name = "bracha consensus: termination, agreement, validity"
-
-  let count = 60
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 3
-
-  let check s =
-    let inputs = B.inputs ~n:s.n ~options:B.Options.default (binary_values s) in
-    match s.loss with
-    | None ->
-      let cfg =
-        BH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ()
-      in
-      Abc.Harness.ok (snd (BH.run cfg))
-    | Some l ->
-      let cfg =
-        BRLH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-          ?max_deliveries:(budget s.loss) ()
-      in
-      Abc.Harness.ok (snd (BRLH.run cfg))
+  let recovery = None
 end
 
-module Bracha_battery = Battery (Bracha_subject)
+(* ---- judges: one per promise ---- *)
 
-(* ---- 4. Ben-Or ---- *)
+(* Broadcast from node 0, which faults never reach.  With [totality],
+   every correct node delivers the sent value exactly once and the run
+   ends All_terminal.  Without it (consistent broadcast), every
+   delivery carries the sent value and who delivers is free. *)
+let broadcast ~totality ~sent ~delivered s inputs outputs stop =
+  let v = sent inputs.(0) in
+  if totality then
+    stop = Engine.All_terminal
+    && List.for_all
+         (fun i -> match outputs.(i) with [ (_, o) ] -> delivered o = v | _ -> false)
+         (correct s)
+  else List.for_all (fun i -> List.for_all (fun (_, o) -> delivered o = v) outputs.(i)) (correct s)
 
-module BO = Abc.Ben_or
+(* Termination, agreement and validity over the correct nodes.  A lossy
+   network without the transport may (and does) kill liveness, but it
+   must never break safety: whichever nodes decide still agree, and
+   validity still binds decisions to correct inputs. *)
+let consensus value_of_input s inputs outputs stop =
+  let v =
+    Abc.Harness.judge ~value_of_input ~inputs ~honest:(List.map node (correct s)) ~stop
+      ~outputs ~messages:0 ~deliveries:0 ~duration:0
+  in
+  match s.links with
+  | Some { raw = true; _ } -> v.Abc.Harness.agreement && v.Abc.Harness.validity
+  | _ -> Abc.Harness.ok v
 
-module BOH = Abc.Harness.Make (struct
-  include BO
+(* Every correct node outputs the same subset, with at least n - f
+   entries, each the proposal its node made. *)
+let common_subset ~proposal ~subset s inputs outputs stop =
+  let correct = correct s in
+  stop = Engine.All_terminal
+  &&
+  let subsets =
+    List.filter_map
+      (fun i -> match outputs.(i) with [ (_, o) ] -> Some (subset o) | _ -> None)
+      correct
+  in
+  List.length subsets = List.length correct
+  &&
+  match subsets with
+  | [] -> false
+  | first :: rest ->
+    List.for_all (( = ) first) rest
+    && List.length first >= s.n - s.f
+    && List.for_all (fun (j, v) -> v = proposal inputs.(Node_id.to_int j)) first
 
-  let value_of_input = BO.value_of_input
-end)
+(* ---- the protocols ---- *)
 
-module BORL = Abc_net.Reliable_link.Make (BO)
+let bit s = if s.inputs = Ones then Value.One else Value.Zero
 
-module BORLH = Abc.Harness.Make (struct
-  include BORL
+let binary_values s =
+  match s.inputs with
+  | Zeros -> Array.make s.n Value.Zero
+  | Ones -> Array.make s.n Value.One
+  | _ -> Array.init s.n (fun i -> if i < s.n / 2 then Value.Zero else Value.One)
 
-  let value_of_input = BO.value_of_input
-end)
+module Rbc_args = struct
+  include Abc.Bracha_rbc.Binary
+  include Plain
 
-module Benor_subject = struct
-  let name = "ben-or: termination, agreement, validity"
+  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
 
-  let count = 50
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 5
-
-  let check s =
-    let inputs =
-      BO.inputs ~n:s.n ~mode:BO.Mode.Byzantine ~coin:Abc.Coin.local
-        (binary_values s)
-    in
-    match s.loss with
-    | None ->
-      let cfg =
-        BOH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ()
-      in
-      Abc.Harness.ok (snd (BOH.run cfg))
-    | Some l ->
-      let cfg =
-        BORLH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-          ?max_deliveries:(budget s.loss) ()
-      in
-      Abc.Harness.ok (snd (BORLH.run cfg))
+  let judge =
+    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered v) -> v)
 end
 
-module Benor_battery = Battery (Benor_subject)
+module Rbc = Subject (Rbc_args)
 
-(* ---- 5. MMR ---- *)
+module Cb_args = struct
+  include Abc.Consistent_broadcast.Binary
+  include Plain
 
-module M = Abc.Mmr_consensus
+  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
 
-module MH = Abc.Harness.Make (struct
-  include M
-
-  let value_of_input = M.value_of_input
-end)
-
-module MRL = Abc_net.Reliable_link.Make (M)
-
-module MRLH = Abc.Harness.Make (struct
-  include MRL
-
-  let value_of_input = M.value_of_input
-end)
-
-module Mmr_subject = struct
-  let name = "mmr: termination, agreement, validity (common coin)"
-
-  let count = 50
-
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = (n - 1) / 3
-
-  let check s =
-    let inputs = M.inputs ~n:s.n ~coin:(Abc.Coin.common ~seed:9) (binary_values s) in
-    match s.loss with
-    | None ->
-      let cfg =
-        MH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ()
-      in
-      Abc.Harness.ok (snd (MH.run cfg))
-    | Some l ->
-      let cfg =
-        MRLH.E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-          ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-          ?max_deliveries:(budget s.loss) ()
-      in
-      Abc.Harness.ok (snd (MRLH.run cfg))
+  let judge =
+    broadcast ~totality:false ~sent:(fun i -> Option.get i.payload)
+      ~delivered:(fun (Delivered v) -> v)
 end
 
-module Mmr_battery = Battery (Mmr_subject)
+module Cb = Subject (Cb_args)
 
-(* ---- 6. Turpin–Coan reduction ---- *)
+(* Same promise as Bracha's RBC, different wire format: the payload is
+   a byte string dispersed as Reed-Solomon fragments, so the judge also
+   asserts it survives reconstruction bit-for-bit. *)
+module Coded_args = struct
+  include Abc.Coded_rbc
+
+  let inputs s =
+    let length = match s.inputs with Zeros -> 1 | Ones -> 64 | Bytes k -> k | _ -> 777 in
+    inputs ~n:s.n ~sender:(node 0)
+      (String.init length (fun i -> Char.chr ((s.seed + (13 * i)) land 0xFF)))
+
+  let lies _ = Some { flip = Fault.tamper; equivocate = Fault.equivocate }
+
+  let recovery = None
+
+  let judge =
+    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered p) -> p)
+end
+
+module Coded = Subject (Coded_args)
+
+module Ir_args = struct
+  include Abc.Ir_rbc.Binary
+
+  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
+
+  let lies s =
+    let two_faced _rng ~dst v = if Node_id.to_int dst < s.n / 2 then v else Value.negate v in
+    Some { flip = Fault.substitute (fun _ v -> Value.negate v); equivocate = Fault.equivocate two_faced }
+
+  let recovery = None
+
+  let judge =
+    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered v) -> v)
+end
+
+module Ir = Subject (Ir_args)
+
+module Bracha_args = struct
+  include Abc.Bracha_consensus
+
+  let inputs s = inputs ~n:s.n ~options:Options.default (binary_values s)
+
+  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
+
+  let recovery = None
+
+  let judge = consensus value_of_input
+end
+
+module Bracha = Subject (Bracha_args)
+
+module Benor_args = struct
+  include Abc.Ben_or
+
+  let inputs s = inputs ~n:s.n ~mode:Mode.Byzantine ~coin:Abc.Coin.local (binary_values s)
+
+  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
+
+  let recovery = None
+
+  let judge = consensus value_of_input
+end
+
+module Benor = Subject (Benor_args)
+
+module Mmr_args = struct
+  include Abc.Mmr_consensus
+
+  let inputs s = inputs ~n:s.n ~coin:(Abc.Coin.common ~seed:9) (binary_values s)
+
+  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
+
+  let recovery = None
+
+  let judge = consensus value_of_input
+end
+
+module Mmr = Subject (Mmr_args)
+
+module Mmr_rabin_args = struct
+  include Mmr_args
+
+  let inputs s = Abc.Mmr_consensus.inputs_with_shared_coin ~n:s.n ~f:s.f ~seed:9 (binary_values s)
+end
+
+module Mmr_rabin = Subject (Mmr_rabin_args)
 
 module TC = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
-module TcE = Abc_net.Engine.Make (TC)
-module TcRL = Abc_net.Reliable_link.Make (TC)
-module TcRLE = Abc_net.Engine.Make (TcRL)
 
-module Turpin_subject = struct
-  let name = "turpin-coan: joint outcome, unanimity carries"
+module Turpin_args = struct
+  include TC
+  include Plain
 
-  let count = 50
+  (* Two unanimous patterns and one fully split. *)
+  let inputs s =
+    inputs ~n:s.n ~coin:Abc.Coin.local
+      (match s.inputs with
+      | Zeros -> Array.make s.n 7
+      | Ones -> Array.make s.n 9
+      | _ -> Array.init s.n (fun i -> 100 + i))
 
-  let max_n = 10
-
-  let max_loss = 15
-
-  let max_f ~n = TC.max_faults ~n
-
-  (* Multivalued inputs: two unanimous patterns and one fully split.
-     All honest nodes must reach the same outcome; a unanimous input
-     must be agreed (never fallback); any agreed value must have been
-     proposed. *)
-  let check s =
-    let values =
-      match s.input_pattern with
-      | 0 -> Array.make s.n 7
-      | 1 -> Array.make s.n 9
-      | _ -> Array.init s.n (fun i -> 100 + i)
+  (* One outcome at every correct node; an agreed value was proposed;
+     a unanimous input is agreed, never fallen back on. *)
+  let judge s inputs outputs stop =
+    let correct = correct s in
+    stop = Engine.All_terminal
+    &&
+    let outcomes =
+      List.filter_map (fun i -> match outputs.(i) with [ (_, o) ] -> Some o | _ -> None) correct
     in
-    let inputs = TC.inputs ~n:s.n ~coin:Abc.Coin.local values in
-    let judge outputs stop =
-      stop = Abc_net.Engine.All_terminal
+    List.length outcomes = List.length correct
+    &&
+    match outcomes with
+    | [] -> false
+    | first :: rest ->
+      List.for_all (( = ) first) rest
       &&
-      let honest_outcomes =
-        List.filter_map
-          (fun i ->
-            match outputs.(i) with [ (_, o) ] -> Some o | _ -> None)
-          (honest_indices s)
-      in
-      List.length honest_outcomes = s.n - s.faults
-      &&
-      match honest_outcomes with
-      | [] -> false
-      | first :: rest ->
-        List.for_all (( = ) first) rest
-        && (match first with
-           | TC.Agreed w -> Array.exists (( = ) w) values
-           | TC.Fallback -> s.input_pattern = 2)
-    in
-    match s.loss with
-    | None ->
-      let r =
-        TcE.run
-          (TcE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      judge r.TcE.outputs r.TcE.stop
-    | Some l ->
-      let r =
-        TcRLE.run
-          (TcRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
-      in
-      judge r.TcRLE.outputs r.TcRLE.stop
+      (match first with
+      | Agreed w -> Array.exists (fun i -> i.value = w) inputs
+      | Fallback -> s.inputs = Split)
 end
 
-module Turpin_battery = Battery (Turpin_subject)
+module Turpin = Subject (Turpin_args)
 
-(* ---- 7. ACS, over Bracha's and over the coded broadcast ---- *)
-
-(* An ACS instance under test and node i's proposal.  The judge is the
-   same for either proposal broadcast: every honest node outputs the
-   same subset, with at least n-f entries, each proposal unchanged. *)
-module type ACS = sig
-  type payload
-
-  type output = Accepted of (Node_id.t * payload) list
-
-  include Abc_net.Protocol.S with type output := output
-
-  val inputs : n:int -> coin:Abc.Coin.t -> payload array -> input array
-end
-
-module Acs_subject
-    (A : ACS) (P : sig
-      val name : string
-      val count : int
-      val proposal : int -> A.payload
-    end) =
-struct
-  module E = Abc_net.Engine.Make (A)
-  module RL = Abc_net.Reliable_link.Make (A)
-  module RLE = Abc_net.Engine.Make (RL)
-
-  let name = P.name
-
-  let count = P.count
-
-  let max_n = 6
-
-  let max_loss = 8
-
-  let max_f ~n = (n - 1) / 3
-
-  let check s =
-    let inputs =
-      A.inputs ~n:s.n ~coin:Abc.Coin.local (Array.init s.n P.proposal)
-    in
-    let judge outputs stop =
-      stop = Abc_net.Engine.All_terminal
-      &&
-      let honest_subsets =
-        List.filter_map
-          (fun i ->
-            match outputs.(i) with
-            | [ (_, A.Accepted subset) ] -> Some subset
-            | _ -> None)
-          (honest_indices s)
-      in
-      List.length honest_subsets = s.n - s.faults
-      &&
-      match honest_subsets with
-      | [] -> false
-      | first :: rest ->
-        List.for_all (( = ) first) rest
-        && List.length first >= s.n - s.f
-        && List.for_all
-             (fun (j, v) -> v = P.proposal (Node_id.to_int j))
-             first
-    in
-    match s.loss with
-    | None ->
-      let r =
-        E.run
-          (E.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      judge r.E.outputs r.E.stop
-    | Some l ->
-      let r =
-        RLE.run
-          (RLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             ?max_deliveries:(budget s.loss) ())
-      in
-      judge r.RLE.outputs r.RLE.stop
-end
-
-module Acs = struct
-  type payload = int
-
+module Acs_args = struct
   include Abc.Acs.Make (Abc.Payloads.Int_payload)
+  include Plain
+
+  let inputs s = inputs ~n:s.n ~coin:Abc.Coin.local (Array.init s.n (fun i -> 100 + i))
+
+  let judge = common_subset ~proposal:(fun i -> i.proposal) ~subset:(fun (Accepted l) -> l)
 end
 
-module Acs_battery = Battery (Acs_subject (Acs) (struct
-  let name = "acs: identical common subset of proposed values"
-  let count = 30
-  let proposal i = 100 + i
-end))
+module Acs = Subject (Acs_args)
 
-module Batch_acs = struct
-  type payload = string
-
+module Batch_acs_args = struct
   include Abc.Batch_acs
+  include Plain
+
+  let inputs s =
+    inputs ~n:s.n ~coin:Abc.Coin.local
+      (Array.init s.n (fun i -> Printf.sprintf "batch-%d:%s" i (String.make (8 * i) 'x')))
+
+  let judge = common_subset ~proposal:(fun i -> i.proposal) ~subset:(fun (Accepted l) -> l)
 end
 
-module Batch_acs_battery = Battery (Acs_subject (Batch_acs) (struct
-  let name = "batch acs: identical common subset of proposed batches"
-  let count = 24
-  let proposal i = Printf.sprintf "batch-%d:%s" i (String.make (8 * i) 'x')
-end))
-
-(* ---- 10. atomic broadcast (batched, pipelined SMR) ---- *)
+module Batch_acs = Subject (Batch_acs_args)
 
 module Atomic = Abc_smr.Atomic_broadcast
-module AtomicE = Abc_net.Engine.Make (Atomic)
-module AtomicRL = Abc_net.Reliable_link.Make (Atomic)
-module AtomicRLE = Abc_net.Engine.Make (AtomicRL)
 
-module Atomic_subject = struct
-  let name = "atomic broadcast: total order, no dup tx, inclusion"
+let atomic_inputs s =
+  match s.inputs with
+  | Log l ->
+    Atomic.inputs ~n:s.n ~window:2 ~checkpoint_interval:l.checkpoint ~batch_size:l.batch
+      ~epochs:l.epochs ~coin_seed:(s.seed + 7919)
+      (Array.init s.n (fun i ->
+           Abc_smr.Workload.txs
+             (Abc_smr.Workload.generate ~seed:s.seed ~node:(node i) ~count:l.txs ~rate:0.2
+                ~tx_bytes:l.tx_bytes)))
+  | _ -> invalid_arg "atomic broadcast runs a Log workload"
 
-  (* Each scenario runs [epochs] ACS-over-coded-RBC instances, so the
-     space stays smaller than the plain ACS subject's. *)
-  let count = 20
+module Ledger_args = struct
+  include Atomic
 
-  let max_n = 5
+  let inputs = atomic_inputs
 
-  let max_loss = 6
+  let lies _ = None
 
-  let max_f ~n = (n - 1) / 3
+  let recovery = Some (snapshot, restore)
 
-  let batch_size = 3
-
-  let epochs = 4
-
-  (* Mempools hold one epoch less than pipeline capacity: the spare
-     epoch absorbs a batch excluded from some subset and re-proposed,
-     so the inclusion property below has its "within k epochs" slack. *)
-  let mempools s =
-    Array.init s.n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed:s.seed ~node:(node i)
-             ~count:(batch_size * (epochs - 1)) ~rate:0.2 ~tx_bytes:24))
-
-  let check s =
-    let mempools = mempools s in
-    let inputs =
-      Atomic.inputs ~n:s.n ~window:2 ~batch_size ~epochs
-        ~coin_seed:(s.seed + 7919) mempools
-    in
-    let judge outputs stop =
-      stop = Abc_net.Engine.All_terminal
-      &&
-      let honest_logs =
-        List.filter_map
-          (fun i -> Atomic.log_of_outputs outputs.(i))
-          (honest_indices s)
-      in
-      List.length honest_logs = s.n - s.faults
-      &&
-      match honest_logs with
-      | [] -> false
-      | first :: rest ->
-        (* total order agreement *)
-        List.for_all (( = ) first) rest
-        (* no duplicate transaction in the log *)
-        && List.length first
-           = List.length (List.sort_uniq String.compare first)
-        (* every committed transaction was some node's client input *)
-        && (let offered =
-              Array.to_list mempools |> List.concat_map Array.to_list
-            in
-            List.for_all (fun tx -> List.mem tx offered) first)
-        (* censorship inclusion: under fault-free fair scheduling on
-           clean links, every correct node's transactions commit
-           within the run's epochs.  Unfair schedulers (targeted,
-           split, eclipse) may legitimately starve a proposer — full
-           resistance needs threshold-encrypted batches, which is out
-           of scope (see PROTOCOLS.md). *)
-        && (s.faults > 0 || s.loss <> None || s.adversary_kind > 2
-           || Array.for_all
-                (fun mempool ->
-                  Array.for_all (fun tx -> List.mem tx first) mempool)
-                mempools)
-    in
-    match s.loss with
-    | None ->
-      let r =
-        AtomicE.run
-          (AtomicE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ())
-      in
-      judge r.AtomicE.outputs r.AtomicE.stop
-    | Some l ->
-      let r =
-        AtomicRLE.run
-          (AtomicRLE.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s)
-             ~adversary:(adversary_of s) ~seed:s.seed ~link_faults:(plan_of l)
-             (* [epochs] overlapping agreements need a deeper delivery
-                budget than the single-shot subjects *)
-             ~max_deliveries:12_000_000 ())
-      in
-      judge r.AtomicRLE.outputs r.AtomicRLE.stop
+  (* Complete, identical logs at the correct nodes, no duplicate tx,
+     every tx some client's.  Censorship inclusion: under fault-free
+     fair scheduling on clean links, every correct node's transactions
+     commit within the run's epochs.  Unfair schedulers (targeted,
+     split, eclipse) may legitimately starve a proposer — full
+     resistance needs threshold-encrypted batches, which is out of
+     scope (see PROTOCOLS.md). *)
+  let judge s inputs outputs stop =
+    let correct = correct s in
+    stop = Engine.All_terminal
+    &&
+    let logs = List.filter_map (fun i -> log_of_outputs outputs.(i)) correct in
+    List.length logs = List.length correct
+    &&
+    match logs with
+    | [] -> false
+    | first :: rest ->
+      let offered = Array.to_list inputs |> List.concat_map (fun i -> Array.to_list i.mempool) in
+      List.for_all (( = ) first) rest
+      && List.length first = List.length (List.sort_uniq String.compare first)
+      && List.for_all (fun tx -> List.mem tx offered) first
+      && (s.faults > 0 || s.links <> None
+         || not (List.mem s.adversary [ "fifo"; "uniform"; "latency" ])
+         || Array.for_all (fun i -> Array.for_all (fun tx -> List.mem tx first) i.mempool) inputs)
 end
 
-module Atomic_battery = Battery (Atomic_subject)
-
+module Ledger = Subject (Ledger_args)
 (* ---- trace decoder totality ---- *)
 
 (* Mutations of test/golden/dup_trace.jsonl.  [Trace_file.of_string]
@@ -1120,10 +966,10 @@ let durable_snapshots =
      in
      let crashes = List.map (fun t -> (t, t + 100)) [ 300; 2500; 3600; 4800; 6000; 7200 ] in
      ignore
-       (AtomicE.run
-          (AtomicE.config ~n:durable_n ~f:1 ~inputs:(Lazy.force durable_inputs) ~seed:3
+       (Ledger.Raw.run
+          (Ledger.Raw.config ~n:durable_n ~f:1 ~inputs:(Lazy.force durable_inputs) ~seed:3
              ~faulty:[ (node 2, Behaviour.Crash_recover crashes) ]
-             ~recovery:{ AtomicE.snapshot; restore = Atomic.restore }
+             ~recovery:{ Ledger.Raw.snapshot; restore = Atomic.restore }
              ()));
      Array.of_list (List.rev !taken))
 
@@ -1175,58 +1021,156 @@ let durable_decoder_test =
 (* ---- engine scale smoke ---- *)
 
 (* One deterministic large-n run through the arena-based engine: the
-   batteries above randomize shape but stay at n <= 10, so this is
-   the only tier-1 check that the hot path still completes (and
-   delivers everywhere) at the n=128 scale E19 benchmarks. *)
+   rows stay at n <= 12, so this is the only tier-1 check that the hot
+   path still completes (and delivers everywhere) at the n=128 scale
+   E19 benchmarks. *)
 let test_scale_bracha_rbc_n128 () =
-  let n = 128 and f = 42 in
-  let inputs = Rbc.inputs ~n ~sender:(node 0) Value.One in
-  let r =
-    RbcE.run
-      (RbcE.config ~n ~f ~inputs ~adversary:Abc_net.Adversary.uniform ~seed:1
-         ())
-  in
-  Alcotest.(check bool) "all terminal" true
-    (r.RbcE.stop = Abc_net.Engine.All_terminal);
-  Array.iteri
-    (fun i outputs ->
-      match outputs with
-      | [ (_, Rbc.Delivered v) ] ->
-        if v <> Value.One then Alcotest.failf "node %d delivered Zero" i
-      | _ -> Alcotest.failf "node %d did not deliver exactly once" i)
-    r.RbcE.outputs
+  Alcotest.(check bool) "every node delivers One once" true
+    (Rbc.check
+       { n = 128; f = 42; faults = 0; fault = Silent; adversary = "uniform"; inputs = Ones;
+         links = None; budget = None; seed = 1 })
 
-(* MMR at the same scale: the consensus battery stops at n = 10, so
-   this is the only tier-1 run of MMR's per-round sender sets at a
-   committee size E19 measures. *)
+(* MMR at the same scale: the consensus rows stop at n = 10, so this is
+   the only tier-1 run of MMR's per-round sender sets at a committee
+   size E19 measures. *)
 let test_scale_mmr_n128 () =
-  let n = 128 and f = 42 in
-  let values = Array.init n (fun i -> if i < n / 2 then Value.Zero else Value.One) in
-  let inputs = M.inputs ~n ~coin:(Abc.Coin.common ~seed:7) values in
-  let _, verdict =
-    MH.run (MH.E.config ~n ~f ~inputs ~adversary:Abc_net.Adversary.uniform ~seed:1 ())
+  let s =
+    { n = 128; f = 42; faults = 0; fault = Silent; adversary = "uniform"; inputs = Split;
+      links = None; budget = None; seed = 1 }
   in
-  Alcotest.(check bool) "terminated" true verdict.Abc.Harness.terminated;
-  Alcotest.(check bool) "agreement" true verdict.Abc.Harness.agreement;
-  Alcotest.(check bool) "validity" true verdict.Abc.Harness.validity
+  let inputs = Abc.Mmr_consensus.inputs ~n:s.n ~coin:(Abc.Coin.common ~seed:7) (binary_values s) in
+  let r = Mmr.Raw.run (Mmr.Raw.config ~n:s.n ~f:s.f ~inputs ~adversary:Adversary.uniform ~seed:s.seed ()) in
+  Alcotest.(check bool) "termination, agreement, validity" true
+    (consensus Abc.Mmr_consensus.value_of_input s inputs r.Mmr.Raw.outputs r.Mmr.Raw.stop)
+
+(* ---- rows ---- *)
+
+let row name count gen check = campaign ~name ~count gen print_scenario check
+
+let third ~n = (n - 1) / 3
+
+let fifth ~n = (n - 1) / 5
+
+let wide = battery_gen ~max_n:10 ~max_loss:15 ~max_f:third ()
+
+(* ACS multiplies n broadcasts by n binary agreements, so its lossy
+   runs stay small enough for the retransmission traffic to fit the
+   delivery budget: correctness is the point, not a race against the
+   cap. *)
+let acs_gen = battery_gen ~max_n:6 ~max_loss:8 ~max_f:third ()
+
+(* Each battery scenario runs four ACS-over-coded-RBC epochs, so the
+   space stays smaller than the plain ACS rows', and overlapping
+   agreements need a deeper budget.  Mempools hold one epoch less than
+   pipeline capacity: the spare epoch absorbs a batch excluded from
+   some subset and re-proposed, so inclusion has its "within k epochs"
+   slack. *)
+let ledger_gen =
+  pin
+    (fun _ -> Log { batch = 3; epochs = 4; txs = 3 * (4 - 1); tx_bytes = 24; checkpoint = 0 })
+    (battery_gen ~budget:12_000_000 ~max_n:5 ~max_loss:6 ~max_f:third ())
+
+(* The rows go out as two Alcotest runs, the property battery and the
+   fault campaigns.  Alcotest pads the group column to the longest group
+   name of a run and cuts each case name to what is left of 80 columns,
+   so in one run the campaigns' "crash recovery" group would shorten
+   every battery case's printed name, the name a test log knows it by.
+   A [test NAME] filter reaches the first run only: Alcotest exits after
+   a filtered run, and rejects a filter that matches none of its
+   groups. *)
+let battery =
+  [
+    ( "broadcast",
+      [
+        row "bracha rbc: validity, agreement, totality" 60 wide Rbc.check;
+        row "consistent broadcast: validity and consistency (no totality)" 60 wide Cb.check;
+        row "coded rbc: validity, agreement, totality" 50 wide Coded.check;
+        (* The efficiency trade: only f < n/5 tolerated. *)
+        row "imbs-raynal rbc: validity, agreement, totality at n>5f" 50
+          (battery_gen ~max_n:12 ~max_loss:15 ~max_f:fifth ())
+          Ir.check;
+      ] );
+    ( "consensus",
+      [
+        row "bracha consensus: termination, agreement, validity" 60 wide Bracha.check;
+        row "ben-or: termination, agreement, validity" 50
+          (battery_gen ~max_n:10 ~max_loss:15 ~max_f:fifth ())
+          Benor.check;
+        row "mmr: termination, agreement, validity (common coin)" 50 wide Mmr.check;
+      ] );
+    ( "multivalued",
+      [
+        row "turpin-coan: joint outcome, unanimity carries" 50
+          (battery_gen ~max_n:10 ~max_loss:15 ~max_f:TC.max_faults ())
+          Turpin.check;
+        row "acs: identical common subset of proposed values" 30 acs_gen Acs.check;
+        row "batch acs: identical common subset of proposed batches" 24 acs_gen Batch_acs.check;
+      ] );
+    ("smr", [ row "atomic broadcast: total order, no dup tx, inclusion" 20 ledger_gen Ledger.check ]);
+    ( "decoders",
+      [ trace_decoder_test; token_decoder_test; document_decoder_test; durable_decoder_test ] );
+    ( "scale",
+      [
+        Alcotest.test_case "bracha rbc n=128 delivers" `Quick test_scale_bracha_rbc_n128;
+        Alcotest.test_case "mmr n=128 decides" `Quick test_scale_mmr_n128;
+      ] );
+  ]
+
+let campaigns =
+  [
+    ( "campaigns",
+      [
+        row "bracha consensus survives arbitrary scenarios" 120
+          (chaos_gen ~max_f:third ~kinds:lying) Bracha.check;
+        row "mmr consensus survives arbitrary scenarios" 120
+          (chaos_gen ~max_f:third ~kinds:lying) Mmr.check;
+        row "mmr over the rabin coin survives arbitrary scenarios" 60
+          (chaos_gen ~max_f:third ~kinds:lying) Mmr_rabin.check;
+        row "ben-or survives arbitrary in-bound scenarios" 80
+          (chaos_gen ~max_f:fifth ~kinds:lying) Benor.check;
+        row "acs produces a common subset in arbitrary scenarios" 40
+          (chaos_gen ~max_f:third ~kinds:benign) Acs.check;
+        row "coded rbc delivers the payload in arbitrary scenarios" 100
+          (pin (fun s -> Bytes (1 + (s.seed mod 200))) (chaos_gen ~max_f:third ~kinds:lying))
+          Coded.check;
+        row "imbs-raynal rbc delivers the payload in arbitrary scenarios" 100
+          (pin (fun _ -> Ones) (chaos_gen ~max_f:fifth ~kinds:lying))
+          Ir.check;
+      ] );
+    ( "link faults",
+      [
+        row "reliable-link bracha decides under loss, dup and healing cuts" 40
+          (lossy_gen ~max_n:7 ~max_pct:20 ~over:(Some 4_000_000))
+          Bracha.check;
+        row "raw bracha stays safe under loss (no agreement break)" 60
+          (lossy_gen ~max_n:7 ~max_pct:20 ~over:None)
+          Bracha.check;
+        (* Milder loss and more budget than Bracha's, as for acs_gen. *)
+        row "reliable-link acs agrees on a common subset under lossy links" 15
+          (lossy_gen ~max_n:5 ~max_pct:10 ~over:(Some 4_000_000))
+          Acs.check;
+        (* Loss, duplication, a healing cut and crash faults that land
+           mid-epoch, while early epochs are still being agreed. *)
+        row "atomic broadcast keeps one log under loss and mid-epoch crashes" 12
+          (pin
+             (fun _ -> Log { batch = 2; epochs = 3; txs = 6; tx_bytes = 16; checkpoint = 0 })
+             (lossy_gen ~max_n:5 ~max_pct:10 ~over:(Some 12_000_000)))
+          Ledger.check;
+      ] );
+    (* Recover replicas are correct but amnesic: all n logs must be
+       complete, identical and duplicate-free, so recovery must come
+       from the durable snapshot plus state transfer, never from
+       replayed commits. *)
+    ( "crash recovery",
+      [ row "atomic broadcast recovers crashed replicas to one identical log" 12 crash_gen Ledger.check ] );
+  ]
+
+(* Both runs go ahead whatever the first one's verdict. *)
+let passes name groups =
+  match Alcotest.run ~and_exit:false name groups with
+  | () -> true
+  | exception Alcotest.Test_error -> false
 
 let () =
-  Alcotest.run "properties"
-    [
-      ( "broadcast",
-        [ Rbc_battery.test; Cb_battery.test; Coded_battery.test; Ir_battery.test ] );
-      ( "consensus",
-        [ Bracha_battery.test; Benor_battery.test; Mmr_battery.test ] );
-      ( "multivalued",
-        [ Turpin_battery.test; Acs_battery.test; Batch_acs_battery.test ] );
-      ( "smr",
-        [ Atomic_battery.test ] );
-      ( "decoders",
-        [ trace_decoder_test; token_decoder_test; document_decoder_test; durable_decoder_test ] );
-      ( "scale",
-        [
-          Alcotest.test_case "bracha rbc n=128 delivers" `Quick
-            test_scale_bracha_rbc_n128;
-          Alcotest.test_case "mmr n=128 decides" `Quick test_scale_mmr_n128;
-        ] );
-    ]
+  let battery_ok = passes "properties" battery in
+  if not (passes "campaigns" campaigns && battery_ok) then exit 1
