@@ -174,6 +174,168 @@ let test_pick_in_array () =
     Alcotest.(check bool) "element of array" true (Array.exists (Int.equal v) arr)
   done
 
+(* Known answers: literal outputs of the reference implementation, so a
+   rewrite of the generators that changed any draw fails here, not only
+   in the traces downstream.  Floats are compared bit for bit. *)
+
+type known = {
+  seed : int;
+  key : int64;
+  bits : int64 list;
+  floats : float list;
+  bools : bool list;
+  exps : float list;  (* exponential ~mean:8. *)
+  ints : (int * int list) list;  (* bound, draws *)
+  child_key : int64;  (* split ~label:3 *)
+  child_bits : int64 list;
+}
+
+let known =
+  [
+    {
+      seed = 0;
+      key = 0L;
+      bits = [ 5987356902031041503L; 7051070477665621255L; 6633766593972829180L ];
+      floats = [ 0x1.4c5d7585242c8p-2; 0x1.8769bcf70e034p-2; 0x1.703f7e47b269ep-2 ];
+      bools = [ true; true; false; false; false; false; false; true ];
+      exps = [ 0x1.91d4dbca40faap+1; 0x1.ed36bc021e789p+1; 0x1.c862bdc96bbb7p+1 ];
+      ints =
+        [
+          (7, [ 4; 5; 5; 6 ]);
+          (7919, [ 6747; 3673; 6321; 4384 ]);
+          ( max_int,
+            [
+              1375670883603653599;
+              2439384459238233351;
+              2022080575545441276;
+              211316841551650330;
+            ] );
+          (* rejects the top 62-bit draws above 2^61 + 1: about half *)
+          ( (1 lsl 61) + 1,
+            [
+              1375670883603653599;
+              2022080575545441276;
+              211316841551650330;
+              379361710973160858;
+            ] );
+        ];
+      child_key = 8786639878720926469L;
+      child_bits = [ 8501877405091179171L; -5980489080718700565L ];
+    };
+    {
+      seed = 1;
+      key = 6238072747940578789L;
+      bits = [ -716136751619575887L; 4464893370519901181L; -3033047034349837766L ];
+      floats = [ 0x1.ec1f8ad65a39dp-1; 0x1.efb3e6ea6eae8p-3; 0x1.abd0e795850d4p-1 ];
+      bools = [ true; true; false; false; false; false; false; true ];
+      exps = [ 0x1.9fd7c2f16c1eap+4; 0x1.1bc761f10395ep+1; 0x1.ce2976091f753p+3 ];
+      ints =
+        [
+          (7, [ 5; 2; 2; 6 ]);
+          (7919, [ 5420; 1165; 826; 6974 ]);
+          ( max_int,
+            [
+              3895549266807812017;
+              4464893370519901181;
+              1578638984077550138;
+              3266958052873933830;
+            ] );
+          ( (1 lsl 61) + 1,
+            [
+              1578638984077550138;
+              1349620121829154143;
+              2217744207597319400;
+              1872873328662646976;
+            ] );
+        ];
+      child_key = 1398900885392242609L;
+      child_bits = [ -1429462348757125858L; -2697984588827114981L ];
+    };
+    {
+      seed = 42;
+      key = -6387817139659442654L;
+      bits = [ -5433660073147061314L; 6245390960699366450L; 6952163885537044882L ];
+      floats = [ 0x1.692f85e78bb15p-1; 0x1.5ab057f4ffaf6p-2; 0x1.81ec30e106f0ap-2 ];
+      bools = [ false; false; false; true; true; false; true; true ];
+      exps = [ 0x1.38e7027c6482dp+3; 0x1.a742dea9a5fc5p+1; 0x1.e45d5276b4ea2p+1 ];
+      ints =
+        [
+          (7, [ 2; 5; 4; 2 ]);
+          (7919, [ 6508; 223; 1488; 4916 ]);
+          ( max_int,
+            [
+              3789711963707714494;
+              1633704942271978546;
+              2340477867109656978;
+              3904583925562820495;
+            ] );
+          ( (1 lsl 61) + 1,
+            [
+              1633704942271978546;
+              632400289950593523;
+              1819978030744827765;
+              1368648898091363582;
+            ] );
+        ];
+      child_key = -764555216372401338L;
+      child_bits = [ -2000402769493648880L; 1786662531655108421L ];
+    };
+  ]
+
+let float_bits =
+  Alcotest.testable
+    (fun ppf x -> Fmt.pf ppf "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+(* [draws k seed f] is the first [k] values of [f] on a fresh root. *)
+let draws k seed f =
+  let s = Stream.root ~seed in
+  List.init k (fun _ -> f s)
+
+let test_stream_known_answers () =
+  List.iter
+    (fun k ->
+      let name what = Printf.sprintf "seed %d %s" k.seed what in
+      let len = List.length in
+      Alcotest.(check int64) (name "key") k.key (Stream.key (Stream.root ~seed:k.seed));
+      Alcotest.(check (list int64))
+        (name "bits64") k.bits
+        (draws (len k.bits) k.seed Stream.bits64);
+      Alcotest.(check (list float_bits))
+        (name "float") k.floats
+        (draws (len k.floats) k.seed Stream.float);
+      Alcotest.(check (list bool))
+        (name "bool") k.bools
+        (draws (len k.bools) k.seed Stream.bool);
+      Alcotest.(check (list float_bits))
+        (name "exponential") k.exps
+        (draws (len k.exps) k.seed (Stream.exponential ~mean:8.));
+      List.iter
+        (fun (bound, expected) ->
+          Alcotest.(check (list int))
+            (name (Printf.sprintf "int ~bound:%d" bound))
+            expected
+            (draws (len expected) k.seed (Stream.int ~bound)))
+        k.ints;
+      let child = Stream.split (Stream.root ~seed:k.seed) ~label:3 in
+      Alcotest.(check int64) (name "child key") k.child_key (Stream.key child);
+      Alcotest.(check (list int64))
+        (name "child bits64") k.child_bits
+        (List.init (len k.child_bits) (fun _ -> Stream.bits64 child)))
+    known
+
+let test_xoshiro_known_copy () =
+  let a = Xoshiro256.create 42L in
+  let _ = Xoshiro256.next a in
+  let b = Xoshiro256.copy a in
+  let expected =
+    [ 5881210131331364753L; -297100157724070516L; -5513075133950446152L ]
+  in
+  Alcotest.(check (list int64)) "original continues" expected
+    (List.init 3 (fun _ -> Xoshiro256.next a));
+  Alcotest.(check (list int64)) "copy continues" expected
+    (List.init 3 (fun _ -> Xoshiro256.next b))
+
 (* Property-based tests *)
 
 let prop_int_in_bounds =
@@ -206,6 +368,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic;
           Alcotest.test_case "copy independent" `Quick test_xoshiro_copy_independent;
+          Alcotest.test_case "copy known answer" `Quick test_xoshiro_known_copy;
         ] );
       ( "stream",
         [
@@ -225,6 +388,7 @@ let () =
             test_bernoulli_probability;
           Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "pick in array" `Quick test_pick_in_array;
+          Alcotest.test_case "known answers" `Quick test_stream_known_answers;
         ] );
       ( "properties",
         [
