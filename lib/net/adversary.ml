@@ -1,33 +1,18 @@
-type meta = {
-  seq : int;
-  src : Node_id.t;
-  dst : Node_id.t;
-  sent_at : int;
-  priority : int;
-}
-
 module View = struct
-  type t = {
-    length : unit -> int;
-    get : int -> meta;
-    oldest : unit -> int;
-    find_seq : int -> int option;
-  }
+  type t = Envelope_arena.view
 
-  let make ~length ~get ~oldest ~find_seq = { length; get; oldest; find_seq }
-
-  let length t = t.length ()
-
-  let get t i = t.get i
-
-  let find_seq t seq = t.find_seq seq
-
-  let oldest t = t.oldest ()
+  let length = Envelope_arena.length
+  let seq = Envelope_arena.seq
+  let src = Envelope_arena.src
+  let dst = Envelope_arena.dst
+  let priority = Envelope_arena.priority
+  let find_seq = Envelope_arena.slot_of_seq
+  let oldest = Envelope_arena.oldest_slot
 end
 
 type instance = {
   assign : rng:Abc_prng.Stream.t -> now:int -> src:Node_id.t -> dst:Node_id.t -> int;
-  note : meta -> unit;
+  note : View.t -> unit;
   choose : rng:Abc_prng.Stream.t -> now:int -> View.t -> int;
 }
 
@@ -35,7 +20,7 @@ type t = { name : string; instantiate : unit -> instance }
 
 let no_assign ~rng:_ ~now:_ ~src:_ ~dst:_ = 0
 
-let no_note (_ : meta) = ()
+let no_note (_ : View.t) = ()
 
 let fifo =
   {
@@ -64,17 +49,17 @@ let uniform =
   }
 
 (* Pop dead entries (already delivered by a fairness override) off the
-   front of [queue] until a live one surfaces; [None] when the queue
-   drains.  Lazy deletion keeps every policy O(1)/O(log n) amortized. *)
+   front of [queue] until a live one surfaces, and return its index;
+   -1 when the queue drains.  Lazy deletion keeps every policy
+   O(1)/O(log n) amortized. *)
 let rec live_head queue view =
-  match Queue.peek_opt queue with
-  | None -> None
-  | Some seq -> (
-    match View.find_seq view seq with
-    | Some index -> Some index
-    | None ->
+  if Queue.is_empty queue then -1
+  else
+    match View.find_seq view (Queue.peek queue) with
+    | -1 ->
       ignore (Queue.pop queue);
-      live_head queue view)
+      live_head queue view
+    | index -> index
 
 let latency ~mean =
   {
@@ -84,26 +69,30 @@ let latency ~mean =
         let heap : int Abc_sim.Heap.t = Abc_sim.Heap.create () in
         let rec live_top view =
           match Abc_sim.Heap.peek heap with
-          | None -> None
+          | None -> -1
           | Some (_, seq) -> (
             match View.find_seq view seq with
-            | Some index -> Some index
-            | None ->
+            | -1 ->
               ignore (Abc_sim.Heap.pop heap);
-              live_top view)
+              live_top view
+            | index -> index)
         in
         {
           assign =
             (fun ~rng ~now ~src:_ ~dst:_ ->
               now + 1 + int_of_float (Abc_prng.Stream.exponential rng ~mean));
-          note = (fun m -> Abc_sim.Heap.push heap ~priority:m.priority m.seq);
+          note =
+            (fun view ->
+              let last = View.length view - 1 in
+              Abc_sim.Heap.push heap ~priority:(View.priority view last)
+                (View.seq view last));
           choose =
             (fun ~rng:_ ~now:_ view ->
               (* Deliver the message whose sampled arrival is earliest;
                  fall back to the oldest if the heap lost sync. *)
               match live_top view with
-              | Some index -> index
-              | None -> View.oldest view);
+              | -1 -> View.oldest view
+              | index -> index);
         });
   }
 
@@ -120,33 +109,36 @@ let starve ~name ~disfavoured =
         {
           assign = no_assign;
           note =
-            (fun m ->
-              if disfavoured m then Queue.add m.seq starved
-              else Queue.add m.seq favoured);
+            (fun view ->
+              let last = View.length view - 1 in
+              let seq = View.seq view last in
+              if disfavoured ~src:(View.src view last) ~dst:(View.dst view last)
+              then Queue.add seq starved
+              else Queue.add seq favoured);
           choose =
             (fun ~rng:_ ~now:_ view ->
               match live_head favoured view with
-              | Some index -> index
-              | None -> (
+              | -1 -> (
                 match live_head starved view with
-                | Some index -> index
-                | None -> View.oldest view));
+                | -1 -> View.oldest view
+                | index -> index)
+              | index -> index);
         });
   }
 
 let targeted_delay ~victims =
   let victim_set = Node_id.Set.of_list victims in
   starve ~name:"targeted-delay"
-    ~disfavoured:(fun m -> Node_id.Set.mem m.dst victim_set)
+    ~disfavoured:(fun ~src:_ ~dst -> Node_id.Set.mem dst victim_set)
 
 let source_starve ~victims =
   let victim_set = Node_id.Set.of_list victims in
   starve ~name:"source-starve"
-    ~disfavoured:(fun m -> Node_id.Set.mem m.src victim_set)
+    ~disfavoured:(fun ~src ~dst:_ -> Node_id.Set.mem src victim_set)
 
 let split ~n =
   let half id = if Node_id.to_int id < n / 2 then 0 else 1 in
-  starve ~name:"split" ~disfavoured:(fun m -> half m.src <> half m.dst)
+  starve ~name:"split" ~disfavoured:(fun ~src ~dst -> half src <> half dst)
 
 let rotating_eclipse ~n ~period =
   assert (period > 0 && n > 0);
@@ -162,31 +154,34 @@ let rotating_eclipse ~n ~period =
         {
           assign = no_assign;
           note =
-            (fun m ->
-              let dst = Node_id.to_int m.dst in
-              if dst < n then Queue.add m.seq queues.(dst));
+            (fun view ->
+              let last = View.length view - 1 in
+              let dst = Node_id.to_int (View.dst view last) in
+              if dst < n then Queue.add (View.seq view last) queues.(dst));
           choose =
             (fun ~rng:_ ~now:_ view ->
               let victim = !deliveries / period mod n in
               incr deliveries;
-              let best = ref None in
+              (* Serve the non-victim queue whose live head was sent
+                 first. *)
+              let best_seq = ref max_int and best = ref (-1) in
               for dst = 0 to n - 1 do
                 if dst <> victim then begin
                   match live_head queues.(dst) view with
-                  | Some index ->
-                    let seq = (View.get view index).seq in
-                    (match !best with
-                    | Some (best_seq, _) when best_seq <= seq -> ()
-                    | Some _ | None -> best := Some (seq, index))
-                  | None -> ()
+                  | -1 -> ()
+                  | index ->
+                    let seq = View.seq view index in
+                    if seq < !best_seq then begin
+                      best_seq := seq;
+                      best := index
+                    end
                 end
               done;
-              match !best with
-              | Some (_, index) -> index
-              | None -> (
+              if !best >= 0 then !best
+              else
                 match live_head queues.(victim) view with
-                | Some index -> index
-                | None -> View.oldest view));
+                | -1 -> View.oldest view
+                | index -> index);
         });
   }
 

@@ -17,49 +17,45 @@
     deletion — entries removed by the engine (e.g. fairness overrides)
     are skipped when they surface. *)
 
-type meta = {
-  seq : int;  (** global send sequence number (send order) *)
-  src : Node_id.t;  (** true sender *)
-  dst : Node_id.t;  (** recipient *)
-  sent_at : int;  (** virtual time of the send *)
-  priority : int;  (** policy-private tag assigned at send time *)
-}
-
 module View : sig
-  type t
-  (** Read-only view of the in-flight message pool. *)
-
-  val make :
-    length:(unit -> int) ->
-    get:(int -> meta) ->
-    oldest:(unit -> int) ->
-    find_seq:(int -> int option) ->
-    t
-  (** [make ~length ~get ~oldest ~find_seq] wraps the engine's pool
-      accessors: [length] is the current pool size (a closure so the
-      engine allocates one view per run, not one per delivery);
-      [oldest] is the O(1) index of the longest-in-flight message;
-      [find_seq seq] is the current index of the live entry with
-      sequence number [seq], if still in flight. *)
+  type t = Envelope_arena.view
+  (** Read-only view of the in-flight message pool: the envelope
+      arena's int part, read live.  Messages sit at indices
+      [0 .. length - 1]; the accessors read one column at one index
+      and allocate nothing. *)
 
   val length : t -> int
-  val get : t -> int -> meta
 
-  val find_seq : t -> int -> int option
-  (** Current index of a live sequence number.  Constant time. *)
+  val seq : t -> int -> int
+  (** Global send sequence number (send order). *)
+
+  val src : t -> int -> Node_id.t
+  (** True sender. *)
+
+  val dst : t -> int -> Node_id.t
+  (** Recipient. *)
+
+  val priority : t -> int -> int
+  (** Policy-private tag assigned at send time. *)
+
+  val find_seq : t -> int -> int
+  (** [find_seq v seq] is the current index of the live entry with
+      sequence number [seq], or [-1] once it has left the pool.
+      Constant time. *)
 
   val oldest : t -> int
   (** Index of the entry with the smallest [seq] (the message that has
-      been in flight the longest).  Constant time. *)
+      been in flight the longest).  Amortized constant time. *)
 end
 
 type instance = {
   assign : rng:Abc_prng.Stream.t -> now:int -> src:Node_id.t -> dst:Node_id.t -> int;
       (** called at send time; the returned value is stored as the
           envelope's [priority] *)
-  note : meta -> unit;
-      (** called after the envelope is enqueued, with its full
-          metadata: the instance may index it *)
+  note : View.t -> unit;
+      (** called after the envelope is enqueued, with the view: the new
+          envelope sits at index [View.length v - 1], and the instance
+          may index it *)
   choose : rng:Abc_prng.Stream.t -> now:int -> View.t -> int;
       (** called at delivery time on a non-empty view; returns the
           index of the message to deliver *)
@@ -98,10 +94,12 @@ val rotating_eclipse : n:int -> period:int -> t
     harder to beat than a fixed victim because no node accumulates a
     backlog advantage.  Requires [period > 0]. *)
 
-val starve : name:string -> disfavoured:(meta -> bool) -> t
-(** [starve ~name ~disfavoured] delays every message matching the
-    predicate as long as fairness allows, delivering the rest in send
-    order — the building block of the targeted policies above. *)
+val starve :
+  name:string -> disfavoured:(src:Node_id.t -> dst:Node_id.t -> bool) -> t
+(** [starve ~name ~disfavoured] delays every message whose sender and
+    recipient match the predicate as long as fairness allows,
+    delivering the rest in send order — the building block of the
+    targeted policies above. *)
 
 val all_basic : n:int -> t list
 (** The standard policy battery used by the experiments: fifo, uniform,

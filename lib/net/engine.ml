@@ -39,6 +39,8 @@ module Make (P : Protocol.S) = struct
 
   let config ?(faulty = []) ?(adversary = Adversary.fifo) ?(seed = 0)
       ?max_deliveries ?trace ?topology ?link_faults ?recovery ~n ~f ~inputs () =
+    if n > 1 lsl Envelope_arena.id_bits then
+      invalid_arg "Engine.config: n must not exceed 2^30 (the envelope id width)";
     if Array.length inputs <> n then
       invalid_arg "Engine.config: inputs length must equal n";
     (match topology with
@@ -172,6 +174,9 @@ module Make (P : Protocol.S) = struct
     in
     let clock = Abc_sim.Clock.create () in
     let pending : P.msg Envelope_arena.t = Envelope_arena.create () in
+    (* The pool's int part, read live: the adversary's view and the
+       engine's own metadata reads, one value for the whole run. *)
+    let view = Envelope_arena.view pending in
     (* Virtual timers: (node, timer id, incarnation) payloads ordered
        by due tick; the heap's stable tie-breaking keeps firing order
        deterministic.  The incarnation stamp lets a crash invalidate
@@ -339,9 +344,9 @@ module Make (P : Protocol.S) = struct
         next_seq := seq + 1;
         let now = Abc_sim.Clock.now clock in
         let priority = policy.Adversary.assign ~rng:adversary_rng ~now ~src ~dst in
-        let meta = { Adversary.seq; src; dst; sent_at = now; priority } in
-        Envelope_arena.push pending ~meta ~payload ~copy:false;
-        policy.Adversary.note meta;
+        Envelope_arena.push pending ~seq ~src ~dst ~sent_at:now ~priority
+          ~copy:false payload;
+        policy.Adversary.note view;
         let label = P.msg_label payload in
         let nbytes = P.msg_bytes payload in
         let sent_h, bytes_sent_h, _ = label_handles label in
@@ -423,27 +428,13 @@ module Make (P : Protocol.S) = struct
       node.activations <- 1
     in
     Array.iter initialize created;
-    (* One view for the whole run: every accessor reads the arena live,
-       so nothing is allocated per delivery. *)
-    let view =
-      Adversary.View.make
-        ~length:(fun () -> Envelope_arena.length pending)
-        ~get:(fun slot -> Envelope_arena.meta pending slot)
-        ~oldest:(fun () -> Envelope_arena.oldest_slot pending)
-        ~find_seq:(fun seq ->
-          match Envelope_arena.slot_of_seq pending seq with
-          | -1 -> None
-          | slot -> Some slot)
-    in
     (* The eventual-delivery bound: a message older than [fairness_age]
        ticks is delivered next, overriding the adversary — long enough
        that starvation policies bite, short enough that runs finish. *)
     let fairness_age = 32 * cfg.n * cfg.n in
     let choose_slot now =
-      let oldest = Envelope_arena.oldest_slot pending in
-      let oldest_age =
-        now - (Envelope_arena.meta pending oldest).Adversary.sent_at
-      in
+      let oldest = Envelope_arena.oldest_slot view in
+      let oldest_age = now - Envelope_arena.sent_at view oldest in
       if oldest_age >= fairness_age then oldest
       else policy.Adversary.choose ~rng:adversary_rng ~now view
     in
@@ -529,8 +520,8 @@ module Make (P : Protocol.S) = struct
       in
       go ()
     in
-    let deliver now (meta : Adversary.meta) payload =
-      let node = nodes.(Node_id.to_int meta.Adversary.dst) in
+    let deliver now ~seq ~src ~dst payload =
+      let node = nodes.(Node_id.to_int dst) in
       incr deliveries;
       let nbytes = P.msg_bytes payload in
       let _, _, bytes_delivered_h = label_handles (P.msg_label payload) in
@@ -543,14 +534,14 @@ module Make (P : Protocol.S) = struct
           (Abc_sim.Event.make
              (Abc_sim.Event.Deliver
                 {
-                  src = Node_id.to_int meta.Adversary.src;
+                  src = Node_id.to_int src;
                   label = P.msg_label payload;
-                  detail = take_detail meta.Adversary.seq;
+                  detail = take_detail seq;
                   bytes = nbytes;
                 }))
       | None -> ());
       let state, actions, outputs =
-        P.on_message node.ctx node.state ~src:meta.Adversary.src payload
+        P.on_message node.ctx node.state ~src payload
       in
       node.state <- state;
       emit_actions node actions;
@@ -561,19 +552,17 @@ module Make (P : Protocol.S) = struct
        message (new sequence number, scheduled by the adversary like
        any other).  Copies are marked so they are never duplicated
        again — duplication is bounded, not a traffic amplifier. *)
-    let enqueue_duplicate now (orig : Adversary.meta) payload =
-      let src = orig.Adversary.src in
-      let dst = orig.Adversary.dst in
+    let enqueue_duplicate now ~orig ~src ~dst payload =
       let seq = !next_seq in
       next_seq := seq + 1;
       let priority = policy.Adversary.assign ~rng:adversary_rng ~now ~src ~dst in
-      let meta = { Adversary.seq; src; dst; sent_at = now; priority } in
-      Envelope_arena.push pending ~meta ~payload ~copy:true;
-      policy.Adversary.note meta;
+      Envelope_arena.push pending ~seq ~src ~dst ~sent_at:now ~priority
+        ~copy:true payload;
+      policy.Adversary.note view;
       Abc_sim.Metrics.incr_handle m_duplicated_link;
       match cfg.trace with
       | Some tr ->
-        set_detail seq !details.(orig.Adversary.seq);
+        set_detail seq !details.(orig);
         Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int src)
           (Abc_sim.Event.make
              (Abc_sim.Event.Link_dup
@@ -587,37 +576,36 @@ module Make (P : Protocol.S) = struct
     (* A message scheduled for delivery while its destination is down
        is lost deterministically — the crash semantics, not a random
        link fault, so it gets its own counter. *)
-    let drop_crashed now (meta : Adversary.meta) payload =
+    let drop_crashed now ~seq ~src ~dst payload =
       Abc_sim.Metrics.incr_handle m_dropped_crashed;
       match cfg.trace with
       | Some tr ->
-        ignore (take_detail meta.Adversary.seq);
-        Abc_sim.Trace.record tr ~time:now
-          ~node:(Node_id.to_int meta.Adversary.dst)
+        ignore (take_detail seq);
+        Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int dst)
           (Abc_sim.Event.make
              (Abc_sim.Event.Link_drop
                 {
-                  src = Node_id.to_int meta.Adversary.src;
-                  dst = Node_id.to_int meta.Adversary.dst;
+                  src = Node_id.to_int src;
+                  dst = Node_id.to_int dst;
                   label = P.msg_label payload;
                   reason = "crashed";
                 }))
       | None -> ()
     in
-    let drop_envelope now (meta : Adversary.meta) payload reason =
+    let drop_envelope now ~seq ~src ~dst payload reason =
       Abc_sim.Metrics.incr_handle m_dropped_link;
       Abc_sim.Metrics.incr_handle (reason_handle reason);
       match cfg.trace with
       | Some tr ->
-        ignore (take_detail meta.Adversary.seq);
+        ignore (take_detail seq);
         Abc_sim.Trace.record tr
           ~time:now
-          ~node:(Node_id.to_int meta.Adversary.dst)
+          ~node:(Node_id.to_int dst)
           (Abc_sim.Event.make
              (Abc_sim.Event.Link_drop
                 {
-                  src = Node_id.to_int meta.Adversary.src;
-                  dst = Node_id.to_int meta.Adversary.dst;
+                  src = Node_id.to_int src;
+                  dst = Node_id.to_int dst;
                   label = P.msg_label payload;
                   reason;
                 }))
@@ -638,7 +626,7 @@ module Make (P : Protocol.S) = struct
       if !nonterminal = 0 && not (has_transition ()) then
         stop := Some All_terminal
       else if
-        Envelope_arena.is_empty pending
+        Envelope_arena.is_empty view
         && Abc_sim.Heap.is_empty timers
         && not (has_transition ())
       then stop := Some Quiescent
@@ -650,7 +638,7 @@ module Make (P : Protocol.S) = struct
            the next timer or crash/rejoin transition — whichever comes
            first — instead of reporting Quiescent. *)
         let now =
-          if Envelope_arena.is_empty pending then begin
+          if Envelope_arena.is_empty view then begin
             let due =
               min
                 (Abc_sim.Heap.peek_priority timers ~default:max_int)
@@ -679,38 +667,41 @@ module Make (P : Protocol.S) = struct
             if due > now then Abc_sim.Clock.advance_to clock due;
             fire_timer target
         end
-        else if Envelope_arena.is_empty pending then
+        else if Envelope_arena.is_empty view then
           (* Only a future transition remained and it just applied (or
              is still ahead); nothing to deliver this iteration. *)
           ()
         else begin
           let slot = choose_slot now in
-          let meta = Envelope_arena.meta pending slot in
+          let seq = Envelope_arena.seq view slot in
+          let src = Envelope_arena.src view slot in
+          let dst = Envelope_arena.dst view slot in
+          let sent_at = Envelope_arena.sent_at view slot in
+          let is_copy = Envelope_arena.copy view slot in
           let payload = Envelope_arena.payload pending slot in
-          let is_copy = Envelope_arena.copy pending slot in
           Envelope_arena.remove pending slot;
           (* Record the delivery age so tests can audit the fairness
              guarantee: no message older than the bound is ever passed
              over.  Link-fault drops still count — the age measures the
              scheduler, which did pick the message. *)
-          let age = now - meta.Adversary.sent_at in
+          let age = now - sent_at in
           if age > !max_age then max_age := age;
-          if crashed.(Node_id.to_int meta.Adversary.dst) then
-            drop_crashed now meta payload
+          if crashed.(Node_id.to_int dst) then
+            drop_crashed now ~seq ~src ~dst payload
           else begin
             let verdict =
               match link_plan with
               | None -> Link_faults.Deliver
               | Some (plan, rng) ->
-                Link_faults.judge plan rng ~now ~src:meta.Adversary.src
-                  ~dst:meta.Adversary.dst ~can_dup:(not is_copy)
+                Link_faults.judge plan rng ~now ~src ~dst ~can_dup:(not is_copy)
             in
             match verdict with
-            | Link_faults.Drop reason -> drop_envelope now meta payload reason
-            | Link_faults.Deliver -> deliver now meta payload
+            | Link_faults.Drop reason ->
+              drop_envelope now ~seq ~src ~dst payload reason
+            | Link_faults.Deliver -> deliver now ~seq ~src ~dst payload
             | Link_faults.Duplicate ->
-              enqueue_duplicate now meta payload;
-              deliver now meta payload
+              enqueue_duplicate now ~orig:seq ~src ~dst payload;
+              deliver now ~seq ~src ~dst payload
           end
         end
       end

@@ -116,7 +116,9 @@ module Make (P : Protocol.S) : sig
     unit ->
     config
   (** Build a configuration with sensible defaults: no faults, fifo
-      adversary, seed 0, delivery budget [200_000 * n]. *)
+      adversary, seed 0, delivery budget [200_000 * n].  Raises
+      [Invalid_argument] on an inconsistent configuration, including
+      [n > 2^30]: node ids must fit {!Envelope_arena.id_bits}. *)
 
   val run : config -> result
   (** Execute the configured run to completion.  A message older than

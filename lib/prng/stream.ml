@@ -18,24 +18,24 @@ let split t ~label =
 
 let key t = t.key
 
-let bits64 t = Xoshiro256.next t.gen
+let[@inline] bits64 t = Xoshiro256.next t.gen
 
+(* Rejection sampling on the low 62 bits keeps the draw unbiased for
+   any bound representable as a non-negative OCaml int.  Those bits
+   are exactly [max_int]'s, so the draw stays in unboxed [int]
+   arithmetic. *)
 let int t ~bound =
   assert (bound > 0);
-  (* Rejection sampling on the top 62 bits keeps the draw unbiased for
-     any bound representable as a non-negative OCaml int. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-  let limit = Int64.sub mask (Int64.rem mask (Int64.of_int bound)) in
-  let rec draw () =
-    let v = Int64.logand (bits64 t) mask in
-    if Int64.compare v limit > 0 then draw ()
-    else Int64.to_int (Int64.rem v (Int64.of_int bound))
-  in
-  draw ()
+  let limit = max_int - (max_int mod bound) in
+  let v = ref (Int64.to_int (bits64 t) land max_int) in
+  while !v > limit do
+    v := Int64.to_int (bits64 t) land max_int
+  done;
+  !v mod bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let[@inline] bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
@@ -53,7 +53,7 @@ let shuffle_in_place t arr =
     arr.(j) <- tmp
   done
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   assert (mean > 0.);
   let u = float t in
   (* [1 - u] avoids log 0 since [float] never returns 1. *)

@@ -9,7 +9,9 @@
     reproducible source of randomness. *)
 
 type t
-(** A mutable stream of pseudo-random values. *)
+(** A mutable stream of pseudo-random values.  Draws allocate
+    nothing; an [int64] or [float] result is boxed only where a caller
+    stores it. *)
 
 val root : seed:int -> t
 (** [root ~seed] is the stream at the root of the derivation tree. *)

@@ -6,7 +6,8 @@
     experiment is reproducible from a single integer seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 256 bits held unboxed in one 32-byte
+    buffer, so {!next} allocates nothing. *)
 
 val create : int64 -> t
 (** [create seed] seeds the 256-bit state from [seed] by running

@@ -123,6 +123,10 @@ let test_config_validation () =
   Alcotest.check_raises "inputs arity"
     (Invalid_argument "Engine.config: inputs length must equal n") (fun () ->
       ignore (Run.config ~n:4 ~f:1 ~inputs:[| 1 |] ()));
+  (* checked first, so no 2^30-long input array is needed *)
+  Alcotest.check_raises "id width"
+    (Invalid_argument "Engine.config: n must not exceed 2^30 (the envelope id width)")
+    (fun () -> ignore (Run.config ~n:((1 lsl 30) + 1) ~f:0 ~inputs:[||] ()));
   Alcotest.check_raises "faulty range"
     (Invalid_argument "Engine.config: faulty node id out of range") (fun () ->
       ignore
@@ -346,34 +350,30 @@ let test_sequence_diagram_window () =
   Alcotest.(check bool) "window smaller" true
     (String.length window < String.length full)
 
-(* Adversary policies *)
-
-let meta ~seq ~src ~dst ?(sent_at = 0) ?(priority = 0) () =
-  { Adversary.seq; src = node src; dst = node dst; sent_at; priority }
-
 (* Envelope arena *)
 
 module Arena = Abc_net.Envelope_arena
 
 let arena_push a ~seq =
-  Arena.push a ~meta:(meta ~seq ~src:0 ~dst:1 ()) ~payload:(seq * 10)
-    ~copy:false
+  Arena.push a ~seq ~src:(node 0) ~dst:(node 1) ~sent_at:0 ~priority:0
+    ~copy:false (seq * 10)
 
 (* Removal moves the last slot into the hole, and the seq table
    follows both the moved and the removed entry.  Adversary choices,
    and so the engine's traces, stay as before only under this layout. *)
 let test_arena_swap_remove_layout () =
   let a = Arena.create () in
+  let v = Arena.view a in
   for seq = 0 to 4 do
     arena_push a ~seq
   done;
   Arena.remove a 1;
-  Alcotest.(check int) "length" 4 (Arena.length a);
-  Alcotest.(check int) "last moved into hole" 4 (Arena.meta a 1).Adversary.seq;
+  Alcotest.(check int) "length" 4 (Arena.length v);
+  Alcotest.(check int) "last moved into hole" 4 (Arena.seq v 1);
   Alcotest.(check int) "payload moved with it" 40 (Arena.payload a 1);
-  Alcotest.(check int) "moved seq retargeted" 1 (Arena.slot_of_seq a 4);
-  Alcotest.(check int) "removed seq dead" (-1) (Arena.slot_of_seq a 1);
-  Alcotest.(check int) "untouched slot intact" 0 (Arena.slot_of_seq a 0)
+  Alcotest.(check int) "moved seq retargeted" 1 (Arena.slot_of_seq v 4);
+  Alcotest.(check int) "removed seq dead" (-1) (Arena.slot_of_seq v 1);
+  Alcotest.(check int) "untouched slot intact" 0 (Arena.slot_of_seq v 0)
 
 (* Steady-state churn must recycle slots, not allocate: after the
    initial growth, capacity stays put through thousands of
@@ -381,103 +381,207 @@ let test_arena_swap_remove_layout () =
    PERFORMANCE.md). *)
 let test_arena_reuse_after_recycle () =
   let a = Arena.create () in
+  let v = Arena.view a in
   for seq = 0 to 7 do
     arena_push a ~seq
   done;
   let cap = Arena.capacity a in
   for seq = 8 to 4095 do
-    Arena.remove a (Arena.oldest_slot a);
+    Arena.remove a (Arena.oldest_slot v);
     arena_push a ~seq
   done;
-  Alcotest.(check int) "length steady" 8 (Arena.length a);
+  Alcotest.(check int) "length steady" 8 (Arena.length v);
   Alcotest.(check int) "capacity never regrew" cap (Arena.capacity a)
 
 let test_arena_oldest_cursor () =
   let a = Arena.create () in
+  let v = Arena.view a in
   for seq = 0 to 9 do
     arena_push a ~seq
   done;
   (* Remove seqs 0 and 2 (slot lookups stay valid through the moves);
      the oldest live message is then seq 1, wherever it sits. *)
-  Arena.remove a (Arena.slot_of_seq a 0);
-  Arena.remove a (Arena.slot_of_seq a 2);
-  let oldest = Arena.oldest_slot a in
-  Alcotest.(check int) "oldest live seq" 1 (Arena.meta a oldest).Adversary.seq;
-  Arena.remove a (Arena.slot_of_seq a 1);
-  let oldest = Arena.oldest_slot a in
+  Arena.remove a (Arena.slot_of_seq v 0);
+  Arena.remove a (Arena.slot_of_seq v 2);
+  Alcotest.(check int) "oldest live seq" 1 (Arena.seq v (Arena.oldest_slot v));
+  Arena.remove a (Arena.slot_of_seq v 1);
   Alcotest.(check int) "cursor advances past dead seqs" 3
-    (Arena.meta a oldest).Adversary.seq
+    (Arena.seq v (Arena.oldest_slot v))
 
-let view_of_list metas =
-  let arr = Array.of_list metas in
-  let oldest () =
-    let best = ref 0 in
-    Array.iteri
-      (fun i m -> if m.Adversary.seq < arr.(!best).Adversary.seq then best := i)
-      arr;
-    !best
-  in
-  let find_seq seq =
-    let found = ref None in
-    Array.iteri (fun i m -> if m.Adversary.seq = seq then found := Some i) arr;
-    !found
-  in
-  Adversary.View.make
-    ~length:(fun () -> Array.length arr)
-    ~get:(Array.get arr) ~oldest ~find_seq
+(* The arena against a plain model: the live envelopes in slot order,
+   swap-remove applied by hand.  Ids span the documented width, and
+   sent_at and priority the whole int range, so a packing or
+   column-offset slip shows. *)
+type envelope = {
+  seq : int;
+  src : int;
+  dst : int;
+  sent_at : int;
+  priority : int;
+  copy : bool;
+}
 
-(* Instantiate a policy and feed it the view's entries (as [note]
-   expects) before choosing. *)
-let choose_with policy ~rng ~now view metas =
+(* A push skips [gap] seqs (the arena only needs them increasing); a
+   remove hits live slot [k mod length].  Pushes outnumber removes
+   three to one, so a long case crosses several doublings of the
+   column. *)
+type arena_op = Push of int * envelope | Remove of int | Oldest
+
+let arena_ops_arb =
+  let open QCheck.Gen in
+  let max_id = (1 lsl Arena.id_bits) - 1 in
+  let id = oneof [ return 0; return max_id; int_bound max_id ] in
+  let word = oneof [ return max_int; return min_int; int; small_nat ] in
+  let envelope =
+    map
+      (fun (((src, dst), (sent_at, priority)), copy) ->
+        { seq = 0; src; dst; sent_at; priority; copy })
+      (pair (pair (pair id id) (pair word word)) bool)
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun gap e -> Push (gap, e)) (int_bound 3) envelope);
+        (1, map (fun k -> Remove k) nat);
+        (1, return Oldest);
+      ]
+  in
+  let print = function
+    | Push (gap, e) ->
+      Printf.sprintf "push +%d (%d->%d t=%d p=%d%s)" gap e.src e.dst e.sent_at
+        e.priority
+        (if e.copy then " copy" else "")
+    | Remove k -> Printf.sprintf "remove #%d" k
+    | Oldest -> "oldest"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 1 200) op)
+
+let prop_arena_model =
+  QCheck.Test.make ~name:"columns, seq table and cursor agree with a list model"
+    ~count:300 arena_ops_arb (fun ops ->
+      let a = Arena.create () in
+      let v = Arena.view a in
+      let live = ref [||] and next_seq = ref 0 in
+      let agrees slot e =
+        Arena.seq v slot = e.seq
+        && Node_id.equal (Arena.src v slot) (Node_id.of_int e.src)
+        && Node_id.equal (Arena.dst v slot) (Node_id.of_int e.dst)
+        && Arena.sent_at v slot = e.sent_at
+        && Arena.priority v slot = e.priority
+        && Bool.equal (Arena.copy v slot) e.copy
+        && Arena.payload a slot = -e.seq
+        && Arena.slot_of_seq v e.seq = slot
+      in
+      (* [agrees] maps each live seq to its slot; then only the live
+         seqs may map anywhere, among every seq from -1 to one past the
+         last pushed: skipped, delivered and unborn ones give -1. *)
+      let only_live_seqs_mapped () =
+        let mapped = ref 0 in
+        for seq = -1 to !next_seq do
+          if Arena.slot_of_seq v seq <> -1 then incr mapped
+        done;
+        !mapped = Array.length !live
+      in
+      let model_oldest () =
+        let best = ref 0 in
+        Array.iteri (fun i e -> if e.seq < !live.(!best).seq then best := i) !live;
+        !best
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (gap, e) ->
+            let e = { e with seq = !next_seq + gap } in
+            next_seq := e.seq + 1;
+            Arena.push a ~seq:e.seq ~src:(Node_id.of_int e.src)
+              ~dst:(Node_id.of_int e.dst) ~sent_at:e.sent_at
+              ~priority:e.priority ~copy:e.copy (-e.seq);
+            live := Array.append !live [| e |]
+          | Remove k when Array.length !live > 0 ->
+            let last = Array.length !live - 1 in
+            let slot = k mod (last + 1) in
+            Arena.remove a slot;
+            !live.(slot) <- !live.(last);
+            live := Array.sub !live 0 last
+          | Oldest when Array.length !live > 0 ->
+            let got = Arena.oldest_slot v and want = model_oldest () in
+            if got <> want then
+              QCheck.Test.fail_reportf "oldest_slot %d, model %d" got want
+          | Remove _ | Oldest -> ());
+          Arena.length v = Array.length !live
+          && Array.for_all Fun.id (Array.mapi agrees !live)
+          && only_live_seqs_mapped ())
+        ops)
+
+(* Adversary policies *)
+
+(* Each envelope is (seq, src, dst, priority).  [choose_with] pushes
+   them in order into a fresh arena and notes each one, the new
+   envelope at the view's last index as the engine does; it then
+   removes the [delivered] seqs, as a fairness override would, and
+   asks the policy. *)
+let choose_with ?(delivered = []) policy ~rng envs =
   let instance = policy.Adversary.instantiate () in
-  List.iter instance.Adversary.note metas;
-  instance.Adversary.choose ~rng ~now view
+  let a = Arena.create () in
+  let v = Arena.view a in
+  List.iter
+    (fun (seq, src, dst, priority) ->
+      Arena.push a ~seq ~src:(node src) ~dst:(node dst) ~sent_at:0 ~priority
+        ~copy:false ();
+      instance.Adversary.note v)
+    envs;
+  List.iter (fun seq -> Arena.remove a (Arena.slot_of_seq v seq)) delivered;
+  instance.Adversary.choose ~rng ~now:0 v
 
 let test_view_oldest () =
-  let v =
-    view_of_list
-      [ meta ~seq:5 ~src:0 ~dst:1 (); meta ~seq:2 ~src:1 ~dst:0 (); meta ~seq:9 ~src:2 ~dst:0 () ]
-  in
-  Alcotest.(check int) "oldest index" 1 (Adversary.View.oldest v)
+  let a = Arena.create () in
+  let v = Arena.view a in
+  for seq = 0 to 3 do
+    arena_push a ~seq
+  done;
+  (* seq 3 moves into slot 0; seq 1 stays in slot 1 and is the oldest *)
+  Arena.remove a 0;
+  Alcotest.(check int) "oldest index" 1 (Adversary.View.oldest v);
+  Alcotest.(check int) "moved seq" 0 (Adversary.View.find_seq v 3);
+  Alcotest.(check int) "delivered seq" (-1) (Adversary.View.find_seq v 0)
 
 let test_fifo_chooses_oldest () =
   let rng = Abc_prng.Stream.root ~seed:0 in
-  let metas = [ meta ~seq:3 ~src:0 ~dst:1 (); meta ~seq:1 ~src:1 ~dst:2 () ] in
-  let v = view_of_list metas in
-  Alcotest.(check int) "fifo" 1 (choose_with Adversary.fifo ~rng ~now:0 v metas)
+  (* once seq 0 is delivered, seq 2 sits in slot 0 and seq 1 in slot 1 *)
+  Alcotest.(check int) "fifo" 1
+    (choose_with Adversary.fifo ~rng ~delivered:[ 0 ]
+       [ (0, 0, 1, 0); (1, 1, 2, 0); (2, 0, 1, 0) ])
 
 let test_latency_prefers_earliest_arrival () =
   let rng = Abc_prng.Stream.root ~seed:0 in
   let policy = Adversary.latency ~mean:5. in
-  let metas =
-    [ meta ~seq:1 ~src:0 ~dst:1 ~priority:50 (); meta ~seq:2 ~src:1 ~dst:2 ~priority:3 () ]
-  in
-  let v = view_of_list metas in
-  Alcotest.(check int) "min priority wins" 1 (choose_with policy ~rng ~now:0 v metas)
+  Alcotest.(check int) "min priority wins" 1
+    (choose_with policy ~rng [ (1, 0, 1, 50); (2, 1, 2, 3) ]);
+  (* a delivered heap top is skipped: seq 3, now in slot 1, is next *)
+  Alcotest.(check int) "delivered top skipped" 1
+    (choose_with policy ~rng ~delivered:[ 2 ]
+       [ (1, 0, 1, 50); (2, 1, 2, 3); (3, 2, 0, 9) ])
 
 let test_targeted_delay_starves_victim () =
   let rng = Abc_prng.Stream.root ~seed:0 in
   let policy = Adversary.targeted_delay ~victims:[ node 1 ] in
-  let metas = [ meta ~seq:1 ~src:0 ~dst:1 (); meta ~seq:2 ~src:0 ~dst:2 () ] in
-  let v = view_of_list metas in
-  Alcotest.(check int) "victim starved" 1 (choose_with policy ~rng ~now:0 v metas)
+  Alcotest.(check int) "victim starved" 1
+    (choose_with policy ~rng [ (1, 0, 1, 0); (2, 0, 2, 0) ])
 
 let test_source_starve () =
   let rng = Abc_prng.Stream.root ~seed:0 in
   let policy = Adversary.source_starve ~victims:[ node 0 ] in
-  let metas = [ meta ~seq:1 ~src:0 ~dst:1 (); meta ~seq:2 ~src:1 ~dst:2 () ] in
-  let v = view_of_list metas in
   Alcotest.(check int) "victim's messages starved" 1
-    (choose_with policy ~rng ~now:0 v metas)
+    (choose_with policy ~rng [ (1, 0, 1, 0); (2, 1, 2, 0) ])
 
 let test_split_starves_cross_half () =
   let rng = Abc_prng.Stream.root ~seed:0 in
   let policy = Adversary.split ~n:4 in
-  let metas =
-    [ meta ~seq:1 ~src:0 ~dst:3 (); (* cross-half *) meta ~seq:2 ~src:2 ~dst:3 () ]
-  in
-  let v = view_of_list metas in
-  Alcotest.(check int) "same-half preferred" 1 (choose_with policy ~rng ~now:0 v metas)
+  (* seq 1 crosses the halves *)
+  Alcotest.(check int) "same-half preferred" 1
+    (choose_with policy ~rng [ (1, 0, 3, 0); (2, 2, 3, 0) ])
 
 let test_fairness_overrides_starvation () =
   (* Under targeted-delay the victim must still terminate thanks to the
@@ -517,13 +621,10 @@ let test_rotating_eclipse_completes () =
 let test_rotating_eclipse_starves_current_victim () =
   let rng = Abc_prng.Stream.root ~seed:0 in
   let policy = Adversary.rotating_eclipse ~n:3 ~period:100 in
-  let instance = policy.Adversary.instantiate () in
   (* Two messages: one to the initial victim (node 0), one to node 1:
      the non-victim message must be chosen first. *)
-  let metas = [ meta ~seq:1 ~src:2 ~dst:0 (); meta ~seq:2 ~src:2 ~dst:1 () ] in
-  let v = view_of_list metas in
-  List.iter instance.Adversary.note metas;
-  Alcotest.(check int) "avoids victim" 1 (instance.Adversary.choose ~rng ~now:0 v)
+  Alcotest.(check int) "avoids victim" 1
+    (choose_with policy ~rng [ (1, 2, 0, 0); (2, 2, 1, 0) ])
 
 (* Link faults: deterministic drop/dup/partition plans *)
 
@@ -925,6 +1026,7 @@ let () =
           Alcotest.test_case "reuse after recycle" `Quick
             test_arena_reuse_after_recycle;
           Alcotest.test_case "oldest cursor" `Quick test_arena_oldest_cursor;
+          QCheck_alcotest.to_alcotest prop_arena_model;
         ] );
       ( "behaviours",
         [
