@@ -21,9 +21,8 @@ let key t = t.key
 let[@inline] bits64 t = Xoshiro256.next t.gen
 
 (* Rejection sampling on the low 62 bits keeps the draw unbiased for
-   any bound representable as a non-negative OCaml int.  Those bits
-   are exactly [max_int]'s, so the draw stays in unboxed [int]
-   arithmetic. *)
+   any bound representable as a non-negative OCaml int.  [max_int] is
+   that 62-bit mask, so the draw stays in unboxed [int] arithmetic. *)
 let int t ~bound =
   assert (bound > 0);
   let limit = max_int - (max_int mod bound) in

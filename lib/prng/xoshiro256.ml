@@ -1,6 +1,6 @@
 (* The 256-bit state s0..s3 lives in one 32-byte buffer, read and
-   written with unboxed 64-bit loads and stores: [next] allocates
-   nothing, where four mutable [int64] fields box every store. *)
+   written with unboxed 64-bit loads and stores, so [next] allocates
+   nothing: a mutable [int64] record field would box every store. *)
 type t = Bytes.t
 
 let[@inline] get t i = Bytes.get_int64_ne t (8 * i)
