@@ -664,10 +664,15 @@ module Ledger = Subject (Ledger_args)
 (* ---- trace decoder totality ---- *)
 
 (* Mutations of test/golden/dup_trace.jsonl.  [Trace_file.of_string]
-   must never raise on any of them, and every [Error] must say where:
-   [header: ...] or [line N: ...].  Unknown fields alone must not change
-   what decodes. *)
+   must never raise on any of them, and must agree with [reference], a
+   decoder restated over [Json.of_string] line by line: the same
+   header and entries, or two errors that say the same place
+   ([header: ...] or [line N: ...]).  Edits that keep the meaning
+   (whitespace between tokens, [\u] escapes, reordered fields, a field
+   repeated after its first occurrence, unknown fields) must decode to
+   the golden's entries. *)
 module Json = Abc_sim.Json
+module Event = Abc_sim.Event
 module Trace = Abc_sim.Trace
 module Trace_file = Abc_sim.Trace_file
 
@@ -681,6 +686,12 @@ type mutation =
   | Drop_field of int * int  (** line, field index *)
   | Add_field of int * int * int  (** line, position, extra-value index *)
   | Retype of int * int * int  (** line, field index, extra-value index *)
+  | Space of int * int * int  (** line, token boundary, whitespace index *)
+  | Escape of int * int * bool  (** line, string byte, upper-case hex *)
+  | Repeat_after of int * int * int  (** line, field, gap: a copy with another value after it *)
+  | Repeat_before of int * int  (** line, field: a copy with another value just before it *)
+  | Reorder of int * int  (** line, rotation *)
+  | Int_form of int * int * int  (** line, number lexeme, rewrite *)
 
 let extra_values =
   [|
@@ -694,24 +705,51 @@ let extra_values =
     Json.List [];
   |]
 
+let whitespace = [| " "; "\t"; "\r"; " \t\r  " |]
+
+(* An int lexeme rewritten: a leading [+], leading zeros, 19 digits
+   (zero-padded, [max_int], [max_int + 1]), an exponent, a fraction. *)
+let int_forms = 8
+
+let int_form lexeme form =
+  let sign, digits =
+    if String.length lexeme > 0 && Char.equal lexeme.[0] '-' then
+      ("-", String.sub lexeme 1 (String.length lexeme - 1))
+    else ("", lexeme)
+  in
+  match form with
+  | 0 -> "+" ^ lexeme
+  | 1 -> sign ^ "00" ^ digits
+  | 2 -> sign ^ String.make (max 0 (19 - String.length digits)) '0' ^ digits
+  | 3 -> string_of_int max_int
+  | 4 -> "4611686018427387904"
+  | 5 -> lexeme ^ "e0"
+  | 6 -> lexeme ^ ".0"
+  | _ -> lexeme ^ "E+1"
+
 let mutation_gen =
   let size = String.length (Lazy.force golden_trace) in
   QCheck.Gen.(
-    let line = int_range 0 1200 in
+    (* one edit in ten lands on the header *)
+    let line = frequency [ (1, return 0); (9, int_range 1 1200) ] in
+    let extra = int_range 0 (Array.length extra_values - 1) in
     list_size (int_range 1 3)
       (oneof
          [
            map (fun k -> Truncate k) (int_range 0 size);
            map2 (fun k v -> Flip (k, v)) (int_range 0 (size - 1)) (int_range 0 255);
            map2 (fun l j -> Drop_field (l, j)) line (int_range 0 12);
+           map3 (fun l j v -> Add_field (l, j, v)) line (int_range 0 12) extra;
+           map3 (fun l j v -> Retype (l, j, v)) line (int_range 0 12) extra;
            map3
-             (fun l j v -> Add_field (l, j, v))
-             line (int_range 0 12)
-             (int_range 0 (Array.length extra_values - 1));
-           map3
-             (fun l j v -> Retype (l, j, v))
-             line (int_range 0 12)
-             (int_range 0 (Array.length extra_values - 1));
+             (fun l k w -> Space (l, k, w))
+             line (int_range 0 40)
+             (int_range 0 (Array.length whitespace - 1));
+           map3 (fun l k upper -> Escape (l, k, upper)) line (int_range 0 120) bool;
+           map3 (fun l j g -> Repeat_after (l, j, g)) line (int_range 0 12) (int_range 0 12);
+           map2 (fun l j -> Repeat_before (l, j)) line (int_range 0 12);
+           map2 (fun l k -> Reorder (l, k)) line (int_range 1 12);
+           map3 (fun l k form -> Int_form (l, k, form)) line (int_range 0 12) (int_range 0 (int_forms - 1));
          ]))
 
 let print_mutation = function
@@ -720,22 +758,80 @@ let print_mutation = function
   | Drop_field (l, j) -> Printf.sprintf "drop %d.%d" l j
   | Add_field (l, j, v) -> Printf.sprintf "add %d.%d=%d" l j v
   | Retype (l, j, v) -> Printf.sprintf "retype %d.%d=%d" l j v
+  | Space (l, k, w) -> Printf.sprintf "space %d.%d=%S" l k whitespace.(w)
+  | Escape (l, k, upper) -> Printf.sprintf "escape %d.%d%s" l k (if upper then " upper" else "")
+  | Repeat_after (l, j, g) -> Printf.sprintf "repeat %d.%d+%d" l j g
+  | Repeat_before (l, j) -> Printf.sprintf "repeat %d.%d first" l j
+  | Reorder (l, k) -> Printf.sprintf "rotate %d by %d" l k
+  | Int_form (l, k, form) -> Printf.sprintf "int %d.%d form %d" l k form
 
 let print_mutations ms = "[" ^ String.concat "; " (List.map print_mutation ms) ^ "]"
+
+let keeps_meaning = function
+  | Add_field _ | Space _ | Escape _ | Repeat_after _ | Reorder _ -> true
+  | Truncate _ | Flip _ | Drop_field _ | Retype _ | Repeat_before _ | Int_form _ -> false
+
+(* Rewrites line [l] of [text] with [f]. *)
+let map_line text l f =
+  let lines = String.split_on_char '\n' text in
+  String.concat "\n"
+    (List.mapi (fun i line -> if i <> l mod List.length lines then line else f line) lines)
 
 (* Rewrites one line's object through [Json]; a line that is not an
    object (already mangled) is left alone. *)
 let edit_line text l f =
-  let lines = String.split_on_char '\n' text in
-  String.concat "\n"
-    (List.mapi
-       (fun i line ->
-         if i <> l mod List.length lines then line
-         else
-           match Json.of_string line with
-           | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
-           | Ok _ | Error _ -> line)
-       lines)
+  map_line text l (fun line ->
+      match Json.of_string line with
+      | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (f fields))
+      | Ok _ | Error _ -> line)
+
+(* The raw bytes of a line, outside [Json]: the offsets of structural
+   characters outside strings, of the string bytes that are not part
+   of an escape, and of the number lexemes, as (start, stop). *)
+let scan_raw line =
+  let structural = ref [] and plain = ref [] and numbers = ref [] in
+  let len = String.length line in
+  let in_string = ref false and escape = ref 0 and i = ref 0 in
+  while !i < len do
+    let c = line.[!i] in
+    if !in_string then begin
+      if !escape > 0 then begin
+        if !escape = 1 && Char.equal c 'u' then escape := 5;
+        decr escape
+      end
+      else if Char.equal c '\\' then escape := 1
+      else if Char.equal c '"' then in_string := false
+      else plain := !i :: !plain;
+      incr i
+    end
+    else begin
+      (match c with
+      | '"' -> in_string := true
+      | '{' | '}' | '[' | ']' | ':' | ',' -> structural := !i :: !structural
+      | _ -> ());
+      (match c with
+      | '0' .. '9' | '-' | '+' ->
+        let start = !i in
+        while
+          !i < len
+          && match line.[!i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+        do
+          incr i
+        done;
+        numbers := (start, !i) :: !numbers
+      | _ -> incr i)
+    end
+  done;
+  (List.rev !structural, List.rev !plain, List.rev !numbers)
+
+let nth_mod l k = List.nth l (k mod List.length l)
+
+(* A value of the same field that decodes differently. *)
+let other_value = function
+  | Json.Int i -> Json.Int (i + 1)
+  | Json.String s -> Json.String (s ^ "~")
+  | Json.Null -> Json.Bool true
+  | _ -> Json.Null
 
 let apply text = function
   | Truncate k -> String.sub text 0 (min k (String.length text))
@@ -759,6 +855,147 @@ let apply text = function
     edit_line text l (fun fields ->
         let j = j mod max 1 (List.length fields) in
         List.mapi (fun i (name, value) -> (name, if i = j then extra_values.(v) else value)) fields)
+  | Space (l, k, w) ->
+    map_line text l (fun line ->
+        match scan_raw line with
+        | [], _, _ -> line
+        | structural, _, _ ->
+          (* before or after a structural character *)
+          let at = nth_mod structural (k / 2) + (k mod 2) in
+          String.sub line 0 at ^ whitespace.(w) ^ String.sub line at (String.length line - at))
+  | Escape (l, k, upper) ->
+    map_line text l (fun line ->
+        match scan_raw line with
+        | _, [], _ -> line
+        | _, plain, _ ->
+          let at = nth_mod plain k in
+          let code = Char.code line.[at] in
+          String.sub line 0 at
+          ^ (if upper then Printf.sprintf "\\u%04X" code else Printf.sprintf "\\u%04x" code)
+          ^ String.sub line (at + 1) (String.length line - at - 1))
+  | Repeat_after (l, j, g) ->
+    edit_line text l (fun fields ->
+        match fields with
+        | [] -> fields
+        | _ ->
+          let len = List.length fields in
+          let j = j mod len in
+          let at = j + 1 + (g mod (len - j)) in
+          let name, value = List.nth fields j in
+          List.filteri (fun i _ -> i < at) fields
+          @ ((name, other_value value) :: List.filteri (fun i _ -> i >= at) fields))
+  | Repeat_before (l, j) ->
+    edit_line text l (fun fields ->
+        match fields with
+        | [] -> fields
+        | _ ->
+          let j = j mod List.length fields in
+          let name, value = List.nth fields j in
+          List.filteri (fun i _ -> i < j) fields
+          @ ((name, other_value value) :: List.filteri (fun i _ -> i >= j) fields))
+  | Reorder (l, k) ->
+    edit_line text l (fun fields ->
+        let names = List.map fst fields in
+        (* a repeated key stays behind its first occurrence *)
+        if List.length (List.sort_uniq String.compare names) < List.length names then fields
+        else
+          let k = k mod max 1 (List.length fields) in
+          List.filteri (fun i _ -> i >= k) fields @ List.filteri (fun i _ -> i < k) fields)
+  | Int_form (l, k, form) ->
+    map_line text l (fun line ->
+        match scan_raw line with
+        | _, _, [] -> line
+        | _, _, numbers ->
+          let start, stop = nth_mod numbers k in
+          String.sub line 0 start
+          ^ int_form (String.sub line start (stop - start)) form
+          ^ String.sub line stop (String.length line - stop))
+
+(* The reference decoder: each line through [Json.of_string], fields
+   looked up with [List.assoc_opt] (the first of a repeated key wins). *)
+exception Bad of string
+
+let reference_header line =
+  match Json.of_string line with
+  | Error m -> Error m
+  | Ok json -> (
+    match (Json.member "schema" json, Json.member "version" json) with
+    | Some (Json.String "abc.trace"), Some (Json.Int version) when version <= Trace.schema_version ->
+      let count name = match Json.member name json with Some (Json.Int i) -> i | _ -> 0 in
+      let meta = match Json.member "meta" json with Some (Json.Obj fields) -> fields | _ -> [] in
+      Ok (version, count "recorded", count "dropped", meta)
+    | _ -> Error "not a readable abc.trace header")
+
+let reference_entry fields =
+  let find name = List.assoc_opt name fields in
+  let int name = match find name with Some (Json.Int i) -> i | _ -> raise (Bad name) in
+  let str name = match find name with Some (Json.String s) -> s | _ -> raise (Bad name) in
+  let int_or name default =
+    match find name with None -> default | Some (Json.Int i) -> i | Some _ -> raise (Bad name)
+  in
+  let str_or name default =
+    match find name with None -> default | Some (Json.String s) -> s | Some _ -> raise (Bad name)
+  in
+  let time = int "t" and node = int "node" and kind_name = str "kind" in
+  let instance = str_or "instance" "" and round = int_or "round" (-1) in
+  let kind =
+    match kind_name with
+    | "send" ->
+      Event.Send
+        { dst = int "dst"; label = str "label"; detail = str_or "detail" ""; bytes = int_or "bytes" 0 }
+    | "deliver" ->
+      Event.Deliver
+        { src = int "src"; label = str "label"; detail = str_or "detail" ""; bytes = int_or "bytes" 0 }
+    | "quorum" ->
+      Event.Quorum { quorum = str "quorum"; count = int "count"; threshold = int "threshold" }
+    | "coin" -> Event.Coin_flip { value = int "value" }
+    | "round" -> Event.Round_advance
+    | "decide" -> Event.Decide { value = str "value" }
+    | "output" -> Event.Output { label = str "label" }
+    | "note" -> Event.Note { tag = str "tag"; detail = str "detail" }
+    | "link-drop" ->
+      Event.Link_drop { src = int "src"; dst = int "dst"; label = str "label"; reason = str "reason" }
+    | "link-dup" -> Event.Link_dup { src = int "src"; dst = int "dst"; label = str "label" }
+    | "timer-set" -> Event.Timer_set { id = int "id"; due = int "due" }
+    | "timeout" -> Event.Timer_fire { id = int "id" }
+    | "retransmit" -> Event.Retransmit { dst = int "dst"; seq = int "seq" }
+    | "epoch-start" -> Event.Epoch_start { epoch = int "epoch" }
+    | "batch-proposed" ->
+      Event.Batch_proposed { epoch = int "epoch"; txs = int "txs"; bytes = int_or "bytes" 0 }
+    | "batch-committed" ->
+      Event.Batch_committed { epoch = int "epoch"; proposer = int "proposer"; txs = int "txs" }
+    | "tx-committed" -> Event.Tx_committed { epoch = int "epoch"; id = str "id" }
+    | "node-crashed" -> Event.Node_crash
+    | "node-recovered" -> Event.Node_recover
+    | "checkpoint-stable" -> Event.Checkpoint_stable { epoch = int "epoch"; len = int "len" }
+    | "state-transfer-start" -> Event.Transfer_start { have = int "have" }
+    | "state-transfer-done" -> Event.Transfer_done { epoch = int "epoch"; len = int "len" }
+    | _ -> raise (Bad "kind")
+  in
+  { Trace.time; node; event = Event.make ~instance ~round kind }
+
+let blank_line = String.for_all (function ' ' | '\t' | '\r' | '\012' -> true | _ -> false)
+
+let reference text =
+  match String.split_on_char '\n' text with
+  | [ "" ] | [] -> Error "header: empty trace file"
+  | header :: lines -> (
+    match reference_header header with
+    | Error m -> Error ("header: " ^ m)
+    | Ok (version, recorded, dropped, meta) ->
+      let rec entries lineno acc = function
+        | [] -> Ok { Trace_file.version; recorded; dropped; meta; entries = List.rev acc }
+        | line :: rest when blank_line line -> entries (lineno + 1) acc rest
+        | line :: rest -> (
+          match Json.of_string line with
+          | Ok (Json.Obj fields) -> (
+            match reference_entry fields with
+            | entry -> entries (lineno + 1) (entry :: acc) rest
+            | exception Bad name -> Error (Printf.sprintf "line %d: bad %S" lineno name))
+          | Ok _ -> Error (Printf.sprintf "line %d: not an object" lineno)
+          | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
+      in
+      entries 2 [] lines)
 
 let positioned msg =
   String.starts_with ~prefix:"header: " msg
@@ -769,32 +1006,44 @@ let positioned msg =
        i > 5 && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub msg 5 (i - 5))
      | None -> false
 
+(* [header:] or [line N:] *)
+let place msg = match String.index_opt msg ':' with Some i -> String.sub msg 0 i | None -> msg
+
 let same_entries (a : Trace_file.t) (b : Trace_file.t) =
   List.equal
     (fun (x : Trace.entry) (y : Trace.entry) ->
       x.Trace.time = y.Trace.time && x.Trace.node = y.Trace.node
-      && Abc_sim.Event.equal x.Trace.event y.Trace.event)
+      && Event.equal x.Trace.event y.Trace.event)
     a.Trace_file.entries b.Trace_file.entries
 
-let decoder_total mutations =
+let same_file (a : Trace_file.t) (b : Trace_file.t) =
+  a.Trace_file.version = b.Trace_file.version
+  && a.Trace_file.recorded = b.Trace_file.recorded
+  && a.Trace_file.dropped = b.Trace_file.dropped
+  && List.equal
+       (fun (k, v) (k', v') -> String.equal k k' && Json.equal v v')
+       a.Trace_file.meta b.Trace_file.meta
+  && same_entries a b
+
+let decoder_agrees mutations =
   let golden = Lazy.force golden_trace in
   let text = List.fold_left apply golden mutations in
-  let only_additions =
-    List.for_all (function Add_field _ -> true | _ -> false) mutations
-  in
   match Trace_file.of_string text with
   | exception _ -> false
-  | Error msg -> positioned msg && not only_additions
-  | Ok file -> (
-    (not only_additions)
-    ||
-    match Trace_file.of_string golden with
-    | Ok reference -> same_entries reference file
-    | Error _ -> false)
+  | decoded -> (
+    (match (decoded, reference text) with
+    | Ok a, Ok b -> same_file a b
+    | Error m, Error m' -> positioned m && String.equal (place m) (place m')
+    | Ok _, Error _ | Error _, Ok _ -> false)
+    && ((not (List.for_all keeps_meaning mutations))
+       ||
+       match (decoded, Trace_file.of_string golden) with
+       | Ok file, Ok reference -> same_entries reference file
+       | _ -> false))
 
 let trace_decoder_test =
-  campaign ~name:"trace decoder: total on mutated JSONL" ~count:400 mutation_gen
-    print_mutations decoder_total
+  campaign ~name:"trace decoder: total on mutated JSONL" ~count:600 mutation_gen
+    print_mutations decoder_agrees
 
 (* ---- registry token decoders ---- *)
 
