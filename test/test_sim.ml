@@ -142,6 +142,49 @@ let test_trace_eviction () =
     [ "3"; "4"; "5" ]
     (List.map note_detail (Trace.to_list t))
 
+(* The ring against a list model that keeps the last [capacity]
+   entries, checked after every record, before and after the ring
+   wraps; the JSONL export must decode back to the model. *)
+let prop_trace_ring_model =
+  let gen =
+    QCheck.Gen.(
+      let* capacity = oneof [ oneofl [ 1; 2; 4; 8; 16; 32; 64 ]; int_range 1 70 ] in
+      let* records = int_range 0 (4 * capacity) in
+      return (capacity, records))
+  in
+  QCheck.Test.make ~name:"ring agrees with a last-capacity list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair int int) gen)
+    (fun (capacity, records) ->
+      let t = Trace.create ~capacity () in
+      let entry i : Trace.entry =
+        let kind =
+          match i mod 3 with
+          | 0 -> Abc_sim.Event.Send { dst = i mod 7; label = "m"; detail = string_of_int i; bytes = i }
+          | 1 -> Abc_sim.Event.Coin_flip { value = i }
+          | _ -> Abc_sim.Event.Note { tag = "n"; detail = string_of_int i }
+        in
+        { Trace.time = i; node = (i mod 5) - 1; event = Abc_sim.Event.make kind }
+      in
+      let same (a : Trace.entry) (b : Trace.entry) =
+        a.Trace.time = b.Trace.time && a.Trace.node = b.Trace.node
+        && Abc_sim.Event.equal a.Trace.event b.Trace.event
+      in
+      let model = ref [] in
+      for i = 1 to records do
+        let e = entry i in
+        Trace.record t ~time:e.Trace.time ~node:e.Trace.node e.Trace.event;
+        model := List.filteri (fun j _ -> j < capacity) (e :: !model);
+        let kept = List.length !model in
+        if
+          not
+            (Trace.length t = kept && Trace.recorded t = i && Trace.dropped t = i - kept
+            && List.equal same (Trace.to_list t) (List.rev !model))
+        then QCheck.Test.fail_reportf "after record %d of %d (capacity %d)" i records capacity
+      done;
+      match Abc_sim.Trace_file.of_string (Trace.to_jsonl_string t) with
+      | Ok file -> List.equal same file.Abc_sim.Trace_file.entries (List.rev !model)
+      | Error m -> QCheck.Test.fail_reportf "reload: %s" m)
+
 let test_trace_find_kind () =
   let t = Trace.create () in
   let deliver src = Abc_sim.Event.Deliver { src; label = "m"; detail = ""; bytes = 0 } in
@@ -305,6 +348,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "eviction" `Quick test_trace_eviction;
           Alcotest.test_case "find_all" `Quick test_trace_find_kind;
+          QCheck_alcotest.to_alcotest prop_trace_ring_model;
         ] );
       ( "summary",
         [
