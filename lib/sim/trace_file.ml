@@ -6,6 +6,16 @@ type t = {
   entries : Trace.entry list;
 }
 
+let ( let* ) = Result.bind
+
+(* The header's counts are optional (the v3 literal in test/test_trace.ml
+   has no [retained]), but each must be an int when present. *)
+let count json name =
+  match Json.member name json with
+  | None -> Ok None
+  | Some (Json.Int i) -> Ok (Some i)
+  | Some _ -> Error (Printf.sprintf "header: %S is not an int" name)
+
 let parse_header line =
   let fail m = Error ("header: " ^ m) in
   match Json.of_string line with
@@ -20,16 +30,27 @@ let parse_header line =
       fail
         (Printf.sprintf "trace schema version %d is newer than supported %d"
            version Trace.schema_version)
-    | Some _, Some version ->
+    | Some _, Some version -> (
       let meta =
         match Option.bind (Json.member "meta" json) Json.to_obj with
         | Some fields -> fields
         | None -> []
       in
-      let field name =
-        Option.value ~default:0 (Json.int_member ~default:0 name json)
-      in
-      Ok (version, field "recorded", field "dropped", meta))
+      let* recorded = count json "recorded" in
+      let* retained = count json "retained" in
+      let* dropped = count json "dropped" in
+      match (recorded, retained, dropped) with
+      | Some r, Some k, Some d when r <> k + d ->
+        fail
+          (Printf.sprintf "\"recorded\" %d is not \"retained\" %d + \"dropped\" %d" r
+             k d)
+      | _ ->
+        Ok
+          ( version,
+            Option.value ~default:0 recorded,
+            retained,
+            Option.value ~default:0 dropped,
+            meta )))
 
 (* ----------------------------------------------------------------- *)
 (* Entry lines, decoded in place                                     *)
@@ -236,7 +257,7 @@ let of_string text =
     let header_end = line_end text 0 in
     match parse_header (String.sub text 0 header_end) with
     | Error _ as e -> e
-    | Ok (version, recorded, dropped, meta) ->
+    | Ok (version, recorded, retained, dropped, meta) ->
       let s = slots () in
       let rec lines pos lineno acc =
         if pos >= len then Ok (List.rev acc)
@@ -249,9 +270,14 @@ let of_string text =
             | exception (Bad m | Json.Parse_error m) ->
               Error (Printf.sprintf "line %d: %s" lineno m)
       in
-      Result.map
-        (fun entries -> { version; recorded; dropped; meta; entries })
-        (lines (header_end + 1) 2 [])
+      let* entries = lines (header_end + 1) 2 [] in
+      match retained with
+      | Some k when k <> List.length entries ->
+        (* a file cut at a line boundary still parses line by line *)
+        Error
+          (Printf.sprintf "header: \"retained\" is %d, but the file has %d entries" k
+             (List.length entries))
+      | _ -> Ok { version; recorded; dropped; meta; entries }
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -25,8 +25,10 @@ val of_string : string -> (t, string) result
     unknown fields of any JSON type are skipped.  Total: malformed
     input is an [Error], never an exception.  The message starts with
     [header: ] for a bad header (malformed JSON, unknown schema,
-    version newer than {!Trace.schema_version}) and with [line N: ]
-    for a bad entry. *)
+    version newer than {!Trace.schema_version}, a count that is not an
+    int, [recorded <> retained + dropped], or a [retained] count that
+    differs from the number of entry lines, as in a cut file) and with
+    [line N: ] for a bad entry. *)
 
 val meta_int : t -> string -> int option
 (** [meta_int t name] reads an integer run-metadata field (["n"],

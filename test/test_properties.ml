@@ -920,10 +920,21 @@ let reference_header line =
   | Error m -> Error m
   | Ok json -> (
     match (Json.member "schema" json, Json.member "version" json) with
-    | Some (Json.String "abc.trace"), Some (Json.Int version) when version <= Trace.schema_version ->
-      let count name = match Json.member name json with Some (Json.Int i) -> i | _ -> 0 in
+    | Some (Json.String "abc.trace"), Some (Json.Int version) when version <= Trace.schema_version -> (
+      (* a count is optional but an int, and the three must add up *)
+      let count name =
+        match Json.member name json with
+        | None -> Some None
+        | Some (Json.Int i) -> Some (Some i)
+        | Some _ -> None
+      in
       let meta = match Json.member "meta" json with Some (Json.Obj fields) -> fields | _ -> [] in
-      Ok (version, count "recorded", count "dropped", meta)
+      match (count "recorded", count "retained", count "dropped") with
+      | Some (Some r), Some (Some k), Some (Some d) when r <> k + d -> Error "counts do not add up"
+      | Some recorded, Some retained, Some dropped ->
+        let zero = Option.value ~default:0 in
+        Ok (version, zero recorded, retained, zero dropped, meta)
+      | _ -> Error "a count is not an int")
     | _ -> Error "not a readable abc.trace header")
 
 let reference_entry fields =
@@ -982,9 +993,12 @@ let reference text =
   | header :: lines -> (
     match reference_header header with
     | Error m -> Error ("header: " ^ m)
-    | Ok (version, recorded, dropped, meta) ->
+    | Ok (version, recorded, retained, dropped, meta) ->
       let rec entries lineno acc = function
-        | [] -> Ok { Trace_file.version; recorded; dropped; meta; entries = List.rev acc }
+        | [] -> (
+          match retained with
+          | Some k when k <> List.length acc -> Error "header: retained is not the entry count"
+          | _ -> Ok { Trace_file.version; recorded; dropped; meta; entries = List.rev acc })
         | line :: rest when blank_line line -> entries (lineno + 1) acc rest
         | line :: rest -> (
           match Json.of_string line with

@@ -171,6 +171,43 @@ let test_v4_file_still_loads () =
     Alcotest.(check int) "version" 4 file.Trace_file.version;
     Alcotest.(check int) "entries" 3 (List.length file.Trace_file.entries)
 
+(* The header's counts catch a file cut at a line boundary and a
+   mistyped count: each is a [header: ] error naming the field.  (The
+   v3 literal above, with no [retained], still loads.) *)
+let test_header_counts () =
+  let golden = In_channel.with_open_bin "golden/dup_trace.jsonl" In_channel.input_all in
+  let rejected name text ~field =
+    match Trace_file.of_string text with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S is a header error naming %s" name msg field)
+        true
+        (String.starts_with ~prefix:"header: " msg
+        && Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) msg)
+  in
+  (* head -n 500: the header and 499 entries of 1114 *)
+  let head text =
+    String.concat "\n" (List.filteri (fun i _ -> i < 500) (String.split_on_char '\n' text))
+  in
+  rejected "cut file" (head golden) ~field:"retained";
+  rejected "cut file, trailing newline" (head golden ^ "\n") ~field:"retained";
+  let replace ~sub ~by =
+    match Astring.String.cut ~sep:sub golden with
+    | Some (before, after) -> before ^ by ^ after
+    | None -> Alcotest.failf "no %S in the golden header" sub
+  in
+  rejected "retyped recorded" (replace ~sub:"\"recorded\":1114" ~by:"\"recorded\":\"x\"")
+    ~field:"recorded";
+  rejected "fractional dropped" (replace ~sub:"\"dropped\":0" ~by:"\"dropped\":0.0")
+    ~field:"dropped";
+  rejected "counts do not add up" (replace ~sub:"\"dropped\":0" ~by:"\"dropped\":3")
+    ~field:"recorded";
+  (* without [retained], neither count rule applies *)
+  match Trace_file.of_string (head (replace ~sub:"\"retained\":1114," ~by:"")) with
+  | Ok file -> Alcotest.(check int) "no retained: cut file loads" 499 (List.length file.Trace_file.entries)
+  | Error msg -> Alcotest.fail msg
+
 (* ---- summary/timeline node and epoch filters ---- *)
 
 let test_report_filters () =
@@ -353,6 +390,7 @@ let () =
             test_v3_file_still_loads;
           Alcotest.test_case "v4 file still loads" `Quick
             test_v4_file_still_loads;
+          Alcotest.test_case "header counts checked" `Quick test_header_counts;
           Alcotest.test_case "report filters" `Quick test_report_filters;
         ] );
       ( "eviction",
