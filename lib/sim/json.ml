@@ -78,28 +78,42 @@ let parse_error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
 (* A window [start, stop) of [text]; offsets in messages are relative to
    [start], so a line scanned in place reports the same offsets as the
-   line parsed on its own. *)
-type cursor = { text : string; mutable pos : int; start : int; stop : int }
+   line parsed on its own.  [scanned] holds what {!skip} last found:
+   an integer, or a string literal's offset. *)
+type cursor = {
+  text : string;
+  mutable pos : int;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;
+}
 
-let cursor text ~start ~stop = { text; pos = start; start; stop }
+let cursor text ~start ~stop = { text; pos = start; start; stop; scanned = 0 }
 
-let offset c = c.pos - c.start
+let window c ~start ~stop =
+  c.pos <- start;
+  c.start <- start;
+  c.stop <- stop
 
-let peek c = if c.pos < c.stop then c.text.[c.pos] else '\000'
+let[@inline] offset c = c.pos - c.start
 
-let advance c = c.pos <- c.pos + 1
+let[@inline] peek c = if c.pos < c.stop then c.text.[c.pos] else '\000'
 
-let skip_ws c =
+let[@inline] advance c = c.pos <- c.pos + 1
+
+let[@inline] skip_ws c =
+  let i = ref c.pos in
   while
-    c.pos < c.stop
-    && match c.text.[c.pos] with
+    !i < c.stop
+    && match c.text.[!i] with
        | ' ' | '\t' | '\n' | '\r' -> true
        | _ -> false
   do
-    advance c
-  done
+    incr i
+  done;
+  c.pos <- !i
 
-let expect c ch =
+let[@inline] expect c ch =
   if c.pos >= c.stop then
     parse_error "expected %c at offset %d, got end of input" ch (offset c)
   else if c.text.[c.pos] = ch then advance c
@@ -107,10 +121,11 @@ let expect c ch =
 
 let parse_literal c word value =
   let len = String.length word in
-  let rec matches i =
-    i = len || (Char.equal c.text.[c.pos + i] word.[i] && matches (i + 1))
-  in
-  if c.pos + len <= c.stop && matches 0 then begin
+  let i = ref 0 in
+  while !i < len && c.pos + !i < c.stop && Char.equal c.text.[c.pos + !i] word.[!i] do
+    incr i
+  done;
+  if !i = len then begin
     c.pos <- c.pos + len;
     value
   end
@@ -164,7 +179,11 @@ let rec string_escaped c buffer =
     advance c;
     string_escaped c buffer
 
-let string c =
+(* Scans a string literal from its opening quote at [c] up to its
+   closing quote or its first backslash, and returns the offset of its
+   first byte.  [c] is left on the quote or backslash: the literal has
+   no escape iff [c] is on a quote. *)
+let literal_start c =
   expect c '"';
   let first = c.pos in
   let i = ref first in
@@ -174,73 +193,282 @@ let string c =
   do
     incr i
   done;
-  if !i < c.stop && Char.equal c.text.[!i] '"' then begin
+  c.pos <- !i;
+  first
+
+let[@inline] plain c = c.pos < c.stop && Char.equal c.text.[c.pos] '"'
+
+(* The escaped tail of a literal whose first [first] bytes are plain;
+   [c] is on the backslash. *)
+let escaped_from c first =
+  let buffer = Buffer.create (max 16 (2 * (c.pos - first))) in
+  Buffer.add_substring buffer c.text first (c.pos - first);
+  string_escaped c buffer
+
+let string c =
+  let first = literal_start c in
+  if plain c then begin
     (* No escape: the literal is a plain slice of the text. *)
-    c.pos <- !i + 1;
-    String.sub c.text first (!i - first)
+    advance c;
+    String.sub c.text first (c.pos - 1 - first)
   end
-  else begin
-    let buffer = Buffer.create (max 16 (2 * (!i - first))) in
-    Buffer.add_substring buffer c.text first (!i - first);
-    c.pos <- !i;
-    string_escaped c buffer
+  else escaped_from c first
+
+(* Skips a string literal, checking its escapes. *)
+let skip_string c =
+  let first = literal_start c in
+  if plain c then advance c else ignore (escaped_from c first)
+
+(* Whether [s] equals [text]'s bytes [first, stop). *)
+let same_bytes s text first stop =
+  String.length s = stop - first
+  &&
+  let i = ref 0 in
+  while !i < String.length s && Char.equal s.[!i] text.[first + !i] do
+    incr i
+  done;
+  !i = String.length s
+
+(* ---- names matched in place ---- *)
+
+(* Open addressing over a power-of-two table of indices into [keys],
+   -1 marking a free slot, at most a quarter full.  A name's slot
+   comes from its length and end bytes alone, so finding it costs no
+   pass over the name beyond the comparison. *)
+type names = { keys : string array; slots : int array; mask : int }
+
+let[@inline] name_hash text first stop =
+  if stop = first then 0
+  else ((stop - first) * 7) + (Char.code text.[first] * 3) + (Char.code text.[stop - 1] * 5)
+
+let probe t text first stop =
+  let i = ref (name_hash text first stop land t.mask) in
+  while t.slots.(!i) >= 0 && not (same_bytes t.keys.(t.slots.(!i)) text first stop) do
+    i := (!i + 1) land t.mask
+  done;
+  t.slots.(!i)
+
+let names keys =
+  let size = ref 4 in
+  while !size < 4 * Array.length keys do
+    size := 2 * !size
+  done;
+  let t = { keys; slots = Array.make !size (-1); mask = !size - 1 } in
+  Array.iteri
+    (fun k key ->
+      let i = ref (name_hash key 0 (String.length key) land t.mask) in
+      while t.slots.(!i) >= 0 do
+        i := (!i + 1) land t.mask
+      done;
+      t.slots.(!i) <- k)
+    keys;
+  t
+
+(* The index in [t] of the literal at [c], consumed; an escaped
+   literal is decoded first. *)
+let index c t =
+  let first = literal_start c in
+  if plain c then begin
+    advance c;
+    probe t c.text first (c.pos - 1)
   end
+  else
+    let name = escaped_from c first in
+    probe t name 0 (String.length name)
+
+let index_at c t at =
+  c.pos <- at;
+  index c t
+
+(* ---- strings shared through a cache ---- *)
+
+(* Direct-mapped: a slot holds the last string decoded there. *)
+type string_cache = string array
+
+let cache_slots = 256
+
+let string_cache () = Array.make cache_slots ""
+
+(* The slot of [text]'s bytes [first, stop): a hash of their length and
+   of up to 24 of them, read eight at a time, which covers every byte
+   of a label, an instance or a detail of up to 24 bytes. *)
+let cache_slot text first stop =
+  let len = stop - first in
+  let h =
+    if len < 8 then begin
+      let h = ref len in
+      for i = first to stop - 1 do
+        h := (!h * 31) + Char.code text.[i]
+      done;
+      !h
+    end
+    else
+      (Int64.to_int (String.get_int64_le text first) * 31)
+      + (Int64.to_int (String.get_int64_le text (first + ((len - 8) / 2))) * 17)
+      + Int64.to_int (String.get_int64_le text (stop - 8))
+      + len
+  in
+  let h = h * 0x9e3779b1 in
+  (h lxor (h lsr 29)) land (cache_slots - 1)
+
+let string_at c cache at =
+  c.pos <- at;
+  let first = literal_start c in
+  if plain c then begin
+    let stop = c.pos in
+    advance c;
+    let slot = cache_slot c.text first stop in
+    let s = cache.(slot) in
+    if same_bytes s c.text first stop then s
+    else begin
+      let s = String.sub c.text first (stop - first) in
+      cache.(slot) <- s;
+      s
+    end
+  end
+  else escaped_from c first
+
+(* ---- numbers ---- *)
 
 let is_num_char = function
   | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
   | _ -> false
 
-let number c =
+(* Scans a number's characters from [c]; [true] when they form an
+   integer, left in [c.scanned].  A plain decimal of up to 18 digits is
+   read in place; anything else is what [int_of_string] reads (a
+   leading [+], leading zeros, up to [max_int]). *)
+let scan_int c =
   let start = c.pos in
-  while c.pos < c.stop && is_num_char (c.text.[c.pos]) do
-    advance c
-  done;
-  let len = c.pos - start in
-  (* Fast path: a plain decimal integer short enough not to overflow. *)
-  let negative = len > 0 && Char.equal c.text.[start] '-' in
+  let negative = start < c.stop && Char.equal c.text.[start] '-' in
   let first = if negative then start + 1 else start in
-  let rec digits i acc =
-    if i = c.pos then Some acc
-    else
-      match c.text.[i] with
-      | '0' .. '9' as d -> digits (i + 1) ((acc * 10) + Char.code d - 48)
-      | _ -> None
-  in
-  match if c.pos > first && c.pos - first <= 18 then digits first 0 else None with
-  | Some v -> Int (if negative then -v else v)
-  | None -> (
-    let s = String.sub c.text start len in
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with
-      | Some v -> Float v
-      | None -> parse_error "bad number %S at offset %d" s (start - c.start)))
+  let acc = ref 0 and i = ref first in
+  while
+    !i < c.stop && match c.text.[!i] with '0' .. '9' -> true | _ -> false
+  do
+    acc := (!acc * 10) + Char.code c.text.[!i] - 48;
+    incr i
+  done;
+  if !i > first && !i - first <= 18 && not (!i < c.stop && is_num_char c.text.[!i])
+  then begin
+    c.pos <- !i;
+    c.scanned <- (if negative then - !acc else !acc);
+    true
+  end
+  else begin
+    c.pos <- !i;
+    while c.pos < c.stop && is_num_char c.text.[c.pos] do
+      advance c
+    done;
+    match int_of_string_opt (String.sub c.text start (c.pos - start)) with
+    | Some v ->
+      c.scanned <- v;
+      true
+    | None -> false
+  end
 
-let fields c f =
+(* The number [c] has just scanned from [start], which is not an
+   integer. *)
+let float_from c start =
+  let s = String.sub c.text start (c.pos - start) in
+  match float_of_string_opt s with
+  | Some v -> v
+  | None -> parse_error "bad number %S at offset %d" s (start - c.start)
+
+(* ---- objects, arrays and values ---- *)
+
+let first_field c =
   skip_ws c;
   expect c '{';
   skip_ws c;
-  if Char.equal (peek c) '}' then advance c
-  else begin
-    let rec loop () =
-      skip_ws c;
-      let name = string c in
-      skip_ws c;
-      expect c ':';
-      skip_ws c;
-      f name;
-      skip_ws c;
-      if c.pos >= c.stop then parse_error "unterminated object at offset %d" (offset c);
-      match c.text.[c.pos] with
-      | ',' ->
-        advance c;
-        loop ()
-      | '}' -> advance c
-      | ch -> parse_error "expected , or } at offset %d, got %c" (offset c) ch
-    in
-    loop ()
+  if Char.equal (peek c) '}' then begin
+    advance c;
+    false
   end
+  else true
+
+let next_field c =
+  skip_ws c;
+  if c.pos >= c.stop then parse_error "unterminated object at offset %d" (offset c);
+  match c.text.[c.pos] with
+  | ',' ->
+    advance c;
+    true
+  | '}' ->
+    advance c;
+    false
+  | ch -> parse_error "expected , or } at offset %d, got %c" (offset c) ch
+
+(* The [:] after a name; the value's scan skips the whitespace after. *)
+let[@inline] colon c =
+  skip_ws c;
+  expect c ':'
+
+let key c t =
+  skip_ws c;
+  let k = index c t in
+  colon c;
+  k
+
+(* Scans an array's items with [item], from its [[]. *)
+let items c item =
+  advance c;
+  skip_ws c;
+  if Char.equal (peek c) ']' then advance c
+  else begin
+    let more = ref true in
+    while !more do
+      item c;
+      skip_ws c;
+      if c.pos >= c.stop then parse_error "unterminated array at offset %d" (offset c);
+      match c.text.[c.pos] with
+      | ',' -> advance c
+      | ']' ->
+        advance c;
+        more := false
+      | ch -> parse_error "expected , or ] at offset %d, got %c" (offset c) ch
+    done
+  end
+
+type value_kind = Int_value | String_value | Other_value
+
+let rec skip c =
+  skip_ws c;
+  if c.pos >= c.stop then parse_error "unexpected end of input at offset %d" (offset c);
+  match c.text.[c.pos] with
+  | '{' ->
+    if first_field c then begin
+      let more = ref true in
+      while !more do
+        skip_ws c;
+        skip_string c;
+        colon c;
+        ignore (skip c);
+        more := next_field c
+      done
+    end;
+    Other_value
+  | '[' ->
+    items c skip_item;
+    Other_value
+  | '"' ->
+    c.scanned <- c.pos;
+    skip_string c;
+    String_value
+  | 't' -> parse_literal c "true" Other_value
+  | 'f' -> parse_literal c "false" Other_value
+  | 'n' -> parse_literal c "null" Other_value
+  | _ ->
+    let start = c.pos in
+    if scan_int c then Int_value
+    else begin
+      ignore (float_from c start);
+      Other_value
+    end
+
+and skip_item c = ignore (skip c)
+
+let scanned c = c.scanned
 
 let rec value c =
   skip_ws c;
@@ -248,36 +476,28 @@ let rec value c =
   match c.text.[c.pos] with
   | '{' ->
     let acc = ref [] in
-    fields c (fun name -> acc := (name, value c) :: !acc);
+    if first_field c then begin
+      let more = ref true in
+      while !more do
+        skip_ws c;
+        let name = string c in
+        colon c;
+        acc := (name, value c) :: !acc;
+        more := next_field c
+      done
+    end;
     Obj (List.rev !acc)
   | '[' ->
-    advance c;
-    skip_ws c;
-    if Char.equal (peek c) ']' then begin
-      advance c;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = value c in
-        skip_ws c;
-        if c.pos >= c.stop then parse_error "unterminated array at offset %d" (offset c);
-        match c.text.[c.pos] with
-        | ',' ->
-          advance c;
-          items (v :: acc)
-        | ']' ->
-          advance c;
-          List.rev (v :: acc)
-        | ch -> parse_error "expected , or ] at offset %d, got %c" (offset c) ch
-      in
-      List (items [])
-    end
+    let acc = ref [] in
+    items c (fun c -> acc := value c :: !acc);
+    List (List.rev !acc)
   | '"' -> String (string c)
   | 't' -> parse_literal c "true" (Bool true)
   | 'f' -> parse_literal c "false" (Bool false)
   | 'n' -> parse_literal c "null" Null
-  | _ -> number c
+  | _ ->
+    let start = c.pos in
+    if scan_int c then Int c.scanned else Float (float_from c start)
 
 let finish c =
   skip_ws c;
@@ -309,15 +529,9 @@ let to_str = function String s -> Some s | _ -> None
 
 let to_obj = function Obj fields -> Some fields | _ -> None
 
-let int_member ?default name json =
-  match member name json with
-  | Some v -> to_int v
-  | None -> default
+let int_member name json = Option.bind (member name json) to_int
 
-let string_member ?default name json =
-  match member name json with
-  | Some v -> to_str v
-  | None -> default
+let string_member name json = Option.bind (member name json) to_str
 
 let rec equal a b =
   match (a, b) with

@@ -34,9 +34,11 @@ val of_string : string -> (t, string) result
 
     The primitives {!of_string} is built on, for decoders that read a
     document straight into their own types instead of through a [t]
-    tree.  Every primitive raises {!Parse_error} with the same
-    byte-offset diagnostic {!of_string} returns, and never reads
-    outside the cursor's window. *)
+    tree.  They build nothing but the strings they return, except on
+    rare forms: an escaped name, or a number that is not a plain
+    decimal integer of up to 18 digits.  Every primitive raises
+    {!Parse_error} with the same byte-offset diagnostic {!of_string}
+    returns, and never reads outside the cursor's window. *)
 
 type cursor
 (** A position in a window of a string. *)
@@ -47,14 +49,56 @@ val cursor : string -> start:int -> stop:int -> cursor
 (** [cursor text ~start ~stop] scans [text] from [start] up to, not
     including, [stop].  Offsets in messages are relative to [start]. *)
 
-val fields : cursor -> (string -> unit) -> unit
-(** [fields c f] scans one object.  For each field it calls [f name]
-    with [c] at the start of the field's value; [f] must consume
-    exactly that value. *)
+val window : cursor -> start:int -> stop:int -> unit
+(** [window c ~start ~stop] moves [c] to a new window of the same text,
+    as if it were [cursor text ~start ~stop]. *)
 
-val value : cursor -> t
-(** Scans one value of any type; a number is [Int] when it is an
-    integer, else [Float]. *)
+val first_field : cursor -> bool
+(** [first_field c] enters an object: it skips whitespace and the
+    [{], and is [false], with the closing [}] consumed, when the object
+    has no field. *)
+
+val next_field : cursor -> bool
+(** [next_field c], after a field's value, consumes the [,] before
+    the next field ([true]) or the object's closing [}] ([false]). *)
+
+type names
+(** A fixed table of strings, matched against literals in place. *)
+
+val names : string array -> names
+(** [names a] matches each string of [a] to its index. *)
+
+val key : cursor -> names -> int
+(** [key c table] scans a field's name and its [:]: the name's index in
+    [table], or [-1]. *)
+
+val index_at : cursor -> names -> int -> int
+(** [index_at c table at] is the index in [table] of the string
+    literal at offset [at] of the text (as {!scanned} gives it), or
+    [-1].  It moves [c]. *)
+
+type value_kind = Int_value | String_value | Other_value
+
+val skip : cursor -> value_kind
+(** [skip c] consumes one value of any type, checked as {!of_string}
+    checks it, and says what it was.  A number is an [Int_value] when
+    [int_of_string] reads it (a leading [+], leading zeros, up to
+    [max_int]). *)
+
+val scanned : cursor -> int
+(** What the last {!skip} found: the integer, or the string literal's
+    offset in the text, for {!string_at} and {!index_at}. *)
+
+type string_cache
+(** Decoded strings, kept so that equal literals share one copy. *)
+
+val string_cache : unit -> string_cache
+(** An empty cache of 256 strings. *)
+
+val string_at : cursor -> string_cache -> int -> string
+(** [string_at c cache at] decodes the string literal at offset [at] of
+    the text (as {!scanned} gives it), returning the cached copy when
+    it holds the same bytes.  It moves [c]. *)
 
 val finish : cursor -> unit
 (** Skips trailing whitespace; fails unless that ends the window. *)
@@ -75,13 +119,13 @@ val to_str : t -> string option
 val to_obj : t -> (string * t) list option
 (** [to_obj v] is the field list iff [v] is an object. *)
 
-val int_member : ?default:int -> string -> t -> int option
-(** [int_member name v] is the integer field [name]; [default] when the
-    field is absent (a present non-integer field is [None]). *)
+val int_member : string -> t -> int option
+(** [int_member name v] is the integer field [name]; [None] when the
+    field is absent or not an integer. *)
 
-val string_member : ?default:string -> string -> t -> string option
-(** [string_member name v] is the string field [name]; [default] when
-    the field is absent. *)
+val string_member : string -> t -> string option
+(** [string_member name v] is the string field [name]; [None] when the
+    field is absent or not a string. *)
 
 val equal : t -> t -> bool
 (** Structural equality (object fields must match in order). *)

@@ -56,38 +56,57 @@ let parse_header line =
 (* Entry lines, decoded in place                                     *)
 (* ----------------------------------------------------------------- *)
 
-(* Every key an entry of any kind may carry has a slot.  A line's
-   fields are scanned into the slots in whatever order they come; the
-   kind then picks the slots it needs.  Unknown keys, and repeats of a
-   key already seen, are skipped whatever their JSON type. *)
-let slot_of_key = function
-  | "t" -> 0
-  | "node" -> 1
-  | "kind" -> 2
-  | "instance" -> 3
-  | "round" -> 4
-  | "src" -> 5
-  | "dst" -> 6
-  | "label" -> 7
-  | "detail" -> 8
-  | "bytes" -> 9
-  | "quorum" -> 10
-  | "count" -> 11
-  | "threshold" -> 12
-  | "value" -> 13
-  | "tag" -> 14
-  | "reason" -> 15
-  | "id" -> 16
-  | "due" -> 17
-  | "seq" -> 18
-  | "epoch" -> 19
-  | "txs" -> 20
-  | "proposer" -> 21
-  | "len" -> 22
-  | "have" -> 23
-  | _ -> -1
+(* Every key an entry of any kind may carry has a slot, its index in
+   [Key.names].  A line's fields are scanned into the slots in whatever
+   order they come, an int as its value and a string as its literal's
+   offset, so that only the strings the entry's kind returns are ever
+   built.  Unknown keys, and repeats of a key already seen, are skipped
+   whatever their JSON type. *)
+module Key = struct
+  let names =
+    [|
+      "t"; "node"; "kind"; "instance"; "round"; "src"; "dst"; "label"; "detail"; "bytes";
+      "quorum"; "count"; "threshold"; "value"; "tag"; "reason"; "id"; "due"; "seq";
+      "epoch"; "txs"; "proposer"; "len"; "have";
+    |]
 
-let slot_count = 24
+  let table = Json.names names
+
+  let slots = Array.length names
+
+  (* Resolved once, when the module is initialised. *)
+  let slot name =
+    let rec find k = if String.equal names.(k) name then k else find (k + 1) in
+    find 0
+
+  let time = slot "t"
+  let node = slot "node"
+  let kind = slot "kind"
+  let instance = slot "instance"
+  let round = slot "round"
+  let src = slot "src"
+  let dst = slot "dst"
+  let label = slot "label"
+  let detail = slot "detail"
+  let bytes = slot "bytes"
+  let quorum = slot "quorum"
+  let count = slot "count"
+  let threshold = slot "threshold"
+  let value = slot "value"
+  let tag = slot "tag"
+  let reason = slot "reason"
+  let id = slot "id"
+  let due = slot "due"
+  let seq = slot "seq"
+  let epoch = slot "epoch"
+  let txs = slot "txs"
+  let proposer = slot "proposer"
+  let len = slot "len"
+  let have = slot "have"
+end
+
+(* The ["kind"] string is matched in place too, by ordinal. *)
+let kinds = Json.names (Array.init Event.kind_count Event.ord_label)
 
 (* What a slot holds for the current line. *)
 let absent = 0
@@ -95,160 +114,199 @@ let is_int = 1
 let is_string = 2
 let is_other = 3
 
-type slots = { held : int array; ints : int array; strings : string array }
-
-let slots () =
-  {
-    held = Array.make slot_count absent;
-    ints = Array.make slot_count 0;
-    strings = Array.make slot_count "";
-  }
+(* One decode's scratch state, made per call: a cursor moved from line
+   to line, the slots, and the cache that lets equal strings share one
+   copy. *)
+type scratch = {
+  c : Json.cursor;
+  held : int array;
+  ints : int array;  (* an int's value, or a string literal's offset *)
+  strings : Json.string_cache;
+  mutable line : int;  (* the line being decoded *)
+}
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let read_field s c name =
-  let k = slot_of_key name in
-  if k < 0 || s.held.(k) <> absent then ignore (Json.value c)
-  else
-    match Json.value c with
-    | Json.Int i ->
-      s.ints.(k) <- i;
-      s.held.(k) <- is_int
-    | Json.String v ->
-      s.strings.(k) <- v;
-      s.held.(k) <- is_string
-    | _ -> s.held.(k) <- is_other
-
-let int_field s name =
-  let k = slot_of_key name in
+let int_field s k =
   if s.held.(k) = is_int then s.ints.(k)
-  else bad "trace entry: missing or bad %S field" name
+  else bad "trace entry: missing or bad %S field" Key.names.(k)
 
-let string_field s name =
-  let k = slot_of_key name in
-  if s.held.(k) = is_string then s.strings.(k)
-  else bad "trace entry: missing or bad %S field" name
+let string_field s k =
+  if s.held.(k) = is_string then Json.string_at s.c s.strings s.ints.(k)
+  else bad "trace entry: missing or bad %S field" Key.names.(k)
 
 (* Optional fields default when absent (e.g. [bytes], added in v3, so
    v2 files still load) but must have the right type when present. *)
-let int_or s name ~default =
-  let k = slot_of_key name in
+let int_or s k ~default =
   let held = s.held.(k) in
   if held = absent then default
   else if held = is_int then s.ints.(k)
-  else bad "trace entry: bad %S field" name
+  else bad "trace entry: bad %S field" Key.names.(k)
 
-let string_or s name ~default =
-  let k = slot_of_key name in
+let string_or s k ~default =
   let held = s.held.(k) in
   if held = absent then default
-  else if held = is_string then s.strings.(k)
-  else bad "trace entry: bad %S field" name
+  else if held = is_string then Json.string_at s.c s.strings s.ints.(k)
+  else bad "trace entry: bad %S field" Key.names.(k)
 
 let decode_kind s = function
   | "send" ->
-    let dst = int_field s "dst" in
-    let label = string_field s "label" in
-    let detail = string_or s "detail" ~default:"" in
-    let bytes = int_or s "bytes" ~default:0 in
+    let dst = int_field s Key.dst in
+    let label = string_field s Key.label in
+    let detail = string_or s Key.detail ~default:"" in
+    let bytes = int_or s Key.bytes ~default:0 in
     Event.Send { dst; label; detail; bytes }
   | "deliver" ->
-    let src = int_field s "src" in
-    let label = string_field s "label" in
-    let detail = string_or s "detail" ~default:"" in
-    let bytes = int_or s "bytes" ~default:0 in
+    let src = int_field s Key.src in
+    let label = string_field s Key.label in
+    let detail = string_or s Key.detail ~default:"" in
+    let bytes = int_or s Key.bytes ~default:0 in
     Event.Deliver { src; label; detail; bytes }
   | "quorum" ->
-    let quorum = string_field s "quorum" in
-    let count = int_field s "count" in
-    let threshold = int_field s "threshold" in
+    let quorum = string_field s Key.quorum in
+    let count = int_field s Key.count in
+    let threshold = int_field s Key.threshold in
     Event.Quorum { quorum; count; threshold }
-  | "coin" -> Event.Coin_flip { value = int_field s "value" }
+  | "coin" -> Event.Coin_flip { value = int_field s Key.value }
   | "round" -> Event.Round_advance
-  | "decide" -> Event.Decide { value = string_field s "value" }
-  | "output" -> Event.Output { label = string_field s "label" }
+  | "decide" -> Event.Decide { value = string_field s Key.value }
+  | "output" -> Event.Output { label = string_field s Key.label }
   | "note" ->
-    let tag = string_field s "tag" in
-    let detail = string_field s "detail" in
+    let tag = string_field s Key.tag in
+    let detail = string_field s Key.detail in
     Event.Note { tag; detail }
   | "link-drop" ->
-    let src = int_field s "src" in
-    let dst = int_field s "dst" in
-    let label = string_field s "label" in
-    let reason = string_field s "reason" in
+    let src = int_field s Key.src in
+    let dst = int_field s Key.dst in
+    let label = string_field s Key.label in
+    let reason = string_field s Key.reason in
     Event.Link_drop { src; dst; label; reason }
   | "link-dup" ->
-    let src = int_field s "src" in
-    let dst = int_field s "dst" in
-    let label = string_field s "label" in
+    let src = int_field s Key.src in
+    let dst = int_field s Key.dst in
+    let label = string_field s Key.label in
     Event.Link_dup { src; dst; label }
   | "timer-set" ->
-    let id = int_field s "id" in
-    let due = int_field s "due" in
+    let id = int_field s Key.id in
+    let due = int_field s Key.due in
     Event.Timer_set { id; due }
-  | "timeout" -> Event.Timer_fire { id = int_field s "id" }
+  | "timeout" -> Event.Timer_fire { id = int_field s Key.id }
   | "retransmit" ->
-    let dst = int_field s "dst" in
-    let seq = int_field s "seq" in
+    let dst = int_field s Key.dst in
+    let seq = int_field s Key.seq in
     Event.Retransmit { dst; seq }
-  | "epoch-start" -> Event.Epoch_start { epoch = int_field s "epoch" }
+  | "epoch-start" -> Event.Epoch_start { epoch = int_field s Key.epoch }
   | "batch-proposed" ->
-    let epoch = int_field s "epoch" in
-    let txs = int_field s "txs" in
-    let bytes = int_or s "bytes" ~default:0 in
+    let epoch = int_field s Key.epoch in
+    let txs = int_field s Key.txs in
+    let bytes = int_or s Key.bytes ~default:0 in
     Event.Batch_proposed { epoch; txs; bytes }
   | "batch-committed" ->
-    let epoch = int_field s "epoch" in
-    let proposer = int_field s "proposer" in
-    let txs = int_field s "txs" in
+    let epoch = int_field s Key.epoch in
+    let proposer = int_field s Key.proposer in
+    let txs = int_field s Key.txs in
     Event.Batch_committed { epoch; proposer; txs }
   | "tx-committed" ->
-    let epoch = int_field s "epoch" in
-    let id = string_field s "id" in
+    let epoch = int_field s Key.epoch in
+    let id = string_field s Key.id in
     Event.Tx_committed { epoch; id }
   | "node-crashed" -> Event.Node_crash
   | "node-recovered" -> Event.Node_recover
   | "checkpoint-stable" ->
-    let epoch = int_field s "epoch" in
-    let len = int_field s "len" in
+    let epoch = int_field s Key.epoch in
+    let len = int_field s Key.len in
     Event.Checkpoint_stable { epoch; len }
-  | "state-transfer-start" -> Event.Transfer_start { have = int_field s "have" }
+  | "state-transfer-start" -> Event.Transfer_start { have = int_field s Key.have }
   | "state-transfer-done" ->
-    let epoch = int_field s "epoch" in
-    let len = int_field s "len" in
+    let epoch = int_field s Key.epoch in
+    let len = int_field s Key.len in
     Event.Transfer_done { epoch; len }
   | other -> bad "trace entry: unknown kind %S" other
 
-(* Decodes the entry object in [text] from [start] to [stop]; raises
-   [Bad] or [Json.Parse_error]. *)
-let decode_entry s text ~start ~stop =
-  Array.fill s.held 0 slot_count absent;
-  let c = Json.cursor text ~start ~stop in
-  Json.fields c (read_field s c);
+(* Decodes the entry object in the cursor's window; raises [Bad] or
+   [Json.Parse_error]. *)
+let decode_entry s =
+  let c = s.c in
+  Array.fill s.held 0 Key.slots absent;
+  if Json.first_field c then begin
+    let more = ref true in
+    while !more do
+      let k = Json.key c Key.table in
+      (if k < 0 || s.held.(k) <> absent then ignore (Json.skip c)
+       else
+         match Json.skip c with
+         | Json.Int_value ->
+           s.ints.(k) <- Json.scanned c;
+           s.held.(k) <- is_int
+         | Json.String_value ->
+           s.ints.(k) <- Json.scanned c;
+           s.held.(k) <- is_string
+         | Json.Other_value -> s.held.(k) <- is_other);
+      more := Json.next_field c
+    done
+  end;
   Json.finish c;
-  let time = int_field s "t" in
-  let node = int_field s "node" in
-  let kind_name = string_field s "kind" in
-  let instance = string_or s "instance" ~default:"" in
-  let round = int_or s "round" ~default:(-1) in
-  let kind = decode_kind s kind_name in
+  let time = int_field s Key.time in
+  let node = int_field s Key.node in
+  if s.held.(Key.kind) <> is_string then bad "trace entry: missing or bad %S field" "kind";
+  let instance = string_or s Key.instance ~default:"" in
+  let round = int_or s Key.round ~default:(-1) in
+  let kind =
+    match Json.index_at c kinds s.ints.(Key.kind) with
+    | -1 -> decode_kind s (string_field s Key.kind)
+    | ord -> decode_kind s (Event.ord_label ord)
+  in
   { Trace.time; node; event = { Event.kind; instance; round } }
 
+(* The next newline at or after [pos], or the end of [text], looked for
+   eight bytes at a time: [x = w lxor 0x0a0a...] has a zero byte
+   exactly where the word [w] holds a newline, and
+   [(x - 0x0101...) land (lnot x) land 0x8080...] is non-zero iff [x]
+   has a zero byte. *)
 let line_end text pos =
-  match String.index_from_opt text pos '\n' with
-  | Some i -> i
-  | None -> String.length text
+  let len = String.length text in
+  let i = ref pos in
+  while
+    !i + 8 <= len
+    &&
+    let x = Int64.logxor (String.get_int64_le text !i) 0x0a0a0a0a0a0a0a0aL in
+    Int64.equal
+      (Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+         0x8080808080808080L)
+      0L
+  do
+    i := !i + 8
+  done;
+  while !i < len && not (Char.equal text.[!i] '\n') do
+    incr i
+  done;
+  !i
 
 let blank text ~start ~stop =
-  let rec go i =
-    i >= stop
-    || (match text.[i] with
-       | ' ' | '\t' | '\r' | '\012' -> go (i + 1)
-       | _ -> false)
-  in
-  go start
+  let i = ref start in
+  while
+    !i < stop && match text.[!i] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false
+  do
+    incr i
+  done;
+  !i >= stop
+
+(* The entries of the lines from [pos] on, oldest first, built in
+   order; [s.line] follows the line being decoded. *)
+let[@tail_mod_cons] rec entries s text pos =
+  if pos >= String.length text then []
+  else begin
+    let stop = line_end text pos in
+    s.line <- s.line + 1;
+    if blank text ~start:pos ~stop then entries s text (stop + 1)
+    else begin
+      Json.window s.c ~start:pos ~stop;
+      let entry = decode_entry s in
+      entry :: entries s text (stop + 1)
+    end
+  end
 
 let of_string text =
   let len = String.length text in
@@ -257,27 +315,26 @@ let of_string text =
     let header_end = line_end text 0 in
     match parse_header (String.sub text 0 header_end) with
     | Error _ as e -> e
-    | Ok (version, recorded, retained, dropped, meta) ->
-      let s = slots () in
-      let rec lines pos lineno acc =
-        if pos >= len then Ok (List.rev acc)
-        else
-          let stop = line_end text pos in
-          if blank text ~start:pos ~stop then lines (stop + 1) (lineno + 1) acc
-          else
-            match decode_entry s text ~start:pos ~stop with
-            | entry -> lines (stop + 1) (lineno + 1) (entry :: acc)
-            | exception (Bad m | Json.Parse_error m) ->
-              Error (Printf.sprintf "line %d: %s" lineno m)
+    | Ok (version, recorded, retained, dropped, meta) -> (
+      let s =
+        {
+          c = Json.cursor text ~start:0 ~stop:0;
+          held = Array.make Key.slots absent;
+          ints = Array.make Key.slots 0;
+          strings = Json.string_cache ();
+          line = 1;
+        }
       in
-      let* entries = lines (header_end + 1) 2 [] in
-      match retained with
-      | Some k when k <> List.length entries ->
-        (* a file cut at a line boundary still parses line by line *)
-        Error
-          (Printf.sprintf "header: \"retained\" is %d, but the file has %d entries" k
-             (List.length entries))
-      | _ -> Ok { version; recorded; dropped; meta; entries }
+      match entries s text (header_end + 1) with
+      | exception (Bad m | Json.Parse_error m) -> Error (Printf.sprintf "line %d: %s" s.line m)
+      | entries -> (
+        match retained with
+        | Some k when k <> List.length entries ->
+          (* a file cut at a line boundary still parses line by line *)
+          Error
+            (Printf.sprintf "header: \"retained\" is %d, but the file has %d entries" k
+               (List.length entries))
+        | _ -> Ok { version; recorded; dropped; meta; entries }))
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with
