@@ -3,7 +3,9 @@ type entry = { time : int; node : int; event : Event.t }
 type t = {
   capacity : int;
   counts : int array;  (* exact per-kind totals, indexed by Event.kind_ord *)
-  buffer : entry array;  (* ring; slots never written hold [vacant] *)
+  mutable buffer : entry array;
+      (* ring of at most [capacity] slots, grown by doubling; slots never
+         written hold [vacant] *)
   mutable start : int;
   mutable size : int;
   mutable recorded : int;
@@ -17,16 +19,27 @@ let schema_version = 5
 
 let vacant = { time = 0; node = 0; event = Event.make Event.Round_advance }
 
+(* A trace starts with this many slots, or [capacity] if fewer, so
+   memory follows what is retained rather than what could be. *)
+let initial_slots = 256
+
 let create ?(capacity = 4096) () =
   assert (capacity > 0);
   {
     capacity;
     counts = Array.make Event.kind_count 0;
-    buffer = Array.make capacity vacant;
+    buffer = Array.make (min capacity initial_slots) vacant;
     start = 0;
     size = 0;
     recorded = 0;
   }
+
+(* Nothing is evicted before the ring reaches [capacity], so a ring
+   that grows still starts at slot 0. *)
+let grow t =
+  let bigger = Array.make (min t.capacity (2 * t.size)) vacant in
+  Array.blit t.buffer 0 bigger 0 t.size;
+  t.buffer <- bigger
 
 let record t ~time ~node event =
   let ord = Event.kind_ord event.Event.kind in
@@ -39,7 +52,8 @@ let record t ~time ~node event =
     t.start <- (t.start + 1) mod t.capacity
   end
   else begin
-    t.buffer.((t.start + t.size) mod t.capacity) <- entry;
+    if t.size = Array.length t.buffer then grow t;
+    t.buffer.(t.size) <- entry;
     t.size <- t.size + 1
   end
 

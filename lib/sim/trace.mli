@@ -27,7 +27,9 @@ val schema_version : int
 
 val create : ?capacity:int -> unit -> t
 (** [create ~capacity ()] is an empty trace retaining at most
-    [capacity] entries (default 4096). *)
+    [capacity] entries (default 4096).  The ring is not allocated up
+    front: it starts at 256 slots (fewer if [capacity] is smaller) and
+    doubles as entries arrive, up to [capacity]. *)
 
 val record : t -> time:int -> node:int -> Event.t -> unit
 (** [record t ~time ~node event] counts the event and appends an
