@@ -180,20 +180,20 @@ let rec string_escaped c buffer =
     string_escaped c buffer
 
 (* Scans a string literal from its opening quote at [c] up to its
-   closing quote or its first backslash, and returns the offset of its
-   first byte.  [c] is left on the quote or backslash: the literal has
-   no escape iff [c] is on a quote. *)
+   closing quote or its first backslash ([quote_or_backslash]), and
+   returns the offset of its first byte.  [c] is left on the quote or
+   backslash: the literal has no escape iff [c] is on a quote. *)
+let[@inline] quote_or_backslash text i stop =
+  let j = ref i in
+  while !j < stop && match text.[!j] with '"' | '\\' -> false | _ -> true do
+    incr j
+  done;
+  !j
+
 let literal_start c =
   expect c '"';
   let first = c.pos in
-  let i = ref first in
-  while
-    !i < c.stop
-    && match c.text.[!i] with '"' | '\\' -> false | _ -> true
-  do
-    incr i
-  done;
-  c.pos <- !i;
+  c.pos <- quote_or_backslash c.text first c.stop;
   first
 
 let[@inline] plain c = c.pos < c.stop && Char.equal c.text.[c.pos] '"'
@@ -430,8 +430,11 @@ let items c item =
     done
   end
 
-type value_kind = Int_value | String_value | Other_value
+type slot = Absent | Int_slot | String_slot | Other_slot
 
+(* Consumes one value of any type, checked as [value] checks it, and
+   says what it was: for an int or a string, [c.scanned] holds the
+   integer or the literal's offset. *)
 let rec skip c =
   skip_ws c;
   if c.pos >= c.stop then parse_error "unexpected end of input at offset %d" (offset c);
@@ -447,28 +450,76 @@ let rec skip c =
         more := next_field c
       done
     end;
-    Other_value
+    Other_slot
   | '[' ->
     items c skip_item;
-    Other_value
+    Other_slot
   | '"' ->
     c.scanned <- c.pos;
     skip_string c;
-    String_value
-  | 't' -> parse_literal c "true" Other_value
-  | 'f' -> parse_literal c "false" Other_value
-  | 'n' -> parse_literal c "null" Other_value
+    String_slot
+  | 't' -> parse_literal c "true" Other_slot
+  | 'f' -> parse_literal c "false" Other_slot
+  | 'n' -> parse_literal c "null" Other_slot
   | _ ->
     let start = c.pos in
-    if scan_int c then Int_value
+    if scan_int c then Int_slot
     else begin
       ignore (float_from c start);
-      Other_value
+      Other_slot
     end
 
 and skip_item c = ignore (skip c)
 
-let scanned c = c.scanned
+(* The compact form the exporter writes is scanned token by token in
+   place.  Anything else at a token (whitespace, an escape, a value
+   that is not a plain string) goes through the general primitives
+   from the same offset, which accept and reject exactly what they do
+   everywhere else. *)
+let fields c t ~slots ~values =
+  Array.fill slots 0 (Array.length slots) Absent;
+  if first_field c then begin
+    let text = c.text and stop = c.stop in
+    let more = ref true in
+    while !more do
+      (* a plain name right before its colon *)
+      let i = c.pos in
+      let j = if i < stop && Char.equal text.[i] '"' then quote_or_backslash text (i + 1) stop else stop in
+      let k =
+        if j + 1 < stop && Char.equal text.[j] '"' && Char.equal text.[j + 1] ':' then begin
+          c.pos <- j + 2;
+          probe t text (i + 1) j
+        end
+        else key c t
+      in
+      (* a plain string literal *)
+      let at = c.pos in
+      let j = if at < stop && Char.equal text.[at] '"' then quote_or_backslash text (at + 1) stop else stop in
+      let found =
+        if j < stop && Char.equal text.[j] '"' then begin
+          c.pos <- j + 1;
+          c.scanned <- at;
+          String_slot
+        end
+        else skip c
+      in
+      (* the first of a repeated name wins *)
+      (if k >= 0 then
+         match slots.(k) with
+         | Absent ->
+           slots.(k) <- found;
+           values.(k) <- c.scanned
+         | Int_slot | String_slot | Other_slot -> ());
+      (* the separator *)
+      let i = c.pos in
+      if i < stop && Char.equal text.[i] ',' then c.pos <- i + 1
+      else if i < stop && Char.equal text.[i] '}' then begin
+        c.pos <- i + 1;
+        more := false
+      end
+      else more := next_field c
+    done
+  end
 
 let rec value c =
   skip_ws c;

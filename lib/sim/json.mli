@@ -35,8 +35,8 @@ val of_string : string -> (t, string) result
     The primitives {!of_string} is built on, for decoders that read a
     document straight into their own types instead of through a [t]
     tree.  They build nothing but the strings they return, except on
-    rare forms: an escaped name, or a number that is not a plain
-    decimal integer of up to 18 digits.  Every primitive raises
+    rare forms: an escape, or a number that is not a plain decimal
+    integer of up to 18 digits.  Every primitive raises
     {!Parse_error} with the same byte-offset diagnostic {!of_string}
     returns, and never reads outside the cursor's window. *)
 
@@ -53,41 +53,28 @@ val window : cursor -> start:int -> stop:int -> unit
 (** [window c ~start ~stop] moves [c] to a new window of the same text,
     as if it were [cursor text ~start ~stop]. *)
 
-val first_field : cursor -> bool
-(** [first_field c] enters an object: it skips whitespace and the
-    [{], and is [false], with the closing [}] consumed, when the object
-    has no field. *)
-
-val next_field : cursor -> bool
-(** [next_field c], after a field's value, consumes the [,] before
-    the next field ([true]) or the object's closing [}] ([false]). *)
-
 type names
 (** A fixed table of strings, matched against literals in place. *)
 
 val names : string array -> names
 (** [names a] matches each string of [a] to its index. *)
 
-val key : cursor -> names -> int
-(** [key c table] scans a field's name and its [:]: the name's index in
-    [table], or [-1]. *)
+type slot = Absent | Int_slot | String_slot | Other_slot
+(** What {!fields} found for a name. *)
+
+val fields : cursor -> names -> slots:slot array -> values:int array -> unit
+(** [fields c table ~slots ~values] scans one object.  For the first
+    field whose name is [table]'s [k]-th, [slots.(k)] says what its
+    value was and, for an [Int_slot] or a [String_slot], [values.(k)]
+    holds the integer or the string literal's offset in the text (for
+    {!string_at} and {!index_at}).  A number is an integer when
+    [int_of_string] reads it (a leading [+], leading zeros, up to
+    [max_int]).  Other fields, and repeats, are skipped whatever their
+    type; every slot of a name the object lacks is [Absent]. *)
 
 val index_at : cursor -> names -> int -> int
 (** [index_at c table at] is the index in [table] of the string
-    literal at offset [at] of the text (as {!scanned} gives it), or
-    [-1].  It moves [c]. *)
-
-type value_kind = Int_value | String_value | Other_value
-
-val skip : cursor -> value_kind
-(** [skip c] consumes one value of any type, checked as {!of_string}
-    checks it, and says what it was.  A number is an [Int_value] when
-    [int_of_string] reads it (a leading [+], leading zeros, up to
-    [max_int]). *)
-
-val scanned : cursor -> int
-(** What the last {!skip} found: the integer, or the string literal's
-    offset in the text, for {!string_at} and {!index_at}. *)
+    literal at offset [at] of the text, or [-1].  It moves [c]. *)
 
 type string_cache
 (** Decoded strings, kept so that equal literals share one copy. *)
@@ -97,8 +84,8 @@ val string_cache : unit -> string_cache
 
 val string_at : cursor -> string_cache -> int -> string
 (** [string_at c cache at] decodes the string literal at offset [at] of
-    the text (as {!scanned} gives it), returning the cached copy when
-    it holds the same bytes.  It moves [c]. *)
+    the text, returning the cached copy when it holds the same bytes.
+    It moves [c]. *)
 
 val finish : cursor -> unit
 (** Skips trailing whitespace; fails unless that ends the window. *)

@@ -108,18 +108,12 @@ end
 (* The ["kind"] string is matched in place too, by ordinal. *)
 let kinds = Json.names (Array.init Event.kind_count Event.ord_label)
 
-(* What a slot holds for the current line. *)
-let absent = 0
-let is_int = 1
-let is_string = 2
-let is_other = 3
-
 (* One decode's scratch state, made per call: a cursor moved from line
    to line, the slots, and the cache that lets equal strings share one
    copy. *)
 type scratch = {
   c : Json.cursor;
-  held : int array;
+  held : Json.slot array;
   ints : int array;  (* an int's value, or a string literal's offset *)
   strings : Json.string_cache;
   mutable line : int;  (* the line being decoded *)
@@ -130,26 +124,30 @@ exception Bad of string
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 let int_field s k =
-  if s.held.(k) = is_int then s.ints.(k)
-  else bad "trace entry: missing or bad %S field" Key.names.(k)
+  match s.held.(k) with
+  | Json.Int_slot -> s.ints.(k)
+  | Json.Absent | Json.String_slot | Json.Other_slot ->
+    bad "trace entry: missing or bad %S field" Key.names.(k)
 
 let string_field s k =
-  if s.held.(k) = is_string then Json.string_at s.c s.strings s.ints.(k)
-  else bad "trace entry: missing or bad %S field" Key.names.(k)
+  match s.held.(k) with
+  | Json.String_slot -> Json.string_at s.c s.strings s.ints.(k)
+  | Json.Absent | Json.Int_slot | Json.Other_slot ->
+    bad "trace entry: missing or bad %S field" Key.names.(k)
 
 (* Optional fields default when absent (e.g. [bytes], added in v3, so
    v2 files still load) but must have the right type when present. *)
 let int_or s k ~default =
-  let held = s.held.(k) in
-  if held = absent then default
-  else if held = is_int then s.ints.(k)
-  else bad "trace entry: bad %S field" Key.names.(k)
+  match s.held.(k) with
+  | Json.Absent -> default
+  | Json.Int_slot -> s.ints.(k)
+  | Json.String_slot | Json.Other_slot -> bad "trace entry: bad %S field" Key.names.(k)
 
 let string_or s k ~default =
-  let held = s.held.(k) in
-  if held = absent then default
-  else if held = is_string then Json.string_at s.c s.strings s.ints.(k)
-  else bad "trace entry: bad %S field" Key.names.(k)
+  match s.held.(k) with
+  | Json.Absent -> default
+  | Json.String_slot -> Json.string_at s.c s.strings s.ints.(k)
+  | Json.Int_slot | Json.Other_slot -> bad "trace entry: bad %S field" Key.names.(k)
 
 let decode_kind s = function
   | "send" ->
@@ -229,32 +227,20 @@ let decode_kind s = function
    [Json.Parse_error]. *)
 let decode_entry s =
   let c = s.c in
-  Array.fill s.held 0 Key.slots absent;
-  if Json.first_field c then begin
-    let more = ref true in
-    while !more do
-      let k = Json.key c Key.table in
-      (if k < 0 || s.held.(k) <> absent then ignore (Json.skip c)
-       else
-         match Json.skip c with
-         | Json.Int_value ->
-           s.ints.(k) <- Json.scanned c;
-           s.held.(k) <- is_int
-         | Json.String_value ->
-           s.ints.(k) <- Json.scanned c;
-           s.held.(k) <- is_string
-         | Json.Other_value -> s.held.(k) <- is_other);
-      more := Json.next_field c
-    done
-  end;
+  Json.fields c Key.table ~slots:s.held ~values:s.ints;
   Json.finish c;
   let time = int_field s Key.time in
   let node = int_field s Key.node in
-  if s.held.(Key.kind) <> is_string then bad "trace entry: missing or bad %S field" "kind";
+  let kind_at =
+    match s.held.(Key.kind) with
+    | Json.String_slot -> s.ints.(Key.kind)
+    | Json.Absent | Json.Int_slot | Json.Other_slot ->
+      bad "trace entry: missing or bad %S field" "kind"
+  in
   let instance = string_or s Key.instance ~default:"" in
   let round = int_or s Key.round ~default:(-1) in
   let kind =
-    match Json.index_at c kinds s.ints.(Key.kind) with
+    match Json.index_at c kinds kind_at with
     | -1 -> decode_kind s (string_field s Key.kind)
     | ord -> decode_kind s (Event.ord_label ord)
   in
@@ -319,7 +305,7 @@ let of_string text =
       let s =
         {
           c = Json.cursor text ~start:0 ~stop:0;
-          held = Array.make Key.slots absent;
+          held = Array.make Key.slots Json.Absent;
           ints = Array.make Key.slots 0;
           strings = Json.string_cache ();
           line = 1;
