@@ -4,8 +4,9 @@ type t = {
   capacity : int;
   counts : int array;  (* exact per-kind totals, indexed by Event.kind_ord *)
   mutable buffer : entry array;
-      (* ring of at most [capacity] slots, grown by doubling; slots never
-         written hold [vacant] *)
+      (* ring grown by doubling up to [capacity] slots, which it has
+         once full, so indices modulo [capacity] hold throughout; slots
+         never written hold [vacant] *)
   mutable start : int;
   mutable size : int;
   mutable recorded : int;

@@ -767,9 +767,13 @@ let print_mutation = function
 
 let print_mutations ms = "[" ^ String.concat "; " (List.map print_mutation ms) ^ "]"
 
+(* Leading zeros (forms 1 and 2) keep an int's value whatever its
+   sign; they pin the reading of numbers that [Json] shares with the
+   reference. *)
 let keeps_meaning = function
   | Add_field _ | Space _ | Escape _ | Repeat_after _ | Reorder _ -> true
-  | Truncate _ | Flip _ | Drop_field _ | Retype _ | Repeat_before _ | Int_form _ -> false
+  | Int_form (_, _, form) -> form = 1 || form = 2
+  | Truncate _ | Flip _ | Drop_field _ | Retype _ | Repeat_before _ -> false
 
 (* Rewrites line [l] of [text] with [f]. *)
 let map_line text l f =

@@ -144,11 +144,20 @@ let test_trace_eviction () =
 
 (* The ring against a list model that keeps the last [capacity]
    entries, checked after every record, before and after the ring
-   wraps; the JSONL export must decode back to the model. *)
+   wraps; the JSONL export must decode back to the model.  A ring
+   starts at 256 slots, so capacities past that also cover its
+   growth. *)
 let prop_trace_ring_model =
   let gen =
     QCheck.Gen.(
-      let* capacity = oneof [ oneofl [ 1; 2; 4; 8; 16; 32; 64 ]; int_range 1 70 ] in
+      let* capacity =
+        frequency
+          [
+            (4, oneofl [ 1; 2; 4; 8; 16; 32; 64 ]);
+            (4, int_range 1 70);
+            (1, oneof [ oneofl [ 256; 512 ]; int_range 250 520 ]);
+          ]
+      in
       let* records = int_range 0 (4 * capacity) in
       return (capacity, records))
   in
