@@ -179,10 +179,8 @@ let rec string_escaped c buffer =
     advance c;
     string_escaped c buffer
 
-(* Scans a string literal from its opening quote at [c] up to its
-   closing quote or its first backslash ([quote_or_backslash]), and
-   returns the offset of its first byte.  [c] is left on the quote or
-   backslash: the literal has no escape iff [c] is on a quote. *)
+(* The offset of the first quote or backslash in [text] from [i], or
+   [stop]. *)
 let[@inline] quote_or_backslash text i stop =
   let j = ref i in
   while !j < stop && match text.[!j] with '"' | '\\' -> false | _ -> true do
@@ -190,6 +188,10 @@ let[@inline] quote_or_backslash text i stop =
   done;
   !j
 
+(* Scans a string literal from its opening quote at [c] up to its
+   closing quote or its first backslash, and returns the offset of its
+   first byte.  [c] is left on the quote or backslash: the literal has
+   no escape iff [c] is on a quote. *)
 let literal_start c =
   expect c '"';
   let first = c.pos in
