@@ -669,8 +669,8 @@ module Ledger = Subject (Ledger_args)
    header and entries, or two errors that say the same place
    ([header: ...] or [line N: ...]).  Edits that keep the meaning
    (whitespace between tokens, [\u] escapes, reordered fields, a field
-   repeated after its first occurrence, unknown fields) must decode to
-   the golden's entries. *)
+   repeated after its first occurrence, unknown fields, leading zeros
+   on an int) must decode to the golden's entries. *)
 module Json = Abc_sim.Json
 module Event = Abc_sim.Event
 module Trace = Abc_sim.Trace
