@@ -108,10 +108,10 @@ end
 (* The ["kind"] string is matched in place too, by ordinal. *)
 let kinds = Json.names (Array.init Event.kind_count Event.ord_label)
 
-(* One decode's scratch state, made per call: a cursor moved from line
+(* One decode's working state, made per call: a cursor moved from line
    to line, the slots, and the cache that lets equal strings share one
    copy. *)
-type scratch = {
+type state = {
   c : Json.cursor;
   held : Json.slot array;
   ints : int array;  (* an int's value, or a string literal's offset *)
