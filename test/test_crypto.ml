@@ -50,6 +50,30 @@ let prop_gf_field_laws =
       && Gf.equal (Gf.mul a (Gf.add b c)) (Gf.add (Gf.mul a b) (Gf.mul a c))
       && Gf.equal (Gf.add a (Gf.sub b a)) b)
 
+(* [mul] against the product reduced here, and [inv] against [mul],
+   over random elements plus the edges of the field: 0, 1, 2, 2^30 and
+   the two largest elements, whose products come closest to 2^62. *)
+let gen_gf_element =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_bound (Gf.prime - 1));
+        (1, oneofl [ 0; 1; 2; 1 lsl 30; Gf.prime - 2; Gf.prime - 1 ]);
+      ])
+
+let prop_gf_mul_inv_exact =
+  QCheck.Test.make ~name:"mul reduces exactly and inv inverts" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "a=%d b=%d" a b)
+       QCheck.Gen.(pair gen_gf_element gen_gf_element))
+    (fun (a, b) ->
+      let x = Gf.of_int a in
+      Gf.to_int (Gf.mul x (Gf.of_int b)) = a * b mod Gf.prime
+      &&
+      if a = 0 then
+        match Gf.inv x with _ -> false | exception Division_by_zero -> true
+      else Gf.equal (Gf.mul x (Gf.inv x)) Gf.one)
+
 (* ---- Shamir ---- *)
 
 let test_shamir_roundtrip () =
@@ -219,6 +243,7 @@ let () =
           Alcotest.test_case "mul/inv" `Quick test_gf_mul_inv;
           Alcotest.test_case "pow" `Quick test_gf_pow;
           QCheck_alcotest.to_alcotest prop_gf_field_laws;
+          QCheck_alcotest.to_alcotest prop_gf_mul_inv_exact;
         ] );
       ( "shamir",
         [

@@ -113,6 +113,65 @@ let test_merkle_branch_depth () =
         (Rs.Merkle.branch_wire_bytes branch))
     branches
 
+(* ---- known answers ---- *)
+
+(* The round trips above accept any self-consistent code; these pin
+   the code itself.  Each shape's digest covers, for every payload
+   length, every fragment's index and symbols, the Merkle root and
+   every branch — and, for decoding, the payload rebuilt from the
+   highest k fragments (all parity once n >= 2k). *)
+let known_lengths = [ 0; 1; 2; 3; 4; 100; 2200 ]
+
+let known_payload len = payload_of_seed ~len (len + 17)
+
+let encode_digest ~k ~n =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun len ->
+      let fragments = Rs.encode ~k ~n (known_payload len) in
+      let root, branches = Rs.Merkle.commit ~len fragments in
+      Printf.bprintf buffer "len=%d root=%x\n" len root;
+      Array.iteri
+        (fun i fragment ->
+          Printf.bprintf buffer "%d:" fragment.Rs.index;
+          Array.iter (fun s -> Printf.bprintf buffer " %d" (Gf.to_int s)) fragment.Rs.data;
+          Buffer.add_string buffer " |";
+          List.iter (fun h -> Printf.bprintf buffer " %x" h) branches.(i);
+          Buffer.add_char buffer '\n')
+        fragments)
+    known_lengths;
+  Digest.to_hex (Digest.string (Buffer.contents buffer))
+
+let decode_digest ~k ~n =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun len ->
+      let fragments = Array.to_list (Rs.encode ~k ~n (known_payload len)) in
+      let highest = List.filteri (fun i _ -> i >= n - k) fragments in
+      Printf.bprintf buffer "len=%d %s\n" len (Rs.decode ~k ~len highest))
+    known_lengths;
+  Digest.to_hex (Digest.string (Buffer.contents buffer))
+
+(* (k, n, encode + commit digest) *)
+let known_encodings =
+  [
+    (1, 4, "cca06791db4d3d0ac5d95952420d453f");
+    (2, 4, "d3369c331757bb186677fa2086248868");
+    (3, 7, "634e3c0ad3d4137a89c0af86d4570c9e");
+    (6, 16, "75ee6346cf038d9dba5e3da9445d51b7");
+  ]
+
+(* Every shape decodes the same payloads, so one digest pins them all. *)
+let known_decoding = "5d089be183d02fdf206fb7e84305feb1"
+
+let test_known_answers () =
+  List.iter
+    (fun (k, n, encoded) ->
+      let shape = Printf.sprintf "k=%d n=%d" k n in
+      Alcotest.(check string) (shape ^ " encode + commit") encoded (encode_digest ~k ~n);
+      Alcotest.(check string) (shape ^ " decode") known_decoding (decode_digest ~k ~n))
+    known_encodings
+
 (* ---- qcheck round-trips ---- *)
 
 let gen_shape =
@@ -180,6 +239,7 @@ let () =
           Alcotest.test_case "too few fragments rejected" `Quick
             test_too_few_fragments_rejected;
           Alcotest.test_case "tiny payloads" `Quick test_empty_and_tiny_payloads;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
         ] );
       ( "merkle",
         [
