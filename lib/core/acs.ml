@@ -199,6 +199,17 @@ struct
     in
     (state, actions)
 
+  (* The rules run only when the message added a proposal or a
+     decision.  This is exact: [settle] always runs to its fixpoint,
+     its three rules read only [proposals], [decisions] and which BAs
+     have started, and only [settle] starts a BA.  After a message
+     that changed none of those, [settle] would return its input and
+     no output. *)
+  let settle_if_changed ctx ~before state actions =
+    if state.proposals == before.proposals && state.decisions == before.decisions
+    then (state, actions, [])
+    else settle ctx state actions
+
   let on_message ctx state ~src msg =
     match msg with
     | Prop { origin; inner } -> (
@@ -208,17 +219,17 @@ struct
         let inst, inst_actions, delivered =
           B.on_message (prop_ctx ctx origin) inst ~src inner
         in
-        let state =
+        let next =
           { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
         in
-        let state =
+        let next =
           List.fold_left
-            (fun state (B.Delivered payload) ->
-              if Node_id.Map.mem origin state.proposals then state
-              else { state with proposals = Node_id.Map.add origin payload state.proposals })
-            state delivered
+            (fun next (B.Delivered payload) ->
+              if Node_id.Map.mem origin next.proposals then next
+              else { next with proposals = Node_id.Map.add origin payload next.proposals })
+            next delivered
         in
-        settle ctx state (wrap_prop origin inst_actions))
+        settle_if_changed ctx ~before:state next (wrap_prop origin inst_actions))
     | Ba { index; wire } ->
       if index < 0 || index >= state.n then (state, [], [])
       else begin
@@ -227,9 +238,9 @@ struct
             (Int_map.find index state.bas)
             ~rng:ctx.Protocol.Context.rng ~src wire
         in
-        let state = { state with bas = Int_map.add index instance state.bas } in
-        let state = record_events state index events in
-        settle ctx state (wrap_ba index wires)
+        let next = { state with bas = Int_map.add index instance state.bas } in
+        let next = record_events next index events in
+        settle_if_changed ctx ~before:state next (wrap_ba index wires)
       end
 
   let is_terminal (Accepted _) = true

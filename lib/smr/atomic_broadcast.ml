@@ -652,6 +652,15 @@ let initial ctx (input : input) =
     invalid_arg "Atomic_broadcast: checkpoint_interval must be >= 0";
   open_window ctx (base_state ctx input)
 
+(* The commit path runs only when the message added a result for its
+   epoch.  This is exact because three invariants hold between
+   messages: no result sits at [next_commit] (and [complete] is set
+   once [next_commit] reaches [epochs]), [gc_floor] is what
+   [collect_garbage] would compute, and every epoch of the window is
+   open.  [initial], [restore], [install_snapshot] and the commit path
+   below each end by establishing them, and a message that adds no
+   result leaves [drain_commits], [collect_garbage] and [open_window]
+   nothing to do. *)
 let on_message ctx state ~src msg =
   match msg with
   | Epoch { epoch; inner } ->
@@ -668,6 +677,7 @@ let on_message ctx state ~src msg =
         let state =
           { state with instances = Int_map.add epoch inner_state state.instances }
         in
+        let results = state.results in
         let state =
           List.fold_left
             (fun state (Abc.Batch_acs.Accepted subset) ->
@@ -675,14 +685,18 @@ let on_message ctx state ~src msg =
               else { state with results = Int_map.add epoch subset state.results })
             state inner_outputs
         in
-        let state, drain_actions, outputs = drain_commits ctx state in
-        let state = collect_garbage state in
-        (* Committing an epoch slides the pipeline window forward. *)
-        let state, window_actions = open_window ctx state in
-        ( state,
-          open_actions @ wrap epoch inner_actions @ drain_actions
-          @ window_actions,
-          outputs )
+        if state.results == results then
+          (state, open_actions @ wrap epoch inner_actions, [])
+        else begin
+          let state, drain_actions, outputs = drain_commits ctx state in
+          let state = collect_garbage state in
+          (* Committing an epoch slides the pipeline window forward. *)
+          let state, window_actions = open_window ctx state in
+          ( state,
+            open_actions @ wrap epoch inner_actions @ drain_actions
+            @ window_actions,
+            outputs )
+        end
     end
   | Checkpoint { epoch; len; digest } ->
     let state, actions = record_checkpoint ctx state ~voter:src (epoch, len, digest) in
