@@ -246,9 +246,18 @@ struct
   let is_terminal (Accepted _) = true
   let on_timeout = Protocol.no_timeout
 
+  (* Labels are shared strings (see [Protocol.S.msg_label]): each
+     label the repo's broadcasts use maps to its prefixed literal, and
+     only a label outside that set is built per call. *)
   let msg_label = function
-    | Prop { inner; _ } -> "prop." ^ B.msg_label inner
-    | Ba { wire; _ } -> "ba." ^ Rbc_mux.wire_label wire
+    | Prop { inner; _ } -> (
+      match B.msg_label inner with
+      | "val" -> "prop.val"
+      | "initial" -> "prop.initial"
+      | "echo" -> "prop.echo"
+      | "ready" -> "prop.ready"
+      | label -> "prop." ^ label)
+    | Ba { wire; _ } -> Rbc_mux.ba_wire_label wire
 
   let msg_bytes =
     let open Protocol.Wire_size in

@@ -37,5 +37,11 @@ let pp_wire ppf { key; event } =
 
 let wire_label { event; _ } = Rbc.event_label event
 
+let ba_wire_label { event; _ } =
+  match event with
+  | Rbc.Initial _ -> "ba.initial"
+  | Rbc.Echo _ -> "ba.echo"
+  | Rbc.Ready _ -> "ba.ready"
+
 let wire_bytes { key; event } =
   Consensus_msg.Key.bytes key + Rbc.event_bytes event

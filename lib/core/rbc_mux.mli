@@ -46,5 +46,10 @@ val instances : t -> int
 val pp_wire : wire Fmt.t
 val wire_label : wire -> string
 
+val ba_wire_label : wire -> string
+(** ["ba."] and {!wire_label}, the label under which {!Acs} and
+    {!Turpin_coan} carry their binary agreement's wires, as a shared
+    literal. *)
+
 val wire_bytes : wire -> int
 (** Wire size of a multiplexed message: instance key plus event. *)

@@ -172,7 +172,7 @@ module Make (V : Value.PAYLOAD) = struct
   let msg_label = function
     | Step1 _ -> "step1"
     | Step2 _ -> "step2"
-    | Ba wire -> "ba." ^ Rbc_mux.wire_label wire
+    | Ba wire -> Rbc_mux.ba_wire_label wire
 
   let msg_bytes =
     let open Protocol.Wire_size in

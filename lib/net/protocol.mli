@@ -99,7 +99,13 @@ module type S = sig
       output). *)
 
   val msg_label : msg -> string
-  (** Short label used for per-kind message counters. *)
+  (** Short label used for per-kind message counters.  A label is a
+      shared string — a literal, or one of a fixed set — never one
+      built per call: the engine asks for it at every send and every
+      delivery and finds the label's counters by physical equality
+      first, so a freshly built string costs a string hash and a table
+      probe each time.  A wrapper that prefixes its child's labels
+      maps each of the child's known labels to a prefixed literal. *)
 
   val msg_bytes : msg -> int
   (** Estimated serialized size of [msg] on the wire, in bytes.  The

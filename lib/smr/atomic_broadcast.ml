@@ -878,8 +878,19 @@ let restore ctx (input : input) ~durable =
 (* Wire metadata / pretty-printing                                   *)
 (* ----------------------------------------------------------------- *)
 
+(* Labels are shared strings (see [Protocol.S.msg_label]): each of
+   Batch_acs's labels maps to its prefixed literal, and only a label
+   outside that set is built per call. *)
 let msg_label = function
-  | Epoch { inner; _ } -> "epoch." ^ Abc.Batch_acs.msg_label inner
+  | Epoch { inner; _ } -> (
+    match Abc.Batch_acs.msg_label inner with
+    | "prop.val" -> "epoch.prop.val"
+    | "prop.echo" -> "epoch.prop.echo"
+    | "prop.ready" -> "epoch.prop.ready"
+    | "ba.initial" -> "epoch.ba.initial"
+    | "ba.echo" -> "epoch.ba.echo"
+    | "ba.ready" -> "epoch.ba.ready"
+    | label -> "epoch." ^ label)
   | Checkpoint _ -> "checkpoint"
   | Transfer_req _ -> "transfer.req"
   | Transfer_resp _ -> "transfer.resp"

@@ -126,7 +126,18 @@ let on_message ctx state ~src msg =
 let is_terminal = function Log_complete _ -> true | Committed _ -> false
 let on_timeout = Protocol.no_timeout
 
-let msg_label (Slot { inner; _ }) = "slot." ^ Slot_acs.msg_label inner
+(* Labels are shared strings (see [Protocol.S.msg_label]): each of
+   the slot ACS's labels maps to its prefixed literal, and only a
+   label outside that set is built per call. *)
+let msg_label (Slot { inner; _ }) =
+  match Slot_acs.msg_label inner with
+  | "prop.initial" -> "slot.prop.initial"
+  | "prop.echo" -> "slot.prop.echo"
+  | "prop.ready" -> "slot.prop.ready"
+  | "ba.initial" -> "slot.ba.initial"
+  | "ba.echo" -> "slot.ba.echo"
+  | "ba.ready" -> "slot.ba.ready"
+  | label -> "slot." ^ label
 
 let msg_bytes (Slot { slot = _; inner }) =
   Protocol.Wire_size.int + Slot_acs.msg_bytes inner

@@ -122,6 +122,57 @@ let test_inputs_arity () =
     (Invalid_argument "Acs.inputs: proposals length must equal n") (fun () ->
       ignore (Acs.inputs ~n:4 ~coin:Abc.Coin.local [| 1 |]))
 
+(* ---- message labels ---- *)
+
+(* A label is a shared string, never one built per call: the engine
+   finds a label's counters by physical equality first.  [labels_of]
+   runs a scenario through a wrapper that records every delivered
+   message; the check asks each message for its label twice. *)
+let check_labels ~label ~expected msgs =
+  List.iter
+    (fun m ->
+      if not (label m == label m) then
+        Alcotest.failf "label %S is built per call" (label m))
+    msgs;
+  Alcotest.(check (list string)) "label set" expected
+    (List.sort_uniq String.compare (List.map label msgs))
+
+let test_acs_labels_shared () =
+  let seen = ref [] in
+  let module Recorded = struct
+    include Acs
+
+    let on_message ctx state ~src msg =
+      seen := msg :: !seen;
+      Acs.on_message ctx state ~src msg
+  end in
+  let module R = Abc_net.Engine.Make (Recorded) in
+  let inputs = Acs.inputs ~n:4 ~coin:Abc.Coin.local [| 1; 2; 3; 4 |] in
+  ignore (R.run (R.config ~n:4 ~f:1 ~inputs ~seed:2 ~adversary:Adversary.uniform ()));
+  check_labels ~label:Acs.msg_label
+    ~expected:
+      [ "ba.echo"; "ba.initial"; "ba.ready"; "prop.echo"; "prop.initial"; "prop.ready" ]
+    !seen
+
+let test_batch_acs_labels_shared () =
+  let module Batch_acs = Abc.Batch_acs in
+  let seen = ref [] in
+  let module Recorded = struct
+    include Batch_acs
+
+    let on_message ctx state ~src msg =
+      seen := msg :: !seen;
+      Batch_acs.on_message ctx state ~src msg
+  end in
+  let module R = Abc_net.Engine.Make (Recorded) in
+  let inputs =
+    Batch_acs.inputs ~n:4 ~coin:Abc.Coin.local [| "a"; "bb"; "ccc"; "dddd" |]
+  in
+  ignore (R.run (R.config ~n:4 ~f:1 ~inputs ~seed:2 ~adversary:Adversary.uniform ()));
+  check_labels ~label:Batch_acs.msg_label
+    ~expected:[ "ba.echo"; "ba.initial"; "ba.ready"; "prop.echo"; "prop.ready"; "prop.val" ]
+    !seen
+
 let prop_common_subset =
   QCheck.Test.make ~name:"subsets identical across honest nodes" ~count:25
     QCheck.(small_int)
@@ -166,6 +217,12 @@ let () =
           Alcotest.test_case "multivalued consensus" `Quick test_multivalued_consensus;
           Alcotest.test_case "multivalued with fault" `Quick test_multivalued_with_fault;
           Alcotest.test_case "inputs arity" `Quick test_inputs_arity;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "acs labels are shared" `Quick test_acs_labels_shared;
+          Alcotest.test_case "batch-acs labels are shared" `Quick
+            test_batch_acs_labels_shared;
         ] );
       ( "properties",
         [

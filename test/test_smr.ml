@@ -498,6 +498,74 @@ let prop_kv_deterministic =
       let s2, _ = Kv.apply_log Kv.empty log in
       String.equal (Kv.digest s1) (Kv.digest s2))
 
+(* ---- message labels ---- *)
+
+(* A label is a shared string, never one built per call: the engine
+   finds a label's counters by physical equality first.  Each test
+   runs a scenario through a wrapper that records every delivered
+   message; the check asks each message for its label twice. *)
+let check_labels ~label ~expected msgs =
+  List.iter
+    (fun m ->
+      if not (label m == label m) then
+        Alcotest.failf "label %S is built per call" (label m))
+    msgs;
+  Alcotest.(check (list string)) "label set" expected
+    (List.sort_uniq String.compare (List.map label msgs))
+
+let test_log_labels_shared () =
+  let seen = ref [] in
+  let module Recorded = struct
+    include Log
+
+    let on_message ctx state ~src msg =
+      seen := msg :: !seen;
+      Log.on_message ctx state ~src msg
+  end in
+  let module R = Abc_net.Engine.Make (Recorded) in
+  let inputs = Log.inputs ~n:4 ~slots:2 ~coin:Abc.Coin.local command in
+  ignore (R.run (R.config ~n:4 ~f:1 ~inputs ~seed:1 ~adversary:Adversary.uniform ()));
+  check_labels ~label:Log.msg_label
+    ~expected:
+      [
+        "slot.ba.echo"; "slot.ba.initial"; "slot.ba.ready"; "slot.prop.echo";
+        "slot.prop.initial"; "slot.prop.ready";
+      ]
+    !seen
+
+(* The crash makes node 2 catch up by state transfer, so checkpoint
+   and transfer messages are delivered too. *)
+let test_atomic_labels_shared () =
+  let seen = ref [] in
+  let module Recorded = struct
+    include Atomic
+
+    let on_message ctx state ~src msg =
+      seen := msg :: !seen;
+      Atomic.on_message ctx state ~src msg
+  end in
+  let module R = Abc_net.Engine.Make (Recorded) in
+  let seed = 31 in
+  let inputs =
+    Atomic.inputs ~n:4 ~checkpoint_interval:2 ~batch_size:3 ~epochs:6
+      ~coin_seed:((seed * 1000) + 17)
+      (mempools ~n:4 ~count:18 ~seed)
+  in
+  let faulty = [ (node 2, Behaviour.Crash_recover [ (800, 9000) ]) ] in
+  let recovery = { R.snapshot = Atomic.snapshot; restore = Atomic.restore } in
+  ignore
+    (R.run
+       (R.config ~faulty ~n:4 ~f:1 ~inputs ~seed ~adversary:Adversary.uniform
+          ~recovery ()));
+  check_labels ~label:Atomic.msg_label
+    ~expected:
+      [
+        "checkpoint"; "epoch.ba.echo"; "epoch.ba.initial"; "epoch.ba.ready";
+        "epoch.prop.echo"; "epoch.prop.ready"; "epoch.prop.val"; "transfer.req";
+        "transfer.resp";
+      ]
+    !seen
+
 let prop_identical_logs =
   QCheck.Test.make ~name:"all replicas build the same log" ~count:15
     QCheck.(small_int)
@@ -524,6 +592,7 @@ let () =
             test_lying_replica_logs_still_agree;
           Alcotest.test_case "single slot" `Quick test_single_slot;
           Alcotest.test_case "larger cluster" `Slow test_larger_cluster;
+          Alcotest.test_case "labels are shared" `Quick test_log_labels_shared;
         ] );
       ( "atomic broadcast",
         [
@@ -551,6 +620,7 @@ let () =
             test_restore_rejects_non_decimal_fields;
           Alcotest.test_case "workload deterministic" `Quick
             test_workload_deterministic;
+          Alcotest.test_case "labels are shared" `Quick test_atomic_labels_shared;
         ] );
       ( "kv store",
         [
