@@ -2,9 +2,13 @@ let prime = 0x7FFFFFFF (* 2^31 - 1, a Mersenne prime *)
 
 type t = int
 
+(* A canonical input, such as a packed payload symbol, skips the
+   division. *)
 let of_int x =
-  let r = x mod prime in
-  if r < 0 then r + prime else r
+  if 0 <= x && x < prime then x
+  else
+    let r = x mod prime in
+    if r < 0 then r + prime else r
 
 let to_int t = t
 
@@ -20,17 +24,23 @@ let sub a b =
   let d = a - b in
   if d < 0 then d + prime else d
 
-(* a, b < 2^31 so a * b < 2^62 fits a native int. *)
-let mul a b = a * b mod prime
+(* a, b < 2^31 so p = a * b < 2^62 fits a native int.  As
+   2^31 = 1 (mod prime), p = (p land prime) + (p lsr 31) (mod prime),
+   and for canonical a and b that sum is below 2 * prime, so one
+   conditional subtraction reduces it. *)
+let[@inline] mul a b =
+  let p = a * b in
+  let r = (p land prime) + (p lsr 31) in
+  if r >= prime then r - prime else r
 
-let rec pow x k =
+(* Square-and-multiply from the low bit up. *)
+let pow x k =
   assert (k >= 0);
-  if k = 0 then one
-  else begin
-    let half = pow x (k / 2) in
-    let squared = mul half half in
-    if k mod 2 = 0 then squared else mul squared x
-  end
+  let rec go base k acc =
+    if k = 0 then acc
+    else go (mul base base) (k lsr 1) (if k land 1 = 1 then mul acc base else acc)
+  in
+  go x k one
 
 let inv x = if x = 0 then raise Division_by_zero else pow x (prime - 2)
 

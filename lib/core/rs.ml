@@ -28,30 +28,44 @@ let fragment_wire_bytes fragment =
 (* Packing                                                           *)
 (* ----------------------------------------------------------------- *)
 
+(* Symbol [s] is bytes [3s], [3s + 1], [3s + 2], big-endian; a final
+   partial group is padded with zero bytes on the right.  The loops
+   spell out [symbol_bytes] = 3. *)
 let symbols_of_string payload =
   let len = String.length payload in
   let count = (len + symbol_bytes - 1) / symbol_bytes in
-  Array.init count (fun s ->
-      let acc = ref 0 in
-      for b = 0 to symbol_bytes - 1 do
-        let pos = (s * symbol_bytes) + b in
-        let byte = if pos < len then Char.code payload.[pos] else 0 in
-        acc := (!acc lsl 8) lor byte
-      done;
-      Gf.of_int !acc)
+  let whole = len / symbol_bytes in
+  let symbols = Array.make count Gf.zero in
+  for s = 0 to whole - 1 do
+    let pos = s * symbol_bytes in
+    symbols.(s) <-
+      Gf.of_int
+        ((String.get_uint8 payload pos lsl 16)
+        lor (String.get_uint8 payload (pos + 1) lsl 8)
+        lor String.get_uint8 payload (pos + 2))
+  done;
+  if whole < count then begin
+    (* One or two bytes remain; the third is padding. *)
+    let pos = whole * symbol_bytes in
+    let second = if pos + 1 < len then String.get_uint8 payload (pos + 1) else 0 in
+    symbols.(whole) <- Gf.of_int ((String.get_uint8 payload pos lsl 16) lor (second lsl 8))
+  end;
+  symbols
 
 let string_of_symbols symbols ~len =
-  let bytes = Bytes.make len '\000' in
-  Array.iteri
-    (fun s symbol ->
-      let v = Gf.to_int symbol in
-      for b = 0 to symbol_bytes - 1 do
-        let pos = (s * symbol_bytes) + b in
-        if pos < len then
-          Bytes.set bytes pos
-            (Char.chr ((v lsr (8 * (symbol_bytes - 1 - b))) land 0xFF))
-      done)
-    symbols;
+  let bytes = Bytes.create len in
+  let whole = len / symbol_bytes in
+  for s = 0 to whole - 1 do
+    let v = Gf.to_int symbols.(s) and pos = s * symbol_bytes in
+    Bytes.set_uint8 bytes pos ((v lsr 16) land 0xFF);
+    Bytes.set_uint8 bytes (pos + 1) ((v lsr 8) land 0xFF);
+    Bytes.set_uint8 bytes (pos + 2) (v land 0xFF)
+  done;
+  (* The final partial group's one or two bytes. *)
+  for pos = whole * symbol_bytes to len - 1 do
+    let shift = 8 * (symbol_bytes - 1 - (pos mod symbol_bytes)) in
+    Bytes.set_uint8 bytes pos ((Gf.to_int symbols.(whole) lsr shift) land 0xFF)
+  done;
   Bytes.to_string bytes
 
 (* ----------------------------------------------------------------- *)
@@ -69,21 +83,16 @@ let lagrange_weights ~xs ~x =
   let xg = Gf.of_int x in
   Array.init k (fun i ->
       let xi = Gf.of_int xs.(i) in
-      let w = ref Gf.one in
+      (* One division per weight: the quotient of the two products. *)
+      let num = ref Gf.one and den = ref Gf.one in
       for j = 0 to k - 1 do
         if j <> i then begin
           let xj = Gf.of_int xs.(j) in
-          w := Gf.mul !w (Gf.div (Gf.sub xg xj) (Gf.sub xi xj))
+          num := Gf.mul !num (Gf.sub xg xj);
+          den := Gf.mul !den (Gf.sub xi xj)
         end
       done;
-      !w)
-
-let dot weights k get =
-  let acc = ref Gf.zero in
-  for i = 0 to k - 1 do
-    acc := Gf.add !acc (Gf.mul weights.(i) (get i))
-  done;
-  !acc
+      Gf.div !num !den)
 
 (* ----------------------------------------------------------------- *)
 (* Encode / decode                                                   *)
@@ -98,29 +107,34 @@ let check_params ~k ~n =
 let block_count ~k symbols = (Array.length symbols + k - 1) / k
 
 (* Data symbol [b * k + i] is the value of block [b]'s polynomial at
-   x = i + 1; missing symbols of the final partial block are zero. *)
-let data_symbol symbols ~k ~block i =
-  let pos = (block * k) + i in
-  if pos < Array.length symbols then symbols.(pos) else Gf.zero
-
+   x = i + 1; missing symbols of the final partial block are zero, so
+   they are left out of every sum and left at zero in every copy. *)
 let encode ~k ~n payload =
   check_params ~k ~n;
   let symbols = symbols_of_string payload in
+  let count = Array.length symbols in
   let blocks = block_count ~k symbols in
   let xs = Array.init k (fun i -> i + 1) in
   Array.init n (fun fi ->
-      let x = fi + 1 in
-      let data =
-        if fi < k then
-          (* Systematic prefix: evaluation at x = fi + 1 is data symbol
-             [fi] of each block. *)
-          Array.init blocks (fun b -> data_symbol symbols ~k ~block:b fi)
-        else begin
-          let weights = lagrange_weights ~xs ~x in
-          Array.init blocks (fun b ->
-              dot weights k (fun i -> data_symbol symbols ~k ~block:b i))
-        end
-      in
+      let data = Array.make blocks Gf.zero in
+      if fi < k then
+        (* Systematic prefix: evaluation at x = fi + 1 is data symbol
+           [fi] of each block. *)
+        for b = 0 to blocks - 1 do
+          let pos = (b * k) + fi in
+          if pos < count then data.(b) <- symbols.(pos)
+        done
+      else begin
+        let weights = lagrange_weights ~xs ~x:(fi + 1) in
+        for b = 0 to blocks - 1 do
+          let base = b * k in
+          let acc = ref Gf.zero in
+          for i = 0 to Int.min k (count - base) - 1 do
+            acc := Gf.add !acc (Gf.mul weights.(i) symbols.(base + i))
+          done;
+          data.(b) <- !acc
+        done
+      end;
       { index = fi; data })
 
 let decode ~k ~len fragments =
@@ -146,12 +160,18 @@ let decode ~k ~len fragments =
   let xs = Array.map (fun fragment -> fragment.index + 1) chosen in
   (* One weight vector per data position, shared by every block. *)
   let weights = Array.init k (fun i -> lagrange_weights ~xs ~x:(i + 1)) in
-  let symbols =
-    Array.init (blocks * k) (fun pos ->
-        let b = pos / k in
-        let i = pos mod k in
-        dot weights.(i) k (fun j -> chosen.(j).data.(b)))
-  in
+  let data = Array.map (fun fragment -> fragment.data) chosen in
+  let symbols = Array.make (blocks * k) Gf.zero in
+  for b = 0 to blocks - 1 do
+    for i = 0 to k - 1 do
+      let w = weights.(i) in
+      let acc = ref Gf.zero in
+      for j = 0 to k - 1 do
+        acc := Gf.add !acc (Gf.mul w.(j) data.(j).(b))
+      done;
+      symbols.((b * k) + i) <- !acc
+    done
+  done;
   string_of_symbols symbols ~len
 
 (* ----------------------------------------------------------------- *)
@@ -182,7 +202,10 @@ module Merkle = struct
     let h = ref (mix 0x1EAF (Array.length fragment.data)) in
     h := mix !h len;
     h := mix !h fragment.index;
-    Array.iter (fun symbol -> h := mix !h (Gf.to_int symbol)) fragment.data;
+    let data = fragment.data in
+    for i = 0 to Array.length data - 1 do
+      h := mix !h (Gf.to_int data.(i))
+    done;
     !h
 
   let node_hash left right = mix (mix 0x0DDE left) right
