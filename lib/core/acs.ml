@@ -247,8 +247,8 @@ struct
   let on_timeout = Protocol.no_timeout
 
   (* Labels are shared strings (see [Protocol.S.msg_label]): each
-     label the repo's broadcasts use maps to its prefixed literal, and
-     only a label outside that set is built per call. *)
+     label of Bracha's RBC and of the coded RBC maps to its prefixed
+     literal, and only a label outside that set is built per call. *)
   let msg_label = function
     | Prop { inner; _ } -> (
       match B.msg_label inner with
