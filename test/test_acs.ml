@@ -125,7 +125,7 @@ let test_inputs_arity () =
 (* ---- message labels ---- *)
 
 (* A label is a shared string, never one built per call: the engine
-   finds a label's counters by physical equality first.  [labels_of]
+   finds a label's counters by physical equality first.  Each test
    runs a scenario through a wrapper that records every delivered
    message; the check asks each message for its label twice. *)
 let check_labels ~label ~expected msgs =
