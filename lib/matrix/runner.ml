@@ -68,7 +68,7 @@ let satisfies oracle (o : Registry.outcome) =
   match oracle with
   | Spec.Decide | Spec.Expect_fail -> Registry.decides o
   | Spec.Agree -> o.agreement && o.validity
-  | Spec.Deliver_all -> o.decided && o.agreement && o.totality
+  | Spec.Deliver_all -> o.decided && o.agreement && o.validity && o.totality
   | Spec.Live_within b -> Registry.decides o && o.ticks <= b
   | Spec.Any -> true
 

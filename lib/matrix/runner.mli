@@ -35,6 +35,13 @@ val check : Spec.t -> (unit, Sexp.error) result
     its [seeds] for at least 1, the error at the offending binding's
     span. *)
 
+val satisfies : Spec.oracle -> Registry.outcome -> bool
+(** Whether one seed's outcome meets an oracle: [decide], [expect-fail]
+    (what it must miss) and [live-within] ask {!Registry.decides}, the
+    latter within its tick budget; [agree] agreement and validity;
+    [deliver-all] delivery at every honest node with agreement,
+    validity and totality; [any] nothing. *)
+
 val run_seed : Registry.scenario -> seed:int -> Registry.outcome
 (** One seed of a checked scenario; a run the registry or the protocol
     rejects is {!Registry.failed}, which an [expect-fail] cell counts

@@ -496,6 +496,17 @@ let test_new_entries_decide () =
   | log :: _ -> Alcotest.(check bool) "log commits its slots" true (log.metrics.committed >= 6.)
   | [] -> ()
 
+(* deliver-all is E1's claim: every honest node delivers, and the
+   deliveries agree, carry the sender's payload and reach everyone.  A
+   run whose nodes all deliver the same wrong payload fails it. *)
+let test_deliver_all_needs_validity () =
+  let o =
+    { Registry.failed with decided = true; agreement = true; validity = true; totality = true }
+  in
+  Alcotest.(check bool) "valid outcome delivers" true (Runner.satisfies Spec.Deliver_all o);
+  Alcotest.(check bool) "wrong payload fails deliver-all" false
+    (Runner.satisfies Spec.Deliver_all { o with validity = false })
+
 let test_no_clock_zero_wall () =
   let r, _ = run_with_jobs 1 in
   List.iter
@@ -558,6 +569,7 @@ let () =
             test_expect_fail_semantics;
           Alcotest.test_case "wall-clock zero without a clock" `Quick
             test_no_clock_zero_wall;
+          Alcotest.test_case "deliver-all needs validity" `Quick test_deliver_all_needs_validity;
           Alcotest.test_case "log, acs and mmr-rabin decide" `Quick test_new_entries_decide;
           Alcotest.test_case "a + battery places kinds in order" `Quick test_battery_placement;
         ] );
