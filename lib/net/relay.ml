@@ -4,6 +4,7 @@ module Make (P : Protocol.S) = struct
     sequence : int;
     target : Node_id.t option;
     inner : P.msg;
+    label : string;
   }
 
   type input = P.input
@@ -23,9 +24,23 @@ module Make (P : Protocol.S) = struct
     inner_state : P.state;
     seen : Seen.t;
     next_sequence : int;
+    labels : (string * string) list;  (* child label, its prefixed string *)
   }
 
   let name = P.name ^ "+relay"
+
+  (* A label is a shared string (see [Protocol.S.msg_label]), and [P]'s
+     labels are not known here: a node builds ["relay." ^ l] once per
+     child label [l] it sends, in its own state rather than in a table
+     that engines on other domains would share, and each envelope
+     carries that string to every hop. *)
+  let relabel state inner =
+    let child = P.msg_label inner in
+    match List.find_opt (fun (l, _) -> String.equal l child) state.labels with
+    | Some (_, label) -> (state, label)
+    | None ->
+      let label = "relay." ^ child in
+      ({ state with labels = (child, label) :: state.labels }, label)
 
   (* Wrap the inner protocol's actions into flood envelopes.  Both
      broadcasts and targeted sends are flooded (the target may not be a
@@ -38,24 +53,21 @@ module Make (P : Protocol.S) = struct
         | Protocol.Set_timer { id; after } ->
           (* Timers are node-local: nothing to flood. *)
           (state, Protocol.Set_timer { id; after } :: wrapped)
-        | Protocol.Broadcast _ | Protocol.Send _ ->
+        | Protocol.Broadcast inner | Protocol.Send (_, inner) ->
           let sequence = state.next_sequence in
-          let state = { state with next_sequence = sequence + 1 } in
-          let envelope =
+          let state, label = relabel { state with next_sequence = sequence + 1 } inner in
+          let target =
             match action with
-            | Protocol.Broadcast inner ->
-              { origin = me; sequence; target = None; inner }
-            | Protocol.Send (dst, inner) ->
-              { origin = me; sequence; target = Some dst; inner }
-            | Protocol.Set_timer _ -> assert false
+            | Protocol.Send (dst, _) -> Some dst
+            | Protocol.Broadcast _ | Protocol.Set_timer _ -> None
           in
-          (state, Protocol.Broadcast envelope :: wrapped))
+          (state, Protocol.Broadcast { origin = me; sequence; target; inner; label } :: wrapped))
       (state, []) actions
     |> fun (state, wrapped) -> (state, List.rev wrapped)
 
   let initial ctx input =
     let inner_state, actions = P.initial ctx input in
-    let state = { inner_state; seen = Seen.empty; next_sequence = 0 } in
+    let state = { inner_state; seen = Seen.empty; next_sequence = 0; labels = [] } in
     wrap ctx.Protocol.Context.me state actions
     |> fun (state, actions) -> (state, actions)
 
@@ -94,7 +106,7 @@ module Make (P : Protocol.S) = struct
 
   let is_terminal = P.is_terminal
 
-  let msg_label envelope = "relay." ^ P.msg_label envelope.inner
+  let msg_label envelope = envelope.label
 
   let msg_bytes envelope =
     let open Protocol.Wire_size in

@@ -27,6 +27,9 @@ module Make (P : Protocol.S) : sig
     sequence : int;  (** origin-local dedup counter *)
     target : Node_id.t option;  (** [None] = logical broadcast *)
     inner : P.msg;
+    label : string;
+        (** ["relay." ^ P.msg_label inner], one shared string per
+            child label at the origin; not on the wire *)
   }
 
   include

@@ -218,6 +218,35 @@ let test_relay_forgery_attack () =
   Alcotest.(check bool) "naive flooding degraded by one lying relay" false
     (Abc.Harness.ok verdict && verdict.Abc.Harness.max_round <= 3)
 
+(* A label is a shared string, never one built per call: the engine
+   finds a label's counters by physical equality first.  A wrapper
+   records every message the relayed MMR delivers over a ring, and
+   each is asked for its label twice. *)
+let test_relay_labels_shared () =
+  let seen = ref [] in
+  let module Recorded = struct
+    include RM
+
+    let on_message ctx state ~src msg =
+      seen := msg :: !seen;
+      RM.on_message ctx state ~src msg
+  end in
+  let module R = Abc_net.Engine.Make (Recorded) in
+  let n = 5 in
+  let inputs =
+    M.inputs ~n ~coin:(Abc.Coin.common ~seed:7) (Array.init n (fun i -> Abc.Value.of_int (i mod 2)))
+  in
+  ignore
+    (R.run
+       (R.config ~n ~f:1 ~inputs ~topology:(Topology.ring ~n) ~adversary:Adversary.uniform ~seed:2 ()));
+  List.iter
+    (fun m ->
+      if not (RM.msg_label m == RM.msg_label m) then
+        Alcotest.failf "label %S is built per call" (RM.msg_label m))
+    !seen;
+  Alcotest.(check (list string)) "label set" [ "relay.aux"; "relay.bval" ]
+    (List.sort_uniq String.compare (List.map RM.msg_label !seen))
+
 let () =
   Alcotest.run "topology"
     [
@@ -246,5 +275,6 @@ let () =
             test_connectivity_threshold;
           Alcotest.test_case "forgery attack on naive flooding" `Slow
             test_relay_forgery_attack;
+          Alcotest.test_case "labels are shared" `Quick test_relay_labels_shared;
         ] );
     ]
