@@ -74,16 +74,6 @@ let () =
   in
   Fmt.pr "@.All honest replicas agree on the full order: %b@." identical;
 
-  (* Apply each log to the deterministic KV state machine: identical
-     logs must produce identical stores (compared by digest). *)
-  Fmt.pr "@.State machine digests after applying the log:@.";
-  List.iter
-    (fun (i, log) ->
-      let store, _ = Abc_smr.Kv_store.apply_log Abc_smr.Kv_store.empty log in
-      Fmt.pr "  replica %d: %s  (%d keys)@." i
-        (Abc_smr.Kv_store.digest store)
-        (List.length (Abc_smr.Kv_store.bindings store)))
-    logs;
   Fmt.pr "@.Total messages: %d, virtual time: %d@."
     (Abc_sim.Metrics.counter result.Engine.metrics "sent")
     result.Engine.duration
