@@ -68,7 +68,7 @@ let adversary_arg =
 
 let fault_kind_arg =
   let choices =
-    [ ("none", None); ("silent", Some Registry.Silent); ("crash", Some Registry.Crash);
+    [ ("none", None); ("silent", Some Registry.Silent); ("crash", Some (Registry.Crash 5));
       ("flip", Some Registry.Flip); ("equivocate", Some Registry.Equivocate);
       ("force-decide", Some Registry.Force_decide); ("replay", Some Registry.Replay) ]
   in
@@ -442,10 +442,12 @@ let run_check n f depth max_states fault =
     match fault with
     | None -> []
     | Some Registry.Silent -> [ (Node_id.of_int 0, Behaviour.Silent) ]
-    | Some Registry.Crash -> [ (Node_id.of_int 0, Behaviour.Crash_after 2) ]
+    | Some (Registry.Crash _) -> [ (Node_id.of_int 0, Behaviour.Crash_after 2) ]
     | Some Registry.Equivocate ->
       [ (Node_id.of_int 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
-    | Some (Registry.Flip | Registry.Balanced_flip | Registry.Force_decide | Registry.Replay) ->
+    | Some
+        (Registry.Flip | Registry.Balanced_flip | Registry.Force_decide | Registry.Replay
+        | Registry.Corrupt) ->
       [ (Node_id.of_int 1,
          Behaviour.Mutate (Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v))) ]
   in

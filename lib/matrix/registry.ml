@@ -16,7 +16,8 @@ type topology = Complete | Ring | Star | Circulant of int list
 
 type inputs = Halves | Unanimous of Value.t | Alternating
 
-type fault_kind = Silent | Crash | Replay | Flip | Balanced_flip | Equivocate | Force_decide
+type fault_kind =
+  | Silent | Crash of int | Replay | Flip | Balanced_flip | Equivocate | Force_decide | Corrupt
 
 type fault =
   | No_fault
@@ -51,6 +52,15 @@ let adversary tok =
     match nat p with Some p when p > 0 -> Ok (Eclipse p) | _ -> bad "eclipse wants a positive period")
   | _ -> bad "unknown adversary (fifo | uniform | split | latency:MEAN | target:ID | source:ID | eclipse:PERIOD)"
 
+let adversary_token = function
+  | Fifo -> "fifo"
+  | Uniform -> "uniform"
+  | Split -> "split"
+  | Latency m -> Printf.sprintf "latency:%.17g" m
+  | Target i -> Printf.sprintf "target:%d" i
+  | Source i -> Printf.sprintf "source:%d" i
+  | Eclipse p -> Printf.sprintf "eclipse:%d" p
+
 let topology tok =
   match String.split_on_char ':' tok with
   | [ "complete" ] -> Ok Complete
@@ -69,10 +79,30 @@ let inputs = function
   | "alternate" -> Ok Alternating
   | tok -> bad "inputs" tok "unknown inputs (split | unanimous0 | unanimous1 | alternate)"
 
+let inputs_token = function
+  | Halves -> "split"
+  | Unanimous v -> Printf.sprintf "unanimous%d" (Value.to_int v)
+  | Alternating -> "alternate"
+
 let kinds =
-  [ ("none", None); ("silent", Some Silent); ("crash", Some Crash); ("replay", Some Replay);
+  [ ("none", None); ("silent", Some Silent); ("crash", Some (Crash 5)); ("replay", Some Replay);
     ("flip", Some Flip); ("balanced-flip", Some Balanced_flip); ("equivocate", Some Equivocate);
-    ("force-decide", Some Force_decide) ]
+    ("force-decide", Some Force_decide); ("corrupt", Some Corrupt) ]
+
+(* [crash] stops a node after 5 activations, [crash-after-K] after K. *)
+let crash_after = "crash-after-"
+
+let kind name =
+  match List.assoc_opt name kinds with
+  | Some k -> Some k
+  | None when String.starts_with ~prefix:crash_after name ->
+    let at = String.length crash_after in
+    Option.map (fun k -> Some (Crash k)) (nat (String.sub name at (String.length name - at)))
+  | None -> None
+
+let kind_token = function
+  | Crash k when k <> 5 -> crash_after ^ string_of_int k
+  | k -> fst (List.find (fun (_, k') -> k' = Some k) kinds)
 
 let named =
   [ ("silent-sender", Silent_sender); ("crash-sender", Crash_sender); ("flip-relay", Flip_relay);
@@ -80,15 +110,15 @@ let named =
 
 let unknown_fault tok =
   bad "fault" tok
-    "unknown fault (KIND[:COUNT] or KIND@ID,ID,... for KIND in %s, or counted kinds joined with +; \
-     or %s)"
-    (String.concat ", " (List.map fst kinds)) (String.concat ", " (List.map fst named))
+    "unknown fault (KIND[:COUNT] or KIND@ID,ID,... for KIND in %s, %sK, or counted kinds joined \
+     with +; or %s)"
+    (String.concat ", " (List.map fst kinds)) crash_after (String.concat ", " (List.map fst named))
 
 let counted tok =
   let kind, count =
     match String.split_on_char ':' tok with
-    | [ kind ] -> (List.assoc_opt kind kinds, Some 1)
-    | [ kind; k ] -> (List.assoc_opt kind kinds, nat k)
+    | [ name ] -> (kind name, Some 1)
+    | [ name; k ] -> (kind name, nat k)
     | _ -> (None, None)
   in
   match (List.assoc_opt tok named, kind, count) with
@@ -100,9 +130,9 @@ let counted tok =
 
 let placed tok =
   match String.split_on_char '@' tok with
-  | [ kind; ids ] -> (
+  | [ name; ids ] -> (
     let ids = List.map nat (String.split_on_char ',' ids) in
-    match List.assoc_opt kind kinds with
+    match kind name with
     | Some (Some Balanced_flip) -> bad "fault" tok "balanced-flip places itself"
     | Some (Some kind) when List.for_all Option.is_some ids -> Ok (Placed (kind, List.filter_map Fun.id ids))
     | Some (Some _) -> bad "fault" tok "want KIND@ID,ID,... with non-negative ids"
@@ -129,6 +159,13 @@ let fault tok =
     in
     Result.map (fun kinds -> Faulty kinds) (List.fold_right join parts (Ok []))
 
+let fault_token = function
+  | No_fault -> "none"
+  | Faulty kinds ->
+    String.concat "+" (List.map (fun (k, count) -> Printf.sprintf "%s:%d" (kind_token k) count) kinds)
+  | Placed (k, ids) -> kind_token k ^ "@" ^ String.concat "," (List.map string_of_int ids)
+  | f -> fst (List.find (fun (_, f') -> f' = f) named)
+
 let crash tok =
   let rec pairs = function
     | [] -> Some []
@@ -149,6 +186,15 @@ let crash tok =
       (fun part acc -> let* p = plan part in Result.map (List.cons p) acc)
       (String.split_on_char ',' tok) (Ok [])
 
+let crash_token = function
+  | [] -> "none"
+  | plans ->
+    let plan (i, schedule) =
+      String.concat ":"
+        (string_of_int i :: List.concat_map (fun (c, r) -> [ string_of_int c; string_of_int r ]) schedule)
+    in
+    String.concat "," (List.map plan plans)
+
 let partition tok =
   match String.split_on_char ':' tok with
   | [ from_s; until_s; ids ] -> (
@@ -159,6 +205,9 @@ let partition tok =
       Ok { from_tick; until_tick; island = List.filter_map Fun.id island }
     | _ -> bad "partition" tok "want FROM:UNTIL:id,id,... with FROM <= UNTIL")
   | _ -> bad "partition" tok "want FROM:UNTIL:id,id,..."
+
+let partition_token p =
+  Printf.sprintf "%d:%d:%s" p.from_tick p.until_tick (String.concat "," (List.map string_of_int p.island))
 
 (* ---- Scenarios, outcomes, runs ---- *)
 
@@ -241,13 +290,18 @@ let guard run =
    protocol's lies, named by their fault tokens ("flip", "equivocate",
    "force-decide", and E1's "flip-relay" and "equivocate-sender", the
    ["!" ^ payload] corruptions of a relay and of the sender); [refuse]
-   explains a lie it cannot tell. *)
+   explains a lie it cannot tell.  A [corrupt] node is honest for 3
+   activations, then tells the flip lie. *)
 let battery ~n ~broadcast ~lie ~refuse fault =
   let behaviour = function
     | `Mute -> Ok Behaviour.Silent
     | `Stop k -> Ok (Behaviour.Crash_after k)
     | `Spam -> Ok (Behaviour.Replay 2)
     | `Lie l -> Option.fold (lie l) ~some:(fun b -> Ok (b ~n)) ~none:(Error (refuse l))
+    | `Corrupt ->
+      Option.fold (lie "flip")
+        ~some:(fun b -> Ok (Behaviour.Corrupt_after (3, b ~n)))
+        ~none:(Error (refuse "corrupt"))
   in
   let sender i how =
     if broadcast then Result.map (fun b -> [ (node i, b) ]) (behaviour how)
@@ -255,11 +309,12 @@ let battery ~n ~broadcast ~lie ~refuse fault =
   in
   let how = function
     | Silent -> `Mute
-    | Crash -> `Stop 5
+    | Crash k -> `Stop k
     | Replay -> `Spam
     | Flip | Balanced_flip -> `Lie "flip"
     | Equivocate -> `Lie "equivocate"
     | Force_decide -> `Lie "force-decide"
+    | Corrupt -> `Corrupt
   in
   match fault with
   | No_fault -> Ok []
@@ -368,15 +423,16 @@ let consensus_judge ~value_of_input _ inputs v =
     let line (id, time, d) = Fmt.str "  %a: %a at t=%d" Node_id.pp id Abc.Decision.pp d time in
     lazy (List.map line verdict.decisions) )
 
-(* E1's verdict: validity, agreement and totality over the honest
-   nodes' single deliveries of node 0's [sent]. *)
+(* E1's verdict over the honest nodes' deliveries of node 0's [sent]:
+   validity (each carries [sent], when node 0 is honest), agreement (no
+   node delivers twice, and all deliveries are equal) and totality
+   (every node delivers once, or none does). *)
 let broadcast_judge ~value ~equal ~sent ~show v =
-  let delivered =
-    List.filter_map
-      (fun id -> match v.outputs.(Node_id.to_int id) with [ (_, d) ] -> Some (value d) | _ -> None)
-      v.honest
+  let deliveries =
+    List.map (fun id -> List.map (fun (_, d) -> value d) v.outputs.(Node_id.to_int id)) v.honest
   in
-  let count = List.length delivered in
+  let delivered = List.concat deliveries in
+  let count = List.length (List.filter (fun ds -> List.compare_length_with ds 1 = 0) deliveries) in
   let all = count = List.length v.honest in
   let report i = function
     | [ (time, d) ] -> [ Printf.sprintf "  node %d: delivered %s at t=%d" i (show (value d)) time ]
@@ -384,7 +440,9 @@ let broadcast_judge ~value ~equal ~sent ~show v =
     | _ -> []
   in
   ( { (counts v) with decided = all; totality = count = 0 || all;
-      agreement = (match delivered with d :: rest -> List.for_all (equal d) rest | [] -> true);
+      agreement =
+        List.for_all (fun ds -> List.compare_length_with ds 1 <= 0) deliveries
+        && (match delivered with d :: rest -> List.for_all (equal d) rest | [] -> true);
       validity =
         (not (List.exists (Node_id.equal (node 0)) v.honest)) || List.for_all (equal sent) delivered },
     lazy (List.concat (List.mapi report (Array.to_list v.outputs))) )
@@ -445,49 +503,73 @@ module Mmr_rabin = struct
   let inputs sc ~seed:_ = inputs_with_shared_coin ~n:sc.n ~f:sc.f ~seed:7 (values sc)
 end
 
+(* A common subset's verdict: every honest node accepts one subset of
+   at least n-f entries, each its proposer's input. *)
+let subset_judge ~subset ~proposal sc inputs v =
+  let subset id = match v.outputs.(Node_id.to_int id) with [ (_, o) ] -> Some (subset o) | _ -> None in
+  let subsets = List.filter_map subset v.honest in
+  let kept (id, p) = p = proposal inputs.(Node_id.to_int id) in
+  { (counts v) with decided = List.length subsets = List.length v.honest; totality = true;
+    agreement = (match subsets with s :: rest -> List.for_all (( = ) s) rest | [] -> true);
+    validity =
+      List.for_all
+        (fun s -> List.length s >= Abc.Quorum.completeness ~n:sc.n ~f:sc.f && List.for_all kept s)
+        subsets }
+
 (* The asynchronous common subset over node i's proposal 100+i, local
-   coin: every honest node accepts one common subset of at least n-f
-   proposals, each honest proposer's unchanged. *)
+   coin. *)
 module Acs = struct
   include Abc.Acs.Make (Abc.Payloads.Int_payload)
   let broadcast = false and recovery = None and lie = identity_lie
   let inputs sc ~seed:_ = inputs ~n:sc.n ~coin:Abc.Coin.local (Array.init sc.n (( + ) 100))
   let judge sc inputs v =
-    let subset id = match v.outputs.(Node_id.to_int id) with [ (_, Accepted s) ] -> Some s | _ -> None in
-    let subsets = List.filter_map subset v.honest in
-    let kept (id, p) =
-      (not (List.exists (Node_id.equal id) v.honest)) || p = inputs.(Node_id.to_int id).proposal
-    in
-    ( { (counts v) with decided = List.length subsets = List.length v.honest; totality = true;
-        agreement = (match subsets with s :: rest -> List.for_all (( = ) s) rest | [] -> true);
-        validity =
-          List.for_all
-            (fun s -> List.length s >= Abc.Quorum.completeness ~n:sc.n ~f:sc.f && List.for_all kept s)
-            subsets },
+    ( subset_judge ~subset:(fun (Accepted s) -> s) ~proposal:(fun i -> i.proposal) sc inputs v,
       output_lines pp_output v.outputs )
 end
 
-(* Turpin-Coan's one-BA reduction over E13's near-unanimous proposals
-   (node 0 9, every other node 5), local coin: every honest node agrees
-   on one proposed value. *)
+(* The batched common subset over node i's batch "batch-I:" padded
+   with 8i bytes, local coin. *)
+module Batch_acs = struct
+  include Abc.Batch_acs
+  let broadcast = false and recovery = None and lie = identity_lie
+  let inputs sc ~seed:_ =
+    inputs ~n:sc.n ~coin:Abc.Coin.local
+      (Array.init sc.n (fun i -> Printf.sprintf "batch-%d:%s" i (String.make (8 * i) 'x')))
+  let judge sc inputs v =
+    ( subset_judge ~subset:(fun (Accepted s) -> s) ~proposal:(fun i -> i.proposal) sc inputs v,
+      output_lines pp_output v.outputs )
+end
+
+(* Turpin-Coan's one-BA reduction, local coin, over E13's
+   near-unanimous proposals for [split] (node 0 9, every other node 5),
+   every node's 0 or 1 for [unanimous0] and [unanimous1], and n
+   distinct proposals 100+i for [alternate]: every honest node outputs
+   one outcome, the same; an agreed value was proposed, and a fallback
+   needs honest inputs that differ. *)
 module Turpin_coan = struct
   include Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
   let broadcast = false and recovery = None and lie = identity_lie
   let inputs sc ~seed:_ =
-    inputs ~n:sc.n ~coin:Abc.Coin.local (Array.init sc.n (fun i -> if i = 0 then 9 else 5))
+    inputs ~n:sc.n ~coin:Abc.Coin.local
+      (match sc.inputs with
+      | Halves -> Array.init sc.n (fun i -> if i = 0 then 9 else 5)
+      | Unanimous v -> Array.make sc.n (Value.to_int v)
+      | Alternating -> Array.init sc.n (( + ) 100))
   let judge _ inputs v =
     let outcome id = match v.outputs.(Node_id.to_int id) with [ (_, o) ] -> Some o | _ -> None in
     let outcomes = List.filter_map outcome v.honest in
-    let proposed = function
-      | Agreed x -> Array.exists (fun (i : input) -> i.value = x) inputs
-      | Fallback -> true
+    let unanimous =
+      match List.map (fun id -> inputs.(Node_id.to_int id).value) v.honest with
+      | x :: rest -> List.for_all (( = ) x) rest
+      | [] -> true
     in
-    ( { (counts v) with
-        decided =
-          List.length outcomes = List.length v.honest
-          && List.for_all (function Agreed _ -> true | Fallback -> false) outcomes;
+    let valid = function
+      | Agreed x -> Array.exists (fun (i : input) -> i.value = x) inputs
+      | Fallback -> not unanimous
+    in
+    ( { (counts v) with decided = List.length outcomes = List.length v.honest;
         agreement = (match outcomes with o :: rest -> List.for_all (( = ) o) rest | [] -> true);
-        validity = List.for_all proposed outcomes; totality = true },
+        validity = List.for_all valid outcomes; totality = true },
       output_lines pp_output v.outputs )
 end
 
@@ -524,6 +606,15 @@ module Ir_rbc = struct
   let judge = payload_judge (fun (Delivered s) -> s)
 end
 
+(* Consistent broadcast promises validity and agreement, not totality;
+   it has no forged messages, so it tells no lie. *)
+module Consistent_rbc = struct
+  include Abc.Consistent_broadcast.Make (Abc.Payloads.String_payload)
+  let broadcast = true and recovery = None and lie = agnostic
+  let inputs = payload_inputs inputs
+  let judge = payload_judge (fun (Delivered s) -> s)
+end
+
 module Coded_rbc = struct
   include Abc.Coded_rbc
   let broadcast = true and recovery = None
@@ -536,9 +627,9 @@ module Coded_rbc = struct
 end
 
 (* A replicated ledger's verdict: every correct replica (honest, or
-   crashed and recovered) completes one agreeing log; [committed] is the
-   first one's length. *)
-let ledger sc v log_of_outputs =
+   crashed and recovered) completes one agreeing log, and every
+   complete log is [valid]; [committed] is the first one's length. *)
+let ledger ?(valid = fun _ -> true) sc v log_of_outputs =
   let crashed = List.map (fun (i, _) -> node i) sc.crash in
   let correct = v.honest @ List.filter (fun id -> not (List.exists (Node_id.equal id) v.honest)) crashed in
   let logs = List.map (fun id -> log_of_outputs v.outputs.(Node_id.to_int id)) correct in
@@ -548,7 +639,7 @@ let ledger sc v log_of_outputs =
       (match logs with
       | first :: rest -> List.for_all (fun l -> l = None || l = first || first = None) rest
       | [] -> true);
-    validity = true; totality = true;
+    validity = List.for_all (Option.fold ~none:true ~some:valid) logs; totality = true;
     committed = (match logs with Some l :: _ -> List.length l | _ -> 0) }
 
 (* The batched atomic broadcast: [batch * epochs] transactions of
@@ -599,7 +690,35 @@ module Atomic = struct
         Option.value (List.find_map commit outputs) ~default:0
     in
     { max_live; checkpoints; transfers; catch_up }
-  let judge sc _ v =
+  (* No tx commits twice and every committed tx was offered.  With no
+     faulty node, no crash plan and no link fault, under a scheduler
+     that starves no proposer (fifo, uniform, latency), every node's
+     first batch * (epochs - 1) txs commit: the last epoch is slack for
+     a batch left out of some subset and proposed again.  An unfair
+     scheduler may starve a proposer; resisting that needs
+     threshold-encrypted batches (PROTOCOLS.md). *)
+  let valid sc inputs v =
+    let module S = Set.Make (String) in
+    let offered =
+      Array.fold_left (fun s i -> Array.fold_left (fun s tx -> S.add tx s) s i.mempool) S.empty inputs
+    in
+    let fair =
+      match sc.adversary with
+      | Fifo | Uniform | Latency _ -> true
+      | Split | Target _ | Source _ | Eclipse _ -> false
+    in
+    let owed =
+      List.length v.honest = sc.n && sc.crash = [] && Option.is_none (link_faults sc) && fair
+    in
+    fun log ->
+      let committed = S.of_list log in
+      let included i =
+        Array.for_all (fun tx -> S.mem tx committed) (Array.sub i.mempool 0 (sc.batch * (sc.epochs - 1)))
+      in
+      S.cardinal committed = List.length log
+      && S.subset committed offered
+      && ((not owed) || Array.for_all included inputs)
+  let judge sc inputs v =
     let all = Array.to_list v.outputs in
     let replicas = Array.mapi (measures sc) v.outputs in
     (* A node that emitted no Gc_stats gets no line. *)
@@ -617,7 +736,7 @@ module Atomic = struct
         (v.counter "timer.stale")
       :: List.filter_map Fun.id (List.mapi gc all)
     in
-    ( { (ledger sc v log_of_outputs) with replicas },
+    ( { (ledger ~valid:(valid sc inputs v) sc v log_of_outputs) with replicas },
       lazy
         (Option.to_list (Option.map (commit_line sc v) (log_of_outputs v.outputs.(0)))
         @ List.mapi replica all
@@ -719,7 +838,9 @@ let entries =
     entry "bracha-rbc-bit" "n>3f" (module Bit_rbc);
     entry "coded-rbc" "n>3f" (module Coded_rbc);
     entry "ir-rbc" "n>5f" (module Ir_rbc);
+    entry "consistent-rbc" "n>3f" (module Consistent_rbc);
     entry "acs" "n>3f" (module Acs);
+    entry "batch-acs" "n>3f" (module Batch_acs);
     entry "turpin-coan" "n>4f" (module Turpin_coan);
     entry "log" "n>3f" (module Log);
     entry "atomic" "n>3f" (module Atomic) ]

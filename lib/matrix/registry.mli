@@ -1,20 +1,26 @@
 (** The protocol registry: the only code that turns a scenario into an
-    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags and
-    every bench table.
+    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags, every
+    bench table and the randomized campaign suite's rows.
 
     One entry per protocol: [bracha], [bracha-cc] (common coin),
     [bracha-rl] (reliable links), [ben-or], [mmr], [mmr-rabin] (the
-    wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc]
-    broadcasting [payload] bytes, [bracha-rbc-bit] one bit; [acs] over
-    proposals [100+i]; [turpin-coan] over node 0's 9 and everyone
-    else's 5; [log] (one ACS per slot, [epochs] slots) and [atomic].
+    wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc] and
+    [consistent-rbc] (echo-only, no totality) broadcasting [payload]
+    bytes, [bracha-rbc-bit] one bit; [acs] over proposals [100+i];
+    [batch-acs] over batches ["batch-I:"] padded with [8i] bytes;
+    [turpin-coan] over node 0's 9 and everyone else's 5 ([split]),
+    every node's 0 or 1 ([unanimous0], [unanimous1]) or proposals
+    [100+i] ([alternate]); [log] (one ACS per slot, [epochs] slots) and
+    [atomic].
     Each carries its resilience class, its engine (raw,
     {!Abc_net.Reliable_link}-wrapped, or {!Abc_net.Relay}-flooded over
     an explicit topology), inputs, fault battery, verdict and per-node
     report lines; one generic run applies the adversary, topology, link
     faults, delivery budget, crash-recovery and trace. *)
 
-(** {1 Tokens}: total decoders, whose errors quote the token. *)
+(** {1 Tokens}: total decoders, whose errors quote the token, and
+    their encoders: [decode (encode v) = Ok v] for every value a
+    decoder returns. *)
 
 type adversary =
   | Fifo | Uniform | Split | Latency of float | Target of int | Source of int | Eclipse of int
@@ -26,16 +32,25 @@ type topology = Complete | Ring | Star | Circulant of int list  (** [circulant:D
 type inputs = Halves | Unanimous of Abc.Value.t | Alternating
 (** [split] (low half 0), [unanimous0], [unanimous1], [alternate] *)
 
-type fault_kind = Silent | Crash | Replay | Flip | Balanced_flip | Equivocate | Force_decide
+type fault_kind =
+  | Silent
+  | Crash of int
+      (** stops after [K] activations: [crash-after-K], and [crash]
+          for 5 *)
+  | Replay
+  | Flip
+  | Balanced_flip
+  | Equivocate
+  | Force_decide
+  | Corrupt  (** honest for 3 activations, then the flip lie *)
 
 type fault =
   | No_fault
   | Faulty of (fault_kind * int) list
       (** [KIND[:COUNT]], or kinds joined with [+]
           ([force-decide:1+flip:1]), over the highest-numbered nodes in
-          order ([balanced-flip], alone: both ends); a crash after 5
-          activations; a broadcast's first liar is its sender, node 0,
-          and garbles with XOR 0x5A *)
+          order ([balanced-flip], alone: both ends); a broadcast's
+          first liar is its sender, node 0, and garbles with XOR 0x5A *)
   | Placed of fault_kind * int list
       (** [KIND@ID,ID,...] ([silent@1,5]), alone: the kind on exactly
           those nodes, each below [n] and named once; not
@@ -52,14 +67,19 @@ type crash = int * (int * int) list
 (** A node and its [(crash, rejoin)] ticks: [NODE:CRASH:REJOIN[:...]]. *)
 
 val adversary : string -> (adversary, string) result
+val adversary_token : adversary -> string
 val topology : string -> (topology, string) result
 val inputs : string -> (inputs, string) result
+val inputs_token : inputs -> string
 val fault : string -> (fault, string) result
+val fault_token : fault -> string
 
 val crash : string -> (crash list, string) result
 (** [none], or comma-separated plans. *)
 
+val crash_token : crash list -> string
 val partition : string -> (partition, string) result
+val partition_token : partition -> string
 
 (** {1 Scenarios} *)
 
@@ -94,7 +114,17 @@ val scenario : protocol:string -> n:int -> f:int -> scenario
     committed again). *)
 type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : int }
 
-(** [rounds] is the slowest honest decision round, [committed] the
+(** The verdict over the honest nodes (and, for [log] and [atomic],
+    the crashed and recovered replicas).  [validity]: consensus decides
+    a unanimous honest input; a broadcast's every delivery carries the
+    sender's payload, when the sender is honest; a common subset has at
+    least n-f entries, each its proposer's input; Turpin–Coan agrees on
+    a proposed value, or falls back on honest inputs that differ;
+    [atomic] commits no tx twice and only offered ones, and on a run
+    with no faulty node, crash plan or link fault under [fifo],
+    [uniform] or [latency], every node's first [batch * (epochs - 1)]
+    txs.  A broadcast node that delivers twice breaks [agreement].
+    [rounds] is the slowest honest decision round, [committed] the
     first correct replica's log length ([log]: commands, [atomic]:
     transactions), [replicas] one record per node ([atomic] only, else
     empty). *)

@@ -279,6 +279,9 @@ let test_flood_relay () =
   let ring = { (Registry.scenario ~protocol:"bracha" ~n:7 ~f:2) with topology = Ring } in
   refused "flip over a ring" { ring with fault = Faulty [ (Flip, 1) ] } ~axis:"fault"
     ~msg_has:"flood relay supports only message-agnostic faults";
+  refused "corrupt over reliable links"
+    { ring with topology = Complete; reliable = true; fault = Faulty [ (Corrupt, 1) ] }
+    ~axis:"fault" ~msg_has:"not \"corrupt\"";
   refused "reliable links over a ring" { ring with reliable = true } ~axis:"topology"
     ~msg_has:"reliable links do not run over an explicit topology"
 

@@ -1,30 +1,31 @@
-(* The randomized campaign suite: one scenario vocabulary (size,
-   resilience, fault placement and kind, scheduler, inputs, optional
-   lossy links), one campaign runner, one subject functor applied once
-   per protocol in the library, and one judge per promise.  A row is a
-   subject, a scenario generator and a count.  Each protocol is held to
-   what it actually promises: totality for the reliable broadcasts
-   (Bracha, erasure-coded, Imbs-Raynal) but not for consistent
-   broadcast, full consensus for Bracha/Ben-Or/MMR,
-   agreement-or-joint-fallback for Turpin–Coan, identical common
-   subsets for ACS over either proposal broadcast (Bracha's and the
-   erasure-coded one), one ledger for the atomic broadcast.
+(* The randomized campaign suite.  A row is a name, a count, a
+   generator of registry scenarios with their seeds, and the matrix
+   oracle that judges them: every run goes through [Registry.run] and
+   [Runner.satisfies], the path of every abc-bench cell, every abc-run
+   subcommand and every bench table, so a cell can pass no run that a
+   row would fail.  Each protocol is held to what it actually promises
+   ([decide]): totality for the reliable broadcasts (Bracha,
+   erasure-coded, Imbs-Raynal), full consensus for Bracha/Ben-Or/MMR,
+   one outcome with unanimity carried for Turpin-Coan, identical common
+   subsets for ACS and batch ACS, one complete, duplicate-free ledger
+   for the atomic broadcast; only agreement and validity ([agree]) for
+   consistent broadcast, which promises no totality, and for raw Bracha
+   under loss.
 
    Rows run on the Exec.Pool at jobs > 1 on purpose: scenarios are
    generated up front on the main domain from a pinned seed
    (QCHECK_SEED, default 421984) and evaluated concurrently, so the
    suite doubles as a standing check that concurrent engine runs do not
-   interfere with each other.  Each job builds its own engine from its
-   scenario, so the worker count never changes which scenarios run or
-   how they behave. *)
+   interfere with each other.  Each job runs its own scenario, so the
+   worker count never changes which scenarios run or how they behave. *)
 
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
-module Adversary = Abc_net.Adversary
-module Engine = Abc_net.Engine
-module Link_faults = Abc_net.Link_faults
-module Value = Abc.Value
 module Pool = Abc_exec.Pool
+module Registry = Abc_matrix.Registry
+module Runner = Abc_matrix.Runner
+module Spec = Abc_matrix.Spec
+module Atomic = Abc_smr.Atomic_broadcast
 
 let node = Node_id.of_int
 
@@ -57,187 +58,105 @@ let campaign ~name ~count gen print prop =
           (List.length failures) count battery_seed
           (String.concat " " failures))
 
-(* ---- scenario vocabulary ---- *)
-
-(* How the faulty nodes misbehave.  The lies are forged by the
-   protocol under test; Recover nodes crash and rejoin from their
-   durable store, and count as correct. *)
-type fault =
-  | Silent
-  | Crash of int  (** fail-stop after [seed mod k] activations *)
-  | Flip  (** the same lie to every recipient *)
-  | Equivocate  (** a different lie per recipient *)
-  | Corrupt  (** honest for 3 activations, then Flip *)
-  | Recover of (int * int) list list  (** a crash/rejoin schedule per victim *)
-
-(* An atomic-broadcast workload: [txs] client transactions of
-   [tx_bytes] each per mempool, [epochs] batches of [batch], a
-   checkpoint every [checkpoint] epochs (0: none). *)
-type log = { batch : int; epochs : int; txs : int; tx_bytes : int; checkpoint : int }
-
-(* What the nodes start from.  Binary subjects read the patterns as
-   all-Zero, all-One and split at n/2; the others map them onto their
-   own domain. *)
-type inputs = Zeros | Ones | Split | Bytes of int  (** payload length *) | Log of log
-
-(* Bounded loss and duplication plus an optional partition.  Cuts
-   always heal: a link that stays dead defeats any transport, so
-   permanent cuts belong to the targeted tests, not a liveness
-   campaign. *)
-type links = {
-  loss_pct : int;
-  dup_pct : int;
-  cut : (int * int * int) option; (* from, length, island node *)
-  raw : bool; (* no Reliable_link under the plan: only safety is owed *)
-}
-
-type scenario = {
-  n : int;
-  f : int;
-  faults : int; (* faulty nodes, the highest ids *)
-  fault : fault;
-  adversary : string; (* a [schedulers] name *)
-  inputs : inputs;
-  links : links option; (* carried by Reliable_link unless [raw] *)
-  budget : int option; (* delivery budget; [None] is the engine's default *)
-  seed : int;
-}
-
-(* Every row that draws a scheduler draws from this table, so a new
-   one is one line here.  fifo, uniform and latency starve no proposer,
-   which the ledger's inclusion check relies on. *)
-let schedulers =
-  [
-    ("fifo", fun _ -> Adversary.fifo);
-    ("uniform", fun _ -> Adversary.uniform);
-    ("latency", fun _ -> Adversary.latency ~mean:6.);
-    ("targeted", fun _ -> Adversary.targeted_delay ~victims:[ node 0 ]);
-    ("split", fun n -> Adversary.split ~n);
-    ("eclipse", fun n -> Adversary.rotating_eclipse ~n ~period:5);
-  ]
-
-let plan_of l =
-  let cuts =
-    match l.cut with
-    | None -> []
-    | Some (from_tick, len, v) ->
-      [ Link_faults.cut ~from_tick ~until_tick:(from_tick + len) [ node v ] ]
-  in
-  Link_faults.make
-    ~drop:(float_of_int l.loss_pct /. 100.)
-    ~dup:(float_of_int l.dup_pct /. 100.)
-    ~cuts ()
-
-let print_scenario s =
-  let pairs plan = List.map (fun (c, r) -> Printf.sprintf "%d-%d" c r) plan in
-  let fault =
-    match s.fault with
-    | Silent -> "silent"
-    | Crash k -> Printf.sprintf "crash@%d" (s.seed mod k)
-    | Flip -> "flip"
-    | Equivocate -> "equivocate"
-    | Corrupt -> "corrupt@3"
-    | Recover plans ->
-      "recover:" ^ String.concat ";" (List.map (fun p -> String.concat "," (pairs p)) plans)
-  in
-  let inputs =
-    match s.inputs with
-    | Zeros -> "zeros"
-    | Ones -> "ones"
-    | Split -> "split"
-    | Bytes k -> Printf.sprintf "%dB" k
-    | Log l ->
-      Printf.sprintf "log:%dx%d,%dx%dB,ckpt%d" l.epochs l.batch l.txs l.tx_bytes l.checkpoint
-  in
-  let links =
-    match s.links with
-    | None -> "clean"
-    | Some l ->
-      Printf.sprintf "%s%d%%/%d%%%s" (if l.raw then "raw:" else "") l.loss_pct l.dup_pct
-        (match l.cut with
-        | None -> ""
-        | Some (a, len, v) -> Printf.sprintf "+cut[%d,%d)@%d" a (a + len) v)
-  in
-  Printf.sprintf "{n=%d f=%d faults=%d %s adv=%s inputs=%s links=%s budget=%s seed=%d}" s.n s.f
-    s.faults fault s.adversary inputs links
-    (Option.fold ~none:"default" ~some:string_of_int s.budget)
-    s.seed
-
 (* ---- generators ---- *)
 
 (* Each generator keeps the draw order, combinators and ranges of the
-   campaign it came from, so a row samples the same scenarios at a
-   given QCHECK_SEED whichever suite it once lived in. *)
+   campaign it came from; f ranges up to the protocol's resilience
+   class.  [faults] nodes of one kind take the highest ids, so a
+   broadcast's sender, node 0, stays honest.  A kind is a function of
+   the seed: crashes land after [seed mod k] activations. *)
 
-let scheduler =
-  QCheck.Gen.(map (fun i -> fst (List.nth schedulers i)) (int_range 0 (List.length schedulers - 1)))
+let schedulers = Registry.[ Fifo; Uniform; Latency 6.; Target 0; Split; Eclipse 5 ]
 
-let pattern = QCheck.Gen.(map (fun i -> [| Zeros; Ones; Split |].(i)) (int_range 0 2))
+let scheduler = QCheck.Gen.(map (List.nth schedulers) (int_range 0 (List.length schedulers - 1)))
 
-let crash_or_silent silent = if silent then Silent else Crash 7
+let pattern =
+  QCheck.Gen.(
+    map
+      (fun i -> Registry.[| Unanimous Abc.Value.Zero; Unanimous Abc.Value.One; Halves |].(i))
+      (int_range 0 2))
+
+let max_f protocol = snd (Option.get (Registry.resilience protocol))
+
+let on_highest ~n faults kind =
+  if faults = 0 then Registry.No_fault else Registry.Placed (kind, List.init faults (fun k -> n - 1 - k))
+
+let crash m seed = Registry.Crash (seed mod m)
+
+let silent_or_crash silent = if silent then Fun.const Registry.Silent else crash 7
+
+let lying =
+  [| Fun.const Registry.Silent; crash 7; Fun.const Registry.Flip; Fun.const Registry.Equivocate;
+     Fun.const Registry.Corrupt |]
+
+(* ACS's faults stay message-agnostic: lie-free kinds in the same five
+   slots. *)
+let benign =
+  [| Fun.const Registry.Silent; crash 5; Fun.const Registry.Silent; crash 5; Fun.const Registry.Silent |]
+
+(* Bounded loss and duplication plus an optional partition of one
+   node.  Cuts always heal: a link that stays dead defeats any
+   transport, so permanent cuts belong to the targeted tests, not a
+   liveness campaign. *)
+let links ~loss ~dup ~cut (sc : Registry.scenario) =
+  let partition (from_tick, len, v) = { Registry.from_tick; until_tick = from_tick + len; island = [ v ] } in
+  { sc with
+    loss = float_of_int loss /. 100.; dup = float_of_int dup /. 100.; partition = Option.map partition cut }
 
 (* Silent or crashing faults under any scheduler; half the scenarios
-   get lossy links, carried by Reliable_link under [budget]. *)
-let battery_gen ?(budget = 4_000_000) ~max_n ~max_loss ~max_f () =
+   get lossy links, carried by the reliable transport under [budget]. *)
+let battery ?(budget = 4_000_000) ~max_n ~max_loss protocol =
   QCheck.Gen.(
     int_range 4 max_n >>= fun n ->
-    int_range 0 (max 0 (max_f ~n)) >>= fun f ->
+    int_range 0 (max 0 (max_f protocol n)) >>= fun f ->
     int_range 0 f >>= fun faults ->
     bool >>= fun silent ->
     scheduler >>= fun adversary ->
     pattern >>= fun inputs ->
     bool >>= fun lossy ->
-    int_range 0 max_loss >>= fun loss_pct ->
-    int_range 0 ((max_loss * 2) / 3) >>= fun dup_pct ->
+    int_range 0 max_loss >>= fun loss ->
+    int_range 0 ((max_loss * 2) / 3) >>= fun dup ->
     bool >>= fun with_cut ->
     int_range 0 40 >>= fun cut_from ->
     int_range 1 150 >>= fun cut_len ->
     int_range 0 (n - 1) >>= fun cut_node ->
     int_range 0 1000 >>= fun seed ->
+    let sc =
+      { (Registry.scenario ~protocol ~n ~f) with
+        adversary; inputs; fault = on_highest ~n faults (silent_or_crash silent seed) }
+    in
     let cut = if with_cut then Some (cut_from, cut_len, cut_node) else None in
     return
-      {
-        n;
-        f;
-        faults;
-        fault = crash_or_silent silent;
-        adversary;
-        inputs;
-        links = (if lossy then Some { loss_pct; dup_pct; cut; raw = false } else None);
-        budget = (if lossy then Some budget else None);
-        seed;
-      })
+      ( (if lossy then { (links ~loss ~dup ~cut sc) with reliable = true; budget = Some budget } else sc),
+        seed ))
 
 (* Any of [kinds] under any scheduler on clean links. *)
-let chaos_gen ~max_f ~kinds =
+let chaos ~kinds protocol =
   QCheck.Gen.(
     int_range 4 10 >>= fun n ->
-    int_range 0 (max 0 (max_f ~n)) >>= fun f ->
+    int_range 0 (max 0 (max_f protocol n)) >>= fun f ->
     int_range 0 f >>= fun faults ->
     int_range 0 (Array.length kinds - 1) >>= fun kind ->
     scheduler >>= fun adversary ->
     pattern >>= fun inputs ->
     int_range 0 1000 >>= fun seed ->
     return
-      { n; f; faults; fault = kinds.(kind); adversary; inputs; links = None; budget = None; seed })
-
-let lying = [| Silent; Crash 7; Flip; Equivocate; Corrupt |]
-
-(* ACS's message type is abstract, so its faults stay message-agnostic:
-   lie-free kinds in the same five slots. *)
-let benign = [| Silent; Crash 5; Silent; Crash 5; Silent |]
+      ( { (Registry.scenario ~protocol ~n ~f) with
+          adversary; inputs; fault = on_highest ~n faults (kinds.(kind) seed) },
+        seed ))
 
 (* Silent or crashing faults under the uniform scheduler on lossy links
-   with split inputs.  [over] is the Reliable_link delivery budget, or
-   [None] for the raw transport under the engine's default budget. *)
-let lossy_gen ~max_n ~max_pct ~over =
+   with split inputs.  [over] is the reliable transport's delivery
+   budget, or [None] for the raw transport under the engine's default
+   budget. *)
+let lossy ~max_n ~max_pct ~over protocol =
   QCheck.Gen.(
     int_range 4 max_n >>= fun n ->
-    int_range 0 ((n - 1) / 3) >>= fun f ->
+    int_range 0 (max_f protocol n) >>= fun f ->
     int_range 0 f >>= fun faults ->
     bool >>= fun silent ->
-    int_range 0 max_pct >>= fun loss_pct ->
-    int_range 0 max_pct >>= fun dup_pct ->
+    int_range 0 max_pct >>= fun loss ->
+    int_range 0 max_pct >>= fun dup ->
     bool >>= fun with_cut ->
     int_range 0 50 >>= fun cut_from ->
     int_range 1 200 >>= fun cut_len ->
@@ -245,24 +164,23 @@ let lossy_gen ~max_n ~max_pct ~over =
     int_range 0 1000 >>= fun seed ->
     let cut = if with_cut then Some (cut_from, cut_len, cut_node) else None in
     return
-      {
-        n;
-        f;
-        faults;
-        fault = crash_or_silent silent;
-        adversary = "uniform";
-        inputs = Split;
-        links = Some { loss_pct; dup_pct; cut; raw = Option.is_none over };
-        budget = over;
-        seed;
-      })
+      ( links ~loss ~dup ~cut
+          { (Registry.scenario ~protocol ~n ~f) with
+            adversary = Uniform; inputs = Halves; fault = on_highest ~n faults (silent_or_crash silent seed);
+            reliable = Option.is_some over; budget = over },
+        seed ))
+
+(* An atomic-broadcast workload: [epochs] batches of [batch]
+   transactions of [tx_bytes] each, arriving at 0.2 per tick. *)
+let ledger ~batch ~epochs ~tx_bytes (sc : Registry.scenario) =
+  { sc with batch; epochs; payload = tx_bytes; tx_rate = 0.2 }
 
 (* Random crash/rejoin schedules for the checkpointed atomic broadcast
    under the uniform scheduler on clean links. *)
-let crash_gen =
+let recovering =
   QCheck.Gen.(
     int_range 4 7 >>= fun n ->
-    let f = (n - 1) / 3 in
+    let f = max_f "atomic" n in
     int_range 1 f >>= fun victims ->
     int_range 1 3 >>= fun checkpoint ->
     int_range 3 4 >>= fun epochs ->
@@ -283,384 +201,44 @@ let crash_gen =
         else pair (r1 + 50) 2000 >>= fun p2 -> return [ (c1, r1); p2 ] )
     >>= fun plans ->
     return
-      {
-        n;
-        f;
-        faults = victims;
-        fault = Recover plans;
-        adversary = "uniform";
-        inputs = Log { batch = 2; epochs; txs = 2 * epochs; tx_bytes = 16; checkpoint };
-        links = None;
-        budget = Some 12_000_000;
-        seed;
-      })
+      ( { (ledger ~batch:2 ~epochs ~tx_bytes:16 (Registry.scenario ~protocol:"atomic" ~n ~f)) with
+          checkpoint; crash = List.mapi (fun k plan -> (n - 1 - k, plan)) plans; budget = Some 12_000_000 },
+        seed ))
+
+(* Rewrites a row's scenarios without drawing anything. *)
+let pin f gen = QCheck.Gen.map (fun (sc, seed) -> (f sc seed, seed)) gen
+
+(* The string broadcasts read the input patterns as payload lengths. *)
+let payload_of (sc : Registry.scenario) _ =
+  { sc with
+    payload = (match sc.inputs with Unanimous Zero -> 1 | Unanimous One -> 64 | Halves | Alternating -> 777) }
+
+(* Turpin-Coan reads a split as n distinct proposals. *)
+let distinct (sc : Registry.scenario) _ =
+  match sc.inputs with Halves -> { sc with inputs = Alternating } | _ -> sc
+
+(* A scenario in the tokens that .matrix cells and the registry's
+   decoders read; [reliable], [partition] and [tx-rate] have no spec
+   axis yet. *)
+let show ((sc : Registry.scenario), seed) =
+  let some key token = Option.fold ~none:[] ~some:(fun v -> [ key ^ "=" ^ token v ]) in
+  String.concat " "
+    ([ "protocol=" ^ sc.protocol; Printf.sprintf "n=%d f=%d" sc.n sc.f;
+       "fault=" ^ Registry.fault_token sc.fault; "adversary=" ^ Registry.adversary_token sc.adversary;
+       "inputs=" ^ Registry.inputs_token sc.inputs;
+       Printf.sprintf "payload=%d loss=%g dup=%g" sc.payload sc.loss sc.dup ]
+    @ some "partition" Registry.partition_token sc.partition
+    @ (if sc.reliable then [ "reliable=true" ] else [])
+    @ some "budget" string_of_int sc.budget
+    @ (if String.equal sc.protocol "atomic" then
+         [ Printf.sprintf "batch=%d epochs=%d checkpoint=%d tx-rate=%g crash=%s" sc.batch sc.epochs
+             sc.checkpoint sc.tx_rate (Registry.crash_token sc.crash) ]
+       else [])
+    @ [ Printf.sprintf "seed=%d" seed ])
+
+let row name count oracle gen =
+  campaign ~name ~count gen show (fun (sc, seed) -> Runner.satisfies oracle (Runner.run_seed sc ~seed))
 
-(* Pins a row's inputs without drawing anything. *)
-let pin inputs gen = QCheck.Gen.map (fun s -> { s with inputs = inputs s }) gen
-
-(* ---- subjects ---- *)
-
-(* A protocol's forgeries behind Flip, Equivocate and Corrupt. *)
-type 'msg lies = {
-  flip : Abc_prng.Stream.t -> 'msg -> 'msg;
-  equivocate : Abc_prng.Stream.t -> dst:Node_id.t -> 'msg -> 'msg;
-}
-
-let faulty_of s lies =
-  let lie () = match lies with Some l -> l | None -> invalid_arg "fault needs a protocol lie" in
-  List.init s.faults (fun k ->
-      ( node (s.n - 1 - k),
-        match s.fault with
-        | Silent -> Behaviour.Silent
-        | Crash m -> Behaviour.Crash_after (s.seed mod m)
-        | Flip -> Behaviour.Mutate (lie ()).flip
-        | Equivocate -> Behaviour.Equivocate (lie ()).equivocate
-        | Corrupt -> Behaviour.Corrupt_after (3, Behaviour.Mutate (lie ()).flip)
-        | Recover plans -> Behaviour.Crash_recover (List.nth plans k) ))
-
-(* The nodes a judge holds to the promise. *)
-let correct s =
-  List.init (match s.fault with Recover _ -> s.n | _ -> s.n - s.faults) Fun.id
-
-module type SUBJECT = sig
-  include Abc_net.Protocol.S
-
-  val inputs : scenario -> input array
-
-  val lies : scenario -> msg lies option
-
-  (* How a Recover node comes back: snapshot and restore. *)
-  val recovery :
-    ((state -> string)
-    * (Abc_net.Protocol.Context.t ->
-      input ->
-      durable:string ->
-      state * msg Abc_net.Protocol.action list * output list))
-    option
-
-  val judge : scenario -> input array -> (int * output) list array -> Engine.stop_reason -> bool
-end
-
-(* Builds the protocol's raw and Reliable_link engines once; [check]
-   places a scenario's faults, runs it and judges the outcome.  Lies
-   need the protocol's own message type, so they go on the raw
-   transport only. *)
-module Subject (P : SUBJECT) = struct
-  module Raw = Engine.Make (P)
-  module Rl = Engine.Make (Abc_net.Reliable_link.Make (P))
-
-  let check s =
-    let inputs = P.inputs s in
-    let adversary = List.assoc s.adversary schedulers s.n in
-    let link_faults = Option.map plan_of s.links in
-    match s.links with
-    | Some { raw = false; _ } ->
-      let r =
-        Rl.run
-          (Rl.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s None) ~adversary ~seed:s.seed
-             ?link_faults ?max_deliveries:s.budget ())
-      in
-      P.judge s inputs r.Rl.outputs r.Rl.stop
-    | None | Some { raw = true; _ } ->
-      let recovery =
-        Option.map (fun (snapshot, restore) -> { Raw.snapshot; restore }) P.recovery
-      in
-      let r =
-        Raw.run
-          (Raw.config ~n:s.n ~f:s.f ~inputs ~faulty:(faulty_of s (P.lies s)) ~adversary
-             ~seed:s.seed ?link_faults ?max_deliveries:s.budget ?recovery ())
-      in
-      P.judge s inputs r.Raw.outputs r.Raw.stop
-end
-
-(* No lies (an abstract message type) and no durable store. *)
-module Plain = struct
-  let lies _ = None
-
-  let recovery = None
-end
-
-(* ---- judges: one per promise ---- *)
-
-(* Broadcast from node 0, which faults never reach.  With [totality],
-   every correct node delivers the sent value exactly once and the run
-   ends All_terminal.  Without it (consistent broadcast), every
-   delivery carries the sent value and who delivers is free. *)
-let broadcast ~totality ~sent ~delivered s inputs outputs stop =
-  let v = sent inputs.(0) in
-  if totality then
-    stop = Engine.All_terminal
-    && List.for_all
-         (fun i -> match outputs.(i) with [ (_, o) ] -> delivered o = v | _ -> false)
-         (correct s)
-  else List.for_all (fun i -> List.for_all (fun (_, o) -> delivered o = v) outputs.(i)) (correct s)
-
-(* Termination, agreement and validity over the correct nodes.  A lossy
-   network without the transport may (and does) kill liveness, but it
-   must never break safety: whichever nodes decide still agree, and
-   validity still binds decisions to correct inputs. *)
-let consensus value_of_input s inputs outputs stop =
-  let v =
-    Abc.Harness.judge ~value_of_input ~inputs ~honest:(List.map node (correct s)) ~stop
-      ~outputs ~messages:0 ~deliveries:0 ~duration:0
-  in
-  match s.links with
-  | Some { raw = true; _ } -> v.Abc.Harness.agreement && v.Abc.Harness.validity
-  | _ -> Abc.Harness.ok v
-
-(* Every correct node outputs the same subset, with at least n - f
-   entries, each the proposal its node made. *)
-let common_subset ~proposal ~subset s inputs outputs stop =
-  let correct = correct s in
-  stop = Engine.All_terminal
-  &&
-  let subsets =
-    List.filter_map
-      (fun i -> match outputs.(i) with [ (_, o) ] -> Some (subset o) | _ -> None)
-      correct
-  in
-  List.length subsets = List.length correct
-  &&
-  match subsets with
-  | [] -> false
-  | first :: rest ->
-    List.for_all (( = ) first) rest
-    && List.length first >= s.n - s.f
-    && List.for_all (fun (j, v) -> v = proposal inputs.(Node_id.to_int j)) first
-
-(* ---- the protocols ---- *)
-
-let bit s = if s.inputs = Ones then Value.One else Value.Zero
-
-let binary_values s =
-  match s.inputs with
-  | Zeros -> Array.make s.n Value.Zero
-  | Ones -> Array.make s.n Value.One
-  | _ -> Array.init s.n (fun i -> if i < s.n / 2 then Value.Zero else Value.One)
-
-module Rbc_args = struct
-  include Abc.Bracha_rbc.Binary
-  include Plain
-
-  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
-
-  let judge =
-    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered v) -> v)
-end
-
-module Rbc = Subject (Rbc_args)
-
-module Cb_args = struct
-  include Abc.Consistent_broadcast.Binary
-  include Plain
-
-  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
-
-  let judge =
-    broadcast ~totality:false ~sent:(fun i -> Option.get i.payload)
-      ~delivered:(fun (Delivered v) -> v)
-end
-
-module Cb = Subject (Cb_args)
-
-(* Same promise as Bracha's RBC, different wire format: the payload is
-   a byte string dispersed as Reed-Solomon fragments, so the judge also
-   asserts it survives reconstruction bit-for-bit. *)
-module Coded_args = struct
-  include Abc.Coded_rbc
-
-  let inputs s =
-    let length = match s.inputs with Zeros -> 1 | Ones -> 64 | Bytes k -> k | _ -> 777 in
-    inputs ~n:s.n ~sender:(node 0)
-      (String.init length (fun i -> Char.chr ((s.seed + (13 * i)) land 0xFF)))
-
-  let lies _ = Some { flip = Fault.tamper; equivocate = Fault.equivocate }
-
-  let recovery = None
-
-  let judge =
-    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered p) -> p)
-end
-
-module Coded = Subject (Coded_args)
-
-module Ir_args = struct
-  include Abc.Ir_rbc.Binary
-
-  let inputs s = inputs ~n:s.n ~sender:(node 0) (bit s)
-
-  let lies s =
-    let two_faced _rng ~dst v = if Node_id.to_int dst < s.n / 2 then v else Value.negate v in
-    Some { flip = Fault.substitute (fun _ v -> Value.negate v); equivocate = Fault.equivocate two_faced }
-
-  let recovery = None
-
-  let judge =
-    broadcast ~totality:true ~sent:(fun i -> Option.get i.payload) ~delivered:(fun (Delivered v) -> v)
-end
-
-module Ir = Subject (Ir_args)
-
-module Bracha_args = struct
-  include Abc.Bracha_consensus
-
-  let inputs s = inputs ~n:s.n ~options:Options.default (binary_values s)
-
-  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
-
-  let recovery = None
-
-  let judge = consensus value_of_input
-end
-
-module Bracha = Subject (Bracha_args)
-
-module Benor_args = struct
-  include Abc.Ben_or
-
-  let inputs s = inputs ~n:s.n ~mode:Mode.Byzantine ~coin:Abc.Coin.local (binary_values s)
-
-  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
-
-  let recovery = None
-
-  let judge = consensus value_of_input
-end
-
-module Benor = Subject (Benor_args)
-
-module Mmr_args = struct
-  include Abc.Mmr_consensus
-
-  let inputs s = inputs ~n:s.n ~coin:(Abc.Coin.common ~seed:9) (binary_values s)
-
-  let lies s = Some { flip = Fault.flip_value; equivocate = Fault.equivocate_by_half ~n:s.n }
-
-  let recovery = None
-
-  let judge = consensus value_of_input
-end
-
-module Mmr = Subject (Mmr_args)
-
-module Mmr_rabin_args = struct
-  include Mmr_args
-
-  let inputs s = Abc.Mmr_consensus.inputs_with_shared_coin ~n:s.n ~f:s.f ~seed:9 (binary_values s)
-end
-
-module Mmr_rabin = Subject (Mmr_rabin_args)
-
-module TC = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
-
-module Turpin_args = struct
-  include TC
-  include Plain
-
-  (* Two unanimous patterns and one fully split. *)
-  let inputs s =
-    inputs ~n:s.n ~coin:Abc.Coin.local
-      (match s.inputs with
-      | Zeros -> Array.make s.n 7
-      | Ones -> Array.make s.n 9
-      | _ -> Array.init s.n (fun i -> 100 + i))
-
-  (* One outcome at every correct node; an agreed value was proposed;
-     a unanimous input is agreed, never fallen back on. *)
-  let judge s inputs outputs stop =
-    let correct = correct s in
-    stop = Engine.All_terminal
-    &&
-    let outcomes =
-      List.filter_map (fun i -> match outputs.(i) with [ (_, o) ] -> Some o | _ -> None) correct
-    in
-    List.length outcomes = List.length correct
-    &&
-    match outcomes with
-    | [] -> false
-    | first :: rest ->
-      List.for_all (( = ) first) rest
-      &&
-      (match first with
-      | Agreed w -> Array.exists (fun i -> i.value = w) inputs
-      | Fallback -> s.inputs = Split)
-end
-
-module Turpin = Subject (Turpin_args)
-
-module Acs_args = struct
-  include Abc.Acs.Make (Abc.Payloads.Int_payload)
-  include Plain
-
-  let inputs s = inputs ~n:s.n ~coin:Abc.Coin.local (Array.init s.n (fun i -> 100 + i))
-
-  let judge = common_subset ~proposal:(fun i -> i.proposal) ~subset:(fun (Accepted l) -> l)
-end
-
-module Acs = Subject (Acs_args)
-
-module Batch_acs_args = struct
-  include Abc.Batch_acs
-  include Plain
-
-  let inputs s =
-    inputs ~n:s.n ~coin:Abc.Coin.local
-      (Array.init s.n (fun i -> Printf.sprintf "batch-%d:%s" i (String.make (8 * i) 'x')))
-
-  let judge = common_subset ~proposal:(fun i -> i.proposal) ~subset:(fun (Accepted l) -> l)
-end
-
-module Batch_acs = Subject (Batch_acs_args)
-
-module Atomic = Abc_smr.Atomic_broadcast
-
-let atomic_inputs s =
-  match s.inputs with
-  | Log l ->
-    Atomic.inputs ~n:s.n ~window:2 ~checkpoint_interval:l.checkpoint ~batch_size:l.batch
-      ~epochs:l.epochs ~coin_seed:(s.seed + 7919)
-      (Array.init s.n (fun i ->
-           Abc_smr.Workload.txs
-             (Abc_smr.Workload.generate ~seed:s.seed ~node:(node i) ~count:l.txs ~rate:0.2
-                ~tx_bytes:l.tx_bytes)))
-  | _ -> invalid_arg "atomic broadcast runs a Log workload"
-
-module Ledger_args = struct
-  include Atomic
-
-  let inputs = atomic_inputs
-
-  let lies _ = None
-
-  let recovery = Some (snapshot, restore)
-
-  (* Complete, identical logs at the correct nodes, no duplicate tx,
-     every tx some client's.  Censorship inclusion: under fault-free
-     fair scheduling on clean links, every correct node's transactions
-     commit within the run's epochs.  Unfair schedulers (targeted,
-     split, eclipse) may legitimately starve a proposer — full
-     resistance needs threshold-encrypted batches, which is out of
-     scope (see PROTOCOLS.md). *)
-  let judge s inputs outputs stop =
-    let correct = correct s in
-    stop = Engine.All_terminal
-    &&
-    let logs = List.filter_map (fun i -> log_of_outputs outputs.(i)) correct in
-    List.length logs = List.length correct
-    &&
-    match logs with
-    | [] -> false
-    | first :: rest ->
-      let offered = Array.to_list inputs |> List.concat_map (fun i -> Array.to_list i.mempool) in
-      List.for_all (( = ) first) rest
-      && List.length first = List.length (List.sort_uniq String.compare first)
-      && List.for_all (fun tx -> List.mem tx offered) first
-      && (s.faults > 0 || s.links <> None
-         || not (List.mem s.adversary [ "fifo"; "uniform"; "latency" ])
-         || Array.for_all (fun i -> Array.for_all (fun tx -> List.mem tx first) i.mempool) inputs)
-end
-
-module Ledger = Subject (Ledger_args)
 (* ---- trace decoder totality ---- *)
 
 (* Mutations of test/golden/dup_trace.jsonl.  [Trace_file.of_string]
@@ -1068,8 +646,6 @@ let trace_decoder_test =
 (* The scenario registry's decoders read spec files and CLI flags:
    random strings and mutations of valid tokens must never raise, and
    every [Error] must quote the offending token. *)
-module Registry = Abc_matrix.Registry
-
 let token_decoders =
   let total decode s = Result.map ignore (decode s) in
   [|
@@ -1080,7 +656,7 @@ let token_decoders =
       total Registry.fault,
       [ "none"; "silent:2"; "crash"; "balanced-flip:3"; "force-decide"; "replay:2"; "flip-relay";
         "equivocate-sender"; "force-decide:1+flip:1"; "silent:2+crash+replay:1"; "silent@1,5";
-        "crash@0" ] );
+        "crash@0"; "corrupt"; "corrupt:2+silent"; "crash-after-3:2"; "crash-after-0@5" ] );
     ("topology", total Registry.topology, [ "complete"; "ring"; "star"; "circulant:1,2" ]);
     ("inputs", total Registry.inputs, [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
     ("crash", total Registry.crash, [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
@@ -1123,6 +699,52 @@ let token_decoder_test =
   campaign ~name:"registry decoders: total, errors quote the token" ~count:2000 token_gen
     print_token token_total
 
+(* Each encoder's output decodes back to the value it encodes. *)
+let roundtrip name encode decode =
+  QCheck.Gen.map (fun v -> (name, encode v, fun () -> decode (encode v) = Ok v))
+
+let token_values =
+  let open QCheck.Gen in
+  let id = int_bound 40 in
+  let joinable =
+    oneof
+      [ oneofl Registry.[ Silent; Replay; Flip; Equivocate; Force_decide; Corrupt ];
+        map (fun k -> Registry.Crash k) (int_bound 9) ]
+  in
+  let kind = frequency [ (6, joinable); (1, return Registry.Balanced_flip) ] in
+  let schedule =
+    list_size (int_range 1 3) (pair (int_range 1 500) (int_range 1 500)) >|= fun steps ->
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) (down, up) -> (t + down + up, (t + down, t + down + up) :: acc))
+            (0, []) steps))
+  in
+  oneof
+    [ roundtrip "fault" Registry.fault_token Registry.fault
+        (oneof
+           [ oneofl Registry.[ No_fault; Silent_sender; Crash_sender; Flip_relay; Equivocate_sender ];
+             map2 (fun k c -> Registry.Faulty [ (k, c) ]) kind (int_bound 9);
+             map (fun ks -> Registry.Faulty ks) (list_size (int_range 2 3) (pair joinable (int_bound 9)));
+             map2 (fun k ids -> Registry.Placed (k, ids)) joinable (list_size (int_range 1 4) id) ]);
+      roundtrip "adversary" Registry.adversary_token Registry.adversary
+        (oneof
+           [ oneofl Registry.[ Fifo; Uniform; Split ];
+             map (fun m -> Registry.Latency (1e-3 +. m)) (float_bound_inclusive 1e4);
+             map (fun i -> Registry.Target i) id; map (fun i -> Registry.Source i) id;
+             map (fun p -> Registry.Eclipse (1 + p)) id ]);
+      roundtrip "inputs" Registry.inputs_token Registry.inputs
+        (oneofl Registry.[ Halves; Unanimous Abc.Value.Zero; Unanimous Abc.Value.One; Alternating ]);
+      roundtrip "crash" Registry.crash_token Registry.crash (list_size (int_range 0 3) (pair id schedule));
+      roundtrip "partition" Registry.partition_token Registry.partition
+        ( triple (int_bound 500) (int_bound 500) (list_size (int_range 1 4) id) >|= fun (a, len, island) ->
+          { Registry.from_tick = a; until_tick = a + len; island } ) ]
+
+let token_encoder_test =
+  campaign ~name:"registry encoders: every token decodes to its value" ~count:2000 token_values
+    (fun (name, token, _) -> Printf.sprintf "%s %S" name token)
+    (fun (_, _, decodes) -> decodes ())
+
 (* ---- spec and result-set decoders ---- *)
 
 (* Mutations of every committed bench/specs/*.matrix and
@@ -1130,7 +752,6 @@ let token_decoder_test =
    delete one.  Nothing may raise through [Spec.of_string] then
    [Runner.check], or through [Json.of_string] then [Diff.load_json],
    and every spec error points at a line >= 1. *)
-module Spec = Abc_matrix.Spec
 
 let committed dir ~prefix ~suffix =
   Sys.readdir dir |> Array.to_list
@@ -1232,11 +853,12 @@ let durable_snapshots =
        blob
      in
      let crashes = List.map (fun t -> (t, t + 100)) [ 300; 2500; 3600; 4800; 6000; 7200 ] in
+     let module E = Abc_net.Engine.Make (Atomic) in
      ignore
-       (Ledger.Raw.run
-          (Ledger.Raw.config ~n:durable_n ~f:1 ~inputs:(Lazy.force durable_inputs) ~seed:3
+       (E.run
+          (E.config ~n:durable_n ~f:1 ~inputs:(Lazy.force durable_inputs) ~seed:3
              ~faulty:[ (node 2, Behaviour.Crash_recover crashes) ]
-             ~recovery:{ Ledger.Raw.snapshot; restore = Atomic.restore }
+             ~recovery:{ E.snapshot; restore = Atomic.restore }
              ()));
      Array.of_list (List.rev !taken))
 
@@ -1287,55 +909,30 @@ let durable_decoder_test =
 
 (* ---- engine scale smoke ---- *)
 
-(* One deterministic large-n run through the arena-based engine: the
-   rows stay at n <= 12, so this is the only tier-1 check that the hot
-   path still completes (and delivers everywhere) at the n=128 scale
-   E19 benchmarks. *)
-let test_scale_bracha_rbc_n128 () =
-  Alcotest.(check bool) "every node delivers One once" true
-    (Rbc.check
-       { n = 128; f = 42; faults = 0; fault = Silent; adversary = "uniform"; inputs = Ones;
-         links = None; budget = None; seed = 1 })
-
-(* MMR at the same scale: the consensus rows stop at n = 10, so this is
-   the only tier-1 run of MMR's per-round sender sets at a committee
-   size E19 measures. *)
-let test_scale_mmr_n128 () =
-  let s =
-    { n = 128; f = 42; faults = 0; fault = Silent; adversary = "uniform"; inputs = Split;
-      links = None; budget = None; seed = 1 }
-  in
-  let inputs = Abc.Mmr_consensus.inputs ~n:s.n ~coin:(Abc.Coin.common ~seed:7) (binary_values s) in
-  let r = Mmr.Raw.run (Mmr.Raw.config ~n:s.n ~f:s.f ~inputs ~adversary:Adversary.uniform ~seed:s.seed ()) in
-  Alcotest.(check bool) "termination, agreement, validity" true
-    (consensus Abc.Mmr_consensus.value_of_input s inputs r.Mmr.Raw.outputs r.Mmr.Raw.stop)
+(* Deterministic large-n runs through the arena-based engine: the rows
+   stay at n <= 12, so these are the only tier-1 checks that the hot
+   path still completes at the n = 128 scale E19 benchmarks — Bracha's
+   one-bit broadcast, delivered everywhere, and MMR's per-round sender
+   sets, deciding. *)
+let at_scale protocol () =
+  Alcotest.(check bool) "decides" true
+    (Runner.satisfies Spec.Decide (Runner.run_seed (Registry.scenario ~protocol ~n:128 ~f:42) ~seed:1))
 
 (* ---- rows ---- *)
-
-let row name count gen check = campaign ~name ~count gen print_scenario check
-
-let third ~n = (n - 1) / 3
-
-let fifth ~n = (n - 1) / 5
-
-let wide = battery_gen ~max_n:10 ~max_loss:15 ~max_f:third ()
 
 (* ACS multiplies n broadcasts by n binary agreements, so its lossy
    runs stay small enough for the retransmission traffic to fit the
    delivery budget: correctness is the point, not a race against the
    cap. *)
-let acs_gen = battery_gen ~max_n:6 ~max_loss:8 ~max_f:third ()
+let acs_battery = battery ~max_n:6 ~max_loss:8
 
 (* Each battery scenario runs four ACS-over-coded-RBC epochs, so the
    space stays smaller than the plain ACS rows', and overlapping
-   agreements need a deeper budget.  Mempools hold one epoch less than
-   pipeline capacity: the spare epoch absorbs a batch excluded from
-   some subset and re-proposed, so inclusion has its "within k epochs"
-   slack. *)
-let ledger_gen =
+   agreements need a deeper budget. *)
+let ledger_battery =
   pin
-    (fun _ -> Log { batch = 3; epochs = 4; txs = 3 * (4 - 1); tx_bytes = 24; checkpoint = 0 })
-    (battery_gen ~budget:12_000_000 ~max_n:5 ~max_loss:6 ~max_f:third ())
+    (fun sc _ -> ledger ~batch:3 ~epochs:4 ~tx_bytes:24 sc)
+    (battery ~budget:12_000_000 ~max_n:5 ~max_loss:6 "atomic")
 
 (* The rows go out as two Alcotest runs, the property battery and the
    fault campaigns.  Alcotest pads the group column to the longest group
@@ -1345,41 +942,39 @@ let ledger_gen =
    A [test NAME] filter reaches the first run only: Alcotest exits after
    a filtered run, and rejects a filter that matches none of its
    groups. *)
-let battery =
+let battery_rows =
+  let wide = battery ~max_n:10 ~max_loss:15 in
   [
     ( "broadcast",
       [
-        row "bracha rbc: validity, agreement, totality" 60 wide Rbc.check;
-        row "consistent broadcast: validity and consistency (no totality)" 60 wide Cb.check;
-        row "coded rbc: validity, agreement, totality" 50 wide Coded.check;
+        row "bracha rbc: validity, agreement, totality" 60 Decide (pin payload_of (wide "bracha-rbc"));
+        row "consistent broadcast: validity and consistency (no totality)" 60 Agree
+          (pin payload_of (wide "consistent-rbc"));
+        row "coded rbc: validity, agreement, totality" 50 Decide (pin payload_of (wide "coded-rbc"));
         (* The efficiency trade: only f < n/5 tolerated. *)
-        row "imbs-raynal rbc: validity, agreement, totality at n>5f" 50
-          (battery_gen ~max_n:12 ~max_loss:15 ~max_f:fifth ())
-          Ir.check;
+        row "imbs-raynal rbc: validity, agreement, totality at n>5f" 50 Decide
+          (pin payload_of (battery ~max_n:12 ~max_loss:15 "ir-rbc"));
       ] );
     ( "consensus",
       [
-        row "bracha consensus: termination, agreement, validity" 60 wide Bracha.check;
-        row "ben-or: termination, agreement, validity" 50
-          (battery_gen ~max_n:10 ~max_loss:15 ~max_f:fifth ())
-          Benor.check;
-        row "mmr: termination, agreement, validity (common coin)" 50 wide Mmr.check;
+        row "bracha consensus: termination, agreement, validity" 60 Decide (wide "bracha");
+        row "ben-or: termination, agreement, validity" 50 Decide (wide "ben-or");
+        row "mmr: termination, agreement, validity (common coin)" 50 Decide (wide "mmr");
       ] );
     ( "multivalued",
       [
-        row "turpin-coan: joint outcome, unanimity carries" 50
-          (battery_gen ~max_n:10 ~max_loss:15 ~max_f:TC.max_faults ())
-          Turpin.check;
-        row "acs: identical common subset of proposed values" 30 acs_gen Acs.check;
-        row "batch acs: identical common subset of proposed batches" 24 acs_gen Batch_acs.check;
+        row "turpin-coan: joint outcome, unanimity carries" 50 Decide (pin distinct (wide "turpin-coan"));
+        row "acs: identical common subset of proposed values" 30 Decide (acs_battery "acs");
+        row "batch acs: identical common subset of proposed batches" 24 Decide (acs_battery "batch-acs");
       ] );
-    ("smr", [ row "atomic broadcast: total order, no dup tx, inclusion" 20 ledger_gen Ledger.check ]);
+    ("smr", [ row "atomic broadcast: total order, no dup tx, inclusion" 20 Decide ledger_battery ]);
     ( "decoders",
-      [ trace_decoder_test; token_decoder_test; document_decoder_test; durable_decoder_test ] );
+      [ trace_decoder_test; token_decoder_test; token_encoder_test; document_decoder_test;
+        durable_decoder_test ] );
     ( "scale",
       [
-        Alcotest.test_case "bracha rbc n=128 delivers" `Quick test_scale_bracha_rbc_n128;
-        Alcotest.test_case "mmr n=128 decides" `Quick test_scale_mmr_n128;
+        Alcotest.test_case "bracha rbc n=128 delivers" `Quick (at_scale "bracha-rbc-bit");
+        Alcotest.test_case "mmr n=128 decides" `Quick (at_scale "mmr");
       ] );
   ]
 
@@ -1387,49 +982,39 @@ let campaigns =
   [
     ( "campaigns",
       [
-        row "bracha consensus survives arbitrary scenarios" 120
-          (chaos_gen ~max_f:third ~kinds:lying) Bracha.check;
-        row "mmr consensus survives arbitrary scenarios" 120
-          (chaos_gen ~max_f:third ~kinds:lying) Mmr.check;
-        row "mmr over the rabin coin survives arbitrary scenarios" 60
-          (chaos_gen ~max_f:third ~kinds:lying) Mmr_rabin.check;
-        row "ben-or survives arbitrary in-bound scenarios" 80
-          (chaos_gen ~max_f:fifth ~kinds:lying) Benor.check;
-        row "acs produces a common subset in arbitrary scenarios" 40
-          (chaos_gen ~max_f:third ~kinds:benign) Acs.check;
-        row "coded rbc delivers the payload in arbitrary scenarios" 100
-          (pin (fun s -> Bytes (1 + (s.seed mod 200))) (chaos_gen ~max_f:third ~kinds:lying))
-          Coded.check;
-        row "imbs-raynal rbc delivers the payload in arbitrary scenarios" 100
-          (pin (fun _ -> Ones) (chaos_gen ~max_f:fifth ~kinds:lying))
-          Ir.check;
+        row "bracha consensus survives arbitrary scenarios" 120 Decide (chaos ~kinds:lying "bracha");
+        row "mmr consensus survives arbitrary scenarios" 120 Decide (chaos ~kinds:lying "mmr");
+        row "mmr over the rabin coin survives arbitrary scenarios" 60 Decide
+          (chaos ~kinds:lying "mmr-rabin");
+        row "ben-or survives arbitrary in-bound scenarios" 80 Decide (chaos ~kinds:lying "ben-or");
+        row "acs produces a common subset in arbitrary scenarios" 40 Decide (chaos ~kinds:benign "acs");
+        row "coded rbc delivers the payload in arbitrary scenarios" 100 Decide
+          (pin (fun sc seed -> { sc with Registry.payload = 1 + (seed mod 200) }) (chaos ~kinds:lying "coded-rbc"));
+        row "imbs-raynal rbc delivers the payload in arbitrary scenarios" 100 Decide
+          (pin (fun sc _ -> { sc with Registry.payload = 64 }) (chaos ~kinds:lying "ir-rbc"));
       ] );
     ( "link faults",
       [
-        row "reliable-link bracha decides under loss, dup and healing cuts" 40
-          (lossy_gen ~max_n:7 ~max_pct:20 ~over:(Some 4_000_000))
-          Bracha.check;
-        row "raw bracha stays safe under loss (no agreement break)" 60
-          (lossy_gen ~max_n:7 ~max_pct:20 ~over:None)
-          Bracha.check;
-        (* Milder loss and more budget than Bracha's, as for acs_gen. *)
-        row "reliable-link acs agrees on a common subset under lossy links" 15
-          (lossy_gen ~max_n:5 ~max_pct:10 ~over:(Some 4_000_000))
-          Acs.check;
+        row "reliable-link bracha decides under loss, dup and healing cuts" 40 Decide
+          (lossy ~max_n:7 ~max_pct:20 ~over:(Some 4_000_000) "bracha");
+        row "raw bracha stays safe under loss (no agreement break)" 60 Agree
+          (lossy ~max_n:7 ~max_pct:20 ~over:None "bracha");
+        (* Milder loss and more budget than Bracha's, as for acs_battery. *)
+        row "reliable-link acs agrees on a common subset under lossy links" 15 Decide
+          (lossy ~max_n:5 ~max_pct:10 ~over:(Some 4_000_000) "acs");
         (* Loss, duplication, a healing cut and crash faults that land
            mid-epoch, while early epochs are still being agreed. *)
-        row "atomic broadcast keeps one log under loss and mid-epoch crashes" 12
+        row "atomic broadcast keeps one log under loss and mid-epoch crashes" 12 Decide
           (pin
-             (fun _ -> Log { batch = 2; epochs = 3; txs = 6; tx_bytes = 16; checkpoint = 0 })
-             (lossy_gen ~max_n:5 ~max_pct:10 ~over:(Some 12_000_000)))
-          Ledger.check;
+             (fun sc _ -> ledger ~batch:2 ~epochs:3 ~tx_bytes:16 sc)
+             (lossy ~max_n:5 ~max_pct:10 ~over:(Some 12_000_000) "atomic"));
       ] );
     (* Recover replicas are correct but amnesic: all n logs must be
        complete, identical and duplicate-free, so recovery must come
        from the durable snapshot plus state transfer, never from
        replayed commits. *)
     ( "crash recovery",
-      [ row "atomic broadcast recovers crashed replicas to one identical log" 12 crash_gen Ledger.check ] );
+      [ row "atomic broadcast recovers crashed replicas to one identical log" 12 Decide recovering ] );
   ]
 
 (* Both runs go ahead whatever the first one's verdict. *)
@@ -1439,5 +1024,5 @@ let passes name groups =
   | exception Alcotest.Test_error -> false
 
 let () =
-  let battery_ok = passes "properties" battery in
+  let battery_ok = passes "properties" battery_rows in
   if not (passes "campaigns" campaigns && battery_ok) then exit 1
