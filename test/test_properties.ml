@@ -54,9 +54,9 @@ let campaign ~name ~count gen print prop =
           (List.combine scenarios verdicts)
       in
       if failures <> [] then
-        Alcotest.failf "%d/%d scenarios failed (QCHECK_SEED=%d): %s"
+        Alcotest.failf "%d/%d scenarios failed (QCHECK_SEED=%d):\n%s"
           (List.length failures) count battery_seed
-          (String.concat " " failures))
+          (String.concat "\n" failures))
 
 (* ---- generators ---- *)
 
