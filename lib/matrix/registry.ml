@@ -94,11 +94,10 @@ let crash_after = "crash-after-"
 
 let kind name =
   match List.assoc_opt name kinds with
-  | Some k -> Some k
   | None when String.starts_with ~prefix:crash_after name ->
     let at = String.length crash_after in
     Option.map (fun k -> Some (Crash k)) (nat (String.sub name at (String.length name - at)))
-  | None -> None
+  | found -> found
 
 let kind_token = function
   | Crash k when k <> 5 -> crash_after ^ string_of_int k
