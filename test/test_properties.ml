@@ -213,7 +213,8 @@ let payload_of (sc : Registry.scenario) _ =
   { sc with
     payload = (match sc.inputs with Unanimous Zero -> 1 | Unanimous One -> 64 | Halves | Alternating -> 777) }
 
-(* Turpin-Coan reads a split as n distinct proposals. *)
+(* The Turpin-Coan row's split pattern is n distinct proposals, not
+   E13's near-unanimous split. *)
 let distinct (sc : Registry.scenario) _ =
   match sc.inputs with Halves -> { sc with inputs = Alternating } | _ -> sc
 
