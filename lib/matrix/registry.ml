@@ -543,8 +543,10 @@ end
    near-unanimous proposals for [split] (node 0 9, every other node 5),
    every node's 0 or 1 for [unanimous0] and [unanimous1], and n
    distinct proposals 100+i for [alternate]: every honest node outputs
-   one outcome, the same; an agreed value was proposed, and a fallback
-   needs honest inputs that differ. *)
+   one outcome, the same; an agreed value was proposed, and only
+   [alternate]'s distinct proposals may fall back, so a fallback on
+   E13's near-unanimous [split] fails as it did before inputs were
+   read. *)
 module Turpin_coan = struct
   include Abc.Turpin_coan.Make (Abc.Payloads.Int_payload)
   let broadcast = false and recovery = None and lie = identity_lie
@@ -554,17 +556,12 @@ module Turpin_coan = struct
       | Halves -> Array.init sc.n (fun i -> if i = 0 then 9 else 5)
       | Unanimous v -> Array.make sc.n (Value.to_int v)
       | Alternating -> Array.init sc.n (( + ) 100))
-  let judge _ inputs v =
+  let judge sc inputs v =
     let outcome id = match v.outputs.(Node_id.to_int id) with [ (_, o) ] -> Some o | _ -> None in
     let outcomes = List.filter_map outcome v.honest in
-    let unanimous =
-      match List.map (fun id -> inputs.(Node_id.to_int id).value) v.honest with
-      | x :: rest -> List.for_all (( = ) x) rest
-      | [] -> true
-    in
     let valid = function
       | Agreed x -> Array.exists (fun (i : input) -> i.value = x) inputs
-      | Fallback -> not unanimous
+      | Fallback -> sc.inputs = Alternating
     in
     ( { (counts v) with decided = List.length outcomes = List.length v.honest;
         agreement = (match outcomes with o :: rest -> List.for_all (( = ) o) rest | [] -> true);

@@ -119,7 +119,8 @@ type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : 
     a unanimous honest input; a broadcast's every delivery carries the
     sender's payload, when the sender is honest; a common subset has at
     least n-f entries, each its proposer's input; Turpin–Coan agrees on
-    a proposed value, or falls back on honest inputs that differ;
+    a proposed value, or falls back on [alternate]'s distinct proposals
+    only;
     [atomic] commits no tx twice and only offered ones, and on a run
     with no faulty node, crash plan or link fault under [fifo],
     [uniform] or [latency], every node's first [batch * (epochs - 1)]
