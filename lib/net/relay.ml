@@ -42,6 +42,13 @@ module Make (P : Protocol.S) = struct
       let label = "relay." ^ child in
       ({ state with labels = (child, label) :: state.labels }, label)
 
+  let with_inner envelope inner =
+    let child = P.msg_label inner in
+    let label =
+      if String.equal child (P.msg_label envelope.inner) then envelope.label else "relay." ^ child
+    in
+    { envelope with inner; label }
+
   (* Wrap the inner protocol's actions into flood envelopes.  Both
      broadcasts and targeted sends are flooded (the target may not be a
      direct neighbour); targeted payloads are delivered only at their

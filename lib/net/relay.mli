@@ -22,7 +22,7 @@
     forgery attack that makes naive flooding unsafe. *)
 
 module Make (P : Protocol.S) : sig
-  type msg = {
+  type msg = private {
     origin : Node_id.t;  (** claimed creator of the payload *)
     sequence : int;  (** origin-local dedup counter *)
     target : Node_id.t option;  (** [None] = logical broadcast *)
@@ -31,6 +31,11 @@ module Make (P : Protocol.S) : sig
         (** ["relay." ^ P.msg_label inner], one shared string per
             child label at the origin; not on the wire *)
   }
+
+  val with_inner : msg -> P.msg -> msg
+  (** [with_inner envelope inner] is [envelope] carrying [inner], as a
+      lying relay rewrites it.  The label follows [inner]: [envelope]'s
+      own string when the child label is unchanged, else built anew. *)
 
   include
     Protocol.S

@@ -200,7 +200,7 @@ let test_relay_forgery_attack () =
      the crash-only scope of the relay layer is justified.  On a ring,
      node 1 sits on many relay paths. *)
   let flip_inner _rng (envelope : RM.msg) =
-    { envelope with RM.inner = M.Fault.flip_value (Abc_prng.Stream.root ~seed:0) envelope.RM.inner }
+    RM.with_inner envelope (M.Fault.flip_value (Abc_prng.Stream.root ~seed:0) envelope.RM.inner)
   in
   let g = Topology.circulant ~n:8 ~offsets:[ 1 ] in
   let n = 8 and f = 2 in
@@ -221,7 +221,8 @@ let test_relay_forgery_attack () =
 (* A label is a shared string, never one built per call: the engine
    finds a label's counters by physical equality first.  A wrapper
    records every message the relayed MMR delivers over a ring, and
-   each is asked for its label twice. *)
+   each is asked for its label twice.  A rewritten envelope's label
+   follows its new payload. *)
 let test_relay_labels_shared () =
   let seen = ref [] in
   let module Recorded = struct
@@ -245,7 +246,12 @@ let test_relay_labels_shared () =
         Alcotest.failf "label %S is built per call" (RM.msg_label m))
     !seen;
   Alcotest.(check (list string)) "label set" [ "relay.aux"; "relay.bval" ]
-    (List.sort_uniq String.compare (List.map RM.msg_label !seen))
+    (List.sort_uniq String.compare (List.map RM.msg_label !seen));
+  let kind l = List.find (fun m -> String.equal (RM.msg_label m) l) !seen in
+  let bval = kind "relay.bval" and aux = kind "relay.aux" in
+  Alcotest.(check string) "rewritten kind" "relay.aux" (RM.msg_label (RM.with_inner bval aux.RM.inner));
+  Alcotest.(check bool) "kept kind keeps the shared label" true
+    (RM.msg_label (RM.with_inner aux aux.RM.inner) == RM.msg_label aux)
 
 let () =
   Alcotest.run "topology"
