@@ -162,6 +162,95 @@ let test_mux_initial_from_wrong_origin_ignored () =
   Alcotest.(check int) "no echo" 0 (List.length out);
   Alcotest.(check bool) "no delivery" true (delivery = None)
 
+(* The multiplexer against a reference: a [Key.Map] of [Rbc_core]
+   instances, each created on its key's first wire.  Random wire
+   sequences go through both, and every step must send the same wires,
+   make the same delivery and count the same instances. *)
+
+let ref_handle ~n ~f live ~src (wire : Mux.wire) =
+  let inst =
+    match M.Key.Map.find_opt wire.key live with
+    | Some inst -> inst
+    | None -> Mux.Rbc.create ~n ~f ~sender:wire.key.origin
+  in
+  let inst, events, delivered = Mux.Rbc.handle inst ~src wire.event in
+  ( M.Key.Map.add wire.key inst live,
+    List.map (fun event -> { Mux.key = wire.key; event }) events,
+    Option.map (fun payload -> (wire.key, payload)) delivered )
+
+let event_equal a b =
+  match (a, b) with
+  | Mux.Rbc.Initial p, Mux.Rbc.Initial q | Echo p, Echo q | Ready p, Ready q ->
+    M.Payload.equal p q
+  | (Initial _ | Echo _ | Ready _), _ -> false
+
+let wire_equal (a : Mux.wire) (b : Mux.wire) =
+  M.Key.equal a.key b.key && event_equal a.event b.event
+
+let delivery_equal a b =
+  match (a, b) with
+  | Some (k, p), Some (k', p') -> M.Key.equal k k' && M.Payload.equal p p'
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+(* Rounds at the edges of [int] as well as small ones. *)
+let mux_rounds = [ 0; 1; 2; -1; -7; min_int; min_int + 1; max_int; max_int - 1 ]
+
+(* A case is n and a list of (src, wire).  Wires fall on one to four
+   keys, most carry their key's main payload, and a fifth of them come
+   from the key's origin, so instances echo, ready and deliver, and
+   events keep arriving after they have. *)
+let gen_mux_case =
+  let open QCheck.Gen in
+  oneofl [ 4; 7; 10; 16 ] >>= fun n ->
+  let gen_key =
+    map3
+      (fun origin round step -> { M.Key.origin = node origin; round; step })
+      (int_bound (n - 1))
+      (oneof [ oneofl mux_rounds; small_signed_int ])
+      (oneofl [ M.Step.S1; S2; S3 ])
+  in
+  let gen_payload =
+    map2 (fun value decide -> { M.Payload.value; decide }) (oneofl [ Value.Zero; One ]) bool
+  in
+  array_size (int_range 1 4) (pair gen_key gen_payload) >>= fun keys ->
+  let gen_wire =
+    oneofa keys >>= fun (key, main) ->
+    frequency [ (3, return main); (1, gen_payload) ] >>= fun payload ->
+    oneofl [ Mux.Rbc.Initial payload; Echo payload; Ready payload ] >>= fun event ->
+    frequency [ (1, return (Abc_net.Node_id.to_int key.M.Key.origin)); (4, int_bound (n - 1)) ]
+    >|= fun src -> (src, { Mux.key; event })
+  in
+  list_size (int_range 0 (40 * n)) gen_wire >|= fun wires -> (n, wires)
+
+let print_mux_case (n, wires) =
+  Fmt.str "n=%d@.%a" n
+    Fmt.(list ~sep:cut (fun ppf (src, w) -> Fmt.pf ppf "n%d -> %a" src Mux.pp_wire w))
+    wires
+
+let prop_mux_matches_reference =
+  QCheck.Test.make ~name:"mux routes like a map of instances" ~count:300
+    (QCheck.make ~print:print_mux_case gen_mux_case)
+    (fun (n, wires) ->
+      let f = (n - 1) / 3 in
+      let step (mux, live) (i, (src, wire)) =
+        let src = node src in
+        let mux, out, delivery = Mux.handle mux ~src wire in
+        let live, ref_out, ref_delivery = ref_handle ~n ~f live ~src wire in
+        if not (List.equal wire_equal out ref_out) then
+          QCheck.Test.fail_reportf "wire %d: %d wires out, reference %d" i
+            (List.length out) (List.length ref_out);
+        if not (delivery_equal delivery ref_delivery) then
+          QCheck.Test.fail_reportf "wire %d: deliveries differ" i;
+        if Mux.instances mux <> M.Key.Map.cardinal live then
+          QCheck.Test.fail_reportf "wire %d: %d instances, reference %d" i
+            (Mux.instances mux) (M.Key.Map.cardinal live);
+        (mux, live)
+      in
+      ignore
+        (List.fold_left step (Mux.create ~n ~f, M.Key.Map.empty) (List.mapi (fun i w -> (i, w)) wires));
+      true)
+
 (* ---- Ba_instance ---- *)
 
 let drive_ba_network ?(n = 4) ?(f = 1) ~seed inputs =
@@ -313,6 +402,7 @@ let () =
           Alcotest.test_case "delivery" `Quick test_mux_delivery;
           Alcotest.test_case "wrong-origin initial ignored" `Quick
             test_mux_initial_from_wrong_origin_ignored;
+          QCheck_alcotest.to_alcotest prop_mux_matches_reference;
         ] );
       ( "ba_instance",
         [
