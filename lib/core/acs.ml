@@ -210,37 +210,42 @@ struct
     then (state, actions, [])
     else settle ctx state actions
 
+  (* A child that returns its own state with no action and no output
+     changed nothing here either, so the message returns [state]
+     itself: most BA wires end this way (see {!Rbc_mux.handle}). *)
   let on_message ctx state ~src msg =
     match msg with
     | Prop { origin; inner } -> (
       match Node_id.Map.find_opt origin state.prop_instances with
       | None -> (state, [], []) (* origin out of range: forged wrapper *)
-      | Some inst ->
-        let inst, inst_actions, delivered =
-          B.on_message (prop_ctx ctx origin) inst ~src inner
-        in
-        let next =
-          { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
-        in
-        let next =
-          List.fold_left
-            (fun next (B.Delivered payload) ->
-              if Node_id.Map.mem origin next.proposals then next
-              else { next with proposals = Node_id.Map.add origin payload next.proposals })
-            next delivered
-        in
-        settle_if_changed ctx ~before:state next (wrap_prop origin inst_actions))
+      | Some inst -> (
+        match B.on_message (prop_ctx ctx origin) inst ~src inner with
+        | inst', [], [] when inst' == inst -> (state, [], [])
+        | inst, inst_actions, delivered ->
+          let next =
+            { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
+          in
+          let next =
+            List.fold_left
+              (fun next (B.Delivered payload) ->
+                if Node_id.Map.mem origin next.proposals then next
+                else { next with proposals = Node_id.Map.add origin payload next.proposals })
+              next delivered
+          in
+          settle_if_changed ctx ~before:state next (wrap_prop origin inst_actions)))
     | Ba { index; wire } ->
       if index < 0 || index >= state.n then (state, [], [])
       else begin
-        let instance, wires, events =
-          Ba_instance.on_wire ~sink:(ba_sink ctx index)
-            (Int_map.find index state.bas)
+        let instance = Int_map.find index state.bas in
+        match
+          Ba_instance.on_wire ~sink:(ba_sink ctx index) instance
             ~rng:ctx.Protocol.Context.rng ~src wire
-        in
-        let next = { state with bas = Int_map.add index instance state.bas } in
-        let next = record_events next index events in
-        settle_if_changed ctx ~before:state next (wrap_ba index wires)
+        with
+        | instance', [], [] when instance' == instance -> (state, [], [])
+        | instance, wires, events ->
+          let next = { state with bas = Int_map.add index instance state.bas } in
+          let next = record_events next index events in
+          settle_if_changed ctx ~before:state next (wrap_ba index wires)
       end
 
   let is_terminal (Accepted _) = true

@@ -78,12 +78,11 @@ let start ?(sink = Event.null_sink) t ~rng ~input =
 
 let on_wire ?(sink = Event.null_sink) t ~rng ~src wire =
   let mux, outgoing, delivery = Rbc_mux.handle ~sink t.mux ~src wire in
-  let t = { t with mux } in
   match delivery with
-  | None -> (t, outgoing, [])
+  | None when mux == t.mux -> (t, [], [])
+  | None -> ({ t with mux }, outgoing, [])
   | Some (key, payload) ->
     let vmsg = Consensus_msg.vmsg_of_delivery key payload in
     let validation, validated = Validation.submit t.validation vmsg in
-    let t = { t with validation } in
-    let t, wires, events = drive ~sink t ~rng validated in
+    let t, wires, events = drive ~sink { t with mux; validation } ~rng validated in
     (t, outgoing @ wires, events)

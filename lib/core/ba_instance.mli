@@ -51,7 +51,11 @@ val on_wire :
     validated.  Returns outgoing wire broadcasts and the decision event
     (at most once per instance).  [?sink] observes both the RBC
     instances' quorum events (scoped by instance key) and the core's
-    round/coin/decide events. *)
+    round/coin/decide events.
+
+    When the wire changed nothing ({!Rbc_mux.handle} returned its own
+    state), returns [t] itself with no wires and no events, so a
+    caller can test [==] and keep its own state too. *)
 
 val decided : t -> Decision.t option
 (** The decision, once taken. *)

@@ -70,10 +70,13 @@ let on_message ctx state ~src msg =
   let rng = ctx.Protocol.Context.rng in
   let sink = ctx.Protocol.Context.sink in
   match (state, msg) with
-  | Reliable_state ba, Wire wire ->
-    let ba, wires, events = Ba_instance.on_wire ~sink ba ~rng ~src wire in
-    let outputs = List.map (fun (Ba_instance.Decided d) -> d) events in
-    (Reliable_state ba, broadcast_wires wires, outputs)
+  (* A wire that left the instance as it was leaves [state] as it was. *)
+  | Reliable_state ba, Wire wire -> (
+    match Ba_instance.on_wire ~sink ba ~rng ~src wire with
+    | ba', [], [] when ba' == ba -> (state, [], [])
+    | ba, wires, events ->
+      let outputs = List.map (fun (Ba_instance.Decided d) -> d) events in
+      (Reliable_state ba, broadcast_wires wires, outputs))
   | Plain_state plain, Direct vmsg ->
     (* Authenticated channels: a message claiming another node's origin
        is discarded.  Equivocation (different payloads to different

@@ -39,6 +39,18 @@ module Make (V : Value.PAYLOAD) = struct
 
   let readied t = t.readied
 
+  (* An echo feeds the echo rule, which the [readied] latch switches
+     off.  Its [progress] also runs the delivery rule, but that reads
+     the readies of the echo's value, and no value's readies reach
+     2f+1 without delivering, since every ready runs the rule on its
+     own value.  A ready feeds the amplify and delivery rules, and a
+     delivered instance has readied: the ready that delivered ran the
+     amplify rule first. *)
+  let settled t = function
+    | Initial _ -> false
+    | Echo _ -> t.readied
+    | Ready _ -> Option.is_some t.delivered
+
   (* Thin re-exports kept for the public interface; the formulas and
      their intersection arguments live in [Quorum]. *)
   let echo_threshold ~n ~f = Quorum.echo_quorum ~n ~f

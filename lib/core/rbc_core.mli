@@ -57,6 +57,15 @@ module Make (V : Value.PAYLOAD) : sig
   val readied : t -> bool
   (** Whether this node has already sent its ready. *)
 
+  val settled : t -> event -> bool
+  (** [settled t event] holds for an [Echo] once [t] has readied and
+      for a [Ready] once it has delivered.  Such an event would only
+      add its source to a sender set that no rule reads again: {!handle}
+      would send nothing, deliver nothing, emit no quorum event, and
+      return a state that differs from [t] only in that set.  A caller
+      that keeps [t] in place of that state behaves the same on every
+      later event.  Always [false] for [Initial]. *)
+
   val echo_threshold : n:int -> f:int -> int
   (** [⌈(n+f+1)/2⌉]: echoes needed to turn ready.  Strictly more than
       [(n+f)/2], so two different payloads can never both reach it

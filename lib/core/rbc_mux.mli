@@ -9,7 +9,8 @@ open Import
     node cannot fold two instances together or claim someone else's
     slot as sender (the engine attributes the true source, and
     [Initial] events from non-originators are dropped by the
-    instance). *)
+    instance).  A key whose origin lies outside [\[0, n)] names no
+    node's slot and is dropped whole. *)
 
 module Rbc : module type of Rbc_core.Make (Consensus_msg.Payload)
 (** The underlying reliable-broadcast instances, specialized to
@@ -38,10 +39,20 @@ val handle :
     new state, wire messages to broadcast (echoes/readies of the same
     instance), and the instance's delivery when it completes.  Quorum
     events from the instance flow to [?sink], scoped by the rendered
-    instance key. *)
+    instance key.
+
+    Returns [t] itself, with no wires and no delivery, when the wire
+    changes nothing the instances will act on: a wire whose key names
+    an origin outside [\[0, n)] (no honest node sends one, and [f]
+    Byzantine nodes alone cannot bring an honest node to ready on
+    it), an event {!Rbc_core.Make.settled} by its instance, and one
+    its instance returns physically unchanged.  Callers compare
+    states with [==] to skip their own bookkeeping. *)
 
 val instances : t -> int
-(** Number of live instances (for resource accounting/tests). *)
+(** Number of instances created so far, one per key whose first wire
+    named an origin in [\[0, n)]; instances are never dropped (for
+    resource accounting/tests). *)
 
 val pp_wire : wire Fmt.t
 val wire_label : wire -> string

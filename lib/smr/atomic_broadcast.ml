@@ -660,7 +660,8 @@ let initial ctx (input : input) =
    open.  [initial], [restore], [install_snapshot] and the commit path
    below each end by establishing them, and a message that adds no
    result leaves [drain_commits], [collect_garbage] and [open_window]
-   nothing to do. *)
+   nothing to do.  An epoch agreement that returns its own state with
+   no action and no output leaves this state as [open_epoch] left it. *)
 let on_message ctx state ~src msg =
   match msg with
   | Epoch { epoch; inner } ->
@@ -670,33 +671,33 @@ let on_message ctx state ~src msg =
       let state, open_actions = open_epoch ctx state epoch in
       match Int_map.find_opt epoch state.instances with
       | None -> (state, open_actions, [])
-      | Some inner_state ->
-        let inner_state, inner_actions, inner_outputs =
-          Abc.Batch_acs.on_message (epoch_ctx ctx epoch) inner_state ~src inner
-        in
-        let state =
-          { state with instances = Int_map.add epoch inner_state state.instances }
-        in
-        let results = state.results in
-        let state =
-          List.fold_left
-            (fun state (Abc.Batch_acs.Accepted subset) ->
-              if Int_map.mem epoch state.results then state
-              else { state with results = Int_map.add epoch subset state.results })
-            state inner_outputs
-        in
-        if state.results == results then
-          (state, open_actions @ wrap epoch inner_actions, [])
-        else begin
-          let state, drain_actions, outputs = drain_commits ctx state in
-          let state = collect_garbage state in
-          (* Committing an epoch slides the pipeline window forward. *)
-          let state, window_actions = open_window ctx state in
-          ( state,
-            open_actions @ wrap epoch inner_actions @ drain_actions
-            @ window_actions,
-            outputs )
-        end
+      | Some inner_state -> (
+        match Abc.Batch_acs.on_message (epoch_ctx ctx epoch) inner_state ~src inner with
+        | inner', [], [] when inner' == inner_state -> (state, open_actions, [])
+        | inner_state, inner_actions, inner_outputs ->
+          let state =
+            { state with instances = Int_map.add epoch inner_state state.instances }
+          in
+          let results = state.results in
+          let state =
+            List.fold_left
+              (fun state (Abc.Batch_acs.Accepted subset) ->
+                if Int_map.mem epoch state.results then state
+                else { state with results = Int_map.add epoch subset state.results })
+              state inner_outputs
+          in
+          if state.results == results then
+            (state, open_actions @ wrap epoch inner_actions, [])
+          else begin
+            let state, drain_actions, outputs = drain_commits ctx state in
+            let state = collect_garbage state in
+            (* Committing an epoch slides the pipeline window forward. *)
+            let state, window_actions = open_window ctx state in
+            ( state,
+              open_actions @ wrap epoch inner_actions @ drain_actions
+              @ window_actions,
+              outputs )
+          end)
     end
   | Checkpoint { epoch; len; digest } ->
     let state, actions = record_checkpoint ctx state ~voter:src (epoch, len, digest) in

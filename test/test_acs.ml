@@ -173,6 +173,33 @@ let test_batch_acs_labels_shared () =
     ~expected:[ "ba.echo"; "ba.initial"; "ba.ready"; "prop.echo"; "prop.ready"; "prop.val" ]
     !seen
 
+(* ---- unchanged states ---- *)
+
+(* A message that changes nothing returns the state it was given: most
+   BA wires do, and each such delivery returns no action and no
+   output.  A wrapper counts them over an honest run. *)
+let test_batch_acs_unchanged_states () =
+  let module Batch_acs = Abc.Batch_acs in
+  let unchanged = ref 0 in
+  let module Counted = struct
+    include Batch_acs
+
+    let on_message ctx state ~src msg =
+      let ((state', actions, outputs) as result) = Batch_acs.on_message ctx state ~src msg in
+      if state' == state then begin
+        incr unchanged;
+        if actions <> [] || outputs <> [] then
+          Alcotest.fail "an unchanged state came back with actions or outputs"
+      end;
+      result
+  end in
+  let module R = Abc_net.Engine.Make (Counted) in
+  let inputs =
+    Batch_acs.inputs ~n:4 ~coin:Abc.Coin.local [| "a"; "bb"; "ccc"; "dddd" |]
+  in
+  ignore (R.run (R.config ~n:4 ~f:1 ~inputs ~seed:2 ~adversary:Adversary.uniform ()));
+  Alcotest.(check bool) "some deliveries return their state" true (!unchanged > 0)
+
 let prop_common_subset =
   QCheck.Test.make ~name:"subsets identical across honest nodes" ~count:25
     QCheck.(small_int)
@@ -223,6 +250,11 @@ let () =
           Alcotest.test_case "acs labels are shared" `Quick test_acs_labels_shared;
           Alcotest.test_case "batch-acs labels are shared" `Quick
             test_batch_acs_labels_shared;
+        ] );
+      ( "unchanged states",
+        [
+          Alcotest.test_case "batch-acs passes them up" `Quick
+            test_batch_acs_unchanged_states;
         ] );
       ( "properties",
         [

@@ -165,7 +165,9 @@ let test_mux_initial_from_wrong_origin_ignored () =
 (* The multiplexer against a reference: a [Key.Map] of [Rbc_core]
    instances, each created on its key's first wire.  Random wire
    sequences go through both, and every step must send the same wires,
-   make the same delivery and count the same instances. *)
+   make the same delivery and count the same instances.  A wire whose
+   origin lies outside [0, n) must return the multiplexer itself with
+   nothing out, and never reaches the reference. *)
 
 let ref_handle ~n ~f live ~src (wire : Mux.wire) =
   let inst =
@@ -199,14 +201,15 @@ let mux_rounds = [ 0; 1; 2; -1; -7; min_int; min_int + 1; max_int; max_int - 1 ]
 (* A case is n and a list of (src, wire).  Wires fall on one to four
    keys, most carry their key's main payload, and a fifth of them come
    from the key's origin, so instances echo, ready and deliver, and
-   events keep arriving after they have. *)
+   events keep arriving after they have.  One key in thirteen names an
+   origin outside [0, n), as a forged wire does. *)
 let gen_mux_case =
   let open QCheck.Gen in
   oneofl [ 4; 7; 10; 16 ] >>= fun n ->
   let gen_key =
     map3
       (fun origin round step -> { M.Key.origin = node origin; round; step })
-      (int_bound (n - 1))
+      (frequency [ (12, int_bound (n - 1)); (1, oneofl [ n; n + 1; max_int ]) ])
       (oneof [ oneofl mux_rounds; small_signed_int ])
       (oneofl [ M.Step.S1; S2; S3 ])
   in
@@ -218,7 +221,9 @@ let gen_mux_case =
     oneofa keys >>= fun (key, main) ->
     frequency [ (3, return main); (1, gen_payload) ] >>= fun payload ->
     oneofl [ Mux.Rbc.Initial payload; Echo payload; Ready payload ] >>= fun event ->
-    frequency [ (1, return (Abc_net.Node_id.to_int key.M.Key.origin)); (4, int_bound (n - 1)) ]
+    let origin = Abc_net.Node_id.to_int key.M.Key.origin in
+    (if origin < n then frequency [ (1, return origin); (4, int_bound (n - 1)) ]
+     else int_bound (n - 1))
     >|= fun src -> (src, { Mux.key; event })
   in
   list_size (int_range 0 (40 * n)) gen_wire >|= fun wires -> (n, wires)
@@ -233,19 +238,26 @@ let prop_mux_matches_reference =
     (QCheck.make ~print:print_mux_case gen_mux_case)
     (fun (n, wires) ->
       let f = (n - 1) / 3 in
-      let step (mux, live) (i, (src, wire)) =
+      let step (mux, live) (i, (src, (wire : Mux.wire))) =
         let src = node src in
-        let mux, out, delivery = Mux.handle mux ~src wire in
-        let live, ref_out, ref_delivery = ref_handle ~n ~f live ~src wire in
-        if not (List.equal wire_equal out ref_out) then
-          QCheck.Test.fail_reportf "wire %d: %d wires out, reference %d" i
-            (List.length out) (List.length ref_out);
-        if not (delivery_equal delivery ref_delivery) then
-          QCheck.Test.fail_reportf "wire %d: deliveries differ" i;
-        if Mux.instances mux <> M.Key.Map.cardinal live then
-          QCheck.Test.fail_reportf "wire %d: %d instances, reference %d" i
-            (Mux.instances mux) (M.Key.Map.cardinal live);
-        (mux, live)
+        let mux', out, delivery = Mux.handle mux ~src wire in
+        if Node_id.to_int wire.key.origin >= n then begin
+          if not (mux' == mux && List.is_empty out && Option.is_none delivery) then
+            QCheck.Test.fail_reportf "wire %d: a forged origin was not dropped" i;
+          (mux, live)
+        end
+        else begin
+          let live, ref_out, ref_delivery = ref_handle ~n ~f live ~src wire in
+          if not (List.equal wire_equal out ref_out) then
+            QCheck.Test.fail_reportf "wire %d: %d wires out, reference %d" i
+              (List.length out) (List.length ref_out);
+          if not (delivery_equal delivery ref_delivery) then
+            QCheck.Test.fail_reportf "wire %d: deliveries differ" i;
+          if Mux.instances mux' <> M.Key.Map.cardinal live then
+            QCheck.Test.fail_reportf "wire %d: %d instances, reference %d" i
+              (Mux.instances mux') (M.Key.Map.cardinal live);
+          (mux', live)
+        end
       in
       ignore
         (List.fold_left step (Mux.create ~n ~f, M.Key.Map.empty) (List.mapi (fun i w -> (i, w)) wires));
@@ -352,6 +364,33 @@ let test_ba_start_idempotent () =
   Alcotest.(check bool) "first start broadcasts" true (List.length wires1 > 0);
   Alcotest.(check int) "second start is a no-op" 0 (List.length wires2)
 
+(* A wire that changes nothing the instance acts on returns the
+   instance itself, with no wires and no events: an echo after the
+   instance readied, a ready after it delivered, and a wire whose key
+   names an origin outside [0, n). *)
+let test_ba_unchanged_wires_pass_through () =
+  let rng = rng () in
+  let k = key ~origin:1 () in
+  let echo = Mux.Rbc.Echo (payload ()) and ready = Mux.Rbc.Ready (payload ()) in
+  let feed event ba src =
+    let ba, _, _ = Ba.on_wire ba ~rng ~src:(node src) { Mux.key = k; event } in
+    ba
+  in
+  let unchanged name ba ~src wire =
+    let ba', wires, events = Ba.on_wire ba ~rng ~src:(node src) wire in
+    Alcotest.(check bool) (name ^ ": same instance") true (ba' == ba);
+    Alcotest.(check int) (name ^ ": no wires") 0 (List.length wires);
+    Alcotest.(check int) (name ^ ": no events") 0 (List.length events)
+  in
+  let ba = Ba.create ~n:4 ~f:1 ~me:(node 0) ~coin:Abc.Coin.local ~validation:true in
+  (* At n = 4, three echoes ready the instance and three readies
+     deliver it. *)
+  let ba = List.fold_left (feed echo) ba [ 0; 1; 2 ] in
+  unchanged "settled echo" ba ~src:3 { Mux.key = k; event = echo };
+  let ba = List.fold_left (feed ready) ba [ 0; 1; 2 ] in
+  unchanged "settled ready" ba ~src:3 { Mux.key = k; event = ready };
+  unchanged "forged origin" ba ~src:2 { Mux.key = key ~origin:4 (); event = ready }
+
 (* ---- Payloads ---- *)
 
 let test_payloads () =
@@ -410,6 +449,8 @@ let () =
           Alcotest.test_case "mixed agreement" `Quick test_ba_mixed_agreement;
           Alcotest.test_case "buffers before start" `Quick test_ba_buffers_before_start;
           Alcotest.test_case "start idempotent" `Quick test_ba_start_idempotent;
+          Alcotest.test_case "unchanged wires pass through" `Quick
+            test_ba_unchanged_wires_pass_through;
         ] );
       ("payloads", [ Alcotest.test_case "basics" `Quick test_payloads ]);
       ("decision", [ Alcotest.test_case "basics" `Quick test_decision ]);

@@ -478,6 +478,33 @@ let test_atomic_labels_shared () =
       ]
     !seen
 
+(* A message that changes nothing returns the state it was given: most
+   BA wires do, and each such delivery returns no action and no
+   output.  A wrapper counts them over an honest run. *)
+let test_atomic_unchanged_states () =
+  let unchanged = ref 0 in
+  let module Counted = struct
+    include Atomic
+
+    let on_message ctx state ~src msg =
+      let ((state', actions, outputs) as result) = Atomic.on_message ctx state ~src msg in
+      if state' == state then begin
+        incr unchanged;
+        if actions <> [] || outputs <> [] then
+          Alcotest.fail "an unchanged state came back with actions or outputs"
+      end;
+      result
+  end in
+  let module R = Abc_net.Engine.Make (Counted) in
+  let seed = 31 in
+  let inputs =
+    Atomic.inputs ~n:4 ~checkpoint_interval:2 ~batch_size:3 ~epochs:6
+      ~coin_seed:((seed * 1000) + 17)
+      (mempools ~n:4 ~count:18 ~seed)
+  in
+  ignore (R.run (R.config ~n:4 ~f:1 ~inputs ~seed ~adversary:Adversary.uniform ()));
+  Alcotest.(check bool) "some deliveries return their state" true (!unchanged > 0)
+
 let prop_identical_logs =
   QCheck.Test.make ~name:"all replicas build the same log" ~count:15
     QCheck.(small_int)
@@ -528,6 +555,7 @@ let () =
           Alcotest.test_case "recovery: deterministic" `Quick
             test_atomic_recovery_deterministic;
           Alcotest.test_case "batch codec roundtrip" `Quick test_batch_codec_roundtrip;
+          Alcotest.test_case "unchanged states pass up" `Quick test_atomic_unchanged_states;
           Alcotest.test_case "restore rejects non-decimal fields" `Quick
             test_restore_rejects_non_decimal_fields;
           Alcotest.test_case "workload deterministic" `Quick
