@@ -783,31 +783,45 @@ module Make (S : SUBJECT) = struct
   (* Faults are placed and checked before anything runs; the closure
      runs one seed.  An explicit graph floods every message over its
      edges: the relay, like the reliable link, forwards what any node
-     sends, so only message-agnostic faults keep their meaning. *)
+     sends, so only message-agnostic faults keep their meaning.  A
+     crash plan restarts its replica from the subject's durable store,
+     which only the raw transport hands to the engine. *)
   let prepare ~name sc =
     let battery ~lie ~refuse =
       Result.map_error (fun msg -> ("fault", msg))
         (battery ~n:sc.n ~broadcast:S.broadcast ~lie ~refuse sc.fault)
     in
-    let crashes () =
-      if Option.is_none S.recovery then []
-      else List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) sc.crash
+    let no_crash over =
+      if sc.crash = [] then Ok ()
+      else
+        Error
+          ( "crash",
+            "crash plans do not run over " ^ over
+            ^ ": a replica would restart without its durable store" )
+    in
+    let* () =
+      if sc.crash <> [] && Option.is_none S.recovery then
+        Error ("crash", name ^ " keeps no durable store to restart a crashed replica from")
+      else Ok ()
     in
     match sc.topology with
     | Complete when sc.reliable ->
+      let* () = no_crash "reliable links" in
       let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "reliable transport") in
-      Ok (Rl.run sc ~faulty:(faulty @ crashes ()))
+      Ok (Rl.run sc ~faulty)
     | Ring | Star | Circulant _ when sc.reliable ->
       Error ("topology", "reliable links do not run over an explicit topology")
     | Ring | Star | Circulant _ ->
       let module Relayed = Go (Abc_net.Relay.Make (S)) in
+      let* () = no_crash "the flood relay" in
       let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "flood relay") in
-      Ok (Relayed.run sc ~faulty:(faulty @ crashes ()))
+      Ok (Relayed.run sc ~faulty)
     | Complete ->
       let refuse l = Printf.sprintf "fault %S is not defined for %s" l name in
       let* faulty = battery ~lie:S.lie ~refuse in
       let recovery = Option.map (fun (snapshot, restore) -> { Raw.E.snapshot; restore }) S.recovery in
-      Ok (Raw.run ?recovery sc ~faulty:(faulty @ crashes ()))
+      let crashes = List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) sc.crash in
+      Ok (Raw.run ?recovery sc ~faulty:(faulty @ crashes))
 end
 
 type entry = {

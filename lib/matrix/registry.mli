@@ -161,7 +161,9 @@ val check : scenario -> (unit, string * string) result
     batch, epochs and window >= 1, checkpoint >= 0, tx-rate > 0; node
     ids below [n], graphs that exist at [n] and carry no reliable
     links, probabilities, the fault battery with its placed ids below
-    [n] and distinct): the offending axis, a message. *)
+    [n] and distinct; crash plans only for a protocol with a durable
+    store, over the complete graph without reliable links): the
+    offending axis, a message. *)
 
 val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 (** {!check}, then one seed; also [Error] when the protocol rejects

@@ -317,6 +317,31 @@ let test_replica_measures () =
   Alcotest.(check int) "no records outside atomic" 0
     (Array.length (run_ok (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1) ~seed:0).outcome.replicas)
 
+(* A crash plan restarts its replica from the protocol's durable
+   store, which only the raw transport over the complete graph passes
+   to the engine; anywhere else the plan is refused, not run amnesic or
+   dropped. *)
+let test_crash_plans_refused () =
+  let e18 =
+    { (Registry.scenario ~protocol:"atomic" ~n:4 ~f:1) with
+      batch = 4; epochs = 12; window = 2; payload = 32; tx_rate = 0.5; checkpoint = 2;
+      crash = [ (3, [ (400, 2500) ]) ] }
+  in
+  (match Registry.check e18 with
+  | Ok () -> ()
+  | Error (axis, msg) -> Alcotest.failf "E18's cell refused: %s: %s" axis msg);
+  let refused name sc ~msg_has =
+    match Registry.check sc with
+    | Ok () -> Alcotest.failf "%s: accepted" name
+    | Error (axis, msg) ->
+      Alcotest.(check string) (name ^ ": axis") "crash" axis;
+      if not (Astring.String.is_infix ~affix:msg_has msg) then
+        Alcotest.failf "%s: %S does not mention %S" name msg msg_has
+  in
+  refused "atomic over reliable links" { e18 with reliable = true } ~msg_has:"reliable links";
+  refused "atomic over a ring" { e18 with topology = Ring } ~msg_has:"flood relay";
+  refused "bracha" { e18 with protocol = "bracha" } ~msg_has:"bracha keeps no durable store"
+
 (* ---- expansion: counts and order ---- *)
 
 let test_cross_count () =
@@ -582,6 +607,7 @@ let () =
           Alcotest.test_case "flood relay over explicit graphs" `Quick test_flood_relay;
           Alcotest.test_case "turpin-coan within n>4f" `Quick test_turpin_coan;
           Alcotest.test_case "atomic replica measures" `Quick test_replica_measures;
+          Alcotest.test_case "crash plans need a durable store" `Quick test_crash_plans_refused;
         ] );
       ( "specs",
         [
