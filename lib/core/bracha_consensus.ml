@@ -70,7 +70,6 @@ let on_message ctx state ~src msg =
   let rng = ctx.Protocol.Context.rng in
   let sink = ctx.Protocol.Context.sink in
   match (state, msg) with
-  (* A wire that left the instance as it was leaves [state] as it was. *)
   | Reliable_state ba, Wire wire -> (
     match Ba_instance.on_wire ~sink ba ~rng ~src wire with
     | ba', [], [] when ba' == ba -> (state, [], [])
