@@ -173,7 +173,7 @@ let test_batch_acs_labels_shared () =
     ~expected:[ "ba.echo"; "ba.initial"; "ba.ready"; "prop.echo"; "prop.ready"; "prop.val" ]
     !seen
 
-(* ---- unchanged states ---- *)
+(* ---- pass-through ---- *)
 
 (* A message that changes nothing returns the state it was given: most
    BA wires do, and each such delivery returns no action and no
@@ -251,7 +251,7 @@ let () =
           Alcotest.test_case "batch-acs labels are shared" `Quick
             test_batch_acs_labels_shared;
         ] );
-      ( "unchanged states",
+      ( "pass-through",
         [
           Alcotest.test_case "batch-acs passes them up" `Quick
             test_batch_acs_unchanged_states;
