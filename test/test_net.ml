@@ -422,9 +422,11 @@ type envelope = {
 }
 
 (* A push skips [gap] seqs (the arena only needs them increasing); a
-   remove hits live slot [k mod length].  Pushes outnumber removes
-   three to one, so a long case crosses several doublings of the
-   column. *)
+   remove hits live slot [k mod length].  A short case pushes three
+   times for every remove.  A long case fills the arena past 500 live
+   envelopes, eight pushes to a remove, with a rare gap of hundreds of
+   seqs that carries the seq table through several doublings; it then
+   drains a few hundred of them, four removes to a push. *)
 type arena_op = Push of int * envelope | Remove of int | Oldest
 
 let arena_ops_arb =
@@ -438,13 +440,20 @@ let arena_ops_arb =
         { seq = 0; src; dst; sent_at; priority; copy })
       (pair (pair (pair id id) (pair word word)) bool)
   in
-  let op =
+  let ops ~pushes ~removes ~gap =
     frequency
       [
-        (3, map2 (fun gap e -> Push (gap, e)) (int_bound 3) envelope);
-        (1, map (fun k -> Remove k) nat);
+        (pushes, map2 (fun gap e -> Push (gap, e)) gap envelope);
+        (removes, map (fun k -> Remove k) nat);
         (1, return Oldest);
       ]
+  in
+  let short = list_size (int_range 1 200) (ops ~pushes:3 ~removes:1 ~gap:(int_bound 3)) in
+  let long =
+    let gap = frequency [ (150, int_bound 3); (1, int_range 256 1024) ] in
+    map2 ( @ )
+      (list_size (int_range 800 1200) (ops ~pushes:8 ~removes:1 ~gap))
+      (list_size (int_range 300 700) (ops ~pushes:1 ~removes:4 ~gap))
   in
   let print = function
     | Push (gap, e) ->
@@ -456,7 +465,7 @@ let arena_ops_arb =
   in
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map print ops))
-    (list_size (int_range 1 200) op)
+    (frequency [ (29, short); (1, long) ])
 
 let prop_arena_model =
   QCheck.Test.make ~name:"columns, seq table and cursor agree with a list model"
