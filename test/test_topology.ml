@@ -125,8 +125,21 @@ let test_engine_drops_non_edges () =
   in
   Alcotest.(check string) "quiescent" "quiescent"
     (Fmt.str "%a" Abc_net.Engine.pp_stop_reason result.GE.stop);
-  Alcotest.(check bool) "drops counted" true
-    (Abc_sim.Metrics.counter result.GE.metrics "dropped.topology" > 0)
+  (* Each broadcast reaches fewer than n nodes: the hub reaches all 4,
+     each leaf only the hub and itself.  4 + 3 * 2 = 10 hellos of 5
+     bytes are sent, and the 6 leaf-to-leaf ones are dropped. *)
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check int) name want
+        (Abc_sim.Metrics.counter result.GE.metrics name))
+    [
+      ("sent", 10);
+      ("sent.hello", 10);
+      ("bytes.sent", 50);
+      ("bytes.sent.hello", 50);
+      ("dropped.topology", 6);
+      ("delivered", 10);
+    ]
 
 let test_engine_topology_size_check () =
   Alcotest.check_raises "size mismatch"
