@@ -1,8 +1,11 @@
-(* Int-indexed arena for in-flight messages.  Each slot is four words
-   of one int column — seq, sent_at, priority and a packed word
-   holding src, dst and the copy flag — beside a payload array, plus
-   a flat seq -> slot table, so the engine's enqueue / schedule /
-   swap-remove hot path allocates nothing.  Removal moves the last
+(* Int-indexed arena for in-flight messages.  Each slot is four int
+   words — seq, sent_at, priority and a packed word holding src, dst
+   and the copy flag — beside a payload, plus a flat seq -> slot
+   table, so the engine's enqueue / schedule / swap-remove hot path
+   allocates nothing.  Slots live in fixed pages of [page_size]: a
+   page is allocated when the pool first reaches it and is never
+   copied or freed, so growing the pool allocates one page at a time
+   instead of a doubled copy of everything.  Removal moves the last
    slot into the hole, so the slot order the adversary indexes into
    evolves as it always has: adversary choices, and therefore whole
    traces, stay as before (see PERFORMANCE.md). *)
@@ -10,6 +13,12 @@
 let id_bits = 30
 
 let id_mask = (1 lsl id_bits) - 1
+
+(* 256 slots a page: a payload page is then a 256-word array, small
+   enough to be allocated young (see PERFORMANCE.md). *)
+let page_bits = 8
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
 
 (* Word offsets within a slot. *)
 let width = 4
@@ -19,7 +28,10 @@ let priority_w = 2
 let ends_w = 3  (* src lsl (id_bits + 1) lor dst lsl 1 lor copy *)
 
 type view = {
-  mutable ints : int array;  (* [width] words per slot *)
+  (* [pages.(p)] holds slots [p * page_size] onward, [width] words
+     each; entries from [npages] on are unallocated. *)
+  mutable pages : int array array;
+  mutable npages : int;
   mutable size : int;
   (* [slots.(seq)] is the live slot of sequence number [seq], or -1
      once delivered.  Seqs are assigned monotonically by the engine,
@@ -30,12 +42,20 @@ type view = {
   mutable cursor : int;  (* amortized oldest-live-seq scan position *)
 }
 
-type 'a t = { view : view; mutable payloads : 'a array }
+(* [payloads.(p)] is the payload page beside [view.pages.(p)]. *)
+type 'a t = { view : view; mutable payloads : 'a array array }
 
 let create () =
   {
     view =
-      { ints = [||]; size = 0; slots = Array.make 256 (-1); seq_hi = 0; cursor = 0 };
+      {
+        pages = [||];
+        npages = 0;
+        size = 0;
+        slots = Array.make 256 (-1);
+        seq_hi = 0;
+        cursor = 0;
+      };
     payloads = [||];
   }
 
@@ -45,18 +65,24 @@ let length v = v.size
 
 let is_empty v = v.size = 0
 
-let capacity t = Array.length t.payloads
+let capacity t = t.view.npages * page_size
 
-let grow t payload =
+(* The page directories double; they hold one word per page. *)
+let extend dir =
+  let bigger = Array.make (max 8 (2 * Array.length dir)) [||] in
+  Array.blit dir 0 bigger 0 (Array.length dir);
+  bigger
+
+let add_page t payload =
   let v = t.view in
-  let cap = Array.length t.payloads in
-  let cap' = if cap = 0 then 16 else 2 * cap in
-  let ints = Array.make (width * cap') 0 in
-  Array.blit v.ints 0 ints 0 (width * v.size);
-  v.ints <- ints;
-  let ps = Array.make cap' payload in
-  Array.blit t.payloads 0 ps 0 v.size;
-  t.payloads <- ps
+  let p = v.npages in
+  if p = Array.length v.pages then begin
+    v.pages <- extend v.pages;
+    t.payloads <- extend t.payloads
+  end;
+  v.pages.(p) <- Array.make (width * page_size) 0;
+  t.payloads.(p) <- Array.make page_size payload;
+  v.npages <- p + 1
 
 let grow_slots v seq =
   let cap = Array.length v.slots in
@@ -68,17 +94,19 @@ let grow_slots v seq =
 
 let push t ~seq ~src ~dst ~sent_at ~priority ~copy payload =
   let v = t.view in
-  if v.size = Array.length t.payloads then grow t payload;
   let slot = v.size in
-  let base = width * slot in
-  v.ints.(base + seq_w) <- seq;
-  v.ints.(base + sent_at_w) <- sent_at;
-  v.ints.(base + priority_w) <- priority;
-  v.ints.(base + ends_w) <-
+  let p = slot lsr page_bits in
+  if p = v.npages then add_page t payload;
+  let page = v.pages.(p) in
+  let base = width * (slot land page_mask) in
+  page.(base + seq_w) <- seq;
+  page.(base + sent_at_w) <- sent_at;
+  page.(base + priority_w) <- priority;
+  page.(base + ends_w) <-
     (Node_id.to_int src lsl (id_bits + 1))
     lor (Node_id.to_int dst lsl 1)
     lor Bool.to_int copy;
-  t.payloads.(slot) <- payload;
+  t.payloads.(p).(slot land page_mask) <- payload;
   v.size <- slot + 1;
   assert (seq >= v.seq_hi);
   grow_slots v seq;
@@ -90,7 +118,7 @@ let out_of_bounds name =
 
 let[@inline] word v slot w name =
   if slot < 0 || slot >= v.size then out_of_bounds name;
-  v.ints.((width * slot) + w)
+  v.pages.(slot lsr page_bits).((width * (slot land page_mask)) + w)
 
 let seq v slot = word v slot seq_w "seq"
 
@@ -106,25 +134,28 @@ let copy v slot = word v slot ends_w "copy" land 1 = 1
 
 let payload t slot =
   if slot < 0 || slot >= t.view.size then out_of_bounds "payload";
-  t.payloads.(slot)
+  t.payloads.(slot lsr page_bits).(slot land page_mask)
 
 let remove t slot =
   let v = t.view in
   if slot < 0 || slot >= v.size then out_of_bounds "remove";
-  let ints = v.ints in
-  let base = width * slot in
-  v.slots.(ints.(base + seq_w)) <- -1;
+  let page = v.pages.(slot lsr page_bits) in
+  let base = width * (slot land page_mask) in
+  v.slots.(page.(base + seq_w)) <- -1;
   let last = v.size - 1 in
   v.size <- last;
   if slot < last then begin
-    (* Move the last entry into the hole and retarget its seq slot. *)
-    let from = width * last in
-    let moved = ints.(from + seq_w) in
-    ints.(base + seq_w) <- moved;
-    ints.(base + sent_at_w) <- ints.(from + sent_at_w);
-    ints.(base + priority_w) <- ints.(from + priority_w);
-    ints.(base + ends_w) <- ints.(from + ends_w);
-    t.payloads.(slot) <- t.payloads.(last);
+    (* Move the last entry into the hole, possibly across pages, and
+       retarget its seq slot. *)
+    let from_page = v.pages.(last lsr page_bits) in
+    let from = width * (last land page_mask) in
+    let moved = from_page.(from + seq_w) in
+    page.(base + seq_w) <- moved;
+    page.(base + sent_at_w) <- from_page.(from + sent_at_w);
+    page.(base + priority_w) <- from_page.(from + priority_w);
+    page.(base + ends_w) <- from_page.(from + ends_w);
+    t.payloads.(slot lsr page_bits).(slot land page_mask) <-
+      t.payloads.(last lsr page_bits).(last land page_mask);
     v.slots.(moved) <- slot
   end
 

@@ -1,15 +1,19 @@
 (** Int-indexed arena for in-flight messages.
 
     The engine's pending-message store.  Each in-flight envelope is
-    one 4-word slot of a single [int array] — seq, sent_at, priority,
-    and one word packing src, dst and the copy flag — beside a payload
-    array, plus a flat seq → slot table replacing a per-message
-    hashtable.  Pushing, reading and removing allocate nothing.
-    Removal moves the last slot into the hole, so the slot order the
-    adversary indexes into evolves as it always has, and adversary
-    choices and traces stay as before.  Slots at or past the live
-    length may hold stale entries; they are overwritten by later
-    pushes (see PERFORMANCE.md).
+    one 4-word slot — seq, sent_at, priority, and one word packing
+    src, dst and the copy flag — beside a payload, plus a flat seq →
+    slot table replacing a per-message hashtable.  Slots are stored
+    in fixed pages of 256: an [int array] of their words and an array
+    of their payloads, allocated when the pool first reaches the page
+    and never copied or freed.  Reading and removing allocate nothing;
+    a push allocates only when the pool reaches a new page or the seq
+    table doubles.  Removal moves the last slot into the hole, across
+    pages if need be, so the slot order the adversary indexes into
+    evolves as it always has, and adversary choices and traces stay
+    as before.  Slots at or past the live length may hold stale
+    entries; they are overwritten by later pushes (see
+    PERFORMANCE.md).
 
     The arena has two parts: the int part ({!view}: the metadata
     columns, the seq table and the oldest cursor), which is all an
@@ -36,9 +40,10 @@ val view : 'a t -> view
 (** [view t] is [t]'s int part. *)
 
 val capacity : 'a t -> int
-(** Allocated slot count — grows by doubling and never shrinks, so a
-    steady-state run recycles slots instead of allocating (asserted by
-    the reuse-after-recycle unit test). *)
+(** Allocated slot count: a multiple of the page size, 256.  It grows
+    a page at a time and never shrinks, so a steady-state run recycles
+    slots instead of allocating (asserted by the reuse-after-recycle
+    unit test). *)
 
 val push :
   'a t ->

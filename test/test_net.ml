@@ -375,10 +375,10 @@ let test_arena_swap_remove_layout () =
   Alcotest.(check int) "removed seq dead" (-1) (Arena.slot_of_seq v 1);
   Alcotest.(check int) "untouched slot intact" 0 (Arena.slot_of_seq v 0)
 
-(* Steady-state churn must recycle slots, not allocate: after the
-   initial growth, capacity stays put through thousands of
-   push/remove cycles (the hot-path no-allocation claim in
-   PERFORMANCE.md). *)
+(* Steady-state churn must recycle slots, not allocate: the first
+   page holds the pool, and capacity stays at that one page through
+   thousands of push/remove cycles (the hot-path no-allocation claim
+   in PERFORMANCE.md). *)
 let test_arena_reuse_after_recycle () =
   let a = Arena.create () in
   let v = Arena.view a in
@@ -423,10 +423,13 @@ type envelope = {
 
 (* A push skips [gap] seqs (the arena only needs them increasing); a
    remove hits live slot [k mod length].  A short case pushes three
-   times for every remove.  A long case fills the arena past 500 live
-   envelopes, eight pushes to a remove, with a rare gap of hundreds of
+   times for every remove and stays on the arena's first 256-slot
+   page.  A long case fills it past 500 live envelopes, onto a third
+   page, eight pushes to a remove, with a rare gap of hundreds of
    seqs that carries the seq table through several doublings; it then
-   drains a few hundred of them, four removes to a push. *)
+   drains a few hundred of them, four removes to a push, back across
+   a page edge.  Its removes move the last slot from one page into a
+   hole on another, and its pushes refill pages already allocated. *)
 type arena_op = Push of int * envelope | Remove of int | Oldest
 
 let arena_ops_arb =
