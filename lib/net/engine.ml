@@ -335,10 +335,14 @@ module Make (P : Protocol.S) = struct
       detail
     in
     (* Defined once per run, not per action, so sending allocates no
-       closure. *)
-    let dispatch src detail dst payload =
-      if not (can_reach src dst) then
-        Abc_sim.Metrics.incr_handle m_dropped_topology
+       closure.  Pushes one envelope unless the topology lacks the
+       edge and says whether it did; the caller counts what was
+       sent. *)
+    let dispatch src detail ~label ~nbytes dst payload =
+      if not (can_reach src dst) then begin
+        Abc_sim.Metrics.incr_handle m_dropped_topology;
+        false
+      end
       else begin
         let seq = !next_seq in
         next_seq := seq + 1;
@@ -347,14 +351,7 @@ module Make (P : Protocol.S) = struct
         Envelope_arena.push pending ~seq ~src ~dst ~sent_at:now ~priority
           ~copy:false payload;
         policy.Adversary.note view;
-        let label = P.msg_label payload in
-        let nbytes = P.msg_bytes payload in
-        let sent_h, bytes_sent_h, _ = label_handles label in
-        Abc_sim.Metrics.incr_handle m_sent;
-        Abc_sim.Metrics.incr_handle sent_h;
-        Abc_sim.Metrics.add_handle m_bytes_sent nbytes;
-        Abc_sim.Metrics.add_handle bytes_sent_h nbytes;
-        match cfg.trace with
+        (match cfg.trace with
         | Some tr ->
           set_detail seq detail;
           Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int src)
@@ -366,17 +363,38 @@ module Make (P : Protocol.S) = struct
                     detail = "";
                     bytes = nbytes;
                   }))
-        | None -> ()
+        | None -> ());
+        true
+      end
+    in
+    (* [sent] envelopes of one send action, counted at once.  Zero
+       touches no counter, as no send would. *)
+    let count_sent ~label ~nbytes sent =
+      if sent > 0 then begin
+        let sent_h, bytes_sent_h, _ = label_handles label in
+        Abc_sim.Metrics.add_handle m_sent sent;
+        Abc_sim.Metrics.add_handle sent_h sent;
+        Abc_sim.Metrics.add_handle m_bytes_sent (sent * nbytes);
+        Abc_sim.Metrics.add_handle bytes_sent_h (sent * nbytes)
       end
     in
     let enqueue src action =
       match action with
       | Protocol.Broadcast payload ->
+        let label = P.msg_label payload in
+        let nbytes = P.msg_bytes payload in
         let detail = render payload in
+        let sent = ref 0 in
         for dst = 0 to cfg.n - 1 do
-          dispatch src detail (Node_id.of_int dst) payload
-        done
-      | Protocol.Send (dst, payload) -> dispatch src (render payload) dst payload
+          if dispatch src detail ~label ~nbytes (Node_id.of_int dst) payload
+          then incr sent
+        done;
+        count_sent ~label ~nbytes !sent
+      | Protocol.Send (dst, payload) ->
+        let label = P.msg_label payload in
+        let nbytes = P.msg_bytes payload in
+        if dispatch src (render payload) ~label ~nbytes dst payload then
+          count_sent ~label ~nbytes 1
       | Protocol.Set_timer { id; after } ->
         let now = Abc_sim.Clock.now clock in
         let due = now + max 1 after in
@@ -389,12 +407,21 @@ module Make (P : Protocol.S) = struct
             (Abc_sim.Event.make (Abc_sim.Event.Timer_set { id; due }))
         | None -> ())
     in
+    (* [enqueue_all] and [record_outputs] recurse over their lists
+       instead of handing [List.iter] a closure, which would allocate
+       one on every delivery. *)
+    let rec enqueue_all src = function
+      | [] -> ()
+      | action :: rest ->
+        enqueue src action;
+        enqueue_all src rest
+    in
     let emit_actions node actions =
       match node.behaviour with
       | Behaviour.Honest ->
         (* [Behaviour.apply Honest] is the identity and draws no
            randomness; skip the double list-length walk. *)
-        List.iter (enqueue node.id) actions
+        enqueue_all node.id actions
       | _ ->
         let before = List.length actions in
         let actions =
@@ -404,22 +431,21 @@ module Make (P : Protocol.S) = struct
         if List.length actions < before then
           Abc_sim.Metrics.add_handle m_dropped_faulty
             (before - List.length actions);
-        List.iter (enqueue node.id) actions
+        enqueue_all node.id actions
     in
-    let record_outputs node outputs =
-      let now = Abc_sim.Clock.now clock in
-      let node_i = Node_id.to_int node.id in
-      let note o =
+    let rec record_outputs node = function
+      | [] -> ()
+      | o :: rest ->
+        let now = Abc_sim.Clock.now clock in
         node.outputs <- (now, o) :: node.outputs;
         (match cfg.trace with
         | Some tr ->
-          Abc_sim.Trace.record tr ~time:now ~node:node_i
+          Abc_sim.Trace.record tr ~time:now ~node:(Node_id.to_int node.id)
             (Abc_sim.Event.make
                (Abc_sim.Event.Output { label = Fmt.str "%a" P.pp_output o }))
         | None -> ());
-        if P.is_terminal o then set_terminal node
-      in
-      List.iter note outputs
+        if P.is_terminal o then set_terminal node;
+        record_outputs node rest
     in
     (* Initialization: every node emits its starting actions at time 0
        (activation 0 — so [Crash_after 0] suppresses even these). *)
