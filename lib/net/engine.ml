@@ -335,9 +335,9 @@ module Make (P : Protocol.S) = struct
       detail
     in
     (* Defined once per run, not per action, so sending allocates no
-       closure.  Pushes one envelope unless the topology lacks the
-       edge and says whether it did; the caller counts what was
-       sent. *)
+       closure.  Pushes one envelope, or counts a topology drop when
+       the graph lacks the edge; true when it pushed.  The caller
+       counts what was sent. *)
     let dispatch src detail ~label ~nbytes dst payload =
       if not (can_reach src dst) then begin
         Abc_sim.Metrics.incr_handle m_dropped_topology;
