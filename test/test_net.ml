@@ -424,11 +424,11 @@ type envelope = {
 (* A push skips [gap] seqs (the arena only needs them increasing); a
    remove hits live slot [k mod length].  A short case pushes three
    times for every remove and stays on the arena's first 256-slot
-   page.  A long case fills it past 500 live envelopes, onto a third
-   page, eight pushes to a remove, with a rare gap of hundreds of
-   seqs that carries the seq table through several doublings; it then
-   drains a few hundred of them, four removes to a push, back across
-   a page edge.  Its removes move the last slot from one page into a
+   page.  A long case fills it to some 550–770 live envelopes, onto a
+   third page, eight pushes to a remove, with a rare gap of hundreds
+   of seqs that carries the seq table through several doublings; it
+   then drains a few hundred of them, four removes to a push, back
+   across a page edge.  Its removes move the last slot from one page into a
    hole on another, and its pushes refill pages already allocated. *)
 type arena_op = Push of int * envelope | Remove of int | Oldest
 
