@@ -1,5 +1,5 @@
 (* Shared machinery for the experiment harness: registry scenarios run
-   over seeds, and the samplers and fits every table in main.ml uses. *)
+   over seeds, the samplers of the hand-written tables, and E5's fit. *)
 
 module Node_id = Abc_net.Node_id
 module Summary = Abc_sim.Summary
@@ -42,12 +42,6 @@ let sample pool ~seeds sc = collect (outcomes pool ~seeds sc)
 
 let mean_or summary default =
   match summary with Some s -> Summary.mean s | None -> default
-
-let p95_or summary default =
-  match summary with Some s -> Summary.percentile s 95. | None -> default
-
-let max_or summary default =
-  match summary with Some s -> Summary.max_value s | None -> default
 
 (* Log-log slope fit for complexity experiments: least squares on
    (log n, log y). *)

@@ -3,7 +3,7 @@
 
      dune exec bench/main.exe              # all experiment tables + microbench
      dune exec bench/main.exe -- E3 E6     # selected experiments
-     dune exec bench/main.exe -- quick     # reduced seed counts (CI)
+     dune exec bench/main.exe -- quick     # fewer seeds for E7, E11, E16-E19 (CI)
      dune exec bench/main.exe -- csv       # also write bench_results/*.csv
 
    The 1984 paper proves theorems rather than reporting measurements;
@@ -11,7 +11,10 @@
    DESIGN.md for the mapping).
 
    Every run is an Abc_matrix.Registry scenario, the same path as
-   `abc-bench` and `abc-run`; the tables aggregate the outcomes. *)
+   `abc-bench` and `abc-run`.  E1-E6, E9, E10 and E12-E14 run their
+   committed bench/specs/eN.matrix through the matrix runner, the code
+   `abc-bench run` runs; E7, E11 and E16-E18 aggregate hand-built
+   scenarios; E8, E15 and E19 time. *)
 
 open Helpers
 
@@ -19,27 +22,23 @@ let seeds_scale = ref 1.
 
 let scaled k = max 2 (int_of_float (float_of_int k *. !seeds_scale))
 
-(* ----------------------------------------------------------------- *)
-(* E1: reliable broadcast correctness (validity/agreement/totality)  *)
-(* ----------------------------------------------------------------- *)
-
 module Matrix_spec = Abc_matrix.Spec
 module Matrix_runner = Abc_matrix.Runner
 
-(* E1 and E14 are driven by their committed scenario specs — the same
-   files `abc-bench run` executes, so the harness and the CI bench
-   gate cannot drift apart.  Spec seed counts are the quick-tier
-   baseline and are NOT scaled by the `quick` arg: the committed
-   BENCH_MATRIX baselines are a function of the spec file alone.
-   Expected verdicts play the role the inline assertions play in
-   E16-E18: any cell missing its verdict aborts the harness. *)
+(* The spec-driven tables run the committed scenario specs, relative to
+   the working directory — the same files `abc-bench run` executes, so
+   the harness and the CI bench gate cannot drift apart.  Spec seed
+   counts are NOT scaled by the `quick` arg: the committed BENCH_MATRIX
+   baselines are a function of the spec file alone.  Expected verdicts
+   play the role the inline assertions play in E16-E18: any cell
+   missing its verdict aborts the harness. *)
 let matrix_spec path =
   match Matrix_spec.load path with
   | Ok spec -> spec
   | Error e -> failwith (Abc_matrix.Sexp.error_to_string e)
 
-let run_matrix_spec pool path =
-  let spec = matrix_spec path in
+let run_matrix_spec pool id =
+  let spec = matrix_spec (Printf.sprintf "bench/specs/%s.matrix" id) in
   let result = Matrix_runner.run ~pool spec in
   Table.print (Matrix_runner.table result);
   if not (Matrix_runner.passed result) then
@@ -47,208 +46,57 @@ let run_matrix_spec pool path =
       (Printf.sprintf "%s: %d matrix cell(s) missed their expected verdict"
          (Matrix_spec.id spec)
          (List.length (Matrix_runner.failures result)));
+  result
+
+let spec_table id pool =
+  ignore (run_matrix_spec pool id);
   print_newline ()
 
-let experiment_e1 pool = run_matrix_spec pool "bench/specs/e1.matrix"
+(* A result's cells for one protocol, in cell order. *)
+let cells_of (r : Matrix_runner.t) protocol =
+  List.filter
+    (fun (c : Matrix_runner.cell_result) -> Matrix_spec.find_str c.cell "protocol" ~default:"" = protocol)
+    r.cells
 
-(* ----------------------------------------------------------------- *)
-(* E2: resilience boundary — Bracha (n>3f) vs Ben-Or (n>5f)          *)
-(* ----------------------------------------------------------------- *)
+let n_of (c : Matrix_runner.cell_result) = Matrix_spec.find_int c.cell "n" ~default:0
 
-let experiment_e2 pool =
-  let n = 16 in
-  let seeds = scaled 12 in
-  let table =
-    Table.create ~id:"e2"
-      ~title:
-        (Printf.sprintf
-           "E2. Resilience sweep at n=%d, flip-value Byzantine faults (ok%% over %d \
-            seeds; Bracha bound f<=%d, Ben-Or bound f<=%d)"
-           n seeds (bracha_max_f n) (benor_max_f n))
-      ~columns:[ "f (actual faults)"; "bracha ok"; "ben-or ok" ]
-      ()
+(* E1: reliable broadcast correctness; E2: the resilience boundary;
+   E3, E4: rounds to decide at f = max and f = sqrt n. *)
+let experiment_e1 = spec_table "e1"
+let experiment_e2 = spec_table "e2"
+let experiment_e3 = spec_table "e3"
+let experiment_e4 = spec_table "e4"
+
+(* E5: O(n^2) messages per RBC, O(n^3) per consensus round, as the
+   log-log slope over the spec's one-seed cells. *)
+let experiment_e5 pool =
+  let r = run_matrix_spec pool "e5" in
+  let fit protocol per_run =
+    fitted_exponent
+      (List.map (fun c -> (n_of c, per_run (List.hd c.Matrix_runner.outcomes))) (cells_of r protocol))
   in
-  (* Cap deliveries so liveness failures beyond the bound return fast. *)
-  List.iter
-    (fun f ->
-      let ok protocol =
-        (sample pool ~seeds
-           { (Registry.scenario ~protocol ~n ~f) with
-             fault = Faulty [ (Flip, f) ]; budget = Some 400_000 })
-          .ok_rate
-      in
-      Table.add_row table
-        [ Table.cell_int f; Table.cell_percent (ok "bracha"); Table.cell_percent (ok "ben-or") ])
-    [ 0; 1; 2; 3; 4; 5 ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E3: rounds to decide vs n at maximum resilience (local coin)      *)
-(* ----------------------------------------------------------------- *)
-
-(* E3, E4, E6 and E10's adversary: the split scheduler with bit-flipping
-   liars split across the two input halves, so each half hears
-   amplified support for the other half's value and the honest nodes
-   stay in disagreement until coins align.  The hardest placement we
-   found empirically. *)
-let liars protocol ~n ~f =
-  { (Registry.scenario ~protocol ~n ~f) with adversary = Split; fault = Faulty [ (Balanced_flip, f) ] }
-
-let experiment_e3 pool =
-  let seeds = scaled 30 in
-  let table =
-    Table.create ~id:"e3"
-      ~title:
-        (Printf.sprintf
-           "E3. Rounds to decide, f=max, split inputs, balanced flip liars, split \
-            scheduler (local coin, %d seeds)"
-           seeds)
-      ~columns:[ "n"; "f"; "mean rounds"; "p95"; "max"; "mean msgs" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let s = sample pool ~seeds (liars "bracha" ~n ~f) in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_float (mean_or s.rounds 0.);
-          Table.cell_float ~decimals:0 (p95_or s.rounds 0.);
-          Table.cell_float ~decimals:0 (max_or s.rounds 0.);
-          Table.cell_float ~decimals:0 (mean_or s.messages 0.);
-        ])
-    [ 4; 8; 12; 16 ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E4: constant expected rounds when f = O(sqrt n)                   *)
-(* ----------------------------------------------------------------- *)
-
-let experiment_e4 pool =
-  let seeds = scaled 20 in
-  let table =
-    Table.create ~id:"e4"
-      ~title:
-        (Printf.sprintf
-           "E4. Rounds with f=floor(sqrt n) — same faults/scheduler as E3 but fewer \
-            liars (local coin, %d seeds)"
-           seeds)
-      ~columns:[ "n"; "f=sqrt(n)"; "f_max"; "mean rounds"; "p95"; "max" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let f = int_of_float (sqrt (float_of_int n)) in
-      assert (n > 3 * f);
-      let s = sample pool ~seeds (liars "bracha" ~n ~f) in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int (bracha_max_f n);
-          Table.cell_float (mean_or s.rounds 0.);
-          Table.cell_float ~decimals:0 (p95_or s.rounds 0.);
-          Table.cell_float ~decimals:0 (max_or s.rounds 0.);
-        ])
-    [ 16; 25; 36 ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E5: message complexity — O(n^2) per RBC, O(n^3) per round         *)
-(* ----------------------------------------------------------------- *)
-
-let experiment_e5 _pool =
-  let table =
-    Table.create ~id:"e5"
-      ~title:
-        "E5. Message complexity (honest runs, fifo scheduler; consensus msgs \
-         normalized per round)"
-      ~columns:
-        [ "n"; "rbc msgs"; "rbc/n^2"; "consensus msgs/round"; "consensus/(n^3)" ]
-      ()
-  in
-  let rbc_points = ref [] and cons_points = ref [] in
-  List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let fifo protocol =
-        { (Registry.scenario ~protocol ~n ~f) with adversary = Fifo; inputs = Unanimous Abc.Value.One }
-      in
-      (* one RBC *)
-      let rbc_msgs = (Matrix_runner.run_seed (fifo "bracha-rbc-bit") ~seed:0).messages in
-      (* one consensus, unanimous so it ends in one round *)
-      let v = Matrix_runner.run_seed (fifo "bracha") ~seed:0 in
-      let per_round = float_of_int v.messages /. float_of_int (max 1 v.rounds + 1) in
-      rbc_points := (n, float_of_int rbc_msgs) :: !rbc_points;
-      cons_points := (n, per_round) :: !cons_points;
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int rbc_msgs;
-          Table.cell_float (float_of_int rbc_msgs /. float_of_int (n * n));
-          Table.cell_float ~decimals:0 per_round;
-          Table.cell_float (per_round /. float_of_int (n * n * n));
-        ])
-    [ 4; 7; 10; 13; 16; 22 ];
-  Table.print table;
+  let per_round (o : Registry.outcome) = float_of_int o.messages /. float_of_int (max 1 o.rounds + 1) in
   Printf.printf "fitted exponents: rbc %.2f (theory 2), consensus %.2f (theory 3)\n\n"
-    (fitted_exponent !rbc_points)
-    (fitted_exponent !cons_points)
+    (fit "bracha-rbc-bit" (fun o -> float_of_int o.messages))
+    (fit "bracha" per_round)
 
-(* ----------------------------------------------------------------- *)
-(* E6: local coin vs common coin                                     *)
-(* ----------------------------------------------------------------- *)
-
+(* E6: local vs common coin, and the full rounds distributions of the
+   n=16 cells, from their seed-ordered outcomes: the tail is the story. *)
 let experiment_e6 pool =
-  let seeds = scaled 40 in
-  let table =
-    Table.create ~id:"e6"
-      ~title:
-        (Printf.sprintf
-           "E6. Coin comparison: rounds to decide (split inputs, flip faults, split \
-            scheduler, %d seeds)"
-           seeds)
-      ~columns:
-        [ "n"; "f"; "local mean"; "local p95"; "local max"; "common mean";
-          "common p95"; "common max" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let local = sample pool ~seeds (liars "bracha" ~n ~f) in
-      let common = sample pool ~seeds (liars "bracha-cc" ~n ~f) in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_float (mean_or local.rounds 0.);
-          Table.cell_float ~decimals:0 (p95_or local.rounds 0.);
-          Table.cell_float ~decimals:0 (max_or local.rounds 0.);
-          Table.cell_float (mean_or common.rounds 0.);
-          Table.cell_float ~decimals:0 (p95_or common.rounds 0.);
-          Table.cell_float ~decimals:0 (max_or common.rounds 0.);
-        ])
-    [ 4; 8; 13; 16 ];
-  Table.print table;
-  (* Full distributions at n=16: the tail is the story. *)
+  let r = run_matrix_spec pool "e6" in
   let rounds protocol =
-    (* Runs fan out over the pool; the histogram is filled from the
-       merged seed-ordered list so buckets never depend on scheduling. *)
     let h = Abc_sim.Histogram.create () in
-    outcomes pool ~seeds (liars protocol ~n:16 ~f:(bracha_max_f 16))
-    |> List.iter (fun o -> if Registry.decides o then Abc_sim.Histogram.add h o.rounds);
-    h
+    List.iter
+      (fun c ->
+        if n_of c = 16 then
+          List.iter
+            (fun o -> if Registry.decides o then Abc_sim.Histogram.add h o.Registry.rounds)
+            c.Matrix_runner.outcomes)
+      (cells_of r protocol);
+    Abc_sim.Histogram.render h
   in
-  Printf.printf "rounds-to-decide distribution at n=16 (local coin):\n%s"
-    (Abc_sim.Histogram.render (rounds "bracha"));
-  Printf.printf "rounds-to-decide distribution at n=16 (common coin):\n%s\n"
-    (Abc_sim.Histogram.render (rounds "bracha-cc"));
+  Printf.printf "rounds-to-decide distribution at n=16 (local coin):\n%s" (rounds "bracha");
+  Printf.printf "rounds-to-decide distribution at n=16 (common coin):\n%s\n" (rounds "bracha-cc");
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -287,49 +135,6 @@ let experiment_e7 pool =
             ])
         [ true; false ])
     [ (false, "rbc"); (true, "plain") ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E9: replicated-log throughput                                     *)
-(* ----------------------------------------------------------------- *)
-
-let experiment_e9 pool =
-  let seeds = scaled 5 in
-  let slots = 3 in
-  let table =
-    Table.create ~id:"e9"
-      ~title:
-        (Printf.sprintf
-           "E9. Replicated log: %d slots, one silent Byzantine replica (%d seeds)"
-           slots seeds)
-      ~columns:
-        [ "n"; "f"; "commands"; "messages"; "virtual time"; "msgs/command";
-          "time/command" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let runs =
-        outcomes pool ~seeds
-          { (Registry.scenario ~protocol:"log" ~n ~f) with epochs = slots; fault = Faulty [ (Silent, 1) ] }
-      in
-      let total field = List.fold_left (fun a o -> a + field o) 0 runs in
-      let commands = total (fun o -> o.committed) in
-      let msgs = total (fun o -> o.messages) and time = total (fun o -> o.ticks) in
-      let per_cmd v = float_of_int v /. float_of_int (max 1 commands) in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_int commands;
-          Table.cell_int msgs;
-          Table.cell_int time;
-          Table.cell_float (per_cmd msgs);
-          Table.cell_float (per_cmd time);
-        ])
-    [ 4; 7 ];
   Table.print table;
   print_newline ()
 
@@ -402,44 +207,15 @@ let experiment_e8 _pool =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   print_newline ()
 
-(* ----------------------------------------------------------------- *)
-(* E10: 1984 vs 2014 — Bracha vs MMR, and what the common coin buys   *)
-(* ----------------------------------------------------------------- *)
+(* E9: replicated-log throughput. *)
+let experiment_e9 = spec_table "e9"
 
+(* E10: Bracha 1984 vs MMR 2014, then the safety ablation: MMR with a
+   local coin loses agreement.  No spec axis sets the coin, so the
+   ablation builds its scenarios here. *)
 let experiment_e10 pool =
-  let seeds = scaled 25 in
-  let table =
-    Table.create ~id:"e10"
-      ~title:
-        (Printf.sprintf
-           "E10. Bracha (1984, local coin) vs MMR (2014, common coin): split inputs, \
-            f flip liars, split scheduler (%d seeds)"
-           seeds)
-      ~columns:
-        [ "n"; "f"; "bracha rounds"; "bracha msgs"; "mmr rounds"; "mmr msgs";
-          "msg ratio" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let bracha = sample pool ~seeds (liars "bracha" ~n ~f) in
-      let mmr = sample pool ~seeds (liars "mmr" ~n ~f) in
-      let ratio = mean_or bracha.messages 0. /. mean_or mmr.messages 1. in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_float (mean_or bracha.rounds 0.);
-          Table.cell_float ~decimals:0 (mean_or bracha.messages 0.);
-          Table.cell_float (mean_or mmr.rounds 0.);
-          Table.cell_float ~decimals:0 (mean_or mmr.messages 0.);
-          Table.cell_ratio ratio;
-        ])
-    [ 4; 8; 16 ];
-  Table.print table;
-  (* The safety ablation: MMR with a local coin loses agreement. *)
-  let seeds = scaled 40 in
+  ignore (run_matrix_spec pool "e10");
+  let seeds = 40 in
   let violations coin =
     outcomes pool ~seeds { (Registry.scenario ~protocol:"mmr" ~n:7 ~f:2) with coin = Some coin }
     |> List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity))
@@ -503,118 +279,12 @@ let experiment_e11 pool =
   Table.print table;
   print_newline ()
 
-(* ----------------------------------------------------------------- *)
-(* E12: connectivity threshold for agreement over flooding            *)
-(* ----------------------------------------------------------------- *)
-
-(* MMR flooded over circulant graphs (offsets 1-4 make K8), with the
-   cut's nodes silent from the start.  The κ and survivor columns read
-   the graph itself. *)
-module Topology = Abc_net.Topology
-
-let experiment_e12 pool =
-  let n = 8 in
-  let f = 2 in
-  let seeds = scaled 10 in
-  let table =
-    Table.create ~id:"e12"
-      ~title:
-        (Printf.sprintf
-           "E12. Agreement over flood relaying vs vertex connectivity (n=%d, f=%d \
-            crash faults at a worst-case cut, common coin, %d seeds; survival needs \
-            κ > f at the cut)"
-           n f seeds)
-      ~columns:
-        [ "graph"; "κ"; "crashes"; "survivors connected"; "ok"; "mean msgs" ]
-      ()
-  in
-  let cut = [ 1; 5 ] in
-  List.iter
-    (fun (label, offsets) ->
-      let g = Topology.circulant ~n ~offsets in
-      let s =
-        sample pool ~seeds
-          { (Registry.scenario ~protocol:"mmr" ~n ~f) with
-            topology = Circulant offsets; fault = Placed (Silent, cut); budget = Some 400_000 }
-      in
-      Table.add_row table
-        [
-          label;
-          Table.cell_int (Topology.vertex_connectivity g);
-          String.concat "," (List.map string_of_int cut);
-          (if Topology.connected_after_removing g (List.map node cut) then "yes"
-           else "no");
-          Table.cell_percent s.ok_rate;
-          Table.cell_float ~decimals:0 (mean_or s.messages 0.);
-        ])
-    [ ("ring C8(1)", [ 1 ]); ("C8(1,2)", [ 1; 2 ]); ("C8(1,2,3)", [ 1; 2; 3 ]);
-      ("complete K8", [ 1; 2; 3; 4 ]) ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E13: two roads to multivalued consensus — Turpin-Coan vs ACS       *)
-(* ----------------------------------------------------------------- *)
-
-(* Both over near-unanimous proposals with the highest node silent;
-   message counts are means over every seed, decided or not. *)
-let experiment_e13 pool =
-  let seeds = scaled 10 in
-  let table =
-    Table.create ~id:"e13"
-      ~title:
-        (Printf.sprintf
-           "E13. Multivalued consensus: Turpin-Coan reduction (1 BA, n>4f) vs \
-            ACS (n BAs, n>3f); near-unanimous inputs, one silent fault (%d seeds)"
-           seeds)
-      ~columns:
-        [ "n"; "tc f"; "acs f"; "tc msgs"; "acs msgs"; "acs/tc"; "tc agreed";
-          "acs agreed" ]
-      ()
-  in
-  List.iter
-    (fun n ->
-      let tc_f = (n - 1) / 4 in
-      let acs_f = bracha_max_f n in
-      let totals protocol f =
-        outcomes pool ~seeds
-          { (Registry.scenario ~protocol ~n ~f) with fault = Faulty [ (Silent, 1) ] }
-        |> List.fold_left
-             (fun (msgs, agreed) o ->
-               (msgs + o.Registry.messages, if Registry.decides o then agreed + 1 else agreed))
-             (0, 0)
-      in
-      let tc_msgs, tc_agreed = totals "turpin-coan" tc_f in
-      let acs_msgs, acs_agreed = totals "acs" acs_f in
-      let per_seed v = float_of_int v /. float_of_int seeds in
-      Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int tc_f;
-          Table.cell_int acs_f;
-          Table.cell_float ~decimals:0 (per_seed tc_msgs);
-          Table.cell_float ~decimals:0 (per_seed acs_msgs);
-          Table.cell_ratio (float_of_int acs_msgs /. float_of_int (max 1 tc_msgs));
-          Table.cell_percent (per_seed tc_agreed);
-          Table.cell_percent (per_seed acs_agreed);
-        ])
-    [ 5; 9; 13 ];
-  Table.print table;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* E14: lossy links — raw Bracha vs the reliable-channel transport    *)
-(* ----------------------------------------------------------------- *)
-
-(* The paper's network is reliable by assumption; this experiment
-   measures what that assumption is worth.  Raw Bracha over a lossy
-   network goes quiescent once a quorum message is dropped (no node
-   ever re-sends), while the same protocol behind [Reliable_link]
-   masks loss with acks and timer-driven retransmission and keeps
-   deciding — at a bounded retransmission cost.  Expressed as the
-   committed scenario spec: raw cells at positive loss are annotated
-   expect-fail, reliable-link cells must decide at every loss rate. *)
-let experiment_e14 pool = run_matrix_spec pool "bench/specs/e14.matrix"
+(* E12: agreement over flood relaying vs vertex connectivity; E13:
+   Turpin-Coan vs ACS; E14: lossy links vs the reliable-link
+   transport. *)
+let experiment_e12 = spec_table "e12"
+let experiment_e13 = spec_table "e13"
+let experiment_e14 = spec_table "e14"
 
 (* ----------------------------------------------------------------- *)
 (* E15: sweep throughput vs worker count, with a determinism check    *)
@@ -977,7 +647,11 @@ let experiment_e18 pool =
    pinned by the matrix spec and the CI bench gate; this table
    reports the wall-clock the --no-wall exports deliberately zero
    out.  Runs sequentially (never on the pool): overlapping runs
-   would time each other. *)
+   would time each other.  A cell's wall time is the median of five
+   passes over its seeds, each after a full major collection, so one
+   pass's collections or a slow millisecond at n=16 do not set it. *)
+let e19_passes = 5
+
 let experiment_e19 _pool =
   let seeds = scaled 2 in
   let table =
@@ -985,8 +659,8 @@ let experiment_e19 _pool =
       ~title:
         (Printf.sprintf
            "E19. Engine scale at max resilience, uniform scheduler (%d seeds \
-            per cell, sequential)"
-           seeds)
+            per cell, sequential, median of %d passes)"
+           seeds e19_passes)
       ~columns:
         [ "protocol"; "n"; "f"; "msgs/run"; "ticks/run"; "wall s"; "events/sec" ]
       ()
@@ -995,23 +669,28 @@ let experiment_e19 _pool =
      bracha-rbc broadcasts 16 bytes, mmr decides on split inputs. *)
   let row protocol (n, f) =
     let sc = { (Abc_matrix.Registry.scenario ~protocol ~n ~f) with payload = 16 } in
-    let t0 = Unix.gettimeofday () in
-    let events = ref 0 and msgs = ref 0 and ticks = ref 0 in
-    for seed = 1 to seeds do
-      match Abc_matrix.Registry.run sc ~seed with
-      | Error msg -> failwith msg
-      | Ok r ->
-        if protocol = "mmr" && not r.outcome.decided then
-          failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n seed);
-        events := !events + Abc_sim.Metrics.counter r.metrics "delivered";
-        msgs := !msgs + r.outcome.messages;
-        ticks := !ticks + r.outcome.ticks
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let pass () =
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let counts =
+        List.init seeds (fun i ->
+            match Abc_matrix.Registry.run sc ~seed:(i + 1) with
+            | Error msg -> failwith msg
+            | Ok r ->
+              if protocol = "mmr" && not r.outcome.decided then
+                failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n (i + 1));
+              (Abc_sim.Metrics.counter r.metrics "delivered", r.outcome.messages, r.outcome.ticks))
+      in
+      (Unix.gettimeofday () -. t0, counts)
+    in
+    let passes = List.init e19_passes (fun _ -> pass ()) in
+    let dt = Summary.median (Option.get (Summary.of_list (List.map fst passes))) in
+    let total field = List.fold_left (fun a c -> a + field c) 0 (snd (List.hd passes)) in
     Table.add_row table
-      [ protocol; Table.cell_int n; Table.cell_int f; Table.cell_int (!msgs / seeds);
-        Table.cell_int (!ticks / seeds); Table.cell_float ~decimals:3 dt;
-        Table.cell_float ~decimals:0 (float_of_int !events /. dt) ]
+      [ protocol; Table.cell_int n; Table.cell_int f;
+        Table.cell_int (total (fun (_, m, _) -> m) / seeds);
+        Table.cell_int (total (fun (_, _, t) -> t) / seeds); Table.cell_float ~decimals:3 dt;
+        Table.cell_float ~decimals:0 (float_of_int (total (fun (e, _, _) -> e)) /. dt) ]
   in
   let arms = [ (16, 5); (64, 21); (128, 42); (256, 85) ] in
   List.iter (row "bracha-rbc") arms;
@@ -1073,16 +752,6 @@ let () =
     extract [] args
   in
   let pool = Abc_exec.Pool.create ?jobs () in
-  (* Every mode emits the machine-readable BENCH_*.json run summaries
-     (see OBSERVABILITY.md); CSVs remain opt-in via the csv arg.  The
-     worker count stays out of the meta: the tables are byte-identical
-     at any --jobs, and recording it would break exactly that. *)
-  Abc_sim.Table.set_json_directory (Some "bench_results");
-  Abc_sim.Table.set_run_meta
-    [
-      ("harness", Abc_sim.Json.String "abc-bench");
-      ("seeds_scale", Abc_sim.Json.Float !seeds_scale);
-    ];
   let selected =
     match args with
     | [] -> experiments

@@ -1,5 +1,6 @@
 module Pool = Abc_exec.Pool
 module Table = Abc_sim.Table
+module Summary = Abc_sim.Summary
 module Json = Abc_sim.Json
 
 let ( let* ) = Result.bind
@@ -97,6 +98,7 @@ type cell_result = {
   cell : Spec.cell;
   pass : bool;
   metrics : cell_metrics;
+  outcomes : Registry.outcome list;
 }
 
 type t = { spec : Spec.t; cells : cell_result list }
@@ -166,6 +168,7 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
               committed = meanf (fun o -> o.committed);
               wall_s = wall;
             };
+          outcomes = Array.to_list (Array.map fst mine);
         })
       cells
   in
@@ -186,12 +189,14 @@ let table t =
   let tbl =
     Table.create ~id:(Spec.id t.spec) ~title:(Spec.title t.spec)
       ~columns:
-        (axes @ [ "expect"; "verdict"; "ok"; "rounds"; "msgs"; "bytes"; "ticks" ])
+        (axes
+        @ [ "expect"; "verdict"; "ok"; "rounds"; "p95"; "max"; "msgs"; "bytes"; "ticks"; "committed" ])
       ()
   in
   List.iter
     (fun c ->
       let key = Spec.cell_key c.cell in
+      let rounds = Option.get (Summary.of_int_list (List.map (fun o -> o.Registry.rounds) c.outcomes)) in
       Table.add_row tbl
         (List.map (fun a -> List.assoc a key) axes
         @ [
@@ -199,9 +204,12 @@ let table t =
             (if c.pass then "pass" else "FAIL");
             Table.cell_percent c.metrics.ok_rate;
             Table.cell_float c.metrics.rounds;
+            Table.cell_float ~decimals:0 (Summary.percentile rounds 95.);
+            Table.cell_float ~decimals:0 (Summary.max_value rounds);
             Table.cell_float ~decimals:0 c.metrics.messages;
             Table.cell_float ~decimals:0 c.metrics.bytes;
             Table.cell_float ~decimals:0 c.metrics.ticks;
+            Table.cell_float c.metrics.committed;
           ]))
     t.cells;
   tbl

@@ -26,6 +26,7 @@ type cell_result = {
   cell : Spec.cell;
   pass : bool;  (** the cell's expected verdict held on every seed *)
   metrics : cell_metrics;
+  outcomes : Registry.outcome list;  (** one per seed, in seed order *)
 }
 
 type t = { spec : Spec.t; cells : cell_result list }
@@ -65,8 +66,9 @@ val failures : t -> cell_result list
 
 val table : t -> Abc_sim.Table.t
 (** One row per cell: the axis values, the expected verdict, the
-    observed verdict and the aggregate metrics.  The table id is the
-    spec id. *)
+    observed verdict and the aggregate metrics, with the p95 and the
+    maximum of the rounds over every seed beside their mean.  The table
+    id is the spec id. *)
 
 val matrix_schema_version : int
 (** Version stamped into (and accepted from) [abc.bench.matrix]

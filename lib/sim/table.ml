@@ -70,31 +70,6 @@ let csv_directory = ref None
 
 let set_csv_directory dir = csv_directory := dir
 
-let json_directory = ref None
-
-let set_json_directory dir = json_directory := dir
-
-let run_meta = ref []
-
-let set_run_meta meta = run_meta := meta
-
-let bench_schema_version = 1
-
-let to_json t =
-  let row cells = Json.List (List.map (fun c -> Json.String c) cells) in
-  Json.Obj
-    ([
-       ("schema", Json.String "abc.bench");
-       ("version", Json.Int bench_schema_version);
-     ]
-    @ (match t.id with Some id -> [ ("id", Json.String id) ] | None -> [])
-    @ [
-      ("title", Json.String t.title);
-      ("columns", row t.columns);
-        ("rows", Json.List (List.map row (List.rev t.rows)));
-        ("meta", Json.Obj !run_meta);
-      ])
-
 (* The first 8 hex digits of the title digest keep filenames unique
    however long (or however alike in their first words) two titles are
    — truncating the title alone collided E14's loss-sweep tables. *)
@@ -122,15 +97,9 @@ let write_file dir name contents =
 
 let print t =
   print_string (render t);
-  (match !csv_directory with
+  match !csv_directory with
   | None -> ()
-  | Some dir -> write_file dir (slug t ^ ".csv") (csv t));
-  match !json_directory with
-  | None -> ()
-  | Some dir ->
-    write_file dir
-      ("BENCH_" ^ slug t ^ ".json")
-      (Json.to_string (to_json t) ^ "\n")
+  | Some dir -> write_file dir (slug t ^ ".csv") (csv t)
 
 let cell_int = string_of_int
 

@@ -37,19 +37,6 @@ val set_csv_directory : string option -> unit
     [<dir>/<slug>.csv] (the directory is created if needed).  The
     experiment harness uses this to export machine-readable results. *)
 
-val set_json_directory : string option -> unit
-(** When set, every subsequent {!print} also writes the table as
-    [<dir>/BENCH_<slug>.json] — an [abc.bench] run-summary object
-    carrying the schema version, id, title, columns, rows and the
-    current {!set_run_meta} metadata (see [OBSERVABILITY.md]). *)
-
-val set_run_meta : (string * Json.t) list -> unit
-(** [set_run_meta fields] sets the run metadata embedded in every
-    subsequent JSON export (bench mode, seed scaling, ...). *)
-
-val to_json : t -> Json.t
-(** [to_json t] is the [abc.bench] run-summary object for [t]. *)
-
 val print : t -> unit
 (** [print t] writes [render t] to standard output (and a CSV file when
     {!set_csv_directory} is active). *)

@@ -543,25 +543,79 @@ let test_no_clock_zero_wall () =
         "wall is exactly 0 without a clock" 0.0 c.Runner.metrics.Runner.wall_s)
     r.Runner.cells
 
+(* The table's per-seed columns: p95 and max of the rounds over every
+   seed and the mean committed log, from outcomes the runner keeps in
+   seed order.  The bracha cell's sorted rounds end 6, 7, 10, so its
+   interpolated p95 (7.15) and its max part.  The export keeps exactly
+   its cell keys. *)
+let test_table_columns () =
+  let spec =
+    spec_of_string
+      (base_spec
+         ~axes:
+           "    (zip (protocol bracha log) (n 8 4) (f 2 1) (adversary split uniform)\n\
+           \      (fault balanced-flip:2 none))\n\
+           \    (seeds 20)\n"
+         ~expect:"    (default decide)\n")
+  in
+  let r = Runner.run ~pool:(Pool.create ~jobs:2 ()) spec in
+  List.iter2
+    (fun (c : Runner.cell_result) (protocol, n, f, adversary, fault) ->
+      let sc =
+        { (Registry.scenario ~protocol ~n ~f) with
+          adversary = Result.get_ok (Registry.adversary adversary);
+          fault = Result.get_ok (Registry.fault fault) }
+      in
+      Alcotest.(check (list int)) "outcomes in seed order"
+        (List.init 20 (fun seed -> (Runner.run_seed sc ~seed).messages))
+        (List.map (fun (o : Registry.outcome) -> o.messages) c.outcomes))
+    r.cells
+    [ ("bracha", 8, 2, "split", "balanced-flip:2"); ("log", 4, 1, "uniform", "none") ];
+  let rows = List.tl (String.split_on_char '\n' (Abc_sim.Table.csv (Runner.table r))) in
+  let columns row = List.filteri (fun i _ -> i >= 9) (String.split_on_char ',' row) in
+  Alcotest.(check (list (list string))) "rounds, p95, max, msgs, bytes, ticks, committed"
+    [ [ "3.65"; "7"; "10"; "12176"; "158283"; "12029"; "0.00" ];
+      [ "0.00"; "0"; "0"; "4443"; "92151"; "4125"; "8.00" ] ]
+    (List.map columns (List.filter (( <> ) "") rows));
+  match Runner.to_json ~seeds_scale:1. r with
+  | Json.Obj fields -> (
+    match List.assoc "cells" fields with
+    | Json.List (Json.Obj cell :: _) ->
+      Alcotest.(check (list string)) "cell keys"
+        [ "key"; "expect"; "pass"; "ok_rate"; "rounds"; "messages"; "bytes"; "ticks";
+          "committed"; "wall_s" ]
+        (List.map fst cell)
+    | _ -> Alcotest.fail "no cells")
+  | _ -> Alcotest.fail "not an object"
+
 (* ---- committed specs stay loadable and well-formed ---- *)
 
+(* Every bench/specs/*.matrix, each with its cell count: a spec added
+   without a row here fails, as does a row whose spec is gone. *)
 let test_committed_specs () =
+  let expected =
+    [ ("e1.matrix", 80); ("e2.matrix", 12); ("e3.matrix", 4); ("e4.matrix", 3);
+      ("e5.matrix", 12); ("e6.matrix", 8); ("e9.matrix", 2); ("e10.matrix", 6);
+      ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8); ("e16.matrix", 9);
+      ("e17.matrix", 4); ("e18.matrix", 6); ("e19_engine.matrix", 8);
+      ("e19_engine_quick.matrix", 4) ]
+  in
+  let dir = "../bench/specs" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".matrix")
+  in
+  Alcotest.(check (list string)) "every committed spec has a cell count"
+    (List.sort String.compare (List.map fst expected))
+    (List.sort String.compare files);
   List.iter
     (fun (file, cells) ->
-      let path = Filename.concat "../bench/specs" file in
-      match Spec.load path with
+      match Spec.load (Filename.concat dir file) with
       | Error e -> Alcotest.failf "%s: %s" file (Sexp.error_to_string e)
       | Ok spec ->
         Alcotest.(check int) (file ^ ": cell count") cells (Spec.cell_count spec);
         Alcotest.(check bool) (file ^ ": registry accepts every cell") true
           (Runner.check spec = Ok ()))
-    [
-      ("e1.matrix", 80);
-      ("e14.matrix", 8);
-      ("e16.matrix", 9);
-      ("e17.matrix", 4);
-      ("e18.matrix", 6);
-    ]
+    expected
 
 let () =
   Alcotest.run "matrix"
@@ -600,6 +654,7 @@ let () =
           Alcotest.test_case "deliver-all needs validity" `Quick test_deliver_all_needs_validity;
           Alcotest.test_case "log, acs and mmr-rabin decide" `Quick test_new_entries_decide;
           Alcotest.test_case "a + battery places kinds in order" `Quick test_battery_placement;
+          Alcotest.test_case "table's p95, max and committed columns" `Quick test_table_columns;
         ] );
       ( "registry",
         [
