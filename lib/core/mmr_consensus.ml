@@ -99,6 +99,30 @@ let add_share rs ~src share =
       share_count = rs.share_count + 1;
     }
 
+(* The threshold tests.  Each is written once and read both by the
+   rules below and by [on_message], which runs the rules only for a
+   vote that makes one of them hold. *)
+
+(* f+1 distinct BVAL(v): re-broadcast v, once per round. *)
+let echo_due state rs i =
+  (not rs.bval_echoed.(i))
+  && Node_id.Set.cardinal rs.bval_from.(i) >= Quorum.ready_amplify ~f:state.f
+
+(* 2f+1 distinct BVAL(v): v enters bin_values. *)
+let deliver_due state rs i =
+  (not rs.bin_values.(i))
+  && Node_id.Set.cardinal rs.bval_from.(i) >= Quorum.ready_deliver ~f:state.f
+
+(* An AUX vote is "supported" when its value sits in bin_values;
+   counting per-value tallies against the bin_values flags gives the
+   filtered cardinality without materialising a filtered map. *)
+let aux_for rs i = if rs.bin_values.(i) then rs.aux_counts.(i) else 0
+
+let aux_support rs = aux_for rs 0 + aux_for rs 1
+
+(* n-f supported AUX votes: the round can end once its coin is known. *)
+let aux_due state rs = aux_support rs >= quorum state
+
 (* The BV-broadcast rules plus the AUX trigger for round [r]; returns
    the messages this node must broadcast now, and [state] itself when
    no rule fired. *)
@@ -110,15 +134,13 @@ let bv_progress state ~(sink : Event.sink) r =
     (fun value ->
       let i = Value.to_int value in
       let support = Node_id.Set.cardinal !rs.bval_from.(i) in
-      if support >= Quorum.ready_amplify ~f:state.f && not !rs.bval_echoed.(i)
-      then begin
+      if echo_due state !rs i then begin
         Event.quorum sink ~round:r "bval-echo" ~count:support
           ~threshold:(Quorum.ready_amplify ~f:state.f);
         sends := Bval { round = r; value } :: !sends;
         rs := { !rs with bval_echoed = with_set !rs.bval_echoed i true }
       end;
-      if support >= Quorum.ready_deliver ~f:state.f && not !rs.bin_values.(i)
-      then begin
+      if deliver_due state !rs i then begin
         Event.quorum sink ~round:r "bval-deliver" ~count:support
           ~threshold:(Quorum.ready_deliver ~f:state.f);
         rs := { !rs with bin_values = with_set !rs.bin_values i true }
@@ -163,60 +185,51 @@ let obtain_coin state ~rng rs r =
 let try_complete_round state ~rng ~(sink : Event.sink) =
   let r = state.round in
   let rs = round_state state r in
-  if rs.completed then (state, [], [])
+  if rs.completed || not (aux_due state rs) then (state, [], [])
   else begin
-    (* An AUX vote is "supported" when its value sits in bin_values;
-       counting per-value tallies against the bin_values flags gives
-       the filtered cardinality without materialising the filtered map
-       (the old [Node_id.Map.filter] allocated a map per message). *)
-    let counted i = if rs.bin_values.(i) then rs.aux_counts.(i) else 0 in
-    let supported = counted 0 + counted 1 in
-    if supported < quorum state then (state, [], [])
-    else begin
-      Event.quorum sink ~round:r "aux" ~count:supported ~threshold:(quorum state);
-      let has v = counted (Value.to_int v) > 0 in
-      let rs, coin_sends, coin = obtain_coin state ~rng rs r in
-      let state = set_round state r rs in
-      match coin with
-      | None -> (state, coin_sends, [])
-      | Some coin_value ->
-        if sink.Event.enabled then
-          sink.Event.emit
-            (Event.make ~round:r
-               (Event.Coin_flip { value = Value.to_int coin_value }));
-        let singleton =
-          match (has Value.Zero, has Value.One) with
-          | true, false -> Some Value.Zero
-          | false, true -> Some Value.One
-          | true, true | false, false -> None
-        in
-        let state, outputs =
-          match singleton with
-          | Some v ->
-            let state = { state with est = v } in
-            if Value.equal v coin_value && state.decided = None then begin
-              let decision = { Decision.value = v; round = r } in
-              if sink.Event.enabled then
-                sink.Event.emit
-                  (Event.make ~round:r
-                     (Event.Decide { value = Fmt.str "%a" Value.pp v }));
-              ({ state with decided = Some decision }, [ decision ])
-            end
-            else (state, [])
-          | None ->
-            let est =
-              match state.decided with
-              | Some d -> d.Decision.value (* the decided value is locked *)
-              | None -> coin_value
-            in
-            ({ state with est }, [])
-        in
-        let state = set_round state r { rs with completed = true } in
-        let state = { state with round = r + 1 } in
-        if sink.Event.enabled then
-          sink.Event.emit (Event.make ~round:state.round Event.Round_advance);
-        (state, Bval { round = state.round; value = state.est } :: coin_sends, outputs)
-    end
+    Event.quorum sink ~round:r "aux" ~count:(aux_support rs) ~threshold:(quorum state);
+    let has v = aux_for rs (Value.to_int v) > 0 in
+    let rs, coin_sends, coin = obtain_coin state ~rng rs r in
+    let state = set_round state r rs in
+    match coin with
+    | None -> (state, coin_sends, [])
+    | Some coin_value ->
+      if sink.Event.enabled then
+        sink.Event.emit
+          (Event.make ~round:r
+             (Event.Coin_flip { value = Value.to_int coin_value }));
+      let singleton =
+        match (has Value.Zero, has Value.One) with
+        | true, false -> Some Value.Zero
+        | false, true -> Some Value.One
+        | true, true | false, false -> None
+      in
+      let state, outputs =
+        match singleton with
+        | Some v ->
+          let state = { state with est = v } in
+          if Value.equal v coin_value && state.decided = None then begin
+            let decision = { Decision.value = v; round = r } in
+            if sink.Event.enabled then
+              sink.Event.emit
+                (Event.make ~round:r
+                   (Event.Decide { value = Fmt.str "%a" Value.pp v }));
+            ({ state with decided = Some decision }, [ decision ])
+          end
+          else (state, [])
+        | None ->
+          let est =
+            match state.decided with
+            | Some d -> d.Decision.value (* the decided value is locked *)
+            | None -> coin_value
+          in
+          ({ state with est }, [])
+      in
+      let state = set_round state r { rs with completed = true } in
+      let state = { state with round = r + 1 } in
+      if sink.Event.enabled then
+        sink.Event.emit (Event.make ~round:state.round Event.Round_advance);
+      (state, Bval { round = state.round; value = state.est } :: coin_sends, outputs)
   end
 
 (* Fire everything that is enabled: BV rules for the current round may
@@ -251,33 +264,77 @@ let initial ctx (input : input) =
   in
   (state, List.map (fun m -> Protocol.Broadcast m) actions)
 
-let on_message ctx state ~src msg =
-  let state, touched =
-    match msg with
-    | Bval { round; value } ->
-      (set_round state round (add_bval (round_state state round) ~src value), round)
-    | Aux { round; value } ->
-      (set_round state round (add_aux (round_state state round) ~src value), round)
-    | Share { round; share } ->
-      (* Only dealer-certified shares count (the VSS check): a forged
-         or replayed share is dropped here. *)
-      let state =
-        match state.coin with
-        | Shares dealer when Rabin_coin.verify dealer ~round ~node:src share ->
-          set_round state round (add_share (round_state state round) ~src share)
-        | Shares _ | Flip _ -> state
-      in
-      (state, round)
-  in
+(* The rules for a vote of round [touched]. *)
+let rules ctx state touched =
+  let sink = ctx.Protocol.Context.sink in
   (* The BV re-broadcast and AUX rules are per-round instances that
      must fire even for rounds this node has already left (stragglers
      depend on our echoes) or has not reached yet. *)
-  let sink = ctx.Protocol.Context.sink in
   let state, instance_sends = bv_progress state ~sink touched in
   let state, actions, outputs =
     settle state ~rng:ctx.Protocol.Context.rng ~sink instance_sends []
   in
   (state, List.map (fun m -> Protocol.Broadcast m) actions, outputs)
+
+(* A vote that makes no threshold test hold skips the rules, but for
+   the one exception [on_message] describes. *)
+let skip ctx state touched =
+  if ctx.Protocol.Context.sink.Event.enabled && aux_due state (round_state state state.round)
+  then rules ctx state touched
+  else (state, [], [])
+
+(* [on_message] counts the vote first and runs the rules only for a
+   vote that can make one of them fire.  That is exact because of one
+   invariant: between messages, every round is at a fixpoint of
+   [bv_progress], and the current round is at a fixpoint of
+   [try_complete_round].  [initial] and every call of the rules end in
+   [settle], which establishes it; a vote that makes none of the
+   threshold tests above hold leaves both functions nothing to do.
+   Three routes:
+   - no change: a sender counted before, a BVAL whose value was both
+     echoed and delivered into bin_values (no rule reads its senders
+     again), or an AUX of a completed round (nothing reads a past
+     round's AUX votes).  The state comes back physically unchanged.
+   - sub-threshold: the vote is stored and no rule runs.
+   - rules: a vote that makes [echo_due], [deliver_due] or, in the
+     current round, [aux_due] hold, and every [Share].
+   One exception keeps traces whole.  A current round that holds n-f
+   supported AUX votes waits only for its f+1 coin shares, and each
+   call of [try_complete_round] reports that quorum to the sink; while
+   a sink is enabled, every vote then takes the rules. *)
+let on_message ctx state ~src msg =
+  match msg with
+  | Bval { round; value } ->
+    let rs = round_state state round in
+    let i = Value.to_int value in
+    if rs.bval_echoed.(i) && rs.bin_values.(i) then skip ctx state round
+    else
+      let counted = add_bval rs ~src value in
+      if counted == rs then skip ctx state round
+      else
+        let state = set_round state round counted in
+        if echo_due state counted i || deliver_due state counted i then rules ctx state round
+        else skip ctx state round
+  | Aux { round; value } ->
+    let rs = round_state state round in
+    if rs.completed then skip ctx state round
+    else
+      let counted = add_aux rs ~src value in
+      if counted == rs then skip ctx state round
+      else
+        let state = set_round state round counted in
+        if round = state.round && aux_due state counted then rules ctx state round
+        else skip ctx state round
+  | Share { round; share } ->
+    (* Only dealer-certified shares count (the VSS check): a forged or
+       replayed share is dropped here. *)
+    let state =
+      match state.coin with
+      | Shares dealer when Rabin_coin.verify dealer ~round ~node:src share ->
+        set_round state round (add_share (round_state state round) ~src share)
+      | Shares _ | Flip _ -> state
+    in
+    rules ctx state round
 
 let is_terminal (_ : output) = true
 let on_timeout = Protocol.no_timeout

@@ -170,6 +170,56 @@ let prop_ok_with_common_coin =
       let faulty = [ (node 1, behaviour); (node 4, behaviour) ] in
       Abc.Harness.ok (run ~faulty ~n:7 ~f:2 ~seed (split 7)))
 
+(* ---- pass-through ---- *)
+
+(* A vote that changes nothing a rule reads returns the state itself,
+   with no action and no output: a second BVAL from one sender, a BVAL
+   whose value was echoed and delivered, a second AUX from one sender
+   and an AUX of a completed round.  A vote that makes no threshold
+   test hold is stored and answers nothing.  At n = 4, f = 1 the tests
+   are f+1 = 2 and 2f+1 = 3 BVALs and n-f = 3 AUX votes. *)
+let test_pass_through () =
+  let ctx =
+    {
+      Abc_net.Protocol.Context.me = node 0;
+      n = 4;
+      f = 1;
+      rng = Abc_prng.Stream.root ~seed:1;
+      sink = Abc_sim.Event.null_sink;
+    }
+  in
+  let bval = M.Bval { round = 1; value = Value.One }
+  and aux = M.Aux { round = 1; value = Value.One } in
+  let state, _ = M.initial ctx (M.inputs ~n:4 ~coin:common (unanimous 4 Value.One)).(0) in
+  let deliver state src msg = M.on_message ctx state ~src:(node src) msg in
+  let feed msg state src =
+    let state, _, _ = deliver state src msg in
+    state
+  in
+  let unchanged name state src msg =
+    let state', actions, outputs = deliver state src msg in
+    Alcotest.(check bool) (name ^ ": same state") true (state' == state);
+    Alcotest.(check int) (name ^ ": no actions") 0 (List.length actions);
+    Alcotest.(check int) (name ^ ": no outputs") 0 (List.length outputs)
+  in
+  let quiet name state src msg =
+    let state', actions, outputs = deliver state src msg in
+    Alcotest.(check bool) (name ^ ": stored") false (state' == state);
+    Alcotest.(check int) (name ^ ": no actions") 0 (List.length actions);
+    Alcotest.(check int) (name ^ ": no outputs") 0 (List.length outputs);
+    state'
+  in
+  let state = quiet "first bval" state 1 bval in
+  unchanged "duplicate bval" state 1 bval;
+  (* Two BVALs echo the value, three deliver it into bin_values. *)
+  let state = List.fold_left (feed bval) state [ 2; 3 ] in
+  unchanged "settled bval" state 0 bval;
+  let state = quiet "first aux" state 1 aux in
+  unchanged "duplicate aux" state 1 aux;
+  (* Three AUX votes for a value in bin_values complete round 1. *)
+  let state = List.fold_left (feed aux) state [ 2; 3 ] in
+  unchanged "aux of a completed round" state 0 aux
+
 (* ---- known answers ---- *)
 
 (* The verdicts above accept any correct run; these pin the runs
@@ -367,6 +417,7 @@ let () =
           Alcotest.test_case "cheaper than bracha" `Quick test_cheaper_than_bracha;
           Alcotest.test_case "inputs arity" `Quick test_inputs_arity;
           Alcotest.test_case "pp_msg" `Quick test_pp_msg;
+          Alcotest.test_case "pass-through" `Quick test_pass_through;
           Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "known traces" `Quick test_known_traces;
         ] );
