@@ -232,11 +232,11 @@ let test_pass_through () =
    future rounds. *)
 
 let known_fault ~n = function
-  | "none" -> []
-  | "flip" -> [ Behaviour.Mutate M.Fault.flip_value ]
-  | "equivocate" -> [ Behaviour.Equivocate (M.Fault.equivocate_by_half ~n) ]
-  | "replay" -> [ Behaviour.Replay 2 ]
-  | "silent" -> [ Behaviour.Silent ]
+  | "none" -> None
+  | "flip" -> Some (Behaviour.Mutate M.Fault.flip_value)
+  | "equivocate" -> Some (Behaviour.Equivocate (M.Fault.equivocate_by_half ~n))
+  | "replay" -> Some (Behaviour.Replay 2)
+  | "silent" -> Some Behaviour.Silent
   | other -> Alcotest.failf "unknown fault %s" other
 
 (* A policy of [Adversary.all_basic], by the prefix of its name. *)
@@ -259,9 +259,9 @@ let known_run ?trace ~n ~coin ~fault ~policy ~seed () =
     | other -> Alcotest.failf "unknown coin %s" other
   in
   let faulty =
-    List.concat_map
-      (fun b -> List.init f (fun i -> (node (n - 1 - i), b)))
-      (known_fault ~n fault)
+    match known_fault ~n fault with
+    | None -> []
+    | Some b -> List.init f (fun i -> (node (n - 1 - i), b))
   in
   let adversary = known_policy ~n policy in
   H.run (H.E.config ?trace ~faulty ~n ~f ~inputs ~seed ~adversary ())
