@@ -40,10 +40,13 @@ open Import
     (f+1 or 2f+1 BVALs for a value, n-f supported AUX votes in the
     current round), and for every [Share].  A vote that changes
     nothing a rule reads returns the state argument itself, with no
-    action and no output: a second vote from one sender, a BVAL whose
-    value was already echoed and delivered into [bin_values], or an
-    AUX of a completed round.  A vote below every test is stored and
-    answers nothing.
+    action and no output: a sender's second BVAL for one value or
+    second AUX, a BVAL whose value was already echoed and delivered
+    into [bin_values], or an AUX of a completed round.  A vote below
+    every test is stored and answers nothing.  One exception keeps
+    traces as they were: while a sink is enabled and the current
+    round holds its AUX quorum but still waits for Rabin coin shares,
+    every vote runs the rules, which report that quorum again.
 
     {b Deviation from the paper.}  A node broadcasts [BVAL(r, est)]
     when it enters round [r] but does not mark [est] as echoed, so the
