@@ -1,5 +1,5 @@
 (* Shared machinery for the experiment harness: registry scenarios run
-   over seeds, the samplers of the hand-written tables, and E5's fit. *)
+   over seeds, E11's sampler, and E5's fit. *)
 
 module Node_id = Abc_net.Node_id
 module Summary = Abc_sim.Summary
@@ -37,8 +37,6 @@ let collect outcomes =
     rounds = pick (fun (o : Registry.outcome) -> o.rounds);
     messages = pick (fun o -> o.messages);
   }
-
-let sample pool ~seeds sc = collect (outcomes pool ~seeds sc)
 
 let mean_or summary default =
   match summary with Some s -> Summary.mean s | None -> default

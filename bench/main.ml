@@ -3,7 +3,7 @@
 
      dune exec bench/main.exe              # all experiment tables + microbench
      dune exec bench/main.exe -- E3 E6     # selected experiments
-     dune exec bench/main.exe -- quick     # fewer seeds for E7, E11, E16-E19 (CI)
+     dune exec bench/main.exe -- quick     # fewer seeds for E11, E16-E19 (CI)
      dune exec bench/main.exe -- csv       # also write bench_results/*.csv
 
    The 1984 paper proves theorems rather than reporting measurements;
@@ -11,9 +11,9 @@
    DESIGN.md for the mapping).
 
    Every run is an Abc_matrix.Registry scenario, the same path as
-   `abc-bench` and `abc-run`.  E1-E6, E9, E10 and E12-E14 run their
+   `abc-bench` and `abc-run`.  E1-E7, E9, E10 and E12-E14 run their
    committed bench/specs/eN.matrix through the matrix runner, the code
-   `abc-bench run` runs; E7, E11 and E16-E18 aggregate hand-built
+   `abc-bench run` runs; E11 and E16-E18 aggregate hand-built
    scenarios; E8, E15 and E19 time. *)
 
 open Helpers
@@ -99,44 +99,8 @@ let experiment_e6 pool =
   Printf.printf "rounds-to-decide distribution at n=16 (common coin):\n%s\n" (rounds "bracha-cc");
   print_newline ()
 
-(* ----------------------------------------------------------------- *)
-(* E7: validation / reliable-broadcast ablation                      *)
-(* ----------------------------------------------------------------- *)
-
-let experiment_e7 pool =
-  let n = 7 and f = 2 in
-  let seeds = scaled 30 in
-  let table =
-    Table.create ~id:"e7"
-      ~title:
-        (Printf.sprintf
-           "E7. Ablation at n=%d f=%d under force-decide + flip liars (ok%% over %d \
-            seeds)"
-           n f seeds)
-      ~columns:[ "transport"; "validation"; "ok"; "mean rounds (ok runs)" ]
-      ()
-  in
-  List.iter
-    (fun (plain, transport_label) ->
-      List.iter
-        (fun validation ->
-          let s =
-            sample pool ~seeds
-              { (Registry.scenario ~protocol:"bracha" ~n ~f) with
-                inputs = Unanimous Abc.Value.Zero; fault = Faulty [ (Force_decide, 1); (Flip, 1) ];
-                budget = Some 300_000; validation; plain }
-          in
-          Table.add_row table
-            [
-              transport_label;
-              (if validation then "on" else "off");
-              Table.cell_percent s.ok_rate;
-              Table.cell_float (mean_or s.rounds 0.);
-            ])
-        [ true; false ])
-    [ (false, "rbc"); (true, "plain") ];
-  Table.print table;
-  print_newline ()
+(* E7: the validation and transport ablation. *)
+let experiment_e7 = spec_table "e7"
 
 (* ----------------------------------------------------------------- *)
 (* E8: wall-clock microbenchmarks (Bechamel)                         *)
@@ -211,8 +175,8 @@ let experiment_e8 _pool =
 let experiment_e9 = spec_table "e9"
 
 (* E10: Bracha 1984 vs MMR 2014, then the safety ablation: MMR with a
-   local coin loses agreement.  No spec axis sets the coin, so the
-   ablation builds its scenarios here. *)
+   local coin loses agreement.  The ablation counts violations, which
+   no table column reports, so it builds its scenarios here. *)
 let experiment_e10 pool =
   ignore (run_matrix_spec pool "e10");
   let seeds = 40 in
@@ -227,8 +191,8 @@ let experiment_e10 pool =
     \  local coin:  %d agreement/validity violations  <- the common coin is a\n\
     \               safety requirement in MMR, unlike in Bracha's protocol\n\n"
     seeds
-    (violations (Abc.Coin.common ~seed:7))
-    (violations Abc.Coin.local)
+    (violations Registry.Common)
+    (violations Registry.Local)
 
 (* ----------------------------------------------------------------- *)
 (* E11: the price of implementing the coin — idealized vs Rabin      *)

@@ -34,6 +34,9 @@ let load_spec path =
     Fmt.epr "abc-bench: %s@." msg;
     exit 2
 
+(* [k=v k=v ...]: a cell key, or registry tokens. *)
+let pairs kvs = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
+
 let write_file path contents =
   let dir = Filename.dirname path in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -68,12 +71,15 @@ let run_run specs jobs seeds_scale out no_wall tier =
           write_file
             (Filename.concat dir ("BENCH_MATRIX_" ^ Spec.id spec ^ ".json"))
             (Json.to_string json ^ "\n"));
+        (* A failure names its first missing seed as the axes of a
+           one-cell spec that replays it. *)
         List.iter
           (fun (c : Runner.cell_result) ->
             Fmt.epr "abc-bench: %s: verdict %s failed for [%s]@." (Spec.id spec)
-              (Spec.oracle_label c.cell.Spec.oracle)
-              (String.concat " "
-                 (List.map (fun (k, v) -> k ^ "=" ^ v) (Spec.cell_key c.cell))))
+              (Spec.oracle_label c.cell.Spec.oracle) (pairs (Spec.cell_key c.cell));
+            Option.iter
+              (fun tokens -> Fmt.epr "abc-bench: %s: replay: %s@." (Spec.id spec) (pairs tokens))
+              (Runner.replay c))
           (Runner.failures result);
         all_ok && Runner.passed result)
       true (List.map load_spec specs)
@@ -91,10 +97,7 @@ let run_list specs =
         (Spec.cell_count spec);
       List.iter
         (fun (cell : Spec.cell) ->
-          Fmt.pr "  [%s] expect %s@."
-            (String.concat " "
-               (List.map (fun (k, v) -> k ^ "=" ^ v) (Spec.cell_key cell)))
-            (Spec.oracle_label cell.Spec.oracle))
+          Fmt.pr "  [%s] expect %s@." (pairs (Spec.cell_key cell)) (Spec.oracle_label cell.Spec.oracle))
         (Spec.expand spec))
     specs
 

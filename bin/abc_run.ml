@@ -16,7 +16,6 @@
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
 module Registry = Abc_matrix.Registry
-module B = Abc.Bracha_consensus
 module BO = Abc.Ben_or
 open Cmdliner
 
@@ -98,11 +97,12 @@ let inputs_arg =
         ~doc:"Input pattern: $(b,zero), $(b,one), $(b,split) (low half 0, high \
               half 1) or $(b,alternate).")
 
+let coins = [ ("local", Registry.Local); ("common", Registry.Common) ]
+
 let coin_arg =
-  let choices = [ ("local", Abc.Coin.local); ("common", Abc.Coin.common ~seed:7) ] in
   Arg.(
     value
-    & opt (enum choices) Abc.Coin.local
+    & opt (enum coins) Registry.Local
     & info [ "coin" ] ~docv:"COIN" ~doc:"Round coin: $(b,local) or $(b,common).")
 
 (* ---- link faults and the reliable transport ---- *)
@@ -333,21 +333,26 @@ let run_seeds sc ~label ~seed ~seeds ~trace ~trace_out ?lines ~header summary =
 
 let run_consensus n f seed seeds adversary fault faulty_count inputs coin
     no_validation plain loss dup partition reliable trace trace_out =
-  let transport = if plain then B.Options.Plain else B.Options.Reliable in
-  let options = { B.Options.coin; validation = not no_validation; transport } in
   let sc =
     with_links ~loss ~dup ~partition ~reliable
       (scenario "bracha" ~n ~f ~adversary ~fault ~faulty_count)
   in
-  let sc = { sc with inputs; coin = Some coin; validation = options.validation; plain } in
+  let sc = { sc with inputs; coin = Some coin; validation = not no_validation; plain } in
+  (* The options in the registry's tokens: coin=… validation=… transport=… *)
+  let options =
+    String.concat " "
+      (List.map
+         (fun axis -> axis ^ "=" ^ Option.get (Registry.token ~axis sc))
+         [ "coin"; "validation"; "transport" ])
+  in
   let label = if reliable then "bracha-consensus+rl" else "bracha-consensus" in
   run_seeds sc ~label ~seed ~seeds ~trace ~trace_out
     ~header:(fun ~seed (r : Registry.run) ->
-      Fmt.pr "%s n=%d f=%d seed=%d (%a)@.  %a@." label n f seed B.Options.pp options pp_verdict
+      Fmt.pr "%s n=%d f=%d seed=%d (%s)@.  %a@." label n f seed options pp_verdict
         r.outcome)
     (fun ~last ~ok ~failures ->
-      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%a)@.  ok %d/%d, failures %d@." label n f seed last
-        B.Options.pp options ok seeds failures)
+      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%s)@.  ok %d/%d, failures %d@." label n f seed last
+        options ok seeds failures)
 
 (* Ben-Or and MMR report one line per run. *)
 let run_binary sc ~label ~seed ~seeds =
@@ -541,8 +546,7 @@ let mmr_cmd =
   let coin_common =
     Arg.(
       value
-      & opt (enum [ ("local", Abc.Coin.local); ("common", Abc.Coin.common ~seed:7) ])
-          (Abc.Coin.common ~seed:7)
+      & opt (enum coins) Registry.Common
       & info [ "coin" ] ~docv:"COIN"
           ~doc:
             "Round coin: $(b,common) (default; required for safety) or $(b,local) \

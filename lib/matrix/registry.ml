@@ -29,10 +29,17 @@ type partition = { from_tick : int; until_tick : int; island : int list }
 
 type crash = int * (int * int) list
 
+type coin = Local | Common
+
 let bad kind tok fmt =
   Printf.ksprintf (fun m -> Error (Printf.sprintf "%s %S: %s" kind tok m)) fmt
 
 let nat s = match int_of_string_opt s with Some i when i >= 0 -> Some i | _ -> None
+
+(* The shortest %g that reads back as the same float. *)
+let float_token x =
+  let rec go p = let s = Printf.sprintf "%.*g" p x in if p >= 17 || float_of_string s = x then s else go (p + 1) in
+  go 1
 
 let adversary tok =
   let bad fmt = bad "adversary" tok fmt in
@@ -56,7 +63,7 @@ let adversary_token = function
   | Fifo -> "fifo"
   | Uniform -> "uniform"
   | Split -> "split"
-  | Latency m -> Printf.sprintf "latency:%.17g" m
+  | Latency m -> "latency:" ^ float_token m
   | Target i -> Printf.sprintf "target:%d" i
   | Source i -> Printf.sprintf "source:%d" i
   | Eclipse p -> Printf.sprintf "eclipse:%d" p
@@ -71,6 +78,12 @@ let topology tok =
     if List.for_all Option.is_some offs then Ok (Circulant (List.filter_map Fun.id offs))
     else bad "topology" tok "circulant wants comma-separated offsets"
   | _ -> bad "topology" tok "unknown topology (complete | ring | star | circulant:D,D,...)"
+
+let topology_token = function
+  | Complete -> "complete"
+  | Ring -> "ring"
+  | Star -> "star"
+  | Circulant offsets -> "circulant:" ^ String.concat "," (List.map string_of_int offsets)
 
 let inputs = function
   | "split" -> Ok Halves
@@ -215,7 +228,7 @@ type scenario = {
   inputs : inputs; adversary : adversary; fault : fault; topology : topology;
   loss : float; dup : float; partition : partition option; reliable : bool; budget : int option;
   payload : int; batch : int; epochs : int; window : int; checkpoint : int; tx_rate : float;
-  crash : crash list; coin : Abc.Coin.t option; validation : bool; plain : bool; crash_mode : bool;
+  crash : crash list; coin : coin option; validation : bool; plain : bool; crash_mode : bool;
 }
 
 let scenario ~protocol ~n ~f =
@@ -270,6 +283,10 @@ let values sc =
   | Halves -> Array.init sc.n (fun i -> if i < sc.n / 2 then Value.Zero else Value.One)
   | Unanimous v -> Array.make sc.n v
   | Alternating -> Array.init sc.n (fun i -> if i mod 2 = 0 then Value.Zero else Value.One)
+
+(* [common] is the common coin keyed by seed 7. *)
+let round_coin sc ~default =
+  match Option.value sc.coin ~default with Local -> Abc.Coin.local | Common -> Abc.Coin.common ~seed:7
 
 let payload_bytes ~bytes ~seed = String.init bytes (fun i -> Char.chr ((seed + (131 * i)) land 0xFF))
 
@@ -469,7 +486,7 @@ module Bracha = struct
     consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.force_decide
   let inputs sc ~seed:_ =
     let transport = if sc.plain then Options.Plain else Options.Reliable in
-    let coin = Option.value sc.coin ~default:Abc.Coin.local in
+    let coin = round_coin sc ~default:Local in
     inputs ~n:sc.n ~options:{ Options.coin; validation = sc.validation; transport } (values sc)
 end
 
@@ -483,7 +500,7 @@ module Ben_or = struct
     consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.flip_value
   let inputs sc ~seed:_ =
     let mode = if sc.crash_mode then Mode.Crash else Mode.Byzantine in
-    inputs ~n:sc.n ~mode ~coin:(Option.value sc.coin ~default:Abc.Coin.local) (values sc)
+    inputs ~n:sc.n ~mode ~coin:(round_coin sc ~default:Local) (values sc)
 end
 
 module Mmr = struct
@@ -493,7 +510,7 @@ module Mmr = struct
   let lie =
     consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.flip_value
   let inputs sc ~seed:_ =
-    inputs ~n:sc.n ~coin:(Option.value sc.coin ~default:(Abc.Coin.common ~seed:7)) (values sc)
+    inputs ~n:sc.n ~coin:(round_coin sc ~default:Common) (values sc)
 end
 
 (* The wire-level Rabin coin that E11 prices against the ideal one. *)
@@ -837,10 +854,9 @@ let entry ?(preset = Fun.id) name cls (module S : SUBJECT) =
   { name; cls; prepare = (fun sc -> M.prepare ~name (preset sc)) }
 
 let entries =
-  let common sc = { sc with coin = Some (Option.value sc.coin ~default:(Abc.Coin.common ~seed:7)) } in
+  let common sc = { sc with coin = Some (Option.value sc.coin ~default:Common) } in
   [ entry "bracha" "n>3f" (module Bracha);
     entry "bracha-cc" "n>3f" (module Bracha) ~preset:common;
-    entry "bracha-rl" "n>3f" (module Bracha) ~preset:(fun sc -> { sc with reliable = true });
     entry "ben-or" "n>5f" (module Ben_or);
     entry "mmr" "n>3f" (module Mmr);
     entry "mmr-rabin" "n>3f" (module Mmr_rabin);
@@ -863,16 +879,94 @@ let resilience protocol =
 let unknown_protocol p =
   Printf.sprintf "unknown protocol %S (%s)" p (String.concat " | " (List.map (fun e -> e.name) entries))
 
+(* ---- The scenario grammar: one axis per field ---- *)
+
+type ty = Int | Num | Token
+
+(* A field's axis: its name, its value type, a decoder into the record
+   and an encoder from it ([None] for an unset option, only ever its
+   default). *)
+type axis = {
+  name : string; ty : ty; decode : string -> scenario -> (scenario, string) result; encode : scenario -> string option }
+
+let axis name ty (decode, encode) get set =
+  { name; ty; decode = (fun tok sc -> Result.map (set sc) (decode tok)); encode = (fun sc -> encode (get sc)) }
+
+let some (decode, encode) = (decode, fun v -> Some (encode v))
+let opt (decode, encode) = ((fun tok -> Result.map Option.some (decode tok)), Option.map encode)
+
+(* A codec whose decoder is [parse], and whose errors say what the axis
+   wants. *)
+let parsed name what parse print =
+  ((fun tok -> Option.fold (parse tok) ~none:(bad name tok "want %s" what) ~some:Result.ok), print)
+
+let integer name = parsed name "an integer" int_of_string_opt string_of_int
+
+let enum name choices =
+  parsed name (String.concat " | " (List.map fst choices)) (fun tok -> List.assoc_opt tok choices)
+    (fun v -> fst (List.find (fun (_, v') -> v' = v) choices))
+
+let protocol tok = if find tok = None then Error (unknown_protocol tok) else Ok tok
+
+let table =
+  let int name = axis name Int (some (integer name))
+  and num name = axis name Num (some (parsed name "a number" float_of_string_opt float_token)) in
+  let tok name codec = axis name Token (some codec) in
+  let flag name = tok name (enum name [ ("true", true); ("false", false) ]) in
+  [ tok "protocol" (protocol, Fun.id) (fun sc -> sc.protocol) (fun sc protocol -> { sc with protocol });
+    int "n" (fun sc -> sc.n) (fun sc n -> { sc with n });
+    int "f" (fun sc -> sc.f) (fun sc f -> { sc with f });
+    tok "inputs" (inputs, inputs_token) (fun sc -> sc.inputs) (fun sc inputs -> { sc with inputs });
+    tok "adversary" (adversary, adversary_token) (fun sc -> sc.adversary)
+      (fun sc adversary -> { sc with adversary });
+    tok "fault" (fault, fault_token) (fun sc -> sc.fault) (fun sc fault -> { sc with fault });
+    tok "topology" (topology, topology_token) (fun sc -> sc.topology) (fun sc topology -> { sc with topology });
+    num "loss" (fun sc -> sc.loss) (fun sc loss -> { sc with loss });
+    num "dup" (fun sc -> sc.dup) (fun sc dup -> { sc with dup });
+    axis "partition" Token (opt (partition, partition_token)) (fun sc -> sc.partition)
+      (fun sc partition -> { sc with partition });
+    flag "reliable" (fun sc -> sc.reliable) (fun sc reliable -> { sc with reliable });
+    axis "budget" Int (opt (integer "budget")) (fun sc -> sc.budget) (fun sc budget -> { sc with budget });
+    int "payload" (fun sc -> sc.payload) (fun sc payload -> { sc with payload });
+    int "batch" (fun sc -> sc.batch) (fun sc batch -> { sc with batch });
+    int "epochs" (fun sc -> sc.epochs) (fun sc epochs -> { sc with epochs });
+    int "window" (fun sc -> sc.window) (fun sc window -> { sc with window });
+    int "checkpoint" (fun sc -> sc.checkpoint) (fun sc checkpoint -> { sc with checkpoint });
+    num "tx-rate" (fun sc -> sc.tx_rate) (fun sc tx_rate -> { sc with tx_rate });
+    tok "crash" (crash, crash_token) (fun sc -> sc.crash) (fun sc crash -> { sc with crash });
+    axis "coin" Token (opt (enum "coin" [ ("local", Local); ("common", Common) ])) (fun sc -> sc.coin)
+      (fun sc coin -> { sc with coin });
+    flag "validation" (fun sc -> sc.validation) (fun sc validation -> { sc with validation });
+    tok "transport" (enum "transport" [ ("rbc", false); ("plain", true) ]) (fun sc -> sc.plain)
+      (fun sc plain -> { sc with plain });
+    tok "mode" (enum "mode" [ ("byzantine", false); ("crash", true) ]) (fun sc -> sc.crash_mode)
+      (fun sc crash_mode -> { sc with crash_mode }) ]
+
+let axes = List.map (fun a -> (a.name, a.ty)) table
+
+let row name = List.find_opt (fun a -> String.equal a.name name) table
+
+let unset = scenario ~protocol:"" ~n:0 ~f:0
+
+let token ~axis sc = Option.bind (row axis) (fun a -> a.encode sc)
+
 let check_token ~axis tok =
-  let known r = Result.map ignore r in
-  match axis with
-  | "protocol" -> if find tok = None then Error (unknown_protocol tok) else Ok ()
-  | "adversary" -> known (adversary tok)
-  | "fault" -> known (fault tok)
-  | "topology" -> known (topology tok)
-  | "inputs" -> known (inputs tok)
-  | "crash" -> known (crash tok)
-  | _ -> Ok ()
+  Option.fold (row axis) ~none:(Ok ()) ~some:(fun a -> Result.map ignore (a.decode tok unset))
+
+let of_tokens tokens =
+  let decode acc (name, tok) =
+    let* sc = acc in
+    let* a = Option.to_result (row name) ~none:(name, Printf.sprintf "unknown axis %S" name) in
+    Result.map_error (fun msg -> (name, msg)) (a.decode tok sc)
+  in
+  match List.find_opt (fun name -> not (List.mem_assoc name tokens)) [ "protocol"; "n"; "f" ] with
+  | Some name -> Error (name, Printf.sprintf "missing axis %S" name)
+  | None -> List.fold_left decode (Ok unset) tokens
+
+let to_tokens sc =
+  let base = scenario ~protocol:sc.protocol ~n:sc.n ~f:sc.f in
+  let shown a = List.mem a.name [ "protocol"; "n"; "f" ] || a.encode sc <> a.encode base in
+  List.filter_map (fun a -> if shown a then Option.map (fun tok -> (a.name, tok)) (a.encode sc) else None) table
 
 (* The checks across axes: numbers in range, node ids below n, graphs
    that exist at n, probabilities, and the protocol's fault battery. *)

@@ -3,8 +3,7 @@
     bench table and the randomized campaign suite's rows.
 
     One entry per protocol: [bracha], [bracha-cc] (common coin),
-    [bracha-rl] (reliable links), [ben-or], [mmr], [mmr-rabin] (the
-    wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc] and
+    [ben-or], [mmr], [mmr-rabin] (the wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc] and
     [consistent-rbc] (echo-only, no totality) broadcasting [payload]
     bytes, [bracha-rbc-bit] one bit; [acs] over proposals [100+i];
     [batch-acs] over batches ["batch-I:"] padded with [8i] bytes;
@@ -66,9 +65,12 @@ type partition = { from_tick : int; until_tick : int; island : int list }
 type crash = int * (int * int) list
 (** A node and its [(crash, rejoin)] ticks: [NODE:CRASH:REJOIN[:...]]. *)
 
+type coin = Local | Common  (** [local], or [common]: the common coin keyed by seed 7 *)
+
 val adversary : string -> (adversary, string) result
 val adversary_token : adversary -> string
 val topology : string -> (topology, string) result
+val topology_token : topology -> string
 val inputs : string -> (inputs, string) result
 val inputs_token : inputs -> string
 val fault : string -> (fault, string) result
@@ -91,15 +93,16 @@ val partition_token : partition -> string
     broadcast's message or an atomic transaction, in bytes; [batch],
     [epochs], [window], [checkpoint], [tx_rate] (transactions per tick
     per node) and [crash] (recovering replicas) are the atomic
-    broadcast's; [coin] ([None]: the protocol's default), [validation]
-    and [plain] (plain broadcasts, not RBC) Bracha's; [crash_mode]
+    broadcast's; [coin] ([None]: the protocol's default, local but for
+    MMR's common coin) Bracha's, Ben-Or's and MMR's; [validation] and
+    [plain] (plain broadcasts, not RBC) Bracha's; [crash_mode]
     Ben-Or's. *)
 type scenario = {
   protocol : string; n : int; f : int;
   inputs : inputs; adversary : adversary; fault : fault; topology : topology;
   loss : float; dup : float; partition : partition option; reliable : bool; budget : int option;
   payload : int; batch : int; epochs : int; window : int; checkpoint : int; tx_rate : float;
-  crash : crash list; coin : Abc.Coin.t option; validation : bool; plain : bool; crash_mode : bool;
+  crash : crash list; coin : coin option; validation : bool; plain : bool; crash_mode : bool;
 }
 
 val scenario : protocol:string -> n:int -> f:int -> scenario
@@ -145,16 +148,50 @@ type run = {
   metrics : Abc_sim.Metrics.t; lines : string list Lazy.t;
 }
 
+(** {1 The grammar}
+
+    One table row per field of {!scenario}, in record order: the axis
+    name, its value type, a decoder into the record and an encoder from
+    it.  [protocol], [n], [f], [inputs], [adversary], [fault],
+    [topology], [loss], [dup], [partition], [reliable] ([true] |
+    [false]), [budget], [payload], [batch], [epochs], [window],
+    [checkpoint], [tx-rate], [crash], [coin] ([local] | [common]),
+    [validation] ([true] | [false]), [transport] ([rbc] | [plain]: the
+    field [plain]) and [mode] ([byzantine] | [crash]: the field
+    [crash_mode]).  The token decoders above spell the token axes; the
+    defaults are {!scenario}'s. *)
+
+type ty = Int | Num | Token
+
+val axes : (string * ty) list
+(** The table's axis names and value types, in record order. *)
+
+val of_tokens : (string * string) list -> (scenario, string * string) result
+(** Decode [(axis, value)] pairs over {!scenario}'s defaults.  Total:
+    an unknown axis, a missing [protocol], [n] or [f], or a value that
+    does not decode is an error naming the axis.  Decoding checks no
+    range: {!check} does. *)
+
+val to_tokens : scenario -> (string * string) list
+(** [protocol], [n] and [f], then every field that differs from
+    {!scenario}'s default, in record order; floats print as the
+    shortest decimal that reads back as the same float, so
+    [of_tokens (to_tokens sc) = Ok sc]. *)
+
+val token : axis:string -> scenario -> string option
+(** One axis's token for [sc], at its default or not; [None] for an
+    unset option or an axis outside the table. *)
+
+val check_token : axis:string -> string -> (unit, string) result
+(** Decode one value of a table axis on its own; an axis outside the
+    table is [Ok]. *)
+
 (** {1 The registry} *)
 
 val resilience : string -> (string * (int -> int)) option
 (** The class (["n>3f"], ["n>4f"], ["n>5f"]) and the largest tolerated
     [f] at [n], as the protocol modules declare in
     [[@@@abc.resilience]]. *)
-
-val check_token : axis:string -> string -> (unit, string) result
-(** Decode one value of a token axis ([protocol], [adversary], [fault],
-    [topology], [inputs], [crash]); other axes are [Ok]. *)
 
 val check : scenario -> (unit, string * string) result
 (** Checks across axes (n >= 1, f >= 0, payload >= 0, budget >= 1,

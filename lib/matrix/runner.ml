@@ -9,29 +9,22 @@ let ( let* ) = Result.bind
 (* Cells to scenarios                                                *)
 (* ----------------------------------------------------------------- *)
 
-(* The one translation from a cell to a registry scenario.  Token
-   errors (and a seed count below 1) name the axis they came from, so
-   {!check} can point at the binding. *)
+let seeds cell = Spec.find_int cell "seeds" ~default:10
+
+let first_seed cell = Spec.find_int cell "seed" ~default:0
+
+(* The one translation from a cell to a registry scenario: its bindings
+   as written, but the runner's own [seeds] and [seed].  Errors (and a
+   seed count below 1) name the axis they came from, so {!check} can
+   point at the binding. *)
 let scenario_of_cell cell =
-  let str axis default = Spec.find_str cell axis ~default in
-  let int axis default = Spec.find_int cell axis ~default in
-  let tok axis decode default = Result.map_error (fun m -> (axis, m)) (decode (str axis default)) in
-  let* adversary = tok "adversary" Registry.adversary "uniform" in
-  let* fault = tok "fault" Registry.fault "none" in
-  let* topology = tok "topology" Registry.topology "complete" in
-  let* inputs = tok "inputs" Registry.inputs "split" in
-  let* crash = tok "crash" Registry.crash "none" in
-  let* () =
-    let seeds = int "seeds" 10 in
-    if seeds >= 1 then Ok () else Error ("seeds", Printf.sprintf "need seeds >= 1, got seeds=%d" seeds)
-  in
-  let base = Registry.scenario ~protocol:(str "protocol" "") ~n:(int "n" 0) ~f:(int "f" 0) in
-  let num axis = Spec.find_num cell axis ~default:0. in
-  Ok
-    { base with Registry.adversary; fault; topology; inputs; crash; loss = num "loss";
-      dup = num "dup"; payload = int "payload" 64;
-      budget = (match int "budget" 0 with 0 -> None | b -> Some b); batch = int "batch" 16;
-      epochs = int "epochs" 2; window = int "window" 2; checkpoint = int "checkpoint" 0 }
+  let seeds = seeds cell in
+  if seeds < 1 then Error ("seeds", Printf.sprintf "need seeds >= 1, got seeds=%d" seeds)
+  else
+    Registry.of_tokens
+      (List.filter_map
+         (fun b -> if List.mem b.Spec.axis [ "seeds"; "seed" ] then None else Some (b.Spec.axis, b.Spec.text))
+         cell.Spec.bindings)
 
 (* Every cell, checked against the registry before any of them runs; an
    error sits at the offending axis binding (else at the protocol). *)
@@ -96,6 +89,7 @@ type cell_metrics = {
 
 type cell_result = {
   cell : Spec.cell;
+  scenario : Registry.scenario;
   pass : bool;
   metrics : cell_metrics;
   outcomes : Registry.outcome list;
@@ -110,12 +104,12 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
   let cells =
     match scenarios spec with Ok cells -> cells | Error e -> invalid_arg (Sexp.error_to_string e)
   in
-  let seeds cell = scaled_seeds ~seeds_scale (Spec.find_int cell "seeds" ~default:10) in
+  let seeds cell = scaled_seeds ~seeds_scale (seeds cell) in
   let jobs =
     (* One job per (cell, seed), flattened in cell order: the merge is
        index-ordered, so regrouping below is deterministic at any
        worker count. *)
-    List.concat_map (fun (cell, sc) -> List.init (seeds cell) (fun seed -> (sc, seed))) cells
+    List.concat_map (fun (cell, sc) -> List.init (seeds cell) (fun k -> (sc, first_seed cell + k))) cells
   in
   let job_array = Array.of_list jobs in
   let outcomes =
@@ -131,7 +125,7 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
   let cursor = ref 0 in
   let results =
     List.map
-      (fun (cell, _) ->
+      (fun (cell, scenario) ->
         let seeds = seeds cell in
         let mine = Array.sub outcomes !cursor seeds in
         cursor := !cursor + seeds;
@@ -157,6 +151,7 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
         in
         {
           cell;
+          scenario;
           pass = cell_pass cell.Spec.oracle ~ok ~total;
           metrics =
             {
@@ -177,6 +172,13 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
 let passed t = List.for_all (fun c -> c.pass) t.cells
 
 let failures t = List.filter (fun c -> not c.pass) t.cells
+
+let replay c =
+  Option.map
+    (fun k ->
+      Registry.to_tokens c.scenario
+      @ [ ("seed", string_of_int (first_seed c.cell + k)); ("seeds", "1") ])
+    (List.find_index (fun o -> not (satisfies c.cell.Spec.oracle o)) c.outcomes)
 
 (* ----------------------------------------------------------------- *)
 (* Rendering                                                         *)

@@ -24,6 +24,7 @@ type cell_metrics = {
 
 type cell_result = {
   cell : Spec.cell;
+  scenario : Registry.scenario;  (** the cell's bindings, decoded by {!Registry.of_tokens} *)
   pass : bool;  (** the cell's expected verdict held on every seed *)
   metrics : cell_metrics;
   outcomes : Registry.outcome list;  (** one per seed, in seed order *)
@@ -32,9 +33,11 @@ type cell_result = {
 type t = { spec : Spec.t; cells : cell_result list }
 
 val check : Spec.t -> (unit, Sexp.error) result
-(** Every cell checked against the registry ({!Registry.check}), and
-    its [seeds] for at least 1, the error at the offending binding's
-    span. *)
+(** Every cell's bindings but [seeds] and [seed] decoded by
+    {!Registry.of_tokens} and checked by {!Registry.check}, and its
+    [seeds] for at least 1, the error at the offending binding's
+    span.  A cell runs [seeds] seeds (default 10) from [seed] (default
+    0). *)
 
 val satisfies : Spec.oracle -> Registry.outcome -> bool
 (** Whether one seed's outcome meets an oracle: [decide], [expect-fail]
@@ -63,6 +66,12 @@ val passed : t -> bool
 (** Every cell's expected verdict held. *)
 
 val failures : t -> cell_result list
+
+val replay : cell_result -> (string * string) list option
+(** The first seed whose outcome misses the cell's oracle, as the
+    cell's {!Registry.to_tokens} and [seed=K seeds=1]: the axes of a
+    one-cell spec that runs that seed alone.  [None] when every seed
+    meets it, as in an [expect-fail] cell whose every seed decided. *)
 
 val table : t -> Abc_sim.Table.t
 (** One row per cell: the axis values, the expected verdict, the

@@ -8,7 +8,7 @@ let value_key = function
   | Num x -> Printf.sprintf "%g" x
   | Str s -> s
 
-type binding = { axis : string; value : value; vspan : Sexp.span }
+type binding = { axis : string; value : value; text : string; vspan : Sexp.span }
 
 type oracle =
   | Decide
@@ -40,22 +40,13 @@ let find cell axis =
 let find_int cell axis ~default =
   match find cell axis with Some (Int i) -> i | _ -> default
 
-let find_num cell axis ~default =
-  match find cell axis with
-  | Some (Num x) -> x
-  | Some (Int i) -> float_of_int i
-  | _ -> default
-
 let find_str cell axis ~default =
   match find cell axis with Some v -> value_key v | None -> default
 
 let cell_key cell =
   List.map (fun b -> (b.axis, value_key b.value)) cell.bindings
 
-type axis_decl = {
-  name : string;
-  values : (value * Sexp.span) list;
-}
+type axis_decl = { name : string; values : binding list }
 
 type group = Single of axis_decl | Zip of axis_decl list
 
@@ -91,32 +82,13 @@ exception Fail of Sexp.pos * string
 
 let fail span msg = raise (Fail (span.Sexp.s, msg))
 
-(* The closed axis vocabulary.  Every axis is typed; elaboration
-   rejects unknown names and ill-typed literals at their exact span so
-   a typo in a committed spec is a lint/parse error, not a silently
-   ignored dimension. *)
-type axis_ty = Tint | Tnum | Tstr
-
-let known_axes =
-  [
-    ("protocol", Tstr);
-    ("n", Tint);
-    ("f", Tint);
-    ("inputs", Tstr);
-    ("adversary", Tstr);
-    ("fault", Tstr);
-    ("topology", Tstr);
-    ("loss", Tnum);
-    ("dup", Tnum);
-    ("payload", Tint);
-    ("seeds", Tint);
-    ("budget", Tint);
-    ("batch", Tint);
-    ("epochs", Tint);
-    ("window", Tint);
-    ("checkpoint", Tint);
-    ("crash", Tstr);
-  ]
+(* The closed axis vocabulary: the registry's, one axis per scenario
+   field, then the runner's [seeds] (runs per cell) and [seed] (the
+   first run's seed).  Every axis is typed; elaboration rejects unknown
+   names and ill-typed literals at their exact span so a typo in a
+   committed spec is a lint/parse error, not a silently ignored
+   dimension. *)
+let known_axes = Registry.axes @ [ ("seeds", Registry.Int); ("seed", Registry.Int) ]
 
 let classify_atom s =
   match int_of_string_opt s with
@@ -129,24 +101,27 @@ let atom = function
   | Sexp.List (_, span) ->
     raise (Fail (span.Sexp.s, "expected an atom, found a list"))
 
-let axis_value ?axis ty form =
-  let s, span = atom form in
+(* One value of axis [name], typed, decoded by the registry and kept as
+   written. *)
+let binding name ty form =
+  let s, vspan = atom form in
   let v = classify_atom s in
-  let v =
+  let value =
     match (ty, v) with
-    | Tint, Int _ -> v
-    | Tint, (Num _ | Str _) ->
-      fail span (Printf.sprintf "expected an integer, found %S" s)
-    | Tnum, Int i -> Num (float_of_int i)
-    | Tnum, Num _ -> v
-    | Tnum, Str _ ->
-      fail span (Printf.sprintf "expected a number, found %S" s)
-    | Tstr, _ -> Str s
+    | Registry.Int, Int _ -> v
+    | Registry.Int, (Num _ | Str _) ->
+      fail vspan (Printf.sprintf "expected an integer, found %S" s)
+    | Registry.Num, Int i -> Num (float_of_int i)
+    | Registry.Num, Num _ -> v
+    | Registry.Num, Str _ ->
+      fail vspan (Printf.sprintf "expected a number, found %S" s)
+    | Registry.Token, _ -> Str s
   in
-  (* The registry decodes each token value once, here: a typo is an
-     error at its span, not at run time. *)
-  Option.iter (fun axis -> Result.iter_error (fail span) (Registry.check_token ~axis s)) axis;
-  (v, span)
+  (* The registry decodes each value, an axis's or a condition's, here:
+     a typo is an error at its span, not a dimension that never runs or
+     a clause that never matches. *)
+  Result.iter_error (fail vspan) (Registry.check_token ~axis:name s);
+  { axis = name; value; text = s; vspan }
 
 let axis_ty name span =
   match List.assoc_opt name known_axes with
@@ -161,7 +136,7 @@ let parse_axis = function
   | Sexp.List (Sexp.Atom (name, nspan) :: values, span) ->
     if values = [] then fail span (Printf.sprintf "axis %S has no values" name);
     let ty = axis_ty name nspan in
-    { name; values = List.map (axis_value ~axis:name ty) values }
+    { name; values = List.map (binding name ty) values }
   | form -> fail (Sexp.span form) "expected an axis: (name value ...)"
 
 let parse_group = function
@@ -208,7 +183,7 @@ let parse_cond declared = function
       fail nspan
         (Printf.sprintf "condition on %S, which is not a declared axis" name);
     let ty = axis_ty name nspan in
-    (name, List.map (fun v -> fst (axis_value ty v)) values)
+    (name, List.map (fun v -> (binding name ty v).value) values)
   | form -> fail (Sexp.span form) "expected a condition: (axis value ...)"
 
 let parse_clause declared = function
@@ -340,21 +315,9 @@ let load path =
 (* Expansion                                                         *)
 (* ----------------------------------------------------------------- *)
 
-let group_width = function
-  | Single a -> List.length a.values
-  | Zip arms -> List.length (List.hd arms).values
+let group_width g = List.length (List.hd (group_axes g)).values
 
-let group_bindings g i =
-  match g with
-  | Single a ->
-    let v, span = List.nth a.values i in
-    [ { axis = a.name; value = v; vspan = span } ]
-  | Zip arms ->
-    List.map
-      (fun a ->
-        let v, span = List.nth a.values i in
-        { axis = a.name; value = v; vspan = span })
-      arms
+let group_bindings g i = List.map (fun a -> List.nth a.values i) (group_axes g)
 
 let cell_count t =
   List.fold_left (fun acc g -> acc * group_width g) 1 t.groups

@@ -28,6 +28,7 @@ val value_key : value -> string
 type binding = {
   axis : string;
   value : value;
+  text : string;  (** the value literal as written, what {!Registry.of_tokens} reads *)
   vspan : Sexp.span;  (** where the value literal sits in the spec *)
 }
 
@@ -53,8 +54,6 @@ val find : cell -> string -> value option
 
 val find_int : cell -> string -> default:int -> int
 
-val find_num : cell -> string -> default:float -> float
-
 val find_str : cell -> string -> default:string -> string
 
 val cell_key : cell -> (string * string) list
@@ -75,10 +74,11 @@ val axes : t -> string list
 (** Axis names in declaration order (zip arms flattened in place). *)
 
 val of_string : file:string -> string -> (t, Sexp.error) result
-(** Parse and elaborate one spec.  Errors carry the span of the
-    offending token; the values of the token axes ([protocol],
-    [adversary], [fault], [topology], [inputs], [crash]) must decode in
-    the {!Registry}. *)
+(** Parse and elaborate one spec.  The axes are {!Registry.axes} and
+    the runner's [seeds] and [seed], all closed and typed.  Errors carry
+    the span of the offending token; every value of a registry axis,
+    in [axes] or in an [expect] condition, must decode there
+    ({!Registry.check_token}). *)
 
 val load : string -> (t, Sexp.error) result
 (** [of_string] over a file's contents. *)

@@ -115,7 +115,35 @@ let test_token_errors () =
     ~line:9 ~col:18 ~msg_has:"inputs \"unanimous2\"";
   check_error "crash rejoins before it crashes"
     (base_spec ~axes:(axes "    (crash none 3:400:200)\n") ~expect)
-    ~line:9 ~col:16 ~msg_has:"crash \"3:400:200\""
+    ~line:9 ~col:16 ~msg_has:"crash \"3:400:200\"";
+  check_error "partition that heals before it starts"
+    (base_spec ~axes:(axes "    (partition 10:80:0,1 80:10:0)\n") ~expect)
+    ~line:9 ~col:25 ~msg_has:"partition \"80:10:0\"";
+  check_error "reliable yes"
+    (base_spec ~axes:(axes "    (reliable false yes)\n") ~expect)
+    ~line:9 ~col:20 ~msg_has:"reliable \"yes\": want true | false";
+  check_error "fixed coin"
+    (base_spec ~axes:(axes "    (coin local fixed:0)\n") ~expect)
+    ~line:9 ~col:16 ~msg_has:"coin \"fixed:0\": want local | common";
+  check_error "validation off"
+    (base_spec ~axes:(axes "    (validation true off)\n") ~expect)
+    ~line:9 ~col:21 ~msg_has:"validation \"off\": want true | false";
+  check_error "transport rl"
+    (base_spec ~axes:(axes "    (transport rbc rl)\n") ~expect)
+    ~line:9 ~col:19 ~msg_has:"transport \"rl\": want rbc | plain";
+  check_error "mode omission"
+    (base_spec ~axes:(axes "    (mode crash omission)\n") ~expect)
+    ~line:9 ~col:16 ~msg_has:"mode \"omission\": want byzantine | crash";
+  check_error "tx-rate fast"
+    (base_spec ~axes:(axes "    (tx-rate 0.5 fast)\n") ~expect)
+    ~line:9 ~col:17 ~msg_has:"expected a number, found \"fast\"";
+  check_error "seed 1.5"
+    (base_spec ~axes:(axes "    (seed 1.5)\n") ~expect)
+    ~line:9 ~col:10 ~msg_has:"expected an integer, found \"1.5\"";
+  check_error "misspelled condition value"
+    (base_spec ~axes:(axes "    (validation true false)\n")
+       ~expect:"    (when (validation flase) expect-fail)\n    (default decide)\n")
+    ~line:12 ~col:22 ~msg_has:"validation \"flase\": want true | false"
 
 (* Combinations are checked per cell, before any cell runs, and the
    error sits at the binding that cannot hold at that cell. *)
@@ -166,12 +194,11 @@ let test_range_errors () =
     ~msg_has:"need seeds >= 1, got seeds=0";
   check_cell_error "seeds -3" (spec "    (seeds -3)\n") ~line:9 ~col:11
     ~msg_has:"need seeds >= 1, got seeds=-3";
-  (* tx-rate is no spec axis; abc-run's --tx-rate reaches the check. *)
-  match Registry.check { (Registry.scenario ~protocol:"atomic" ~n:4 ~f:1) with tx_rate = -1. } with
-  | Error (axis, msg) ->
-    Alcotest.(check string) "tx-rate axis" "tx-rate" axis;
-    Alcotest.(check string) "tx-rate message" "need tx-rate > 0, got tx-rate=-1" msg
-  | Ok () -> Alcotest.fail "tx-rate -1 passed the registry"
+  (* 0 is no budget: the engine's own cap would run under "budget 0". *)
+  check_cell_error "budget 0" (spec "    (budget 0)\n") ~line:9 ~col:12
+    ~msg_has:"need budget >= 1, got budget=0";
+  check_cell_error "tx-rate 0" (atomic "    (tx-rate 1 0)\n") ~line:9 ~col:15
+    ~msg_has:"need tx-rate > 0, got tx-rate=0"
 
 (* A [+] battery places its kinds on the highest-numbered nodes in
    order, as E7 did by hand: the force-decide liar at node n-1, the
@@ -588,6 +615,74 @@ let test_table_columns () =
     | _ -> Alcotest.fail "no cells")
   | _ -> Alcotest.fail "not an object"
 
+(* A cell runs its seeds from its [seed] axis: [(seed 513) (seeds 1)]
+   is the registry's run at seed 513, not at seed 0. *)
+let test_first_seed () =
+  let spec =
+    spec_of_string
+      (base_spec ~axes:"    (protocol bracha)\n    (n 7)\n    (f 2)\n    (seed 513)\n    (seeds 1)\n"
+         ~expect:"    (default decide)\n")
+  in
+  let sc = Registry.scenario ~protocol:"bracha" ~n:7 ~f:2 in
+  let r = Runner.run ~pool:(Pool.create ~jobs:1 ()) spec in
+  let messages = List.map (fun (o : Registry.outcome) -> o.messages) (List.hd r.cells).outcomes in
+  Alcotest.(check (list int)) "seed 513's run" [ (Runner.run_seed sc ~seed:513).messages ] messages;
+  Alcotest.(check bool) "not seed 0's" true (messages <> [ (Runner.run_seed sc ~seed:0).messages ])
+
+(* A cell decodes its values as written, not as their %g keys. *)
+let test_values_as_written () =
+  let spec =
+    spec_of_string
+      (base_spec
+         ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n    (loss 0.1234567)\n    (reliable true)\n    (seeds 1)\n"
+         ~expect:"    (default any)\n")
+  in
+  let c = List.hd (Runner.run ~pool:(Pool.create ~jobs:1 ()) spec).cells in
+  Alcotest.(check (float 0.)) "loss" 0.1234567 c.scenario.loss;
+  Alcotest.(check (list (pair string string))) "key" [ ("loss", "0.123457") ]
+    (List.filter (fun (k, _) -> k = "loss") (Spec.cell_key c.cell));
+  Alcotest.(check bool) "reliable" true c.scenario.reliable
+
+(* [to_tokens] prints protocol, n and f, then the fields off their
+   defaults, in record order; [of_tokens] reads them back and names the
+   axis of every error. *)
+let test_tokens () =
+  let sc =
+    { (Registry.scenario ~protocol:"mmr" ~n:10 ~f:3) with
+      inputs = Unanimous Abc.Value.Zero; adversary = Latency 6.; fault = Placed (Silent, [ 9; 8; 7 ]);
+      dup = 0.07; partition = Some { from_tick = 24; until_tick = 142; island = [ 5 ] }; reliable = true;
+      budget = Some 4_000_000; coin = Some Local; plain = true; crash_mode = true; validation = false;
+      topology = Circulant [ 1; 2 ] }
+  in
+  let line tokens = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) tokens) in
+  Alcotest.(check string) "to_tokens"
+    "protocol=mmr n=10 f=3 inputs=unanimous0 adversary=latency:6 fault=silent@9,8,7 \
+     topology=circulant:1,2 dup=0.07 partition=24:142:5 reliable=true budget=4000000 coin=local \
+     validation=false transport=plain mode=crash"
+    (line (Registry.to_tokens sc));
+  Alcotest.(check bool) "round trip" true (Registry.of_tokens (Registry.to_tokens sc) = Ok sc);
+  Alcotest.(check string) "defaults only" "protocol=bracha n=4 f=1"
+    (line (Registry.to_tokens (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1)));
+  let base = [ ("protocol", "bracha"); ("n", "4"); ("f", "1") ] in
+  let decoded tokens = Registry.of_tokens (base @ tokens) in
+  Alcotest.(check bool) "default spellings" true
+    (decoded [ ("reliable", "false"); ("validation", "true"); ("transport", "rbc"); ("mode", "byzantine") ]
+    = Ok (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1));
+  Alcotest.(check bool) "common coin" true
+    (Result.map (fun (sc : Registry.scenario) -> sc.coin) (decoded [ ("coin", "common") ]) = Ok (Some Common));
+  let error name tokens axis msg =
+    match Registry.of_tokens tokens with
+    | Ok _ -> Alcotest.failf "%s: decoded" name
+    | Error (a, m) ->
+      Alcotest.(check string) (name ^ ": axis") axis a;
+      Alcotest.(check string) (name ^ ": message") msg m
+  in
+  error "missing f" [ ("protocol", "bracha"); ("n", "4") ] "f" "missing axis \"f\"";
+  error "unknown axis" (base @ [ ("links", "raw") ]) "links" "unknown axis \"links\"";
+  error "bad number" (base @ [ ("loss", "0.1.2") ]) "loss" "loss \"0.1.2\": want a number";
+  error "unknown protocol" [ ("protocol", "vaba"); ("n", "4"); ("f", "1") ] "protocol"
+    (Result.get_error (Registry.check_token ~axis:"protocol" "vaba"))
+
 (* ---- committed specs stay loadable and well-formed ---- *)
 
 (* Every bench/specs/*.matrix, each with its cell count: a spec added
@@ -595,7 +690,7 @@ let test_table_columns () =
 let test_committed_specs () =
   let expected =
     [ ("e1.matrix", 80); ("e2.matrix", 12); ("e3.matrix", 4); ("e4.matrix", 3);
-      ("e5.matrix", 12); ("e6.matrix", 8); ("e9.matrix", 2); ("e10.matrix", 6);
+      ("e5.matrix", 12); ("e6.matrix", 8); ("e7.matrix", 4); ("e9.matrix", 2); ("e10.matrix", 6);
       ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8); ("e16.matrix", 9);
       ("e17.matrix", 4); ("e18.matrix", 6); ("e19_engine.matrix", 8);
       ("e19_engine_quick.matrix", 4) ]
@@ -655,6 +750,8 @@ let () =
           Alcotest.test_case "log, acs and mmr-rabin decide" `Quick test_new_entries_decide;
           Alcotest.test_case "a + battery places kinds in order" `Quick test_battery_placement;
           Alcotest.test_case "table's p95, max and committed columns" `Quick test_table_columns;
+          Alcotest.test_case "a cell's first seed" `Quick test_first_seed;
+          Alcotest.test_case "values run as written" `Quick test_values_as_written;
         ] );
       ( "registry",
         [
@@ -663,6 +760,7 @@ let () =
           Alcotest.test_case "turpin-coan within n>4f" `Quick test_turpin_coan;
           Alcotest.test_case "atomic replica measures" `Quick test_replica_measures;
           Alcotest.test_case "crash plans need a durable store" `Quick test_crash_plans_refused;
+          Alcotest.test_case "tokens out and in" `Quick test_tokens;
         ] );
       ( "specs",
         [

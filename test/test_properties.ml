@@ -40,23 +40,29 @@ let battery_seed =
 
 (* ---- campaign runner ---- *)
 
-(* Generate [count] scenarios sequentially (Random.State is not domain
-   safe), evaluate them on the pool, and report every failing scenario
-   so a red run is replayable without shrinking. *)
+(* [count] scenarios generated sequentially from the pinned seed
+   (Random.State is not domain safe). *)
+let draw ~count gen =
+  let rand = Random.State.make [| battery_seed |] in
+  List.init count (fun _ -> QCheck.Gen.generate1 ~rand gen)
+
+(* Report every failing scenario, so a red run is replayable without
+   shrinking. *)
+let fail_on ~count failures =
+  if failures <> [] then
+    Alcotest.failf "%d/%d scenarios failed (QCHECK_SEED=%d):\n%s"
+      (List.length failures) count battery_seed
+      (String.concat "\n" failures)
+
+(* Evaluate [count] scenarios on the pool. *)
 let campaign ~name ~count gen print prop =
   Alcotest.test_case name `Slow (fun () ->
-      let rand = Random.State.make [| battery_seed |] in
-      let scenarios = List.init count (fun _ -> QCheck.Gen.generate1 ~rand gen) in
+      let scenarios = draw ~count gen in
       let verdicts = Pool.map_list pool (fun s -> prop s) scenarios in
-      let failures =
-        List.filter_map
-          (fun (s, ok) -> if ok then None else Some (print s))
-          (List.combine scenarios verdicts)
-      in
-      if failures <> [] then
-        Alcotest.failf "%d/%d scenarios failed (QCHECK_SEED=%d):\n%s"
-          (List.length failures) count battery_seed
-          (String.concat "\n" failures))
+      fail_on ~count
+        (List.filter_map
+           (fun (s, ok) -> if ok then None else Some (print s))
+           (List.combine scenarios verdicts)))
 
 (* ---- generators ---- *)
 
@@ -218,24 +224,13 @@ let payload_of (sc : Registry.scenario) _ =
 let distinct (sc : Registry.scenario) _ =
   match sc.inputs with Halves -> { sc with inputs = Alternating } | _ -> sc
 
-(* A scenario in the tokens that .matrix cells and the registry's
-   decoders read; [reliable], [partition] and [tx-rate] have no spec
-   axis yet. *)
+(* A scenario and its seed as registry tokens: pasted as the axes of a
+   one-cell .matrix, they replay the run. *)
 let show ((sc : Registry.scenario), seed) =
-  let some key token = Option.fold ~none:[] ~some:(fun v -> [ key ^ "=" ^ token v ]) in
   String.concat " "
-    ([ "protocol=" ^ sc.protocol; Printf.sprintf "n=%d f=%d" sc.n sc.f;
-       "fault=" ^ Registry.fault_token sc.fault; "adversary=" ^ Registry.adversary_token sc.adversary;
-       "inputs=" ^ Registry.inputs_token sc.inputs;
-       Printf.sprintf "payload=%d loss=%g dup=%g" sc.payload sc.loss sc.dup ]
-    @ some "partition" Registry.partition_token sc.partition
-    @ (if sc.reliable then [ "reliable=true" ] else [])
-    @ some "budget" string_of_int sc.budget
-    @ (if String.equal sc.protocol "atomic" then
-         [ Printf.sprintf "batch=%d epochs=%d checkpoint=%d tx-rate=%g crash=%s" sc.batch sc.epochs
-             sc.checkpoint sc.tx_rate (Registry.crash_token sc.crash) ]
-       else [])
-    @ [ Printf.sprintf "seed=%d" seed ])
+    (List.map
+       (fun (axis, token) -> axis ^ "=" ^ token)
+       (Registry.to_tokens sc @ [ ("seed", string_of_int seed); ("seeds", "1") ]))
 
 let row name count oracle gen =
   campaign ~name ~count gen show (fun (sc, seed) -> Runner.satisfies oracle (Runner.run_seed sc ~seed))
@@ -646,22 +641,24 @@ let trace_decoder_test =
 
 (* The scenario registry's decoders read spec files and CLI flags:
    random strings and mutations of valid tokens must never raise, and
-   every [Error] must quote the offending token. *)
+   every [Error] must quote the offending token.  Each token axis is
+   decoded as a spec value is, by [Registry.check_token]. *)
 let token_decoders =
-  let total decode s = Result.map ignore (decode s) in
   [|
-    ( "adversary",
-      total Registry.adversary,
-      [ "fifo"; "uniform"; "split"; "latency:8"; "target:3"; "source:1"; "eclipse:32" ] );
+    ("adversary", [ "fifo"; "uniform"; "split"; "latency:8"; "target:3"; "source:1"; "eclipse:32" ]);
     ( "fault",
-      total Registry.fault,
       [ "none"; "silent:2"; "crash"; "balanced-flip:3"; "force-decide"; "replay:2"; "flip-relay";
         "equivocate-sender"; "force-decide:1+flip:1"; "silent:2+crash+replay:1"; "silent@1,5";
         "crash@0"; "corrupt"; "corrupt:2+silent"; "crash-after-3:2"; "crash-after-0@5" ] );
-    ("topology", total Registry.topology, [ "complete"; "ring"; "star"; "circulant:1,2" ]);
-    ("inputs", total Registry.inputs, [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
-    ("crash", total Registry.crash, [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
-    ("partition", total Registry.partition, [ "10:80:0,1"; "0:0:3"; "5:9: 2 , 4" ]);
+    ("topology", [ "complete"; "ring"; "star"; "circulant:1,2" ]);
+    ("inputs", [ "split"; "unanimous0"; "unanimous1"; "alternate" ]);
+    ("crash", [ "none"; "3:400:2500"; "1:10:20:30:40,2:5:9" ]);
+    ("partition", [ "10:80:0,1"; "0:0:3"; "5:9: 2 , 4" ]);
+    ("reliable", [ "true"; "false" ]);
+    ("coin", [ "local"; "common" ]);
+    ("transport", [ "rbc"; "plain" ]);
+    ("validation", [ "true"; "false" ]);
+    ("mode", [ "byzantine"; "crash" ]);
   |]
 
 let token_chars = "abcdefilnoprstuvxz0123456789:,-_. +@\"\\\000\255"
@@ -669,7 +666,7 @@ let token_chars = "abcdefilnoprstuvxz0123456789:,-_. +@\"\\\000\255"
 let token_gen =
   QCheck.Gen.(
     int_bound (Array.length token_decoders - 1) >>= fun d ->
-    let _, _, valid = token_decoders.(d) in
+    let _, valid = token_decoders.(d) in
     let char = map (String.get token_chars) (int_bound (String.length token_chars - 1)) in
     let random = string_size ~gen:char (int_bound 12) in
     let mutate s =
@@ -685,13 +682,10 @@ let token_gen =
     in
     map (fun s -> (d, s)) (oneof [ random; oneofl valid >>= mutate; oneofl valid >>= mutate >>= mutate ]))
 
-let print_token (d, s) =
-  let name, _, _ = token_decoders.(d) in
-  Printf.sprintf "%s %S" name s
+let print_token (d, s) = Printf.sprintf "%s %S" (fst token_decoders.(d)) s
 
 let token_total (d, s) =
-  let _, decode, _ = token_decoders.(d) in
-  match decode s with
+  match Registry.check_token ~axis:(fst token_decoders.(d)) s with
   | exception _ -> false
   | Ok () -> true
   | Error msg -> Astring.String.is_infix ~affix:(Printf.sprintf "%S" s) msg
@@ -704,6 +698,15 @@ let token_decoder_test =
 let roundtrip name encode decode =
   QCheck.Gen.map (fun v -> (name, encode v, fun () -> decode (encode v) = Ok v))
 
+(* A field set to a drawn value comes back from its scenario's tokens. *)
+let field name set =
+  QCheck.Gen.map (fun v ->
+      let sc = set (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1) v in
+      let tokens = Registry.to_tokens sc in
+      ( name,
+        String.concat " " (List.map (fun (axis, token) -> axis ^ "=" ^ token) tokens),
+        fun () -> Registry.of_tokens tokens = Ok sc ))
+
 let token_values =
   let open QCheck.Gen in
   let id = int_bound 40 in
@@ -713,6 +716,10 @@ let token_values =
         map (fun k -> Registry.Crash k) (int_bound 9) ]
   in
   let kind = frequency [ (6, joinable); (1, return Registry.Balanced_flip) ] in
+  let partition =
+    triple (int_bound 500) (int_bound 500) (list_size (int_range 1 4) id) >|= fun (a, len, island) ->
+    { Registry.from_tick = a; until_tick = a + len; island }
+  in
   let schedule =
     list_size (int_range 1 3) (pair (int_range 1 500) (int_range 1 500)) >|= fun steps ->
     List.rev
@@ -737,9 +744,17 @@ let token_values =
       roundtrip "inputs" Registry.inputs_token Registry.inputs
         (oneofl Registry.[ Halves; Unanimous Abc.Value.Zero; Unanimous Abc.Value.One; Alternating ]);
       roundtrip "crash" Registry.crash_token Registry.crash (list_size (int_range 0 3) (pair id schedule));
-      roundtrip "partition" Registry.partition_token Registry.partition
-        ( triple (int_bound 500) (int_bound 500) (list_size (int_range 1 4) id) >|= fun (a, len, island) ->
-          { Registry.from_tick = a; until_tick = a + len; island } ) ]
+      roundtrip "partition" Registry.partition_token Registry.partition partition;
+      roundtrip "topology" Registry.topology_token Registry.topology
+        (oneof
+           [ oneofl Registry.[ Complete; Ring; Star ];
+             map (fun offs -> Registry.Circulant offs) (list_size (int_range 1 4) (int_range (-3) 40)) ]);
+      field "partition" (fun sc partition -> { sc with partition }) (option partition);
+      field "reliable" (fun sc reliable -> { sc with reliable }) bool;
+      field "coin" (fun sc coin -> { sc with coin }) (oneofl Registry.[ None; Some Local; Some Common ]);
+      field "validation" (fun sc validation -> { sc with validation }) bool;
+      field "transport" (fun sc plain -> { sc with plain }) bool;
+      field "mode" (fun sc crash_mode -> { sc with crash_mode }) bool ]
 
 let token_encoder_test =
   campaign ~name:"registry encoders: every token decodes to its value" ~count:2000 token_values
@@ -935,6 +950,93 @@ let ledger_battery =
     (fun sc _ -> ledger ~batch:3 ~epochs:4 ~tx_bytes:24 sc)
     (battery ~budget:12_000_000 ~max_n:5 ~max_loss:6 "atomic")
 
+(* Each row: a name, a scenario count, the oracle and the generator. *)
+let battery_groups =
+  let wide = battery ~max_n:10 ~max_loss:15 in
+  [
+    ( "broadcast",
+      [
+        ("bracha rbc: validity, agreement, totality", 60, Spec.Decide, pin payload_of (wide "bracha-rbc"));
+        ( "consistent broadcast: validity and consistency (no totality)", 60, Spec.Agree,
+          pin payload_of (wide "consistent-rbc") );
+        ("coded rbc: validity, agreement, totality", 50, Spec.Decide, pin payload_of (wide "coded-rbc"));
+        (* The efficiency trade: only f < n/5 tolerated. *)
+        ( "imbs-raynal rbc: validity, agreement, totality at n>5f", 50, Spec.Decide,
+          pin payload_of (battery ~max_n:12 ~max_loss:15 "ir-rbc") );
+      ] );
+    ( "consensus",
+      [
+        ("bracha consensus: termination, agreement, validity", 60, Spec.Decide, wide "bracha");
+        ("ben-or: termination, agreement, validity", 50, Spec.Decide, wide "ben-or");
+        ("mmr: termination, agreement, validity (common coin)", 50, Spec.Decide, wide "mmr");
+      ] );
+    ( "multivalued",
+      [
+        ("turpin-coan: joint outcome, unanimity carries", 50, Spec.Decide, pin distinct (wide "turpin-coan"));
+        ("acs: identical common subset of proposed values", 30, Spec.Decide, acs_battery "acs");
+        ("batch acs: identical common subset of proposed batches", 24, Spec.Decide, acs_battery "batch-acs");
+      ] );
+    ("smr", [ ("atomic broadcast: total order, no dup tx, inclusion", 20, Spec.Decide, ledger_battery) ]);
+  ]
+
+let campaign_groups =
+  [
+    ( "campaigns",
+      [
+        ("bracha consensus survives arbitrary scenarios", 120, Spec.Decide, chaos ~kinds:lying "bracha");
+        ("mmr consensus survives arbitrary scenarios", 120, Spec.Decide, chaos ~kinds:lying "mmr");
+        ("mmr over the rabin coin survives arbitrary scenarios", 60, Spec.Decide, chaos ~kinds:lying "mmr-rabin");
+        ("ben-or survives arbitrary in-bound scenarios", 80, Spec.Decide, chaos ~kinds:lying "ben-or");
+        ("acs produces a common subset in arbitrary scenarios", 40, Spec.Decide, chaos ~kinds:benign "acs");
+        ( "coded rbc delivers the payload in arbitrary scenarios", 100, Spec.Decide,
+          pin (fun sc seed -> { sc with Registry.payload = 1 + (seed mod 200) }) (chaos ~kinds:lying "coded-rbc") );
+        ( "imbs-raynal rbc delivers the payload in arbitrary scenarios", 100, Spec.Decide,
+          pin (fun sc _ -> { sc with Registry.payload = 64 }) (chaos ~kinds:lying "ir-rbc") );
+      ] );
+    ( "link faults",
+      [
+        ( "reliable-link bracha decides under loss, dup and healing cuts", 40, Spec.Decide,
+          lossy ~max_n:7 ~max_pct:20 ~over:(Some 4_000_000) "bracha" );
+        ( "raw bracha stays safe under loss (no agreement break)", 60, Spec.Agree,
+          lossy ~max_n:7 ~max_pct:20 ~over:None "bracha" );
+        (* Milder loss and more budget than Bracha's, as for acs_battery. *)
+        ( "reliable-link acs agrees on a common subset under lossy links", 15, Spec.Decide,
+          lossy ~max_n:5 ~max_pct:10 ~over:(Some 4_000_000) "acs" );
+        (* Loss, duplication, a healing cut and crash faults that land
+           mid-epoch, while early epochs are still being agreed. *)
+        ( "atomic broadcast keeps one log under loss and mid-epoch crashes", 12, Spec.Decide,
+          pin
+            (fun sc _ -> ledger ~batch:2 ~epochs:3 ~tx_bytes:16 sc)
+            (lossy ~max_n:5 ~max_pct:10 ~over:(Some 12_000_000) "atomic") );
+      ] );
+    (* Recover replicas are correct but amnesic: all n logs must be
+       complete, identical and duplicate-free, so recovery must come
+       from the durable snapshot plus state transfer, never from
+       replayed commits. *)
+    ( "crash recovery",
+      [ ("atomic broadcast recovers crashed replicas to one identical log", 12, Spec.Decide, recovering) ] );
+  ]
+
+let rows groups =
+  List.map
+    (fun (group, rows) ->
+      (group, List.map (fun (name, count, oracle, gen) -> row name count oracle gen) rows))
+    groups
+
+(* Every row's generator, drawn 3,000 times from the pinned seed (the
+   first draws are the row's own scenarios) and run nowhere: the tokens
+   a failing row prints decode back to its scenario. *)
+let tokens_roundtrip_test =
+  let gens =
+    List.concat_map (fun (_, rows) -> List.map (fun (_, _, _, gen) -> gen) rows) (battery_groups @ campaign_groups)
+  in
+  let decodes ((sc : Registry.scenario), _) = Registry.of_tokens (Registry.to_tokens sc) = Ok sc in
+  Alcotest.test_case "registry tokens: every row's scenarios decode back" `Slow (fun () ->
+      fail_on ~count:(3000 * List.length gens)
+        (List.concat_map
+           (fun gen -> List.map show (List.filter (fun s -> not (decodes s)) (draw ~count:3000 gen)))
+           gens))
+
 (* The rows go out as two Alcotest runs, the property battery and the
    fault campaigns.  Alcotest pads the group column to the longest group
    name of a run and cuts each case name to what is left of 80 columns,
@@ -944,79 +1046,19 @@ let ledger_battery =
    a filtered run, and rejects a filter that matches none of its
    groups. *)
 let battery_rows =
-  let wide = battery ~max_n:10 ~max_loss:15 in
-  [
-    ( "broadcast",
-      [
-        row "bracha rbc: validity, agreement, totality" 60 Decide (pin payload_of (wide "bracha-rbc"));
-        row "consistent broadcast: validity and consistency (no totality)" 60 Agree
-          (pin payload_of (wide "consistent-rbc"));
-        row "coded rbc: validity, agreement, totality" 50 Decide (pin payload_of (wide "coded-rbc"));
-        (* The efficiency trade: only f < n/5 tolerated. *)
-        row "imbs-raynal rbc: validity, agreement, totality at n>5f" 50 Decide
-          (pin payload_of (battery ~max_n:12 ~max_loss:15 "ir-rbc"));
-      ] );
-    ( "consensus",
-      [
-        row "bracha consensus: termination, agreement, validity" 60 Decide (wide "bracha");
-        row "ben-or: termination, agreement, validity" 50 Decide (wide "ben-or");
-        row "mmr: termination, agreement, validity (common coin)" 50 Decide (wide "mmr");
-      ] );
-    ( "multivalued",
-      [
-        row "turpin-coan: joint outcome, unanimity carries" 50 Decide (pin distinct (wide "turpin-coan"));
-        row "acs: identical common subset of proposed values" 30 Decide (acs_battery "acs");
-        row "batch acs: identical common subset of proposed batches" 24 Decide (acs_battery "batch-acs");
-      ] );
-    ("smr", [ row "atomic broadcast: total order, no dup tx, inclusion" 20 Decide ledger_battery ]);
-    ( "decoders",
-      [ trace_decoder_test; token_decoder_test; token_encoder_test; document_decoder_test;
-        durable_decoder_test ] );
-    ( "scale",
-      [
-        Alcotest.test_case "bracha rbc n=128 delivers" `Quick (at_scale "bracha-rbc-bit");
-        Alcotest.test_case "mmr n=128 decides" `Quick (at_scale "mmr");
-      ] );
-  ]
+  rows battery_groups
+  @ [
+      ( "decoders",
+        [ trace_decoder_test; token_decoder_test; token_encoder_test; tokens_roundtrip_test;
+          document_decoder_test; durable_decoder_test ] );
+      ( "scale",
+        [
+          Alcotest.test_case "bracha rbc n=128 delivers" `Quick (at_scale "bracha-rbc-bit");
+          Alcotest.test_case "mmr n=128 decides" `Quick (at_scale "mmr");
+        ] );
+    ]
 
-let campaigns =
-  [
-    ( "campaigns",
-      [
-        row "bracha consensus survives arbitrary scenarios" 120 Decide (chaos ~kinds:lying "bracha");
-        row "mmr consensus survives arbitrary scenarios" 120 Decide (chaos ~kinds:lying "mmr");
-        row "mmr over the rabin coin survives arbitrary scenarios" 60 Decide
-          (chaos ~kinds:lying "mmr-rabin");
-        row "ben-or survives arbitrary in-bound scenarios" 80 Decide (chaos ~kinds:lying "ben-or");
-        row "acs produces a common subset in arbitrary scenarios" 40 Decide (chaos ~kinds:benign "acs");
-        row "coded rbc delivers the payload in arbitrary scenarios" 100 Decide
-          (pin (fun sc seed -> { sc with Registry.payload = 1 + (seed mod 200) }) (chaos ~kinds:lying "coded-rbc"));
-        row "imbs-raynal rbc delivers the payload in arbitrary scenarios" 100 Decide
-          (pin (fun sc _ -> { sc with Registry.payload = 64 }) (chaos ~kinds:lying "ir-rbc"));
-      ] );
-    ( "link faults",
-      [
-        row "reliable-link bracha decides under loss, dup and healing cuts" 40 Decide
-          (lossy ~max_n:7 ~max_pct:20 ~over:(Some 4_000_000) "bracha");
-        row "raw bracha stays safe under loss (no agreement break)" 60 Agree
-          (lossy ~max_n:7 ~max_pct:20 ~over:None "bracha");
-        (* Milder loss and more budget than Bracha's, as for acs_battery. *)
-        row "reliable-link acs agrees on a common subset under lossy links" 15 Decide
-          (lossy ~max_n:5 ~max_pct:10 ~over:(Some 4_000_000) "acs");
-        (* Loss, duplication, a healing cut and crash faults that land
-           mid-epoch, while early epochs are still being agreed. *)
-        row "atomic broadcast keeps one log under loss and mid-epoch crashes" 12 Decide
-          (pin
-             (fun sc _ -> ledger ~batch:2 ~epochs:3 ~tx_bytes:16 sc)
-             (lossy ~max_n:5 ~max_pct:10 ~over:(Some 12_000_000) "atomic"));
-      ] );
-    (* Recover replicas are correct but amnesic: all n logs must be
-       complete, identical and duplicate-free, so recovery must come
-       from the durable snapshot plus state transfer, never from
-       replayed commits. *)
-    ( "crash recovery",
-      [ row "atomic broadcast recovers crashed replicas to one identical log" 12 Decide recovering ] );
-  ]
+let campaigns = rows campaign_groups
 
 (* Both runs go ahead whatever the first one's verdict. *)
 let passes name groups =
