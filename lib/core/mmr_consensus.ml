@@ -181,13 +181,15 @@ let obtain_coin state ~rng rs r =
     else (rs, sends, None)
 
 (* End-of-round rule: enough AUX votes with values inside bin_values,
-   then the round coin. *)
+   then the round coin.  The quorum is reported once per round, on the
+   first call, the one that reveals this node's coin share. *)
 let try_complete_round state ~rng ~(sink : Event.sink) =
   let r = state.round in
   let rs = round_state state r in
   if rs.completed || not (aux_due state rs) then (state, [], [])
   else begin
-    Event.quorum sink ~round:r "aux" ~count:(aux_support rs) ~threshold:(quorum state);
+    if not rs.share_sent then
+      Event.quorum sink ~round:r "aux" ~count:(aux_support rs) ~threshold:(quorum state);
     let has v = aux_for rs (Value.to_int v) > 0 in
     let rs, coin_sends, coin = obtain_coin state ~rng rs r in
     let state = set_round state r rs in
@@ -276,13 +278,6 @@ let rules ctx state touched =
   in
   (state, List.map (fun m -> Protocol.Broadcast m) actions, outputs)
 
-(* A vote that makes no threshold test hold skips the rules, but for
-   the one exception [on_message] describes. *)
-let skip ctx state touched =
-  if ctx.Protocol.Context.sink.Event.enabled && aux_due state (round_state state state.round)
-  then rules ctx state touched
-  else (state, [], [])
-
 (* [on_message] counts the vote first and runs the rules only for a
    vote that can make one of them fire.  That is exact because of one
    invariant: between messages, every round is at a fixpoint of
@@ -298,33 +293,31 @@ let skip ctx state touched =
    - sub-threshold: the vote is stored and no rule runs.
    - rules: a vote that makes [echo_due], [deliver_due] or, in the
      current round, [aux_due] hold, and every [Share].
-   One exception keeps traces whole.  A current round that holds n-f
-   supported AUX votes waits only for its f+1 coin shares, and each
-   call of [try_complete_round] reports that quorum to the sink; while
-   a sink is enabled, every vote then takes the rules. *)
+   A skipped vote answers nothing, whether or not a sink is enabled:
+   [try_complete_round] reports a round's AUX quorum once. *)
 let on_message ctx state ~src msg =
   match msg with
   | Bval { round; value } ->
     let rs = round_state state round in
     let i = Value.to_int value in
-    if rs.bval_echoed.(i) && rs.bin_values.(i) then skip ctx state round
+    if rs.bval_echoed.(i) && rs.bin_values.(i) then (state, [], [])
     else
       let counted = add_bval rs ~src value in
-      if counted == rs then skip ctx state round
+      if counted == rs then (state, [], [])
       else
         let state = set_round state round counted in
         if echo_due state counted i || deliver_due state counted i then rules ctx state round
-        else skip ctx state round
+        else (state, [], [])
   | Aux { round; value } ->
     let rs = round_state state round in
-    if rs.completed then skip ctx state round
+    if rs.completed then (state, [], [])
     else
       let counted = add_aux rs ~src value in
-      if counted == rs then skip ctx state round
+      if counted == rs then (state, [], [])
       else
         let state = set_round state round counted in
         if round = state.round && aux_due state counted then rules ctx state round
-        else skip ctx state round
+        else (state, [], [])
   | Share { round; share } ->
     (* Only dealer-certified shares count (the VSS check): a forged or
        replayed share is dropped here. *)

@@ -43,10 +43,10 @@ open Import
     action and no output: a sender's second BVAL for one value or
     second AUX, a BVAL whose value was already echoed and delivered
     into [bin_values], or an AUX of a completed round.  A vote below
-    every test is stored and answers nothing.  One exception keeps
-    traces as they were: while a sink is enabled and the current
-    round holds its AUX quorum but still waits for Rabin coin shares,
-    every vote runs the rules, which report that quorum again.
+    every test is stored and answers nothing, with a sink enabled or
+    not: a round's AUX quorum is reported to the sink once, when the
+    round first holds it, even while the round then waits for Rabin
+    coin shares.
 
     {b Deviation from the paper.}  A node broadcasts [BVAL(r, est)]
     when it enters round [r] but does not mark [est] as echoed, so the
