@@ -386,9 +386,9 @@ let known_trace ~n ~coin ~fault ~policy ~seed =
 (* (n, coin, fault, policy, seed, events, quorum events, trace) *)
 let known_traces =
   [
-    (7, "rabin", "equivocate", "split", 1, 1568, 159, "75c085a0dad1fd1a1017c12a2843d9d0");
-    (10, "rabin", "none", "uniform", 2, 3075, 323, "23177f49b0de31b7d65d3c44a6819752");
-    (4, "rabin", "replay", "eclipse", 3, 540, 74, "63bb2b5c14a67eec0f536c35a0439478");
+    (7, "rabin", "equivocate", "split", 1, 1489, 80, "7329c3e56f3a03d464a513510d88d93a");
+    (10, "rabin", "none", "uniform", 2, 2866, 114, "3941f2957dade5bf26e472b9841f08b4");
+    (4, "rabin", "replay", "eclipse", 3, 498, 32, "39478a96644556dfb73e164963d09e6c");
     (7, "flip", "flip", "latency", 4, 1149, 76, "3d04a2e115ec3d5408908c422dc9179b");
   ]
 
