@@ -90,37 +90,31 @@ let fail span msg = raise (Fail (span.Sexp.s, msg))
    dimension. *)
 let known_axes = Registry.axes @ [ ("seeds", Registry.Int); ("seed", Registry.Int) ]
 
-let classify_atom s =
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-    match float_of_string_opt s with Some x -> Num x | None -> Str s)
-
 let atom = function
   | Sexp.Atom (s, span) -> (s, span)
   | Sexp.List (_, span) ->
     raise (Fail (span.Sexp.s, "expected an atom, found a list"))
 
-(* One value of axis [name], typed, decoded by the registry and kept as
-   written. *)
+(* One value of axis [name], decoded once, by its type: an integer or a
+   number as the registry reads it, a token by the registry's decoder,
+   and kept as written.  A typo is an error at its span, not a
+   dimension that never runs or a clause that never matches. *)
 let binding name ty form =
   let s, vspan = atom form in
-  let v = classify_atom s in
   let value =
-    match (ty, v) with
-    | Registry.Int, Int _ -> v
-    | Registry.Int, (Num _ | Str _) ->
-      fail vspan (Printf.sprintf "expected an integer, found %S" s)
-    | Registry.Num, Int i -> Num (float_of_int i)
-    | Registry.Num, Num _ -> v
-    | Registry.Num, Str _ ->
-      fail vspan (Printf.sprintf "expected a number, found %S" s)
-    | Registry.Token, _ -> Str s
+    match ty with
+    | Registry.Int -> (
+      match int_of_string_opt s with
+      | Some i -> Int i
+      | None -> fail vspan (Printf.sprintf "expected an integer, found %S" s))
+    | Registry.Num -> (
+      match float_of_string_opt s with
+      | Some x -> Num x
+      | None -> fail vspan (Printf.sprintf "expected a number, found %S" s))
+    | Registry.Token ->
+      Result.iter_error (fail vspan) (Registry.check_token ~axis:name s);
+      Str s
   in
-  (* The registry decodes each value, an axis's or a condition's, here:
-     a typo is an error at its span, not a dimension that never runs or
-     a clause that never matches. *)
-  Result.iter_error (fail vspan) (Registry.check_token ~axis:name s);
   { axis = name; value; text = s; vspan }
 
 let axis_ty name span =
@@ -175,15 +169,31 @@ let parse_oracle = function
       "expected a verdict: decide | agree | deliver-all | (live-within N) | \
        expect-fail | any"
 
+(* A condition's values must each be one its axis takes, compared as
+   {!clause_matches} compares them: a value no cell has would leave the
+   clause silently unmatched. *)
 let parse_cond declared = function
   | Sexp.List (Sexp.Atom (name, nspan) :: values, span) ->
     if values = [] then
       fail span (Printf.sprintf "condition on %S has no values" name);
-    if not (List.mem name declared) then
-      fail nspan
-        (Printf.sprintf "condition on %S, which is not a declared axis" name);
+    let decl =
+      match List.find_opt (fun a -> String.equal a.name name) declared with
+      | Some a -> a
+      | None ->
+        fail nspan
+          (Printf.sprintf "condition on %S, which is not a declared axis" name)
+    in
     let ty = axis_ty name nspan in
-    (name, List.map (fun v -> (binding name ty v).value) values)
+    let keys = List.map (fun b -> value_key b.value) decl.values in
+    let value form =
+      let b = binding name ty form in
+      if not (List.mem (value_key b.value) keys) then
+        fail b.vspan
+          (Printf.sprintf "no cell has %s %s: the axis takes %s" name b.text
+             (String.concat " | " (List.map (fun b -> b.text) decl.values)));
+      b.value
+    in
+    (name, List.map value values)
   | form -> fail (Sexp.span form) "expected a condition: (axis value ...)"
 
 let parse_clause declared = function
@@ -254,8 +264,7 @@ let elaborate ~file forms =
       | Sexp.List (Sexp.Atom ("expect", _) :: cs, _) ->
         let declared =
           match !groups with
-          | Some gs ->
-            List.concat_map (fun g -> List.map (fun a -> a.name) (group_axes g)) gs
+          | Some gs -> List.concat_map group_axes gs
           | None -> fail (Sexp.span field) "expect must come after axes"
         in
         List.iter

@@ -76,9 +76,11 @@ val axes : t -> string list
 val of_string : file:string -> string -> (t, Sexp.error) result
 (** Parse and elaborate one spec.  The axes are {!Registry.axes} and
     the runner's [seeds] and [seed], all closed and typed.  Errors carry
-    the span of the offending token; every value of a registry axis,
-    in [axes] or in an [expect] condition, must decode there
-    ({!Registry.check_token}). *)
+    the span of the offending token.  Each value, in [axes] or in an
+    [expect] condition, is decoded once by its axis's type: an integer
+    or a number as the registry reads it, a token by
+    {!Registry.check_token}; and each condition value must be one its
+    axis takes. *)
 
 val load : string -> (t, Sexp.error) result
 (** [of_string] over a file's contents. *)

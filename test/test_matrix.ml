@@ -91,7 +91,20 @@ let test_elaboration_errors () =
   check_error "non-integer n"
     (base_spec ~axes:"    (protocol bracha)\n    (n four)\n    (f 1)\n"
        ~expect:"    (default decide)\n")
-    ~line:7 ~col:7 ~msg_has:"expected an integer"
+    ~line:7 ~col:7 ~msg_has:"expected an integer";
+  (* A condition value that decodes but that no cell has would leave
+     its clause unmatched; values compare as cell keys do, so 0.10
+     names the cell written 0.1. *)
+  let loss_spec value =
+    base_spec ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n    (loss 0 0.1)\n"
+      ~expect:(Printf.sprintf "    (when (loss %s) expect-fail)\n    (default decide)\n" value)
+  in
+  check_error "condition value no cell has" (loss_spec "0.5") ~line:12 ~col:16
+    ~msg_has:"no cell has loss 0.5: the axis takes 0 | 0.1";
+  Alcotest.(check (list string)) "condition value matched by key" [ "decide"; "expect-fail" ]
+    (List.map
+       (fun (c : Spec.cell) -> Spec.oracle_label c.oracle)
+       (Spec.expand (spec_of_string (loss_spec "0.10"))))
 
 (* Every token axis is decoded by the registry at elaboration: a typo
    is an error at the offending value, not a crash when the cell runs. *)
