@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-quick chaos golden examples doc clean
+.PHONY: all build test lint lint-json bench chaos golden examples doc clean
 
 all: build
 
@@ -23,10 +23,6 @@ lint-json:
 # Full experiment tables (writes bench_results/*.csv too)
 bench:
 	dune exec bench/main.exe -- csv
-
-# Reduced seed counts, for CI smoke
-bench-quick:
-	dune exec bench/main.exe -- quick
 
 # The randomized campaign suite (every protocol under fault injection,
 # adversarial schedulers and lossy links) with a pinned generator seed,

@@ -1,5 +1,5 @@
-(* Shared machinery for the experiment harness: registry scenarios run
-   over seeds, E11's sampler, and E5's fit. *)
+(* Shared machinery for the experiment harness: E11's seed sweep and
+   sampler, and E5's fit. *)
 
 module Node_id = Abc_net.Node_id
 module Summary = Abc_sim.Summary
@@ -11,8 +11,6 @@ let node = Node_id.of_int
 
 let bracha_max_f n = (n - 1) / 3
 
-let benor_max_f n = (n - 1) / 5
-
 (* Run one job per seed on the pool and return the per-seed results in
    seed order.  The job closure must build all engine/PRNG/trace state
    itself (Registry.run and Engine.run allocate everything per call
@@ -20,11 +18,7 @@ let benor_max_f n = (n - 1) / 5
    list is byte-identical at any worker count. *)
 let sweep_seeds pool ~seeds f = Array.to_list (Pool.map pool seeds f)
 
-let outcomes pool ~seeds sc =
-  sweep_seeds pool ~seeds (fun seed -> Abc_matrix.Runner.run_seed sc ~seed)
-
 type sample = {
-  ok_rate : float;
   rounds : Summary.t option; (* over successful runs *)
   messages : Summary.t option;
 }
@@ -33,7 +27,6 @@ let collect outcomes =
   let oks = List.filter Registry.decides outcomes in
   let pick f = Summary.of_list (List.map (fun o -> float_of_int (f o)) oks) in
   {
-    ok_rate = float_of_int (List.length oks) /. float_of_int (List.length outcomes);
     rounds = pick (fun (o : Registry.outcome) -> o.rounds);
     messages = pick (fun o -> o.messages);
   }

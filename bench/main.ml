@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe              # all experiment tables + microbench
      dune exec bench/main.exe -- E3 E6     # selected experiments
-     dune exec bench/main.exe -- quick     # fewer seeds for E11, E16-E19 (CI)
      dune exec bench/main.exe -- csv       # also write bench_results/*.csv
 
    The 1984 paper proves theorems rather than reporting measurements;
@@ -11,54 +10,56 @@
    DESIGN.md for the mapping).
 
    Every run is an Abc_matrix.Registry scenario, the same path as
-   `abc-bench` and `abc-run`.  E1-E7, E9, E10 and E12-E14 run their
-   committed bench/specs/eN.matrix through the matrix runner, the code
-   `abc-bench run` runs; E11 and E16-E18 aggregate hand-built
-   scenarios; E8, E15 and E19 time. *)
+   `abc-bench` and `abc-run`.  E1-E7, E9, E10 and E12-E18 run their
+   committed bench/specs/*.matrix through the matrix runner, the code
+   `abc-bench run` runs; E5, E6, E10 and E16-E18 print lines or tables
+   of their own as views over the cells' seed-ordered outcomes.  E11
+   aggregates hand-built scenarios, for a counter no outcome carries;
+   E8, E15 and E19 (over e19_engine.matrix's cells) time. *)
 
 open Helpers
-
-let seeds_scale = ref 1.
-
-let scaled k = max 2 (int_of_float (float_of_int k *. !seeds_scale))
 
 module Matrix_spec = Abc_matrix.Spec
 module Matrix_runner = Abc_matrix.Runner
 
 (* The spec-driven tables run the committed scenario specs, relative to
    the working directory — the same files `abc-bench run` executes, so
-   the harness and the CI bench gate cannot drift apart.  Spec seed
-   counts are NOT scaled by the `quick` arg: the committed BENCH_MATRIX
-   baselines are a function of the spec file alone.  Expected verdicts
-   play the role the inline assertions play in E16-E18: any cell
-   missing its verdict aborts the harness. *)
+   the harness and the CI bench gate cannot drift apart.  Any cell
+   missing its expected verdict aborts the harness, naming the cell. *)
 let matrix_spec path =
   match Matrix_spec.load path with
   | Ok spec -> spec
   | Error e -> failwith (Abc_matrix.Sexp.error_to_string e)
 
-let run_matrix_spec pool id =
-  let spec = matrix_spec (Printf.sprintf "bench/specs/%s.matrix" id) in
-  let result = Matrix_runner.run ~pool spec in
-  Table.print (Matrix_runner.table result);
-  if not (Matrix_runner.passed result) then
+let cell_seeds cell = Matrix_spec.find_int cell "seeds" ~default:10
+
+let run_matrix_spec ?(table = true) pool id =
+  let result = Matrix_runner.run ~pool (matrix_spec (Printf.sprintf "bench/specs/%s.matrix" id)) in
+  if table then Table.print (Matrix_runner.table result);
+  let key (c : Matrix_runner.cell_result) =
+    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (Matrix_spec.cell_key c.cell))
+  in
+  match Matrix_runner.failures result with
+  | [] -> result
+  | failed ->
     failwith
-      (Printf.sprintf "%s: %d matrix cell(s) missed their expected verdict"
-         (Matrix_spec.id spec)
-         (List.length (Matrix_runner.failures result)));
-  result
+      (Printf.sprintf "%s: %d matrix cell(s) missed their expected verdict: %s" id
+         (List.length failed) (String.concat "; " (List.map key failed)))
 
 let spec_table id pool =
   ignore (run_matrix_spec pool id);
   print_newline ()
 
-(* A result's cells for one protocol, in cell order. *)
+(* A result's cells for one protocol, in cell order, and the one cell
+   whose scenario [p] selects. *)
 let cells_of (r : Matrix_runner.t) protocol =
-  List.filter
-    (fun (c : Matrix_runner.cell_result) -> Matrix_spec.find_str c.cell "protocol" ~default:"" = protocol)
-    r.cells
+  List.filter (fun (c : Matrix_runner.cell_result) -> c.scenario.protocol = protocol) r.cells
 
-let n_of (c : Matrix_runner.cell_result) = Matrix_spec.find_int c.cell "n" ~default:0
+let cell_where (r : Matrix_runner.t) p =
+  match List.filter (fun (c : Matrix_runner.cell_result) -> p c.scenario) r.cells with
+  | [ c ] -> c
+  | cells ->
+    failwith (Printf.sprintf "%s: %d cells match, not one" (Matrix_spec.id r.spec) (List.length cells))
 
 (* E1: reliable broadcast correctness; E2: the resilience boundary;
    E3, E4: rounds to decide at f = max and f = sqrt n. *)
@@ -73,7 +74,9 @@ let experiment_e5 pool =
   let r = run_matrix_spec pool "e5" in
   let fit protocol per_run =
     fitted_exponent
-      (List.map (fun c -> (n_of c, per_run (List.hd c.Matrix_runner.outcomes))) (cells_of r protocol))
+      (List.map
+         (fun (c : Matrix_runner.cell_result) -> (c.scenario.n, per_run (List.hd c.outcomes)))
+         (cells_of r protocol))
   in
   let per_round (o : Registry.outcome) = float_of_int o.messages /. float_of_int (max 1 o.rounds + 1) in
   Printf.printf "fitted exponents: rbc %.2f (theory 2), consensus %.2f (theory 3)\n\n"
@@ -87,11 +90,11 @@ let experiment_e6 pool =
   let rounds protocol =
     let h = Abc_sim.Histogram.create () in
     List.iter
-      (fun c ->
-        if n_of c = 16 then
+      (fun (c : Matrix_runner.cell_result) ->
+        if c.scenario.n = 16 then
           List.iter
             (fun o -> if Registry.decides o then Abc_sim.Histogram.add h o.Registry.rounds)
-            c.Matrix_runner.outcomes)
+            c.outcomes)
       (cells_of r protocol);
     Abc_sim.Histogram.render h
   in
@@ -175,22 +178,24 @@ let experiment_e8 _pool =
 let experiment_e9 = spec_table "e9"
 
 (* E10: Bracha 1984 vs MMR 2014, then the safety ablation: MMR with a
-   local coin loses agreement.  The ablation counts violations, which
-   no table column reports, so it builds its scenarios here. *)
+   local coin loses agreement.  The ablation's spec prints its table,
+   and its violations come from each cell's outcomes. *)
 let experiment_e10 pool =
-  ignore (run_matrix_spec pool "e10");
-  let seeds = 40 in
+  spec_table "e10" pool;
+  let r = run_matrix_spec pool "e10_coin" in
+  let cell coin = cell_where r (fun sc -> sc.coin = Some coin) in
   let violations coin =
-    outcomes pool ~seeds { (Registry.scenario ~protocol:"mmr" ~n:7 ~f:2) with coin = Some coin }
-    |> List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity))
-    |> List.length
+    List.length
+      (List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity)) (cell coin).outcomes)
   in
+  let { Registry.n; f; _ } = (cell Registry.Common).scenario in
   Printf.printf
-    "coin safety ablation (n=7, f=2, split inputs, %d seeds):\n\
+    "coin safety ablation (n=%d, f=%d, split inputs, %d seeds):\n\
     \  common coin: %d agreement/validity violations\n\
     \  local coin:  %d agreement/validity violations  <- the common coin is a\n\
     \               safety requirement in MMR, unlike in Bracha's protocol\n\n"
-    seeds
+    n f
+    (List.length (cell Registry.Common).outcomes)
     (violations Registry.Common)
     (violations Registry.Local)
 
@@ -199,7 +204,7 @@ let experiment_e10 pool =
 (* ----------------------------------------------------------------- *)
 
 let experiment_e11 pool =
-  let seeds = scaled 25 in
+  let seeds = 25 in
   let table =
     Table.create ~id:"e11"
       ~title:
@@ -267,7 +272,7 @@ let experiment_e15 _pool =
   let cells = Matrix_spec.expand spec in
   let total_seeds =
     List.fold_left
-      (fun acc cell -> acc + Matrix_spec.find_int cell "seeds" ~default:10)
+      (fun acc cell -> acc + cell_seeds cell)
       0 cells
   in
   let slice jobs =
@@ -312,66 +317,52 @@ let experiment_e15 _pool =
 (* ----------------------------------------------------------------- *)
 
 (* Byte-level bandwidth of the three reliable broadcasts, from the
-   engine's bytes.sent counters (trace schema v3).  Bracha floods the
-   full payload in all three phases: O(n |m|) bytes per node.  The
-   erasure-coded dispersal carries one |m|/(n-2f) Reed-Solomon
-   fragment plus a Merkle branch per message: O(|m| + n log n) per
-   node.  Imbs-Raynal still floods the full payload but drops one of
-   the three phases (and tolerates only f < n/5, so it runs at its own
-   maximal f).  Acceptance claim asserted here: coded per-node bytes
-   strictly below Bracha at every payload >= 16 KiB for every n. *)
+   engine's bytes.sent counters (trace schema v3), over e16.matrix's
+   cells.  Bracha floods the full payload in all three phases:
+   O(n |m|) bytes per node.  The erasure-coded dispersal carries one
+   |m|/(n-2f) Reed-Solomon fragment plus a Merkle branch per message:
+   O(|m| + n log n) per node.  Imbs-Raynal still floods the full
+   payload but drops one of the three phases (and tolerates only
+   f < n/5, so it runs at its own maximal f).  Acceptance claim
+   asserted here: coded per-node bytes strictly below Bracha on every
+   seed at every payload >= 16 KiB for every n. *)
 
 let experiment_e16 pool =
-  let seeds = scaled 5 in
+  let r = run_matrix_spec ~table:false pool "e16" in
+  (* Bracha's cells payload by payload, n within each: the table's rows *)
+  let rows =
+    List.stable_sort
+      (fun (a : Matrix_runner.cell_result) b -> Int.compare a.scenario.payload b.scenario.payload)
+      (cells_of r "bracha-rbc")
+  in
+  Printf.printf "E16. Per-node sent bytes, fault-free uniform scheduler, %d seeds per cell\n"
+    (List.length (List.hd rows).outcomes);
   let table =
-    Table.create ~id:"e16"
-      ~title:"E16 bandwidth per node bracha vs coded vs ir"
+    Table.create ~id:"e16" ~title:"E16 bandwidth per node bracha vs coded vs ir"
       ~columns:
         [ "payload B"; "n"; "f"; "bracha B/node"; "coded B/node"; "ir f";
           "ir B/node"; "coded/bracha"; "coded < bracha" ]
       ()
   in
-  Printf.printf
-    "E16. Per-node sent bytes, fault-free uniform scheduler, %d seeds per cell\n"
-    seeds;
   List.iter
-    (fun bytes ->
-      List.iter
-        (fun n ->
-          let f = bracha_max_f n in
-          let f_ir = benor_max_f n in
-          let runs =
-            sweep_seeds pool ~seeds (fun seed ->
-                let sent protocol f =
-                  let sc = { (Registry.scenario ~protocol ~n ~f) with payload = bytes } in
-                  (Matrix_runner.run_seed sc ~seed).bytes
-                in
-                (sent "bracha-rbc" f, sent "coded-rbc" f, sent "ir-rbc" f_ir))
-          in
-          let per_node total = float_of_int total /. float_of_int (n * seeds) in
-          let bracha_b = per_node (List.fold_left (fun a (b, _, _) -> a + b) 0 runs) in
-          let coded_b = per_node (List.fold_left (fun a (_, c, _) -> a + c) 0 runs) in
-          let ir_b = per_node (List.fold_left (fun a (_, _, i) -> a + i) 0 runs) in
-          (* strict per-seed comparison, not just on the means *)
-          let coded_wins = List.for_all (fun (b, c, _) -> c < b) runs in
-          if bytes >= 16384 && not coded_wins then
-            failwith
-              (Printf.sprintf
-                 "E16: coded RBC not below Bracha at payload=%d n=%d" bytes n);
-          Table.add_row table
-            [
-              Table.cell_int bytes;
-              Table.cell_int n;
-              Table.cell_int f;
-              Table.cell_float ~decimals:0 bracha_b;
-              Table.cell_float ~decimals:0 coded_b;
-              Table.cell_int f_ir;
-              Table.cell_float ~decimals:0 ir_b;
-              Table.cell_ratio (coded_b /. bracha_b);
-              (if coded_wins then "yes" else "NO");
-            ])
-        [ 7; 10; 13 ])
-    [ 1024; 4096; 16384; 65536 ];
+    (fun (bracha : Matrix_runner.cell_result) ->
+      let { Registry.n; f; payload; _ } = bracha.scenario in
+      let at protocol = cell_where r (fun sc -> sc.protocol = protocol && sc.n = n && sc.payload = payload) in
+      let coded = at "coded-rbc" and ir = at "ir-rbc" in
+      let bytes (c : Matrix_runner.cell_result) = List.map (fun o -> o.Registry.bytes) c.outcomes in
+      let per_node c =
+        float_of_int (List.fold_left ( + ) 0 (bytes c)) /. float_of_int (n * List.length c.outcomes)
+      in
+      (* strict per-seed comparison, not just on the means *)
+      let coded_wins = List.for_all2 (fun b c -> c < b) (bytes bracha) (bytes coded) in
+      if payload >= 16384 && not coded_wins then
+        failwith (Printf.sprintf "E16: coded RBC not below Bracha at payload=%d n=%d" payload n);
+      Table.add_row table
+        [ Table.cell_int payload; Table.cell_int n; Table.cell_int f;
+          Table.cell_float ~decimals:0 (per_node bracha); Table.cell_float ~decimals:0 (per_node coded);
+          Table.cell_int ir.scenario.f; Table.cell_float ~decimals:0 (per_node ir);
+          Table.cell_ratio (per_node coded /. per_node bracha); (if coded_wins then "yes" else "NO") ])
+    rows;
   Table.print table;
   print_newline ()
 
@@ -380,15 +371,15 @@ let experiment_e16 pool =
 (* ----------------------------------------------------------------- *)
 
 (* Throughput of the batched, pipelined atomic broadcast (epoch = one
-   ACS over coded-RBC; see PROTOCOLS.md).  Virtual-time metrics keep
-   every cell deterministic at any worker count: committed tx per
-   kilotick rather than wall-clock tx/sec.  Acceptance claims asserted
-   here, mirroring E16's per-seed guards: (1) committed tx/ktick at
-   batch=1024 strictly above batch=16 for every n and every seed
-   (agreement cost amortizes over the batch); (2) per-node per-tx
-   bytes at the largest batch strictly lower at n=13 than at n=4 for
-   every seed (the coded dispersal spreads each batch across more
-   links).
+   ACS over coded-RBC; see PROTOCOLS.md), over e17.matrix's cells.
+   Virtual-time metrics keep every cell deterministic at any worker
+   count: committed tx per kilotick rather than wall-clock tx/sec.
+   Acceptance claims asserted here, mirroring E16's per-seed guard:
+   (1) committed tx/ktick at the largest batch strictly above the
+   smallest for every n and every seed (agreement cost amortizes over
+   the batch); (2) per-node per-tx bytes at the largest batch strictly
+   lower at the largest n than at the smallest for every seed (the
+   coded dispersal spreads each batch across more links).
 
    The sweep holds f = 1 fixed as n grows: that isolates the
    O(|batch|/n) dispersal term, since Reed-Solomon fragments shrink as
@@ -397,13 +388,34 @@ let experiment_e16 pool =
    plateau instead of falling — measured in the E17 notes in
    EXPERIMENTS.md. *)
 
-let e17_epochs = 2
-
 let experiment_e17 pool =
-  let seeds = scaled 3 in
-  let batches = [ 16; 64; 256; 1024 ] in
-  let small_batch = List.hd batches in
-  let large_batch = List.nth batches (List.length batches - 1) in
+  let r = run_matrix_spec ~table:false pool "e17" in
+  let { Registry.epochs; window; payload; f; _ } = (List.hd r.cells).scenario in
+  let seeds = List.length (List.hd r.cells).outcomes in
+  Printf.printf
+    "E17. Committed throughput, %d epochs, window %d, %d B txs, f=%d, \
+     fault-free uniform scheduler, %d seeds per cell\n"
+    epochs window payload f seeds;
+  let values field =
+    List.sort_uniq Int.compare (List.map (fun (c : Matrix_runner.cell_result) -> field c.scenario) r.cells)
+  in
+  let ns = values (fun sc -> sc.n) and batches = values (fun sc -> sc.batch) in
+  let last l = List.nth l (List.length l - 1) in
+  let small_n, large_n, small, large = (List.hd ns, last ns, List.hd batches, last batches) in
+  let runs n batch = (cell_where r (fun sc -> sc.n = n && sc.batch = batch)).outcomes in
+  let duration (o : Registry.outcome) = max 1 o.ticks in
+  let txktick (o : Registry.outcome) = 1000. *. float_of_int o.committed /. float_of_int (duration o) in
+  let per_tx n (o : Registry.outcome) = float_of_int o.bytes /. float_of_int (n * max 1 o.committed) in
+  (* guard 1: strict per-seed amortization, not just on means *)
+  List.iter
+    (fun n ->
+      if not (List.for_all2 (fun big small -> txktick big > txktick small) (runs n large) (runs n small)) then
+        failwith (Printf.sprintf "E17: tx/ktick at batch=%d not above batch=%d at n=%d" large small n))
+    ns;
+  (* guard 2: coded dissemination gets cheaper per tx as n grows *)
+  let per_tx_at n = List.map (per_tx n) (runs n large) in
+  if not (List.for_all2 (fun small big -> big < small) (per_tx_at small_n) (per_tx_at large_n)) then
+    failwith (Printf.sprintf "E17: per-tx bytes at n=%d not below n=%d at batch=%d" large_n small_n large);
   let table =
     Table.create ~id:"e17" ~title:"E17 atomic broadcast throughput"
       ~columns:
@@ -411,74 +423,16 @@ let experiment_e17 pool =
           "B/tx per node"; "batch amortizes" ]
       ()
   in
-  Printf.printf
-    "E17. Committed throughput, %d epochs, window 2, 64 B txs, f=1, \
-     fault-free uniform scheduler, %d seeds per cell\n"
-    e17_epochs seeds;
-  (* per-seed per-tx bytes at the largest batch, per n (guard 2) *)
-  let per_tx_at_large = ref [] in
   List.iter
-    (fun n ->
-      (* fixed fault budget — see the header comment *)
-      let f = 1 in
-      (* The registry's atomic defaults are E17's: window 2, 64-byte
-         transactions at rate 1.0, no checkpoints. *)
-      let cells =
-        List.map
-          (fun batch ->
-            ( batch,
-              outcomes pool ~seeds
-                { (Registry.scenario ~protocol:"atomic" ~n ~f) with batch; epochs = e17_epochs } ))
-          batches
-      in
-      let runs_of batch = List.assoc batch cells in
-      let duration (o : Registry.outcome) = max 1 o.ticks in
-      let txktick (o : Registry.outcome) = 1000. *. float_of_int o.committed /. float_of_int (duration o) in
-      let per_tx (o : Registry.outcome) = float_of_int o.bytes /. float_of_int (n * max 1 o.committed) in
-      List.iter
-        (fun (batch, runs) ->
-          let mean field =
-            List.fold_left (fun a r -> a +. field r) 0. runs
-            /. float_of_int seeds
-          in
-          (* guard 1: strict per-seed amortization, not just on means *)
-          let amortizes =
-            List.for_all2
-              (fun big small -> txktick big > txktick small)
-              (runs_of large_batch) (runs_of small_batch)
-          in
-          if batch = large_batch && not amortizes then
-            failwith
-              (Printf.sprintf
-                 "E17: tx/ktick at batch=%d not above batch=%d at n=%d"
-                 large_batch small_batch n);
-          if batch = large_batch then
-            per_tx_at_large := (n, List.map per_tx runs) :: !per_tx_at_large;
-          Table.add_row table
-            [
-              Table.cell_int n;
-              Table.cell_int f;
-              Table.cell_int batch;
-              Table.cell_int
-                (List.fold_left (fun a (o : Registry.outcome) -> a + o.committed) 0 runs / seeds);
-              Table.cell_float ~decimals:0
-                (mean (fun o -> float_of_int (duration o) /. float_of_int e17_epochs));
-              Table.cell_float (mean txktick);
-              Table.cell_float ~decimals:0 (mean per_tx);
-              (if amortizes then "yes" else "NO");
-            ])
-        cells)
-    [ 4; 7; 10; 13 ];
-  (* guard 2: coded dissemination gets cheaper per tx as n grows *)
-  (match
-     (List.assoc_opt 4 !per_tx_at_large, List.assoc_opt 13 !per_tx_at_large)
-   with
-  | Some at4, Some at13 ->
-    if not (List.for_all2 (fun b4 b13 -> b13 < b4) at4 at13) then
-      failwith
-        (Printf.sprintf
-           "E17: per-tx bytes at n=13 not below n=4 at batch=%d" large_batch)
-  | _ -> ());
+    (fun (c : Matrix_runner.cell_result) ->
+      let { Registry.n; f; batch; _ } = c.scenario and runs = c.outcomes in
+      let mean field = List.fold_left (fun a o -> a +. field o) 0. runs /. float_of_int seeds in
+      Table.add_row table
+        [ Table.cell_int n; Table.cell_int f; Table.cell_int batch;
+          Table.cell_int (List.fold_left (fun a (o : Registry.outcome) -> a + o.committed) 0 runs / seeds);
+          Table.cell_float ~decimals:0 (mean (fun o -> float_of_int (duration o) /. float_of_int epochs));
+          Table.cell_float (mean txktick); Table.cell_float ~decimals:0 (mean (per_tx n)); "yes" ])
+    r.cells;
   Table.print table;
   print_newline ()
 
@@ -486,115 +440,78 @@ let experiment_e17 pool =
 (* E18: crash recovery — checkpoint GC bound and catch-up latency    *)
 (* ----------------------------------------------------------------- *)
 
-(* Two claims from the recovery layer (PROTOCOLS.md, PBFT §4.4 style):
-   (1) with checkpoints every C epochs the high-water mark of
-   concurrently live epoch agreements stays bounded near window + C
-   while the GC-off control grows linearly with run length — asserted
-   per seed as strictly below the control, whose high-water mark must
-   equal the epoch count exactly; (2) a replica that crashes and
-   rejoins resumes committing shortly after its rejoin tick, with
-   denser checkpoints buying cheaper catch-up (fresher stable point,
-   shorter suffix).  The GC-off control sets C = epochs + 1: no
-   boundary below the final epoch is ever crossed early enough to
-   prune, but Gc_stats is still emitted, so both arms are measured
-   identically. *)
-
-let e18_epochs = 12
-let e18_batch = 4
+(* Two claims from the recovery layer (PROTOCOLS.md, PBFT §4.4 style),
+   over e18.matrix's cells: (1) with checkpoints every C epochs the
+   high-water mark of concurrently live epoch agreements stays bounded
+   near window + C while the GC-off control grows linearly with run
+   length — asserted per seed as strictly below the control, whose
+   high-water mark must equal the epoch count exactly; (2) a replica
+   that crashes and rejoins resumes committing shortly after its
+   rejoin tick, with denser checkpoints buying cheaper catch-up
+   (fresher stable point, shorter suffix).  The GC-off control sets
+   C = epochs + 1: no boundary below the final epoch is ever crossed
+   early enough to prune, but Gc_stats is still emitted, so both arms
+   are measured identically.  The spec's decide oracle makes every run
+   commit one agreeing log at every replica, a recovered one included,
+   which also puts a Gc_stats in every replica's outputs. *)
 
 let experiment_e18 pool =
-  let seeds = scaled 3 in
-  let n = 4 and f = 1 in
-  let off = e18_epochs + 1 in
-  (* Every run must commit one agreeing log at every replica, a
-     recovered one included: that also puts a Gc_stats in every
-     replica's outputs. *)
-  let atomic ~checkpoint ~crash =
-    outcomes pool ~seeds
-      { (Registry.scenario ~protocol:"atomic" ~n ~f) with
-        batch = e18_batch; epochs = e18_epochs; window = 2; payload = 32; tx_rate = 0.5;
-        checkpoint; crash }
-    |> List.map (fun o ->
-           if Registry.decides o then o
-           else failwith "E18: run did not commit one agreeing log at every replica")
-  in
-  let meani field runs =
-    List.fold_left (fun a r -> a +. float_of_int (field r)) 0. runs
-    /. float_of_int seeds
-  in
+  let r = run_matrix_spec ~table:false pool "e18" in
+  let { Registry.n; f; epochs; batch; window; _ } = (List.hd r.cells).scenario in
+  let seeds = List.length (List.hd r.cells).outcomes in
   Printf.printf
     "E18. Crash recovery: GC bound and catch-up latency, n=%d f=%d, %d \
-     epochs, batch %d, window 2, uniform scheduler, %d seeds per cell\n"
-    n f e18_epochs e18_batch seeds;
+     epochs, batch %d, window %d, uniform scheduler, %d seeds per cell\n"
+    n f epochs batch window seeds;
+  let meani field runs =
+    List.fold_left (fun a r -> a +. float_of_int (field r)) 0. runs /. float_of_int seeds
+  in
+  let replica i (c : Matrix_runner.cell_result) = List.map (fun o -> o.Registry.replicas.(i)) c.outcomes in
+  let fault_free, crashed =
+    List.partition (fun (c : Matrix_runner.cell_result) -> c.scenario.crash = []) r.cells
+  in
   (* part A: fault-free, node 0's live-instance high-water mark vs interval *)
   let gc_table =
     Table.create ~id:"e18-gc" ~title:"E18 checkpoint GC bound"
       ~columns:[ "C"; "max live"; "checkpoints"; "transfers"; "bounded" ]
       ()
   in
-  let gc_runs checkpoint =
-    List.map
-      (fun o -> o.Registry.replicas.(0))
-      (atomic ~checkpoint ~crash:[])
-  in
-  let off_runs = gc_runs off in
-  List.iter
-    (fun r ->
-      if r.Registry.max_live <> e18_epochs then
-        failwith "E18: GC-off high-water mark should equal the epoch count")
-    off_runs;
   let add_gc_row label runs bounded =
     Table.add_row gc_table
-      [
-        label;
-        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs);
+      [ label; Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs);
         Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.checkpoints) runs);
-        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs);
-        bounded;
-      ]
+        Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs); bounded ]
   in
+  let off = cell_where r (fun sc -> sc.crash = [] && sc.checkpoint > sc.epochs) in
+  let off_runs = replica 0 off in
+  if List.exists (fun r -> r.Registry.max_live <> epochs) off_runs then
+    failwith "E18: GC-off high-water mark should equal the epoch count";
   List.iter
-    (fun interval ->
-      let runs = gc_runs interval in
-      let bounded =
-        List.for_all2
-          (fun on off -> on.Registry.max_live < off.Registry.max_live)
-          runs off_runs
-      in
-      if not bounded then
-        failwith
-          (Printf.sprintf "E18: max live with C=%d not below the GC-off run"
-             interval);
-      add_gc_row (Table.cell_int interval) runs "yes")
-    [ 2; 3; 6 ];
+    (fun (c : Matrix_runner.cell_result) ->
+      let runs = replica 0 c in
+      if not (List.for_all2 (fun on off -> on.Registry.max_live < off.Registry.max_live) runs off_runs) then
+        failwith (Printf.sprintf "E18: max live with C=%d not below the GC-off run" c.scenario.checkpoint);
+      add_gc_row (Table.cell_int c.scenario.checkpoint) runs "yes")
+    (List.filter (fun c -> c != off) fault_free);
   add_gc_row "off" off_runs "-";
   Table.print gc_table;
   print_newline ();
   (* part B: crash one replica mid-run, measure rejoin-to-first-commit *)
-  let victim = n - 1 in
   let latency_table =
     Table.create ~id:"e18-latency" ~title:"E18 recovery latency"
       ~columns:[ "C"; "latency ticks"; "transfers"; "max live" ]
       ()
   in
   List.iter
-    (fun checkpoint ->
-      let runs =
-        List.map
-          (fun o ->
-            let r = o.Registry.replicas.(victim) in
-            if r.Registry.catch_up <= 0 then failwith "E18: no commit after rejoin";
-            r)
-          (atomic ~checkpoint ~crash:[ (victim, [ (400, 2500) ]) ])
-      in
+    (fun (c : Matrix_runner.cell_result) ->
+      let runs = replica (fst (List.hd c.scenario.crash)) c in
+      if List.exists (fun r -> r.Registry.catch_up <= 0) runs then failwith "E18: no commit after rejoin";
       Table.add_row latency_table
-        [
-          Table.cell_int checkpoint;
+        [ Table.cell_int c.scenario.checkpoint;
           Table.cell_float ~decimals:0 (meani (fun r -> r.Registry.catch_up) runs);
           Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs);
-          Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs);
-        ])
-    [ 1; 2; 3; 6 ];
+          Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs) ])
+    crashed;
   Table.print latency_table;
   print_newline ()
 
@@ -602,47 +519,49 @@ let experiment_e18 pool =
 (* E19: engine hot path — wall-clock and events/sec up to n=256      *)
 (* ----------------------------------------------------------------- *)
 
-(* The wall-clock side of bench/specs/e19_engine.matrix: one Bracha
-   broadcast and one full MMR consensus per n at maximal resilience,
-   timed end to end on one domain.  "Events" are engine deliveries —
-   the unit of hot-path work (one arena removal, one protocol step,
-   one metrics/trace update) that PERFORMANCE.md budgets against.
-   Message/byte/tick counts and verdicts for the same cells are
-   pinned by the matrix spec and the CI bench gate; this table
-   reports the wall-clock the --no-wall exports deliberately zero
-   out.  Runs sequentially (never on the pool): overlapping runs
-   would time each other.  A cell's wall time is the median of five
-   passes over its seeds, each after a full major collection, so one
-   pass's collections or a slow millisecond at n=16 do not set it. *)
+(* The wall-clock side of bench/specs/e19_engine.matrix: each cell (a
+   Bracha broadcast or an MMR consensus at maximal resilience) timed
+   end to end over its seeds on one domain, every seed held to the
+   cell's oracle.  "Events" are engine deliveries, the unit of hot-path
+   work PERFORMANCE.md budgets against; the spec's baseline pins the
+   counts and verdicts, and this table adds the wall-clock the
+   --no-wall exports zero out.  Runs sequentially (never on the pool):
+   overlapping runs would time each other.  A cell's wall time is the
+   median of five passes over its seeds, each after a full major
+   collection, so one pass's collections or a slow millisecond at n=16
+   do not set it. *)
 let e19_passes = 5
 
 let experiment_e19 _pool =
-  let seeds = scaled 2 in
+  let cells =
+    Result.fold (Matrix_runner.scenarios (matrix_spec "bench/specs/e19_engine.matrix")) ~ok:Fun.id
+      ~error:(fun e -> failwith (Abc_matrix.Sexp.error_to_string e))
+  in
   let table =
     Table.create ~id:"e19"
       ~title:
         (Printf.sprintf
            "E19. Engine scale at max resilience, uniform scheduler (%d seeds \
             per cell, sequential, median of %d passes)"
-           seeds e19_passes)
+           (cell_seeds (fst (List.hd cells))) e19_passes)
       ~columns:
         [ "protocol"; "n"; "f"; "msgs/run"; "ticks/run"; "wall s"; "events/sec" ]
       ()
   in
-  (* Every run goes through the registry, the matrix cells' own path:
-     bracha-rbc broadcasts 16 bytes, mmr decides on split inputs. *)
-  let row protocol (n, f) =
-    let sc = { (Abc_matrix.Registry.scenario ~protocol ~n ~f) with payload = 16 } in
+  let row ((cell : Matrix_spec.cell), (sc : Registry.scenario)) =
+    let seeds = cell_seeds cell and first = Matrix_spec.find_int cell "seed" ~default:0 in
     let pass () =
       Gc.full_major ();
       let t0 = Unix.gettimeofday () in
       let counts =
-        List.init seeds (fun i ->
-            match Abc_matrix.Registry.run sc ~seed:(i + 1) with
+        List.init seeds (fun k ->
+            match Registry.run sc ~seed:(first + k) with
             | Error msg -> failwith msg
             | Ok r ->
-              if protocol = "mmr" && not r.outcome.decided then
-                failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n (i + 1));
+              if not (Matrix_runner.satisfies cell.oracle r.outcome) then
+                failwith
+                  (Printf.sprintf "E19: %s n=%d seed=%d missed %s" sc.protocol sc.n (first + k)
+                     (Matrix_spec.oracle_label cell.oracle));
               (Abc_sim.Metrics.counter r.metrics "delivered", r.outcome.messages, r.outcome.ticks))
       in
       (Unix.gettimeofday () -. t0, counts)
@@ -651,14 +570,12 @@ let experiment_e19 _pool =
     let dt = Summary.median (Option.get (Summary.of_list (List.map fst passes))) in
     let total field = List.fold_left (fun a c -> a + field c) 0 (snd (List.hd passes)) in
     Table.add_row table
-      [ protocol; Table.cell_int n; Table.cell_int f;
+      [ sc.protocol; Table.cell_int sc.n; Table.cell_int sc.f;
         Table.cell_int (total (fun (_, m, _) -> m) / seeds);
         Table.cell_int (total (fun (_, _, t) -> t) / seeds); Table.cell_float ~decimals:3 dt;
         Table.cell_float ~decimals:0 (float_of_int (total (fun (e, _, _) -> e)) /. dt) ]
   in
-  let arms = [ (16, 5); (64, 21); (128, 42); (256, 85) ] in
-  List.iter (row "bracha-rbc") arms;
-  List.iter (row "mmr") arms;
+  List.iter row cells;
   Table.print table;
   print_newline ()
 
@@ -687,13 +604,6 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    if List.mem "quick" args then begin
-      seeds_scale := 0.25;
-      List.filter (fun a -> a <> "quick") args
-    end
-    else args
-  in
   let args =
     if List.mem "csv" args then begin
       Abc_sim.Table.set_csv_directory (Some "bench_results");

@@ -32,12 +32,15 @@ type cell_result = {
 
 type t = { spec : Spec.t; cells : cell_result list }
 
+val scenarios : Spec.t -> ((Spec.cell * Registry.scenario) list, Sexp.error) result
+(** Every cell in expansion order with its scenario: its bindings but
+    [seeds] and [seed] decoded by {!Registry.of_tokens} and checked by
+    {!Registry.check}, and its [seeds] for at least 1, the first error
+    at the offending binding's span.  A cell runs [seeds] seeds
+    (default 10) from [seed] (default 0). *)
+
 val check : Spec.t -> (unit, Sexp.error) result
-(** Every cell's bindings but [seeds] and [seed] decoded by
-    {!Registry.of_tokens} and checked by {!Registry.check}, and its
-    [seeds] for at least 1, the error at the offending binding's
-    span.  A cell runs [seeds] seeds (default 10) from [seed] (default
-    0). *)
+(** {!scenarios}, discarding the cells. *)
 
 val satisfies : Spec.oracle -> Registry.outcome -> bool
 (** Whether one seed's outcome meets an oracle: [decide], [expect-fail]

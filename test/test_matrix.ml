@@ -704,8 +704,8 @@ let test_committed_specs () =
   let expected =
     [ ("e1.matrix", 80); ("e2.matrix", 12); ("e3.matrix", 4); ("e4.matrix", 3);
       ("e5.matrix", 12); ("e6.matrix", 8); ("e7.matrix", 4); ("e9.matrix", 2); ("e10.matrix", 6);
-      ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8); ("e16.matrix", 9);
-      ("e17.matrix", 4); ("e18.matrix", 6); ("e19_engine.matrix", 8);
+      ("e10_coin.matrix", 2); ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8);
+      ("e16.matrix", 36); ("e17.matrix", 16); ("e18.matrix", 8); ("e19_engine.matrix", 8);
       ("e19_engine_quick.matrix", 4) ]
   in
   let dir = "../bench/specs" in
