@@ -183,21 +183,18 @@ let experiment_e9 = spec_table "e9"
 let experiment_e10 pool =
   spec_table "e10" pool;
   let r = run_matrix_spec pool "e10_coin" in
-  let cell coin = cell_where r (fun sc -> sc.coin = Some coin) in
-  let violations coin =
-    List.length
-      (List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity)) (cell coin).outcomes)
+  let common = cell_where r (fun sc -> sc.coin = Some Registry.Common)
+  and local = cell_where r (fun sc -> sc.coin = Some Registry.Local) in
+  let violations (c : Matrix_runner.cell_result) =
+    List.length (List.filter (fun (o : Registry.outcome) -> not (o.agreement && o.validity)) c.outcomes)
   in
-  let { Registry.n; f; _ } = (cell Registry.Common).scenario in
+  let { Registry.n; f; _ } = common.scenario in
   Printf.printf
     "coin safety ablation (n=%d, f=%d, split inputs, %d seeds):\n\
     \  common coin: %d agreement/validity violations\n\
     \  local coin:  %d agreement/validity violations  <- the common coin is a\n\
     \               safety requirement in MMR, unlike in Bracha's protocol\n\n"
-    n f
-    (List.length (cell Registry.Common).outcomes)
-    (violations Registry.Common)
-    (violations Registry.Local)
+    n f (List.length common.outcomes) (violations common) (violations local)
 
 (* ----------------------------------------------------------------- *)
 (* E11: the price of implementing the coin — idealized vs Rabin      *)
