@@ -10,15 +10,17 @@
    DESIGN.md for the mapping).
 
    Every run is an Abc_matrix.Registry scenario, the same path as
-   `abc-bench` and `abc-run`.  E1-E7, E9, E10 and E12-E18 run their
-   committed bench/specs/*.matrix through the matrix runner, the code
-   `abc-bench run` runs; E5, E6, E10 and E16-E18 print lines or tables
-   of their own as views over the cells' seed-ordered outcomes.  E11
-   aggregates hand-built scenarios, for a counter no outcome carries;
-   E8, E15 and E19 (over e19_engine.matrix's cells) time. *)
+   `abc-bench` and `abc-run`.  E1-E7 and E9-E18 run their committed
+   bench/specs/*.matrix through the matrix runner, the code `abc-bench
+   run` runs; E5, E6, E10, E11 and E16-E18 print lines or tables of
+   their own as views over the cells' metrics and seed-ordered
+   outcomes.  E8, E15 and E19 (over e19_engine.matrix's cells) time.
+   A word that is neither `csv`, `--jobs N` nor an experiment id is
+   bad input: one line, exit 2. *)
 
-open Helpers
-
+module Registry = Abc_matrix.Registry
+module Table = Abc_sim.Table
+module Summary = Abc_sim.Summary
 module Matrix_spec = Abc_matrix.Spec
 module Matrix_runner = Abc_matrix.Runner
 
@@ -68,6 +70,17 @@ let experiment_e2 = spec_table "e2"
 let experiment_e3 = spec_table "e3"
 let experiment_e4 = spec_table "e4"
 
+(* Log-log slope fit for complexity experiments: least squares on
+   (log n, log y). *)
+let fitted_exponent points =
+  let logs = List.map (fun (n, y) -> (log (float_of_int n), log y)) points in
+  let k = float_of_int (List.length logs) in
+  let sx = List.fold_left (fun a (x, _) -> a +. x) 0. logs in
+  let sy = List.fold_left (fun a (_, y) -> a +. y) 0. logs in
+  let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0. logs in
+  let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0. logs in
+  ((k *. sxy) -. (sx *. sy)) /. ((k *. sxx) -. (sx *. sx))
+
 (* E5: O(n^2) messages per RBC, O(n^3) per consensus round, as the
    log-log slope over the spec's one-seed cells. *)
 let experiment_e5 pool =
@@ -112,6 +125,7 @@ let experiment_e7 = spec_table "e7"
 let bechamel_tests () =
   let open Bechamel in
   let module Rbc = Abc.Bracha_rbc.Binary in
+  let node = Abc_net.Node_id.of_int in
   let rbc_handle =
     (* cost of processing one echo in a warm instance *)
     let state = ref (Rbc.Core.create ~n:7 ~f:2 ~sender:(node 0)) in
@@ -200,48 +214,36 @@ let experiment_e10 pool =
 (* E11: the price of implementing the coin — idealized vs Rabin      *)
 (* ----------------------------------------------------------------- *)
 
+(* e11.matrix's cells, a row per n: rounds and messages are each
+   cell's means over its seeds, share messages the mean of the Rabin
+   cell's sent.share counts. *)
 let experiment_e11 pool =
-  let seeds = 25 in
+  let r = run_matrix_spec ~table:false pool "e11" in
+  let ideals = cells_of r "mmr" in
   let table =
     Table.create ~id:"e11"
       ~title:
         (Printf.sprintf
            "E11. MMR with idealized common coin vs implemented Rabin coin (share \
             exchange on the wire): split inputs, two silent faults (%d seeds)"
-           seeds)
+           (List.length (List.hd ideals).outcomes))
       ~columns:
         [ "n"; "f"; "ideal rounds"; "ideal msgs"; "rabin rounds"; "rabin msgs";
           "share msgs"; "overhead" ]
       ()
   in
   List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let sample protocol =
-        let sc = { (Registry.scenario ~protocol ~n ~f) with fault = Faulty [ (Silent, min f 2) ] } in
-        let runs =
-          sweep_seeds pool ~seeds (fun seed ->
-              match Registry.run sc ~seed with
-              | Ok r -> (r.outcome, Abc_sim.Metrics.counter r.metrics "sent.share")
-              | Error _ -> (Registry.failed, 0))
-        in
-        let share_msgs = List.fold_left (fun acc (_, share) -> acc + share) 0 runs in
-        (collect (List.map fst runs), float_of_int share_msgs /. float_of_int seeds)
-      in
-      let ideal, _ = sample "mmr" in
-      let rabin, share_msgs = sample "mmr-rabin" in
+    (fun (ideal : Matrix_runner.cell_result) ->
+      let { Registry.n; f; _ } = ideal.scenario in
+      let rabin = cell_where r (fun sc -> sc.protocol = "mmr-rabin" && sc.n = n) in
+      let shares = List.fold_left (fun a (o : Registry.outcome) -> a + o.shares) 0 rabin.outcomes in
       Table.add_row table
-        [
-          Table.cell_int n;
-          Table.cell_int f;
-          Table.cell_float (mean_or ideal.rounds 0.);
-          Table.cell_float ~decimals:0 (mean_or ideal.messages 0.);
-          Table.cell_float (mean_or rabin.rounds 0.);
-          Table.cell_float ~decimals:0 (mean_or rabin.messages 0.);
-          Table.cell_float ~decimals:0 share_msgs;
-          Table.cell_ratio (mean_or rabin.messages 1. /. mean_or ideal.messages 1.);
-        ])
-    [ 4; 7; 16 ];
+        [ Table.cell_int n; Table.cell_int f; Table.cell_float ideal.metrics.rounds;
+          Table.cell_float ~decimals:0 ideal.metrics.messages; Table.cell_float rabin.metrics.rounds;
+          Table.cell_float ~decimals:0 rabin.metrics.messages;
+          Table.cell_float ~decimals:0 (float_of_int shares /. float_of_int (List.length rabin.outcomes));
+          Table.cell_ratio (rabin.metrics.messages /. ideal.metrics.messages) ])
+    ideals;
   Table.print table;
   print_newline ()
 
@@ -622,12 +624,13 @@ let () =
     in
     extract [] args
   in
+  let selected = List.filter (fun (id, _, _) -> args = [] || List.mem id args) experiments in
+  Option.iter
+    (fun a ->
+      Printf.eprintf "bench: unknown argument %S (csv, --jobs N or an experiment id E1 .. E19)\n" a;
+      exit 2)
+    (List.find_opt (fun a -> not (List.exists (fun (id, _, _) -> id = a) experiments)) args);
   let pool = Abc_exec.Pool.create ?jobs () in
-  let selected =
-    match args with
-    | [] -> experiments
-    | names -> List.filter (fun (id, _, _) -> List.mem id names) experiments
-  in
   Printf.printf
     "Asynchronous Byzantine Consensus (PODC 1984) — experiment harness\n\
      Deterministic: every cell is a function of its seeds (at any --jobs).\n\n";

@@ -3,20 +3,21 @@
 
    One subcommand per protocol:
 
-     abc-run rbc        --n 4 --f 1 --fault equivocate
-     abc-run consensus  --n 7 --f 2 --inputs split --adversary split --seeds 20
-     abc-run benor      --n 11 --f 2 --mode byzantine
-     abc-run acs        --n 4 --f 1
-     abc-run smr        --n 4 --f 1 --slots 3 --fault silent
+     abc-run rbc        -n 4 -f 1 --fault equivocate
+     abc-run consensus  -n 7 -f 2 --inputs split --adversary split --seeds 20
+     abc-run benor      -n 11 -f 2 --mode byzantine
+     abc-run acs        -n 4 -f 1
+     abc-run smr        -n 4 -f 1 --slots 3 --fault silent
 
-   Every subcommand but check translates its flags into an
-   Abc_matrix.Registry scenario; tracing and reports stay here.  Every
-   run is deterministic in --seed; bad input is one line and exit 2. *)
+   Every subcommand but check spells its scenario as Abc_matrix.Registry
+   tokens, one (axis, value) pair per flag, and decodes them in one
+   place, as a matrix cell's bindings are; tracing and reports stay
+   here.  Every run is deterministic in --seed; bad input is one line
+   and exit 2. *)
 
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
 module Registry = Abc_matrix.Registry
-module BO = Abc.Ben_or
 open Cmdliner
 
 (* ---- shared argument vocabulary ---- *)
@@ -53,92 +54,78 @@ let trace_out_arg =
         ~doc:
           "Write the full execution trace as JSON Lines (schema abc.trace, see            OBSERVABILITY.md) to $(docv), for analysis with $(b,abc-trace).")
 
+(* A scenario flag takes its axis's registry token as written; the
+   registry decodes and checks it with the rest. *)
+let token name ~docv ~default ~doc = Arg.(value & opt string default & info [ name ] ~docv ~doc)
+
 let adversary_arg =
-  let choices =
-    [ ("fifo", Registry.Fifo); ("uniform", Registry.Uniform); ("latency", Registry.Latency 8.);
-      ("targeted", Registry.Target 0); ("split", Registry.Split) ]
-  in
-  Arg.(
-    value
-    & opt (enum choices) Registry.Uniform
-    & info [ "adversary" ] ~docv:"POLICY"
-        ~doc:"Message scheduler: $(b,fifo), $(b,uniform), $(b,latency), \
-              $(b,targeted) or $(b,split).")
+  token "adversary" ~docv:"POLICY" ~default:"uniform"
+    ~doc:"Message scheduler: $(b,fifo), $(b,uniform), $(b,split), $(b,latency:)$(i,MEAN), \
+          $(b,target:)$(i,ID) (delay messages to the node), $(b,source:)$(i,ID) (delay its \
+          messages) or $(b,eclipse:)$(i,PERIOD) (a rotating victim)."
 
-let fault_kind_arg =
-  let choices =
-    [ ("none", None); ("silent", Some Registry.Silent); ("crash", Some (Registry.Crash 5));
-      ("flip", Some Registry.Flip); ("equivocate", Some Registry.Equivocate);
-      ("force-decide", Some Registry.Force_decide); ("replay", Some Registry.Replay) ]
-  in
-  Arg.(
-    value
-    & opt (enum choices) None
-    & info [ "fault" ] ~docv:"KIND"
-        ~doc:"Behaviour of the faulty nodes: $(b,none), $(b,silent), $(b,crash), \
-              $(b,flip), $(b,equivocate), $(b,force-decide) or $(b,replay).")
+let fault_arg =
+  token "fault" ~docv:"FAULT" ~default:"none"
+    ~doc:"Behaviour of the faulty nodes: $(b,none); a $(i,KIND) ($(b,silent), $(b,crash), \
+          $(b,crash-after-)$(i,K), $(b,replay), $(b,flip), $(b,balanced-flip), $(b,equivocate), \
+          $(b,force-decide) or $(b,corrupt)) on one node, $(i,KIND:COUNT) on the \
+          highest-numbered nodes, $(i,KIND@ID,ID,...) on those nodes, or counted kinds joined \
+          with $(b,+); or a broadcast's $(b,silent-sender), $(b,crash-sender), \
+          $(b,flip-relay) or $(b,equivocate-sender)."
 
-let faulty_count_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "faulty" ] ~docv:"K"
-        ~doc:"How many nodes misbehave (the highest-numbered $(docv) nodes).")
+let faulty_arg =
+  Arg.(value & opt (some int) None & info [ "faulty" ] ~docv:"K"
+         ~doc:"How many nodes a bare $(i,KIND) makes faulty: $(b,--fault silent --faulty 2) is \
+               $(b,--fault silent:2).")
 
 let inputs_arg =
-  let choices =
-    [ ("zero", Registry.Unanimous Abc.Value.Zero); ("one", Registry.Unanimous Abc.Value.One);
-      ("split", Registry.Halves); ("alternate", Registry.Alternating) ]
-  in
-  Arg.(
-    value
-    & opt (enum choices) Registry.Halves
-    & info [ "inputs" ] ~docv:"PATTERN"
-        ~doc:"Input pattern: $(b,zero), $(b,one), $(b,split) (low half 0, high \
-              half 1) or $(b,alternate).")
+  token "inputs" ~docv:"PATTERN" ~default:"split"
+    ~doc:"Input pattern: $(b,split) (low half 0, high half 1), $(b,unanimous0), \
+          $(b,unanimous1) or $(b,alternate)."
 
-let coins = [ ("local", Registry.Local); ("common", Registry.Common) ]
-
-let coin_arg =
-  Arg.(
-    value
-    & opt (enum coins) Registry.Local
-    & info [ "coin" ] ~docv:"COIN" ~doc:"Round coin: $(b,local) or $(b,common).")
+let coin_arg ?(default = "local") ?(doc = "Round coin: $(b,local) or $(b,common).") () =
+  token "coin" ~docv:"COIN" ~default ~doc
 
 (* ---- link faults and the reliable transport ---- *)
 
 let loss_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "loss" ] ~docv:"P"
-        ~doc:"Drop each point-to-point message independently with probability \
-              $(docv) (deterministic in --seed).")
+  token "loss" ~docv:"P" ~default:"0"
+    ~doc:"Drop each point-to-point message independently with probability \
+          $(docv) (deterministic in --seed)."
 
 let dup_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "dup" ] ~docv:"P"
-        ~doc:"Duplicate each delivered message with probability $(docv); the \
-              copy is re-enqueued and never re-duplicated.")
+  token "dup" ~docv:"P" ~default:"0"
+    ~doc:"Duplicate each delivered message with probability $(docv); the \
+          copy is re-enqueued and never re-duplicated."
 
 let partition_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "partition" ] ~docv:"SPEC"
+  Arg.(value & opt (some string) None & info [ "partition" ] ~docv:"SPEC"
         ~doc:
           "Sever all links crossing an island boundary during a tick window.          $(docv) is $(i,FROM:UNTIL:id,id,...) — e.g. $(b,10:80:0,1) cuts          nodes 0,1 off from the rest while 10 <= t < 80.")
 
 let reliable_arg =
-  Arg.(
-    value & flag
-    & info [ "reliable" ]
+  Arg.(value & flag & info [ "reliable" ]
         ~doc:
           "Wrap the protocol in the reliable-channel transport          (sequencing, acks, timer-driven retransmission with backoff).          Restricts --fault to message-agnostic kinds: none, silent,          crash, replay.")
 
-(* ---- flags to registry scenarios ---- *)
+(* The flags every subcommand shares, as (axis, token) pairs: n, f, the
+   adversary and the fault, where --faulty K counts a bare KIND. *)
+let base_term =
+  let tokens n f adversary fault faulty =
+    let bare = not (String.exists (fun c -> String.contains ":@+" c) fault) in
+    let fault = match faulty with Some k when bare -> Printf.sprintf "%s:%d" fault k | _ -> fault in
+    [ ("n", string_of_int n); ("f", string_of_int f); ("adversary", adversary); ("fault", fault) ]
+  in
+  Term.(const tokens $ n_arg $ f_arg $ adversary_arg $ fault_arg $ faulty_arg)
+
+let links_term =
+  let tokens loss dup partition reliable =
+    [ ("loss", loss); ("dup", dup); ("reliable", string_of_bool reliable) ]
+    @ Option.fold partition ~none:[] ~some:(fun p -> [ ("partition", p) ])
+  in
+  Term.(const tokens $ loss_arg $ dup_arg $ partition_arg $ reliable_arg)
+
+(* ---- tokens to registry scenarios ---- *)
 
 (* Bad input: one "abc-run: ..." line, exit 2. *)
 let fail fmt =
@@ -150,20 +137,11 @@ let fail fmt =
 
 let or_exit = function Ok x -> x | Error msg -> fail "%s" msg
 
-let partition_of ~n =
-  Option.map (fun spec ->
-      match Registry.partition spec with
-      | Ok p when List.for_all (fun i -> i < n) p.Registry.island -> p
-      | Ok _ | Error _ -> fail "bad --partition %S (want FROM:UNTIL:id,id,...)" spec)
-
-let scenario protocol ~n ~f ~adversary ~fault ~faulty_count =
-  let fault = match fault with None -> Registry.No_fault | Some k -> Registry.Faulty [ (k, faulty_count) ] in
-  { (Registry.scenario ~protocol ~n ~f) with Registry.adversary; fault }
-
-let with_links sc ~loss ~dup ~partition ~reliable =
-  if loss < 0.0 || loss > 1.0 || dup < 0.0 || dup > 1.0 then
-    fail "--loss and --dup must lie in [0,1]";
-  { sc with Registry.loss; dup; partition = partition_of ~n:sc.Registry.n partition; reliable }
+(* The one decoder behind every subcommand but check, the registry's,
+   as for a matrix cell; Registry.run checks the scenario before it
+   runs. *)
+let scenario protocol tokens =
+  or_exit (Result.map_error snd (Registry.of_tokens (("protocol", protocol) :: tokens)))
 
 let pp_verdict ppf (o : Registry.outcome) =
   Fmt.pf ppf "terminated=%b agreement=%b validity=%b max_round=%d messages=%d duration=%d"
@@ -289,25 +267,23 @@ let report_run (sc : Registry.scenario) ~label ~seed ~trace ~trace_out ?(traced 
   if trace then Option.iter (print_trace ?n:diagram) tr;
   r.outcome
 
-let run_rbc n f seed adversary fault faulty_count loss dup partition reliable
-    protocol payload_bytes trace trace_out =
+let run_rbc base links protocol payload_bytes seed trace trace_out =
   (* Without --payload-bytes, bracha broadcasts the classic single bit;
-     every other broadcast carries a synthetic string payload. *)
-  if payload_bytes < 0 then fail "--payload-bytes must be >= 0, got %d" payload_bytes;
+     every other broadcast carries a synthetic string payload, 32 bytes
+     unless given. *)
   let bit = protocol = `Bracha && payload_bytes = 0 in
   let name = match protocol with `Bracha -> "bracha-rbc" | `Coded -> "coded-rbc" | `Ir -> "ir-rbc" in
-  let label = if reliable then name ^ "+rl" else name in
+  let payload = if payload_bytes = 0 then 32 else payload_bytes in
   let sc =
-    with_links ~loss ~dup ~partition ~reliable
-      (scenario (if bit then "bracha-rbc-bit" else name) ~n ~f ~adversary ~fault ~faulty_count)
+    scenario (if bit then "bracha-rbc-bit" else name) (base @ links @ [ ("payload", string_of_int payload) ])
   in
-  let sc = { sc with payload = (if payload_bytes > 0 then payload_bytes else 32) } in
+  let label = if sc.reliable then name ^ "+rl" else name in
   let header (r : Registry.run) =
-    Fmt.pr "%s n=%d f=%d%s seed=%d stop=%a messages=%d time=%d@." label n f
+    Fmt.pr "%s n=%d f=%d%s seed=%d stop=%a messages=%d time=%d@." label sc.n sc.f
       (if bit then "" else Printf.sprintf " payload=%dB" sc.payload)
       seed Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages r.outcome.ticks
   in
-  ignore (report_run sc ~label ~seed ~trace ~trace_out ~header ~bytes:(not bit) ~diagram:n ())
+  ignore (report_run sc ~label ~seed ~trace ~trace_out ~header ~bytes:(not bit) ~diagram:sc.n ())
 
 (* ---- consensus, benor and mmr ---- *)
 
@@ -331,13 +307,13 @@ let run_seeds sc ~label ~seed ~seeds ~trace ~trace_out ?lines ~header summary =
     summarize_rounds "  " rounds
   end
 
-let run_consensus n f seed seeds adversary fault faulty_count inputs coin
-    no_validation plain loss dup partition reliable trace trace_out =
+let run_consensus base links inputs coin no_validation plain seed seeds trace trace_out =
   let sc =
-    with_links ~loss ~dup ~partition ~reliable
-      (scenario "bracha" ~n ~f ~adversary ~fault ~faulty_count)
+    scenario "bracha"
+      (base @ links
+      @ [ ("inputs", inputs); ("coin", coin); ("validation", string_of_bool (not no_validation));
+          ("transport", if plain then "plain" else "rbc") ])
   in
-  let sc = { sc with inputs; coin = Some coin; validation = not no_validation; plain } in
   (* The options in the registry's tokens: coin=… validation=… transport=… *)
   let options =
     String.concat " "
@@ -345,13 +321,13 @@ let run_consensus n f seed seeds adversary fault faulty_count inputs coin
          (fun axis -> axis ^ "=" ^ Option.get (Registry.token ~axis sc))
          [ "coin"; "validation"; "transport" ])
   in
-  let label = if reliable then "bracha-consensus+rl" else "bracha-consensus" in
+  let label = if sc.reliable then "bracha-consensus+rl" else "bracha-consensus" in
   run_seeds sc ~label ~seed ~seeds ~trace ~trace_out
     ~header:(fun ~seed (r : Registry.run) ->
-      Fmt.pr "%s n=%d f=%d seed=%d (%s)@.  %a@." label n f seed options pp_verdict
+      Fmt.pr "%s n=%d f=%d seed=%d (%s)@.  %a@." label sc.n sc.f seed options pp_verdict
         r.outcome)
     (fun ~last ~ok ~failures ->
-      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%s)@.  ok %d/%d, failures %d@." label n f seed last
+      Fmt.pr "%s n=%d f=%d seeds=%d..%d (%s)@.  ok %d/%d, failures %d@." label sc.n sc.f seed last
         options ok seeds failures)
 
 (* Ben-Or and MMR report one line per run. *)
@@ -364,78 +340,61 @@ let run_binary sc ~label ~seed ~seeds =
       Fmt.pr "%s n=%d f=%d seeds=%d..%d: ok %d/%d failures %d@." label n f seed last ok seeds
         failures)
 
-let run_benor n f seed seeds adversary fault faulty_count inputs coin mode =
-  let sc = scenario "ben-or" ~n ~f ~adversary ~fault ~faulty_count in
-  run_binary
-    { sc with inputs; coin = Some coin; crash_mode = mode = BO.Mode.Crash }
-    ~label:(Fmt.str "ben-or(%a)" BO.Mode.pp mode) ~seed ~seeds
+let run_benor base inputs coin mode seed seeds =
+  let sc = scenario "ben-or" (base @ [ ("inputs", inputs); ("coin", coin); ("mode", mode) ]) in
+  run_binary sc ~label:(Printf.sprintf "ben-or(%s)" mode) ~seed ~seeds
 
 (* MMR's safety needs the common coin; local is for the ablation. *)
-let run_mmr n f seed seeds adversary fault faulty_count inputs coin =
-  let sc = scenario "mmr" ~n ~f ~adversary ~fault ~faulty_count in
-  run_binary { sc with inputs; coin = Some coin } ~label:"mmr-consensus" ~seed ~seeds
+let run_mmr base inputs coin seed seeds =
+  run_binary (scenario "mmr" (base @ [ ("inputs", inputs); ("coin", coin) ])) ~label:"mmr-consensus"
+    ~seed ~seeds
 
 (* ---- acs ---- *)
 
-let run_acs n f seed adversary fault faulty_count =
+let run_acs base seed =
+  let sc = scenario "acs" base in
   let header (r : Registry.run) =
-    Fmt.pr "acs n=%d f=%d seed=%d stop=%a messages=%d@." n f seed Abc_net.Engine.pp_stop_reason
-      r.stop r.outcome.messages
+    Fmt.pr "acs n=%d f=%d seed=%d stop=%a messages=%d@." sc.n sc.f seed
+      Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages
   in
-  ignore
-    (report_run (scenario "acs" ~n ~f ~adversary ~fault ~faulty_count) ~label:"acs" ~seed
-       ~trace:false ~trace_out:None ~header ())
+  ignore (report_run sc ~label:"acs" ~seed ~trace:false ~trace_out:None ~header ())
 
-(* ---- smr --atomic: batched, pipelined atomic broadcast ---- *)
+(* ---- smr: the replicated log, or with --atomic the batched,
+   pipelined atomic broadcast ---- *)
 
-let run_smr_atomic (sc : Registry.scenario) ~seed ~trace ~trace_out =
-  (* Crash-recovery needs the raw protocol: under --reliable the
-     transport's pre-crash acks would falsely cover sequence numbers a
-     restarted node never saw, and without checkpoints a recovered
-     node has no catch-up path (epoch agreements are never
-     retransmitted). *)
-  if sc.crash <> [] && sc.reliable then fail "--crash is incompatible with --reliable";
-  if sc.crash <> [] && sc.checkpoint <= 0 then
-    fail
-      "--crash needs --checkpoint-interval > 0 (a recovered node catches up via stable \
-       checkpoints)";
-  let label = if sc.reliable then "smr-atomic+rl" else "smr-atomic" in
+let run_smr base links slots atomic batch_size tx_rate epochs window tx_bytes
+    checkpoint_interval crash seed trace trace_out =
+  if (crash <> [] || checkpoint_interval > 0) && not atomic then
+    fail "--crash / --checkpoint-interval need --atomic";
+  if slots < 1 && not atomic then fail "--slots must be >= 1, got %d" slots;
+  let int = string_of_int in
+  let sc =
+    if atomic then
+      scenario "atomic"
+        (base @ links
+        @ [ ("batch", int batch_size); ("tx-rate", tx_rate); ("epochs", int epochs);
+            ("window", int window); ("payload", int tx_bytes); ("checkpoint", int checkpoint_interval) ]
+        @ if crash = [] then [] else [ ("crash", String.concat "," crash) ])
+    else
+      (* The replicated log runs one ACS per slot, as the atomic
+         broadcast runs one per epoch. *)
+      scenario "log" (base @ links @ [ ("epochs", int slots) ])
+  in
+  let label = (if atomic then "smr-atomic" else "smr") ^ if sc.reliable then "+rl" else "" in
   let header (r : Registry.run) =
-    Fmt.pr "%s n=%d f=%d epochs=%d batch=%d window=%d seed=%d stop=%a messages=%d time=%d@."
-      label sc.n sc.f sc.epochs sc.batch sc.window seed Abc_net.Engine.pp_stop_reason r.stop
-      r.outcome.messages r.outcome.ticks
+    if atomic then
+      Fmt.pr "%s n=%d f=%d epochs=%d batch=%d window=%d seed=%d" label sc.n sc.f sc.epochs sc.batch
+        sc.window seed
+    else Fmt.pr "%s n=%d f=%d slots=%d seed=%d" label sc.n sc.f sc.epochs seed;
+    Fmt.pr " stop=%a messages=%d time=%d@." Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages
+      r.outcome.ticks
   in
   ignore (report_run sc ~label ~seed ~trace ~trace_out ~header ())
 
-let run_smr n f seed adversary fault faulty_count slots atomic batch_size
-    tx_rate epochs window tx_bytes checkpoint_interval crash loss dup partition
-    reliable trace trace_out =
-  let crash = List.concat crash in
-  let sc =
-    with_links ~loss ~dup ~partition ~reliable
-      (scenario (if atomic then "atomic" else "log") ~n ~f ~adversary ~fault ~faulty_count)
-  in
-  if (crash <> [] || checkpoint_interval > 0) && not atomic then
-    fail "--crash / --checkpoint-interval need --atomic";
-  if atomic then
-    run_smr_atomic
-      { sc with batch = batch_size; tx_rate; epochs; window; payload = tx_bytes;
-                checkpoint = checkpoint_interval; crash }
-      ~seed ~trace ~trace_out
-  else begin
-    if slots < 1 then fail "--slots must be >= 1, got %d" slots;
-    let label = if reliable then "smr+rl" else "smr" in
-    let header (r : Registry.run) =
-      Fmt.pr "%s n=%d f=%d slots=%d seed=%d stop=%a messages=%d time=%d@." label n f slots seed
-        Abc_net.Engine.pp_stop_reason r.stop r.outcome.messages r.outcome.ticks
-    in
-    (* The replicated log runs one ACS per slot, as the atomic broadcast
-       runs one per epoch. *)
-    ignore (report_run { sc with epochs = slots } ~label ~seed ~trace ~trace_out ~header ())
-  end
-
 (* ---- check (bounded model checking) ---- *)
 
+(* The explorer places one faulty node, so --fault takes a bare KIND
+   only. *)
 let run_check n f depth max_states fault =
   if n < 1 || f < 0 then fail "need n >= 1 and f >= 0, got n=%d f=%d" n f;
   let module Rbc = Abc.Bracha_rbc.Binary in
@@ -444,17 +403,15 @@ let run_check n f depth max_states fault =
     if Node_id.to_int dst < n / 2 then v else Abc.Value.negate v
   in
   let faulty =
-    match fault with
-    | None -> []
-    | Some Registry.Silent -> [ (Node_id.of_int 0, Behaviour.Silent) ]
-    | Some (Registry.Crash _) -> [ (Node_id.of_int 0, Behaviour.Crash_after 2) ]
-    | Some Registry.Equivocate ->
-      [ (Node_id.of_int 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
-    | Some
-        (Registry.Flip | Registry.Balanced_flip | Registry.Force_decide | Registry.Replay
-        | Registry.Corrupt) ->
-      [ (Node_id.of_int 1,
-         Behaviour.Mutate (Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v))) ]
+    let at i b = [ (Node_id.of_int i, b) ] in
+    match or_exit (Registry.fault fault) with
+    | No_fault -> []
+    | Faulty [ (Silent, 1) ] -> at 0 Behaviour.Silent
+    | Faulty [ (Crash 5, 1) ] -> at 0 (Behaviour.Crash_after 2)
+    | Faulty [ (Equivocate, 1) ] -> at 0 (Behaviour.Equivocate (Rbc.Fault.equivocate two_faced))
+    | Faulty [ ((Flip | Balanced_flip | Force_decide | Replay | Corrupt), 1) ] ->
+      at 1 (Behaviour.Mutate (Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v)))
+    | _ -> fail "check places one faulty node: --fault takes a bare KIND, not %S" fault
   in
   let agreement outputs =
     let delivered =
@@ -499,9 +456,8 @@ let run_check n f depth max_states fault =
 let rbc_cmd =
   let term =
     Term.(
-      const run_rbc $ n_arg $ f_arg $ seed_arg $ adversary_arg $ fault_kind_arg
-      $ faulty_count_arg $ loss_arg $ dup_arg $ partition_arg $ reliable_arg
-      $ protocol_arg $ payload_bytes_arg $ trace_arg $ trace_out_arg)
+      const run_rbc $ base_term $ links_term $ protocol_arg $ payload_bytes_arg $ seed_arg
+      $ trace_arg $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "rbc"
@@ -521,53 +477,33 @@ let consensus_cmd =
   in
   let term =
     Term.(
-      const run_consensus $ n_arg $ f_arg $ seed_arg $ seeds_arg $ adversary_arg
-      $ fault_kind_arg $ faulty_count_arg $ inputs_arg $ coin_arg $ no_validation
-      $ plain $ loss_arg $ dup_arg $ partition_arg $ reliable_arg $ trace_arg
-      $ trace_out_arg)
+      const run_consensus $ base_term $ links_term $ inputs_arg $ coin_arg () $ no_validation $ plain
+      $ seed_arg $ seeds_arg $ trace_arg $ trace_out_arg)
   in
   Cmd.v (Cmd.info "consensus" ~doc:"Run Bracha's randomized Byzantine consensus.") term
 
 let benor_cmd =
   let mode =
-    Arg.(
-      value
-      & opt (enum [ ("byzantine", BO.Mode.Byzantine); ("crash", BO.Mode.Crash) ]) BO.Mode.Byzantine
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Fault mode: $(b,byzantine) or $(b,crash).")
+    token "mode" ~docv:"MODE" ~default:"byzantine" ~doc:"Fault mode: $(b,byzantine) or $(b,crash)."
   in
   let term =
-    Term.(
-      const run_benor $ n_arg $ f_arg $ seed_arg $ seeds_arg $ adversary_arg
-      $ fault_kind_arg $ faulty_count_arg $ inputs_arg $ coin_arg $ mode)
+    Term.(const run_benor $ base_term $ inputs_arg $ coin_arg () $ mode $ seed_arg $ seeds_arg)
   in
   Cmd.v (Cmd.info "benor" ~doc:"Run the Ben-Or baseline protocol.") term
 
 let mmr_cmd =
-  let coin_common =
-    Arg.(
-      value
-      & opt (enum coins) Registry.Common
-      & info [ "coin" ] ~docv:"COIN"
-          ~doc:
-            "Round coin: $(b,common) (default; required for safety) or $(b,local) \
-             (ablation only — violates agreement).")
+  let coin =
+    coin_arg ~default:"common"
+      ~doc:"Round coin: $(b,common) (default; required for safety) or $(b,local) (ablation only — \
+            violates agreement)." ()
   in
-  let term =
-    Term.(
-      const run_mmr $ n_arg $ f_arg $ seed_arg $ seeds_arg $ adversary_arg
-      $ fault_kind_arg $ faulty_count_arg $ inputs_arg $ coin_common)
-  in
+  let term = Term.(const run_mmr $ base_term $ inputs_arg $ coin $ seed_arg $ seeds_arg) in
   Cmd.v
     (Cmd.info "mmr" ~doc:"Run MMR (2014) binary agreement, Bracha's modern descendant.")
     term
 
 let acs_cmd =
-  let term =
-    Term.(
-      const run_acs $ n_arg $ f_arg $ seed_arg $ adversary_arg $ fault_kind_arg
-      $ faulty_count_arg)
-  in
-  Cmd.v (Cmd.info "acs" ~doc:"Run an asynchronous common subset.") term
+  Cmd.v (Cmd.info "acs" ~doc:"Run an asynchronous common subset.") Term.(const run_acs $ base_term $ seed_arg)
 
 let check_cmd =
   let depth =
@@ -582,9 +518,16 @@ let check_cmd =
       & opt int 500_000
       & info [ "states" ] ~docv:"K" ~doc:"Exploration budget in states.")
   in
+  let fault =
+    token "fault" ~docv:"KIND" ~default:"none"
+      ~doc:"The one faulty node's behaviour, a bare kind: $(b,none), $(b,silent), $(b,crash) \
+            (after 2 activations), $(b,equivocate), or $(b,flip), $(b,balanced-flip), \
+            $(b,force-decide), $(b,replay) and $(b,corrupt) (each a relay flipping the value); \
+            not $(b,crash-after-)$(i,K)."
+  in
   let term =
     Term.(
-      const run_check $ n_arg $ f_arg $ depth $ max_states $ fault_kind_arg)
+      const run_check $ n_arg $ f_arg $ depth $ max_states $ fault)
   in
   Cmd.v
     (Cmd.info "check"
@@ -612,14 +555,11 @@ let smr_cmd =
           ~doc:"Transactions each node proposes per epoch (with --atomic).")
   in
   let tx_rate =
-    Arg.(
-      value
-      & opt float 0.5
-      & info [ "tx-rate" ] ~docv:"R"
-          ~doc:
-            "Open-loop workload: mean client transactions arriving per \
-             virtual tick per node (Poisson inter-arrivals, deterministic \
-             in --seed; with --atomic).")
+    token "tx-rate" ~docv:"R" ~default:"0.5"
+      ~doc:
+        "Open-loop workload: mean client transactions arriving per \
+         virtual tick per node (Poisson inter-arrivals, deterministic \
+         in --seed; with --atomic)."
   in
   let epochs =
     Arg.(
@@ -650,18 +590,10 @@ let smr_cmd =
              garbage-collecting the epochs below it and enabling \
              state-transfer catch-up.  0 (default) disables checkpoints.")
   in
-  let crash_plan_conv =
-    let print ppf plans =
-      Fmt.(list ~sep:(any ",") (fun ppf (node, schedule) ->
-               pf ppf "%d%a" node (list ~sep:nop (fun ppf (c, r) -> pf ppf ":%d:%d" c r)) schedule))
-        ppf plans
-    in
-    Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (Registry.crash s)), print)
-  in
   let crash =
     Arg.(
       value
-      & opt_all crash_plan_conv []
+      & opt_all string []
       & info [ "crash" ] ~docv:"PLAN"
           ~doc:
             "Crash-recovery schedule $(i,NODE:CRASH:REJOIN[:CRASH:REJOIN...]) \
@@ -672,10 +604,8 @@ let smr_cmd =
   in
   let term =
     Term.(
-      const run_smr $ n_arg $ f_arg $ seed_arg $ adversary_arg $ fault_kind_arg
-      $ faulty_count_arg $ slots $ atomic $ batch_size $ tx_rate $ epochs
-      $ window $ tx_bytes $ checkpoint_interval $ crash $ loss_arg $ dup_arg
-      $ partition_arg $ reliable_arg $ trace_arg $ trace_out_arg)
+      const run_smr $ base_term $ links_term $ slots $ atomic $ batch_size $ tx_rate $ epochs
+      $ window $ tx_bytes $ checkpoint_interval $ crash $ seed_arg $ trace_arg $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "smr"

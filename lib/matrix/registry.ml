@@ -241,14 +241,15 @@ type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : 
 
 type outcome = {
   decided : bool; agreement : bool; validity : bool; totality : bool;
-  rounds : int; messages : int; bytes : int; ticks : int; committed : int; replicas : replica array;
+  rounds : int; messages : int; bytes : int; ticks : int; committed : int; shares : int;
+  replicas : replica array;
 }
 
 let decides o = o.decided && o.agreement && o.validity
 
 let failed =
   { decided = false; agreement = false; validity = false; totality = false; rounds = 0;
-    messages = 0; bytes = 0; ticks = 0; committed = 0; replicas = [||] }
+    messages = 0; bytes = 0; ticks = 0; committed = 0; shares = 0; replicas = [||] }
 
 type run = {
   outcome : outcome; stop : Abc_net.Engine.stop_reason; deliveries : int; metrics : Metrics.t;
@@ -426,7 +427,8 @@ end
 
 (* The counts every verdict reports, from the engine. *)
 let counts v =
-  { failed with messages = v.counter "sent"; bytes = v.counter "bytes.sent"; ticks = v.duration }
+  { failed with messages = v.counter "sent"; bytes = v.counter "bytes.sent"; ticks = v.duration;
+                shares = v.counter "sent.share" }
 
 let consensus_judge ~value_of_input _ inputs v =
   let verdict =
@@ -817,8 +819,13 @@ module Make (S : SUBJECT) = struct
             ^ ": a replica would restart without its durable store" )
     in
     let* () =
-      if sc.crash <> [] && Option.is_none S.recovery then
+      if sc.crash = [] then Ok ()
+      else if Option.is_none S.recovery then
         Error ("crash", name ^ " keeps no durable store to restart a crashed replica from")
+      else if sc.checkpoint <= 0 then
+        Error
+          ( "crash",
+            "a crash plan needs checkpoint > 0: a recovered replica catches up from a stable checkpoint" )
       else Ok ()
     in
     match sc.topology with

@@ -83,6 +83,10 @@ val crash_token : crash list -> string
 val partition : string -> (partition, string) result
 val partition_token : partition -> string
 
+val float_token : float -> string
+(** The shortest [%g] that reads back as the same float: how every
+    number prints, here and in a spec cell's key. *)
+
 (** {1 Scenarios} *)
 
 (** [topology] other than [Complete] floods every message over the
@@ -130,11 +134,13 @@ type replica = { max_live : int; checkpoints : int; transfers : int; catch_up : 
     txs.  A broadcast node that delivers twice breaks [agreement].
     [rounds] is the slowest honest decision round, [committed] the
     first correct replica's log length ([log]: commands, [atomic]:
-    transactions), [replicas] one record per node ([atomic] only, else
-    empty). *)
+    transactions), [shares] the run's [sent.share] count (the Rabin
+    coin's share messages: 0 for every protocol but [mmr-rabin]),
+    [replicas] one record per node ([atomic] only, else empty). *)
 type outcome = {
   decided : bool; agreement : bool; validity : bool; totality : bool;
-  rounds : int; messages : int; bytes : int; ticks : int; committed : int; replicas : replica array;
+  rounds : int; messages : int; bytes : int; ticks : int; committed : int; shares : int;
+  replicas : replica array;
 }
 
 val decides : outcome -> bool
@@ -199,8 +205,8 @@ val check : scenario -> (unit, string * string) result
     ids below [n], graphs that exist at [n] and carry no reliable
     links, probabilities, the fault battery with its placed ids below
     [n] and distinct; crash plans only for a protocol with a durable
-    store, over the complete graph without reliable links): the
-    offending axis, a message. *)
+    store, with checkpoint > 0, over the complete graph without
+    reliable links): the offending axis, a message. *)
 
 val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 (** {!check}, then one seed; also [Error] when the protocol rejects

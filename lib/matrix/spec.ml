@@ -5,7 +5,7 @@ type value =
 
 let value_key = function
   | Int i -> string_of_int i
-  | Num x -> Printf.sprintf "%g" x
+  | Num x -> Registry.float_token x
   | Str s -> s
 
 type binding = { axis : string; value : value; text : string; vspan : Sexp.span }

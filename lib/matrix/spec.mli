@@ -23,7 +23,9 @@ type value =
 
 val value_key : value -> string
 (** Canonical rendering used for cell keys, clause matching and table
-    cells ([Int 3] and [Num 3.] render differently; floats use ["%g"]). *)
+    cells; a float prints as {!Registry.float_token}, the shortest form
+    that reads back as the same float, so distinct values of an axis
+    have distinct keys. *)
 
 type binding = {
   axis : string;

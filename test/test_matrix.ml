@@ -176,7 +176,16 @@ let test_cross_axis_errors () =
        ~axes:
          "    (protocol bracha-rbc coded-rbc)\n    (n 4)\n    (f 1)\n    (fault none flip-relay)\n"
        ~expect:"    (default deliver-all)\n")
-    ~line:9 ~col:16 ~msg_has:"\"flip-relay\" is not defined for coded-rbc"
+    ~line:9 ~col:16 ~msg_has:"\"flip-relay\" is not defined for coded-rbc";
+  (* A recovered replica catches up from a stable checkpoint: without
+     one the plan would run and never decide. *)
+  check_cell_error "crash plan without checkpoints"
+    (base_spec
+       ~axes:
+         "    (protocol atomic)\n    (n 4)\n    (f 1)\n    (batch 4)\n    (epochs 4)\n\
+         \    (crash 2:300:2500)\n"
+       ~expect:"    (default decide)\n")
+    ~line:11 ~col:11 ~msg_has:"a crash plan needs checkpoint > 0"
 
 (* Numbers out of range are positioned errors too, never a crash or a
    silent run: each axis at its own binding. *)
@@ -642,18 +651,25 @@ let test_first_seed () =
   Alcotest.(check (list int)) "seed 513's run" [ (Runner.run_seed sc ~seed:513).messages ] messages;
   Alcotest.(check bool) "not seed 0's" true (messages <> [ (Runner.run_seed sc ~seed:0).messages ])
 
-(* A cell decodes its values as written, not as their %g keys. *)
+(* A cell decodes its values as written, and its key prints a number as
+   the registry does: two numbers, however close, are two keys, and a
+   condition on one of them matches that cell alone. *)
 let test_values_as_written () =
   let spec =
     spec_of_string
       (base_spec
-         ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n    (loss 0.1234567)\n    (reliable true)\n    (seeds 1)\n"
-         ~expect:"    (default any)\n")
+         ~axes:
+           "    (protocol bracha)\n    (n 4)\n    (f 1)\n    (loss 0.1234567 0.1234568)\n\
+           \    (reliable true)\n    (seeds 1)\n"
+         ~expect:"    (when (loss 0.1234567) agree)\n    (default any)\n")
   in
-  let c = List.hd (Runner.run ~pool:(Pool.create ~jobs:1 ()) spec).cells in
+  let cells = (Runner.run ~pool:(Pool.create ~jobs:1 ()) spec).cells in
+  let c = List.hd cells in
   Alcotest.(check (float 0.)) "loss" 0.1234567 c.scenario.loss;
-  Alcotest.(check (list (pair string string))) "key" [ ("loss", "0.123457") ]
-    (List.filter (fun (k, _) -> k = "loss") (Spec.cell_key c.cell));
+  Alcotest.(check (list string)) "keys" [ "0.1234567"; "0.1234568" ]
+    (List.map (fun (c : Runner.cell_result) -> List.assoc "loss" (Spec.cell_key c.cell)) cells);
+  Alcotest.(check (list string)) "the clause matches one cell" [ "agree"; "any" ]
+    (List.map (fun (c : Runner.cell_result) -> Spec.oracle_label c.cell.oracle) cells);
   Alcotest.(check bool) "reliable" true c.scenario.reliable
 
 (* [to_tokens] prints protocol, n and f, then the fields off their
@@ -704,7 +720,7 @@ let test_committed_specs () =
   let expected =
     [ ("e1.matrix", 80); ("e2.matrix", 12); ("e3.matrix", 4); ("e4.matrix", 3);
       ("e5.matrix", 12); ("e6.matrix", 8); ("e7.matrix", 4); ("e9.matrix", 2); ("e10.matrix", 6);
-      ("e10_coin.matrix", 2); ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8);
+      ("e10_coin.matrix", 2); ("e11.matrix", 6); ("e12.matrix", 4); ("e13.matrix", 6); ("e14.matrix", 8);
       ("e16.matrix", 36); ("e17.matrix", 16); ("e18.matrix", 8); ("e19_engine.matrix", 8);
       ("e19_engine_quick.matrix", 4) ]
   in
