@@ -149,18 +149,20 @@ let bechamel_tests () =
                   decide = false;
                 })))
   in
-  let full_run name sc =
+  (* One seed of a scenario, named by its registry tokens. *)
+  let full_run name tokens =
+    let sc = Result.fold (Registry.of_tokens tokens) ~ok:Fun.id ~error:(fun (_, msg) -> failwith msg) in
     Test.make ~name (Staged.stage (fun () -> ignore (Registry.run sc ~seed:1)))
   in
   let full_rbc_run =
     full_run "full rbc run (n=7, f=2)"
-      { (Registry.scenario ~protocol:"bracha-rbc-bit" ~n:7 ~f:2) with adversary = Fifo }
+      [ ("protocol", "bracha-rbc-bit"); ("n", "7"); ("f", "2"); ("adversary", "fifo") ]
   in
   let full_consensus_run =
-    full_run "full consensus run (n=4, f=1)" (Registry.scenario ~protocol:"bracha" ~n:4 ~f:1)
+    full_run "full consensus run (n=4, f=1)" [ ("protocol", "bracha"); ("n", "4"); ("f", "1") ]
   in
   let full_benor_run =
-    full_run "full ben-or run (n=6, f=1)" (Registry.scenario ~protocol:"ben-or" ~n:6 ~f:1)
+    full_run "full ben-or run (n=6, f=1)" [ ("protocol", "ben-or"); ("n", "6"); ("f", "1") ]
   in
   Test.make_grouped ~name:"abc"
     [ rbc_handle; validation_submit; full_rbc_run; full_consensus_run; full_benor_run ]
@@ -216,16 +218,20 @@ let experiment_e10 pool =
 
 (* e11.matrix's cells, a row per n: rounds and messages are each
    cell's means over its seeds, share messages the mean of the Rabin
-   cell's sent.share counts. *)
+   cell's sent.share counts.  The title names each row's fault token. *)
 let experiment_e11 pool =
   let r = run_matrix_spec ~table:false pool "e11" in
   let ideals = cells_of r "mmr" in
+  let fault (c : Matrix_runner.cell_result) =
+    Printf.sprintf "%s at n=%d" (Option.get (Registry.token ~axis:"fault" c.scenario)) c.scenario.n
+  in
   let table =
     Table.create ~id:"e11"
       ~title:
         (Printf.sprintf
            "E11. MMR with idealized common coin vs implemented Rabin coin (share \
-            exchange on the wire): split inputs, two silent faults (%d seeds)"
+            exchange on the wire): split inputs, faults %s (%d seeds)"
+           (String.concat ", " (List.map fault ideals))
            (List.length (List.hd ideals).outcomes))
       ~columns:
         [ "n"; "f"; "ideal rounds"; "ideal msgs"; "rabin rounds"; "rabin msgs";

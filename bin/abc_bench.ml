@@ -46,7 +46,7 @@ let write_file path contents =
 
 (* run *)
 
-let run_run specs jobs seeds_scale out no_wall tier =
+let run_run specs jobs out no_wall tier =
   let pool = Pool.create ~jobs () in
   let clock = if no_wall then None else Some Unix.gettimeofday in
   let all_ok =
@@ -62,12 +62,12 @@ let run_run specs jobs seeds_scale out no_wall tier =
             (Spec.id spec) spec_tier t;
           all_ok
         | Some _ | None ->
-        let result = Runner.run ?clock ~seeds_scale ~pool spec in
+        let result = Runner.run ?clock ~pool spec in
         print_string (Table.render (Runner.table result));
         (match out with
         | None -> ()
         | Some dir ->
-          let json = Runner.to_json ~seeds_scale result in
+          let json = Runner.to_json ~seeds_scale:1. result in
           write_file
             (Filename.concat dir ("BENCH_MATRIX_" ^ Spec.id spec ^ ".json"))
             (Json.to_string json ^ "\n"));
@@ -212,13 +212,6 @@ let jobs_arg =
           "Worker domains for the seed sweeps.  Results are \
            byte-identical at any value.")
 
-let seeds_scale_arg =
-  Arg.(
-    value
-    & opt float 1.0
-    & info [ "seeds-scale" ] ~docv:"X"
-        ~doc:"Multiply every cell's seed count (floored at 1).")
-
 let out_arg =
   Arg.(
     value
@@ -248,7 +241,7 @@ let tier_arg =
 let run_cmd =
   let term =
     Term.(
-      const run_run $ specs_arg $ jobs_arg $ seeds_scale_arg $ out_arg
+      const run_run $ specs_arg $ jobs_arg $ out_arg
       $ no_wall_arg $ tier_arg)
   in
   Cmd.v

@@ -8,15 +8,14 @@
      abc-run benor      -n 11 -f 2 --mode byzantine
      abc-run acs        -n 4 -f 1
      abc-run smr        -n 4 -f 1 --slots 3 --fault silent
+     abc-run check      -n 4 -f 1 --depth 7 --fault flip@1
 
-   Every subcommand but check spells its scenario as Abc_matrix.Registry
-   tokens, one (axis, value) pair per flag, and decodes them in one
-   place, as a matrix cell's bindings are; tracing and reports stay
-   here.  Every run is deterministic in --seed; bad input is one line
-   and exit 2. *)
+   Every subcommand spells its scenario as Abc_matrix.Registry tokens,
+   one (axis, value) pair per flag, and decodes them in one place, as a
+   matrix cell's bindings are; tracing and reports stay here.  Every
+   run is deterministic in --seed; bad input is one line and exit 2. *)
 
 module Node_id = Abc_net.Node_id
-module Behaviour = Abc_net.Behaviour
 module Registry = Abc_matrix.Registry
 open Cmdliner
 
@@ -137,9 +136,9 @@ let fail fmt =
 
 let or_exit = function Ok x -> x | Error msg -> fail "%s" msg
 
-(* The one decoder behind every subcommand but check, the registry's,
-   as for a matrix cell; Registry.run checks the scenario before it
-   runs. *)
+(* The one decoder behind every subcommand, the registry's, as for a
+   matrix cell; Registry.run and Registry.explore check the scenario
+   first. *)
 let scenario protocol tokens =
   or_exit (Result.map_error snd (Registry.of_tokens (("protocol", protocol) :: tokens)))
 
@@ -393,63 +392,23 @@ let run_smr base links slots atomic batch_size tx_rate epochs window tx_bytes
 
 (* ---- check (bounded model checking) ---- *)
 
-(* The explorer places one faulty node, so --fault takes a bare KIND
-   only. *)
+(* Every schedule of the one-bit broadcast, as the registry explores
+   it: its faults and its verdict are a run's. *)
 let run_check n f depth max_states fault =
-  if n < 1 || f < 0 then fail "need n >= 1 and f >= 0, got n=%d f=%d" n f;
-  let module Rbc = Abc.Bracha_rbc.Binary in
-  let module X = Abc_check.Explore.Make (Rbc) in
-  let two_faced _rng ~dst v =
-    if Node_id.to_int dst < n / 2 then v else Abc.Value.negate v
+  let sc =
+    scenario "bracha-rbc-bit" [ ("n", string_of_int n); ("f", string_of_int f); ("fault", fault) ]
   in
-  let faulty =
-    let at i b = [ (Node_id.of_int i, b) ] in
-    match or_exit (Registry.fault fault) with
-    | No_fault -> []
-    | Faulty [ (Silent, 1) ] -> at 0 Behaviour.Silent
-    | Faulty [ (Crash 5, 1) ] -> at 0 (Behaviour.Crash_after 2)
-    | Faulty [ (Equivocate, 1) ] -> at 0 (Behaviour.Equivocate (Rbc.Fault.equivocate two_faced))
-    | Faulty [ ((Flip | Balanced_flip | Force_decide | Replay | Corrupt), 1) ] ->
-      at 1 (Behaviour.Mutate (Rbc.Fault.substitute (fun _ v -> Abc.Value.negate v)))
-    | _ -> fail "check places one faulty node: --fault takes a bare KIND, not %S" fault
-  in
-  let agreement outputs =
-    let delivered =
-      Array.to_list outputs
-      |> List.concat_map (List.map (fun (Rbc.Delivered v) -> v))
-    in
-    match delivered with
-    | [] -> true
-    | v :: rest -> List.for_all (Abc.Value.equal v) rest
-  in
-  let cfg =
-    {
-      X.n;
-      f;
-      inputs = Rbc.inputs ~n ~sender:(Node_id.of_int 0) Abc.Value.One;
-      faulty;
-      invariant = agreement;
-      max_states;
-      max_depth = (if depth = 0 then None else Some depth);
-      drop_plan = None;
-    }
-  in
-  let outcome = or_exit (Registry.guard (fun () -> X.run cfg)) in
-  Fmt.pr
-    "model-check rbc n=%d f=%d depth<=%s: explored=%d exhausted=%b deadlocks=%d \
-     depth_reached=%d@."
+  let max_depth = if depth = 0 then None else Some depth in
+  let outcome = or_exit (Registry.explore sc ~max_depth ~max_states) in
+  Fmt.pr "model-check rbc n=%d f=%d depth<=%s: explored=%d exhausted=%b deadlocks=%d depth_reached=%d@."
     n f
-    (if depth = 0 then "inf" else string_of_int depth)
-    outcome.X.explored outcome.X.exhausted outcome.X.deadlocks
-    outcome.X.depth_reached;
-  match outcome.X.violation with
+    (Option.fold max_depth ~none:"inf" ~some:string_of_int)
+    outcome.explored outcome.exhausted outcome.deadlocks outcome.depth_reached;
+  match outcome.violation with
   | None -> Fmt.pr "  agreement holds on every explored schedule@."
   | Some v ->
-    Fmt.pr "  VIOLATION after %d deliveries:@." (List.length v.X.schedule);
-    List.iter
-      (fun (src, dst, m) ->
-        Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m)
-      v.X.schedule
+    Fmt.pr "  VIOLATION after %d deliveries:@." (List.length v.schedule);
+    List.iter (fun (src, dst, m) -> Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m) v.schedule
 
 (* ---- command wiring ---- *)
 
@@ -518,17 +477,7 @@ let check_cmd =
       & opt int 500_000
       & info [ "states" ] ~docv:"K" ~doc:"Exploration budget in states.")
   in
-  let fault =
-    token "fault" ~docv:"KIND" ~default:"none"
-      ~doc:"The one faulty node's behaviour, a bare kind: $(b,none), $(b,silent), $(b,crash) \
-            (after 2 activations), $(b,equivocate), or $(b,flip), $(b,balanced-flip), \
-            $(b,force-decide), $(b,replay) and $(b,corrupt) (each a relay flipping the value); \
-            not $(b,crash-after-)$(i,K)."
-  in
-  let term =
-    Term.(
-      const run_check $ n_arg $ f_arg $ depth $ max_states $ fault)
-  in
+  let term = Term.(const run_check $ n_arg $ f_arg $ depth $ max_states $ fault_arg) in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Model-check reliable broadcast over every schedule prefix.")

@@ -16,45 +16,27 @@
    Run with: dune exec examples/model_checking.exe *)
 
 module Node_id = Abc_net.Node_id
-module Behaviour = Abc_net.Behaviour
 module Protocol = Abc_net.Protocol
-module Rbc = Abc.Bracha_rbc.Binary
-module Check = Abc_check.Explore.Make (Rbc)
+module Registry = Abc_matrix.Registry
 
-let rbc_agreement outputs =
-  let delivered =
-    Array.to_list outputs
-    |> List.concat_map (List.map (fun (Rbc.Delivered v) -> v))
-  in
-  match delivered with
-  | [] -> true
-  | v :: rest -> List.for_all (Abc.Value.equal v) rest
-
+(* The registry's own scenario, as abc-run check spells it: its sender
+   equivocates, and its verdict's agreement and validity are the
+   invariant. *)
 let () =
   Fmt.pr "Part 1: exhaustive check of reliable broadcast (n=4, f=1).@.";
-  let two_faced _rng ~dst v =
-    if Node_id.to_int dst < 2 then v else Abc.Value.negate v
+  let sc =
+    Result.get_ok
+      (Registry.of_tokens
+         [ ("protocol", "bracha-rbc-bit"); ("n", "4"); ("f", "1"); ("fault", "equivocate") ])
   in
-  let outcome =
-    Check.run
-      {
-        Check.n = 4;
-        f = 1;
-        inputs = Rbc.inputs ~n:4 ~sender:(Node_id.of_int 0) Abc.Value.One;
-        faulty =
-          [ (Node_id.of_int 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ];
-        invariant = rbc_agreement;
-        max_states = 500_000;
-        max_depth = Some 9;
-        drop_plan = None;
-      }
-  in
-  Fmt.pr
-    "  explored %d distinct states (every schedule prefix of <= 9 deliveries)@."
-    outcome.Check.explored;
-  (match outcome.Check.violation with
-  | None -> Fmt.pr "  agreement holds in every one of them.@."
-  | Some _ -> Fmt.pr "  UNEXPECTED violation!@.")
+  match Registry.explore sc ~max_depth:(Some 9) ~max_states:500_000 with
+  | Error msg -> Fmt.pr "  refused: %s@." msg
+  | Ok outcome -> (
+    Fmt.pr "  explored %d distinct states (every schedule prefix of <= 9 deliveries)@."
+      outcome.explored;
+    match outcome.violation with
+    | None -> Fmt.pr "  agreement holds in every one of them.@."
+    | Some _ -> Fmt.pr "  UNEXPECTED violation!@.")
 
 (* A protocol that is obviously wrong: decide on the first claim you
    receive. *)
@@ -103,13 +85,13 @@ let () =
         drop_plan = None;
       }
   in
-  match outcome.Check_race.violation with
+  match outcome.violation with
   | Some v ->
     Fmt.pr "  counterexample found — the schedule that breaks agreement:@.";
     List.iter
       (fun (src, dst, m) ->
         Fmt.pr "    deliver %a -> %a : %s@." Node_id.pp src Node_id.pp dst m)
-      v.Check_race.schedule;
+      v.schedule;
     Fmt.pr
       "  (each node decided on whichever claim the scheduler delivered first)@."
   | None -> Fmt.pr "  no violation found (unexpected).@."

@@ -431,18 +431,6 @@ let quorum_class = function
   | "assert_resilience_at" | "max_faults" -> Ratio_labelled
   | _ -> Generic
 
-(* Fallback for units without an [@@@abc.resilience] attribute (e.g.
-   generated code): declared classes by file basename. *)
-let registry =
-  [
-    ("rbc_core.ml", [ 3 ]); ("bracha_rbc.ml", [ 3 ]);
-    ("bracha_consensus.ml", [ 3 ]); ("consensus_core.ml", [ 3 ]);
-    ("coded_rbc.ml", [ 3 ]); ("mmr_consensus.ml", [ 3 ]); ("acs.ml", [ 3 ]);
-    ("validation.ml", [ 3 ]); ("consistent_broadcast.ml", [ 3 ]);
-    ("ir_rbc.ml", [ 5 ]); ("turpin_coan.ml", [ 4 ]); ("ben_or.ml", [ 2; 5 ]);
-    ("rabin_coin.ml", [ 1 ]);
-  ]
-
 let parse_class s =
   let s = String.concat "" (String.split_on_char ' ' (String.trim s)) in
   let len = String.length s in
@@ -456,7 +444,7 @@ let classes_label rs = String.concat ", " (List.map class_label rs)
 
 (* The declared resilience classes of the unit: the floating
    [@@@abc.resilience "n>3f"] attribute (space-separated list for
-   dual-mode protocols like Ben-Or: "n>2f n>5f"), else the registry. *)
+   dual-mode protocols like Ben-Or: "n>2f n>5f"), [None] without one. *)
 let declared_classes ctx (str : structure) =
   let from_attr =
     List.concat_map
@@ -496,12 +484,7 @@ let declared_classes ctx (str : structure) =
         | _ -> [])
       str
   in
-  if from_attr <> [] then Some from_attr
-  else
-    List.find_map
-      (fun (base, rs) ->
-        if String.equal base (Filename.basename ctx.file) then Some rs else None)
-      registry
+  match from_attr with [] -> None | rs -> Some rs
 
 let resilience ctx (str : structure) =
   let declared = declared_classes ctx str in
@@ -514,8 +497,7 @@ let resilience ctx (str : structure) =
         flag ctx ~rule:"resilience" ~loc ~snippet:("Quorum." ^ fn)
           (Printf.sprintf
              "Quorum.%s is a %s-family threshold but this module declares no \
-              resilience class; add [@@@abc.resilience \"...\"] (or a \
-              registry entry)"
+              resilience class; add [@@@abc.resilience \"...\"]"
              fn (classes_label rs))
       | Some ds ->
         if not (List.exists (fun r -> List.mem r ds) rs) then

@@ -11,9 +11,8 @@
     - {b resilience} — protocol modules in [lib/core] declare their
       resilience class with a floating attribute
       ([\[@@@abc.resilience "n>3f"\]]; space-separated list for
-      dual-mode protocols, e.g. Ben-Or's ["n>2f n>5f"]) or via the
-      built-in registry; every [Quorum.*] use is checked against the
-      declared class.  Bracha-family thresholds ([echo_quorum],
+      dual-mode protocols, e.g. Ben-Or's ["n>2f n>5f"]); every
+      [Quorum.*] use is checked against the declared class.  Bracha-family thresholds ([echo_quorum],
       [ready_amplify], [ready_deliver], [decide_support],
       [assert_resilience]) require [n > 3f]; [honest_support] requires
       at least [n > 3f] (stated for 3/4/5); [decide_unanimity] and

@@ -53,8 +53,8 @@ let all =
       rationale =
         "Each protocol module declares its resilience class (n > 3f for \
          the Bracha family, n > 5f for Imbs-Raynal, ...) with an \
-         [@@@abc.resilience \"n>3f\"] attribute or the built-in registry; \
-         every Quorum.* use is checked against it. An n>5f protocol \
+         [@@@abc.resilience \"n>3f\"] attribute; every Quorum.* use is \
+         checked against it. An n>5f protocol \
          calling an n>3f-family threshold (or asserting the wrong ratio) \
          imports an intersection argument that does not hold under its \
          assumption.";

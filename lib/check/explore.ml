@@ -2,6 +2,16 @@ module Node_id = Abc_net.Node_id
 module Protocol = Abc_net.Protocol
 module Behaviour = Abc_net.Behaviour
 
+type violation = { schedule : (Node_id.t * Node_id.t * string) list }
+
+type outcome = {
+  explored : int;
+  exhausted : bool;
+  deadlocks : int;
+  depth_reached : int;
+  violation : violation option;
+}
+
 module Make (P : Abc_net.Protocol.S) = struct
   type config = {
     n : int;
@@ -12,19 +22,6 @@ module Make (P : Abc_net.Protocol.S) = struct
     max_states : int;
     max_depth : int option;
     drop_plan : (src:Node_id.t -> dst:Node_id.t -> nth:int -> bool) option;
-  }
-
-  type violation = {
-    schedule : (Node_id.t * Node_id.t * string) list;
-    outputs : P.output list array;
-  }
-
-  type outcome = {
-    explored : int;
-    exhausted : bool;
-    deadlocks : int;
-    depth_reached : int;
-    violation : violation option;
   }
 
   (* The in-flight pool is a canonical multiset: entries keyed by the
@@ -262,8 +259,7 @@ module Make (P : Abc_net.Protocol.S) = struct
       in
       walk fp []
     in
-    if not (cfg.invariant start.outputs) then
-      violation := Some { schedule = []; outputs = start.outputs };
+    if not (cfg.invariant start.outputs) then violation := Some { schedule = [] };
     while (not (Queue.is_empty queue)) && !violation = None && !explored < cfg.max_states do
       let state, fp, depth = Queue.pop queue in
       incr explored;
@@ -279,12 +275,7 @@ module Make (P : Abc_net.Protocol.S) = struct
             Fp_tbl.add visited successor_fp ();
             Fp_tbl.add parents successor_fp (fp, step);
             if not (cfg.invariant successor.outputs) then
-              violation :=
-                Some
-                  {
-                    schedule = rebuild_schedule successor_fp;
-                    outputs = successor.outputs;
-                  }
+              violation := Some { schedule = rebuild_schedule successor_fp }
             else Queue.add (successor, successor_fp, depth + 1) queue
           end
         in

@@ -18,7 +18,28 @@
     The result distinguishes a verified bound ([exhausted = true]: the
     invariant holds on {e every} reachable state) from a budgeted
     search ([exhausted = false]: no violation found within
-    [max_states]). *)
+    [max_states]).  [Abc_matrix.Registry.explore] runs it on a
+    registry scenario, with the faults and the verdict a run of that
+    scenario has; [Make] is for protocols and transports outside the
+    registry. *)
+
+type violation = {
+  schedule : (Abc_net.Node_id.t * Abc_net.Node_id.t * string) list;
+      (** the step sequence (src, dst, printed message) leading to the
+          bad state, oldest first; a timer firing appears as (node,
+          node, ["timeout#<id>"]) *)
+}
+
+type outcome = {
+  explored : int;  (** distinct states visited *)
+  exhausted : bool;  (** whole reachable space covered *)
+  deadlocks : int;
+      (** states with no in-flight messages and no pending timers (not
+          violations per se — liveness is out of scope for safety
+          checking — but reported for diagnostics) *)
+  depth_reached : int;  (** longest schedule prefix explored *)
+  violation : violation option;  (** a counterexample, if found *)
+}
 
 module Make (P : Abc_net.Protocol.S) : sig
   type config = {
@@ -47,26 +68,6 @@ module Make (P : Abc_net.Protocol.S) : sig
             how transport-layer protocols ([Reliable_link]) are checked
             against lossy links.  [None] keeps the reliable network
             (and the exact state space of previous versions). *)
-  }
-
-  type violation = {
-    schedule : (Abc_net.Node_id.t * Abc_net.Node_id.t * string) list;
-        (** the step sequence (src, dst, printed message) leading to
-            the bad state, oldest first; a timer firing appears as
-            (node, node, ["timeout#<id>"]) *)
-    outputs : P.output list array;  (** outputs in the bad state *)
-  }
-
-  type outcome = {
-    explored : int;  (** distinct states visited *)
-    exhausted : bool;  (** whole reachable space covered *)
-    deadlocks : int;
-        (** states with no in-flight messages and no pending timers
-            (not violations per se —
-            liveness is out of scope for safety checking — but reported
-            for diagnostics) *)
-    depth_reached : int;  (** longest schedule prefix explored *)
-    violation : violation option;  (** a counterexample, if found *)
   }
 
   val run : config -> outcome

@@ -772,7 +772,17 @@ module Log = struct
   let judge sc _ v = (ledger sc v log_of_outputs, lazy (List.mapi replica (Array.to_list v.outputs)))
 end
 
-(* ---- The generic run ---- *)
+(* ---- The generic run and exploration ---- *)
+
+(* What [prepare] hands back: one seed's run, and the exploration of
+   every schedule, which only the raw complete graph has. *)
+type prepared = {
+  run : seed:int -> trace:Abc_sim.Trace.t option -> (run, string) result;
+  explore : max_depth:int option -> max_states:int -> (Abc_check.Explore.outcome, string) result;
+}
+
+let unexplored ~max_depth:_ ~max_states:_ =
+  Error "the model checker explores the complete graph without reliable links, link faults or crash plans"
 
 module Make (S : SUBJECT) = struct
   module Go (P : Abc_net.Protocol.S with type input = S.input and type output = S.output) = struct
@@ -798,6 +808,30 @@ module Make (S : SUBJECT) = struct
 
   module Raw = Go (S)
   module Rl = Go (Abc_net.Reliable_link.Make (S))
+  module X = Abc_check.Explore.Make (S)
+
+  (* Every schedule from seed 0's inputs, with the run's faults and, at
+     each state, the run's verdict on agreement and validity over the
+     honest nodes' outputs so far.  No adversary, budget or seed
+     applies. *)
+  let explore sc ~faulty ~max_depth ~max_states =
+    if sc.crash <> [] || Option.is_some (link_faults sc) then unexplored ~max_depth ~max_states
+    else
+      guard (fun () ->
+          let inputs = S.inputs sc ~seed:0 in
+          let honest =
+            List.filter (fun id -> not (List.exists (fun (j, _) -> Node_id.equal j id) faulty))
+              (Node_id.all ~n:sc.n)
+          in
+          let invariant outputs =
+            let o, _ =
+              S.judge sc inputs
+                { seed = 0; honest; outputs = Array.map (List.map (fun out -> (0, out))) outputs;
+                  stop = Abc_net.Engine.Quiescent; deliveries = 0; duration = 0; counter = (fun _ -> 0) }
+            in
+            o.agreement && o.validity
+          in
+          X.run { n = sc.n; f = sc.f; inputs; faulty; invariant; max_states; max_depth; drop_plan = None })
 
   (* Faults are placed and checked before anything runs; the closure
      runs one seed.  An explicit graph floods every message over its
@@ -832,29 +866,23 @@ module Make (S : SUBJECT) = struct
     | Complete when sc.reliable ->
       let* () = no_crash "reliable links" in
       let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "reliable transport") in
-      Ok (Rl.run sc ~faulty)
+      Ok { run = Rl.run sc ~faulty; explore = unexplored }
     | Ring | Star | Circulant _ when sc.reliable ->
       Error ("topology", "reliable links do not run over an explicit topology")
     | Ring | Star | Circulant _ ->
       let module Relayed = Go (Abc_net.Relay.Make (S)) in
       let* () = no_crash "the flood relay" in
       let* faulty = battery ~lie:agnostic ~refuse:(agnostic_only "flood relay") in
-      Ok (Relayed.run sc ~faulty)
+      Ok { run = Relayed.run sc ~faulty; explore = unexplored }
     | Complete ->
       let refuse l = Printf.sprintf "fault %S is not defined for %s" l name in
       let* faulty = battery ~lie:S.lie ~refuse in
       let recovery = Option.map (fun (snapshot, restore) -> { Raw.E.snapshot; restore }) S.recovery in
       let crashes = List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) sc.crash in
-      Ok (Raw.run ?recovery sc ~faulty:(faulty @ crashes))
+      Ok { run = Raw.run ?recovery sc ~faulty:(faulty @ crashes); explore = explore sc ~faulty }
 end
 
-type entry = {
-  name : string;
-  cls : string;
-  prepare :
-    scenario ->
-    (seed:int -> trace:Abc_sim.Trace.t option -> (run, string) result, string * string) result;
-}
+type entry = { name : string; cls : string; prepare : scenario -> (prepared, string * string) result }
 
 let entry ?(preset = Fun.id) name cls (module S : SUBJECT) =
   let module M = Make (S) in
@@ -1021,4 +1049,7 @@ let prepare sc =
 let check sc = Result.map ignore (prepare sc)
 
 let run ?trace sc ~seed =
-  match prepare sc with Ok go -> go ~seed ~trace | Error (_, msg) -> Error msg
+  match prepare sc with Ok p -> p.run ~seed ~trace | Error (_, msg) -> Error msg
+
+let explore sc ~max_depth ~max_states =
+  match prepare sc with Ok p -> p.explore ~max_depth ~max_states | Error (_, msg) -> Error msg

@@ -1,6 +1,7 @@
 (** The protocol registry: the only code that turns a scenario into an
-    engine run, for {!Runner}'s matrix cells, [abc-run]'s flags, every
-    bench table and the randomized campaign suite's rows.
+    engine run or an exploration, for {!Runner}'s matrix cells,
+    [abc-run]'s flags, its model checker, every bench table and the
+    randomized campaign suite's rows.
 
     One entry per protocol: [bracha], [bracha-cc] (common coin),
     [ben-or], [mmr], [mmr-rabin] (the wire-level Rabin coin); [bracha-rbc], [coded-rbc], [ir-rbc] and
@@ -212,9 +213,17 @@ val run : ?trace:Abc_sim.Trace.t -> scenario -> seed:int -> (run, string) result
 (** {!check}, then one seed; also [Error] when the protocol rejects
     [(n, f)] at init. *)
 
-(** {1 For protocols outside the registry} *)
+val explore :
+  scenario -> max_depth:int option -> max_states:int -> (Abc_check.Explore.outcome, string) result
+(** {!check}, then every schedule of the scenario up to [max_depth]
+    steps ([None]: to quiescence) within [max_states] states, each
+    state judged by the verdict's [agreement && validity] over the
+    honest nodes' outputs so far: seed 0's inputs and the faults a run
+    places.  [adversary], [budget] and the seed do not apply, since
+    every schedule is explored.  Reliable links, an explicit topology,
+    a link fault or a crash plan is refused with one message; also
+    [Error] when the protocol rejects [(n, f)] at init. *)
 
 val link_faults : scenario -> Abc_net.Link_faults.t option
-
-val guard : (unit -> 'a) -> ('a, string) result
-(** [Error] when the protocol rejects [(n, f)] at init. *)
+(** The scenario's loss, duplication and partition, [None] when it has
+    none. *)

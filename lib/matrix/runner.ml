@@ -97,14 +97,10 @@ type cell_result = {
 
 type t = { spec : Spec.t; cells : cell_result list }
 
-let scaled_seeds ~seeds_scale s =
-  max 1 (int_of_float (float_of_int s *. seeds_scale))
-
-let run ?clock ?(seeds_scale = 1.) ~pool spec =
+let run ?clock ~pool spec =
   let cells =
     match scenarios spec with Ok cells -> cells | Error e -> invalid_arg (Sexp.error_to_string e)
   in
-  let seeds cell = scaled_seeds ~seeds_scale (seeds cell) in
   let jobs =
     (* One job per (cell, seed), flattened in cell order: the merge is
        index-ordered, so regrouping below is deterministic at any

@@ -54,16 +54,9 @@ val run_seed : Registry.scenario -> seed:int -> Registry.outcome
     rejects is {!Registry.failed}, which an [expect-fail] cell counts
     as its miss. *)
 
-val run :
-  ?clock:(unit -> float) ->
-  ?seeds_scale:float ->
-  pool:Abc_exec.Pool.t ->
-  Spec.t ->
-  t
-(** Expand the spec and run every cell's seed sweep on the pool.
-    [seeds_scale] multiplies each cell's [seeds] axis (floored at 1);
-    the quick tier in CI uses the spec's own counts, scale [1.].
-    Raises [Invalid_argument] when {!check} fails. *)
+val run : ?clock:(unit -> float) -> pool:Abc_exec.Pool.t -> Spec.t -> t
+(** Expand the spec and run every cell's seed sweep, its [seeds] axis,
+    on the pool.  Raises [Invalid_argument] when {!check} fails. *)
 
 val passed : t -> bool
 (** Every cell's expected verdict held. *)
@@ -89,5 +82,7 @@ val matrix_schema_version : int
 val to_json : seeds_scale:float -> t -> Abc_sim.Json.t
 (** The [abc.bench.matrix] result set (schema documented in
     OBSERVABILITY.md): spec identity, axis list, one object per cell
-    keyed by its axis values, and run metadata.  Deliberately excludes
+    keyed by its axis values, and run metadata: [seeds_scale] as given,
+    [1.] from [abc-bench], whose runs take each spec's own seed counts.
+    Deliberately excludes
     the worker count: the export is byte-identical at any [--jobs]. *)

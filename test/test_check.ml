@@ -1,6 +1,7 @@
 (* Tests for the bounded model checker: exhaustive schedule exploration
-   of reliable broadcast, plus a deliberately unsafe toy protocol to
-   prove the checker can actually find counterexamples. *)
+   of reliable broadcast, directly and as Registry.explore runs it on a
+   registry scenario, plus a deliberately unsafe toy protocol to prove
+   the checker can actually find counterexamples. *)
 
 module Node_id = Abc_net.Node_id
 module Behaviour = Abc_net.Behaviour
@@ -44,42 +45,46 @@ let test_honest_rbc_agreement_and_validity_bounded () =
          ~invariant:(fun o -> rbc_agreement o && rbc_validity o)
          ())
   in
-  Alcotest.(check bool) "no violation" true (outcome.X.violation = None);
-  Alcotest.(check bool) "explored many states" true (outcome.X.explored > 1000);
-  Alcotest.(check int) "depth bound respected" 8 outcome.X.depth_reached
+  Alcotest.(check bool) "no violation" true (outcome.violation = None);
+  Alcotest.(check bool) "explored many states" true (outcome.explored > 1000);
+  Alcotest.(check int) "depth bound respected" 8 outcome.depth_reached
+
+(* A sender that tells nodes 0 and 1 its value and nodes 2 and 3 the
+   other. *)
+let two_faced_sender =
+  let two_faced _rng ~dst v =
+    if Node_id.to_int dst < 2 then v else Abc.Value.negate v
+  in
+  [ (node 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
 
 let test_equivocating_sender_agreement_bounded () =
   (* The headline check: under EVERY schedule prefix of length <= 8, a
      two-faced sender cannot make honest nodes deliver conflicting
      values. *)
-  let two_faced _rng ~dst v =
-    if Node_id.to_int dst < 2 then v else Abc.Value.negate v
-  in
-  let faulty =
-    [ (node 0, Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
-  in
   let outcome =
-    X.run (rbc_config ~faulty ~max_depth:(Some 8) ~invariant:rbc_agreement ())
+    X.run
+      (rbc_config ~faulty:two_faced_sender ~max_depth:(Some 8)
+         ~invariant:rbc_agreement ())
   in
   Alcotest.(check bool) "no violation in any schedule" true
-    (outcome.X.violation = None);
-  Alcotest.(check bool) "nontrivial space" true (outcome.X.explored > 1000)
+    (outcome.violation = None);
+  Alcotest.(check bool) "nontrivial space" true (outcome.explored > 1000)
 
 let test_silent_sender_exhausts_immediately () =
   let faulty = [ (node 0, Behaviour.Silent) ] in
   let outcome =
     X.run (rbc_config ~faulty ~max_depth:None ~invariant:rbc_agreement ())
   in
-  Alcotest.(check bool) "exhausted" true outcome.X.exhausted;
-  Alcotest.(check int) "single deadlocked state" 1 outcome.X.explored;
-  Alcotest.(check int) "counted as deadlock" 1 outcome.X.deadlocks
+  Alcotest.(check bool) "exhausted" true outcome.exhausted;
+  Alcotest.(check int) "single deadlocked state" 1 outcome.explored;
+  Alcotest.(check int) "counted as deadlock" 1 outcome.deadlocks
 
 let test_budget_respected () =
   let outcome =
     X.run (rbc_config ~max_states:50 ~max_depth:None ~invariant:rbc_agreement ())
   in
-  Alcotest.(check bool) "stopped at budget" true (outcome.X.explored <= 50);
-  Alcotest.(check bool) "not exhausted" false outcome.X.exhausted
+  Alcotest.(check bool) "stopped at budget" true (outcome.explored <= 50);
+  Alcotest.(check bool) "not exhausted" false outcome.exhausted
 
 (* The explorer fingerprints node states with [Marshal], so a state
    must marshal the same however its tallies filled.  Echoes from
@@ -160,10 +165,10 @@ let test_finds_counterexample_in_unsafe_protocol () =
         drop_plan = None;
       }
   in
-  match outcome.XR.violation with
+  match outcome.violation with
   | Some v ->
-    Alcotest.(check bool) "schedule is non-empty" true (List.length v.XR.schedule > 0);
-    Alcotest.(check bool) "schedule is short" true (List.length v.XR.schedule <= 4)
+    Alcotest.(check bool) "schedule is non-empty" true (List.length v.schedule > 0);
+    Alcotest.(check bool) "schedule is short" true (List.length v.schedule <= 4)
   | None -> Alcotest.fail "expected a counterexample"
 
 let test_safe_toy_exhausts () =
@@ -186,8 +191,8 @@ let test_safe_toy_exhausts () =
         drop_plan = None;
       }
   in
-  Alcotest.(check bool) "exhausted" true outcome.XR.exhausted;
-  Alcotest.(check bool) "no violation" true (outcome.XR.violation = None)
+  Alcotest.(check bool) "exhausted" true outcome.exhausted;
+  Alcotest.(check bool) "no violation" true (outcome.violation = None)
 
 (* ---- the other broadcast variants under the checker ---- *)
 
@@ -222,8 +227,8 @@ let test_coded_two_faced_sender_checked () =
       }
   in
   Alcotest.(check bool) "no violation in any schedule" true
-    (outcome.XC.violation = None);
-  Alcotest.(check bool) "nontrivial space" true (outcome.XC.explored > 100)
+    (outcome.violation = None);
+  Alcotest.(check bool) "nontrivial space" true (outcome.explored > 100)
 
 module Ir = Abc.Ir_rbc.Binary
 module XI = Abc_check.Explore.Make (Ir)
@@ -259,8 +264,8 @@ let test_ir_equivocating_sender_checked () =
       }
   in
   Alcotest.(check bool) "no violation in any schedule" true
-    (outcome.XI.violation = None);
-  Alcotest.(check bool) "nontrivial space" true (outcome.XI.explored > 100)
+    (outcome.violation = None);
+  Alcotest.(check bool) "nontrivial space" true (outcome.explored > 100)
 
 (* A start state with nothing in flight is the whole space: one
    deadlocked state, exhausted at once. *)
@@ -279,9 +284,9 @@ let test_quiescent_start () =
         drop_plan = None;
       }
   in
-  Alcotest.(check bool) "exhausted" true outcome.XR.exhausted;
-  Alcotest.(check int) "one deadlocked state" 1 outcome.XR.deadlocks;
-  Alcotest.(check int) "only the start state" 1 outcome.XR.explored
+  Alcotest.(check bool) "exhausted" true outcome.exhausted;
+  Alcotest.(check int) "one deadlocked state" 1 outcome.deadlocks;
+  Alcotest.(check int) "only the start state" 1 outcome.explored
 
 (* ---- lossy links: deterministic drop plans ---- *)
 
@@ -308,8 +313,8 @@ let test_rbc_lossy_links_stay_safe () =
         drop_plan;
       }
   in
-  Alcotest.(check bool) "no violation" true (outcome.X.violation = None);
-  Alcotest.(check bool) "nontrivial space" true (outcome.X.explored > 100)
+  Alcotest.(check bool) "no violation" true (outcome.violation = None);
+  Alcotest.(check bool) "nontrivial space" true (outcome.explored > 100)
 
 module RlRbc = Abc_net.Reliable_link.Make (Rbc)
 module XRL = Abc_check.Explore.Make (RlRbc)
@@ -338,11 +343,73 @@ let test_reliable_link_rbc_checked_over_drops () =
         drop_plan;
       }
   in
-  Alcotest.(check bool) "no violation" true (outcome.XRL.violation = None);
-  Alcotest.(check bool) "nontrivial space" true (outcome.XRL.explored > 1000);
+  Alcotest.(check bool) "no violation" true (outcome.violation = None);
+  Alcotest.(check bool) "nontrivial space" true (outcome.explored > 1000);
   (* With pending retransmission timers the lossy system must never
      deadlock inside the depth bound. *)
-  Alcotest.(check int) "no deadlock" 0 outcome.XRL.deadlocks
+  Alcotest.(check int) "no deadlock" 0 outcome.deadlocks
+
+(* ---- Registry.explore: the same explorer on a registry scenario ---- *)
+
+module Registry = Abc_matrix.Registry
+
+(* bracha-rbc-bit at n=4, f=1 unless [tokens] say otherwise, to depth
+   8. *)
+let explore tokens =
+  match
+    Registry.of_tokens
+      ([ ("protocol", "bracha-rbc-bit"); ("n", "4"); ("f", "1") ] @ tokens)
+  with
+  | Ok sc -> Registry.explore sc ~max_depth:(Some 8) ~max_states:400_000
+  | Error (_, msg) -> Alcotest.fail msg
+
+(* The registry's equivocate token places the hand-built two-faced
+   sender above, and its verdict holds where agreement does: the same
+   space, explored the same way. *)
+let test_registry_matches_hand_placed () =
+  let direct =
+    X.run
+      (rbc_config ~faulty:two_faced_sender ~max_depth:(Some 8)
+         ~invariant:rbc_agreement ())
+  in
+  match explore [ ("fault", "equivocate") ] with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+    Alcotest.(check int) "explored" direct.explored r.explored;
+    Alcotest.(check bool) "exhausted" direct.exhausted r.exhausted;
+    Alcotest.(check int) "deadlocks" direct.deadlocks r.deadlocks;
+    Alcotest.(check int) "depth reached" direct.depth_reached r.depth_reached;
+    Alcotest.(check bool) "no violation" true (r.violation = None)
+
+let test_registry_refusals () =
+  let refused what tokens =
+    match explore tokens with
+    | Ok _ -> Alcotest.failf "%s: explored" what
+    | Error msg ->
+      Alcotest.(check string) what
+        "the model checker explores the complete graph without reliable \
+         links, link faults or crash plans"
+        msg
+  in
+  refused "reliable links" [ ("reliable", "true") ];
+  refused "ring" [ ("topology", "ring") ];
+  refused "loss" [ ("loss", "0.1") ];
+  (* Beyond its bound the protocol's own Quorum check answers. *)
+  match explore [ ("n", "3") ] with
+  | Ok _ -> Alcotest.fail "n=3 f=1 explored"
+  | Error msg ->
+    Alcotest.(check bool) msg true (String.starts_with ~prefix:"Quorum." msg)
+
+(* Past its bound (f = 0, one liar) a relay's flipped ready makes node
+   0 deliver what the honest sender never sent: the verdict's validity
+   refutes a schedule that agreement alone accepts. *)
+let test_registry_refutes_past_the_bound () =
+  match explore [ ("f", "0"); ("fault", "flip@1") ] with
+  | Error msg -> Alcotest.fail msg
+  | Ok r -> (
+    match r.violation with
+    | Some v -> Alcotest.(check int) "counterexample length" 7 (List.length v.schedule)
+    | None -> Alcotest.fail "no counterexample")
 
 let () =
   Alcotest.run "model_check"
@@ -372,6 +439,15 @@ let () =
             test_rbc_lossy_links_stay_safe;
           Alcotest.test_case "reliable-link rbc checked over drops" `Slow
             test_reliable_link_rbc_checked_over_drops;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "equivocate as hand-placed, depth 8" `Slow
+            test_registry_matches_hand_placed;
+          Alcotest.test_case "refusals and the quorum bound" `Quick
+            test_registry_refusals;
+          Alcotest.test_case "a liar past the bound is refuted" `Quick
+            test_registry_refutes_past_the_bound;
         ] );
       ( "counterexamples",
         [

@@ -152,19 +152,13 @@ let test_quorum_smr_scope () =
 (* ---- rule 4: resilience classes ---- *)
 
 let test_resilience_cross_class () =
-  (* ir_rbc declares n>5f (registry): a Bracha-family n>3f threshold
-     inside it is a cross-class misuse... *)
-  check_rules "n>3f threshold in an n>5f module" [ "resilience" ]
-    ~path:"lib/core/ir_rbc.ml"
-    "let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n";
-  (* ...while the same code in a Bracha-family module is exactly right. *)
-  check_rules "same threshold fine under n>3f" [] ~path:"lib/core/bracha_rbc.ml"
-    "let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n";
-  (* The attribute (not the registry) is the primary declaration. *)
+  (* A Bracha-family n>3f threshold in an n>5f module is a cross-class
+     misuse... *)
   check_rules "attribute declares the class" [ "resilience" ]
     ~path:"lib/core/proto.ml"
     "[@@@abc.resilience \"n>5f\"]\n\
      let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n";
+  (* ...while the same code in a Bracha-family module is exactly right. *)
   check_rules "matching attribute passes" [] ~path:"lib/core/proto.ml"
     "[@@@abc.resilience \"n>3f\"]\n\
      let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n";
@@ -532,11 +526,13 @@ let test_driver_seeded_violation () =
 
 (* Fixed fixtures exercising three rule families (one warn-severity);
    the report they produce must match test/golden/lint_report.json byte
-   for byte, and rendering twice must be identical. *)
+   for byte, and rendering twice must be identical.  The n>5f
+   declaration follows the code, so the finding stays on line 1. *)
 let json_fixtures =
   [
     ( "lib/core/ir_rbc.ml",
-      "let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n" );
+      "let deliver st count = count >= Quorum.ready_deliver ~f:st.f\n\
+       [@@@abc.resilience \"n>5f\"]\n" );
     ( "lib/check/sweep.ml",
       "let total = ref 0\n\
        let sweep pool xs = Exec.Pool.map pool (fun x -> total := !total + x; x) xs\n"
