@@ -11,45 +11,29 @@
    4-vs-4 on their inputs, two Byzantine nodes flipping every value
    they relay — under increasingly hostile schedulers, and prints the
    distribution of rounds-to-decision over 40 seeds, for both the
-   paper's local coin and the common-coin extension.
+   paper's local coin and the common-coin extension.  Each scheduler
+   and coin is a registry token, as a .matrix spec spells it.
 
    Run with: dune exec examples/adversarial_scheduler.exe *)
 
-module B = Abc.Bracha_consensus
-module Node_id = Abc_net.Node_id
-module Adversary = Abc_net.Adversary
+module Registry = Abc_matrix.Registry
 module Summary = Abc_sim.Summary
-
-module H = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-let n = 8
-
-let f = 2
 
 let seeds = 40
 
-let rounds_under ~adversary ~options =
-  (* An even 4-vs-4 split gives the scheduler the most room to keep
-     the honest nodes disagreeing. *)
-  let votes =
-    Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
-  in
-  let faulty =
-    [
-      (Node_id.of_int 0, Abc_net.Behaviour.Mutate B.Fault.flip_value);
-      (Node_id.of_int 7, Abc_net.Behaviour.Mutate B.Fault.flip_value);
-    ]
+(* The registry's default [split] inputs (nodes below n/2 vote 0) give
+   the scheduler the most room to keep the honest nodes disagreeing. *)
+let rounds_under ~adversary ~coin =
+  let scenario =
+    Result.get_ok
+      (Registry.of_tokens
+         [ ("protocol", "bracha"); ("n", "8"); ("f", "2"); ("fault", "flip@0,7");
+           ("adversary", adversary); ("coin", coin) ])
   in
   let one_run seed =
-    let inputs = B.inputs ~n ~options votes in
-    let config = H.E.config ~n ~f ~inputs ~faulty ~adversary ~seed () in
-    let _, verdict = H.run config in
-    assert (Abc.Harness.ok verdict);
-    verdict.Abc.Harness.max_round
+    let r = Result.get_ok (Registry.run scenario ~seed) in
+    assert (Registry.decides r.outcome);
+    r.outcome.rounds
   in
   List.init seeds one_run
 
@@ -61,29 +45,22 @@ let describe label samples =
       (Summary.max_value s)
   | None -> ()
 
+(* Each scheduler's label, and its registry token. *)
+let schedulers =
+  [ ("fifo", "fifo"); ("uniform", "uniform"); ("latency", "latency:8");
+    ("targeted-delay", "target:0"); ("split", "split") ]
+
 let () =
-  let schedulers =
-    [
-      ("fifo", Adversary.fifo);
-      ("uniform", Adversary.uniform);
-      ("latency", Adversary.latency ~mean:8.);
-      ("targeted-delay", Adversary.targeted_delay ~victims:[ Node_id.of_int 0 ]);
-      ("split", Adversary.split ~n);
-    ]
-  in
   Fmt.pr
-    "n=%d, f=%d, honest inputs split 4-vs-4, two bit-flipping Byzantine nodes, %d seeds.@."
-    n f seeds;
+    "n=8, f=2, honest inputs split 4-vs-4, two bit-flipping Byzantine nodes, %d seeds.@."
+    seeds;
+  let table coin =
+    List.iter (fun (label, adversary) -> describe label (rounds_under ~adversary ~coin)) schedulers
+  in
   Fmt.pr "@.Local coin (the 1984 protocol):@.";
-  List.iter
-    (fun (label, adversary) ->
-      describe label (rounds_under ~adversary ~options:B.Options.default))
-    schedulers;
+  table "local";
   Fmt.pr "@.Common coin (the modern extension):@.";
-  let options = B.Options.with_common_coin ~seed:7 in
-  List.iter
-    (fun (label, adversary) -> describe label (rounds_under ~adversary ~options))
-    schedulers;
+  table "common";
   Fmt.pr
     "@.Every run terminated — the scheduler can stretch the race but@.\
      cannot win it.  The common coin caps the stretching, which is why@.\

@@ -10,70 +10,44 @@
    The example runs three traitor strategies and shows that the loyal
    generals always reach the same decision, and that when all loyal
    generals want to attack, no traitor can talk them out of it
-   (validity).
+   (validity).  Each run is a registry scenario, spelled in the tokens
+   a .matrix spec uses.
 
    Run with: dune exec examples/byzantine_generals.exe *)
 
-module B = Abc.Bracha_consensus
-module Node_id = Abc_net.Node_id
-module Behaviour = Abc_net.Behaviour
-
-module H = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-let n = 7
-
-let f = 2
-
-let traitors = [ 2; 5 ]
+module Registry = Abc_matrix.Registry
 
 let strategies =
   [
-    ("silent traitors (crash)", Behaviour.Silent);
-    ("consistent liars (flip every vote)", Behaviour.Mutate B.Fault.flip_value);
-    ( "two-faced traitors (equivocate)",
-      Behaviour.Equivocate (B.Fault.equivocate_by_half ~n) );
+    ("silent traitors (crash)", "silent@2,5");
+    ("consistent liars (flip every vote)", "flip@2,5");
+    ("two-faced traitors (equivocate)", "equivocate@2,5");
   ]
 
-let campaign ~label ~behaviour ~votes ~seed =
-  let faulty = List.map (fun i -> (Node_id.of_int i, behaviour)) traitors in
-  let inputs = B.inputs ~n ~options:B.Options.default votes in
-  let config =
-    H.E.config ~n ~f ~inputs ~faulty ~adversary:Abc_net.Adversary.uniform ~seed ()
+let campaign ~inputs ~seed (label, fault) =
+  let scenario =
+    Result.get_ok
+      (Registry.of_tokens
+         [ ("protocol", "bracha"); ("n", "7"); ("f", "2"); ("inputs", inputs); ("fault", fault) ])
   in
-  let _, verdict = H.run config in
+  let r = Result.get_ok (Registry.run scenario ~seed) in
   Fmt.pr "  %-38s" label;
-  match verdict.Abc.Harness.decisions with
-  | (_, _, first) :: _ when Abc.Harness.ok verdict ->
-    let order =
-      if Abc.Value.to_bool first.Abc.Decision.value then "ATTACK" else "RETREAT"
-    in
-    Fmt.pr "loyal generals agree: %s (round %d, %d messages)@." order
-      verdict.Abc.Harness.max_round verdict.Abc.Harness.messages
-  | _ -> Fmt.pr "FAILED: %a@." Abc.Harness.pp_verdict verdict
+  if Registry.decides r.outcome then (
+    Fmt.pr "loyal generals agree (round %d, %d messages):@." r.outcome.rounds r.outcome.messages;
+    List.iter (Fmt.pr "  %s@.") (Lazy.force r.lines))
+  else Fmt.pr "FAILED@."
 
 let () =
-  Fmt.pr "Seven generals, two traitors (nodes %s), asynchronous messengers.@."
-    (String.concat ", " (List.map string_of_int traitors));
+  Fmt.pr "Seven generals, two traitors (nodes 2, 5), asynchronous messengers.@.";
+  Fmt.pr "A decision of 1 is ATTACK, 0 is RETREAT.@.";
 
   Fmt.pr "@.Scenario 1: every loyal general wants to attack.@.";
-  let attack_votes = Array.make n Abc.Value.One in
-  List.iteri
-    (fun k (label, behaviour) ->
-      campaign ~label ~behaviour ~votes:attack_votes ~seed:(100 + k))
-    strategies;
+  List.iteri (fun k -> campaign ~inputs:"unanimous1" ~seed:(100 + k)) strategies;
 
+  (* [alternate]: even ids vote 0, odd ids 1, so loyal 0, 4, 6 against
+     loyal 1, 3. *)
   Fmt.pr "@.Scenario 2: the loyal generals are split 3 vs 2.@.";
-  let split_votes =
-    Array.init n (fun i -> if i mod 2 = 0 then Abc.Value.One else Abc.Value.Zero)
-  in
-  List.iteri
-    (fun k (label, behaviour) ->
-      campaign ~label ~behaviour ~votes:split_votes ~seed:(200 + k))
-    strategies;
+  List.iteri (fun k -> campaign ~inputs:"alternate" ~seed:(200 + k)) strategies;
 
   Fmt.pr
     "@.In scenario 1 validity forces ATTACK every time; in scenario 2 either@.\

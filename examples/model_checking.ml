@@ -74,16 +74,8 @@ let () =
   in
   let outcome =
     Check_race.run
-      {
-        Check_race.n = 2;
-        f = 0;
-        inputs = [| Abc.Value.Zero; Abc.Value.One |];
-        faulty = [];
-        invariant = agreement;
-        max_states = 10_000;
-        max_depth = None;
-        drop_plan = None;
-      }
+      { Check_race.n = 2; f = 0; inputs = [| Abc.Value.Zero; Abc.Value.One |]; faulty = [];
+        invariant = agreement; max_states = 10_000; max_depth = None; drop_plan = None }
   in
   match outcome.violation with
   | Some v ->

@@ -10,63 +10,46 @@
    disconnects the survivors (κ ≤ f at the cut), agreement dies with
    them; one extra offset of edges and it sails through.
 
+   Each run is a registry scenario: any topology but [complete] floods
+   every message over the graph.  Connectivity is the graph's, so it
+   is computed from the same offsets.
+
    Run with: dune exec examples/partial_network.exe *)
 
+module Registry = Abc_matrix.Registry
 module Topology = Abc_net.Topology
 module Node_id = Abc_net.Node_id
-module M = Abc.Mmr_consensus
-module Relayed = Abc_net.Relay.Make (M)
-
-module H = Abc.Harness.Make (struct
-  include Relayed
-
-  let value_of_input = M.value_of_input
-end)
 
 let n = 8
 
-let f = 2
-
 let crash_cut = [ 1; 5 ] (* antipodal on the ring: a minimum cut *)
 
-let attempt ~label ~graph ~seed =
-  let votes =
-    Array.init n (fun i -> if i < n / 2 then Abc.Value.Zero else Abc.Value.One)
+let ids l = String.concat "," (List.map string_of_int l)
+
+let attempt (label, offsets) =
+  let scenario =
+    Result.get_ok
+      (Registry.of_tokens
+         [ ("protocol", "mmr"); ("n", string_of_int n); ("f", "2");
+           ("topology", "circulant:" ^ ids offsets); ("fault", "crash-after-0@" ^ ids crash_cut);
+           ("budget", "400000") ])
   in
-  let inputs = M.inputs ~n ~coin:(Abc.Coin.common ~seed:7) votes in
-  let faulty =
-    List.map
-      (fun i -> (Node_id.of_int i, Abc_net.Behaviour.Crash_after 0))
-      crash_cut
-  in
-  let config =
-    H.E.config ~n ~f ~inputs ~faulty ~topology:graph
-      ~adversary:Abc_net.Adversary.uniform ~seed ~max_deliveries:400_000 ()
-  in
-  let _, verdict = H.run config in
-  let survivors_connected =
-    Topology.connected_after_removing graph (List.map Node_id.of_int crash_cut)
-  in
+  let r = Result.get_ok (Registry.run scenario ~seed:1) in
+  let graph = Topology.circulant ~n ~offsets in
   Fmt.pr "  %-12s κ=%d  survivors connected: %-5b  ->  %s@." label
     (Topology.vertex_connectivity graph)
-    survivors_connected
-    (if Abc.Harness.ok verdict then
-       Fmt.str "agreement in %d rounds, %d messages" verdict.Abc.Harness.max_round
-         verdict.Abc.Harness.messages
+    (Topology.connected_after_removing graph (List.map Node_id.of_int crash_cut))
+    (if Registry.decides r.outcome then
+       Fmt.str "agreement in %d rounds, %d messages" r.outcome.rounds r.outcome.messages
      else "NO AGREEMENT (partition)")
 
 let () =
   Fmt.pr
     "Eight replicas, two crashed at the cut {%s}, consensus over flood relay:@.@."
     (String.concat ", " (List.map string_of_int crash_cut));
-  List.iter
-    (fun (label, graph) -> attempt ~label ~graph ~seed:1)
-    [
-      ("ring C8(1)", Topology.circulant ~n ~offsets:[ 1 ]);
-      ("C8(1,2)", Topology.circulant ~n ~offsets:[ 1; 2 ]);
-      ("C8(1,2,3)", Topology.circulant ~n ~offsets:[ 1; 2; 3 ]);
-      ("complete K8", Topology.complete ~n);
-    ];
+  List.iter attempt
+    [ ("ring C8(1)", [ 1 ]); ("C8(1,2)", [ 1; 2 ]); ("C8(1,2,3)", [ 1; 2; 3 ]);
+      ("complete K8", [ 1; 2; 3; 4 ]) ];
   Fmt.pr
     "@.The survivors must form a connected graph: vertex connectivity@.\
      above the fault count at the cut is exactly the line between the@.\

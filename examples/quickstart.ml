@@ -5,42 +5,25 @@
    tells the first half of the network "1" and the second half "0".
    Bracha's echo/ready protocol forces a single outcome anyway.
 
+   The scenario is spelled in the registry's tokens, as a .matrix spec
+   or abc-run's flags spell it; on a broadcast the [equivocate] fault
+   sits on the sender.
+
    Run with: dune exec examples/quickstart.exe *)
 
-module Rbc = Abc.Bracha_rbc.Binary
-module Engine = Abc_net.Engine.Make (Rbc)
-module Node_id = Abc_net.Node_id
+module Registry = Abc_matrix.Registry
 
 let () =
-  let n = 4 and f = 1 in
-  let sender = Node_id.of_int 0 in
-
-  (* The sender lies per recipient; everyone else is honest. *)
-  let two_faced _rng ~dst value =
-    if Node_id.to_int dst < n / 2 then value else Abc.Value.negate value
+  let scenario =
+    Result.get_ok
+      (Registry.of_tokens
+         [ ("protocol", "bracha-rbc-bit"); ("n", "4"); ("f", "1"); ("fault", "equivocate") ])
   in
-  let faulty =
-    [ (sender, Abc_net.Behaviour.Equivocate (Rbc.Fault.equivocate two_faced)) ]
-  in
-
-  let config =
-    Engine.config ~n ~f
-      ~inputs:(Rbc.inputs ~n ~sender Abc.Value.One)
-      ~faulty ~adversary:Abc_net.Adversary.uniform ~seed:2024 ()
-  in
-  let result = Engine.run config in
-
-  Fmt.pr "Reliable broadcast, n=%d f=%d, equivocating sender:@." n f;
-  Array.iteri
-    (fun i outputs ->
-      match outputs with
-      | [ (time, Rbc.Delivered v) ] ->
-        Fmt.pr "  node %d delivered %a at virtual time %d@." i Abc.Value.pp v time
-      | [] -> Fmt.pr "  node %d delivered nothing@." i
-      | _ -> assert false)
-    result.Engine.outputs;
-  Fmt.pr "Messages sent: %d (O(n^2) echoes and readies)@."
-    (Abc_sim.Metrics.counter result.Engine.metrics "sent");
+  let r = Result.get_ok (Registry.run scenario ~seed:2024) in
+  assert r.outcome.agreement;
+  Fmt.pr "Reliable broadcast, n=4 f=1, equivocating sender:@.";
+  List.iter (Fmt.pr "%s@.") (Lazy.force r.lines);
+  Fmt.pr "Messages sent: %d (O(n^2) echoes and readies)@." r.outcome.messages;
   Fmt.pr
     "Agreement holds: honest nodes never deliver conflicting values,@.\
      no matter what the sender or the scheduler does.@."
