@@ -119,8 +119,9 @@ module Make (P : Protocol.S) = struct
     match msg with
     | Ack { upto } ->
       let ch = Int_map.find src_i st.out in
-      let unacked = Int_map.filter (fun seq _ -> seq > upto) ch.unacked in
-      let progressed = Int_map.cardinal unacked < Int_map.cardinal ch.unacked in
+      (* One split releases the acked prefix: everything up to [upto]. *)
+      let acked, at_upto, unacked = Int_map.split upto ch.unacked in
+      let progressed = Option.is_some at_upto || not (Int_map.is_empty acked) in
       (* Progress resets the backoff; the armed timer will find either
          nothing outstanding (and lapse) or retransmit at a fresh
          cadence next time it is re-armed. *)
