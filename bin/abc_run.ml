@@ -13,7 +13,8 @@
    Every subcommand spells its scenario as Abc_matrix.Registry tokens,
    one (axis, value) pair per flag, and decodes them in one place, as a
    matrix cell's bindings are; tracing and reports stay here.  Every
-   run is deterministic in --seed; bad input is one line and exit 2. *)
+   run is deterministic in --seed; bad input is one line and exit 2,
+   and a violation check finds exits 1 after its report. *)
 
 module Node_id = Abc_net.Node_id
 module Registry = Abc_matrix.Registry
@@ -393,7 +394,8 @@ let run_smr base links slots atomic batch_size tx_rate epochs window tx_bytes
 (* ---- check (bounded model checking) ---- *)
 
 (* Every schedule of the one-bit broadcast, as the registry explores
-   it: its faults and its verdict are a run's. *)
+   it: its faults and its verdict are a run's.  A violation is a
+   verdict miss, exit 1, as in abc-bench run. *)
 let run_check n f depth max_states fault =
   let sc =
     scenario "bracha-rbc-bit" [ ("n", string_of_int n); ("f", string_of_int f); ("fault", fault) ]
@@ -408,7 +410,8 @@ let run_check n f depth max_states fault =
   | None -> Fmt.pr "  agreement holds on every explored schedule@."
   | Some v ->
     Fmt.pr "  VIOLATION after %d deliveries:@." (List.length v.schedule);
-    List.iter (fun (src, dst, m) -> Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m) v.schedule
+    List.iter (fun (src, dst, m) -> Fmt.pr "    %a -> %a : %s@." Node_id.pp src Node_id.pp dst m) v.schedule;
+    exit 1
 
 (* ---- command wiring ---- *)
 
@@ -480,7 +483,7 @@ let check_cmd =
   let term = Term.(const run_check $ n_arg $ f_arg $ depth $ max_states $ fault_arg) in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Model-check reliable broadcast over every schedule prefix.")
+       ~doc:"Model-check reliable broadcast over every schedule prefix; exits 1 on a violation.")
     term
 
 let smr_cmd =
