@@ -63,15 +63,13 @@ let satisfies oracle (o : Registry.outcome) =
   | Spec.Decide | Spec.Expect_fail -> Registry.decides o
   | Spec.Agree -> o.agreement && o.validity
   | Spec.Deliver_all -> o.decided && o.agreement && o.validity && o.totality
-  | Spec.Live_within b -> Registry.decides o && o.ticks <= b
   | Spec.Any -> true
 
 let cell_pass oracle ~ok ~total =
   match oracle with
   | Spec.Expect_fail -> ok < total
   | Spec.Any -> true
-  | Spec.Decide | Spec.Agree | Spec.Deliver_all | Spec.Live_within _ ->
-    ok = total
+  | Spec.Decide | Spec.Agree | Spec.Deliver_all -> ok = total
 
 (* ----------------------------------------------------------------- *)
 (* Pool fan-out and aggregation                                      *)

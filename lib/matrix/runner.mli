@@ -43,9 +43,9 @@ val check : Spec.t -> (unit, Sexp.error) result
 (** {!scenarios}, discarding the cells. *)
 
 val satisfies : Spec.oracle -> Registry.outcome -> bool
-(** Whether one seed's outcome meets an oracle: [decide], [expect-fail]
-    (what it must miss) and [live-within] ask {!Registry.decides}, the
-    latter within its tick budget; [agree] agreement and validity;
+(** Whether one seed's outcome meets an oracle: [decide] and
+    [expect-fail] (what it must miss) ask {!Registry.decides}; [agree]
+    agreement and validity;
     [deliver-all] delivery at every honest node with agreement,
     validity and totality; [any] nothing. *)
 

@@ -14,7 +14,6 @@ type oracle =
   | Decide
   | Agree
   | Deliver_all
-  | Live_within of int
   | Expect_fail
   | Any
 
@@ -22,7 +21,6 @@ let oracle_label = function
   | Decide -> "decide"
   | Agree -> "agree"
   | Deliver_all -> "deliver-all"
-  | Live_within b -> Printf.sprintf "live-within %d" b
   | Expect_fail -> "expect-fail"
   | Any -> "any"
 
@@ -157,17 +155,8 @@ let parse_oracle = function
   | Sexp.Atom ("deliver-all", _) -> Deliver_all
   | Sexp.Atom ("expect-fail", _) -> Expect_fail
   | Sexp.Atom ("any", _) -> Any
-  | Sexp.List ([ Sexp.Atom ("live-within", _); budget ], _) -> (
-    let s, bspan = atom budget in
-    match int_of_string_opt s with
-    | Some b when b > 0 -> Live_within b
-    | Some _ | None ->
-      fail bspan
-        (Printf.sprintf "live-within needs a positive tick budget, found %S" s))
   | form ->
-    fail (Sexp.span form)
-      "expected a verdict: decide | agree | deliver-all | (live-within N) | \
-       expect-fail | any"
+    fail (Sexp.span form) "expected a verdict: decide | agree | deliver-all | expect-fail | any"
 
 (* A condition's values must each be one its axis takes, compared as
    {!clause_matches} compares them: a value no cell has would leave the

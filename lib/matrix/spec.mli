@@ -4,9 +4,9 @@
     adversary, fault mix, topology, loss plan, payload, seeds, ...)
     combined by cross product — with [zip] groups advancing several
     axes in lockstep — plus per-cell {e expected-verdict} annotations:
-    what property each cell must exhibit (decide / agree / deliver-all
-    / live-within a budget), or [expect-fail] for cells deliberately
-    configured beyond a protocol's resilience bound.
+    what property each cell must exhibit (decide / agree /
+    deliver-all), or [expect-fail] for cells deliberately configured
+    beyond a protocol's resilience bound.
 
     Specs live in [.matrix] files (an s-expression format, see
     EXPERIMENTS.md for the grammar) and elaborate with span-accurate
@@ -38,7 +38,6 @@ type oracle =
   | Decide  (** all honest nodes decide; agreement + validity hold *)
   | Agree  (** safety only: agreement + validity among deciders *)
   | Deliver_all  (** RBC totality: every honest node delivers, equally *)
-  | Live_within of int  (** {!Decide} within a virtual-time budget *)
   | Expect_fail
       (** beyond-resilience cell: at least one seed must {e miss}
           {!Decide} — the configured violation has to materialize *)

@@ -84,10 +84,14 @@ let test_elaboration_errors () =
     (base_spec ~axes:"    (protocol bracha)\n    (n 4)\n"
        ~expect:"    (default decide)\n")
     ~line:1 ~col:0 ~msg_has:"\"f\" axis";
-  check_error "bad oracle"
-    (base_spec ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n"
-       ~expect:"    (default sometimes)\n")
-    ~line:11 ~col:13 ~msg_has:"verdict";
+  (* (live-within N) is no longer a verdict. *)
+  List.iter
+    (fun verdict ->
+      check_error "bad oracle"
+        (base_spec ~axes:"    (protocol bracha)\n    (n 4)\n    (f 1)\n"
+           ~expect:(Printf.sprintf "    (default %s)\n" verdict))
+        ~line:11 ~col:13 ~msg_has:"verdict")
+    [ "sometimes"; "(live-within 5)" ];
   check_error "non-integer n"
     (base_spec ~axes:"    (protocol bracha)\n    (n four)\n    (f 1)\n"
        ~expect:"    (default decide)\n")
