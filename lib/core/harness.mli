@@ -13,7 +13,10 @@ open Import
       that value (the non-unanimous case is vacuous for binary
       consensus).
 
-    Used by the test suite, the examples and every benchmark table. *)
+    {!judge} is the consensus verdict of the scenario registry, which
+    runs every example, matrix cell and benchmark table; {!Make} runs
+    an engine itself, for driving a protocol module directly, as the
+    tests and abc_perf do. *)
 
 module type CONSENSUS = sig
   include Protocol.S with type output = Decision.t
@@ -56,9 +59,6 @@ val judge :
 
 module Make (P : CONSENSUS) : sig
   module E : module type of Engine.Make (P)
-
-  val evaluate : E.config -> E.result -> verdict
-  (** Judge a finished run against the three properties. *)
 
   val run : E.config -> E.result * verdict
   (** Execute and judge. *)

@@ -112,8 +112,9 @@ type scenario = {
 
 val scenario : protocol:string -> n:int -> f:int -> scenario
 (** The matrix defaults: split inputs, uniform adversary, no faults,
-    reliable links, 64-byte payloads, batch 16 over 2 epochs in a window
-    of 2, no checkpoints, tx-rate 1.0. *)
+    the complete graph, no link faults and no reliable-link transport,
+    64-byte payloads, batch 16 over 2 epochs in a window of 2, no
+    checkpoints, tx-rate 1.0. *)
 
 (** One [atomic] replica's recovery measures: [max_live],
     [checkpoints] and [transfers] from its [Gc_stats] (zeros without
