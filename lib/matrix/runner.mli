@@ -45,9 +45,8 @@ val check : Spec.t -> (unit, Sexp.error) result
 val satisfies : Spec.oracle -> Registry.outcome -> bool
 (** Whether one seed's outcome meets an oracle: [decide] and
     [expect-fail] (what it must miss) ask {!Registry.decides}; [agree]
-    agreement and validity;
-    [deliver-all] delivery at every honest node with agreement,
-    validity and totality; [any] nothing. *)
+    agreement and validity; [deliver-all] delivery at every honest node
+    with agreement, validity and totality; [any] nothing. *)
 
 val run_seed : Registry.scenario -> seed:int -> Registry.outcome
 (** One seed of a checked scenario; a run the registry or the protocol
