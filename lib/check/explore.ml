@@ -154,16 +154,14 @@ module Make (P : Abc_net.Protocol.S) = struct
         ~rng:(fresh_rng (1000 + Node_id.to_int id))
         ~n:cfg.n ~activation actions
 
-  (* [deliver cfg state key] returns the successor state. *)
-  let deliver cfg state key =
-    let e = Pending_map.find key state.pending in
-    let i = Node_id.to_int e.dst in
-    let ctx = context cfg i in
-    let node_state, actions, new_outputs =
-      P.on_message ctx state.nodes.(i) ~src:e.src e.msg
-    in
+  (* The successor in which node [i] runs [handle] on its own state:
+     its actions pass through its behaviour into [pool], the pending
+     messages and timers less the one just consumed. *)
+  let step cfg state i pool handle =
+    let node_state, actions, new_outputs = handle (context cfg i) state.nodes.(i) in
+    let actor = Node_id.of_int i in
     let activation = state.activations.(i) in
-    let actions = behaviour_filter cfg ~id:e.dst ~activation actions in
+    let actions = behaviour_filter cfg ~id:actor ~activation actions in
     let nodes = Array.copy state.nodes in
     nodes.(i) <- node_state;
     let activations = Array.copy state.activations in
@@ -171,34 +169,22 @@ module Make (P : Abc_net.Protocol.S) = struct
     let outputs = Array.copy state.outputs in
     outputs.(i) <- state.outputs.(i) @ new_outputs;
     let sent = Array.copy state.sent in
-    let pending = remove_pending state.pending key in
-    let pending, timers =
-      apply_actions cfg ~actor:e.dst sent (pending, state.timers) actions
-    in
+    let pending, timers = apply_actions cfg ~actor sent pool actions in
     { nodes; activations; outputs; pending; timers; sent }
+
+  (* [deliver cfg state key] is the successor in which that pending
+     message is delivered next. *)
+  let deliver cfg state key =
+    let e = Pending_map.find key state.pending in
+    step cfg state (Node_id.to_int e.dst)
+      (remove_pending state.pending key, state.timers)
+      (fun ctx node -> P.on_message ctx node ~src:e.src e.msg)
 
   (* [fire cfg state (node, id)] is the successor in which that pending
      timer fires next. *)
-  let fire cfg state ((node_i, id) as tkey) =
-    let ctx = context cfg node_i in
-    let node_state, actions, new_outputs =
-      P.on_timeout ctx state.nodes.(node_i) ~id
-    in
-    let actor = Node_id.of_int node_i in
-    let activation = state.activations.(node_i) in
-    let actions = behaviour_filter cfg ~id:actor ~activation actions in
-    let nodes = Array.copy state.nodes in
-    nodes.(node_i) <- node_state;
-    let activations = Array.copy state.activations in
-    activations.(node_i) <- activation + 1;
-    let outputs = Array.copy state.outputs in
-    outputs.(node_i) <- state.outputs.(node_i) @ new_outputs;
-    let sent = Array.copy state.sent in
-    let timers = remove_timer state.timers tkey in
-    let pending, timers =
-      apply_actions cfg ~actor sent (state.pending, timers) actions
-    in
-    { nodes; activations; outputs; pending; timers; sent }
+  let fire cfg state ((i, id) as tkey) =
+    step cfg state i (state.pending, remove_timer state.timers tkey) (fun ctx node ->
+        P.on_timeout ctx node ~id)
 
   let initial_state cfg =
     let nodes = Array.make cfg.n (fst (P.initial (context cfg 0) cfg.inputs.(0))) in
@@ -274,8 +260,10 @@ module Make (P : Abc_net.Protocol.S) = struct
           if not (Fp_tbl.mem visited successor_fp) then begin
             Fp_tbl.add visited successor_fp ();
             Fp_tbl.add parents successor_fp (fp, step);
-            if not (cfg.invariant successor.outputs) then
+            if not (cfg.invariant successor.outputs) then begin
+              depth_reached := depth + 1;
               violation := Some { schedule = rebuild_schedule successor_fp }
+            end
             else Queue.add (successor, successor_fp, depth + 1) queue
           end
         in

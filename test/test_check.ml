@@ -168,7 +168,9 @@ let test_finds_counterexample_in_unsafe_protocol () =
   match outcome.violation with
   | Some v ->
     Alcotest.(check bool) "schedule is non-empty" true (List.length v.schedule > 0);
-    Alcotest.(check bool) "schedule is short" true (List.length v.schedule <= 4)
+    Alcotest.(check bool) "schedule is short" true (List.length v.schedule <= 4);
+    Alcotest.(check int) "depth reached is the schedule's length" (List.length v.schedule)
+      outcome.depth_reached
   | None -> Alcotest.fail "expected a counterexample"
 
 let test_safe_toy_exhausts () =
@@ -408,7 +410,9 @@ let test_registry_refutes_past_the_bound () =
   | Error msg -> Alcotest.fail msg
   | Ok r -> (
     match r.violation with
-    | Some v -> Alcotest.(check int) "counterexample length" 7 (List.length v.schedule)
+    | Some v ->
+      Alcotest.(check int) "counterexample length" 7 (List.length v.schedule);
+      Alcotest.(check int) "depth reached is the counterexample's length" 7 r.depth_reached
     | None -> Alcotest.fail "no counterexample")
 
 let () =
