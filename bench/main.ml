@@ -24,6 +24,19 @@ module Summary = Abc_sim.Summary
 module Matrix_spec = Abc_matrix.Spec
 module Matrix_runner = Abc_matrix.Runner
 
+(* With [csv] among the arguments, every table printed is also written
+   to bench_results/<slug>.csv, relative to the working directory. *)
+let csv = Array.exists (String.equal "csv") Sys.argv
+
+let print_table t =
+  Table.print t;
+  if csv then begin
+    (try Unix.mkdir "bench_results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Out_channel.with_open_bin
+      (Filename.concat "bench_results" (Table.slug t ^ ".csv"))
+      (fun oc -> Out_channel.output_string oc (Table.csv t))
+  end
+
 (* The spec-driven tables run the committed scenario specs, relative to
    the working directory — the same files `abc-bench run` executes, so
    the harness and the CI bench gate cannot drift apart.  Any cell
@@ -37,7 +50,7 @@ let cell_seeds cell = Matrix_spec.find_int cell "seeds" ~default:10
 
 let run_matrix_spec ?(table = true) pool id =
   let result = Matrix_runner.run ~pool (matrix_spec (Printf.sprintf "bench/specs/%s.matrix" id)) in
-  if table then Table.print (Matrix_runner.table result);
+  if table then print_table (Matrix_runner.table result);
   let key (c : Matrix_runner.cell_result) =
     String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (Matrix_spec.cell_key c.cell))
   in
@@ -250,7 +263,7 @@ let experiment_e11 pool =
           Table.cell_float ~decimals:0 (float_of_int shares /. float_of_int (List.length rabin.outcomes));
           Table.cell_ratio (rabin.metrics.messages /. ideal.metrics.messages) ])
     ideals;
-  Table.print table;
+  print_table table;
   print_newline ()
 
 (* E12: agreement over flood relaying vs vertex connectivity; E13:
@@ -314,7 +327,7 @@ let experiment_e15 _pool =
   in
   row 1 (reference_csv, t1);
   List.iter (fun jobs -> row jobs (timed jobs)) [ 2; 4; 8 ];
-  Table.print table;
+  print_table table;
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -368,7 +381,7 @@ let experiment_e16 pool =
           Table.cell_int ir.scenario.f; Table.cell_float ~decimals:0 (per_node ir);
           Table.cell_ratio (per_node coded /. per_node bracha); (if coded_wins then "yes" else "NO") ])
     rows;
-  Table.print table;
+  print_table table;
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -438,7 +451,7 @@ let experiment_e17 pool =
           Table.cell_float ~decimals:0 (mean (fun o -> float_of_int (duration o) /. float_of_int epochs));
           Table.cell_float (mean txktick); Table.cell_float ~decimals:0 (mean (per_tx n)); "yes" ])
     r.cells;
-  Table.print table;
+  print_table table;
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -499,7 +512,7 @@ let experiment_e18 pool =
       add_gc_row (Table.cell_int c.scenario.checkpoint) runs "yes")
     (List.filter (fun c -> c != off) fault_free);
   add_gc_row "off" off_runs "-";
-  Table.print gc_table;
+  print_table gc_table;
   print_newline ();
   (* part B: crash one replica mid-run, measure rejoin-to-first-commit *)
   let latency_table =
@@ -517,7 +530,7 @@ let experiment_e18 pool =
           Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.transfers) runs);
           Table.cell_float ~decimals:1 (meani (fun r -> r.Registry.max_live) runs) ])
     crashed;
-  Table.print latency_table;
+  print_table latency_table;
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -581,7 +594,7 @@ let experiment_e19 _pool =
         Table.cell_float ~decimals:0 (float_of_int (total (fun (e, _, _) -> e)) /. dt) ]
   in
   List.iter row cells;
-  Table.print table;
+  print_table table;
   print_newline ()
 
 let experiments =
@@ -609,13 +622,7 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    if List.mem "csv" args then begin
-      Abc_sim.Table.set_csv_directory (Some "bench_results");
-      List.filter (fun a -> a <> "csv") args
-    end
-    else args
-  in
+  let args = List.filter (fun a -> a <> "csv") args in
   (* --jobs N overrides the worker count (ABC_JOBS, else cores - 1). *)
   let jobs, args =
     let rec extract acc = function

@@ -66,10 +66,6 @@ let csv t =
   let line cells = String.concat "," (List.map escape cells) in
   String.concat "\n" (List.map line (t.columns :: List.rev t.rows)) ^ "\n"
 
-let csv_directory = ref None
-
-let set_csv_directory dir = csv_directory := dir
-
 (* The first 8 hex digits of the title digest keep filenames unique
    however long (or however alike in their first words) two titles are
    — truncating the title alone collided E14's loss-sweep tables. *)
@@ -89,17 +85,7 @@ let slug t =
   in
   stem ^ "_" ^ title_hash t.title
 
-let write_file dir name contents =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out (Filename.concat dir name) in
-  output_string oc contents;
-  close_out oc
-
-let print t =
-  print_string (render t);
-  match !csv_directory with
-  | None -> ()
-  | Some dir -> write_file dir (slug t ^ ".csv") (csv t)
+let print t = print_string (render t)
 
 let cell_int = string_of_int
 

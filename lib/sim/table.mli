@@ -32,14 +32,8 @@ val slug : t -> string
     two tables whose long titles share a prefix never collide, which
     plain title truncation did not guarantee. *)
 
-val set_csv_directory : string option -> unit
-(** When set, every subsequent {!print} also writes the table as
-    [<dir>/<slug>.csv] (the directory is created if needed).  The
-    experiment harness uses this to export machine-readable results. *)
-
 val print : t -> unit
-(** [print t] writes [render t] to standard output (and a CSV file when
-    {!set_csv_directory} is active). *)
+(** [print t] writes [render t] to standard output. *)
 
 val cell_int : int -> string
 (** Canonical rendering of integer cells. *)
