@@ -231,7 +231,4 @@ module Fault = struct
     | Report r -> Report { r with value = Value.negate r.value }
     | Proposal { round; value } ->
       Proposal { round; value = Option.map Value.negate value }
-
-  let equivocate_by_half ~n rng ~dst msg =
-    if Node_id.to_int dst < n / 2 then msg else flip_value rng msg
 end

@@ -54,8 +54,4 @@ val value_of_input : input -> Value.t
 module Fault : sig
   val flip_value : Stream.t -> msg -> msg
   (** Negate report values and proposal values. *)
-
-  val equivocate_by_half : n:int -> Stream.t -> dst:Node_id.t -> msg -> msg
-  (** Tell the two halves of the network opposite values — effective
-      here because nothing prevents equivocation. *)
 end

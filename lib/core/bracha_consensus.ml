@@ -157,7 +157,4 @@ module Fault = struct
       in
       Wire { key; event }
     | Direct vmsg -> Direct { vmsg with Consensus_msg.decide = true }
-
-  let equivocate_by_half ~n rng ~dst msg =
-    if Node_id.to_int dst < n / 2 then msg else flip_value rng msg
 end

@@ -65,8 +65,4 @@ module Fault : sig
 
   val random_value : Stream.t -> msg -> msg
   (** Replace the payload bit with a fresh random one. *)
-
-  val equivocate_by_half : n:int -> Stream.t -> dst:Node_id.t -> msg -> msg
-  (** Send the payload bit to low node ids and its negation to high
-      ones — the split-brain attack reliable broadcast suppresses. *)
 end

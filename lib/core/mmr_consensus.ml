@@ -370,7 +370,4 @@ module Fault = struct
       (* Corrupt the share value: the dealer-certification check must
          reject it downstream. *)
       Share { round; share = { share with Shamir.y = Gf.add share.Shamir.y Gf.one } }
-
-  let equivocate_by_half ~n rng ~dst msg =
-    if Node_id.to_int dst < n / 2 then msg else flip_value rng msg
 end

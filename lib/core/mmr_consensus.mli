@@ -94,7 +94,4 @@ val value_of_input : input -> Value.t
 module Fault : sig
   val flip_value : Stream.t -> msg -> msg
   (** Negate the payload bit. *)
-
-  val equivocate_by_half : n:int -> Stream.t -> dst:Node_id.t -> msg -> msg
-  (** Opposite bits to the two halves of the network. *)
 end

@@ -376,9 +376,9 @@ let identity_lie = function
   | "equivocate" -> Some (fun ~n:_ -> Behaviour.Equivocate (fun _ ~dst:_ m -> m))
   | _ -> None
 
-let consensus_lie ~flip ~equivocate ~force = function
+let consensus_lie ~flip ~force = function
   | "flip" -> Some (fun ~n:_ -> Behaviour.Mutate flip)
-  | "equivocate" -> Some (fun ~n -> Behaviour.Equivocate (equivocate ~n))
+  | "equivocate" -> Some (fun ~n -> Behaviour.Equivocate (Behaviour.two_faced ~n flip))
   | "force-decide" -> Some (fun ~n:_ -> Behaviour.Mutate force)
   | _ -> None
 
@@ -387,8 +387,7 @@ let consensus_lie ~flip ~equivocate ~force = function
 let rbc_lie ~substitute ~equivocate ~garble ?bang lie =
   let mutate corrupt ~n:_ = Behaviour.Mutate (substitute (fun _ v -> corrupt v)) in
   let two_faced corrupt ~n =
-    Behaviour.Equivocate
-      (equivocate (fun _ ~dst v -> if Node_id.to_int dst < n / 2 then v else corrupt v))
+    Behaviour.Equivocate (equivocate (Behaviour.two_faced ~n (fun _ v -> corrupt v)))
   in
   match (lie, bang) with
   | "flip", _ -> Some (mutate garble)
@@ -484,8 +483,7 @@ module Bracha = struct
   include Abc.Bracha_consensus
   let broadcast = false and recovery = None
   let judge = consensus_judge ~value_of_input
-  let lie =
-    consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.force_decide
+  let lie = consensus_lie ~flip:Fault.flip_value ~force:Fault.force_decide
   let inputs sc ~seed:_ =
     let transport = if sc.plain then Options.Plain else Options.Reliable in
     let coin = round_coin sc ~default:Local in
@@ -498,8 +496,7 @@ module Ben_or = struct
   include Abc.Ben_or
   let broadcast = false and recovery = None
   let judge = consensus_judge ~value_of_input
-  let lie =
-    consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.flip_value
+  let lie = consensus_lie ~flip:Fault.flip_value ~force:Fault.flip_value
   let inputs sc ~seed:_ =
     let mode = if sc.crash_mode then Mode.Crash else Mode.Byzantine in
     inputs ~n:sc.n ~mode ~coin:(round_coin sc ~default:Local) (values sc)
@@ -509,8 +506,7 @@ module Mmr = struct
   include Abc.Mmr_consensus
   let broadcast = false and recovery = None
   let judge = consensus_judge ~value_of_input
-  let lie =
-    consensus_lie ~flip:Fault.flip_value ~equivocate:Fault.equivocate_by_half ~force:Fault.flip_value
+  let lie = consensus_lie ~flip:Fault.flip_value ~force:Fault.flip_value
   let inputs sc ~seed:_ =
     inputs ~n:sc.n ~coin:(round_coin sc ~default:Common) (values sc)
 end

@@ -18,6 +18,8 @@ let rec label = function
   | Corrupt_after (_, inner) -> "adaptive:" ^ label inner
   | Crash_recover _ -> "crash-recover"
 
+let two_faced ~n lie rng ~dst m = if Node_id.to_int dst < n / 2 then m else lie rng m
+
 let rec apply b ~rng ~n ~activation actions =
   match b with
   | Honest -> actions

@@ -52,6 +52,12 @@ val label : 'msg t -> string
 (** Short name for reports ("honest", "silent", "crash", "mutate",
     "equivocate", "replay", "adaptive:<inner>", "crash-recover"). *)
 
+val two_faced :
+  n:int -> (Abc_prng.Stream.t -> 'msg -> 'msg) -> Abc_prng.Stream.t -> dst:Node_id.t -> 'msg -> 'msg
+(** [two_faced ~n lie], an {!Equivocate} corruption, sends each message
+    [m] as it is to the nodes below [n / 2] and as [lie rng m] to the
+    rest: the split-brain attack reliable broadcast suppresses. *)
+
 val apply :
   'msg t ->
   rng:Abc_prng.Stream.t ->

@@ -87,7 +87,7 @@ let test_byzantine_tolerates_designed_faults () =
     [
       Behaviour.Silent;
       Behaviour.Mutate BO.Fault.flip_value;
-      Behaviour.Equivocate (BO.Fault.equivocate_by_half ~n:6);
+      Behaviour.Equivocate (Behaviour.two_faced ~n:6 BO.Fault.flip_value);
     ]
 
 let test_byzantine_all_adversaries () =

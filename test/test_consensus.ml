@@ -189,7 +189,7 @@ let test_max_resilience_n4 () =
       Behaviour.Mutate B.Fault.flip_value;
       Behaviour.Mutate B.Fault.force_decide;
       Behaviour.Mutate B.Fault.random_value;
-      Behaviour.Equivocate (B.Fault.equivocate_by_half ~n:4);
+      Behaviour.Equivocate (Behaviour.two_faced ~n:4 B.Fault.flip_value);
       Behaviour.Replay 2;
     ]
 
@@ -199,7 +199,7 @@ let test_two_byzantine_n7 () =
       let faulty =
         [
           (node 0, Behaviour.Mutate B.Fault.flip_value);
-          (node 6, Behaviour.Equivocate (B.Fault.equivocate_by_half ~n:7));
+          (node 6, Behaviour.Equivocate (Behaviour.two_faced ~n:7 B.Fault.flip_value));
         ]
       in
       let verdict = run ~n:7 ~f:2 ~faulty ~seed (unanimous 7 Value.One) in
@@ -287,7 +287,7 @@ let prop_agreement_validity_random_faults =
         | 1 -> Behaviour.Crash_after 7
         | 2 -> Behaviour.Mutate B.Fault.flip_value
         | 3 -> Behaviour.Mutate B.Fault.force_decide
-        | _ -> Behaviour.Equivocate (B.Fault.equivocate_by_half ~n:7)
+        | _ -> Behaviour.Equivocate (Behaviour.two_faced ~n:7 B.Fault.flip_value)
       in
       let faulty = [ (node 2, behaviour); (node 5, behaviour) ] in
       let verdict = run ~n:7 ~f:2 ~faulty ~seed (mixed 7) in

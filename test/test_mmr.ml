@@ -72,7 +72,7 @@ let test_byzantine_battery () =
       Behaviour.Silent;
       Behaviour.Crash_after 4;
       Behaviour.Mutate M.Fault.flip_value;
-      Behaviour.Equivocate (M.Fault.equivocate_by_half ~n:7);
+      Behaviour.Equivocate (Behaviour.two_faced ~n:7 M.Fault.flip_value);
       Behaviour.Replay 2;
     ]
 
@@ -165,7 +165,7 @@ let prop_ok_with_common_coin =
         | 0 -> Behaviour.Silent
         | 1 -> Behaviour.Crash_after 6
         | 2 -> Behaviour.Mutate M.Fault.flip_value
-        | _ -> Behaviour.Equivocate (M.Fault.equivocate_by_half ~n:7)
+        | _ -> Behaviour.Equivocate (Behaviour.two_faced ~n:7 M.Fault.flip_value)
       in
       let faulty = [ (node 1, behaviour); (node 4, behaviour) ] in
       Abc.Harness.ok (run ~faulty ~n:7 ~f:2 ~seed (split 7)))
@@ -234,7 +234,7 @@ let test_pass_through () =
 let known_fault ~n = function
   | "none" -> None
   | "flip" -> Some (Behaviour.Mutate M.Fault.flip_value)
-  | "equivocate" -> Some (Behaviour.Equivocate (M.Fault.equivocate_by_half ~n))
+  | "equivocate" -> Some (Behaviour.Equivocate (Behaviour.two_faced ~n M.Fault.flip_value))
   | "replay" -> Some (Behaviour.Replay 2)
   | "silent" -> Some Behaviour.Silent
   | other -> Alcotest.failf "unknown fault %s" other
