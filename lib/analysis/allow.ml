@@ -1,6 +1,4 @@
-type key = Any | Snippet of string | Fingerprint of string
-
-type entry = { rule : string; path : string; key : key; raw : string }
+type entry = { rule : string; path : string; fingerprint : string; raw : string }
 
 let ( let* ) = Result.bind
 
@@ -24,18 +22,15 @@ let parse_line number line =
     else if not (List.mem rule Rule_info.ids) then
       error "unknown rule id %S (see --explain all)" rule
     else
+      (* fp:<hex> [trailing comment ignored] *)
       let path, tail = cut rest in
-      let* key =
-        if tail = "" then Ok Any
-        else if String.starts_with ~prefix:"fp:" tail then
-          (* fp:<hex> [trailing comment ignored] *)
-          let token = fst (cut tail) in
-          let fp = String.sub token 3 (String.length token - 3) in
-          if is_fingerprint fp then Ok (Fingerprint fp)
-          else error "malformed fingerprint %S (want fp: and 12 lowercase hex digits)" token
-        else Ok (Snippet tail)
-      in
-      Ok (Some { rule; path; key; raw })
+      let token = fst (cut tail) in
+      if not (String.starts_with ~prefix:"fp:" token) then
+        error "%s %s names no fingerprint (want fp: and 12 lowercase hex digits)" rule path
+      else
+        let fingerprint = String.sub token 3 (String.length token - 3) in
+        if is_fingerprint fingerprint then Ok (Some { rule; path; fingerprint; raw })
+        else error "malformed fingerprint %S (want fp: and 12 lowercase hex digits)" token
 
 let of_string text =
   let rec go number acc = function
@@ -67,10 +62,7 @@ let path_matches ~entry_path ~file =
 let entry_permits e (finding : Finding.t) =
   String.equal e.rule finding.Finding.rule
   && path_matches ~entry_path:e.path ~file:finding.Finding.file
-  && (match e.key with
-     | Any -> true
-     | Snippet s -> String.equal s finding.Finding.snippet
-     | Fingerprint fp -> String.equal fp (Finding.fingerprint finding))
+  && String.equal e.fingerprint (Finding.fingerprint finding)
 
 let permits entries finding = List.exists (fun e -> entry_permits e finding) entries
 

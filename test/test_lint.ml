@@ -390,27 +390,23 @@ let finding ~rule ~file ~snippet =
 let allow_of_string text =
   match Allow.of_string text with Ok entries -> entries | Error msg -> Alcotest.fail msg
 
+(* An entry for [f], under [path]. *)
+let entry_for ?(path = "ben_or.ml") f =
+  Printf.sprintf "%s %s fp:%s  %s\n" f.Finding.rule path (Finding.fingerprint f) f.Finding.snippet
+
 let test_allowlist () =
-  let entries =
-    allow_of_string
-      "# comment\n\nquorum ben_or.ml n / 2\npoly-compare adversary.ml\n"
-  in
-  Alcotest.(check int) "entries parsed" 2 (List.length entries);
-  Alcotest.(check bool) "path suffix + snippet" true
-    (Allow.permits entries
-       (finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2"));
-  Alcotest.(check bool) "other snippet still fails" false
-    (Allow.permits entries
-       (finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"f + 1"));
+  let f = finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2" in
+  let entries = allow_of_string ("# comment\n\n" ^ entry_for ~path:"core/ben_or.ml" f) in
+  Alcotest.(check int) "entries parsed" 1 (List.length entries);
+  Alcotest.(check bool) "path suffix + fingerprint" true (Allow.permits entries f);
   Alcotest.(check bool) "other rule still fails" false
     (Allow.permits entries
        (finding ~rule:"determinism" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2"));
+  (* Same basename, so the same fingerprint: only the path tells them
+     apart. *)
   Alcotest.(check bool) "suffix must be a component" false
     (Allow.permits entries
-       (finding ~rule:"quorum" ~file:"lib/core/xben_or.ml" ~snippet:"n / 2"));
-  Alcotest.(check bool) "snippet-free entry allows the file" true
-    (Allow.permits entries
-       (finding ~rule:"poly-compare" ~file:"lib/net/adversary.ml" ~snippet:"x = y"))
+       (finding ~rule:"quorum" ~file:"lib/xcore/ben_or.ml" ~snippet:"n / 2"))
 
 let test_allowlist_fingerprints () =
   let f = finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2" in
@@ -418,14 +414,14 @@ let test_allowlist_fingerprints () =
   let entries =
     allow_of_string
       (Printf.sprintf
-         "quorum ben_or.ml fp:%s  n / 2 -- equivocate_by_half attack shape\n"
+         "quorum ben_or.ml fp:%s  n / 2 -- a split at n/2, not quorum math\n"
          fp)
   in
   Alcotest.(check bool) "fingerprint entry matches" true
     (Allow.permits entries f);
   Alcotest.(check bool) "trailing comment ignored" true
     (match entries with
-    | [ { Allow.key = Allow.Fingerprint p; _ } ] -> String.equal p fp
+    | [ { Allow.fingerprint = p; _ } ] -> String.equal p fp
     | _ -> false);
   Alcotest.(check bool) "other snippet has another fingerprint" false
     (Allow.permits entries
@@ -441,14 +437,12 @@ let test_allowlist_fingerprints () =
 
 let test_allowlist_unused () =
   let live = finding ~rule:"quorum" ~file:"lib/core/ben_or.ml" ~snippet:"n / 2" in
-  let entries =
-    allow_of_string
-      "quorum ben_or.ml n / 2\ndeterminism clock.ml Unix.gettimeofday\n"
-  in
+  let gone = finding ~rule:"determinism" ~file:"lib/sim/clock.ml" ~snippet:"Unix.gettimeofday" in
+  let entries = allow_of_string (entry_for live ^ entry_for ~path:"clock.ml" gone) in
   match Allow.unused entries [ live ] with
   | [ stale ] ->
     Alcotest.(check string) "stale entry reported"
-      "determinism clock.ml Unix.gettimeofday" stale.Allow.raw
+      (String.trim (entry_for ~path:"clock.ml" gone)) stale.Allow.raw
   | other ->
     Alcotest.failf "expected exactly one stale entry, got %d" (List.length other)
 
@@ -509,9 +503,12 @@ let test_driver_seeded_violation () =
       Alcotest.(check bool) "error severity" true
         (f.Finding.severity = Finding.Error))
     report.Driver.findings;
-  (* Findings collapse to one per (rule, line); a snippet-free entry for
-     the file silences it. *)
-  let allow = allow_of_string "quorum seeded.ml\n" in
+  (* Findings collapse to one per (rule, line); an entry with its
+     fingerprint silences it. *)
+  let allow =
+    allow_of_string
+      (String.concat "" (List.map (entry_for ~path:"seeded.ml") report.Driver.findings))
+  in
   let silenced = Driver.run ~allow ~roots:[ fixture_root ] () in
   Alcotest.(check int) "allowlisted run is clean" 0
     (List.length silenced.Driver.findings);
@@ -692,6 +689,9 @@ let () =
           Alcotest.test_case "allowlist: unknown rule id" `Quick
             (allowlist_error "\n\nquorm ben_or.ml n / 2\n"
                ~msg:"line 3: unknown rule id \"quorm\" (see --explain all)");
+          Alcotest.test_case "allowlist: entry without a fingerprint" `Quick
+            (allowlist_error "quorum ben_or.ml fp:267f2292685e\n\nquorum ben_or.ml n / 2\n"
+               ~msg:"line 3: quorum ben_or.ml names no fingerprint (want fp: and 12 lowercase hex digits)");
           Alcotest.test_case "allowlist: malformed fingerprint" `Quick
             (allowlist_error "quorum ben_or.ml fp:xyz  n / 2\n"
                ~msg:"line 1: malformed fingerprint \"fp:xyz\" (want fp: and 12 lowercase hex digits)");
