@@ -9,9 +9,8 @@ let skip_dir name =
   String.equal name "_build" || (String.length name > 0 && name.[0] = '.')
 
 let source_file name =
-  ((Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli")
-  && not (Filename.check_suffix name ".ml-gen"))
-  || Filename.check_suffix name ".matrix"
+  (Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli")
+  && not (Filename.check_suffix name ".ml-gen")
 
 let scan_files ~roots =
   let rec walk acc path =
@@ -40,8 +39,7 @@ let read_file path =
 (* The parsetree rules when the unit parses, one [parse] finding at
    the error when it does not. *)
 let findings_of ~path source =
-  if Filename.check_suffix path ".matrix" then Matrix_rules.check ~path source
-  else if Filename.check_suffix path ".ml" then begin
+  if Filename.check_suffix path ".ml" then begin
     match Frontend.parse_impl ~path source with
     | Ok str -> Ast_rules.check ~path ~source str
     | Error (loc, message) ->

@@ -125,33 +125,6 @@ let all =
       example = "let now () = Unix.gettimeofday (";
     };
     {
-      id = "matrix-parse";
-      severity = Finding.Error;
-      scope = "*.matrix files under the scan roots";
-      rationale =
-        "A committed scenario spec that fails to parse or elaborate \
-         breaks abc-bench run and the bench-gate CI job only at run \
-         time; the linter loads every .matrix file through the same \
-         Abc_matrix.Spec reader and registry check and reports the \
-         error at the offending token, review-time.";
-      example = "(axes (n 4) (n 7))  ; duplicate axis";
-    };
-    {
-      id = "matrix-resilience";
-      severity = Finding.Error;
-      scope = "*.matrix files under the scan roots";
-      rationale =
-        "The spec-level twin of the resilience rule: every expanded \
-         cell's n/f literals are checked against the protocol's \
-         resilience class in the protocol registry (n > 3f for the \
-         Bracha family, n > 4f for Turpin-Coan, n > 5f for Ben-Or and \
-         Imbs-Raynal). \
-         A beyond-bound cell must carry an expect-fail oracle — \
-         otherwise the protocol's own init-time rejection would be \
-         scored as a verdict miss, or worse, quietly measured.";
-      example = "(zip (n 4) (f 2)) with (default deliver-all)";
-    };
-    {
       id = "interface";
       severity = Finding.Error;
       scope = "lib/";

@@ -878,34 +878,35 @@ module Make (S : SUBJECT) = struct
       Ok { run = Raw.run ?recovery sc ~faulty:(faulty @ crashes); explore = explore sc ~faulty }
 end
 
-type entry = { name : string; cls : string; prepare : scenario -> (prepared, string * string) result }
+type entry = { name : string; ratio : int; prepare : scenario -> (prepared, string * string) result }
 
-let entry ?(preset = Fun.id) name cls (module S : SUBJECT) =
+(* [ratio] is K of the class n > Kf. *)
+let entry ?(preset = Fun.id) name ratio (module S : SUBJECT) =
   let module M = Make (S) in
-  { name; cls; prepare = (fun sc -> M.prepare ~name (preset sc)) }
+  { name; ratio; prepare = (fun sc -> M.prepare ~name (preset sc)) }
 
 let entries =
   let common sc = { sc with coin = Some (Option.value sc.coin ~default:Common) } in
-  [ entry "bracha" "n>3f" (module Bracha);
-    entry "bracha-cc" "n>3f" (module Bracha) ~preset:common;
-    entry "ben-or" "n>5f" (module Ben_or);
-    entry "mmr" "n>3f" (module Mmr);
-    entry "mmr-rabin" "n>3f" (module Mmr_rabin);
-    entry "bracha-rbc" "n>3f" (module Bracha_rbc);
-    entry "bracha-rbc-bit" "n>3f" (module Bit_rbc);
-    entry "coded-rbc" "n>3f" (module Coded_rbc);
-    entry "ir-rbc" "n>5f" (module Ir_rbc);
-    entry "consistent-rbc" "n>3f" (module Consistent_rbc);
-    entry "acs" "n>3f" (module Acs);
-    entry "batch-acs" "n>3f" (module Batch_acs);
-    entry "turpin-coan" "n>4f" (module Turpin_coan);
-    entry "log" "n>3f" (module Log);
-    entry "atomic" "n>3f" (module Atomic) ]
+  [ entry "bracha" 3 (module Bracha);
+    entry "bracha-cc" 3 (module Bracha) ~preset:common;
+    entry "ben-or" 5 (module Ben_or);
+    entry "mmr" 3 (module Mmr);
+    entry "mmr-rabin" 3 (module Mmr_rabin);
+    entry "bracha-rbc" 3 (module Bracha_rbc);
+    entry "bracha-rbc-bit" 3 (module Bit_rbc);
+    entry "coded-rbc" 3 (module Coded_rbc);
+    entry "ir-rbc" 5 (module Ir_rbc);
+    entry "consistent-rbc" 3 (module Consistent_rbc);
+    entry "acs" 3 (module Acs);
+    entry "batch-acs" 3 (module Batch_acs);
+    entry "turpin-coan" 4 (module Turpin_coan);
+    entry "log" 3 (module Log);
+    entry "atomic" 3 (module Atomic) ]
 
 let find protocol = List.find_opt (fun e -> String.equal e.name protocol) entries
 
 let resilience protocol =
-  Option.map (fun e -> (e.cls, fun n -> (n - 1) / Scanf.sscanf e.cls "n>%df" Fun.id)) (find protocol)
+  Option.map (fun e -> (Printf.sprintf "n>%df" e.ratio, fun n -> (n - 1) / e.ratio)) (find protocol)
 
 let unknown_protocol p =
   Printf.sprintf "unknown protocol %S (%s)" p (String.concat " | " (List.map (fun e -> e.name) entries))

@@ -26,8 +26,23 @@ let scenario_of_cell cell =
          (fun b -> if List.mem b.Spec.axis [ "seeds"; "seed" ] then None else Some (b.Spec.axis, b.Spec.text))
          cell.Spec.bindings)
 
-(* Every cell, checked against the registry before any of them runs; an
-   error sits at the offending axis binding (else at the protocol). *)
+(* A cell past its protocol's resilience class measures only the
+   protocol's refusal at init, so it must expect that: [expect-fail]. *)
+let within_class cell (sc : Registry.scenario) =
+  match (cell.Spec.oracle, Registry.resilience sc.protocol) with
+  | Spec.Expect_fail, _ | _, None -> Ok ()
+  | _, Some (cls, max_f) ->
+    if sc.f <= max_f sc.n then Ok ()
+    else
+      Error
+        ( "f",
+          Printf.sprintf
+            "cell exceeds %s's resilience class %s (max f=%d at n=%d); annotate the cell expect-fail or fix the axis"
+            sc.protocol cls (max_f sc.n) sc.n )
+
+(* Every cell, checked against the registry and its protocol's class
+   before any of them runs; an error sits at the offending axis binding
+   (else at the protocol). *)
 let scenarios spec =
   let positioned cell (axis, msg) =
     let at axis = List.find_opt (fun b -> String.equal b.Spec.axis axis) cell.Spec.bindings in
@@ -40,6 +55,7 @@ let scenarios spec =
       match
         let* sc = scenario_of_cell cell in
         let* () = Registry.check sc in
+        let* () = within_class cell sc in
         Ok sc
       with
       | Ok sc -> Result.map (List.cons (cell, sc)) acc
@@ -50,7 +66,8 @@ let check spec = Result.map ignore (scenarios spec)
 
 (* A beyond-resilience (n, f) is rejected by the protocol's own quorum
    assertion at init.  For the matrix that IS the run's failure mode:
-   an [expect-fail] cell passes on it, a [decide] cell fails. *)
+   an [expect-fail] cell, the only kind {!scenarios} lets past the
+   class, passes on it. *)
 let run_seed sc ~seed =
   match Registry.run sc ~seed with Ok r -> r.Registry.outcome | Error _ -> Registry.failed
 

@@ -35,9 +35,11 @@ type t = { spec : Spec.t; cells : cell_result list }
 val scenarios : Spec.t -> ((Spec.cell * Registry.scenario) list, Sexp.error) result
 (** Every cell in expansion order with its scenario: its bindings but
     [seeds] and [seed] decoded by {!Registry.of_tokens} and checked by
-    {!Registry.check}, and its [seeds] for at least 1, the first error
-    at the offending binding's span.  A cell runs [seeds] seeds
-    (default 10) from [seed] (default 0). *)
+    {!Registry.check}, its [seeds] for at least 1, and its [f] within
+    its protocol's {!Registry.resilience} class at its [n] unless the
+    cell expects [expect-fail]; the first error at the offending
+    binding's span.  A cell runs [seeds] seeds (default 10) from
+    [seed] (default 0). *)
 
 val check : Spec.t -> (unit, Sexp.error) result
 (** {!scenarios}, discarding the cells. *)

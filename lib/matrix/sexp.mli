@@ -2,8 +2,8 @@
 
     A tiny, dependency-free reader whose one job beyond parsing is
     {e spans}: every atom and list carries its exact source location,
-    so spec-level diagnostics (from {!Spec} elaboration and the
-    [matrix-resilience] lint rule) can point at the offending literal
+    so spec-level diagnostics (from {!Spec} elaboration and
+    {!Runner.check}) can point at the offending literal
     the way the parsetree linter in [lib/analysis] points at offending
     expressions.  Syntax: atoms, double-quoted strings (escapes:
     backslash-n, backslash-t, and escaped backslash and quote),

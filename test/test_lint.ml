@@ -305,29 +305,6 @@ let test_stray_output () =
   check_rules "tests may print" [] ~path:"test/test_foo.ml"
     "let dump t = Format.printf \"%s\" t\n"
 
-(* ---- matrix specs: registry tokens and combinations ---- *)
-
-(* A token the registry cannot decode and a combination it rejects are
-   both matrix-parse findings, anchored where abc-bench points. *)
-let test_matrix_registry () =
-  let spec axes =
-    "(matrix\n  (id t)\n  (title \"t\")\n  (axes\n    (protocol bracha)\n    (n 4)\n    (f 1)\n"
-    ^ axes ^ "))\n"
-  in
-  let finding name src ~line ~col =
-    match Driver.check_source ~path:"bench/specs/t.matrix" (spec src) with
-    | [ f ] ->
-      Alcotest.(check string) (name ^ ": rule") "matrix-parse" f.Finding.rule;
-      Alcotest.(check (pair int int))
-        (name ^ ": span") (line, col)
-        (f.Finding.span.Finding.start_line, f.Finding.span.Finding.start_col)
-    | fs -> Alcotest.failf "%s: expected one finding, got %d" name (List.length fs)
-  in
-  finding "typo'd adversary" "    (adversary latncy:8)" ~line:8 ~col:15;
-  finding "target beyond n" "    (adversary uniform target:9)" ~line:8 ~col:23;
-  Alcotest.(check (list string)) "valid spec" []
-    (rules_of (Driver.check_source ~path:"bench/specs/t.matrix" (spec "    (adversary target:3)")))
-
 (* ---- units that do not parse ---- *)
 
 (* A syntax or lexer error is one parse finding at the error, and no
@@ -673,7 +650,6 @@ let () =
             test_silent_drop_violations;
           Alcotest.test_case "silent-drop: passing" `Quick test_silent_drop_passing;
           Alcotest.test_case "stray-output" `Quick test_stray_output;
-          Alcotest.test_case "matrix: registry tokens" `Quick test_matrix_registry;
           Alcotest.test_case "parse finding" `Quick test_parse_finding;
           Alcotest.test_case "rule metadata" `Quick test_rule_info;
           Alcotest.test_case "interface coverage" `Quick test_interface_coverage;

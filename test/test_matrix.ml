@@ -9,9 +9,10 @@
      property that expansion is a pure, stable function of the spec
      text, and oracle selection at the n = 3f + 1 resilience boundary;
    - runner: jobs=1 vs jobs=4 produce byte-identical BENCH_MATRIX
-     JSON (no clock, so wall fields are exactly 0), and an expect-fail
+     JSON (no clock, so wall fields are exactly 0), an expect-fail
      cell beyond the resilience bound passes exactly because the
-     protocol refuses the configuration. *)
+     protocol refuses the configuration, and a beyond-bound cell that
+     expects anything else is refused before any cell runs. *)
 
 module Sexp = Abc_matrix.Sexp
 module Spec = Abc_matrix.Spec
@@ -339,19 +340,24 @@ let test_flood_relay () =
     ~msg_has:"reliable links do not run over an explicit topology"
 
 (* turpin-coan decides within n > 4f; beyond it a cell needs
-   expect-fail, which matrix-resilience checks. *)
+   expect-fail, or Runner.check refuses the spec at the cell's f. *)
 let test_turpin_coan () =
   let sc = { (Registry.scenario ~protocol:"turpin-coan" ~n:9 ~f:2) with fault = Faulty [ (Silent, 1) ] } in
   Alcotest.(check bool) "decides at n=9 f=2" true (Registry.decides (run_ok sc ~seed:0).outcome);
-  let findings n f =
-    Abc_analysis.Matrix_rules.check ~path:"test.matrix"
-      (base_spec
-         ~axes:(Printf.sprintf "    (protocol turpin-coan)\n    (n %d)\n    (f %d)\n" n f)
-         ~expect:"    (default decide)\n")
-    |> List.map (fun (f : Abc_analysis.Finding.t) -> f.rule)
+  let check n f oracle =
+    Runner.check
+      (spec_of_string
+         (base_spec
+            ~axes:(Printf.sprintf "    (protocol turpin-coan)\n    (n %d)\n    (f %d)\n" n f)
+            ~expect:(Printf.sprintf "    (default %s)\n" oracle)))
   in
-  Alcotest.(check (list string)) "n=9 f=2 within n>4f" [] (findings 9 2);
-  Alcotest.(check (list string)) "n=8 f=2 beyond n>4f" [ "matrix-resilience" ] (findings 8 2)
+  Alcotest.(check bool) "n=9 f=2 within n>4f" true (check 9 2 "decide" = Ok ());
+  (match check 8 2 "decide" with
+  | Ok () -> Alcotest.fail "n=8 f=2 beyond n>4f: accepted"
+  | Error e ->
+    check_at "n=8 f=2 beyond n>4f" e ~line:8 ~col:7
+      ~msg_has:"cell exceeds turpin-coan's resilience class n>4f (max f=1 at n=8)");
+  Alcotest.(check bool) "n=8 f=2 expect-fail" true (check 8 2 "expect-fail" = Ok ())
 
 (* atomic reports each replica's recovery measures: E18's victim fetches
    one state transfer and catches up after its rejoin; without a crash
@@ -557,6 +563,28 @@ let test_expect_fail_semantics () =
       "beyond bound: the protocol rejects the config" 0.0
       beyond.Runner.metrics.Runner.ok_rate
   | cells -> Alcotest.failf "expected 2 cells, got %d" (List.length cells)
+
+(* A cell past its protocol's class is refused at its f literal before
+   any cell runs unless it expects expect-fail: with no expect clause it
+   expects any, which would pass on the protocol's refusal at init. *)
+let test_beyond_class_refused () =
+  let spec =
+    spec_of_string
+      "(matrix\n\
+      \  (id t)\n\
+      \  (title \"t\")\n\
+      \  (axes\n\
+      \    (protocol bracha)\n\
+      \    (n 4)\n\
+      \    (f 2)\n\
+      \    (seeds 1)))\n"
+  in
+  match Runner.check spec with
+  | Ok () -> Alcotest.fail "bracha n=4 f=2 accepted without expect-fail"
+  | Error e ->
+    check_at "bracha n=4 f=2" e ~line:7 ~col:7
+      ~msg_has:
+        "cell exceeds bracha's resilience class n>3f (max f=1 at n=4); annotate the cell expect-fail or fix the axis"
 
 (* The entries bench tables and abc-run reach: the replicated log, the
    common subset and MMR over the wire-level Rabin coin each decide. *)
@@ -777,6 +805,7 @@ let () =
             test_jobs_determinism;
           Alcotest.test_case "expect-fail at the resilience boundary" `Quick
             test_expect_fail_semantics;
+          Alcotest.test_case "a cell past its class needs expect-fail" `Quick test_beyond_class_refused;
           Alcotest.test_case "wall-clock zero without a clock" `Quick
             test_no_clock_zero_wall;
           Alcotest.test_case "deliver-all needs validity" `Quick test_deliver_all_needs_validity;
