@@ -878,9 +878,9 @@ module Make (S : SUBJECT) = struct
       Ok { run = Raw.run ?recovery sc ~faulty:(faulty @ crashes); explore = explore sc ~faulty }
 end
 
+(* An entry's resilience class is n > [ratio] f. *)
 type entry = { name : string; ratio : int; prepare : scenario -> (prepared, string * string) result }
 
-(* [ratio] is K of the class n > Kf. *)
 let entry ?(preset = Fun.id) name ratio (module S : SUBJECT) =
   let module M = Make (S) in
   { name; ratio; prepare = (fun sc -> M.prepare ~name (preset sc)) }
