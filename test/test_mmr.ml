@@ -249,7 +249,8 @@ let known_policy ~n prefix =
   | Some adversary -> adversary
   | None -> Alcotest.failf "no policy named %s" prefix
 
-let known_run ?trace ~n ~coin ~fault ~policy ~seed () =
+(* A row's resilience, inputs, faulty nodes and policy. *)
+let known_config ~n ~coin ~fault ~policy ~seed =
   let f = (n - 1) / 3 in
   let values = split n in
   let inputs =
@@ -263,7 +264,10 @@ let known_run ?trace ~n ~coin ~fault ~policy ~seed () =
     | None -> []
     | Some b -> List.init f (fun i -> (node (n - 1 - i), b))
   in
-  let adversary = known_policy ~n policy in
+  (f, inputs, faulty, known_policy ~n policy)
+
+let known_run ?trace ~n ~coin ~fault ~policy ~seed () =
+  let f, inputs, faulty, adversary = known_config ~n ~coin ~fault ~policy ~seed in
   H.run (H.E.config ?trace ~faulty ~n ~f ~inputs ~seed ~adversary ())
 
 let outputs_digest (result : H.E.result) =
@@ -402,6 +406,84 @@ let test_known_traces () =
       Alcotest.(check string) (row ^ " trace") digest digest')
     known_traces
 
+(* ---- each value once ---- *)
+
+(* MMR's BV-broadcast sends a value "if not yet broadcast": the
+   BVAL(r, est) a node sends on entering round r and the echo of a
+   value heard from f+1 nodes are one send, never two.  [Counted] is
+   the protocol with every BVAL that [initial] and [on_message] return
+   tallied per (node, round, value), keyed by its description and
+   holding the sender. *)
+module Sends = Map.Make (String)
+
+let bval_sends : (int * int) Sends.t ref = ref Sends.empty
+
+module Counted = struct
+  include M
+
+  let count ctx actions =
+    let me = Node_id.to_int ctx.Abc_net.Protocol.Context.me in
+    List.iter
+      (function
+        | Abc_net.Protocol.Broadcast (M.Bval { round; value }) ->
+          let key = Printf.sprintf "node %d BVAL(r%d, %d)" me round (Value.to_int value) in
+          bval_sends :=
+            Sends.update key
+              (fun sent -> Some (me, 1 + Option.fold ~none:0 ~some:snd sent))
+              !bval_sends
+        | _ -> ())
+      actions
+
+  let initial ctx input =
+    let ((_, actions) as started) = M.initial ctx input in
+    count ctx actions;
+    started
+
+  let on_message ctx state ~src msg =
+    let ((_, actions, _) as reacted) = M.on_message ctx state ~src msg in
+    count ctx actions;
+    reacted
+end
+
+module HC = Abc.Harness.Make (Counted)
+
+(* The known answers' grid, every cell of it: n, coin source, fault on
+   the last f nodes and policy, one seed per cell. *)
+let test_each_value_once () =
+  let seed = ref 0 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun coin ->
+          List.iter
+            (fun fault ->
+              List.iter
+                (fun adversary ->
+                  let policy = adversary.Adversary.name in
+                  incr seed;
+                  let seed = !seed in
+                  let f, inputs, faulty, adversary =
+                    known_config ~n ~coin ~fault ~policy ~seed
+                  in
+                  bval_sends := Sends.empty;
+                  ignore (HC.run (HC.E.config ~faulty ~n ~f ~inputs ~seed ~adversary ()));
+                  let repeats =
+                    Sends.fold
+                      (fun key (me, sent) repeats ->
+                        if sent > 1 && not (List.mem_assoc (node me) faulty) then
+                          Printf.sprintf "%s x%d" key sent :: repeats
+                        else repeats)
+                      !bval_sends []
+                  in
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "n=%d %s %s %s seed=%d: honest BVALs sent twice" n coin
+                       fault policy seed)
+                    [] (List.rev repeats))
+                (Adversary.all_basic ~n))
+            [ "none"; "flip"; "equivocate"; "replay"; "silent" ])
+        [ "flip"; "rabin" ])
+    [ 4; 7; 10; 16 ]
+
 let () =
   Alcotest.run "mmr_consensus"
     [
@@ -420,6 +502,7 @@ let () =
           Alcotest.test_case "pass-through" `Quick test_pass_through;
           Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "known traces" `Quick test_known_traces;
+          Alcotest.test_case "each value once" `Quick test_each_value_once;
         ] );
       ( "coin ablation",
         [
