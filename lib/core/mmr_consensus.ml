@@ -15,13 +15,14 @@ type output = Decision.t
 
 (* Per-round bookkeeping.  [bval_from] tracks the distinct senders per
    value, [aux_from] the senders of the single AUX vote each may cast;
-   [bval_echoed] latches the f+1 re-broadcast rule per value.  Quorum
+   [bval_sent] marks each value this node has broadcast in the round,
+   on entering it or by the f+1 rule, so it sends each once.  Quorum
    rules read [Node_id.Set.cardinal], which is O(1); [aux_counts] and
    [share_count] mirror counts no set can give in O(1) (see
    PERFORMANCE.md). *)
 type round_state = {
   bval_from : Node_id.Set.t array; (* indexed by Value.to_int *)
-  bval_echoed : bool array;
+  bval_sent : bool array;
   bin_values : bool array;
   aux_from : Node_id.Set.t;
   aux_counts : int array; (* AUX votes per value *)
@@ -35,7 +36,7 @@ type round_state = {
 let fresh_round () =
   {
     bval_from = [| Node_id.Set.empty; Node_id.Set.empty |];
-    bval_echoed = [| false; false |];
+    bval_sent = [| false; false |];
     bin_values = [| false; false |];
     aux_from = Node_id.Set.empty;
     aux_counts = [| 0; 0 |];
@@ -103,9 +104,9 @@ let add_share rs ~src share =
    rules below and by [on_message], which runs the rules only for a
    vote that makes one of them hold. *)
 
-(* f+1 distinct BVAL(v): re-broadcast v, once per round. *)
+(* f+1 distinct BVAL(v): broadcast v, unless this node already has. *)
 let echo_due state rs i =
-  (not rs.bval_echoed.(i))
+  (not rs.bval_sent.(i))
   && Node_id.Set.cardinal rs.bval_from.(i) >= Quorum.ready_amplify ~f:state.f
 
 (* 2f+1 distinct BVAL(v): v enters bin_values. *)
@@ -138,7 +139,7 @@ let bv_progress state ~(sink : Event.sink) r =
         Event.quorum sink ~round:r "bval-echo" ~count:support
           ~threshold:(Quorum.ready_amplify ~f:state.f);
         sends := Bval { round = r; value } :: !sends;
-        rs := { !rs with bval_echoed = with_set !rs.bval_echoed i true }
+        rs := { !rs with bval_sent = with_set !rs.bval_sent i true }
       end;
       if deliver_due state !rs i then begin
         Event.quorum sink ~round:r "bval-deliver" ~count:support
@@ -156,6 +157,18 @@ let bv_progress state ~(sink : Event.sink) r =
     else (rs, !sends)
   in
   if rs == unchanged then (state, []) else (set_round state r rs, List.rev sends)
+
+(* Entering its current round, a node broadcasts BVAL(round, est),
+   unless the f+1 rule has already sent that value there; either way
+   the value is marked sent, so the f+1 rule never repeats it. *)
+let enter_round state =
+  let r = state.round in
+  let rs = round_state state r in
+  let i = Value.to_int state.est in
+  if rs.bval_sent.(i) then (state, [])
+  else
+    ( set_round state r { rs with bval_sent = with_set rs.bval_sent i true },
+      [ Bval { round = r; value = state.est } ] )
 
 (* Obtain the round coin.  The [Flip] sources answer immediately; the
    share-based source reveals this node's share (once) and waits for
@@ -231,18 +244,22 @@ let try_complete_round state ~rng ~(sink : Event.sink) =
       let state = { state with round = r + 1 } in
       if sink.Event.enabled then
         sink.Event.emit (Event.make ~round:state.round Event.Round_advance);
-      (state, Bval { round = state.round; value = state.est } :: coin_sends, outputs)
+      let state, entry_sends = enter_round state in
+      (state, entry_sends @ coin_sends, outputs)
   end
 
 (* Fire everything that is enabled: BV rules for the current round may
    unlock the round completion, whose round switch may find the next
-   round's tallies already over quorum. *)
+   round's tallies already over quorum.  A switch may send nothing (the
+   new round's value already echoed), so the loop runs while the round
+   advances. *)
 let rec settle state ~rng ~sink actions outputs =
   let state, bv_sends = bv_progress state ~sink state.round in
+  let round = state.round in
   let state, round_sends, round_outputs = try_complete_round state ~rng ~sink in
   let actions = actions @ bv_sends @ round_sends in
   let outputs = outputs @ round_outputs in
-  if round_sends = [] && round_outputs = [] then (state, actions, outputs)
+  if state.round = round then (state, actions, outputs)
   else settle state ~rng ~sink actions outputs
 
 let initial ctx (input : input) =
@@ -259,10 +276,9 @@ let initial ctx (input : input) =
       rounds = Int_map.empty;
     }
   in
+  let state, entry_sends = enter_round state in
   let state, actions, _ =
-    settle state ~rng:ctx.Protocol.Context.rng ~sink:ctx.Protocol.Context.sink
-      [ Bval { round = 1; value = input.value } ]
-      []
+    settle state ~rng:ctx.Protocol.Context.rng ~sink:ctx.Protocol.Context.sink entry_sends []
   in
   (state, List.map (fun m -> Protocol.Broadcast m) actions)
 
@@ -287,7 +303,7 @@ let rules ctx state touched =
    threshold tests above hold leaves both functions nothing to do.
    Three routes:
    - no change: a sender counted before, a BVAL whose value was both
-     echoed and delivered into bin_values (no rule reads its senders
+     sent and delivered into bin_values (no rule reads its senders
      again), or an AUX of a completed round (nothing reads a past
      round's AUX votes).  The state comes back physically unchanged.
    - sub-threshold: the vote is stored and no rule runs.
@@ -300,7 +316,7 @@ let on_message ctx state ~src msg =
   | Bval { round; value } ->
     let rs = round_state state round in
     let i = Value.to_int value in
-    if rs.bval_echoed.(i) && rs.bin_values.(i) then (state, [], [])
+    if rs.bval_sent.(i) && rs.bin_values.(i) then (state, [], [])
     else
       let counted = add_bval rs ~src value in
       if counted == rs then (state, [], [])

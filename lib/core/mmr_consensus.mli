@@ -41,23 +41,19 @@ open Import
     current round), and for every [Share].  A vote that changes
     nothing a rule reads returns the state argument itself, with no
     action and no output: a sender's second BVAL for one value or
-    second AUX, a BVAL whose value was already echoed and delivered
-    into [bin_values], or an AUX of a completed round.  A vote below
-    every test is stored and answers nothing, with a sink enabled or
-    not: a round's AUX quorum is reported to the sink once, when the
-    round first holds it, even while the round then waits for Rabin
-    coin shares.
+    second AUX, a BVAL whose value this node has already sent and
+    delivered into [bin_values], or an AUX of a completed round.  A
+    vote below every test is stored and answers nothing, with a sink
+    enabled or not: a round's AUX quorum is reported to the sink once,
+    when the round first holds it, even while the round then waits
+    for Rabin coin shares.
 
-    {b Deviation from the paper.}  A node broadcasts [BVAL(r, est)]
-    when it enters round [r] but does not mark [est] as echoed, so the
-    f+1 rule later broadcasts [BVAL(r, est)] a second time.  MMR's
-    BV-broadcast echoes a value only once, "if not yet broadcast".
-    Receivers count each sender once, so the repeat changes no
-    decision; it costs up to one broadcast per node and round.  In
-    [abc-run mmr -n 128 -f 42 --seed 10007], 44,523 of the 160,108
-    deliveries are these repeats.  Sending each value once would
-    change every MMR message count, and every baseline that pins
-    one. *)
+    {b Each value once.}  As in MMR's BV-broadcast, which echoes a
+    value only "if not yet broadcast", a node sends [BVAL(r, v)] at
+    most once per round: the vote it sends on entering round [r] marks
+    [est] as sent, so the f+1 rule does not repeat it, and a node that
+    enters [r] with a value the f+1 rule already echoed there sends
+    nothing new. *)
 
 type coin_source =
   | Flip of Coin.t  (** local (ablation) or idealized common coin *)

@@ -211,7 +211,8 @@ let test_pass_through () =
   in
   let state = quiet "first bval" state 1 bval in
   unchanged "duplicate bval" state 1 bval;
-  (* Two BVALs echo the value, three deliver it into bin_values. *)
+  (* Node 0 sent BVAL(1, 1) on entering round 1, so two BVALs echo
+     nothing; three deliver the value into bin_values. *)
   let state = List.fold_left (feed bval) state [ 2; 3 ] in
   unchanged "settled bval" state 0 bval;
   let state = quiet "first aux" state 1 aux in
