@@ -878,18 +878,21 @@ module Make (S : SUBJECT) = struct
       Ok { run = Raw.run ?recovery sc ~faulty:(faulty @ crashes); explore = explore sc ~faulty }
 end
 
-(* An entry's resilience class is n > [ratio] f. *)
-type entry = { name : string; ratio : int; prepare : scenario -> (prepared, string * string) result }
+(* An entry's resilience class is n > [ratio] f, and n > [crash_ratio] f
+   in crash mode, which only Ben-Or reads. *)
+type entry = {
+  name : string; ratio : int; crash_ratio : int; prepare : scenario -> (prepared, string * string) result }
 
-let entry ?(preset = Fun.id) name ratio (module S : SUBJECT) =
+let entry ?(preset = Fun.id) ?crash_ratio name ratio (module S : SUBJECT) =
   let module M = Make (S) in
-  { name; ratio; prepare = (fun sc -> M.prepare ~name (preset sc)) }
+  { name; ratio; crash_ratio = Option.value crash_ratio ~default:ratio;
+    prepare = (fun sc -> M.prepare ~name (preset sc)) }
 
 let entries =
   let common sc = { sc with coin = Some (Option.value sc.coin ~default:Common) } in
   [ entry "bracha" 3 (module Bracha);
     entry "bracha-cc" 3 (module Bracha) ~preset:common;
-    entry "ben-or" 5 (module Ben_or);
+    entry "ben-or" 5 ~crash_ratio:2 (module Ben_or);
     entry "mmr" 3 (module Mmr);
     entry "mmr-rabin" 3 (module Mmr_rabin);
     entry "bracha-rbc" 3 (module Bracha_rbc);
@@ -905,8 +908,12 @@ let entries =
 
 let find protocol = List.find_opt (fun e -> String.equal e.name protocol) entries
 
-let resilience protocol =
-  Option.map (fun e -> (Printf.sprintf "n>%df" e.ratio, fun n -> (n - 1) / e.ratio)) (find protocol)
+let resilience sc =
+  Option.map
+    (fun e ->
+      let ratio = if sc.crash_mode then e.crash_ratio else e.ratio in
+      (Printf.sprintf "n>%df" ratio, (sc.n - 1) / ratio))
+    (find sc.protocol)
 
 let unknown_protocol p =
   Printf.sprintf "unknown protocol %S (%s)" p (String.concat " | " (List.map (fun e -> e.name) entries))

@@ -196,11 +196,12 @@ val check_token : axis:string -> string -> (unit, string) result
 
 (** {1 The registry} *)
 
-val resilience : string -> (string * (int -> int)) option
-(** The class (["n>3f"], ["n>4f"], ["n>5f"]) and the largest tolerated
-    [f] at [n], as the protocol modules declare in
-    [[@@@abc.resilience]].  [Runner.check] refuses a spec cell past it
-    unless the cell expects [expect-fail]. *)
+val resilience : scenario -> (string * int) option
+(** The class of the scenario's protocol in its mode (["n>3f"],
+    ["n>4f"], ["n>5f"]; Ben-Or's is ["n>2f"] in crash mode) and the
+    largest tolerated [f] at its [n], as the protocol modules declare
+    in [[@@@abc.resilience]].  [Runner.check] refuses a spec cell past
+    it unless the cell expects [expect-fail]. *)
 
 val check : scenario -> (unit, string * string) result
 (** Checks across axes (n >= 1, f >= 0, payload >= 0, budget >= 1,

@@ -29,16 +29,16 @@ let scenario_of_cell cell =
 (* A cell past its protocol's resilience class measures only the
    protocol's refusal at init, so it must expect that: [expect-fail]. *)
 let within_class cell (sc : Registry.scenario) =
-  match (cell.Spec.oracle, Registry.resilience sc.protocol) with
+  match (cell.Spec.oracle, Registry.resilience sc) with
   | Spec.Expect_fail, _ | _, None -> Ok ()
   | _, Some (cls, max_f) ->
-    if sc.f <= max_f sc.n then Ok ()
+    if sc.f <= max_f then Ok ()
     else
       Error
         ( "f",
           Printf.sprintf
             "cell exceeds %s's resilience class %s (max f=%d at n=%d); annotate the cell expect-fail or fix the axis"
-            sc.protocol cls (max_f sc.n) sc.n )
+            sc.protocol cls max_f sc.n )
 
 (* Every cell, checked against the registry and its protocol's class
    before any of them runs; an error sits at the offending axis binding

@@ -474,18 +474,19 @@ let test_boundary_oracles () =
   in
   Alcotest.(check (list string))
     "first matching clause wins" [ "decide"; "agree" ] labels;
-  (* n = 3f + 1 is within bound; f one beyond is not. *)
-  (match Registry.resilience "bracha" with
-  | None -> Alcotest.fail "bracha not in the resilience registry"
-  | Some (cls, max_f) ->
-    Alcotest.(check string) "class label" "n>3f" cls;
-    Alcotest.(check int) "n=4 tolerates f=1" 1 (max_f 4);
-    Alcotest.(check int) "n=7 tolerates f=2" 2 (max_f 7));
-  match Registry.resilience "ben-or" with
-  | Some (cls, max_f) ->
-    Alcotest.(check string) "ben-or class" "n>5f" cls;
-    Alcotest.(check int) "n=6 tolerates f=1" 1 (max_f 6)
-  | None -> Alcotest.fail "ben-or not in the resilience registry"
+  (* n = 3f + 1 is within bound; f one beyond is not.  Ben-Or's class
+     is n > 5f under Byzantine faults and n > 2f under crashes. *)
+  let resilience ?(crash_mode = false) protocol ~n =
+    match Registry.resilience { (Registry.scenario ~protocol ~n ~f:0) with crash_mode } with
+    | Some c -> c
+    | None -> Alcotest.failf "%s not in the resilience registry" protocol
+  in
+  let check name expected got = Alcotest.(check (pair string int)) name expected got in
+  check "bracha: n=4 tolerates f=1" ("n>3f", 1) (resilience "bracha" ~n:4);
+  check "bracha: n=7 tolerates f=2" ("n>3f", 2) (resilience "bracha" ~n:7);
+  check "bracha: crash mode changes nothing" ("n>3f", 1) (resilience ~crash_mode:true "bracha" ~n:4);
+  check "ben-or: n=6 tolerates f=1" ("n>5f", 1) (resilience "ben-or" ~n:6);
+  check "crash-mode ben-or: n=6 tolerates f=2" ("n>2f", 2) (resilience ~crash_mode:true "ben-or" ~n:6)
 
 (* ---- qcheck: expansion is a pure, stable function of the text ---- *)
 
@@ -550,9 +551,26 @@ let test_jobs_determinism () =
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" j1 j4;
   Alcotest.(check bool) "both cells pass" true (Runner.passed r1)
 
+(* Ben-Or at n = 6 with two silent nodes, in [mode], at [f]. *)
+let ben_or_spec ~mode ~f ~expect =
+  Printf.sprintf
+    "(matrix\n\
+    \  (id t)\n\
+    \  (title \"t\")\n\
+    \  (axes\n\
+    \    (protocol ben-or)\n\
+    \    (mode %s)\n\
+    \    (n 6)\n\
+    \    (f %d)\n\
+    \    (fault silent:2)\n\
+    \    (seeds 3))\n\
+    \  (expect\n\
+    \    (default %s)))\n"
+    mode f expect
+
 let test_expect_fail_semantics () =
   let r, _ = run_with_jobs 2 in
-  match r.Runner.cells with
+  (match r.Runner.cells with
   | [ within; beyond ] ->
     Alcotest.(check bool) "n=4 f=1 decides" true within.Runner.pass;
     Alcotest.(check (float 0.0001))
@@ -562,7 +580,29 @@ let test_expect_fail_semantics () =
     Alcotest.(check (float 0.0001))
       "beyond bound: the protocol rejects the config" 0.0
       beyond.Runner.metrics.Runner.ok_rate
-  | cells -> Alcotest.failf "expected 2 cells, got %d" (List.length cells)
+  | cells -> Alcotest.failf "expected 2 cells, got %d" (List.length cells));
+  (* Ben-Or's boundary moves with its mode: f = 2 at n = 6 is within
+     n > 2f under crashes (every seed decides) and past n > 5f under
+     Byzantine faults; f = 3 is past n > 2f, and the protocol refuses
+     it at init. *)
+  let run ~mode ~f ~expect =
+    match (Runner.run ~pool:(Pool.create ~jobs:2 ()) (spec_of_string (ben_or_spec ~mode ~f ~expect))).Runner.cells with
+    | [ c ] -> (c.Runner.pass, c.Runner.metrics.Runner.ok_rate)
+    | cells -> Alcotest.failf "expected 1 cell, got %d" (List.length cells)
+  in
+  let outcome = Alcotest.(pair bool (float 0.0001)) in
+  Alcotest.(check outcome) "crash mode n=6 f=2 decides" (true, 1.0) (run ~mode:"crash" ~f:2 ~expect:"decide");
+  Alcotest.(check outcome) "crash mode n=6 f=3 expect-fail passes" (true, 0.0)
+    (run ~mode:"crash" ~f:3 ~expect:"expect-fail");
+  let refused ~mode ~f ~cls ~max_f =
+    match Runner.check (spec_of_string (ben_or_spec ~mode ~f ~expect:"decide")) with
+    | Ok () -> Alcotest.failf "%s-mode ben-or n=6 f=%d accepted without expect-fail" mode f
+    | Error e ->
+      check_at (Printf.sprintf "%s-mode ben-or n=6 f=%d" mode f) e ~line:8 ~col:7
+        ~msg_has:(Printf.sprintf "cell exceeds ben-or's resilience class %s (max f=%d at n=6)" cls max_f)
+  in
+  refused ~mode:"crash" ~f:3 ~cls:"n>2f" ~max_f:2;
+  refused ~mode:"byzantine" ~f:2 ~cls:"n>5f" ~max_f:1
 
 (* A cell past its protocol's class is refused at its f literal before
    any cell runs unless it expects expect-fail: with no expect clause it

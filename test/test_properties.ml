@@ -82,7 +82,7 @@ let pattern =
       (fun i -> Registry.[| Unanimous Abc.Value.Zero; Unanimous Abc.Value.One; Halves |].(i))
       (int_range 0 2))
 
-let max_f protocol = snd (Option.get (Registry.resilience protocol))
+let max_f protocol n = snd (Option.get (Registry.resilience (Registry.scenario ~protocol ~n ~f:0)))
 
 let on_highest ~n faults kind =
   if faults = 0 then Registry.No_fault else Registry.Placed (kind, List.init faults (fun k -> n - 1 - k))
