@@ -586,7 +586,8 @@ let test_expect_fail_semantics () =
      Byzantine faults; f = 3 is past n > 2f, and the protocol refuses
      it at init. *)
   let run ~mode ~f ~expect =
-    match (Runner.run ~pool:(Pool.create ~jobs:2 ()) (spec_of_string (ben_or_spec ~mode ~f ~expect))).Runner.cells with
+    let spec = spec_of_string (ben_or_spec ~mode ~f ~expect) in
+    match (Runner.run ~pool:(Pool.create ~jobs:2 ()) spec).Runner.cells with
     | [ c ] -> (c.Runner.pass, c.Runner.metrics.Runner.ok_rate)
     | cells -> Alcotest.failf "expected 1 cell, got %d" (List.length cells)
   in
